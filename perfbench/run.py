@@ -10,15 +10,18 @@ times, report digests, problems) goes to perfbench/out/.
 
 A run makes whole rounds of the workload's fixed item list, as many as
 `--seconds` holds at the workload's nominal round time (at least
-MIN_ROUNDS), and keeps each item's fastest round as its time.  Before
-each item the process moves itself to the CPU on which a short fixed loop
-runs fastest at that moment: on a shared host each CPU slows by up to a
-third, independently of the other, for tens of seconds (see README).
+MIN_ROUNDS), and reports each item's median over its rounds.  Items and set-ups are timed in CPU seconds
+of this process and of the children it waited for, scaled by the speed
+probes of `calibrate.py` taken right before and after each: on a shared
+virtual machine the hypervisor takes the guest CPU away for part of the
+wall time, and the same work's CPU time drifts by a third within seconds
+(see README).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import json
@@ -30,6 +33,8 @@ import statistics
 import sys
 from time import perf_counter
 
+import calibrate
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
@@ -38,32 +43,7 @@ PACKAGE = "extremalcurves"
 MIN_ROUNDS = 3
 # set-up is sub-second: it is repeated at the start of every round and the
 # median of all repeats is reported
-SETUP_PER_ROUND = 3
-
-
-def _probe():
-    start = perf_counter()
-    acc = 0
-    for i in range(20000):
-        acc += i * i % 7
-    return perf_counter() - start
-
-
-def move_to_fastest_cpu(cpus):
-    """Pin this process (and the children it starts) to the CPU of `cpus` on
-    which a ~2 ms loop runs fastest now; a no-op with fewer than two."""
-    if len(cpus) < 2:
-        return None
-    timed = []
-    try:
-        for cpu in cpus:
-            os.sched_setaffinity(0, {cpu})
-            timed.append((min(_probe(), _probe()), cpu))
-        cpu = min(timed)[1]
-        os.sched_setaffinity(0, {cpu})
-    except OSError:  # pinning refused: run wherever the scheduler puts us
-        return None
-    return cpu
+SETUP_PER_ROUND = 4
 
 
 def load_package():
@@ -77,10 +57,12 @@ def load_package():
 
 
 def build(cls, seed, times):
+    """Import the package and make the workload's inputs; appends the
+    reference seconds this took to `times`."""
     gc.collect()
-    start = perf_counter()
-    workload = cls(load_package(), seed, os.path.join(OUT, "files", cls.name))
-    times.append(perf_counter() - start)
+    workload, _, ref_s = calibrate.measure(
+        lambda: cls(load_package(), seed, os.path.join(OUT, "files", cls.name)))
+    times.append(ref_s)
     return workload
 
 
@@ -94,32 +76,31 @@ def nearest_rank(values, pct):
     return ordered[max(0, math.ceil(pct * len(ordered) / 100) - 1)]
 
 
-def run_item(workload, item, item_id, tracer):
-    """One timed item; returns (seconds, output, in-process CLI seconds)."""
-    if tracer is None:
-        start = perf_counter()
-        output = workload.run(item)
-        return perf_counter() - start, output, None
-    if hasattr(workload, "run_in_process"):
-        start = perf_counter()
-        output = workload.run(item)
-        child_s = perf_counter() - start
-        with tracer.span("item", item_id):
-            main_s = workload.run_in_process(item)
-        return child_s, output, main_s
-    start = perf_counter()
-    with tracer.span("item", item_id):
-        output = workload.run(item)
-    return perf_counter() - start, output, None
+def attempt(workload, item, span):
+    """The timed call of one item, inside `span`: (output, None) or
+    (None, exception)."""
+    try:
+        with span:
+            return workload.run(item), None
+    except Exception as exc:  # recorded as a failed item; the run goes on
+        return None, exc
+
+
+def pin_to_one_cpu():
+    """Keep this process and its children on one CPU, so that the speed
+    probes gauge the CPU the item runs on."""
+    try:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    except (AttributeError, OSError):  # no affinity here: probe wherever we run
+        pass
 
 
 def run(cls, seed, seconds, traced):
-    """Untraced: `seconds / cls.ROUND_S` rounds, so that a slow spell of the
-    machine does not also cut the number of repeats; traced: MIN_ROUNDS,
-    with a single set-up."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    """Untraced: `seconds / cls.ROUND_S` whole rounds, at least MIN_ROUNDS,
+    so that the count does not depend on how fast the machine runs; traced:
+    MIN_ROUNDS, with a single set-up."""
+    pin_to_one_cpu()
     setup_times = []
-    move_to_fastest_cpu(cpus)
     workload = build(cls, seed, setup_times)
     tracer = None
     if traced:
@@ -127,30 +108,31 @@ def run(cls, seed, seconds, traced):
 
         tracer = Tracer()
         tracer.install()
+    in_process = traced and hasattr(workload, "run_in_process")
     items = workload.items
-    chosen = {}
-    best = [math.inf] * len(items)
+    times = [[] for _ in items]  # reference seconds, one per round
+    raw = [[] for _ in items]  # CPU seconds as measured
     outcomes, problems, startup = [], [], 0.0
-    total = MIN_ROUNDS if traced else max(MIN_ROUNDS, round(seconds / cls.ROUND_S))
+    began = perf_counter()
+    total = MIN_ROUNDS if traced else max(MIN_ROUNDS, int(seconds // cls.ROUND_S))
     for rnd in range(total):
         if tracer is None:
             for _ in range(SETUP_PER_ROUND - (rnd == 0)):
-                move_to_fastest_cpu(cpus)
                 build(cls, seed, setup_times)
         for idx, item in enumerate(items):
             gc.collect()
-            cpu = move_to_fastest_cpu(cpus)
-            chosen[cpu] = chosen.get(cpu, 0) + 1
-            start = perf_counter()
-            try:
-                took, output, main_s = run_item(workload, item, f"{rnd}:{idx}", tracer)
-            except Exception as exc:  # recorded as a failed item; the run goes on
-                best[idx] = min(best[idx], perf_counter() - start)
+            span = (tracer.span("item", f"{rnd}:{idx}") if traced and not in_process
+                    else contextlib.nullcontext())
+            (output, exc), took, ref_s = calibrate.measure(attempt, workload, item, span)
+            times[idx].append(ref_s)
+            raw[idx].append(took)
+            if exc is not None:
                 outcomes.append(True)
                 problems.append(f"{item['label']}: {type(exc).__name__}: {exc}")
                 continue
-            best[idx] = min(best[idx], took)
-            if main_s is not None:
+            if in_process:  # the same call inside this process, under spans
+                with tracer.span("item", f"{rnd}:{idx}"):
+                    main_s = workload.run_in_process(item)
                 startup += took - main_s
             if tracer is not None:
                 tracer.paused = True
@@ -159,9 +141,9 @@ def run(cls, seed, seconds, traced):
                 tracer.paused = False
             outcomes.append(failed)
             problems += [f"{item['label']}: {p}" for p in found]
-    return dict(workload=workload, setup_times=setup_times, best=best,
+    return dict(workload=workload, setup_times=setup_times, times=times, raw=raw,
                 outcomes=outcomes, problems=problems, rounds=total,
-                tracer=tracer, startup=startup, cpu_choices=chosen)
+                tracer=tracer, startup=startup, wall_s=perf_counter() - began)
 
 
 def peak_rss_mb(children):
@@ -190,16 +172,17 @@ def main(argv=None):
     os.makedirs(OUT, exist_ok=True)
 
     res = run(cls, args.seed, args.seconds, args.trace)
-    best, outcomes, problems = res["best"], res["outcomes"], res["problems"]
+    outcomes, problems = res["outcomes"], res["problems"]
+    per_item = [statistics.median(t) for t in res["times"]]
     items = res["workload"].items
     tail_pct = tail_percentile(len(items))
     tracer = res["tracer"]
     if tracer is None:
         metrics = {
             "setup_s": (statistics.median(res["setup_times"]), "s"),
-            "items_per_s": (len(items) / sum(best), "1/s"),
-            "item_p50_s": (statistics.median(best), "s"),
-            "item_tail_s": (nearest_rank(best, tail_pct), "s"),
+            "items_per_s": (len(items) / sum(per_item), "1/s"),
+            "item_p50_s": (statistics.median(per_item), "s"),
+            "item_tail_s": (nearest_rank(per_item, tail_pct), "s"),
             "peak_rss_mb": (peak_rss_mb(cls is WORKLOADS["cli_verify"]), "MB"),
         }
     else:
@@ -222,14 +205,15 @@ def main(argv=None):
         "seconds": args.seconds,
         "trace": args.trace,
         "rounds": res["rounds"],
-        "cpu_choices": {str(k): v for k, v in res["cpu_choices"].items()},
+        "wall_s": res["wall_s"],
         "items_per_round": len(items),
         "tail_percentile": tail_pct,
         "setup_times_s": res["setup_times"],
         "attempted": len(outcomes),
         "failed": sum(outcomes),
         "problems": problems,
-        "item_best_s": {item["label"]: t for item, t in zip(items, best)},
+        "item_s": {item["label"]: t for item, t in zip(items, res["times"])},
+        "item_cpu_s": {item["label"]: t for item, t in zip(items, res["raw"])},
         "report_sha256": getattr(res["workload"], "digests", None),
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "metrics": {k: v for k, (v, _) in metrics.items()},

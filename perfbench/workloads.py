@@ -18,7 +18,7 @@ import random
 import subprocess
 import sys
 from math import comb
-from time import perf_counter
+from time import process_time
 
 import hilbert_check
 
@@ -42,7 +42,7 @@ class CatalogAnalyze:
     `analyze` runs them) on a fixed subset of the catalog."""
 
     name = "catalog_analyze"
-    ROUND_S = 5.0  # nominal seconds per round
+    ROUND_S = 7.0  # nominal wall seconds of one round
     # A fixed subset, cheap enough for many rounds per run: a full serial
     # pass of the 63 catalog points takes about 70 s.  Each n=3 point runs
     # with two verdict seeds (different gin and hyperplane draws).
@@ -126,8 +126,10 @@ class RandomProbe:
     `constructed_curve_probe`, on draws made at set-up."""
 
     name = "random_probe"
-    ROUND_S = 5.5
-    DRAWS = 2
+    ROUND_S = 12.0
+    # draws per point, by n: the cheap n = 3 and n = 4 points get more, so
+    # that the median item does not hinge on a few draws
+    DRAWS = {3: 3, 4: 3, 5: 2}
     POINTS = [(n, d, a) for n in (3, 4, 5) for d in range(3, 7) for a in range(4)]
 
     def __init__(self, pkg, seed, workdir):
@@ -136,7 +138,7 @@ class RandomProbe:
         rng = random.Random(_mix(seed, self.name))
         self.items = []
         for n, d, a in self.POINTS:
-            for k in range(self.DRAWS):
+            for k in range(self.DRAWS[n]):
                 inp = construct.random_construction_input(n, d, a, rng)
                 self.items.append(dict(label=f"n{n}d{d}a{a}#{k}", n=n, d=d, a=a, input=inp))
         self._hilbert = {}
@@ -172,7 +174,7 @@ class CliVerify:
     at a time, on ideal files written at set-up."""
 
     name = "cli_verify"
-    ROUND_S = 8.0
+    ROUND_S = 10.0
     # the documented code for an exponent beyond the packed limit is 2; the
     # CLI exits 1 after an OverflowError traceback from packing.pack
     KNOWN_FAULT = "exponent_200"
@@ -227,15 +229,15 @@ class CliVerify:
         ).returncode
 
     def run_in_process(self, item):
-        """Seconds spent in `cli.main` in this process, for the traced run."""
+        """CPU seconds spent in `cli.main` in this process, for the traced run."""
         sink = io.StringIO()
-        start = perf_counter()
+        start = process_time()
         try:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 self.cli.main(self._argv(item))
         except Exception:  # the known fault escapes main; the child shows it
             pass
-        return perf_counter() - start
+        return process_time() - start
 
     def check(self, item, code):
         if code == item["expected"]:
