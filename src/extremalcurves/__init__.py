@@ -7,6 +7,7 @@ from .cohomology import (
     HilbertTable,
     InternalCheckError,
     NotACurveError,
+    NotLocallyCohenMacaulayError,
     deficiency_module,
     h2_table,
     hilbert_table,
@@ -76,6 +77,7 @@ __all__ = [
     "ModuleVector",
     "MonomialIdeal",
     "NotACurveError",
+    "NotLocallyCohenMacaulayError",
     "PolyRing",
     "Polynomial",
     "PrimeField",

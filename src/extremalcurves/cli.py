@@ -157,6 +157,8 @@ def sweep_point(task):
         report = verify_extremal(ideal, seed=seed)
     except InternalCheckError as e:
         return {"point": {"n": n, "d": d, "a": a}, "internal_error": str(e)}
+    except Exception as e:  # recorded under its point; the grid goes on
+        return {"point": {"n": n, "d": d, "a": a}, "error": f"{type(e).__name__}: {e}"}
     return {"point": {"n": n, "d": d, "a": a}, "report": report.to_json_dict()}
 
 
@@ -190,13 +192,12 @@ def _cmd_sweep(args):
     verdicts = [
         r.get("report", {}).get("verdict") for r in results if "report" in r
     ]
+    failed = sum(1 for r in results if "internal_error" in r or "error" in r)
     print(
         f"{len(results)} grid points, {verdicts.count('extremal')} extremal, "
-        f"{sum(1 for r in results if 'skipped' in r)} skipped"
+        f"{sum(1 for r in results if 'skipped' in r)} skipped, {failed} failed"
     )
-    if any("internal_error" in r for r in results):
-        return 3
-    return 0
+    return 3 if failed else 0
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import NonExtremalWitness
 from .formulas import (
     CurveSpec,
     bound_profile,
@@ -27,12 +26,12 @@ from .formulas import (
     max_genus,
     rao_structure_excluded,
 )
-from .gin import gin as compute_gin
-from .ideals import Ideal, change_coordinates, ideal_from_monomials, is_saturated, quotient, saturate
-from .modules import GraphBasis, PresentedModule, free_resolution_from_gb
+from .gin import gin as compute_gin, mix_seed
+from .ideals import Ideal, ideal_from_monomials, is_saturated, random_invertible_matrix
+from .modules import GraphBasis, PresentedModule
 from .oracle import fraction_rank
 from .report import CurveReport
-from .ring import PolyRing, Polynomial, binom
+from .ring import PolyRing, Polynomial
 
 
 class NotACurveError(ValueError):
@@ -41,6 +40,11 @@ class NotACurveError(ValueError):
 
 class DegenerateCurveError(ValueError):
     """The ideal contains a linear form."""
+
+
+class NotLocallyCohenMacaulayError(ValueError):
+    """The curve has embedded or isolated points: its deficiency module is
+    not of finite length."""
 
 
 class InternalCheckError(AssertionError):
@@ -70,32 +74,27 @@ class HilbertTable:
 
 
 def detect_hilbert_polynomial(I: Ideal):
-    """(leading coefficient, constant term) of the Hilbert polynomial,
-    requiring agreement on max(3, nvars) consecutive values past the
-    regularity; raises NotACurveError when the function is not eventually
-    linear."""
-    lead = I.initial_ideal()
-    reg = I.resolution().regularity()
-    agree = max(3, I.ring.nvars)
-    start = max(reg + 1, 1)
-    values = [lead.quotient_dim(j) for j in range(start, start + agree + 1)]
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    if any(d != diffs[0] for d in diffs):
-        raise NotACurveError("Hilbert function is not eventually linear")
-    d = diffs[0]
-    c = values[0] - d * start
-    return d, c
+    """(degree, arithmetic genus) of a curve, whose Hilbert polynomial is
+    d j + 1 - g, read off the Hilbert numerator.  With N(t) = (1-t)^k Q(t)
+    and Q(1) != 0 the quotient has dimension nvars - k; for dimension two
+    d = Q(1) and g = 1 - Q(1) + Q'(1).  Any other dimension, the unit ideal
+    included, raises NotACurveError."""
+    q = list(I.initial_ideal().hilbert_numerator())
+    k = 0
+    while any(q) and sum(q) == 0:  # divide by (1 - t): partial sums
+        q = [sum(q[: i + 1]) for i in range(len(q) - 1)]
+        k += 1
+    if not any(q) or I.ring.nvars - k != 2:
+        raise NotACurveError(
+            "the quotient does not have dimension two: the ideal does not define a curve"
+        )
+    return sum(q), 1 - sum(q) + sum(i * c for i, c in enumerate(q))
 
 
 def hilbert_table(I: Ideal, window=None) -> HilbertTable:
     """Hilbert function of the quotient over a window, plus the detected
     degree and genus; errors unless the quotient has dimension two."""
-    d, c = detect_hilbert_polynomial(I)
-    if d <= 0:
-        raise NotACurveError(
-            "quotient dimension below two: the ideal does not define a curve"
-        )
-    g = 1 - c
+    d, g = detect_hilbert_polynomial(I)
     if window is None:
         from .formulas import default_window
 
@@ -151,7 +150,10 @@ class DualCohomology:
         else:
             self.rao_dual = _dual_presentation_of_coker(res, self.ring, n)
             if not self.rao_dual.is_finite_length():
-                raise InternalCheckError("deficiency module is not of finite length")
+                raise NotLocallyCohenMacaulayError(
+                    "the curve is not locally Cohen-Macaulay (it has embedded "
+                    "or isolated points): its deficiency module is not of finite length"
+                )
 
     @property
     def h2_dual(self) -> PresentedModule:
@@ -225,19 +227,12 @@ class FiniteLengthModule:
 
 
 def _mat_mul(A, B):
-    if not B:
+    if not A or not B:
         return []
-    if not A:
-        return [[] for _ in range(0)]
-    cols_b = len(B[0]) if B else 0
-    inner = len(B)
-    out = []
-    for r in range(len(A)):
-        row = []
-        for c in range(cols_b):
-            row.append(sum((A[r][k] * B[k][c] for k in range(inner)), Fraction(0)))
-        out.append(row)
-    return out
+    return [
+        [sum((a * B[k][c] for k, a in enumerate(row)), Fraction(0)) for c in range(len(B[0]))]
+        for row in A
+    ]
 
 
 def _transpose(m):
@@ -255,10 +250,9 @@ def deficiency_module(I: Ideal, window=None, dual: DualCohomology | None = None)
     ring = I.ring
     nvars = ring.nvars
     if window is None:
-        ht = hilbert_table(I)
         from .formulas import default_window
 
-        window = default_window(ring.n, ht.degree, ht.genus)
+        window = default_window(ring.n, *detect_hilbert_polynomial(I))
     lo, hi = window[0] - 2, window[1] + 2
     dims = {}
     for j in range(lo, hi + 1):
@@ -270,10 +264,14 @@ def deficiency_module(I: Ideal, window=None, dual: DualCohomology | None = None)
     mult = {}
     for j in range(lo, hi):
         e_next = -(j + 1) - nvars
+        live = dims.get(j) and dims.get(j + 1)
         for v in range(nvars):
             # x_v on the dual module at degree e_next has target degree
-            # e_next + 1 = -j - nvars; transpose to act on the module itself
-            mult[(v, j)] = _transpose(dual.rao_dual.mult_matrix(v, e_next))
+            # e_next + 1 = -j - nvars; transpose to act on the module itself.
+            # A map to or from a zero piece is the empty matrix.
+            mult[(v, j)] = (
+                _transpose(dual.rao_dual.mult_matrix(v, e_next)) if live else []
+            )
     gen_count = 0
     gen_degrees = []
     for j in range(lo, hi + 1):
@@ -372,13 +370,6 @@ def h2_table(I: Ideal, window, dual: DualCohomology | None = None, hilbert=None)
 # hyperplane sections and planar subcurves
 
 
-def _mix(*parts) -> int:
-    h = 0x9E3779B97F4A7C15
-    for p in parts:
-        h ^= (p + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)) & 0xFFFFFFFFFFFFFFFF
-    return h & 0x7FFFFFFFFFFFFFFF
-
-
 def _divide_out_last_variable(gb_polys, ring: PolyRing):
     """Divide each basis element by its maximal last-variable power.
 
@@ -444,19 +435,19 @@ def hyperplane_section(I: Ideal, seed: int = 0, form: Polynomial | None = None, 
     from .groebner import buchberger
 
     ring = I.ring
-    ht = hilbert_table(I)
+    degree, _ = detect_hilbert_polynomial(I)
     reg = I.resolution().regularity()
     target = PolyRing(ring.nvars - 1, ring.field)
     hvals = [I.initial_ideal().quotient_dim(j) for j in range(reg + 3)]
     for attempt in range(max_draws):
-        rng = random.Random(_mix(seed, attempt, 77))
+        rng = random.Random(mix_seed(seed, attempt, 77))
         if form is not None:
             coeffs = [form.coefficient(ring.var_mono(i)) for i in range(ring.nvars)]
             if form.degree() != 1 or not any(coeffs):
                 raise ValueError("the section form must be a nonzero linear form")
             matrix = _kernel_basis_matrix(coeffs, rng)
         else:
-            matrix = _random_invertible_matrix(ring.nvars, rng)
+            matrix = random_invertible_matrix(ring.nvars, rng, 20)
         transformed = [g.substitute_linear(matrix) for g in I.gens]
         cut = []
         for g in transformed:
@@ -479,30 +470,20 @@ def hyperplane_section(I: Ideal, seed: int = 0, form: Polynomial | None = None, 
         section = Ideal(target, list(gb.polys))
         section._gb = gb
         lead = gb.initial_ideal()
-        values = [lead.quotient_dim(j) for j in range(0, ht.degree + 2)]
+        values = [lead.quotient_dim(j) for j in range(0, degree + 2)]
         return section, values, matrix
     raise ValueError("exhausted draws without a non-zerodivisor hyperplane")
-
-
-def _random_invertible_matrix(nv: int, rng: random.Random, bound: int = 20):
-    from .ideals import _det
-
-    for _ in range(100):
-        matrix = [[rng.randint(-bound, bound) for _ in range(nv)] for _ in range(nv)]
-        if _det(matrix):
-            return matrix
-    raise AssertionError("failed to draw an invertible matrix")
 
 
 def general_section_values(I: Ideal, seed: int = 0):
     """Hilbert values of the general hyperplane section: two independent
     draws must agree (a third breaks ties), guarding against a special
     hyperplane slipping past the non-zerodivisor test."""
-    first = hyperplane_section(I, seed=_mix(seed, 0, 101))[1]
-    second = hyperplane_section(I, seed=_mix(seed, 1, 101))[1]
+    first = hyperplane_section(I, seed=mix_seed(seed, 0, 101))[1]
+    second = hyperplane_section(I, seed=mix_seed(seed, 1, 101))[1]
     if first == second:
         return first
-    third = hyperplane_section(I, seed=_mix(seed, 2, 101))[1]
+    third = hyperplane_section(I, seed=mix_seed(seed, 2, 101))[1]
     if third in (first, second):
         return third
     raise ValueError("hyperplane section values failed to stabilize over three draws")
@@ -522,15 +503,14 @@ def planar_subcurve_check(I: Ideal, plane_forms) -> bool:
         rows.append([Fraction(f.coefficient(ring.var_mono(i))) for i in range(ring.nvars)])
     if fraction_rank(rows) < len(forms):
         raise ValueError("dependent plane forms")
-    d = hilbert_table(I).degree
-    J = saturate(Ideal(ring, list(I.gens) + forms))
-    if not J.gens:
-        return False
+    d, _ = detect_hilbert_polynomial(I)
+    # saturating I + (forms) would not change its Hilbert polynomial
+    J = Ideal(ring, list(I.gens) + forms)
     try:
-        lead_coeff, _ = detect_hilbert_polynomial(J)
+        section_degree, _ = detect_hilbert_polynomial(J)
     except NotACurveError:
         return False
-    return lead_coeff == d - 1
+    return section_degree == d - 1
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +533,11 @@ def verify_extremal(
         raise DegenerateCurveError("the ideal contains a linear form")
     if not is_saturated(I):
         raise ValueError("the ideal is not saturated")
-    ht_probe = hilbert_table(I)
-    n, d, g = ring.n, ht_probe.degree, ht_probe.genus
+    n = ring.n
+    d, g = detect_hilbert_polynomial(I)
+    # the genus bound holds for locally Cohen-Macaulay curves, which the
+    # dual complex checks first
+    dual = DualCohomology(I)
     if g > max_genus(n, d):
         raise InternalCheckError("genus exceeds the proven bound")
     spec = CurveSpec(n, d, g)
@@ -565,7 +548,6 @@ def verify_extremal(
     lo, hi = window
     ht = hilbert_table(I, window=window)
 
-    dual = DualCohomology(I)
     rao = deficiency_module(I, window=window, dual=dual)
     h1 = [rao.dim(j) for j in range(lo, hi + 1)]
     h1_expected = list(profile.h1)
@@ -606,7 +588,7 @@ def verify_extremal(
     )
     gin_result = None
     if gin_check and d >= 3:
-        gin_result = compute_gin(I, seed=_mix(seed, 5))
+        gin_result = compute_gin(I, seed=mix_seed(seed, 5))
         from .ring import format_mono
 
         exp = expected_gin(spec)
@@ -682,7 +664,7 @@ def verify_extremal(
     section_match = None
     section_seed = None
     if section_check and d >= 3:
-        section_seed = _mix(seed, 9)
+        section_seed = mix_seed(seed, 9)
         values = general_section_values(I, seed=section_seed)
         section_values = values[1 : d + 2]
         section_expected = [min(j + 2, d) for j in range(1, d + 2)]
@@ -737,8 +719,8 @@ def verify_extremal(
 def constructed_curve_probe(I: Ideal):
     """Light analysis for randomized construction outputs: h1 against the
     bound over the window, plus the detected numerical type."""
-    ht = hilbert_table(I)
-    n, d, g = I.ring.n, ht.degree, ht.genus
+    n = I.ring.n
+    d, g = detect_hilbert_polynomial(I)
     profile = bound_profile(n, d, g)
     lo, hi = profile.window
     dual = DualCohomology(I)

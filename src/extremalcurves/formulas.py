@@ -148,13 +148,6 @@ def bound_profile(n: int, d: int, g: int, jmin=None, jmax=None) -> BoundProfile:
     return BoundProfile(n, d, g, (lo, hi), h1, h2)
 
 
-def _mono(nvars, **powers):
-    out = [0] * nvars
-    for idx, e in powers.items():
-        out[int(idx)] = e
-    return tuple(out)
-
-
 def _pair_products(nvars, firsts, seconds):
     out = []
     for i in firsts:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .groebner import initial_monomials
-from .ideals import Ideal, _det
+from .ideals import Ideal, random_invertible_matrix
 from .monomials import MonomialIdeal, is_strongly_stable
 
 DEFAULT_ENTRY_BOUND = 50
@@ -38,21 +38,12 @@ class GinResult:
     entry_bound: int
 
 
-def _mix(*parts) -> int:
+def mix_seed(*parts) -> int:
+    """Deterministic 63-bit seed from integer parts."""
     h = 0x9E3779B97F4A7C15
     for p in parts:
         h ^= (p + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)) & 0xFFFFFFFFFFFFFFFF
     return h & 0x7FFFFFFFFFFFFFFF
-
-
-def _random_invertible(nvars: int, rng: random.Random, bound: int):
-    for _ in range(100):
-        matrix = [
-            [rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(nvars)
-        ]
-        if _det(matrix):
-            return matrix
-    raise GinError("failed to draw an invertible matrix")
 
 
 def gin(I: Ideal, seed: int = 0, retries: int = 3, entry_bound: int = DEFAULT_ENTRY_BOUND) -> GinResult:
@@ -67,11 +58,11 @@ def gin(I: Ideal, seed: int = 0, retries: int = 3, entry_bound: int = DEFAULT_EN
 
     bound = entry_bound
     for attempt in range(retries):
-        seeds = (_mix(seed, attempt, 1), _mix(seed, attempt, 2))
+        seeds = (mix_seed(seed, attempt, 1), mix_seed(seed, attempt, 2))
         candidates = []
         for s in seeds:
             rng = random.Random(s)
-            matrix = _random_invertible(ring.nvars, rng, bound)
+            matrix = random_invertible_matrix(ring.nvars, rng, bound)
             transformed = [g.substitute_linear(matrix) for g in I.gens]
             cand = None
             cap = reg

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import packing
+from .packing import MAXEXP, ExponentLimitError
 from .monomials import MonomialIdeal
 from .ring import PolyRing, Polynomial, revlex_key
 
@@ -29,6 +30,8 @@ class _EnginePoly:
 
 
 def _to_engine(p: Polynomial, pack, modulus) -> _EnginePoly:
+    if p.degree() > MAXEXP:
+        raise ExponentLimitError(f"degree {p.degree()} exceeds the packed limit {MAXEXP}")
     keys = [pack(m) for m, _ in p.terms]
     if modulus:
         coeffs = [int(c) % modulus for _, c in p.terms]
@@ -225,6 +228,8 @@ def _buchberger_engine(ring, gens, cap=None, lead_only=False):
         deg, lcm_ij, i, j = heapq.heappop(pairs)
         if cap is not None and deg > cap:
             break
+        if deg > MAXEXP:  # homogeneous: no exponent exceeds deg
+            raise ExponentLimitError(f"S-pair degree {deg} exceeds the packed limit {MAXEXP}")
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
@@ -306,6 +311,7 @@ class GroebnerBasis:
                 reverse=True,
             )
         )
+        self._initial = None
 
     def __eq__(self, other):
         return (
@@ -324,7 +330,9 @@ class GroebnerBasis:
         return len(self.polys)
 
     def initial_ideal(self) -> MonomialIdeal:
-        return MonomialIdeal(self.ring.nvars, [p.lead_monomial for p in self.polys])
+        if self._initial is None:
+            self._initial = MonomialIdeal(self.ring.nvars, [p.lead_monomial for p in self.polys])
+        return self._initial
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Full normal form of f; zero iff f is a member."""

@@ -4,7 +4,8 @@ coordinate changes, and kernels of maps into cyclic quotients.
 Intersections run through syzygies of stacked generator lists (everything
 stays homogeneous), quotients through intersection plus exact division,
 saturation by iterating the quotient against the irrelevant maximal ideal
-until it stabilizes.
+until it stabilizes.  Whether an ideal is saturated is read off its
+resolution instead (Auslander-Buchsbaum).
 """
 
 from __future__ import annotations
@@ -187,7 +188,9 @@ def saturate(I: Ideal) -> Ideal:
 
 
 def is_saturated(I: Ideal) -> bool:
-    return quotient(I, Ideal(I.ring, I.ring.gens())) == I
+    """I equals its saturation iff depth R/I >= 1 (or I is the unit ideal),
+    iff pd(R/I) <= n by Auslander-Buchsbaum: read off the resolution."""
+    return I.resolution().length <= I.ring.n
 
 
 def _det(matrix):
@@ -212,6 +215,16 @@ def _det(matrix):
             if f:
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
     return det
+
+
+def random_invertible_matrix(nvars: int, rng, bound: int):
+    """Seeded integer matrix with entries in [-bound, bound] and nonzero
+    determinant."""
+    for _ in range(100):
+        matrix = [[rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(nvars)]
+        if _det(matrix):
+            return matrix
+    raise AssertionError("failed to draw an invertible matrix")
 
 
 def change_coordinates(I: Ideal, matrix) -> Ideal:

@@ -171,12 +171,6 @@ def _mp_monic(mp, order):
     return {t: v / lc for t, v in mp.items()}
 
 
-def _mp_degree(mp, twists):
-    for (c, m) in mp:
-        return mono_degree(m) + twists[c]
-    return None
-
-
 def _module_normal_form(mp, basis, order, by_comp, full=True):
     """Reduce mp against monic basis elements; returns (remainder, trace)
     with mp = sum trace[t] * basis[t] + remainder."""
@@ -663,6 +657,7 @@ class PresentedModule:
                 ring.nvars,
                 [lead[1] for _, lead in self.gb_indexed if lead[0] == s],
             )
+        self._standard = {}
 
     def hf(self, degree: int) -> int:
         """Dimension of the graded piece via standard monomial counting."""
@@ -677,14 +672,19 @@ class PresentedModule:
         )
 
     def standard_basis(self, degree: int):
-        out = []
-        for s, w in enumerate(self.gen_degrees):
-            d = degree - w
-            if d < 0:
-                continue
-            for m in self.ring.monomials_of_degree(d):
-                if not self.lead_ideals[s].contains(m):
-                    out.append((s, m))
+        """(slot, monomial) pairs outside the lead module, memoised per
+        degree."""
+        out = self._standard.get(degree)
+        if out is None:
+            out = []
+            for s, w in enumerate(self.gen_degrees):
+                d = degree - w
+                if d < 0:
+                    continue
+                for m in self.ring.monomials_of_degree(d):
+                    if not self.lead_ideals[s].contains(m):
+                        out.append((s, m))
+            self._standard[degree] = out
         return out
 
     def reduce(self, mp):

@@ -91,6 +91,7 @@ class MonomialIdeal:
                 mins.append(m)
         mins.sort(key=revlex_key, reverse=True)
         self.gens = tuple(mins)
+        self._numerator = None
 
     def __eq__(self, other):
         return (
@@ -127,7 +128,9 @@ class MonomialIdeal:
 
     def hilbert_numerator(self):
         """Numerator N(t) with HS(R/I) = N(t)/(1-t)^nvars."""
-        return _numerator(self.gens, self.nvars)
+        if self._numerator is None:
+            self._numerator = _numerator(self.gens, self.nvars)
+        return self._numerator
 
     def quotient_dim(self, j: int) -> int:
         """dim_K [R/I]_j."""

@@ -3,13 +3,20 @@
 Exponents are packed into 8-bit slots with x_{nvars-1} in the most
 significant slot, so that for monomials of equal degree the *smaller*
 packed integer is the *larger* monomial in revlex.  Multiplication is
-integer addition; divisibility is a single mask test.
+integer addition; divisibility is a single mask test.  Homogeneous work
+never raises an exponent above the degree it runs in, so callers guard
+the encoding with one degree compare against MAXEXP.
 """
 
 from __future__ import annotations
 
 SLOT = 8
 MAXEXP = 127  # keeps the high bit of every slot free for the borrow trick
+
+
+class ExponentLimitError(ValueError):
+    """An exponent or a degree beyond MAXEXP, the limit of the packed
+    encoding."""
 
 
 def make_packer(nvars: int):
@@ -19,7 +26,7 @@ def make_packer(nvars: int):
         key = 0
         for e, s in zip(m, shifts):
             if e > MAXEXP:
-                raise OverflowError("exponent too large for packed encoding")
+                raise ExponentLimitError(f"exponent {e} exceeds the packed limit {MAXEXP}")
             key |= e << s
         return key
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 Monomial = tuple  # exponent tuple of length nvars
 
@@ -339,37 +340,70 @@ class Polynomial:
         return self.ring.field.zero
 
     def substitute_linear(self, matrix) -> Polynomial:
-        """Apply x_i -> sum_j matrix[i][j] x_j."""
-        ring = self.ring
-        images = [
-            Polynomial(
-                ring,
-                [(ring.var_mono(j), matrix[i][j]) for j in range(ring.nvars)],
-            )
-            for i in range(ring.nvars)
-        ]
-        powers = [{0: ring.one} for _ in range(ring.nvars)]
-        out = ring.zero
+        """Apply x_i -> sum_j matrix[i][j] x_j.
+
+        The expansion runs on integers, with monomials packed into integer
+        keys whose slots fit the degree, so multiplying monomials is
+        addition.  Over the rationals the matrix and the coefficients are
+        cleared of denominators once and each output coefficient is divided
+        once at the end; over Z/p the entries are residues.
+        """
+        ring, fld = self.ring, self.ring.field
+        if not self.terms:
+            return self
+        modulus = getattr(fld, "p", 0)
+        entries = [[fld.coerce(v) for v in row] for row in matrix]
+        den = den_c = 1
+        if not modulus:
+            den = lcm(*(v.denominator for row in entries for v in row))
+            den_c = lcm(*(c.denominator for _, c in self.terms))
+            entries = [[int(v * den) for v in row] for row in entries]
+        top = self.degree()  # the lead term has the largest degree
+        width = top.bit_length() or 1
+        shifts = [width * i for i in range(ring.nvars)]
+        # powers[i][e]: the e-th power of den * (image of x_i), packed
+        powers = [[{0: 1}, {1 << s: v for s, v in zip(shifts, row) if v}] for row in entries]
+        acc = {}
         for m, c in self.terms:
-            term = ring.from_scalar(c)
+            prod = {0: 1}
             for i, e in enumerate(m):
-                if not e:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    p = cache[max(cache)]
-                    for _ in range(max(cache), e):
-                        p = p * images[i]
-                    cache[e] = p
-                term = term * cache[e]
-            out = out + term
-        return out
+                if e:
+                    cache = powers[i]
+                    while len(cache) <= e:
+                        cache.append(_mul_packed(cache[-1], cache[1], modulus))
+                    prod = _mul_packed(prod, cache[e], modulus)
+            if modulus:
+                scale = c
+            else:
+                scale = c.numerator * (den_c // c.denominator) * den ** (top - mono_degree(m))
+            for k, v in prod.items():
+                acc[k] = acc.get(k, 0) + scale * v
+        common = den_c * den ** top
+        mask = (1 << width) - 1
+        terms = []
+        for k, v in acc.items():  # the field reduces residues mod p
+            mono = tuple((k >> s) & mask for s in shifts)
+            terms.append((mono, v if modulus else Fraction(v, common)))
+        return Polynomial(ring, terms)
 
     def __repr__(self):
         return f"Polynomial({format_poly(self)})"
 
     def __str__(self):
         return format_poly(self)
+
+
+def _mul_packed(a, b, modulus):
+    """Product of two {packed monomial key: int} dicts (mod p when given)."""
+    out = {}
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    if modulus:
+        return {k: v % modulus for k, v in out.items() if v % modulus}
+    return {k: v for k, v in out.items() if v}
 
 
 def format_mono(m: Monomial) -> str:

@@ -188,3 +188,43 @@ class TestCli:
             == 0
         )
         assert main(["verify", str(path)]) == 0
+
+    def test_exponent_beyond_packed_limit_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.ideal"
+        path.write_text("ring n=3 field=q\nx0^200\n")
+        assert main(["verify", str(path)]) == 2
+        assert "packed limit" in capsys.readouterr().err
+
+    def test_embedded_point_exit_2(self, tmp_path, capsys):
+        # saturated (its resolution has length 3) but not locally
+        # Cohen-Macaulay: a double line {x0 = x2 = 0} with an embedded point
+        path = tmp_path / "embedded.ideal"
+        path.write_text("ring n=3 field=q\nx0^2\nx1*x2\nx2^3\n")
+        assert main(["verify", str(path)]) == 2
+        assert "not locally Cohen-Macaulay" in capsys.readouterr().err
+
+    def test_sweep_records_a_failing_point(self, tmp_path, monkeypatch, capsys):
+        import extremalcurves.cli as cli
+
+        real = cli.verify_extremal
+
+        calls = []
+
+        def flaky(ideal, seed=0):
+            calls.append(ideal)
+            if len(calls) == 2:
+                raise RuntimeError("injected failure")
+            return real(ideal, seed=seed)
+
+        monkeypatch.setattr(cli, "verify_extremal", flaky)
+        out = tmp_path / "report.json"
+        code = main(["sweep", "--n", "3:3", "--d", "3:3", "--a", "0:2", "-o", str(out)])
+        assert code == 3
+        assert "1 failed" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert [e["point"]["a"] for e in doc["reports"]] == [0, 1, 2]
+        failed = doc["reports"][1]
+        assert failed["error"] == "RuntimeError: injected failure"
+        assert "report" not in failed
+        for entry in (doc["reports"][0], doc["reports"][2]):
+            assert entry["report"]["verdict"] == "extremal"

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from extremalcurves.groebner import buchberger, initial_monomials, normal_form
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.oracle import oracle_ideal_dims
+from extremalcurves.packing import ExponentLimitError, make_packer
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 
 R3 = PolyRing(3)
@@ -102,3 +105,22 @@ class TestTruncatedLeads:
         assert initial_monomials(gens, cap=6) == full
         capped = initial_monomials(gens, cap=2)
         assert capped == MonomialIdeal(3, [(2, 0, 0), (1, 1, 0)])
+
+
+class TestExponentLimit:
+    def test_pack_rejects_large_exponent(self):
+        with pytest.raises(ExponentLimitError):
+            make_packer(3)((128, 0, 0))
+
+    def test_pair_degree_beyond_limit_raises(self):
+        # the S-pair of the first two generators has degree 200; 8-bit
+        # slots would carry into the next variable and return a basis
+        # holding both x1^200 and x1^110
+        x0, x1, _ = R3.gens()
+        with pytest.raises(ExponentLimitError):
+            buchberger([x0 ** 100 * x1 + x1 ** 101, x0 * x1 ** 100, x1 ** 110], R3)
+
+    def test_input_degree_beyond_limit_raises(self):
+        x0, x1, _ = R3.gens()
+        with pytest.raises(ExponentLimitError):
+            buchberger([x0 ** 64 * x1 ** 64], R3)
