@@ -44,13 +44,7 @@ from .ideals import (
     saturate,
 )
 from .idealfile import emit_ideal, parse_ideal
-from .modules import (
-    FreeModule,
-    ModuleVector,
-    ResolutionData,
-    free_resolution_from_gb,
-    syzygies,
-)
+from .modules import ResolutionData, free_resolution_from_gb
 from .monomials import (
     BettiTable,
     MonomialIdeal,
@@ -69,12 +63,10 @@ __all__ = [
     "CurveReport",
     "CurveSpec",
     "FiniteLengthModule",
-    "FreeModule",
     "GroebnerBasis",
     "HilbertTable",
     "Ideal",
     "InternalCheckError",
-    "ModuleVector",
     "MonomialIdeal",
     "NotACurveError",
     "NotLocallyCohenMacaulayError",
@@ -117,6 +109,5 @@ __all__ = [
     "planar_subcurve_check",
     "quotient",
     "saturate",
-    "syzygies",
     "verify_extremal",
 ]

@@ -3,7 +3,7 @@ verification of ideal files, the Gröbner-free Hilbert oracle, and the
 parallel parameter sweep.
 
 Exit codes: 0 extremal / 1 not extremal / 2 usage or file error /
-3 internal invariant violation.
+3 internal invariant violation or any other unexpected failure.
 """
 
 from __future__ import annotations
@@ -216,12 +216,15 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InternalCheckError as e:
+    except AssertionError as e:  # InternalCheckError and the engines' own checks
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
     except (IdealFileError, NotACurveError, ConstructionError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # never Python's status 1, which means "not extremal"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
-"""Buchberger's algorithm for homogeneous ideals.
+"""Buchberger's algorithm for homogeneous ideals, and the packed engine
+that ``modules`` shares for submodules of free modules.
 
-The hot loop works on packed integer monomial keys with primitive integer
+The hot loop works on packed integer keys with primitive integer
 coefficients (rationals cleared to content-free integer vectors, or residues
-mod p), using the normal selection strategy with the coprimality and chain
-criteria.  Homogeneous input means pair degrees are non-decreasing, so a
-degree cap yields the exact initial ideal up to that degree.
+mod p), using the normal selection strategy with the chain criterion, and
+the coprimality criterion at rank 1.  A polynomial ideal is the rank-1 case
+of the one pair loop.  Homogeneous input means pair degrees are
+non-decreasing, so a degree cap yields the exact initial ideal up to that
+degree.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import packing
-from .packing import MAXEXP, ExponentLimitError
+from .packing import MAXEXP, SLOT, ExponentLimitError
 from .monomials import MonomialIdeal
 from .ring import PolyRing, Polynomial, revlex_key
 
@@ -23,45 +26,48 @@ class _EnginePoly:
     __slots__ = ("keys", "coeffs", "deg", "scale")
 
     def __init__(self, keys, coeffs, deg, scale=None):
-        self.keys = keys  # ascending packed keys == descending monomials
+        self.keys = keys  # ascending packed keys == descending terms
         self.coeffs = coeffs
         self.deg = deg
-        self.scale = scale  # engine poly == scale * source polynomial
+        self.scale = scale  # engine element == scale * source
+
+
+def _clear(keys, coeffs, deg, modulus) -> _EnginePoly:
+    """Engine element from sorted keys and field coefficients: residues mod
+    p, or over QQ the primitive integer vector with a positive lead."""
+    if modulus:
+        return _EnginePoly(keys, [int(c) % modulus for c in coeffs], deg, None)
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in coeffs]
+    ints, g = _strip_content(ints)
+    sign = -1 if ints and ints[0] < 0 else 1
+    if sign < 0:
+        ints = [-c for c in ints]
+    return _EnginePoly(keys, ints, deg, Fraction(sign * den, g))
 
 
 def _to_engine(p: Polynomial, pack, modulus) -> _EnginePoly:
     if p.degree() > MAXEXP:
         raise ExponentLimitError(f"degree {p.degree()} exceeds the packed limit {MAXEXP}")
-    keys = [pack(m) for m, _ in p.terms]
-    if modulus:
-        coeffs = [int(c) % modulus for _, c in p.terms]
-        return _EnginePoly(keys, coeffs, p.degree(), None)
-    den = 1
-    for _, c in p.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    coeffs = [int(c * den) for _, c in p.terms]
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    g = g or 1
-    sign = -1 if coeffs and coeffs[0] < 0 else 1
-    if g > 1 or sign < 0:
-        coeffs = [sign * c // g for c in coeffs]
-    return _EnginePoly(keys, coeffs, p.degree(), Fraction(sign * den, g))
+    return _clear([pack(m) for m, _ in p.terms], [c for _, c in p.terms], p.degree(), modulus)
 
 
 def _from_engine(ep: _EnginePoly, ring: PolyRing, unpack, modulus):
     if not ep.keys:
         return ring.zero
+    coeffs = _divide(ep.coeffs, ep.coeffs[0], modulus)
+    return Polynomial.from_sorted(ring, zip(map(unpack, ep.keys), coeffs))
+
+
+def _divide(coeffs, d, modulus):
+    """The coefficients divided by d in the field: Fractions over QQ,
+    residues mod p."""
     if modulus:
-        inv = pow(ep.coeffs[0], -1, modulus)
-        terms = [(unpack(k), c * inv % modulus) for k, c in zip(ep.keys, ep.coeffs)]
-    else:
-        lc = ep.coeffs[0]
-        terms = [(unpack(k), Fraction(c, lc)) for k, c in zip(ep.keys, ep.coeffs)]
-    return Polynomial(ring, terms)
+        inv = pow(d, -1, modulus)
+        return [c * inv % modulus for c in coeffs]
+    return [Fraction(c, d) for c in coeffs]
 
 
 def _strip_content(coeffs):
@@ -73,6 +79,16 @@ def _strip_content(coeffs):
     if g > 1:
         return [c // g for c in coeffs], g
     return coeffs, 1
+
+
+def _primitive(coeffs, modulus):
+    """Over QQ: content-free with a positive lead; residues stay as they are."""
+    if modulus:
+        return coeffs
+    coeffs, _ = _strip_content(coeffs)
+    if coeffs[0] < 0:
+        coeffs = [-c for c in coeffs]
+    return coeffs
 
 
 def _axpy(keys_f, coeffs_f, a, keys_g, coeffs_g, b, shift, modulus):
@@ -128,149 +144,183 @@ def _axpy(keys_f, coeffs_f, a, keys_g, coeffs_g, b, shift, modulus):
 
 
 class _Engine:
-    def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self.pack = packing.make_packer(ring.nvars)
-        self.unpack = packing.make_unpacker(ring.nvars)
-        self.himask = packing.high_mask(ring.nvars)
-        self.modulus = getattr(ring.field, "p", 0)
+    """A growing list of packed basis elements of a ring or a free module,
+    indexed by the component of their leads.
 
-    def find_reducer(self, lead, basis):
+    A key holds a packed monomial and a component.  By default the
+    component sits in the bits above the monomial slots (position over
+    term), and a polynomial is a vector in component 0.  With
+    ``rank_bits`` the monomial sits above that many low bits, which hold
+    the component instead (the Schreyer layout of ``modules``).  Either
+    way a monomial shift is a difference of keys in one component, and
+    ``_axpy`` merges term lists in key order.
+    """
+
+    def __init__(self, ring: PolyRing, rank_bits=None):
+        nv = ring.nvars
+        self.ring = ring
+        self.nvars = nv
+        self.pack = packing.make_packer(nv)
+        self.unpack = packing.make_unpacker(nv)
+        self.modulus = getattr(ring.field, "p", 0)
+        self.comp_shift = SLOT * nv  # position over term: component bits
+        self.rank_bits = rank_bits
+        if rank_bits is None:
+            self.himask = packing.high_mask(nv)
+            self.slot_shift, self.slot_mask = self.comp_shift, -1
+        else:
+            self.himask = packing.high_mask(nv) << rank_bits
+            self.slot_shift, self.slot_mask = 0, (1 << rank_bits) - 1
+        self.basis = []
+        self.by_slot = {}  # component -> [(lead key, index)] in index order
+
+    def add(self, ep: _EnginePoly):
+        lead = ep.keys[0]
+        slot = (lead >> self.slot_shift) & self.slot_mask
+        self.by_slot.setdefault(slot, []).append((lead, len(self.basis)))
+        self.basis.append(ep)
+
+    def find_reducer(self, lead):
+        """Index of the first element whose lead divides lead, or None."""
         himask = self.himask
-        for g in basis:
-            if packing.divides(g.keys[0], lead, himask):
-                return g
+        top = lead | himask
+        for key, t in self.by_slot.get((lead >> self.slot_shift) & self.slot_mask, ()):
+            if (top - key) & himask == himask:  # packing.divides(key, lead, himask)
+                return t
         return None
 
-    def top_reduce(self, keys, coeffs, basis):
-        """Reduce the lead until irreducible or zero."""
+    def cancel_lead(self, keys, coeffs, g):
+        """(keys, coeffs, a, b) for a*f - b*x^s*g, which cancels the lead of f."""
+        modulus = self.modulus
+        if modulus:
+            a, b = 1, coeffs[0] * pow(g.coeffs[0], -1, modulus) % modulus
+        else:
+            cf, cg = coeffs[0], g.coeffs[0]
+            d = gcd(cf, cg)
+            a, b = cg // d, cf // d
+        keys, coeffs = _axpy(keys, coeffs, a, g.keys, g.coeffs, b, keys[0] - g.keys[0], modulus)
+        return keys, coeffs, a, b
+
+    def spair(self, i, j, lcm_key):
+        """S-vector of elements i and j at lcm_key: (keys, coeffs, a, b) for
+        a*x^si*g_i - b*x^sj*g_j."""
+        gi = self.basis[i]
+        si = lcm_key - gi.keys[0]
+        return self.cancel_lead([k + si for k in gi.keys], gi.coeffs, self.basis[j])
+
+    def top_reduce(self, keys, coeffs, trace=None):
+        """Reduce the lead until irreducible or zero.  A trace list receives
+        (lead, index, a, b) per step: that step took f to a*f - b*x^s*g."""
         modulus = self.modulus
         steps = 0
         while keys:
-            g = self.find_reducer(keys[0], basis)
-            if g is None:
+            lead = keys[0]
+            t = self.find_reducer(lead)
+            if t is None:
                 break
-            shift = keys[0] - g.keys[0]
-            if modulus:
-                b = coeffs[0] * pow(g.coeffs[0], -1, modulus) % modulus
-                keys, coeffs = _axpy(keys, coeffs, 1, g.keys, g.coeffs, b, shift, modulus)
-            else:
-                cf, cg = coeffs[0], g.coeffs[0]
-                d = gcd(cf, cg)
-                a, b = cg // d, cf // d
-                keys, coeffs = _axpy(keys, coeffs, a, g.keys, g.coeffs, b, shift, 0)
+            keys, coeffs, a, b = self.cancel_lead(keys, coeffs, self.basis[t])
+            if trace is not None:
+                trace.append((lead, t, a, b))
+            elif not modulus:
                 steps += 1
                 if steps % 16 == 0 and coeffs:
                     coeffs, _ = _strip_content(coeffs)
         return keys, coeffs
 
-    def normal_form(self, keys, coeffs, basis):
+    def normal_form(self, keys, coeffs):
         """Full normal form.  Returns (keys, coeffs, mult): the output equals
         mult times the input modulo the span of the basis."""
-        modulus = self.modulus
         rem_k, rem_c = [], []
         mult = 1
         while keys:
-            g = self.find_reducer(keys[0], basis)
-            if g is None:
+            t = self.find_reducer(keys[0])
+            if t is None:
                 rem_k.append(keys[0])
                 rem_c.append(coeffs[0])
                 keys = keys[1:]
                 coeffs = coeffs[1:]
                 continue
-            shift = keys[0] - g.keys[0]
-            if modulus:
-                b = coeffs[0] * pow(g.coeffs[0], -1, modulus) % modulus
-                keys, coeffs = _axpy(keys, coeffs, 1, g.keys, g.coeffs, b, shift, modulus)
-            else:
-                cf, cg = coeffs[0], g.coeffs[0]
-                d = gcd(cf, cg)
-                a, b = cg // d, cf // d
-                keys, coeffs = _axpy(keys, coeffs, a, g.keys, g.coeffs, b, shift, 0)
-                if a != 1:
-                    mult *= a
-                    if rem_c:
-                        rem_c = [a * c for c in rem_c]
+            keys, coeffs, a, _ = self.cancel_lead(keys, coeffs, self.basis[t])
+            if a != 1:
+                mult *= a
+                if rem_c:
+                    rem_c = [a * c for c in rem_c]
         return rem_k, rem_c, mult
+
+    def complete(self, twists=(0,), cap=None, product=False):
+        """Add reduced S-vectors (position over term) until every pair of
+        elements with the same lead component reduces to zero.
+
+        Pairs pop by degree (twist of the component plus the degree of the
+        lcm), then ascending revlex of the lcm, then index; the chain criterion skips a
+        pair whose lcm another lead divides once both detours are done.
+        The product criterion (coprime leads) holds at rank 1 only.  A cap
+        stops before the first pair above it.
+        """
+        nv, cs, himask, modulus = self.nvars, self.comp_shift, self.himask, self.modulus
+        basis, by_slot = self.basis, self.by_slot
+        lowest = min(twists, default=0)
+        pairs = []  # heap of (degree, lcm degree, -lcm monomial, i, j, lcm key)
+        pending = set()
+
+        def push_pairs(j):
+            lj = basis[j].keys[0]
+            comp = lj >> cs
+            for li, i in by_slot[comp]:
+                if i >= j:
+                    break
+                w = packing.lcm(li, lj, nv)
+                if product and w == li + lj:
+                    continue  # coprime leads: S-pair reduces to zero
+                dw = packing.degree(w, nv)
+                heapq.heappush(pairs, (dw + twists[comp], dw, -w, i, j, comp << cs | w))
+                pending.add((i, j))
+
+        for j in range(len(basis)):
+            push_pairs(j)
+
+        while pairs:
+            deg, _, _, i, j, w = heapq.heappop(pairs)
+            if cap is not None and deg > cap:
+                break
+            if deg - lowest > MAXEXP:  # homogeneous: no exponent exceeds this
+                raise ExponentLimitError(f"S-pair degree {deg} exceeds the packed limit {MAXEXP}")
+            pending.discard((i, j))
+            skip = False
+            for lk, k in by_slot[w >> cs]:
+                if k == i or k == j or not packing.divides(lk, w, himask):
+                    continue
+                if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+                    skip = True
+                    break
+            if skip:
+                continue
+            keys, coeffs, _, _ = self.spair(i, j, w)
+            keys, coeffs = self.top_reduce(keys, coeffs)
+            if not keys:
+                continue
+            self.add(_EnginePoly(keys, _primitive(coeffs, modulus), deg))
+            push_pairs(len(basis) - 1)
 
 
 def _buchberger_engine(ring, gens, cap=None, lead_only=False):
     eng = _Engine(ring)
     modulus = eng.modulus
-    basis = []
+    start = []
     for g in gens:
         if not g:
             continue
         if not g.is_homogeneous():
             raise ValueError("Buchberger engine expects homogeneous generators")
-        basis.append(_to_engine(g, eng.pack, modulus))
-    basis.sort(key=lambda e: (e.deg, e.keys[0]))
-
-    pairs = []  # heap of (degree, lcm_key, i, j)
-    pending = set()
-    nv = ring.nvars
-
-    def push_pairs(new_index):
-        h = basis[new_index]
-        for i in range(new_index):
-            g = basis[i]
-            l = packing.lcm(g.keys[0], h.keys[0], nv)
-            if l == g.keys[0] + h.keys[0]:
-                continue  # coprime leads: S-pair reduces to zero
-            heapq.heappush(pairs, (packing.degree(l, nv), l, i, new_index))
-            pending.add((i, new_index))
-
-    for idx in range(len(basis)):
-        push_pairs(idx)
-
-    himask = eng.himask
-    while pairs:
-        deg, lcm_ij, i, j = heapq.heappop(pairs)
-        if cap is not None and deg > cap:
-            break
-        if deg > MAXEXP:  # homogeneous: no exponent exceeds deg
-            raise ExponentLimitError(f"S-pair degree {deg} exceeds the packed limit {MAXEXP}")
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        gi, gj = basis[i], basis[j]
-        skip = False
-        for k, gk in enumerate(basis):
-            if k == i or k == j:
-                continue
-            if packing.divides(gk.keys[0], lcm_ij, himask):
-                a, b = (i, k) if i < k else (k, i)
-                c, d = (j, k) if j < k else (k, j)
-                if (a, b) not in pending and (c, d) not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        si = lcm_ij - gi.keys[0]
-        sj = lcm_ij - gj.keys[0]
-        if modulus:
-            b = gi.coeffs[0] * pow(gj.coeffs[0], -1, modulus) % modulus
-            keys, coeffs = _axpy(
-                gi.keys, gi.coeffs, 1, gj.keys, gj.coeffs, b, sj - si, modulus
-            )
-        else:
-            ci, cj = gi.coeffs[0], gj.coeffs[0]
-            d0 = gcd(ci, cj)
-            keys, coeffs = _axpy(
-                gi.keys, gi.coeffs, cj // d0, gj.keys, gj.coeffs, ci // d0, sj - si, 0
-            )
-        keys = [k + si for k in keys]
-        keys, coeffs = eng.top_reduce(keys, coeffs, basis)
-        if not keys:
-            continue
-        if not modulus:
-            coeffs, _ = _strip_content(coeffs)
-            if coeffs[0] < 0:
-                coeffs = [-c for c in coeffs]
-        basis.append(_EnginePoly(keys, coeffs, packing.degree(keys[0], nv)))
-        push_pairs(len(basis) - 1)
+        start.append(_to_engine(g, eng.pack, modulus))
+    start.sort(key=lambda e: (e.deg, e.keys[0]))
+    for e in start:
+        eng.add(e)
+    eng.complete(cap=cap, product=True)
+    basis = eng.basis
 
     # prune elements whose lead is divisible by a later-found (smaller) lead
+    himask = eng.himask
     kept = []
     for idx, g in enumerate(basis):
         lead = g.keys[0]
@@ -286,15 +336,16 @@ def _buchberger_engine(ring, gens, cap=None, lead_only=False):
     if lead_only:
         return [eng.unpack(g.keys[0]) for g in kept]
 
-    for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1 :]
-        keys, coeffs, _ = eng.normal_form(kept[idx].keys, kept[idx].coeffs, others)
-        if not modulus:
-            coeffs, _ = _strip_content(coeffs)
-            if coeffs and coeffs[0] < 0:
-                coeffs = [-c for c in coeffs]
-        kept[idx] = _EnginePoly(keys, coeffs, kept[idx].deg)
-    return [_from_engine(g, ring, eng.unpack, modulus) for g in kept]
+    # interreduce: no tail term is divisible by its own (equal-degree) lead
+    red = _Engine(ring)
+    for g in kept:
+        red.add(g)
+    out = []
+    for g in kept:
+        keys, coeffs, mult = red.normal_form(g.keys[1:], g.coeffs[1:])
+        ep = _EnginePoly([g.keys[0]] + keys, [g.coeffs[0] * mult] + coeffs, g.deg)
+        out.append(_from_engine(ep, ring, eng.unpack, modulus))
+    return out
 
 
 class GroebnerBasis:
@@ -341,9 +392,10 @@ class GroebnerBasis:
         if not f or not self.polys:
             return f
         eng = _Engine(self.ring)
-        basis = [_to_engine(p, eng.pack, eng.modulus) for p in self.polys]
+        for p in self.polys:
+            eng.add(_to_engine(p, eng.pack, eng.modulus))
         ep = _to_engine(f, eng.pack, eng.modulus)
-        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs, basis)
+        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
         if not keys:
             return self.ring.zero
         if eng.modulus:

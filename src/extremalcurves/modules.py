@@ -1,360 +1,116 @@
-"""Graded free modules, module Gröbner bases, Schreyer syzygies, and
-minimal free resolutions.
+"""Graded free modules on the packed Gröbner engine: minimal free
+resolutions by Schreyer syzygies, kernels and lifts by the graph trick, and
+finitely presented modules.
 
-Module elements are dicts {(component, monomial): Fraction} ordered by a
-pluggable module order: the Schreyer order induced by the lead terms of
-the level below (resolutions), or position-over-term (kernel and lifting
-computations via the graph trick).  Syzygy levels are pruned to the pairs
-whose Schreyer lead is a minimal generator of the per-component lead
-module, which keeps the tower near-minimal before the exact unit-entry
-minimalization pass.
+A module term is one integer key, a packed monomial plus a component, with
+the coefficients of ``groebner`` (primitive integers over QQ, residues mod
+p).  Kernels, lifts and presented modules use position over term: the
+component sits in the bits above the monomial, so ascending keys run from
+the lowest component down through revlex.  A resolution level uses the
+Schreyer order induced by the level below: the key is the image monomial
+(the term times the lead image of its component) above a rank that orders
+the components by their chains of lead components through the levels
+below.  Syzygy levels are pruned to the pairs whose Schreyer lead is a
+minimal generator of the per-component lead module, which keeps the tower
+near-minimal before the exact unit-entry minimalization pass.  Elements
+become monic ``Polynomial`` vectors only at the boundary.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .groebner import GroebnerBasis
+from . import packing
+from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive, _to_engine
 from .monomials import BettiTable, MonomialIdeal
-from .ring import (
-    PolyRing,
-    Polynomial,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    revlex_key,
-)
-
-
-class FreeModule:
-    """Graded free module with one generator of degree twists[s] per slot
-    (that is, a direct sum of R(-twists[s]))."""
-
-    def __init__(self, ring: PolyRing, twists):
-        self.ring = ring
-        self.twists = tuple(twists)
-
-    @property
-    def rank(self):
-        return len(self.twists)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeModule)
-            and self.ring == other.ring
-            and self.twists == other.twists
-        )
-
-    def __repr__(self):
-        return f"FreeModule(rank={self.rank}, twists={self.twists})"
-
-
-class ModuleVector:
-    """Element of a graded free module: one polynomial entry per slot."""
-
-    def __init__(self, module: FreeModule, entries):
-        entries = tuple(entries)
-        if len(entries) != module.rank:
-            raise ValueError("entry count does not match the module rank")
-        self.module = module
-        self.entries = entries
-
-    def degree(self):
-        """Total degree of a homogeneous element; raises when mixed."""
-        degs = {
-            p.degree() + t
-            for p, t in zip(self.entries, self.module.twists)
-            if p
-        }
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("module element is not homogeneous")
-        return degs.pop()
-
-    def is_homogeneous(self):
-        try:
-            self.degree()
-        except ValueError:
-            return False
-        return all(p.is_homogeneous() for p in self.entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleVector)
-            and self.module == other.module
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"ModuleVector({', '.join(str(p) for p in self.entries)})"
-
-
-# ---------------------------------------------------------------------------
-# module orders
-
-
-class PotOrder:
-    """Position over term: lower component beats higher, revlex inside."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def key(self, comp, mon):
-        got = self._cache.get((comp, mon))
-        if got is None:
-            got = (-comp, revlex_key(mon))
-            self._cache[(comp, mon)] = got
-        return got
-
-
-class SchreyerOrder:
-    """Order induced by lead terms of the level below: compare ring images,
-    break ties bottom-up through the component chains."""
-
-    def __init__(self, imgs, chains):
-        self.imgs = imgs  # comp -> ring monomial
-        self.chains = chains  # comp -> tuple of components, own comp last
-        self._cache = {}
-
-    @classmethod
-    def base(cls, ring: PolyRing):
-        unit = tuple([0] * ring.nvars)
-        return cls({0: unit}, {0: ()})
-
-    def induced(self, elements, order_leads):
-        """Order one level up, from the (monic) elements' lead terms."""
-        imgs = {}
-        chains = {}
-        for t, (comp, mon) in enumerate(order_leads):
-            imgs[t] = mono_mul(mon, self.imgs[comp])
-            chains[t] = self.chains[comp] + (t,)
-        return SchreyerOrder(imgs, chains)
-
-    def key(self, comp, mon):
-        got = self._cache.get((comp, mon))
-        if got is None:
-            got = (
-                revlex_key(mono_mul(mon, self.imgs[comp])),
-                tuple(-c for c in self.chains[comp]),
-            )
-            self._cache[(comp, mon)] = got
-        return got
-
-
-def _lead(mp, order):
-    return max(mp, key=lambda t: order.key(*t))
-
-
-def _mp_axpy(mp, coeff, mon, g):
-    """mp - coeff * x^mon * g, in place on a copy."""
-    out = dict(mp)
-    for (c, m), v in g.items():
-        key = (c, mono_mul(mon, m))
-        s = out.get(key, Fraction(0)) - coeff * v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _mp_monic(mp, order):
-    if not mp:
-        return mp
-    lead = _lead(mp, order)
-    lc = mp[lead]
-    if lc == 1:
-        return mp
-    return {t: v / lc for t, v in mp.items()}
-
-
-def _module_normal_form(mp, basis, order, by_comp, full=True):
-    """Reduce mp against monic basis elements; returns (remainder, trace)
-    with mp = sum trace[t] * basis[t] + remainder."""
-    trace = {}
-    rem = {}
-    work = dict(mp)
-    while work:
-        lead = _lead(work, order)
-        c, m = lead
-        reducer = None
-        for t in by_comp.get(c, ()):
-            bl = basis[t][1]
-            if mono_divides(bl[1], m):
-                reducer = t
-                break
-        if reducer is None:
-            if not full:
-                return work, trace
-            rem[lead] = work.pop(lead)
-            continue
-        g, (gc, gm) = basis[reducer]
-        factor = work[lead]
-        shift = mono_div(m, gm)
-        work = _mp_axpy(work, factor, shift, g)
-        key = (reducer, shift)
-        trace[key] = trace.get(key, Fraction(0)) + factor
-    return rem, trace
-
-
-def _index_by_comp(basis, order):
-    by_comp = {}
-    leads = []
-    for t, g in enumerate(basis):
-        lead = _lead(g, order)
-        leads.append(lead)
-        by_comp.setdefault(lead[0], []).append(t)
-    return [(g, lead) for g, lead in zip(basis, leads)], by_comp
-
-
-def module_buchberger(elems, order, twists, ring: PolyRing):
-    """Module Gröbner basis (monic, lead-pruned) of the span of elems.
-
-    Pairs exist only between elements with the same lead component; the
-    chain criterion with pending-pair bookkeeping prunes reductions.
-    """
-    import heapq
-
-    basis = []
-    for e in elems:
-        if e:
-            basis.append(_mp_monic(dict(e), order))
-    indexed, by_comp = _index_by_comp(basis, order)
-
-    pairs = []
-    pending = set()
-
-    def push_pairs(j):
-        _, (cj, mj) = indexed[j]
-        for i in by_comp.get(cj, ()):
-            if i >= j:
-                continue
-            w = mono_lcm(indexed[i][1][1], mj)
-            deg = mono_degree(w) + twists[cj]
-            heapq.heappush(pairs, (deg, revlex_key(w), i, j))
-            pending.add((i, j))
-
-    for j in range(len(basis)):
-        push_pairs(j)
-
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        gi, (ci, mi) = indexed[i]
-        gj, (cj, mj) = indexed[j]
-        w = mono_lcm(mi, mj)
-        skip = False
-        for k in by_comp.get(ci, ()):
-            if k in (i, j):
-                continue
-            if mono_divides(indexed[k][1][1], w):
-                a, b = min(i, k), max(i, k)
-                c, d = min(j, k), max(j, k)
-                if (a, b) not in pending and (c, d) not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        sp = _mp_axpy(_shift(gi, mono_div(w, mi)), Fraction(1), mono_div(w, mj), gj)
-        rem, _ = _module_normal_form(sp, indexed, order, by_comp, full=False)
-        if rem:
-            rem = _mp_monic(rem, order)
-            basis.append(rem)
-            lead = _lead(rem, order)
-            indexed.append((rem, lead))
-            by_comp.setdefault(lead[0], []).append(len(basis) - 1)
-            push_pairs(len(basis) - 1)
-
-    return [g for g, _ in indexed]
-
-
-def _shift(mp, mon):
-    return {(c, mono_mul(mon, m)): v for (c, m), v in mp.items()}
+from .packing import MAXEXP, ExponentLimitError
+from .ring import PolyRing, Polynomial
 
 
 # ---------------------------------------------------------------------------
 # Schreyer resolution
 
 
-def _schreyer_step(elements, order, twists, ring):
-    """One syzygy level: pruned S-pair traces of a monic Gröbner basis.
+def _schreyer_step(eng):
+    """One syzygy level: pruned S-pair syzygies of a Gröbner basis.
 
-    Returns (new_elements, new_order, new_twists); each new element is a
-    syzygy expressed over the current level's slots, and new_order is the
-    induced Schreyer order those elements are sorted under.
+    eng holds the level's elements, keyed (image << bits) | rank, with bits
+    its rank_bits.  Returns (syzygies, their twists, new_bits, decode): the
+    syzygies are keyed the same way over this level's elements with
+    new_bits rank bits, sorted by descending Schreyer lead, and
+    decode[rank] = (element index, its lead image).  Each syzygy is an
+    integer multiple of the monic syzygy over the monic elements.
     """
-    indexed, by_comp = _index_by_comp(elements, order)
-    leads = [lead for _, lead in indexed]
-    new_order = order.induced(elements, leads)
-
-    candidates = {}
-    for c, idxs in sorted(by_comp.items()):
-        for ii in range(len(idxs)):
-            for jj in range(len(idxs)):
-                if ii == jj:
-                    continue
-                i, j = idxs[ii], idxs[jj]
-                mi, mj = leads[i][1], leads[j][1]
-                w = mono_lcm(mi, mj)
-                pref, other = (i, j) if _pref(i, j, w, leads, new_order) else (j, i)
-                if pref != i:
-                    continue
-                candidates.setdefault(i, []).append((mono_div(w, mi), j, w))
+    nv, modulus, basis, bits = eng.nvars, eng.modulus, eng.basis, eng.rank_bits
+    mask = (1 << bits) - 1
+    leads = [g.keys[0] for g in basis]
+    # chains of lead components compare as (rank of the lead component, index)
+    order = sorted(range(len(basis)), key=lambda t: (leads[t] & mask, t))
+    rank = [0] * len(basis)
+    for r, t in enumerate(order):
+        rank[t] = r
+    new_bits = len(basis).bit_length()
+    decode = [(t, leads[t] >> bits) for t in order]
+    plain = packing.high_mask(nv)
 
     chosen = []
-    for i, cands in sorted(candidates.items()):
-        cands.sort(key=lambda t: (revlex_key(t[0]), t[1]))
+    for i, li in enumerate(leads):
+        # the pair (i, j), i < j, has its Schreyer lead at i: the images are
+        # equal, and the chain ending in the smaller index wins the tie
+        img = li >> bits
+        cands = []
+        for lj, j in eng.by_slot[li & mask]:
+            if j > i:
+                w = packing.lcm(img, lj >> bits, nv)
+                q = w - img
+                cands.append((packing.degree(q, nv), -q, j, w))
+        # ascending revlex: a later lead monomial never divides an earlier one
         kept = []
-        for lead_mon, j, w in cands:
-            if any(mono_divides(k, lead_mon) for k, _, _ in kept):
-                continue
-            kept = [(k, jj, ww) for (k, jj, ww) in kept if not mono_divides(lead_mon, k)]
-            kept.append((lead_mon, j, w))
-        for lead_mon, j, w in sorted(kept, key=lambda t: (revlex_key(t[0]), t[1])):
-            chosen.append((i, j, w))
+        for _, nq, j, w in sorted(cands):
+            if not any(packing.divides(k, -nq, plain) for k in kept):
+                kept.append(-nq)
+                chosen.append((i, j, w))
 
-    new_elements = []
-    new_twists = []
+    lam = [g.coeffs[0] for g in basis]  # element == lam * monic element
+    new = []
     for i, j, w in chosen:
-        gi, (ci, mi) = indexed[i]
-        gj, (cj, mj) = indexed[j]
-        sp = _mp_axpy(_shift(gi, mono_div(w, mi)), Fraction(1), mono_div(w, mj), gj)
-        rem, trace = _module_normal_form(sp, indexed, order, by_comp, full=False)
-        if rem:
+        deg = packing.degree(w, nv)
+        if deg > MAXEXP:
+            raise ExponentLimitError(f"syzygy degree {deg} exceeds the packed limit {MAXEXP}")
+        keys, coeffs, a, b = eng.spair(i, j, (w << bits) | (leads[i] & mask))
+        trace = []
+        keys, _ = eng.top_reduce(keys, coeffs, trace)
+        if keys:
             raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
-        syz = {(i, mono_div(w, mi)): Fraction(1), (j, mono_div(w, mj)): Fraction(-1)}
-        for (t, mon), coeff in trace.items():
-            key = (t, mon)
-            s = syz.get(key, Fraction(0)) - coeff
-            if s:
-                syz[key] = s
-            else:
-                syz.pop(key, None)
-        new_elements.append(syz)
-        # deg sigma = deg(w/lead mon of g_i) + deg(g_i)
-        new_twists.append(mono_degree(w) - mono_degree(mi) + twists[i])
-
-    # deterministic ordering: descending Schreyer lead
-    order_keys = [
-        new_order.key(*max(e, key=lambda t: new_order.key(*t))) for e in new_elements
-    ]
-    perm = sorted(range(len(new_elements)), key=lambda t: order_keys[t], reverse=True)
-    new_elements = [new_elements[t] for t in perm]
-    new_twists = [new_twists[t] for t in perm]
-    return new_elements, new_order, new_twists
+        # mult * spair == sum of the traced multiples; over the monic elements
+        # the syzygy is mult*a*lam_i at i, -mult*b*lam_j at j, minus the trace
+        terms = {}
+        mult = 1
+        for lead, t, a_s, b_s in reversed(trace):
+            key = ((lead >> bits) << new_bits) | rank[t]
+            terms[key] = terms.get(key, 0) - b_s * mult * lam[t]
+            mult *= a_s
+        terms[(w << new_bits) | rank[i]] = mult * a * lam[i]
+        terms[(w << new_bits) | rank[j]] = -mult * b * lam[j]
+        if modulus:
+            terms = {k: c % modulus for k, c in terms.items()}
+        keys = sorted(k for k, c in terms.items() if c)
+        new.append(_EnginePoly(keys, _primitive([terms[k] for k in keys], modulus), deg))
+    new.sort(key=lambda e: (-e.deg, e.keys[0]))  # packed keys compare within a degree
+    return new, [e.deg for e in new], new_bits, decode
 
 
-def _pref(i, j, w, leads, new_order):
-    """True when slot i carries the Schreyer lead of the (i, j) syzygy."""
-    mi, mj = leads[i][1], leads[j][1]
-    ki = new_order.key(i, mono_div(w, mi))
-    kj = new_order.key(j, mono_div(w, mj))
-    return ki > kj
+def _schreyer_columns(ring, elements, bits, decode, rank, unpack, modulus):
+    """Monic Polynomial columns of Schreyer-keyed elements.  Within one
+    component ascending keys are descending monomials of one degree."""
+    mask = (1 << bits) - 1
+    zero = ring.zero
+    cols = []
+    for e in elements:
+        terms = [[] for _ in range(rank)]
+        for k, c in zip(e.keys, _divide(e.coeffs, e.coeffs[0], modulus)):
+            t, img = decode[k & mask]
+            terms[t].append((unpack((k >> bits) - img), c))
+        cols.append([Polynomial.from_sorted(ring, ts) if ts else zero for ts in terms])
+    return cols
 
 
 class ResolutionData:
@@ -444,7 +200,7 @@ def _minimalize(twists, mats, ring):
                         continue
                     q = col[i]
                     if q:
-                        factor = q.scale(1 / c)
+                        factor = q.scale(ring.field.inv(c))
                         M[jp] = [
                             col[r] - factor * pivot_col[r] for r in range(len(col))
                         ]
@@ -473,40 +229,26 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
     """Minimal graded free resolution of R/I from a reduced Gröbner basis:
     iterated pruned Schreyer syzygies, then unit-entry cancellation."""
     ring = gb.ring
-    if getattr(ring.field, "p", 0):
-        raise ValueError("resolutions are computed over the rationals only")
-    polys = [p for p in gb.polys]
+    polys = list(gb.polys)
     if not polys:
         return ResolutionData(ring, [(0,)], [], minimal=True)
-    order = SchreyerOrder.base(ring)
-    elements = [
-        {(0, m): c for m, c in p.terms} for p in polys
-    ]
+    eng = _Engine(ring, rank_bits=0)  # level 1: one component, keys are monomials
+    for p in polys:
+        eng.add(_to_engine(p, eng.pack, eng.modulus))
     twists_tower = [(0,), tuple(p.degree() for p in polys)]
     mats = [[[p] for p in polys]]  # columns into F_0 = R
 
-    level_twists = list(twists_tower[1])
-    max_levels = ring.nvars + 2
-    for _ in range(max_levels):
-        new_elements, new_order, new_twists = _schreyer_step(
-            elements, order, level_twists, ring
-        )
-        if not new_elements:
+    for _ in range(ring.nvars + 2):
+        new, new_twists, bits, decode = _schreyer_step(eng)
+        if not new:
             break
-        cols = []
-        for e in new_elements:
-            col = [ring.zero] * len(elements)
-            acc = {}
-            for (t, mon), coeff in e.items():
-                acc.setdefault(t, []).append((mon, coeff))
-            for t, terms in acc.items():
-                col[t] = Polynomial(ring, terms)
-            cols.append(col)
-        mats.append(cols)
+        mats.append(
+            _schreyer_columns(ring, new, bits, decode, len(eng.basis), eng.unpack, eng.modulus)
+        )
         twists_tower.append(tuple(new_twists))
-        elements = new_elements
-        order = new_order
-        level_twists = list(new_twists)
+        eng = _Engine(ring, rank_bits=bits)
+        for e in new:
+            eng.add(e)
     else:
         raise AssertionError("resolution exceeded the variable-count bound")
 
@@ -515,119 +257,92 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
 
 
 # ---------------------------------------------------------------------------
-# kernels, lifts, presented modules
+# kernels, lifts, presented modules (position over term)
 
 
-def _vectors_to_graph(cols, free_twists, ring):
-    """Graph elements (col_t, e_t) in F + R^s with POT elimination order."""
-    rF = len(free_twists)
-    unit = tuple([0] * ring.nvars)
-    elems = []
-    degs = []
-    for t, col in enumerate(cols):
-        mp = {}
-        deg = None
-        for s, p in enumerate(col):
-            if not p:
-                continue
-            d = p.degree() + free_twists[s]
-            if deg is None:
-                deg = d
-            elif deg != d:
-                raise ValueError("inhomogeneous column")
-            for m, c in p.terms:
-                mp[(s, m)] = Fraction(c)
-        mp[(rF + t, unit)] = Fraction(1)
-        elems.append(mp)
-        degs.append(deg if deg is not None else 0)
-    twists = list(free_twists) + degs
-    return elems, twists, rF
+def _pot_element(eng, vec, unit=None):
+    """Engine element of a vector of homogeneous Polynomials, plus a unit
+    term in component unit when given."""
+    cs, pack = eng.comp_shift, eng.pack
+    keys, coeffs = [], []
+    for s, p in enumerate(vec):
+        if not p.is_homogeneous():  # packed keys order one degree at a time
+            raise ValueError("module entries must be homogeneous")
+        for m, c in p.terms:
+            keys.append(s << cs | pack(m))
+            coeffs.append(c)
+    if unit is not None:
+        keys.append(unit << cs)
+        coeffs.append(1)
+    return _clear(keys, coeffs, None, eng.modulus)
+
+
+def _pot_vector(eng, keys, coeffs, first, rank, div):
+    """Polynomials in components first .. first+rank-1, coefficients
+    divided by div; within one component the keys run down through revlex."""
+    cs = eng.comp_shift
+    mmask = (1 << cs) - 1
+    terms = [[] for _ in range(rank)]
+    for k, c in zip(keys, _divide(coeffs, div, eng.modulus)):
+        terms[(k >> cs) - first].append((eng.unpack(k & mmask), c))
+    return [Polynomial.from_sorted(eng.ring, t) for t in terms]
 
 
 class GraphBasis:
-    """Traced Gröbner data for a column span: kernels and lifts."""
+    """Traced Gröbner data for a column span: kernels and lifts.
+
+    The graph elements (col_t, e_t) live in F + R^s; under position over
+    term an element whose lead lies in the tracking part lies there
+    entirely."""
 
     def __init__(self, cols, free_twists, ring):
         self.ring = ring
         self.free_twists = tuple(free_twists)
         self.ncols = len(cols)
-        elems, twists, rF = _vectors_to_graph(cols, free_twists, ring)
-        self.rF = rF
-        order = PotOrder()
-        self.order = order
-        self.twists = twists
-        gb = module_buchberger(elems, order, twists, ring)
-        self.gb_indexed, self.by_comp = _index_by_comp(gb, order)
+        self.rF = len(free_twists)
+        eng = _Engine(ring)
+        degs = []
+        for t, col in enumerate(cols):
+            deg = None
+            for s, p in enumerate(col):
+                if not p:
+                    continue
+                d = p.degree() + free_twists[s]
+                if deg is None:
+                    deg = d
+                elif deg != d:
+                    raise ValueError("inhomogeneous column")
+            degs.append(deg if deg is not None else 0)
+            eng.add(_pot_element(eng, col, self.rF + t))
+        self.twists = list(free_twists) + degs
+        eng.complete(self.twists)
+        self.engine = eng
 
     def kernel_generators(self):
         """Generators of the syzygy module of the columns (in R^ncols)."""
-        out = []
-        for g, (c, _) in self.gb_indexed:
-            if c < self.rF:
-                continue
-            # POT elimination: lead in the tracking part means the whole
-            # element lives there
-            acc = {}
-            for (comp, mon), coeff in g.items():
-                acc.setdefault(comp - self.rF, []).append((mon, coeff))
-            vec = [self.ring.zero] * self.ncols
-            for t, terms in acc.items():
-                vec[t] = Polynomial(self.ring, terms)
-            out.append(vec)
-        return out
+        eng, rF = self.engine, self.rF
+        return [
+            _pot_vector(eng, g.keys, g.coeffs, rF, self.ncols, g.coeffs[0])
+            for g in eng.basis
+            if g.keys[0] >> eng.comp_shift >= rF
+        ]
 
     def lift(self, target):
         """Coefficients expressing a module vector over the columns, or None.
 
         target: list of Polynomial over the free part.
         """
-        mp = {}
-        for s, p in enumerate(target):
-            if not p:
-                continue
-            for m, c in p.terms:
-                mp[(s, m)] = Fraction(c)
-        if not mp:
-            return [self.ring.zero] * self.ncols
-        rem, _ = _module_normal_form(mp, self.gb_indexed, self.order, self.by_comp)
-        if any(comp < self.rF for comp, _ in rem):
+        eng = self.engine
+        ep = _pot_element(eng, target)
+        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
+        if keys and keys[0] >> eng.comp_shift < self.rF:
             return None
-        acc = {}
-        for (comp, mon), coeff in rem.items():
-            acc.setdefault(comp - self.rF, []).append((mon, -coeff))
-        out = [self.ring.zero] * self.ncols
-        for t, terms in acc.items():
-            out[t] = Polynomial(self.ring, terms)
-        return out
+        return _pot_vector(eng, keys, coeffs, self.rF, self.ncols, -(ep.scale or 1) * mult)
 
 
 def module_kernel(cols, free_twists, ring) -> list:
     """Generators of {(c_t) : sum c_t * cols_t = 0}."""
     return GraphBasis(cols, free_twists, ring).kernel_generators()
-
-
-def syzygies(gb: GroebnerBasis):
-    """Module Gröbner basis of the syzygies of a reduced basis, under the
-    induced Schreyer order; returned as vectors over the basis elements."""
-    ring = gb.ring
-    polys = list(gb.polys)
-    if not polys:
-        return FreeModule(ring, ()), []
-    order = SchreyerOrder.base(ring)
-    elements = [{(0, m): c for m, c in p.terms} for p in polys]
-    twists = [p.degree() for p in polys]
-    new_elements, _, _ = _schreyer_step(elements, order, twists, ring)
-    module = FreeModule(ring, twists)
-    out = []
-    for e in new_elements:
-        acc = {}
-        for (t, mon), coeff in e.items():
-            acc.setdefault(t, []).append((mon, coeff))
-        entries = [
-            Polynomial(ring, acc.get(t, [])) for t in range(len(polys))
-        ]
-        out.append(ModuleVector(module, entries))
-    return module, out
 
 
 class PresentedModule:
@@ -637,26 +352,20 @@ class PresentedModule:
     def __init__(self, ring: PolyRing, gen_degrees, relations):
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
-        order = PotOrder()
-        self.order = order
-        elems = []
+        eng = _Engine(ring)
         for rel in relations:
-            mp = {}
-            for s, p in enumerate(rel):
-                if not p:
-                    continue
-                for m, c in p.terms:
-                    mp[(s, m)] = Fraction(c)
-            if mp:
-                elems.append(mp)
-        gb = module_buchberger(elems, order, list(self.gen_degrees), ring)
-        self.gb_indexed, self.by_comp = _index_by_comp(gb, order)
-        self.lead_ideals = {}
-        for s in range(len(self.gen_degrees)):
-            self.lead_ideals[s] = MonomialIdeal(
-                ring.nvars,
-                [lead[1] for _, lead in self.gb_indexed if lead[0] == s],
+            e = _pot_element(eng, rel)
+            if e.keys:
+                eng.add(e)
+        eng.complete(self.gen_degrees)
+        self.engine = eng
+        mmask = (1 << eng.comp_shift) - 1
+        self.lead_ideals = {
+            s: MonomialIdeal(
+                ring.nvars, [eng.unpack(k & mmask) for k, _ in eng.by_slot.get(s, ())]
             )
+            for s in range(len(self.gen_degrees))
+        }
         self._standard = {}
 
     def hf(self, degree: int) -> int:
@@ -688,26 +397,38 @@ class PresentedModule:
         return out
 
     def reduce(self, mp):
-        rem, _ = _module_normal_form(mp, self.gb_indexed, self.order, self.by_comp)
-        return rem
+        """Normal form of {(slot, monomial): coeff}, as the same kind of
+        dict in descending order."""
+        eng = self.engine
+        cs, mmask = eng.comp_shift, (1 << eng.comp_shift) - 1
+        pairs = sorted((s << cs | eng.pack(m), c) for (s, m), c in mp.items() if c)
+        ep = _clear([k for k, _ in pairs], [c for _, c in pairs], None, eng.modulus)
+        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
+        coeffs = _divide(coeffs, (ep.scale or 1) * mult, eng.modulus)
+        return {(k >> cs, eng.unpack(k & mmask)): c for k, c in zip(keys, coeffs)}
 
     def mult_matrix(self, var: int, degree: int):
         """Matrix of multiplication by x_var from degree to degree+1, in the
         standard monomial bases (rows: target, columns: source)."""
+        if degree + 1 - min(self.gen_degrees, default=0) > MAXEXP:
+            raise ExponentLimitError(f"degree {degree + 1} exceeds the packed limit {MAXEXP}")
+        eng = self.engine
+        cs, pack = eng.comp_shift, eng.pack
         src = self.standard_basis(degree)
         tgt = self.standard_basis(degree + 1)
-        tgt_index = {t: k for k, t in enumerate(tgt)}
-        vm = self.ring.var_mono(var)
+        tgt_index = {s << cs | pack(m): k for k, (s, m) in enumerate(tgt)}
+        vk = 1 << (packing.SLOT * var)
+        zero, one = _divide([0, 1], 1, eng.modulus)
         cols = []
-        for (s, m) in src:
-            mm = mono_mul(m, vm)
-            vec = [Fraction(0)] * len(tgt)
-            if self.lead_ideals[s].contains(mm):
-                rem = self.reduce({(s, mm): Fraction(1)})
-                for (c2, m2), coeff in rem.items():
-                    vec[tgt_index[(c2, m2)]] = coeff
+        for s, m in src:
+            key = (s << cs | pack(m)) + vk
+            vec = [zero] * len(tgt)
+            if key in tgt_index:
+                vec[tgt_index[key]] = one
             else:
-                vec[tgt_index[(s, mm)]] = Fraction(1)
+                keys, coeffs, mult = eng.normal_form([key], [1])
+                for k, c in zip(keys, _divide(coeffs, mult, eng.modulus)):
+                    vec[tgt_index[k]] = c
             cols.append(vec)
         # transpose to rows=target
         return [[cols[c][r] for c in range(len(src))] for r in range(len(tgt))]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .packing import make_packer, make_unpacker
+from .packing import MAXEXP, SLOT, ExponentLimitError, make_packer, make_unpacker
 from .ring import PolyRing, Polynomial, PrimeField, RationalField, revlex_key
 
 
@@ -39,6 +39,13 @@ def _poly_rows(gens):
     return rows
 
 
+def _check_degree(j):
+    """Keys of degree j carry exponents up to j; past MAXEXP they would spill
+    into the next slot."""
+    if j > MAXEXP:
+        raise ExponentLimitError(f"degree {j} exceeds the packed limit {MAXEXP}")
+
+
 class GradedSpan:
     """Row space of a homogeneous ideal, advanced one degree at a time."""
 
@@ -51,7 +58,7 @@ class GradedSpan:
             self._gen_rows.setdefault(d, []).append(row)
             mindeg = d if mindeg is None else min(mindeg, d)
         self.degree = (mindeg - 1) if mindeg is not None else -1
-        self._var_keys = [1 << (8 * i) for i in range(ring.nvars)]
+        self._var_keys = [1 << (SLOT * i) for i in range(ring.nvars)]
         self.pivots = {}  # lead key -> row, all of current degree
         self.dims = {}  # degree -> dim [I]_j  (0 below first generator)
 
@@ -107,6 +114,7 @@ class GradedSpan:
 
     def advance(self):
         """Move from degree j to j+1: span x_i * rows plus new generators."""
+        _check_degree(self.degree + 1)
         self.degree += 1
         old = list(self.pivots.values())
         self.pivots = {}
@@ -135,6 +143,7 @@ def oracle_ideal_dims(gens, jmax: int, ring: PolyRing | None = None):
     """dim_K [I]_j for j = 0..jmax by pure linear algebra."""
     if ring is None:
         ring = gens[0].ring
+    _check_degree(jmax)
     span = GradedSpan(ring, gens)
     dims = []
     for j in range(jmax + 1):
@@ -188,6 +197,7 @@ def graded_piece_basis(gens, j: int, ring: PolyRing | None = None) -> GradedPiec
     """
     if ring is None:
         ring = gens[0].ring
+    _check_degree(j)
     pack = make_packer(ring.nvars)
     rows = []
     for d, row in _poly_rows([g for g in gens if g]):

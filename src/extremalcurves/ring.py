@@ -223,6 +223,15 @@ class Polynomial:
             tuple(sorted(acc.items(), key=lambda t: revlex_key(t[0]), reverse=True)),
         )
 
+    @classmethod
+    def from_sorted(cls, ring: PolyRing, terms):
+        """Polynomial from terms already strictly descending in revlex, with
+        nonzero coefficients of the ring's field; nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", tuple(terms))
+        return p
+
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from extremalcurves.cli import main
+from extremalcurves.gin import GinDisagreement
 from extremalcurves.idealfile import (
     IdealFileError,
     emit_ideal,
@@ -228,3 +229,17 @@ class TestCli:
         assert "report" not in failed
         for entry in (doc["reports"][0], doc["reports"][2]):
             assert entry["report"]["verdict"] == "extremal"
+
+    @pytest.mark.parametrize("exc", [GinDisagreement, RuntimeError, AssertionError])
+    def test_unexpected_failure_exit_3(self, tmp_path, monkeypatch, capsys, exc):
+        import extremalcurves.cli as cli
+
+        def broken(ideal, **kwargs):
+            raise exc("injected failure")
+
+        monkeypatch.setattr(cli, "verify_extremal", broken)
+        path = tmp_path / "curve.ideal"
+        path.write_text("ring n=3 field=q\nx0\nx1\n")
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "injected failure" in err

@@ -124,3 +124,18 @@ class TestExponentLimit:
         x0, x1, _ = R3.gens()
         with pytest.raises(ExponentLimitError):
             buchberger([x0 ** 64 * x1 ** 64], R3)
+
+    def test_module_keys_beyond_limit_raise(self):
+        # the basis is fine, but the Koszul syzygy and the graph S-pair of
+        # x0^100 and x1^100 live in degree 200
+        from extremalcurves.modules import PresentedModule, free_resolution_from_gb, module_kernel
+
+        x0, x1, _ = R3.gens()
+        a, b = x0 ** 100, x1 ** 100
+        gb = buchberger([a, b], R3)
+        with pytest.raises(ExponentLimitError):
+            free_resolution_from_gb(gb)
+        with pytest.raises(ExponentLimitError):
+            module_kernel([[a], [b]], [0], R3)
+        with pytest.raises(ExponentLimitError):
+            PresentedModule(R3, [0, 0], [[a, b], [b, a]])

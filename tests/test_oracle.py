@@ -82,3 +82,44 @@ def test_fraction_rank_and_kernel():
     v = ker[0]
     for row in rows:
         assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+
+
+def test_degree_past_the_packed_limit_raises():
+    # past degree 127 the 8-bit keys would carry into the next variable
+    import pytest
+
+    from extremalcurves.oracle import GradedSpan
+    from extremalcurves.packing import MAXEXP, ExponentLimitError
+
+    R3 = PolyRing(3)
+    gens = [R3.gen(0) * R3.gen(1)]
+    with pytest.raises(ExponentLimitError):
+        oracle_quotient_dims(gens, MAXEXP + 1)
+    with pytest.raises(ExponentLimitError):
+        graded_piece_basis(gens, MAXEXP + 1)
+    span = GradedSpan(R3, gens)
+    span.degree = MAXEXP
+    with pytest.raises(ExponentLimitError):
+        span.advance()
+
+
+def test_oracle_hf_past_the_packed_limit_exit_2(tmp_path, capsys):
+    from extremalcurves.cli import main
+
+    path = tmp_path / "xy.ideal"
+    path.write_text("ring n=2 field=q\nx0*x1\n")
+    assert main(["oracle-hf", str(path), "--max-deg", "260"]) == 2
+    assert "packed limit" in capsys.readouterr().err
+
+
+def test_oracle_stays_apart_from_the_groebner_engine():
+    import ast
+    import extremalcurves.oracle as oracle
+
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    imported = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    assert not imported & {"groebner", "modules", "ideals", "gin", "cohomology"}
