@@ -27,6 +27,7 @@ from .formulas import (
     rao_structure_excluded,
 )
 from .gin import gin as compute_gin, mix_seed
+from .groebner import GroebnerBasis, buchberger, linear_images
 from .ideals import Ideal, ideal_from_monomials, is_saturated, random_invertible_matrix
 from .modules import GraphBasis, PresentedModule
 from .oracle import fraction_rank
@@ -387,11 +388,10 @@ def _divide_out_last_variable(gb_polys, ring: PolyRing):
     return out
 
 
-def saturate_by_last_variable(gens, ring: PolyRing) -> "GroebnerBasis":
-    """Reduced basis of (J : x_last^infty) via the revlex division trick."""
-    from .groebner import buchberger
-
-    gb = buchberger(gens, ring)
+def saturate_by_last_variable(gb: GroebnerBasis) -> GroebnerBasis:
+    """Reduced basis of (J : x_last^infty) from the reduced basis of J, via
+    the revlex division trick."""
+    ring = gb.ring
     for _ in range(ring.nvars + 2):
         divided = _divide_out_last_variable(list(gb.polys), ring)
         if divided == list(gb.polys):
@@ -400,40 +400,16 @@ def saturate_by_last_variable(gens, ring: PolyRing) -> "GroebnerBasis":
     raise AssertionError("last-variable saturation failed to stabilize")
 
 
-def _kernel_basis_matrix(coeffs, rng):
-    """Invertible matrix whose first columns span the hyperplane of the
-    given linear functional, with seeded generic entries."""
-    nv = len(coeffs)
-    pivot = max(i for i, c in enumerate(coeffs) if c)
-    cols = []
-    for i in range(nv):
-        if i == pivot:
-            continue
-        col = [Fraction(0)] * nv
-        col[i] = Fraction(1)
-        col[pivot] = Fraction(-coeffs[i], coeffs[pivot])
-        cols.append(col)
-    # generic unimodular mixing inside the hyperplane
-    mixed = []
-    for _ in range(nv - 1):
-        weights = [rng.randint(-20, 20) for _ in cols]
-        mixed.append([sum(w * c[r] for w, c in zip(weights, cols)) for r in range(nv)])
-    last = [Fraction(rng.randint(-20, 20)) for _ in range(nv)]
-    matrix = [[mixed[j][i] for j in range(nv - 1)] + [last[i]] for i in range(nv)]
-    return matrix
-
-
-def hyperplane_section(I: Ideal, seed: int = 0, form: Polynomial | None = None, max_draws: int = 12):
-    """Section by a (general) hyperplane: the saturated image ideal in one
+def hyperplane_section(I: Ideal, seed: int = 0, max_draws: int = 12):
+    """Section by a general hyperplane: the saturated image ideal in one
     fewer variable and its Hilbert values through degree + 1.
 
-    The hyperplane is moved to {x_n = 0} by a seeded generic coordinate
-    change, the last variable is dropped, and the image is saturated with
-    the last remaining variable (generic inside the hyperplane).  Draws are
-    rejected while the cut fails the non-zerodivisor Hilbert test
-    h(R/(I+l))_j = h_C(j) - h_C(j-1) in low degrees."""
-    from .groebner import buchberger
-
+    A seeded generic coordinate change moves the hyperplane to {x_n = 0};
+    the cut is the image with the matrix's last column dropped, and its
+    reduced basis is saturated with the last remaining variable (generic
+    inside the hyperplane).  Draws are rejected while the cut fails the
+    non-zerodivisor Hilbert test h(R/(I+l))_j = h_C(j) - h_C(j-1) in low
+    degrees."""
     ring = I.ring
     degree, _ = detect_hilbert_polynomial(I)
     reg = I.resolution().regularity()
@@ -441,32 +417,19 @@ def hyperplane_section(I: Ideal, seed: int = 0, form: Polynomial | None = None, 
     hvals = [I.initial_ideal().quotient_dim(j) for j in range(reg + 3)]
     for attempt in range(max_draws):
         rng = random.Random(mix_seed(seed, attempt, 77))
-        if form is not None:
-            coeffs = [form.coefficient(ring.var_mono(i)) for i in range(ring.nvars)]
-            if form.degree() != 1 or not any(coeffs):
-                raise ValueError("the section form must be a nonzero linear form")
-            matrix = _kernel_basis_matrix(coeffs, rng)
-        else:
-            matrix = random_invertible_matrix(ring.nvars, rng, 20)
-        transformed = [g.substitute_linear(matrix) for g in I.gens]
-        cut = []
-        for g in transformed:
-            terms = [(m[:-1], c) for m, c in g.terms if m[-1] == 0]
-            p = Polynomial(target, terms)
-            if p:
-                cut.append(p)
+        matrix = random_invertible_matrix(ring.nvars, rng, 20)
+        cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
         if not cut:
             continue
-        cut_dims = buchberger(cut, target).initial_ideal()
+        gb = buchberger(cut, target)
+        cut_dims = gb.initial_ideal()
         ok = all(
             cut_dims.quotient_dim(j) == hvals[j] - (hvals[j - 1] if j else 0)
             for j in range(reg + 3)
         )
         if not ok:
-            if form is not None:
-                raise ValueError("the given form is a zero divisor on the curve")
             continue
-        gb = saturate_by_last_variable(cut, target)
+        gb = saturate_by_last_variable(gb)
         section = Ideal(target, list(gb.polys))
         section._gb = gb
         lead = gb.initial_ideal()

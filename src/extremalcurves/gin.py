@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .groebner import initial_monomials
+from .groebner import initial_monomials, linear_images
 from .ideals import Ideal, random_invertible_matrix
 from .monomials import MonomialIdeal, is_strongly_stable
 
@@ -63,11 +63,11 @@ def gin(I: Ideal, seed: int = 0, retries: int = 3, entry_bound: int = DEFAULT_EN
         for s in seeds:
             rng = random.Random(s)
             matrix = random_invertible_matrix(ring.nvars, rng, bound)
-            transformed = [g.substitute_linear(matrix) for g in I.gens]
+            images = linear_images(I.gens, matrix, ring)
             cand = None
             cap = reg
             while cap <= reg + 6:
-                J = initial_monomials(transformed, cap=cap, ring=ring)
+                J = initial_monomials(images, cap=cap, ring=ring)
                 if J.hilbert_numerator() == base_numerator:
                     cand = J
                     break

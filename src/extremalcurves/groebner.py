@@ -19,7 +19,7 @@ from math import gcd
 from . import packing
 from .packing import MAXEXP, SLOT, ExponentLimitError
 from .monomials import MonomialIdeal
-from .ring import PolyRing, Polynomial, revlex_key
+from .ring import PolyRing, Polynomial, expand_linear, revlex_key
 
 
 class _EnginePoly:
@@ -52,6 +52,24 @@ def _to_engine(p: Polynomial, pack, modulus) -> _EnginePoly:
     if p.degree() > MAXEXP:
         raise ExponentLimitError(f"degree {p.degree()} exceeds the packed limit {MAXEXP}")
     return _clear([pack(m) for m, _ in p.terms], [c for _, c in p.terms], p.degree(), modulus)
+
+
+def linear_images(gens, matrix, ring: PolyRing):
+    """Engine elements of the nonzero images of gens under x_i -> sum_j
+    matrix[i][j] x_j in the variables of ring, one per matrix column (a
+    dropped column sets its variable to zero): the primitive vectors of
+    `_to_engine`, made without a Polynomial.  `buchberger` and
+    `initial_monomials` take them in place of polynomials."""
+    top = max((g.degree() for g in gens), default=0)
+    if top > MAXEXP:
+        raise ExponentLimitError(f"degree {top} exceeds the packed limit {MAXEXP}")
+    modulus = getattr(ring.field, "p", 0)
+    out = []
+    for g, (image, _) in zip(gens, expand_linear(gens, matrix, SLOT)):
+        if image:
+            keys = sorted(image)
+            out.append(_EnginePoly(keys, _primitive([image[k] for k in keys], modulus), g.degree()))
+    return out
 
 
 def _from_engine(ep: _EnginePoly, ring: PolyRing, unpack, modulus):
@@ -308,6 +326,9 @@ def _buchberger_engine(ring, gens, cap=None, lead_only=False):
     modulus = eng.modulus
     start = []
     for g in gens:
+        if isinstance(g, _EnginePoly):  # from linear_images
+            start.append(g)
+            continue
         if not g:
             continue
         if not g.is_homogeneous():
@@ -416,7 +437,9 @@ class GroebnerBasis:
 
 
 def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
-    """Reduced Gröbner basis of the homogeneous ideal generated by gens."""
+    """Reduced Gröbner basis of the homogeneous ideal generated by gens
+    (polynomials, or engine elements from `linear_images` with the ring
+    given)."""
     if ring is None:
         ring = gens[0].ring
     return GroebnerBasis(ring, _buchberger_engine(ring, list(gens)))
@@ -424,7 +447,8 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
 
 def initial_monomials(gens, cap: int, ring: PolyRing | None = None) -> MonomialIdeal:
     """Lead monomials from a degree-truncated run: contains every minimal
-    generator of the initial ideal living in degrees <= cap."""
+    generator of the initial ideal living in degrees <= cap.  Gens are
+    taken as by `buchberger`."""
     if ring is None:
         ring = gens[0].ring
     leads = _buchberger_engine(ring, list(gens), cap=cap, lead_only=True)

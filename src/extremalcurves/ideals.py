@@ -11,6 +11,7 @@ resolution instead (Auslander-Buchsbaum).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .groebner import GroebnerBasis, buchberger
 from .modules import free_resolution_from_gb, module_kernel
@@ -193,28 +194,21 @@ def is_saturated(I: Ideal) -> bool:
     return I.resolution().length <= I.ring.n
 
 
-def _det(matrix):
-    mat = [[Fraction(v) for v in row] for row in matrix]
-    n = len(mat)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return det
+def _det(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    mat, sign, prev = [list(row) for row in matrix], 1, 1
+    for k in range(len(mat) - 1):
+        if not mat[k][k]:
+            piv = next((r for r in range(k + 1, len(mat)) if mat[r][k]), None)
+            if piv is None:
+                return 0
+            mat[k], mat[piv], sign = mat[piv], mat[k], -sign
+        top = mat[k]
+        for row in mat[k + 1 :]:
+            row[k + 1 :] = [(v * top[k] - row[k] * t) // prev for v, t in zip(row[k + 1 :], top[k + 1 :])]
+        prev = top[k]
+    return sign * mat[-1][-1] if mat else 1
 
 
 def random_invertible_matrix(nvars: int, rng, bound: int):
@@ -232,6 +226,8 @@ def change_coordinates(I: Ideal, matrix) -> Ideal:
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(r) != ring.nvars for r in matrix):
         raise ValueError("matrix size does not match the ring")
-    if _det(matrix) == 0:
+    # rows scaled to integers: the determinant vanishes iff it did
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    if _det([[int(v * lcm(*(u.denominator for u in row))) for v in row] for row in rows]) == 0:
         raise ValueError("singular coordinate change")
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])

@@ -349,31 +349,53 @@ class Polynomial:
         return self.ring.field.zero
 
     def substitute_linear(self, matrix) -> Polynomial:
-        """Apply x_i -> sum_j matrix[i][j] x_j.
-
-        The expansion runs on integers, with monomials packed into integer
-        keys whose slots fit the degree, so multiplying monomials is
-        addition.  Over the rationals the matrix and the coefficients are
-        cleared of denominators once and each output coefficient is divided
-        once at the end; over Z/p the entries are residues.
-        """
-        ring, fld = self.ring, self.ring.field
+        """Apply x_i -> sum_j matrix[i][j] x_j (by `expand_linear`, with
+        exponent slots that fit the degree)."""
         if not self.terms:
             return self
-        modulus = getattr(fld, "p", 0)
-        entries = [[fld.coerce(v) for v in row] for row in matrix]
-        den = den_c = 1
-        if not modulus:
-            den = lcm(*(v.denominator for row in entries for v in row))
-            den_c = lcm(*(c.denominator for _, c in self.terms))
-            entries = [[int(v * den) for v in row] for row in entries]
-        top = self.degree()  # the lead term has the largest degree
-        width = top.bit_length() or 1
-        shifts = [width * i for i in range(ring.nvars)]
-        # powers[i][e]: the e-th power of den * (image of x_i), packed
-        powers = [[{0: 1}, {1 << s: v for s, v in zip(shifts, row) if v}] for row in entries]
+        width = self.degree().bit_length() or 1  # the lead has the top degree
+        ((image, den),) = expand_linear([self], matrix, width)
+        mask, shifts = (1 << width) - 1, [width * i for i in range(self.ring.nvars)]
+        terms = [(tuple((k >> s) & mask for s in shifts), Fraction(v, den)) for k, v in image.items()]
+        return Polynomial(self.ring, terms)  # the field coerces
+
+    def __repr__(self):
+        return f"Polynomial({format_poly(self)})"
+
+    def __str__(self):
+        return format_poly(self)
+
+
+def expand_linear(polys, matrix, width):
+    """Images of polys under x_i -> sum_j matrix[i][j] x_j, on integers: one
+    (image, den) per polynomial, where image maps exponent keys (width bits
+    per output variable, one per matrix column, x0 lowest) to nonzero
+    integers and the image is sum image[k] / den * x^k (residues and den 1
+    over Z/p).  The matrix is cleared of denominators once and each power of
+    a row is expanded once for all polys; 2^width must exceed each degree.
+    """
+    if not polys:
+        return []
+    fld = polys[0].ring.field
+    modulus = getattr(fld, "p", 0)
+    den = 1
+    if modulus:
+        rows = [[fld.coerce(v) for v in row] for row in matrix]
+    elif all(type(v) is int for row in matrix for v in row):
+        rows = matrix
+    else:
+        rows = [[Fraction(v) for v in row] for row in matrix]
+        den = lcm(*(v.denominator for row in rows for v in row))
+        rows = [[int(v * den) for v in row] for row in rows]
+    # powers[i][e]: the e-th power of den * (image of x_i), packed
+    powers = [[{0: 1}, {1 << (width * j): v for j, v in enumerate(row) if v}] for row in rows]
+    out = []
+    for p in polys:
+        top = max(p.degree(), 0)
+        den_c = 1 if modulus else lcm(*(c.denominator for _, c in p.terms))
         acc = {}
-        for m, c in self.terms:
+        get = acc.get
+        for m, c in p.terms:
             prod = {0: 1}
             for i, e in enumerate(m):
                 if e:
@@ -381,25 +403,16 @@ class Polynomial:
                     while len(cache) <= e:
                         cache.append(_mul_packed(cache[-1], cache[1], modulus))
                     prod = _mul_packed(prod, cache[e], modulus)
-            if modulus:
-                scale = c
-            else:
-                scale = c.numerator * (den_c // c.denominator) * den ** (top - mono_degree(m))
+            if not modulus:
+                c = c.numerator * (den_c // c.denominator) * den ** (top - mono_degree(m))
             for k, v in prod.items():
-                acc[k] = acc.get(k, 0) + scale * v
-        common = den_c * den ** top
-        mask = (1 << width) - 1
-        terms = []
-        for k, v in acc.items():  # the field reduces residues mod p
-            mono = tuple((k >> s) & mask for s in shifts)
-            terms.append((mono, v if modulus else Fraction(v, common)))
-        return Polynomial(ring, terms)
-
-    def __repr__(self):
-        return f"Polynomial({format_poly(self)})"
-
-    def __str__(self):
-        return format_poly(self)
+                acc[k] = get(k, 0) + c * v
+        if modulus:
+            image = {k: v % modulus for k, v in acc.items() if v % modulus}
+        else:
+            image = {k: v for k, v in acc.items() if v}
+        out.append((image, den_c * den**top))
+    return out
 
 
 def _mul_packed(a, b, modulus):

@@ -1,6 +1,8 @@
 """The verdict's shortcuts against the computations they replace: the depth
 test for saturation, the Hilbert polynomial from the numerator, integer
-coordinate changes, and a guard that a verdict needs no ideal quotient."""
+coordinate changes expanded straight into engine elements, the
+fraction-free determinant, and a guard that a verdict needs no ideal
+quotient."""
 
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from extremalcurves import ideals
+from extremalcurves.groebner import _to_engine, linear_images
 from extremalcurves.cohomology import (
     NotACurveError,
     detect_hilbert_polynomial,
@@ -19,7 +22,8 @@ from extremalcurves.construct import (
     non_extremal_witness,
 )
 from extremalcurves.formulas import max_genus
-from extremalcurves.ideals import Ideal, intersect, is_saturated, quotient
+from extremalcurves.ideals import Ideal, _det, intersect, is_saturated, quotient
+from extremalcurves.packing import ExponentLimitError, make_packer
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 
 
@@ -166,3 +170,124 @@ def test_verdict_needs_no_quotient(monkeypatch):
     report = verify_extremal(Ideal(I.ring, list(I.gens)), seed=3)
     assert report.verdict == "extremal"
     assert report.planar_checked and report.planar_verdict
+
+
+def _random_matrix(nvars, rng, kind):
+    """Integer matrices: generic, with a repeated or a zero row (singular),
+    of rank one, or all multiples of 7 (zero over Z/7)."""
+    matrix = [[rng.randint(-6, 6) for _ in range(nvars)] for _ in range(nvars)]
+    if kind == "repeated":
+        matrix[-1] = list(matrix[0])
+    elif kind == "zero-row":
+        matrix[rng.randrange(nvars)] = [0] * nvars
+    elif kind == "rank-one":
+        u = [rng.randint(-2, 2) for _ in range(nvars)]
+        matrix = [[a * b for b in matrix[0]] for a in u]
+    elif kind == "sevens":
+        matrix = [[7 * v for v in row] for row in matrix]
+    return matrix
+
+
+def _expansion_cases(field, seed):
+    """(polynomial, matrix) pairs: homogeneous forms in 3-5 variables with
+    non-integer coefficients over QQ, residues over Z/7; some images
+    vanish (x0 - x1 times a form when x0 and x1 share an image, rank one,
+    zero rows, multiples of 7 over Z/7)."""
+    rng = random.Random(seed)
+    cases = []
+    for trial in range(12):
+        nvars = 3 + trial % 3
+        ring = PolyRing(nvars) if field is None else PolyRing(nvars, field)
+        degree = rng.randint(1, 4)
+        terms = [
+            (m, Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if field is None else rng.randint(0, 6))
+            for m in ring.monomials_of_degree(degree)
+            if rng.random() < 0.35
+        ]
+        f = Polynomial(ring, terms) or ring.monomial(ring.monomials_of_degree(degree)[0], 3)
+        kind = ("generic", "repeated", "zero-row", "rank-one", "sevens")[trial % 5]
+        matrix = _random_matrix(nvars, rng, kind)
+        cases.append((f, matrix))
+        if kind == "rank-one":  # (x0 - x1) * f vanishes once x0 and x1 share an image
+            x0, x1 = ring.gen(0), ring.gen(1)
+            row = matrix[0] if any(matrix[0]) else [1] * nvars
+            cases.append(((x0 - x1) * f, [list(row), list(row)] + matrix[2:]))
+    return cases
+
+
+def _engine_list(p, ring):
+    if not p:
+        return []
+    ep = _to_engine(p, make_packer(ring.nvars), getattr(ring.field, "p", 0))
+    return [(ep.keys, ep.coeffs, ep.deg)]
+
+
+def _as_lists(eps):
+    return [(ep.keys, ep.coeffs, ep.deg) for ep in eps]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["QQ", "Zp7"])
+def test_linear_images_equal_the_repacked_substitution(field, seed):
+    vanished = 0
+    for f, matrix in _expansion_cases(field, seed):
+        ring = f.ring
+        got = _as_lists(linear_images([f], matrix, ring))
+        assert got == _engine_list(f.substitute_linear(matrix), ring)
+        assert got == _engine_list(_naive_substitute(f, matrix), ring)
+        vanished += not got
+    assert vanished  # the vanishing images are covered
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("field", [None, PrimeField(7)], ids=["QQ", "Zp7"])
+def test_dropped_last_column_equals_the_filtered_cut(field, seed):
+    for f, matrix in _expansion_cases(field, seed):
+        ring = f.ring
+        target = PolyRing(ring.nvars - 1, ring.field)
+        image = f.substitute_linear(matrix)
+        cut = Polynomial(target, [(m[:-1], c) for m, c in image.terms if m[-1] == 0])
+        got = linear_images([f], [row[:-1] for row in matrix], target)
+        assert _as_lists(got) == _engine_list(cut, target)
+
+
+def test_linear_images_keep_order_and_drop_zeros():
+    ring = PolyRing(3)
+    x0, x1, x2 = ring.gens()
+    gens = [x0 * x1, x0 - x1, x2 ** 2]
+    matrix = [[1, 2, 0], [1, 2, 0], [0, 1, 1]]  # x0 - x1 maps to zero
+    got = _as_lists(linear_images(gens, matrix, ring))
+    want = [e for g in gens for e in _engine_list(g.substitute_linear(matrix), ring)]
+    assert got == want and len(got) == 2
+
+
+def test_linear_images_enforce_the_exponent_limit():
+    ring = PolyRing(3)
+    with pytest.raises(ExponentLimitError):
+        linear_images([ring.gen(0) ** 128], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ring)
+
+
+def _cofactor_det(matrix):
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * v * _cofactor_det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        for j, v in enumerate(matrix[0])
+        if v
+    )
+
+
+def test_integer_determinant_equals_cofactor_expansion():
+    rng = random.Random(11)
+    matrices = [[], [[0]], [[5]], [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]]
+    for size in range(1, 6):
+        for kind in ("generic", "repeated", "zero-row", "rank-one", "sevens"):
+            for _ in range(4):
+                matrix = _random_matrix(size, rng, kind)
+                if rng.random() < 0.5:  # zeros on the diagonal force row swaps
+                    for i in range(size):
+                        matrix[i][i] = 0
+                matrices.append(matrix)
+    dets = [_det(m) for m in matrices]
+    assert dets == [_cofactor_det(m) for m in matrices]
+    assert any(dets) and not all(dets)
