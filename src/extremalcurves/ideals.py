@@ -10,13 +10,10 @@ resolution instead (Auslander-Buchsbaum).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from .groebner import GroebnerBasis, buchberger
 from .modules import free_resolution_from_gb, module_kernel
 from .oracle import minimal_generators
-from .ring import PolyRing, Polynomial, mono_div, mono_divides
+from .ring import PolyRing, Polynomial, clear_denominators, mono_div, mono_divides
 
 
 class Ideal:
@@ -226,8 +223,7 @@ def change_coordinates(I: Ideal, matrix) -> Ideal:
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(r) != ring.nvars for r in matrix):
         raise ValueError("matrix size does not match the ring")
-    # rows scaled to integers: the determinant vanishes iff it did
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    if _det([[int(v * lcm(*(u.denominator for u in row))) for v in row] for row in rows]) == 0:
+    # scaled to integers: the determinant vanishes iff it did
+    if _det(clear_denominators(matrix)[0]) == 0:
         raise ValueError("singular coordinate change")
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])

@@ -381,12 +381,8 @@ def expand_linear(polys, matrix, width):
     den = 1
     if modulus:
         rows = [[fld.coerce(v) for v in row] for row in matrix]
-    elif all(type(v) is int for row in matrix for v in row):
-        rows = matrix
     else:
-        rows = [[Fraction(v) for v in row] for row in matrix]
-        den = lcm(*(v.denominator for row in rows for v in row))
-        rows = [[int(v * den) for v in row] for row in rows]
+        rows, den = clear_denominators(matrix)
     # powers[i][e]: the e-th power of den * (image of x_i), packed
     powers = [[{0: 1}, {1 << (width * j): v for j, v in enumerate(row) if v}] for row in rows]
     out = []
@@ -413,6 +409,14 @@ def expand_linear(polys, matrix, width):
             image = {k: v for k, v in acc.items() if v}
         out.append((image, den_c * den**top))
     return out
+
+
+def clear_denominators(matrix):
+    """(rows, den): the integer matrix den * matrix, den the least common
+    denominator of the rational entries."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    den = lcm(*(v.denominator for row in rows for v in row))
+    return [[int(v * den) for v in row] for row in rows], den
 
 
 def _mul_packed(a, b, modulus):

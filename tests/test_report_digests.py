@@ -20,37 +20,29 @@ def _ex45(n, d, a):
     return extremal_curve_ideal(n, d, (3 - n - a) if d == 2 else max_genus(n, d) - a)
 
 
+# (label, ideal, seed, checks the verdict runs, verdict, report digest)
+ALL = ("gin", "sections", "betti", "planar")
 CASES = [
-    ("ex45-n3d5a1", lambda: _ex45(3, 5, 1), 3,
+    ("ex45-n3d5a1", lambda: _ex45(3, 5, 1), 3, ALL, "extremal",
      "03ee96c63f4134b912cf32f2a12a8aa210c249908a2044f9334f992b2d72092f"),
-    ("ex45-n3d6a0", lambda: _ex45(3, 6, 0), 11,
+    ("ex45-n3d6a0", lambda: _ex45(3, 6, 0), 11, ALL, "extremal",
      "90d74503a39b2d014a66586af767145b2c88a67d74072f148faca4089c32407f"),
-    ("ex45-n3d2a1", lambda: _ex45(3, 2, 1), 5,
+    ("ex45-n3d2a1", lambda: _ex45(3, 2, 1), 5, (), "extremal",
      "621252d8648f02848c1b23ad674563ebf301a8dbf934978ad606f2a4295640d3"),
-    ("ex45-n4d4a1", lambda: _ex45(4, 4, 1), 7,
+    ("ex45-n4d4a1", lambda: _ex45(4, 4, 1), 7, ALL, "extremal",
      "3aedd16c4a038bf7c0f9ace13542ce23a13bd3b8aa8a0d8047c05fc48386aa73"),
-    ("ex45-n4d3a1", lambda: _ex45(4, 3, 1), 2,
+    ("ex45-n4d3a1", lambda: _ex45(4, 3, 1), 2, ("gin", "sections"), "extremal",
      "2e4c14531c86609e16adbdd3fb53fb5162b2d201852c21098085f95ad57364ba"),
-    ("ex46-n4d4a1", lambda: non_extremal_witness(4, 1, 4).ideal, 13,
+    ("ex46-n4d4a1", lambda: non_extremal_witness(4, 1, 4).ideal, 13, ALL, "not_extremal",
      "de46e58e20c8f5eb6dd51513071b05b404bc24ad5ead1d496d2c87624e85b0cd"),
 ]
 
 
-@pytest.mark.parametrize("label,make,seed,digest", CASES, ids=[c[0] for c in CASES])
-def test_report_bytes_are_pinned(label, make, seed, digest):
+@pytest.mark.parametrize("label,make,seed,checks,verdict,digest", CASES, ids=[c[0] for c in CASES])
+def test_report_bytes_are_pinned(label, make, seed, checks, verdict, digest):
     I = make()
-    text = verify_extremal(Ideal(I.ring, list(I.gens)), seed=seed).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_pinned_points_run_every_check():
-    reports = {}
-    for label, make, seed, _ in CASES:
-        I = make()
-        reports[label] = verify_extremal(Ideal(I.ring, list(I.gens)), seed=seed)
-    assert all(r.gin_checked and r.section_values for k, r in reports.items() if "d2" not in k)
-    assert {k for k, r in reports.items() if r.betti_checked and r.planar_checked} == {
-        "ex45-n3d5a1", "ex45-n3d6a0", "ex45-n4d4a1", "ex46-n4d4a1"
-    }
-    assert reports["ex46-n4d4a1"].verdict == "not_extremal"
-    assert not reports["ex45-n3d2a1"].gin_checked
+    report = verify_extremal(Ideal(I.ring, list(I.gens)), seed=seed)
+    ran = (report.gin_checked, bool(report.section_values), report.betti_checked, report.planar_checked)
+    assert tuple(name for name, flag in zip(ALL, ran) if flag) == checks
+    assert report.verdict == verdict
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
