@@ -33,7 +33,6 @@ from .formulas import (
     h2_bound,
     max_genus,
 )
-from .gin import gin
 from .groebner import GroebnerBasis, buchberger, normal_form
 from .ideals import (
     Ideal,
@@ -89,7 +88,6 @@ __all__ = [
     "expected_rao_hf",
     "extremal_curve_ideal",
     "free_resolution_from_gb",
-    "gin",
     "graded_piece_basis",
     "h1_bound",
     "h2_bound",

@@ -273,28 +273,17 @@ def deficiency_module(I: Ideal, window=None, dual: DualCohomology | None = None)
             mult[(v, j)] = (
                 _transpose(dual.rao_dual.mult_matrix(v, e_next)) if live else []
             )
+    ranks = _stacked_ranks(dims, mult, nvars)
     gen_count = 0
     gen_degrees = []
-    for j in range(lo, hi + 1):
-        dj = dims.get(j, 0)
-        if not dj:
-            continue
-        prev = dims.get(j - 1, 0)
-        if not prev:
-            fresh = dj
-        else:
-            rows = []
-            for r in range(dj):
-                row = []
-                for v in range(nvars):
-                    row.extend(mult[(v, j - 1)][r])
-                rows.append(row)
-            fresh = dj - fraction_rank(rows)
+    for j in sorted(dims):
+        # the part of M_j not reached from M_{j-1} needs fresh generators
+        fresh = dims[j] - ranks.get(j, 0)
         gen_count += fresh
         gen_degrees.extend([j] * fresh)
     ann = None
     if gen_count <= 1 and dims:
-        ann = _annihilator_degrees(dims, mult, nvars)
+        ann = _annihilator_degrees(dims, mult, nvars, ranks)
     return FiniteLengthModule(
         window=window,
         dims=dims,
@@ -305,34 +294,38 @@ def deficiency_module(I: Ideal, window=None, dual: DualCohomology | None = None)
     )
 
 
-def _annihilator_degrees(dims, mult, nvars):
+def _stacked_ranks(dims, mult, nvars):
+    """{t: rank of the combined multiplication M_{t-1}^nvars -> M_t} for
+    every t with both pieces nonzero; every other such rank is zero."""
+    ranks = {}
+    for t, dim_here in dims.items():
+        if dims.get(t - 1):
+            rows = [[c for v in range(nvars) for c in mult[(v, t - 1)][r]] for r in range(dim_here)]
+            ranks[t] = fraction_rank(rows)
+    return ranks
+
+
+def _annihilator_degrees(dims, mult, nvars, ranks):
     """Minimal generator degrees of the annihilator of a cyclic module,
-    read off the first Koszul homology of the module."""
+    read off the first Koszul homology of the module; ranks as from
+    `_stacked_ranks`."""
     j0 = min(dims)
     top = max(dims)
     out = []
     for t in range(j0 + 1, top + 3):
         dim_prev = dims.get(t - 1, 0)
-        dim_here = dims.get(t, 0)
         if not dim_prev:
             continue
         # kernel of the combined multiplication into degree t
-        rows = []
-        for r in range(dim_here):
-            row = []
-            for v in range(nvars):
-                row.extend(mult[(v, t - 1)][r])
-            rows.append(row)
         ncols = nvars * dim_prev
-        rank_a = fraction_rank(rows) if rows else 0
-        ker_dim = ncols - rank_a
+        ker_dim = ncols - ranks.get(t, 0)
         # image of the Koszul two-form map
         dim_prev2 = dims.get(t - 2, 0)
         b_cols = []
         for v in range(nvars):
             for w in range(v + 1, nvars):
                 for b in range(dim_prev2):
-                    col = [Fraction(0)] * ncols
+                    col = [0] * ncols
                     for r in range(dim_prev):
                         col[v * dim_prev + r] += mult[(w, t - 2)][r][b]
                         col[w * dim_prev + r] -= mult[(v, t - 2)][r][b]

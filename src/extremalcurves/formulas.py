@@ -240,25 +240,6 @@ def expected_rao_hf(spec: CurveSpec, j: int) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class RaoPresentation:
-    """Degree data of the two-variable Rao-module presentation."""
-
-    h_degree: int
-    f_degree: int
-    power: int
-    shift: int
-
-
-def rao_presentation(spec: CurveSpec) -> RaoPresentation:
-    return RaoPresentation(
-        h_degree=spec.a,
-        f_degree=binom(spec.d - 1, 2) - spec.g,
-        power=spec.n - 3,
-        shift=binom(spec.d - 2, 2) - spec.g - 1,
-    )
-
-
 def expected_annihilator_degrees(spec: CurveSpec):
     """Multiset of minimal generator degrees of the Rao module annihilator.
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .groebner import GroebnerBasis, buchberger
 from .modules import free_resolution_from_gb, module_kernel
-from .oracle import minimal_generators
-from .ring import PolyRing, Polynomial, clear_denominators, mono_div, mono_divides
+from .oracle import fraction_rank, minimal_generators
+from .ring import PolyRing, Polynomial, mono_div, mono_divides
 
 
 class Ideal:
@@ -56,9 +56,6 @@ class Ideal:
 
     def contains(self, f: Polynomial) -> bool:
         return self.groebner().contains(f)
-
-    def minimalized(self) -> Ideal:
-        return Ideal(self.ring, minimal_generators(list(self.gens)))
 
     def __eq__(self, other):
         if not isinstance(other, Ideal) or self.ring != other.ring:
@@ -191,29 +188,12 @@ def is_saturated(I: Ideal) -> bool:
     return I.resolution().length <= I.ring.n
 
 
-def _det(matrix) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact."""
-    mat, sign, prev = [list(row) for row in matrix], 1, 1
-    for k in range(len(mat) - 1):
-        if not mat[k][k]:
-            piv = next((r for r in range(k + 1, len(mat)) if mat[r][k]), None)
-            if piv is None:
-                return 0
-            mat[k], mat[piv], sign = mat[piv], mat[k], -sign
-        top = mat[k]
-        for row in mat[k + 1 :]:
-            row[k + 1 :] = [(v * top[k] - row[k] * t) // prev for v, t in zip(row[k + 1 :], top[k + 1 :])]
-        prev = top[k]
-    return sign * mat[-1][-1] if mat else 1
-
-
 def random_invertible_matrix(nvars: int, rng, bound: int):
-    """Seeded integer matrix with entries in [-bound, bound] and nonzero
-    determinant."""
+    """Seeded integer matrix with entries in [-bound, bound] and full rank
+    (nonzero determinant)."""
     for _ in range(100):
         matrix = [[rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(nvars)]
-        if _det(matrix):
+        if fraction_rank(matrix) == nvars:
             return matrix
     raise AssertionError("failed to draw an invertible matrix")
 
@@ -223,7 +203,6 @@ def change_coordinates(I: Ideal, matrix) -> Ideal:
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(r) != ring.nvars for r in matrix):
         raise ValueError("matrix size does not match the ring")
-    # scaled to integers: the determinant vanishes iff it did
-    if _det(clear_denominators(matrix)[0]) == 0:
+    if fraction_rank(matrix) < ring.nvars:
         raise ValueError("singular coordinate change")
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])

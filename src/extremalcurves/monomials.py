@@ -285,7 +285,7 @@ def _reduced_homology_dims(faces):
                 face = tuple(f[:k] + f[k + 1 :])
                 vec[lower[face]] = (-1) ** k
             rows.append(vec)
-        return fraction_rank(rows) if rows and lower else 0
+        return fraction_rank(rows)
 
     ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
     out = {}

@@ -11,8 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .packing import MAXEXP, SLOT, ExponentLimitError, make_packer, make_unpacker
-from .ring import PolyRing, Polynomial, PrimeField, RationalField, revlex_key
+from .packing import MAXEXP, SLOT, ExponentLimitError, make_packer
+from .ring import PolyRing, Polynomial, clear_denominators
 
 
 def _poly_rows(gens):
@@ -244,64 +244,20 @@ def minimal_generators(gens):
 
 
 def fraction_rank(rows) -> int:
-    """Exact rank of a small dense matrix given as lists of Fractions."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
+    """Exact rank of a dense matrix of int or Fraction entries: the rows are
+    cleared of denominators, then eliminated fraction-free (Bareiss, Math.
+    Comp. 22, 1968), skipping columns without a pivot.  Every division is
+    exact."""
+    mat, _ = clear_denominators(rows)
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
-            col += 1
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        inv = 1 / pr[col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            if f:
-                f *= inv
-                row = mat[r]
-                for c in range(col, ncols):
-                    row[c] -= f * pr[c]
+        top = mat[rank]
+        for row in mat[rank + 1 :]:
+            row[col + 1 :] = [(v * top[col] - row[col] * t) // prev for v, t in zip(row[col + 1 :], top[col + 1 :])]
+        prev = top[col]
         rank += 1
-        col += 1
     return rank
-
-
-def fraction_kernel(rows, ncols) -> list:
-    """Basis of the right kernel of a small dense Fraction matrix."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        inv = 1 / pr[col]
-        mat[rank] = pr = [v * inv for v in pr]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], pr)]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
-    return basis

@@ -413,10 +413,9 @@ def expand_linear(polys, matrix, width):
 
 def clear_denominators(matrix):
     """(rows, den): the integer matrix den * matrix, den the least common
-    denominator of the rational entries."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    den = lcm(*(v.denominator for row in rows for v in row))
-    return [[int(v * den) for v in row] for row in rows], den
+    denominator of the int or Fraction entries."""
+    den = lcm(*(v.denominator for row in matrix for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in matrix], den
 
 
 def _mul_packed(a, b, modulus):

@@ -1,11 +1,12 @@
 """The verdict's shortcuts against the computations they replace: the depth
 test for saturation, the Hilbert polynomial from the numerator, integer
-coordinate changes expanded straight into engine elements, the
-fraction-free determinant, and a guard that a verdict needs no ideal
+coordinate changes expanded straight into engine elements, full rank
+against the determinant, and a guard that a verdict needs no ideal
 quotient."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,9 +23,10 @@ from extremalcurves.construct import (
     non_extremal_witness,
 )
 from extremalcurves.formulas import max_genus
-from extremalcurves.ideals import Ideal, _det, intersect, is_saturated, quotient
+from extremalcurves.ideals import Ideal, intersect, is_saturated, quotient
+from extremalcurves.oracle import fraction_rank
 from extremalcurves.packing import ExponentLimitError, make_packer
-from extremalcurves.ring import PolyRing, Polynomial, PrimeField
+from extremalcurves.ring import PolyRing, Polynomial, PrimeField, clear_denominators
 
 
 def _random_form(ring, degree, rng, density=0.5):
@@ -277,7 +279,7 @@ def _cofactor_det(matrix):
     )
 
 
-def test_integer_determinant_equals_cofactor_expansion():
+def test_full_rank_iff_cofactor_determinant_nonzero():
     rng = random.Random(11)
     matrices = [[], [[0]], [[5]], [[0, 1], [1, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]]
     for size in range(1, 6):
@@ -288,6 +290,22 @@ def test_integer_determinant_equals_cofactor_expansion():
                     for i in range(size):
                         matrix[i][i] = 0
                 matrices.append(matrix)
-    dets = [_det(m) for m in matrices]
-    assert dets == [_cofactor_det(m) for m in matrices]
-    assert any(dets) and not all(dets)
+    full = [fraction_rank(m) == len(m) for m in matrices]
+    assert full == [_cofactor_det(m) != 0 for m in matrices]
+    assert any(full) and not all(full)
+
+
+def test_clear_denominators_scales_by_the_least_common_denominator():
+    rng = random.Random(7)
+
+    def entry():
+        if rng.random() < 0.6:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return rng.randint(-5, 5)
+
+    for _ in range(40):
+        matrix = [[entry() for _ in range(4)] for _ in range(rng.randint(0, 4))]
+        rows, den = clear_denominators(matrix)
+        assert den == lcm(*(Fraction(v).denominator for row in matrix for v in row))
+        assert rows == [[den * v for v in row] for row in matrix]
+        assert all(type(v) is int for row in rows for v in row)

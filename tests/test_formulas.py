@@ -12,7 +12,6 @@ from extremalcurves.formulas import (
     h1_bound,
     h2_bound,
     max_genus,
-    rao_presentation,
     rao_structure_excluded,
 )
 from extremalcurves.monomials import MonomialIdeal, ek_betti
@@ -212,13 +211,6 @@ class TestExpectedRao:
     def test_excluded_triple(self):
         with pytest.raises(ValueError):
             expected_rao_hf(CurveSpec(4, 3, max_genus(4, 3) - 1), 0)
-
-    def test_presentation_degrees(self):
-        pres = rao_presentation(CurveSpec(4, 5, 1))
-        assert pres.h_degree == 1
-        assert pres.f_degree == 5
-        assert pres.power == 1
-        assert pres.shift == 1
 
 
 class TestExpectedBetti:

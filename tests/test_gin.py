@@ -60,3 +60,12 @@ def test_rejects_prime_field():
     ring = PolyRing(3, PrimeField(32003))
     with pytest.raises(ValueError):
         gin(Ideal(ring, [ring.gen(0) * ring.gen(1)]), seed=1)
+
+
+def test_gin_submodule_is_not_shadowed_by_the_function():
+    import types
+
+    import extremalcurves.gin as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.gin is gin

@@ -1,7 +1,7 @@
+import random
 from fractions import Fraction
 
 from extremalcurves.oracle import (
-    fraction_kernel,
     fraction_rank,
     graded_piece_basis,
     minimal_generators,
@@ -74,14 +74,59 @@ def test_minimal_generators_drops_multiples():
     assert len(kept) == 2
 
 
-def test_fraction_rank_and_kernel():
+def test_fraction_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert fraction_rank(rows) == 2
-    ker = fraction_kernel(rows, 3)
-    assert len(ker) == 1
-    v = ker[0]
-    for row in rows:
-        assert sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+
+
+def _reference_rank(rows):
+    """Plain Gaussian elimination over the rationals."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / mat[rank][col]
+            mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _random_entry(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _random_rational_matrix(rng):
+    """Rectangular, often rank-deficient: a product of thin random factors
+    with int and Fraction entries, then zero rows and columns put in."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    inner = rng.randint(0, 4)
+    left = [[_random_entry(rng) for _ in range(inner)] for _ in range(nrows)]
+    right = [[_random_entry(rng) for _ in range(ncols)] for _ in range(inner)]
+    mat = [[sum((a * right[k][c] for k, a in enumerate(row)), 0) for c in range(ncols)] for row in left]
+    if mat and rng.random() < 0.3:
+        mat[rng.randrange(nrows)] = [0] * ncols
+    if ncols and rng.random() < 0.3:
+        col = rng.randrange(ncols)
+        for row in mat:
+            row[col] = 0
+    if rng.random() < 0.2:  # an int row among Fraction ones
+        mat.append([rng.randint(-3, 3) for _ in range(ncols)])
+    return mat
+
+
+def test_fraction_rank_equals_rational_elimination():
+    rng = random.Random(20261018)
+    mats = [[], [[]], [[], []], [[0, 0]], [[Fraction(1, 2), 1], [1, 2]], [[0], [Fraction(-2, 3)]]]
+    mats += [_random_rational_matrix(rng) for _ in range(500)]
+    ranks = [fraction_rank(m) for m in mats]
+    assert ranks == [_reference_rank(m) for m in mats]
+    assert len(set(ranks)) >= 5
 
 
 def test_degree_past_the_packed_limit_raises():
