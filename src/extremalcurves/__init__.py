@@ -33,7 +33,7 @@ from .formulas import (
     h2_bound,
     max_genus,
 )
-from .groebner import GroebnerBasis, buchberger, normal_form
+from .groebner import GroebnerBasis, buchberger
 from .ideals import (
     Ideal,
     change_coordinates,
@@ -101,7 +101,6 @@ __all__ = [
     "max_genus",
     "minimal_generators",
     "non_extremal_witness",
-    "normal_form",
     "oracle_quotient_dims",
     "parse_ideal",
     "planar_subcurve_check",

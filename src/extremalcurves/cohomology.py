@@ -4,10 +4,10 @@ subcurves, and the extremality verdict.
 
 Cohomology is extracted by graded duality on the minimal free resolution:
 the deficiency module is the cokernel of the transposed last map, second
-cohomology the middle homology of the dual complex, both presented as
-finitely presented modules whose Hilbert functions reduce to standard
-monomial counts.  Everything cross-asserts against the Riemann-Roch
-identity h_C(j) - p_C(j) = -h1(j) + h2(j).
+cohomology the middle homology of the dual complex as a difference of two
+presented quotients of its middle term; Hilbert functions of presented
+modules reduce to standard monomial counts.  Everything cross-asserts
+against the Riemann-Roch identity h_C(j) - p_C(j) = -h1(j) + h2(j).
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .formulas import (
     rao_structure_excluded,
 )
 from .gin import gin as compute_gin, mix_seed
-from .groebner import GroebnerBasis, buchberger, linear_images
-from .ideals import Ideal, ideal_from_monomials, is_saturated, random_invertible_matrix
+from .groebner import buchberger, linear_images
+from .ideals import Ideal, is_saturated, random_invertible_matrix
 from .modules import GraphBasis, PresentedModule
+from .monomials import MonomialIdeal, ek_betti
 from .oracle import fraction_rank
 from .report import CurveReport
 from .ring import PolyRing, Polynomial
@@ -145,7 +146,7 @@ class DualCohomology:
             raise NotACurveError("projective dimension too small for a curve quotient")
         self.res = res
         self.acm = res.length == n - 1
-        self._h2_dual = None
+        self._h2_parts = None
         if self.acm:
             self.rao_dual = PresentedModule(self.ring, [], [])
         else:
@@ -157,47 +158,36 @@ class DualCohomology:
                 )
 
     @property
-    def h2_dual(self) -> PresentedModule:
-        if self._h2_dual is None:
+    def h2_parts(self):
+        """(F*_{n-1}/im a, F*_{n-1}/ker b) for the dual complex
+        F*_{n-2} -a-> F*_{n-1} -b-> F*_n: since im a lies in ker b, h2 is the
+        difference of their Hilbert functions.  In the ACM case b = 0."""
+        if self._h2_parts is None:
             res, ring, n = self.res, self.ring, self.ring.n
-            if self.acm:
-                self._h2_dual = _dual_presentation_of_coker(res, ring, n - 1)
-            else:
-                # kernel of the transposed last map, then mod out the image
+            coker_a = _dual_presentation_of_coker(res, ring, n - 1)
+            coimage_b = PresentedModule(ring, [], [])
+            if not self.acm:
                 rank_n = len(res.twists[n])
                 rank_prev = len(res.twists[n - 1])
-                target_twists = [-w for w in res.twists[n]]
-                source_twists = [-w for w in res.twists[n - 1]]
-                cols = []
-                for r in range(rank_prev):
-                    cols.append([res.mats[n - 1][c][r] for c in range(rank_n)])
-                graph = GraphBasis(cols, target_twists, ring)
-                kernel = graph.kernel_generators()
-                kdegs = []
-                for vec in kernel:
-                    deg = None
-                    for s, p in enumerate(vec):
-                        if p:
-                            deg = p.degree() + source_twists[s]
-                            break
-                    kdegs.append(deg if deg is not None else 0)
-                kgraph = GraphBasis(kernel, source_twists, ring)
-                relations = list(kgraph.kernel_generators())
-                rank_prev2 = len(res.twists[n - 2])
-                for s in range(rank_prev2):
-                    img = [res.mats[n - 2][r][s] for r in range(rank_prev)]
-                    lifted = kgraph.lift(img)
-                    if lifted is None:
+                cols = [[res.mats[n - 1][c][r] for c in range(rank_n)] for r in range(rank_prev)]
+                kernel = GraphBasis(cols, [-w for w in res.twists[n]], ring).kernel_generators()
+                coimage_b = PresentedModule(ring, [-w for w in res.twists[n - 1]], kernel)
+                for s in range(len(res.twists[n - 2])):
+                    image = {
+                        (r, m): c for r in range(rank_prev) for m, c in res.mats[n - 2][r][s].terms
+                    }
+                    if coimage_b.reduce(image):
                         raise InternalCheckError("dual complex image missed the kernel")
-                    relations.append(lifted)
-                self._h2_dual = PresentedModule(ring, kdegs, relations)
-        return self._h2_dual
+            self._h2_parts = (coker_a, coimage_b)
+        return self._h2_parts
 
     def h1_value(self, j: int) -> int:
         return self.rao_dual.hf(-j - self.ring.nvars)
 
     def h2_value(self, j: int) -> int:
-        return self.h2_dual.hf(-j - self.ring.nvars)
+        coker_a, coimage_b = self.h2_parts
+        e = -j - self.ring.nvars
+        return coker_a.hf(e) - coimage_b.hf(e)
 
 
 @dataclass
@@ -367,9 +357,9 @@ def h2_table(I: Ideal, window, dual: DualCohomology | None = None, hilbert=None)
 def _divide_out_last_variable(gb_polys, ring: PolyRing):
     """Divide each basis element by its maximal last-variable power.
 
-    For a reduced revlex basis of a homogeneous ideal this yields generators
-    of the saturation with respect to the last variable; iterating with a
-    fresh basis reaches the fixed point."""
+    For a revlex Gröbner basis of a homogeneous ideal J this yields a
+    Gröbner basis of (J : x_last^infty), and the leads are divided the same
+    way (Bayer-Stillman)."""
     out = []
     last = ring.nvars - 1
     for p in gb_polys:
@@ -381,34 +371,23 @@ def _divide_out_last_variable(gb_polys, ring: PolyRing):
     return out
 
 
-def saturate_by_last_variable(gb: GroebnerBasis) -> GroebnerBasis:
-    """Reduced basis of (J : x_last^infty) from the reduced basis of J, via
-    the revlex division trick."""
-    ring = gb.ring
-    for _ in range(ring.nvars + 2):
-        divided = _divide_out_last_variable(list(gb.polys), ring)
-        if divided == list(gb.polys):
-            return gb
-        gb = buchberger(divided, ring)
-    raise AssertionError("last-variable saturation failed to stabilize")
-
-
-def hyperplane_section(I: Ideal, seed: int = 0, max_draws: int = 12):
+def hyperplane_section(I: Ideal, seed: int = 0):
     """Section by a general hyperplane: the saturated image ideal in one
     fewer variable and its Hilbert values through degree + 1.
 
     A seeded generic coordinate change moves the hyperplane to {x_n = 0};
-    the cut is the image with the matrix's last column dropped, and its
-    reduced basis is saturated with the last remaining variable (generic
-    inside the hyperplane).  Draws are rejected while the cut fails the
-    non-zerodivisor Hilbert test h(R/(I+l))_j = h_C(j) - h_C(j-1) in low
-    degrees."""
+    the cut is the image with the matrix's last column dropped, saturated
+    with the last remaining variable (generic inside the hyperplane) by
+    dividing its reduced basis and its leads by that variable.  Of up to 12
+    draws, those whose cut fails the non-zerodivisor Hilbert test
+    h(R/(I+l))_j = h_C(j) - h_C(j-1) in low degrees are rejected."""
     ring = I.ring
     degree, _ = detect_hilbert_polynomial(I)
     reg = I.resolution().regularity()
     target = PolyRing(ring.nvars - 1, ring.field)
+    last = target.nvars - 1
     hvals = [I.initial_ideal().quotient_dim(j) for j in range(reg + 3)]
-    for attempt in range(max_draws):
+    for attempt in range(12):
         rng = random.Random(mix_seed(seed, attempt, 77))
         matrix = random_invertible_matrix(ring.nvars, rng, 20)
         cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
@@ -422,10 +401,8 @@ def hyperplane_section(I: Ideal, seed: int = 0, max_draws: int = 12):
         )
         if not ok:
             continue
-        gb = saturate_by_last_variable(gb)
-        section = Ideal(target, list(gb.polys))
-        section._gb = gb
-        lead = gb.initial_ideal()
+        section = Ideal(target, _divide_out_last_variable(gb.polys, target))
+        lead = MonomialIdeal(target.nvars, [m[:last] + (0,) for m in cut_dims.gens])
         values = [lead.quotient_dim(j) for j in range(0, degree + 2)]
         return section, values, matrix
     raise ValueError("exhausted draws without a non-zerodivisor hyperplane")
@@ -583,11 +560,8 @@ def verify_extremal(
     if betti_check and (d >= 5 or (d == 4 and a >= 1)):
         table = I.resolution().betti_table()
         exp_table = expected_betti(spec)
-        if gin_result is not None:
-            gin_ideal = ideal_from_monomials(ring, gin_result.ideal)
-        else:
-            gin_ideal = ideal_from_monomials(ring, expected_gin(spec))
-        gin_table = gin_ideal.resolution().betti_table()
+        # the gin is strongly stable: Eliahou-Kervaire gives its Betti table
+        gin_table = ek_betti(gin_result.ideal if gin_result else expected_gin(spec))
         betti_block = dict(
             betti_checked=True,
             betti=table,

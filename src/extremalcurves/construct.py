@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formulas import max_genus
 from .ideals import Ideal, kernel_of_map
 from .oracle import fraction_rank, minimal_generators
 from .ring import PolyRing, Polynomial, binom

@@ -258,19 +258,11 @@ def expected_annihilator_degrees(spec: CurveSpec):
     return sorted(out)
 
 
-def expected_betti(spec: CurveSpec, mode: str = "closed") -> BettiTable:
-    """Expected Betti table of a maximal-cohomology curve.
-
-    mode "closed" uses the closed-form ranks (needs d >= 5, or d = 4 with
-    a > 0) and is asserted against the Eliahou-Kervaire table of the
-    expected gin; mode "gin" returns the latter for any d >= 3.
-    """
+def expected_betti(spec: CurveSpec) -> BettiTable:
+    """Expected Betti table of a maximal-cohomology curve from the
+    closed-form ranks (needs d >= 5, or d = 4 with a > 0), asserted against
+    the Eliahou-Kervaire table of the expected gin."""
     n, d, a = spec.n, spec.d, spec.a
-    gin_table = ek_betti(expected_gin(spec))
-    if mode == "gin":
-        return gin_table
-    if mode != "closed":
-        raise ValueError(f"unknown mode {mode!r}")
     if not (d >= 5 or (d == 4 and a > 0)):
         raise ValueError("closed-form Betti table needs d >= 5 or d = 4 with a > 0")
     table = BettiTable()
@@ -288,6 +280,6 @@ def expected_betti(spec: CurveSpec, mode: str = "closed") -> BettiTable:
         table.add(n - 1, n + 1, n - 3)
     if a > 0:
         table.add(n - 1, d + a + n - 2, 1)
-    if table != gin_table:
+    if table != ek_betti(expected_gin(spec)):
         raise AssertionError("closed-form Betti table disagrees with the gin table")
     return table

@@ -2,12 +2,14 @@
 
 A random invertible change of coordinates is applied, then a degree-capped
 lead-term Buchberger run collects the initial ideal up to the regularity of
-the input.  Each run is certified exactly: the candidate's Hilbert numerator
-must equal that of the ideal (the Hilbert function is invariant under
-coordinate changes, and the discovered leads generate a subideal of the true
-initial ideal, so numerator equality forces equality).  Two independent
-draws must agree and the result must be strongly stable; disagreement widens
-the entry range and retries.
+the input: in characteristic zero the revlex gin has the regularity of the
+ideal (Bayer-Stillman), so it is generated in degrees <= reg.  Each run is
+certified exactly: the candidate's Hilbert numerator must equal that of the
+ideal (the Hilbert function is invariant under coordinate changes, and the
+discovered leads generate a subideal of the true initial ideal, so
+numerator equality forces equality); a draw that fails it was not generic.
+Two independent certified draws must agree and the result must be strongly
+stable; otherwise the entry range widens and the next round draws again.
 """
 
 from __future__ import annotations
@@ -22,13 +24,8 @@ from .monomials import MonomialIdeal, is_strongly_stable
 DEFAULT_ENTRY_BOUND = 50
 
 
-class GinError(Exception):
-    pass
-
-
-class GinDisagreement(GinError):
-    """Independent draws produced different candidates; the caller should
-    widen the random entry range."""
+class GinDisagreement(Exception):
+    """No round produced two agreeing, certified, strongly stable draws."""
 
 
 @dataclass
@@ -46,40 +43,31 @@ def mix_seed(*parts) -> int:
     return h & 0x7FFFFFFFFFFFFFFF
 
 
-def gin(I: Ideal, seed: int = 0, retries: int = 3, entry_bound: int = DEFAULT_ENTRY_BOUND) -> GinResult:
-    """Generic initial ideal with the two-seed agreement protocol."""
+def gin(I: Ideal, seed: int = 0) -> GinResult:
+    """Generic initial ideal with the two-seed agreement protocol: three
+    rounds, the entry bound doubling from DEFAULT_ENTRY_BOUND."""
     ring = I.ring
     if getattr(ring.field, "p", 0):
         raise ValueError("generic initial ideals need characteristic zero")
     if not I.gens:
-        return GinResult(MonomialIdeal(ring.nvars, []), (seed, seed), entry_bound)
+        return GinResult(MonomialIdeal(ring.nvars, []), (seed, seed), DEFAULT_ENTRY_BOUND)
     base_numerator = I.initial_ideal().hilbert_numerator()
     reg = I.resolution().regularity()
 
-    bound = entry_bound
-    for attempt in range(retries):
+    bound = DEFAULT_ENTRY_BOUND
+    for attempt in range(3):
         seeds = (mix_seed(seed, attempt, 1), mix_seed(seed, attempt, 2))
         candidates = []
         for s in seeds:
-            rng = random.Random(s)
-            matrix = random_invertible_matrix(ring.nvars, rng, bound)
+            matrix = random_invertible_matrix(ring.nvars, random.Random(s), bound)
             images = linear_images(I.gens, matrix, ring)
-            cand = None
-            cap = reg
-            while cap <= reg + 6:
-                J = initial_monomials(images, cap=cap, ring=ring)
-                if J.hilbert_numerator() == base_numerator:
-                    cand = J
-                    break
-                cap += 2
-            if cand is None:
-                raise GinError(
-                    "initial ideal certificate failed: Hilbert numerators differ"
-                )
-            candidates.append(cand)
-        if candidates[0] == candidates[1] and is_strongly_stable(candidates[0]):
-            return GinResult(candidates[0], seeds, bound)
+            candidates.append(initial_monomials(images, cap=reg, ring=ring))
+        first, second = candidates
+        if (
+            first == second
+            and first.hilbert_numerator() == base_numerator
+            and is_strongly_stable(first)
+        ):
+            return GinResult(first, seeds, bound)
         bound *= 2
-    raise GinDisagreement(
-        f"no agreement after {retries} rounds (last entry bound {bound})"
-    )
+    raise GinDisagreement(f"no agreement after 3 rounds (last entry bound {bound})")

@@ -453,9 +453,3 @@ def initial_monomials(gens, cap: int, ring: PolyRing | None = None) -> MonomialI
         ring = gens[0].ring
     leads = _buchberger_engine(ring, list(gens), cap=cap, lead_only=True)
     return MonomialIdeal(ring.nvars, leads)
-
-
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Remainder of f modulo the reduced basis; no term is divisible by any
-    lead term, and f minus the remainder lies in the ideal."""
-    return gb.reduce(f)

@@ -12,7 +12,7 @@ import re
 from math import gcd
 
 from .ideals import Ideal
-from .ring import PolyRing, Polynomial, PrimeField, QQ, format_mono
+from .ring import PolyRing, Polynomial, PrimeField, QQ
 
 
 class IdealFileError(ValueError):

@@ -199,10 +199,13 @@ def random_invertible_matrix(nvars: int, rng, bound: int):
 
 
 def change_coordinates(I: Ideal, matrix) -> Ideal:
-    """Substitute x_i -> sum_j matrix[i][j] x_j in every generator."""
+    """Substitute x_i -> sum_j matrix[i][j] x_j in every generator.  The
+    matrix must be invertible over the ring's field: the images of the
+    variables span the linear forms."""
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(r) != ring.nvars for r in matrix):
         raise ValueError("matrix size does not match the ring")
-    if fraction_rank(matrix) < ring.nvars:
+    images = [Polynomial(ring, [(ring.var_mono(j), c) for j, c in enumerate(row)]) for row in matrix]
+    if Ideal(ring, images).dim_piece(1) < ring.nvars:
         raise ValueError("singular coordinate change")
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])

@@ -117,12 +117,11 @@ class ResolutionData:
     """Graded free resolution of R/I: twists per level and the matrices
     between consecutive levels (level 0 is R itself)."""
 
-    def __init__(self, ring, twists, mats, minimal=True):
+    def __init__(self, ring, twists, mats):
         self.ring = ring
         self.twists = [tuple(t) for t in twists]
         # mats[k]: columns over F_{k+1}, each column a list over F_k slots
         self.mats = [[list(col) for col in mat] for mat in mats]
-        self.minimal = minimal
 
     @property
     def length(self):
@@ -145,7 +144,7 @@ class ResolutionData:
         )
 
     def verify(self):
-        """Consecutive maps compose to zero; minimal means no unit entries."""
+        """Consecutive maps compose to zero, and no entry is a unit (minimality)."""
         for k in range(1, len(self.mats)):
             for col in self.mats[k]:
                 image = [self.ring.zero] * len(self.twists[k - 1])
@@ -158,12 +157,11 @@ class ResolutionData:
                             image[r] = image[r] + entry * e
                 if any(image):
                     raise AssertionError(f"composition at level {k} is nonzero")
-        if self.minimal:
-            for k, mat in enumerate(self.mats):
-                for col in mat:
-                    for e in col:
-                        if e and e.degree() == 0:
-                            raise AssertionError("scalar entry in a minimal resolution")
+        for mat in self.mats:
+            for col in mat:
+                for e in col:
+                    if e and e.degree() == 0:
+                        raise AssertionError("scalar entry in a minimal resolution")
         for k, mat in enumerate(self.mats):
             if len(mat) != len(self.twists[k + 1]):
                 raise AssertionError("twist/matrix shape mismatch")
@@ -231,7 +229,7 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
     ring = gb.ring
     polys = list(gb.polys)
     if not polys:
-        return ResolutionData(ring, [(0,)], [], minimal=True)
+        return ResolutionData(ring, [(0,)], [])
     eng = _Engine(ring, rank_bits=0)  # level 1: one component, keys are monomials
     for p in polys:
         eng.add(_to_engine(p, eng.pack, eng.modulus))
@@ -253,7 +251,7 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
         raise AssertionError("resolution exceeded the variable-count bound")
 
     twists, mats = _minimalize(twists_tower, mats, ring)
-    return ResolutionData(ring, twists, mats, minimal=True)
+    return ResolutionData(ring, twists, mats)
 
 
 # ---------------------------------------------------------------------------

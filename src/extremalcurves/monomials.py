@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .oracle import fraction_rank
-from .ring import binom, mono_degree, mono_div, mono_divides, mono_lcm, revlex_key
+from .ring import binom, mono_degree, mono_divides, revlex_key
 
 
 class BettiTable:
@@ -149,12 +149,9 @@ class MonomialIdeal:
         return binom(j + self.nvars - 1, self.nvars - 1) - self.quotient_dim(j)
 
     def is_artinian(self) -> bool:
-        """Contains a power of every variable."""
+        """Contains a power of every variable (the unit ideal does)."""
         for i in range(self.nvars):
-            if not any(
-                g[i] and all(e == 0 for k, e in enumerate(g) if k != i)
-                for g in self.gens
-            ):
+            if not any(all(e == 0 for k, e in enumerate(g) if k != i) for g in self.gens):
                 return False
         return True
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .packing import MAXEXP, SLOT, ExponentLimitError, make_packer
-from .ring import PolyRing, Polynomial, clear_denominators
+from .ring import PolyRing, clear_denominators
 
 
 def _poly_rows(gens):
@@ -124,19 +124,6 @@ class GradedSpan:
         for row in self._gen_rows.get(self.degree, ()):
             self._insert(dict(row))
         self.dims[self.degree] = len(self.pivots)
-
-    def contains(self, poly: Polynomial) -> bool:
-        """Membership in the current graded piece (degree must match)."""
-        if poly.degree() != self.degree:
-            raise ValueError("degree mismatch")
-        (_, row), = _poly_rows([poly])
-        return not self._insert_probe(row)
-
-    def _insert_probe(self, row):
-        saved = dict(self.pivots)
-        grew = self._insert(row)
-        self.pivots = saved
-        return grew
 
 
 def oracle_ideal_dims(gens, jmax: int, ring: PolyRing | None = None):

@@ -162,10 +162,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def compare_revlex(m1: Monomial, m2: Monomial) -> int:
     """Degree-refined reverse lexicographic comparison.
 

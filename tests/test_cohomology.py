@@ -2,7 +2,9 @@ import pytest
 
 from extremalcurves.cohomology import (
     DegenerateCurveError,
+    DualCohomology,
     FiniteLengthModule,
+    InternalCheckError,
     NotACurveError,
     deficiency_module,
     general_section_values,
@@ -14,6 +16,7 @@ from extremalcurves.cohomology import (
 )
 from extremalcurves.construct import extremal_curve_ideal, non_extremal_witness
 from extremalcurves.ideals import Ideal
+from extremalcurves.modules import ResolutionData
 from extremalcurves.ring import PolyRing
 
 R4 = PolyRing(4)
@@ -85,6 +88,40 @@ class TestH2:
         I = extremal_curve_ideal(4, 4, 0)
         window = (-5, 6)
         h2_table(I, window, hilbert=hilbert_table(I, window=window))
+
+    def test_acm_space_quintic_values(self):
+        # ex45 (n, d, g) = (3, 5, 3): ACM, so F*_{n-1}/im a alone gives h2
+        I = extremal_curve_ideal(3, 5, 3)
+        dual = DualCohomology(I)
+        assert dual.acm
+        assert h2_table(I, (-2, 1), dual=dual) == [12, 7, 3, 1]
+
+    def test_non_acm_quintic_in_p4_values(self):
+        # ex45 (n, d, g) = (4, 5, 1): h1 and h2 both nonzero at j = -1, 0
+        I = extremal_curve_ideal(4, 5, 1)
+        dual = DualCohomology(I)
+        assert not dual.acm
+        assert h2_table(I, (-3, 2), dual=dual) == [15, 10, 6, 3, 1, 0]
+        assert [dual.h1_value(j) for j in range(-3, 3)] == [0, 0, 1, 2, 1, 1]
+
+    def test_image_outside_the_kernel_raises(self):
+        # scale one entry of a: the image of a basis vector picks up
+        # entry * e_r, which b does not kill, so im a leaves ker b
+        I = extremal_curve_ideal(4, 5, 1)
+        dual = DualCohomology(I)
+        res, n = dual.res, I.ring.n
+        a, b = res.mats[n - 2], res.mats[n - 1]
+        r, s = next(
+            (r, s)
+            for r, col in enumerate(a)
+            for s, entry in enumerate(col)
+            if entry and any(bcol[r] for bcol in b)
+        )
+        mats = [[list(col) for col in mat] for mat in res.mats]
+        mats[n - 2][r][s] = a[r][s].scale(2)
+        dual.res = ResolutionData(I.ring, res.twists, mats)
+        with pytest.raises(InternalCheckError):
+            dual.h2_value(0)
 
 
 class TestHyperplaneSection:

@@ -1,12 +1,15 @@
 """Property tests for the packed module engine on random homogeneous data
-in 3 to 5 variables over QQ and Z/7: resolutions, kernels, lifts and
-presented modules, each against an independent check."""
+in 3 to 5 variables over QQ and Z/7: resolutions, kernels, lifts,
+presented modules and the last-variable saturation, each against an
+independent check."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from extremalcurves import ideals as ideals_module  # noqa: E402
+from extremalcurves.cohomology import _divide_out_last_variable  # noqa: E402
 from extremalcurves.groebner import buchberger  # noqa: E402
 from extremalcurves.modules import (  # noqa: E402
     GraphBasis,
@@ -14,6 +17,7 @@ from extremalcurves.modules import (  # noqa: E402
     free_resolution_from_gb,
     module_kernel,
 )
+from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import GradedSpan  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField  # noqa: E402
 
@@ -47,6 +51,18 @@ def ideals(draw):
     for _ in range(draw(st.integers(2, 4 if ring.nvars < 5 else 3))):
         gens.append(draw(forms(ring, draw(st.integers(2, top)), min_terms=2, max_terms=4)))
     return ring, [g for g in gens if g]
+
+
+@st.composite
+def ideals_with_last_variable_factors(draw):
+    """Forms of degree 1 or 2 times powers x_last^0..2 of the last variable."""
+    ring = draw(rings())
+    last = ring.gen(ring.nvars - 1)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = draw(forms(ring, draw(st.integers(1, 2)), min_terms=1))
+        gens.append(f * last ** draw(st.integers(0, 2)))
+    return ring, gens
 
 
 @st.composite
@@ -123,3 +139,28 @@ def test_presented_module_hf_matches_linear_algebra(data):
                     rank += span._insert(row)
         free = sum(ring.dim_degree(j - w) for w in twists)
         assert pm.hf(j) == free - rank
+
+
+@SETTINGS
+@given(ideals_with_last_variable_factors())
+def test_last_variable_saturation_is_one_division(data):
+    # Bayer-Stillman: dividing a revlex basis by the last variable gives a
+    # basis of (J : x_last^infty), whose initial ideal is in(J) with the
+    # last exponent set to 0; the reference iterates ideal quotients
+    ring, gens = data
+    last = ring.nvars - 1
+    gb = buchberger(gens, ring)
+    zeroed = MonomialIdeal(ring.nvars, [m[:last] + (0,) for m in gb.initial_ideal().gens])
+    divided = _divide_out_last_variable(gb.polys, ring)
+    assert MonomialIdeal(ring.nvars, [p.lead_monomial for p in divided]) == zeroed
+    J = ideals_module.Ideal(ring, gens)
+    x_last = ideals_module.Ideal(ring, [ring.gen(last)])
+    for _ in range(ring.nvars + 4):
+        K = ideals_module.quotient(J, x_last)
+        if K == J:
+            break
+        J = K
+    else:
+        raise AssertionError("quotient chain did not stabilize")
+    assert J.initial_ideal() == zeroed
+    assert ideals_module.Ideal(ring, divided) == J

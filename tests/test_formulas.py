@@ -236,7 +236,7 @@ class TestExpectedBetti:
 
     def test_space_quartic_gin_mode(self):
         spec = CurveSpec(3, 4, 0)
-        table = expected_betti(spec, mode="gin")
+        table = ek_betti(expected_gin(spec))
         assert table.get(0, 2) == 2
         assert table.get(0, 4) == 2
         assert table.get(1, 3) == 1

@@ -1,7 +1,7 @@
 import pytest
 
 from extremalcurves.formulas import CurveSpec, expected_gin
-from extremalcurves.gin import GinResult, gin
+from extremalcurves.gin import GinResult, gin, mix_seed
 from extremalcurves.ideals import Ideal, ideal_from_monomials
 from extremalcurves.monomials import MonomialIdeal, is_strongly_stable
 from extremalcurves.ring import PolyRing, PrimeField
@@ -47,6 +47,30 @@ def test_space_quartic_catalog_gin():
     )
     res = gin(I, seed=11)
     assert res.ideal == expected_gin(CurveSpec(3, 4, 0))
+
+
+def test_a_draw_failing_the_certificate_loses_its_round(monkeypatch):
+    # the gin is generated in degrees <= reg (Bayer-Stillman): a draw whose
+    # leads at cap = reg miss a generator was not generic, and its round is
+    # lost instead of raising the cap
+    import extremalcurves.gin as gin_module
+
+    x0, x1, x2, x3 = R4.gens()
+    I = Ideal(R4, [x2 ** 4, x2 ** 3 * x3, x2 * x3, x3 ** 2, x0 * x2 ** 3 + x1 ** 3 * x3])
+    real = gin_module.initial_monomials
+    caps = []
+
+    def first_draw_misses_a_generator(images, cap, ring):
+        caps.append(cap)
+        J = real(images, cap=cap, ring=ring)
+        return MonomialIdeal(J.nvars, J.gens[1:]) if len(caps) == 1 else J
+
+    monkeypatch.setattr(gin_module, "initial_monomials", first_draw_misses_a_generator)
+    res = gin(I, seed=11)
+    assert res.ideal == expected_gin(CurveSpec(3, 4, 0))
+    assert res.seeds == (mix_seed(11, 1, 1), mix_seed(11, 1, 2))
+    assert res.entry_bound == 100
+    assert caps == [I.resolution().regularity()] * 4
 
 
 def test_deterministic():

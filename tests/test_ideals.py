@@ -9,7 +9,7 @@ from extremalcurves.ideals import (
     saturate,
 )
 from extremalcurves.oracle import oracle_ideal_dims
-from extremalcurves.ring import PolyRing
+from extremalcurves.ring import PolyRing, PrimeField
 
 import pytest
 
@@ -101,6 +101,14 @@ class TestChangeCoordinates:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             change_coordinates(Ideal(R3, [R3.gen(0)]), [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+
+    def test_singular_mod_p_rejected(self):
+        # 7 * identity is invertible over QQ but zero over Z/7
+        ring = PolyRing(3, PrimeField(7))
+        x0, x1, x2 = ring.gens()
+        seven = [[7 if i == j else 0 for j in range(3)] for i in range(3)]
+        with pytest.raises(ValueError):
+            change_coordinates(Ideal(ring, [x0 * x1, x2 * x2]), seven)
 
     def test_hilbert_function_invariant(self):
         import random

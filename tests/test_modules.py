@@ -208,6 +208,12 @@ class TestPresentedModule:
         assert m == [[1]]
         assert pm.mult_matrix(0, 0) == [[0]]
 
+    def test_zero_module_has_finite_length(self):
+        pm = PresentedModule(R3, [0], [[R3.one]])
+        assert [pm.hf(j) for j in range(4)] == [0, 0, 0, 0]
+        assert pm.is_finite_length()
+        assert MonomialIdeal(3, [(0, 0, 0)]).is_artinian()
+
     def test_relation_reduction(self):
         x0, x1, _ = R3.gens()
         pm = PresentedModule(R3, [0, 1], [[x0, R3.one.scale(-1)]])
