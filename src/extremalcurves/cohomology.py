@@ -117,16 +117,14 @@ def hilbert_table(I: Ideal, window=None) -> HilbertTable:
 # duality
 
 
-def _dual_presentation_of_coker(res, ring, level):
-    """Presentation of coker(Hom(F_{level-1}, R) -> Hom(F_level, R))."""
-    gen_degrees = [-w for w in res.twists[level]]
-    rank_prev = len(res.twists[level - 1])
-    rank_here = len(res.twists[level])
-    relations = []
-    for r in range(rank_prev):
-        rel = [res.mats[level - 1][c][r] for c in range(rank_here)]
-        relations.append(rel)
-    return PresentedModule(ring, gen_degrees, relations)
+def _dual_map(res, level):
+    """Hom(-, R) of the map F_level -> F_{level-1}: one packed vector over
+    F_level per basis element of F_{level-1}."""
+    rows = [{} for _ in res.twists[level - 1]]
+    for c, col in enumerate(res.cols[level - 1]):
+        for r, e in col.items():
+            rows[r][c] = e
+    return rows
 
 
 class DualCohomology:
@@ -150,7 +148,8 @@ class DualCohomology:
         if self.acm:
             self.rao_dual = PresentedModule(self.ring, [], [])
         else:
-            self.rao_dual = _dual_presentation_of_coker(res, self.ring, n)
+            # coker(Hom(F_{n-1}, R) -> Hom(F_n, R))
+            self.rao_dual = PresentedModule(self.ring, [-w for w in res.twists[n]], _dual_map(res, n))
             if not self.rao_dual.is_finite_length():
                 raise NotLocallyCohenMacaulayError(
                     "the curve is not locally Cohen-Macaulay (it has embedded "
@@ -164,20 +163,14 @@ class DualCohomology:
         difference of their Hilbert functions.  In the ACM case b = 0."""
         if self._h2_parts is None:
             res, ring, n = self.res, self.ring, self.ring.n
-            coker_a = _dual_presentation_of_coker(res, ring, n - 1)
+            a = _dual_map(res, n - 1)
+            coker_a = PresentedModule(ring, [-w for w in res.twists[n - 1]], a)
             coimage_b = PresentedModule(ring, [], [])
             if not self.acm:
-                rank_n = len(res.twists[n])
-                rank_prev = len(res.twists[n - 1])
-                cols = [[res.mats[n - 1][c][r] for c in range(rank_n)] for r in range(rank_prev)]
-                kernel = GraphBasis(cols, [-w for w in res.twists[n]], ring).kernel_generators()
-                coimage_b = PresentedModule(ring, [-w for w in res.twists[n - 1]], kernel)
-                for s in range(len(res.twists[n - 2])):
-                    image = {
-                        (r, m): c for r in range(rank_prev) for m, c in res.mats[n - 2][r][s].terms
-                    }
-                    if coimage_b.reduce(image):
-                        raise InternalCheckError("dual complex image missed the kernel")
+                b = GraphBasis(_dual_map(res, n), [-w for w in res.twists[n]], ring)
+                coimage_b = PresentedModule(ring, [-w for w in res.twists[n - 1]], b.kernel_generators())
+                if any(coimage_b.reduce(image) for image in a):
+                    raise InternalCheckError("dual complex image missed the kernel")
             self._h2_parts = (coker_a, coimage_b)
         return self._h2_parts
 
@@ -380,7 +373,10 @@ def hyperplane_section(I: Ideal, seed: int = 0):
     with the last remaining variable (generic inside the hyperplane) by
     dividing its reduced basis and its leads by that variable.  Of up to 12
     draws, those whose cut fails the non-zerodivisor Hilbert test
-    h(R/(I+l))_j = h_C(j) - h_C(j-1) in low degrees are rejected."""
+    h(R/(I+l))_j = h_C(j) - h_C(j-1) in low degrees are rejected, and so are
+    those whose saturated cut has fewer than degree points at degree + 1:
+    there the last variable vanishes at a section point, so it is not
+    generic inside the hyperplane."""
     ring = I.ring
     degree, _ = detect_hilbert_polynomial(I)
     reg = I.resolution().regularity()
@@ -389,7 +385,7 @@ def hyperplane_section(I: Ideal, seed: int = 0):
     hvals = [I.initial_ideal().quotient_dim(j) for j in range(reg + 3)]
     for attempt in range(12):
         rng = random.Random(mix_seed(seed, attempt, 77))
-        matrix = random_invertible_matrix(ring.nvars, rng, 20)
+        matrix = random_invertible_matrix(ring, rng, 20)
         cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
         if not cut:
             continue
@@ -401,9 +397,11 @@ def hyperplane_section(I: Ideal, seed: int = 0):
         )
         if not ok:
             continue
-        section = Ideal(target, _divide_out_last_variable(gb.polys, target))
         lead = MonomialIdeal(target.nvars, [m[:last] + (0,) for m in cut_dims.gens])
         values = [lead.quotient_dim(j) for j in range(0, degree + 2)]
+        if values[-1] != degree:  # section points on {x_last = 0}
+            continue
+        section = Ideal(target, _divide_out_last_variable(gb.polys, target))
         return section, values, matrix
     raise ValueError("exhausted draws without a non-zerodivisor hyperplane")
 

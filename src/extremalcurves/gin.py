@@ -59,7 +59,7 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
         seeds = (mix_seed(seed, attempt, 1), mix_seed(seed, attempt, 2))
         candidates = []
         for s in seeds:
-            matrix = random_invertible_matrix(ring.nvars, random.Random(s), bound)
+            matrix = random_invertible_matrix(ring, random.Random(s), bound)
             images = linear_images(I.gens, matrix, ring)
             candidates.append(initial_monomials(images, cap=reg, ring=ring))
         first, second = candidates

@@ -68,10 +68,6 @@ class Ideal:
         return f"Ideal({len(self.gens)} generators in {self.ring.nvars} variables)"
 
 
-def ideal_from_monomials(ring: PolyRing, monomial_ideal) -> Ideal:
-    return Ideal(ring, [ring.monomial(m) for m in monomial_ideal.gens])
-
-
 def kernel_of_map(images, relations=(), ring: PolyRing | None = None):
     """Generators of {(c_t) : sum c_t * images_t lies in (relations)}.
 
@@ -188,12 +184,13 @@ def is_saturated(I: Ideal) -> bool:
     return I.resolution().length <= I.ring.n
 
 
-def random_invertible_matrix(nvars: int, rng, bound: int):
-    """Seeded integer matrix with entries in [-bound, bound] and full rank
-    (nonzero determinant)."""
+def random_invertible_matrix(ring: PolyRing, rng, bound: int):
+    """Seeded integer matrix with entries in [-bound, bound], invertible
+    over the ring's field."""
+    nvars, modulus = ring.nvars, getattr(ring.field, "p", 0)
     for _ in range(100):
         matrix = [[rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(nvars)]
-        if fraction_rank(matrix) == nvars:
+        if fraction_rank(matrix, modulus) == nvars:
             return matrix
     raise AssertionError("failed to draw an invertible matrix")
 
@@ -205,7 +202,6 @@ def change_coordinates(I: Ideal, matrix) -> Ideal:
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(r) != ring.nvars for r in matrix):
         raise ValueError("matrix size does not match the ring")
-    images = [Polynomial(ring, [(ring.var_mono(j), c) for j, c in enumerate(row)]) for row in matrix]
-    if Ideal(ring, images).dim_piece(1) < ring.nvars:
+    if fraction_rank(matrix, getattr(ring.field, "p", 0)) < ring.nvars:
         raise ValueError("singular coordinate change")
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])

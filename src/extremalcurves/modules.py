@@ -12,8 +12,11 @@ Schreyer order induced by the level below: the key is the image monomial
 the components by their chains of lead components through the levels
 below.  Syzygy levels are pruned to the pairs whose Schreyer lead is a
 minimal generator of the per-component lead module, which keeps the tower
-near-minimal before the exact unit-entry minimalization pass.  Elements
-become monic ``Polynomial`` vectors only at the boundary.
+near-minimal before the exact unit-entry minimalization pass.  Outside
+the engine an element is a packed vector {component: {packed monomial: field
+coefficient}} of homogeneous nonzero entries: resolution maps stay packed
+from the Schreyer step to the presented modules, and ``Polynomial`` vectors
+appear only at the boundary (`module_kernel`, `ResolutionData.mats`).
 """
 
 from __future__ import annotations
@@ -98,30 +101,57 @@ def _schreyer_step(eng):
     return new, [e.deg for e in new], new_bits, decode
 
 
-def _schreyer_columns(ring, elements, bits, decode, rank, unpack, modulus):
-    """Monic Polynomial columns of Schreyer-keyed elements.  Within one
-    component ascending keys are descending monomials of one degree."""
+def _packed_columns(elements, bits, decode, modulus):
+    """Monic packed columns of Schreyer-keyed elements: the term at key
+    (image << bits) | rank lands in row t at image minus the lead image of
+    t, where decode[rank] = (t, lead image)."""
     mask = (1 << bits) - 1
-    zero = ring.zero
     cols = []
     for e in elements:
-        terms = [[] for _ in range(rank)]
+        col = {}
         for k, c in zip(e.keys, _divide(e.coeffs, e.coeffs[0], modulus)):
             t, img = decode[k & mask]
-            terms[t].append((unpack((k >> bits) - img), c))
-        cols.append([Polynomial.from_sorted(ring, ts) if ts else zero for ts in terms])
+            col.setdefault(t, {})[(k >> bits) - img] = c
+        cols.append(col)
     return cols
 
 
-class ResolutionData:
-    """Graded free resolution of R/I: twists per level and the matrices
-    between consecutive levels (level 0 is R itself)."""
+def _addmul(acc, f, g, modulus):
+    """acc += f * g for packed entries {key: coefficient}; returns acc."""
+    for kf, cf in f.items():
+        for kg, cg in g.items():
+            k = kf + kg
+            v = acc.get(k, 0) + cf * cg
+            if modulus:
+                v %= modulus
+            if v:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+    return acc
 
-    def __init__(self, ring, twists, mats):
+
+class ResolutionData:
+    """Graded free resolution of R/I: twists per level and the maps between
+    consecutive levels (level 0 is R itself).  cols[k] holds the map F_{k+1}
+    -> F_k as one packed column over F_k per basis element of F_{k+1}."""
+
+    def __init__(self, ring, twists, cols):
         self.ring = ring
         self.twists = [tuple(t) for t in twists]
-        # mats[k]: columns over F_{k+1}, each column a list over F_k slots
-        self.mats = [[list(col) for col in mat] for mat in mats]
+        self.cols = cols
+        self._mats = None
+
+    @property
+    def mats(self):
+        """The maps as Polynomials, built on first read: mats[k][j][i] is
+        the entry of column j of the k-th map at row i."""
+        if self._mats is None:
+            self._mats = tuple(
+                tuple(tuple(polynomial_vector(self.ring, col, len(self.twists[k]))) for col in level)
+                for k, level in enumerate(self.cols)
+            )
+        return self._mats
 
     @property
     def length(self):
@@ -144,83 +174,64 @@ class ResolutionData:
         )
 
     def verify(self):
-        """Consecutive maps compose to zero, and no entry is a unit (minimality)."""
-        for k in range(1, len(self.mats)):
-            for col in self.mats[k]:
-                image = [self.ring.zero] * len(self.twists[k - 1])
-                for s, entry in enumerate(col):
-                    if not entry:
-                        continue
-                    prev_col = self.mats[k - 1][s]
-                    for r, e in enumerate(prev_col):
-                        if e:
-                            image[r] = image[r] + entry * e
-                if any(image):
-                    raise AssertionError(f"composition at level {k} is nonzero")
-        for mat in self.mats:
-            for col in mat:
-                for e in col:
-                    if e and e.degree() == 0:
-                        raise AssertionError("scalar entry in a minimal resolution")
-        for k, mat in enumerate(self.mats):
-            if len(mat) != len(self.twists[k + 1]):
+        """Every entry is homogeneous of the degree its twists give and no
+        entry is a unit (minimality); consecutive maps compose to zero."""
+        nv, modulus = self.ring.nvars, getattr(self.ring.field, "p", 0)
+        for k, level in enumerate(self.cols):
+            rows, tops = self.twists[k], self.twists[k + 1]
+            if len(level) != len(tops) or any(not 0 <= i < len(rows) for col in level for i in col):
                 raise AssertionError("twist/matrix shape mismatch")
-            for col in mat:
-                if len(col) != len(self.twists[k]):
-                    raise AssertionError("twist/matrix shape mismatch")
+            for j, col in enumerate(level):
+                image = {}
+                for i, e in col.items():
+                    if any(packing.degree(key, nv) != tops[j] - rows[i] for key in e):
+                        raise AssertionError(f"entry of the wrong degree at level {k}")
+                    if 0 in e:
+                        raise AssertionError("scalar entry in a minimal resolution")
+                    for r, f in (self.cols[k - 1][i].items() if k else ()):
+                        _addmul(image.setdefault(r, {}), e, f, modulus)
+                if any(image.values()):
+                    raise AssertionError(f"composition at level {k} is nonzero")
 
 
-def _minimalize(twists, mats, ring):
-    """Cancel unit entries level by level from the back until none remain."""
-    twists = [list(t) for t in twists]
-    mats = [[list(col) for col in mat] for mat in mats]
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(mats) - 1, -1, -1):
-            M = mats[k]
-            while True:
-                hit = None
-                for j, col in enumerate(M):
-                    for i, e in enumerate(col):
-                        if e and e.degree() == 0:
-                            hit = (i, j)
-                            break
-                    if hit:
-                        break
-                if not hit:
-                    break
-                i, j = hit
-                c = M[j][i].lead_coeff
-                pivot_col = M[j]
-                for jp, col in enumerate(M):
-                    if jp == j:
-                        continue
-                    q = col[i]
-                    if q:
-                        factor = q.scale(ring.field.inv(c))
-                        M[jp] = [
-                            col[r] - factor * pivot_col[r] for r in range(len(col))
-                        ]
-                        if k + 1 < len(mats):
-                            for pcol in mats[k + 1]:
-                                pcol[j] = pcol[j] + factor * pcol[jp]
-                # split off the trivial summand
-                del M[j]
-                for col in M:
-                    del col[i]
-                if k + 1 < len(mats):
-                    for pcol in mats[k + 1]:
-                        del pcol[j]
-                del twists[k + 1][j]
-                if k >= 1:
-                    del mats[k - 1][i]
-                del twists[k][i]
-                changed = True
-    while mats and not mats[-1]:
-        mats.pop()
+def _minimalize(twists, cols, modulus):
+    """Cancel unit entries level by level from the back.
+
+    At each level the first column holding a unit, at its lowest unit row,
+    is the pivot: every other column is cleared at that row, and the pivot
+    row and column split off as a trivial summand (the basis elements they
+    stand for die in both neighbouring maps).  Entries are homogeneous, so
+    a unit sits only where the two twists agree, as the key 0.  Clearing
+    makes no new unit in a column without one, so one pass over each level
+    finds every pivot."""
+    live = [[True] * len(t) for t in twists]
+    for k in range(len(cols) - 1, -1, -1):
+        rows, tops, level = twists[k], twists[k + 1], cols[k]
+        for j, pivot in enumerate(level):
+            if not live[k + 1][j]:
+                continue
+            i = min((r for r in pivot if rows[r] == tops[j]), default=None)
+            if i is None:
+                continue
+            inv = _divide([-1], pivot[i][0], modulus)[0]
+            for jp, col in enumerate(level):
+                q = col.pop(i, None) if jp != j and live[k + 1][jp] else None
+                if q:
+                    factor = {key: c * inv for key, c in q.items()}
+                    for r, e in pivot.items():
+                        if r != i and not _addmul(col.setdefault(r, {}), factor, e, modulus):
+                            del col[r]
+            live[k + 1][j] = live[k][i] = False
+    index = [{old: new for new, old in enumerate(o for o, a in enumerate(lv) if a)} for lv in live]
+    twists = [tuple(w for w, a in zip(t, lv) if a) for t, lv in zip(twists, live)]
+    cols = [
+        [{index[k][r]: e for r, e in col.items() if r in index[k]} for col, a in zip(level, live[k + 1]) if a]
+        for k, level in enumerate(cols)
+    ]
+    while cols and not cols[-1]:
+        cols.pop()
         twists.pop()
-    return twists, mats
+    return twists, cols
 
 
 def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
@@ -233,61 +244,73 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
     eng = _Engine(ring, rank_bits=0)  # level 1: one component, keys are monomials
     for p in polys:
         eng.add(_to_engine(p, eng.pack, eng.modulus))
-    twists_tower = [(0,), tuple(p.degree() for p in polys)]
-    mats = [[[p] for p in polys]]  # columns into F_0 = R
+    twists = [(0,), tuple(p.degree() for p in polys)]
+    cols = [_packed_columns(eng.basis, 0, [(0, 0)], eng.modulus)]  # into F_0 = R
 
     for _ in range(ring.nvars + 2):
         new, new_twists, bits, decode = _schreyer_step(eng)
         if not new:
             break
-        mats.append(
-            _schreyer_columns(ring, new, bits, decode, len(eng.basis), eng.unpack, eng.modulus)
-        )
-        twists_tower.append(tuple(new_twists))
+        cols.append(_packed_columns(new, bits, decode, eng.modulus))
+        twists.append(tuple(new_twists))
         eng = _Engine(ring, rank_bits=bits)
         for e in new:
             eng.add(e)
     else:
         raise AssertionError("resolution exceeded the variable-count bound")
 
-    twists, mats = _minimalize(twists_tower, mats, ring)
-    return ResolutionData(ring, twists, mats)
+    return ResolutionData(ring, *_minimalize(twists, cols, eng.modulus))
 
 
 # ---------------------------------------------------------------------------
 # kernels, lifts, presented modules (position over term)
 
 
-def _pot_element(eng, vec, unit=None):
-    """Engine element of a vector of homogeneous Polynomials, plus a unit
-    term in component unit when given."""
-    cs, pack = eng.comp_shift, eng.pack
-    keys, coeffs = [], []
+def packed_vector(ring, vec):
+    """Packed vector of a list of homogeneous Polynomials, zeros left out."""
+    pack = packing.make_packer(ring.nvars)
+    out = {}
     for s, p in enumerate(vec):
-        if not p.is_homogeneous():  # packed keys order one degree at a time
-            raise ValueError("module entries must be homogeneous")
-        for m, c in p.terms:
-            keys.append(s << cs | pack(m))
-            coeffs.append(c)
+        if p:
+            if not p.is_homogeneous():  # packed keys order one degree at a time
+                raise ValueError("module entries must be homogeneous")
+            out[s] = {pack(m): c for m, c in p.terms}
+    return out
+
+
+def polynomial_vector(ring, vec, rank):
+    """The Polynomials in components 0 .. rank-1 of a homogeneous packed
+    vector; ascending keys run down through revlex."""
+    unpack = packing.make_unpacker(ring.nvars)
+    out = [ring.zero] * rank
+    for s, e in vec.items():
+        out[s] = Polynomial.from_sorted(ring, [(unpack(k), e[k]) for k in sorted(e)])
+    return out
+
+
+def _pot_element(eng, vec, unit=None):
+    """Engine element of a packed vector, plus a unit term in component
+    unit when given."""
+    cs = eng.comp_shift
+    terms = sorted((s << cs | k, c) for s, e in vec.items() for k, c in e.items())
     if unit is not None:
-        keys.append(unit << cs)
-        coeffs.append(1)
-    return _clear(keys, coeffs, None, eng.modulus)
+        terms.append((unit << cs, 1))
+    return _clear([k for k, _ in terms], [c for _, c in terms], None, eng.modulus)
 
 
-def _pot_vector(eng, keys, coeffs, first, rank, div):
-    """Polynomials in components first .. first+rank-1, coefficients
-    divided by div; within one component the keys run down through revlex."""
+def _pot_vector(eng, keys, coeffs, first, div):
+    """Packed vector of the terms in components first and above, shifted
+    down by first, with the coefficients divided by div."""
     cs = eng.comp_shift
     mmask = (1 << cs) - 1
-    terms = [[] for _ in range(rank)]
+    out = {}
     for k, c in zip(keys, _divide(coeffs, div, eng.modulus)):
-        terms[(k >> cs) - first].append((eng.unpack(k & mmask), c))
-    return [Polynomial.from_sorted(eng.ring, t) for t in terms]
+        out.setdefault((k >> cs) - first, {})[k & mmask] = c
+    return out
 
 
 class GraphBasis:
-    """Traced Gröbner data for a column span: kernels and lifts.
+    """Traced Gröbner data for a span of packed columns: kernels and lifts.
 
     The graph elements (col_t, e_t) live in F + R^s; under position over
     term an element whose lead lies in the tracking part lies there
@@ -295,57 +318,52 @@ class GraphBasis:
 
     def __init__(self, cols, free_twists, ring):
         self.ring = ring
-        self.free_twists = tuple(free_twists)
         self.ncols = len(cols)
         self.rF = len(free_twists)
         eng = _Engine(ring)
         degs = []
         for t, col in enumerate(cols):
-            deg = None
-            for s, p in enumerate(col):
-                if not p:
-                    continue
-                d = p.degree() + free_twists[s]
-                if deg is None:
-                    deg = d
-                elif deg != d:
-                    raise ValueError("inhomogeneous column")
-            degs.append(deg if deg is not None else 0)
+            found = {packing.degree(next(iter(e)), ring.nvars) + free_twists[s] for s, e in col.items()}
+            if len(found) > 1:
+                raise ValueError("inhomogeneous column")
+            degs.append(found.pop() if found else 0)
             eng.add(_pot_element(eng, col, self.rF + t))
         self.twists = list(free_twists) + degs
         eng.complete(self.twists)
         self.engine = eng
 
     def kernel_generators(self):
-        """Generators of the syzygy module of the columns (in R^ncols)."""
+        """Packed generators of the syzygy module of the columns (in
+        R^ncols)."""
         eng, rF = self.engine, self.rF
         return [
-            _pot_vector(eng, g.keys, g.coeffs, rF, self.ncols, g.coeffs[0])
+            _pot_vector(eng, g.keys, g.coeffs, rF, g.coeffs[0])
             for g in eng.basis
             if g.keys[0] >> eng.comp_shift >= rF
         ]
 
     def lift(self, target):
-        """Coefficients expressing a module vector over the columns, or None.
-
-        target: list of Polynomial over the free part.
-        """
+        """Packed coefficients expressing a packed vector over the free part
+        in the columns, or None."""
         eng = self.engine
         ep = _pot_element(eng, target)
         keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
         if keys and keys[0] >> eng.comp_shift < self.rF:
             return None
-        return _pot_vector(eng, keys, coeffs, self.rF, self.ncols, -(ep.scale or 1) * mult)
+        return _pot_vector(eng, keys, coeffs, self.rF, -(ep.scale or 1) * mult)
 
 
 def module_kernel(cols, free_twists, ring) -> list:
-    """Generators of {(c_t) : sum c_t * cols_t = 0}."""
-    return GraphBasis(cols, free_twists, ring).kernel_generators()
+    """Generators of {(c_t) : sum c_t * cols_t = 0} for columns of
+    Polynomials, as lists of Polynomials."""
+    graph = GraphBasis([packed_vector(ring, col) for col in cols], free_twists, ring)
+    return [polynomial_vector(ring, v, len(cols)) for v in graph.kernel_generators()]
 
 
 class PresentedModule:
     """Finitely presented graded module: free slots with generator degrees
-    plus a relation submodule, held as a POT Gröbner basis."""
+    plus a relation submodule of packed vectors, held as a POT Gröbner
+    basis."""
 
     def __init__(self, ring: PolyRing, gen_degrees, relations):
         self.ring = ring
@@ -394,16 +412,12 @@ class PresentedModule:
             self._standard[degree] = out
         return out
 
-    def reduce(self, mp):
-        """Normal form of {(slot, monomial): coeff}, as the same kind of
-        dict in descending order."""
+    def reduce(self, vec):
+        """Normal form of a packed vector, as a packed vector."""
         eng = self.engine
-        cs, mmask = eng.comp_shift, (1 << eng.comp_shift) - 1
-        pairs = sorted((s << cs | eng.pack(m), c) for (s, m), c in mp.items() if c)
-        ep = _clear([k for k, _ in pairs], [c for _, c in pairs], None, eng.modulus)
+        ep = _pot_element(eng, vec)
         keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-        coeffs = _divide(coeffs, (ep.scale or 1) * mult, eng.modulus)
-        return {(k >> cs, eng.unpack(k & mmask)): c for k, c in zip(keys, coeffs)}
+        return _pot_vector(eng, keys, coeffs, 0, (ep.scale or 1) * mult)
 
     def mult_matrix(self, var: int, degree: int):
         """Matrix of multiplication by x_var from degree to degree+1, in the

@@ -230,12 +230,15 @@ def minimal_generators(gens):
     return kept
 
 
-def fraction_rank(rows) -> int:
+def fraction_rank(rows, modulus=0) -> int:
     """Exact rank of a dense matrix of int or Fraction entries: the rows are
     cleared of denominators, then eliminated fraction-free (Bareiss, Math.
     Comp. 22, 1968), skipping columns without a pivot.  Every division is
-    exact."""
+    exact.  With a prime modulus the entries are ints and the rank is over
+    Z/p: the same elimination reduced mod p, which needs no division."""
     mat, _ = clear_denominators(rows)
+    if modulus:
+        mat = [[v % modulus for v in row] for row in mat]
     rank, prev = 0, 1
     for col in range(len(mat[0]) if mat else 0):
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
@@ -245,6 +248,8 @@ def fraction_rank(rows) -> int:
         top = mat[rank]
         for row in mat[rank + 1 :]:
             row[col + 1 :] = [(v * top[col] - row[col] * t) // prev for v, t in zip(row[col + 1 :], top[col + 1 :])]
-        prev = top[col]
+            if modulus:
+                row[col + 1 :] = [v % modulus for v in row[col + 1 :]]
+        prev = 1 if modulus else top[col]
         rank += 1
     return rank

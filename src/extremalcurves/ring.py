@@ -26,8 +26,6 @@ Monomial = tuple  # exponent tuple of length nvars
 class RationalField:
     """Exact rationals; coefficients are Fraction instances."""
 
-    characteristic = 0
-
     def coerce(self, v):
         if isinstance(v, Fraction):
             return v
@@ -44,9 +42,6 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -55,9 +50,6 @@ class RationalField:
 
     def div(self, a, b):
         return a / b
-
-    def inv(self, a):
-        return 1 / a
 
     def __repr__(self):
         return "QQ"
@@ -72,10 +64,6 @@ class PrimeField:
     def __post_init__(self):
         if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
             raise ValueError(f"need an odd prime, got {self.p}")
-
-    @property
-    def characteristic(self):
-        return self.p
 
     def coerce(self, v):
         if isinstance(v, Fraction):
@@ -95,9 +83,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -106,9 +91,6 @@ class PrimeField:
 
     def div(self, a, b):
         return a * pow(b, -1, self.p) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -330,13 +312,6 @@ class Polynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def monic(self):
-        if not self.terms:
-            return self
-        fld = self.ring.field
-        inv = fld.inv(self.lead_coeff)
-        return Polynomial(self.ring, [(m, fld.mul(c, inv)) for m, c in self.terms])
 
     def coefficient(self, m: Monomial):
         for mm, c in self.terms:

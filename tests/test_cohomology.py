@@ -110,16 +110,11 @@ class TestH2:
         I = extremal_curve_ideal(4, 5, 1)
         dual = DualCohomology(I)
         res, n = dual.res, I.ring.n
-        a, b = res.mats[n - 2], res.mats[n - 1]
-        r, s = next(
-            (r, s)
-            for r, col in enumerate(a)
-            for s, entry in enumerate(col)
-            if entry and any(bcol[r] for bcol in b)
-        )
-        mats = [[list(col) for col in mat] for mat in res.mats]
-        mats[n - 2][r][s] = a[r][s].scale(2)
-        dual.res = ResolutionData(I.ring, res.twists, mats)
+        a, b = res.cols[n - 2], res.cols[n - 1]
+        r, s = next((r, s) for r, col in enumerate(a) for s in col if any(r in bcol for bcol in b))
+        cols = [[dict(col) for col in level] for level in res.cols]
+        cols[n - 2][r][s] = {key: 2 * c for key, c in a[r][s].items()}
+        dual.res = ResolutionData(I.ring, res.twists, cols)
         with pytest.raises(InternalCheckError):
             dual.h2_value(0)
 
@@ -129,6 +124,16 @@ class TestHyperplaneSection:
         I = extremal_curve_ideal(3, 4, 0)
         values = general_section_values(I, seed=3)
         assert values[1:4] == [3, 4, 4]
+
+    def test_draw_with_a_section_point_on_the_last_hyperplane_is_rejected(self):
+        # ex45 (n, d, a) = (3, 3, 1) at this seed (the catalog_analyze item
+        # ex45/n3d3a1#0 of bench seed 110): two of the three sections first
+        # drew a cut whose one point lies on {x_last = 0}; saturating by
+        # x_last then gave the unit ideal and values [0, 0, 0, 0]
+        I = extremal_curve_ideal(3, 3, -1)
+        report = verify_extremal(I, seed=8187606606260888246)
+        assert report.section_values == [3, 3, 3, 3]
+        assert report.section_match
 
     def test_conic_section(self):
         # plane conic in P^3: two points

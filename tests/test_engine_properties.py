@@ -16,6 +16,8 @@ from extremalcurves.modules import (  # noqa: E402
     PresentedModule,
     free_resolution_from_gb,
     module_kernel,
+    packed_vector,
+    polynomial_vector,
 )
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import GradedSpan  # noqa: E402
@@ -114,16 +116,17 @@ def test_lift_reproduces_a_combination(data, draw):
     top = max(degs) + draw.draw(st.integers(0, 1))
     coeffs = [draw.draw(forms(ring, top - d)) for d in degs]
     target = combine(ring, coeffs, cols)
-    lifted = GraphBasis(cols, twists, ring).lift(target)
+    graph = GraphBasis([packed_vector(ring, c) for c in cols], twists, ring)
+    lifted = graph.lift(packed_vector(ring, target))
     assert lifted is not None
-    assert combine(ring, lifted, cols) == target
+    assert combine(ring, polynomial_vector(ring, lifted, len(cols)), cols) == target
 
 
 @SETTINGS
 @given(column_maps())
 def test_presented_module_hf_matches_linear_algebra(data):
     ring, twists, cols, degs = data
-    pm = PresentedModule(ring, twists, cols)
+    pm = PresentedModule(ring, twists, [packed_vector(ring, c) for c in cols])
     for j in range(min(twists), max(degs) + 3):
         # rows: every monomial multiple of every relation landing in degree j
         span = GradedSpan(ring, [])

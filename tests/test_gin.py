@@ -2,12 +2,16 @@ import pytest
 
 from extremalcurves.formulas import CurveSpec, expected_gin
 from extremalcurves.gin import GinResult, gin, mix_seed
-from extremalcurves.ideals import Ideal, ideal_from_monomials
+from extremalcurves.ideals import Ideal
 from extremalcurves.monomials import MonomialIdeal, is_strongly_stable
 from extremalcurves.ring import PolyRing, PrimeField
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
+
+
+def ideal_from_monomials(ring, monomial_ideal):
+    return Ideal(ring, [ring.monomial(m) for m in monomial_ideal.gens])
 
 
 def test_principal_binary_quadric():

@@ -128,7 +128,12 @@ class TestExponentLimit:
     def test_module_keys_beyond_limit_raise(self):
         # the basis is fine, but the Koszul syzygy and the graph S-pair of
         # x0^100 and x1^100 live in degree 200
-        from extremalcurves.modules import PresentedModule, free_resolution_from_gb, module_kernel
+        from extremalcurves.modules import (
+            PresentedModule,
+            free_resolution_from_gb,
+            module_kernel,
+            packed_vector,
+        )
 
         x0, x1, _ = R3.gens()
         a, b = x0 ** 100, x1 ** 100
@@ -138,4 +143,4 @@ class TestExponentLimit:
         with pytest.raises(ExponentLimitError):
             module_kernel([[a], [b]], [0], R3)
         with pytest.raises(ExponentLimitError):
-            PresentedModule(R3, [0, 0], [[a, b], [b, a]])
+            PresentedModule(R3, [0, 0], [packed_vector(R3, [a, b]), packed_vector(R3, [b, a])])

@@ -6,10 +6,11 @@ from extremalcurves.ideals import (
     is_saturated,
     kernel_of_map,
     quotient,
+    random_invertible_matrix,
     saturate,
 )
 from extremalcurves.oracle import oracle_ideal_dims
-from extremalcurves.ring import PolyRing, PrimeField
+from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 
 import pytest
 
@@ -109,6 +110,18 @@ class TestChangeCoordinates:
         seven = [[7 if i == j else 0 for j in range(3)] for i in range(3)]
         with pytest.raises(ValueError):
             change_coordinates(Ideal(ring, [x0 * x1, x2 * x2]), seven)
+
+    def test_random_draws_are_invertible_over_the_field(self):
+        # a draw of rank 4 over QQ can be singular mod 7; every draw for a
+        # Z/7 ring must have rows that span the linear forms over Z/7
+        import random
+
+        ring = PolyRing(4, PrimeField(7))
+        rng = random.Random(5)
+        for _ in range(200):
+            m = random_invertible_matrix(ring, rng, 20)
+            rows = [Polynomial(ring, [(ring.var_mono(j), c) for j, c in enumerate(row)]) for row in m]
+            assert Ideal(ring, rows).dim_piece(1) == 4
 
     def test_hilbert_function_invariant(self):
         import random

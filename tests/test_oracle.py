@@ -79,6 +79,14 @@ def test_fraction_rank():
     assert fraction_rank(rows) == 2
 
 
+def test_fraction_rank_mod_p():
+    # det [[1, 3], [2, -1]] = -7: full rank over QQ, rank one over Z/7
+    assert fraction_rank([[1, 3], [2, -1]]) == 2
+    assert fraction_rank([[1, 3], [2, -1]], 7) == 1
+    assert fraction_rank([[7, 0], [0, 14]], 7) == 0
+    assert fraction_rank([[1, 3], [2, -1]], 5) == 2
+
+
 def _reference_rank(rows):
     """Plain Gaussian elimination over the rationals."""
     mat = [[Fraction(v) for v in row] for row in rows]
