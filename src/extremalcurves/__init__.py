@@ -3,6 +3,7 @@ maximal cohomology: construction, invariants, and closed-form verification.
 """
 
 from .cohomology import (
+    CurveAnalysis,
     FiniteLengthModule,
     HilbertTable,
     InternalCheckError,
@@ -59,6 +60,7 @@ __all__ = [
     "BettiTable",
     "BoundProfile",
     "ConstructionInput",
+    "CurveAnalysis",
     "CurveReport",
     "CurveSpec",
     "FiniteLengthModule",

@@ -14,6 +14,7 @@ import multiprocessing
 import sys
 
 from .cohomology import (
+    CurveAnalysis,
     InternalCheckError,
     NotACurveError,
     verify_extremal,
@@ -131,11 +132,7 @@ def _cmd_analyze(args):
 
 def _cmd_verify(args):
     ideal = parse_ideal(args.file)
-    report = verify_extremal(
-        ideal, seed=args.seed, betti_check=False, section_check=False,
-        planar_check=False, gin_check=False,
-    )
-    return 0 if report.extremal else 1
+    return 0 if CurveAnalysis(ideal, args.seed).extremal else 1
 
 
 def _cmd_oracle_hf(args):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .formulas import (
@@ -33,7 +34,7 @@ from .modules import GraphBasis, PresentedModule
 from .monomials import MonomialIdeal, ek_betti
 from .oracle import fraction_rank
 from .report import CurveReport
-from .ring import PolyRing, Polynomial
+from .ring import PolyRing, Polynomial, format_mono
 
 
 class NotACurveError(ValueError):
@@ -93,14 +94,10 @@ def detect_hilbert_polynomial(I: Ideal):
     return sum(q), 1 - sum(q) + sum(i * c for i, c in enumerate(q))
 
 
-def hilbert_table(I: Ideal, window=None) -> HilbertTable:
+def hilbert_table(I: Ideal, window) -> HilbertTable:
     """Hilbert function of the quotient over a window, plus the detected
     degree and genus; errors unless the quotient has dimension two."""
     d, g = detect_hilbert_polynomial(I)
-    if window is None:
-        from .formulas import default_window
-
-        window = default_window(I.ring.n, d, g) if d >= 2 else (0, 5)
     lo, hi = window
     lead = I.initial_ideal()
     dims = tuple(lead.quotient_dim(j) for j in range(lo, hi + 1))
@@ -132,7 +129,6 @@ class DualCohomology:
     cohomology side is built lazily since many callers only need h1."""
 
     def __init__(self, I: Ideal):
-        self.ideal = I
         self.ring = I.ring
         res = I.resolution()
         n = self.ring.n
@@ -187,7 +183,6 @@ class DualCohomology:
 class FiniteLengthModule:
     """Per-degree dimensions with multiplication matrices between them."""
 
-    window: tuple
     dims: dict
     mult: dict  # (var, j) -> matrix taking degree j to j+1 (rows: target)
     generator_count: int
@@ -225,18 +220,11 @@ def _transpose(m):
     return [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
 
 
-def deficiency_module(I: Ideal, window=None, dual: DualCohomology | None = None) -> FiniteLengthModule:
+def deficiency_module(dual: DualCohomology, window) -> FiniteLengthModule:
     """The Hartshorne-Rao module from the dual complex: dimensions over the
     window, multiplication maps, generator data, and (for cyclic modules)
     the minimal generator degrees of the annihilator."""
-    if dual is None:
-        dual = DualCohomology(I)
-    ring = I.ring
-    nvars = ring.nvars
-    if window is None:
-        from .formulas import default_window
-
-        window = default_window(ring.n, *detect_hilbert_polynomial(I))
+    nvars = dual.ring.nvars
     lo, hi = window[0] - 2, window[1] + 2
     dims = {}
     for j in range(lo, hi + 1):
@@ -268,7 +256,6 @@ def deficiency_module(I: Ideal, window=None, dual: DualCohomology | None = None)
     if gen_count <= 1 and dims:
         ann = _annihilator_degrees(dims, mult, nvars, ranks)
     return FiniteLengthModule(
-        window=window,
         dims=dims,
         mult=mult,
         generator_count=gen_count,
@@ -321,14 +308,10 @@ def _annihilator_degrees(dims, mult, nvars, ranks):
     return sorted(out)
 
 
-def h2_table(I: Ideal, window, dual: DualCohomology | None = None, hilbert=None):
-    """Second cohomology over the window, with the Riemann-Roch identity
-    asserted at every degree."""
-    if dual is None:
-        dual = DualCohomology(I)
-    if hilbert is None:
-        hilbert = hilbert_table(I, window=window)
-    lo, hi = window
+def h2_table(dual: DualCohomology, hilbert: HilbertTable):
+    """Second cohomology over the Hilbert table's window, with the
+    Riemann-Roch identity asserted at every degree."""
+    lo, hi = hilbert.window
     values = []
     for j in range(lo, hi + 1):
         h2 = dual.h2_value(j)
@@ -431,8 +414,8 @@ def planar_subcurve_check(I: Ideal, plane_forms) -> bool:
     for f in forms:
         if f.degree() != 1:
             raise ValueError("plane forms must be linear")
-        rows.append([Fraction(f.coefficient(ring.var_mono(i))) for i in range(ring.nvars)])
-    if fraction_rank(rows) < len(forms):
+        rows.append([f.coefficient(ring.var_mono(i)) for i in range(ring.nvars)])
+    if fraction_rank(rows, getattr(ring.field, "p", 0)) < len(forms):
         raise ValueError("dependent plane forms")
     d, _ = detect_hilbert_polynomial(I)
     # saturating I + (forms) would not change its Hilbert polynomial
@@ -448,222 +431,222 @@ def planar_subcurve_check(I: Ideal, plane_forms) -> bool:
 # the extremality verdict
 
 
-def verify_extremal(
-    I: Ideal,
-    seed: int = 0,
-    gin_check: bool = True,
-    betti_check: bool = True,
-    section_check: bool = True,
-    planar_check: bool = True,
-) -> CurveReport:
+class CurveAnalysis:
+    """The invariants of one saturated curve ideal over the rationals, each
+    computed once, on first read.
+
+    The constructor checks the input (field, linear forms, saturation, the
+    dual complex, the genus bound) and fixes the bound profile and its
+    window.  An invariant reads None where the paper states nothing for the
+    curve's (n, d, a): the gin and the sections need d >= 3, the Betti table
+    and the planar subcurve d >= 5 or d = 4 with a >= 1, and the expected
+    Rao data d >= 3 outside d = 3, a > 0, n >= 4."""
+
+    def __init__(self, I: Ideal, seed: int = 0):
+        ring = I.ring
+        if getattr(ring.field, "p", 0):
+            raise ValueError("verdicts are computed over the rationals")
+        if I.dim_piece(1) != 0:
+            raise DegenerateCurveError("the ideal contains a linear form")
+        if not is_saturated(I):
+            raise ValueError("the ideal is not saturated")
+        d, g = detect_hilbert_polynomial(I)
+        # the genus bound holds for locally Cohen-Macaulay curves, which the
+        # dual complex checks first
+        self.dual = DualCohomology(I)
+        if g > max_genus(ring.n, d):
+            raise InternalCheckError("genus exceeds the proven bound")
+        self.ideal = I
+        self.seed = seed
+        self.spec = CurveSpec(ring.n, d, g)
+        self.profile = bound_profile(ring.n, d, g)
+        self.window = self.profile.window
+        self.degrees = range(self.window[0], self.window[1] + 1)
+        self.section_seed = mix_seed(seed, 9) if d >= 3 else None
+
+    def _betti_range(self):
+        """Where the closed-form Betti table and the planar subcurve are stated."""
+        return self.spec.d >= 5 or (self.spec.d == 4 and self.spec.a >= 1)
+
+    @cached_property
+    def hilbert(self) -> HilbertTable:
+        return hilbert_table(self.ideal, self.window)
+
+    @cached_property
+    def rao(self) -> FiniteLengthModule:
+        return deficiency_module(self.dual, self.window)
+
+    @cached_property
+    def h1(self) -> list:
+        """h1 over the window, checked against the proven bound."""
+        h1 = [self.dual.h1_value(j) for j in self.degrees]
+        for j, got, bound in zip(self.degrees, h1, self.profile.h1):
+            if got > bound:
+                raise InternalCheckError(
+                    f"h1 exceeds the proven bound at degree {j}: {got} > {bound}"
+                )
+        return h1
+
+    @cached_property
+    def h2(self) -> list:
+        """h2 over the window, with Riemann-Roch checked at every degree."""
+        return h2_table(self.dual, self.hilbert)
+
+    @cached_property
+    def rao_expected(self):
+        """(Rao dimensions over the window, annihilator degrees) as the
+        paper states them; each dimension is asserted against the h1 bound."""
+        if self.spec.d < 3 or rao_structure_excluded(self.spec):
+            return None
+        dims = [expected_rao_hf(self.spec, j) for j in self.degrees]
+        return dims, expected_annihilator_degrees(self.spec)
+
+    @cached_property
+    def extremal(self) -> bool:
+        """The verdict: h1 equals its bound over the whole window.  Like the
+        full report, it stands only once the Hilbert table, the Rao module,
+        h2 and the expected Rao data are computed and their checks pass."""
+        for invariant in ("hilbert", "rao", "h1", "h2", "rao_expected"):
+            getattr(self, invariant)
+        return self.h1 == list(self.profile.h1)
+
+    @cached_property
+    def gin(self):
+        if self.spec.d < 3:
+            return None
+        return compute_gin(self.ideal, seed=mix_seed(self.seed, 5))
+
+    @cached_property
+    def section_values(self):
+        """Hilbert values of the general hyperplane section in degrees 1 to d + 1."""
+        if self.section_seed is None:
+            return None
+        return general_section_values(self.ideal, seed=self.section_seed)[1 : self.spec.d + 2]
+
+    @cached_property
+    def betti(self):
+        return self.ideal.resolution().betti_table() if self._betti_range() else None
+
+    @cached_property
+    def planar(self):
+        """Whether the plane x3 = ... = xn meets the curve in a subcurve of
+        degree d - 1."""
+        if not self._betti_range():
+            return None
+        ring = self.ideal.ring
+        return planar_subcurve_check(self.ideal, [ring.gen(i) for i in range(3, ring.nvars)])
+
+
+def _formatted(monomial_ideal):
+    return None if monomial_ideal is None else [format_mono(m) for m in monomial_ideal.gens]
+
+
+def verify_extremal(I: Ideal, seed: int = 0) -> CurveReport:
     """Full computed-versus-expected report for a saturated curve ideal."""
-    ring = I.ring
-    if getattr(ring.field, "p", 0):
-        raise ValueError("verdicts are computed over the rationals")
-    if I.dim_piece(1) != 0:
-        raise DegenerateCurveError("the ideal contains a linear form")
-    if not is_saturated(I):
-        raise ValueError("the ideal is not saturated")
-    n = ring.n
-    d, g = detect_hilbert_polynomial(I)
-    # the genus bound holds for locally Cohen-Macaulay curves, which the
-    # dual complex checks first
-    dual = DualCohomology(I)
-    if g > max_genus(n, d):
-        raise InternalCheckError("genus exceeds the proven bound")
-    spec = CurveSpec(n, d, g)
-    a = spec.a
+    c = CurveAnalysis(I, seed)
+    spec, extremal, rao = c.spec, c.extremal, c.rao
+    n, d, a = spec.n, spec.d, spec.a
     warnings = []
-    profile = bound_profile(n, d, g)
-    window = profile.window
-    lo, hi = window
-    ht = hilbert_table(I, window=window)
-
-    rao = deficiency_module(I, window=window, dual=dual)
-    h1 = [rao.dim(j) for j in range(lo, hi + 1)]
-    h1_expected = list(profile.h1)
-    for j, (got, bound) in enumerate(zip(h1, h1_expected), start=lo):
-        if got > bound:
-            raise InternalCheckError(
-                f"h1 exceeds the proven bound at degree {j}: {got} > {bound}"
-            )
-    h1_matches = [x == y for x, y in zip(h1, h1_expected)]
-    first_fail = None
-    for j, ok in zip(range(lo, hi + 1), h1_matches):
-        if not ok:
-            first_fail = j
-            break
-    extremal = all(h1_matches)
-
-    h2 = h2_table(I, window, dual=dual, hilbert=ht)
-    h2_expected = list(profile.h2)
-    h2_checked = extremal and d >= 3
     if d == 2:
         warnings.append("degree 2: the h2 bound is undefined for j < 0 and unchecked there")
-    h2_match = None
-    if h2_checked:
-        h2_match = all(x == y for x, y in zip(h2, h2_expected))
-    elif extremal and d == 2:
-        h2_match = all(
-            x == y for x, y in zip(h2, h2_expected) if y is not None
-        )
+    h1_matches = [x == y for x, y in zip(c.h1, c.profile.h1)]
 
-    gin_block = dict(
-        gin_checked=False,
-        gin_monomials=None,
-        gin_expected=None,
-        gin_alternate=None,
-        gin_match=None,
-        gin_seeds=None,
-        gin_entry_bound=None,
-    )
-    gin_result = None
-    if gin_check and d >= 3:
-        gin_result = compute_gin(I, seed=mix_seed(seed, 5))
-        from .ring import format_mono
-
-        exp = expected_gin(spec)
-        alternate = None
+    gin, gin_expected, alternate, gin_match = c.gin, None, None, None
+    if gin is not None:
+        gin_expected = expected_gin(spec)
         if d == 3 and a >= 1 and n >= 4:
             alternate = expected_gin(spec, "d3-alternate")
             warnings.append(
                 "d=3, a>=1, n>=4: the gin is matched against the two-ideal set"
             )
-        if gin_result.ideal == exp:
-            match = "primary"
-        elif alternate is not None and gin_result.ideal == alternate:
-            match = "alternate"
+        if gin.ideal == gin_expected:
+            gin_match = "primary"
+        elif alternate is not None and gin.ideal == alternate:
+            gin_match = "alternate"
         else:
-            match = "mismatch"
-        gin_block = dict(
-            gin_checked=True,
-            gin_monomials=[format_mono(m) for m in gin_result.ideal.gens],
-            gin_expected=[format_mono(m) for m in exp.gens],
-            gin_alternate=(
-                [format_mono(m) for m in alternate.gens] if alternate else None
-            ),
-            gin_match=match,
-            gin_seeds=gin_result.seeds,
-            gin_entry_bound=gin_result.entry_bound,
-        )
+            gin_match = "mismatch"
 
-    betti_block = dict(
-        betti_checked=False,
-        betti=None,
-        betti_expected=None,
-        betti_gin=None,
-        betti_match=None,
-        betti_gin_match=None,
-    )
-    if betti_check and (d >= 5 or (d == 4 and a >= 1)):
-        table = I.resolution().betti_table()
-        exp_table = expected_betti(spec)
+    betti, betti_expected, betti_gin = c.betti, None, None
+    if betti is not None:
+        betti_expected = expected_betti(spec)
         # the gin is strongly stable: Eliahou-Kervaire gives its Betti table
-        gin_table = ek_betti(gin_result.ideal if gin_result else expected_gin(spec))
-        betti_block = dict(
-            betti_checked=True,
-            betti=table,
-            betti_expected=exp_table,
-            betti_gin=gin_table,
-            betti_match=table == exp_table,
-            betti_gin_match=table == gin_table,
-        )
+        betti_gin = ek_betti(gin.ideal)
         if a == 0:
             warnings.append(
                 "a=0: the closed-form top twist follows the stable-ideal formula"
             )
 
-    rao_expected = None
-    rao_match = None
-    ann_expected = None
-    ann_match = None
-    if d >= 3 and not rao_structure_excluded(spec):
-        rao_expected = [expected_rao_hf(spec, j) for j in range(lo, hi + 1)]
-        rao_match = rao_expected == [rao.dim(j) for j in range(lo, hi + 1)]
-        ann_expected = expected_annihilator_degrees(spec)
-        ann_match = rao.annihilator_degrees == ann_expected
-    elif rao_structure_excluded(spec):
+    rao_dims = [rao.dim(j) for j in c.degrees]
+    rao_expected, ann_expected = c.rao_expected or (None, None)
+    if rao_structure_excluded(spec):
         warnings.append(
             "d=3, a>0, n>=4: the Rao-module structure statement does not apply"
         )
-
-    section_values = None
-    section_expected = None
-    section_match = None
-    section_seed = None
-    if section_check and d >= 3:
-        section_seed = mix_seed(seed, 9)
-        values = general_section_values(I, seed=section_seed)
-        section_values = values[1 : d + 2]
-        section_expected = [min(j + 2, d) for j in range(1, d + 2)]
-        section_match = section_values == section_expected
-
-    planar_checked = False
-    planar_verdict = None
-    if planar_check and (d >= 5 or (d == 4 and a >= 1)):
-        plane = [ring.gen(i) for i in range(3, ring.nvars)]
-        planar_verdict = planar_subcurve_check(I, plane)
-        planar_checked = True
+    rao_checked = c.rao_expected is not None
+    sections = c.section_values
+    sections_expected = None if sections is None else [min(j + 2, d) for j in range(1, d + 2)]
 
     return CurveReport(
         n=n,
         d=d,
-        g=g,
+        g=spec.g,
         a=a,
-        window=window,
-        hilbert_dims=list(ht.dims),
-        regularity=ht.regularity,
-        h1=h1,
-        h1_expected=h1_expected,
+        window=c.window,
+        hilbert_dims=list(c.hilbert.dims),
+        regularity=c.hilbert.regularity,
+        h1=c.h1,
+        h1_expected=list(c.profile.h1),
         h1_matches=h1_matches,
-        first_h1_failure=first_fail,
-        h2=h2,
-        h2_expected=h2_expected,
-        h2_checked=h2_checked,
-        h2_match=h2_match,
-        rao_dims=[rao.dim(j) for j in range(lo, hi + 1)],
+        first_h1_failure=next((j for j, ok in zip(c.degrees, h1_matches) if not ok), None),
+        h2=c.h2,
+        h2_expected=list(c.profile.h2),
+        h2_checked=extremal and d >= 3,
+        # the degree-2 bound is undefined (None) for j < 0
+        h2_match=all(x == y for x, y in zip(c.h2, c.profile.h2) if y is not None) if extremal else None,
+        gin_checked=gin is not None,
+        gin_monomials=_formatted(gin and gin.ideal),
+        gin_expected=_formatted(gin_expected),
+        gin_alternate=_formatted(alternate),
+        gin_match=gin_match,
+        gin_seeds=gin and gin.seeds,
+        gin_entry_bound=gin and gin.entry_bound,
+        betti_checked=betti is not None,
+        betti=betti,
+        betti_expected=betti_expected,
+        betti_gin=betti_gin,
+        betti_match=None if betti is None else betti == betti_expected,
+        betti_gin_match=None if betti is None else betti == betti_gin,
+        rao_dims=rao_dims,
         rao_expected=rao_expected,
-        rao_match=rao_match,
+        rao_match=rao_expected == rao_dims if rao_checked else None,
         rao_generator_count=rao.generator_count,
         rao_generator_degrees=rao.generator_degrees,
         rao_cyclic=rao.generator_count <= 1,
         annihilator_degrees=rao.annihilator_degrees,
         annihilator_expected=ann_expected,
-        annihilator_match=ann_match,
-        section_values=section_values,
-        section_expected=section_expected,
-        section_match=section_match,
-        section_seed=section_seed,
-        planar_checked=planar_checked,
-        planar_verdict=planar_verdict,
+        annihilator_match=rao.annihilator_degrees == ann_expected if rao_checked else None,
+        section_values=sections,
+        section_expected=sections_expected,
+        section_match=None if sections is None else sections == sections_expected,
+        section_seed=c.section_seed,
+        planar_checked=c.planar is not None,
+        planar_verdict=c.planar,
         verdict="extremal" if extremal else "not_extremal",
         seed=seed,
         warnings=warnings,
-        **gin_block,
-        **betti_block,
     )
 
 
 def constructed_curve_probe(I: Ideal):
-    """Light analysis for randomized construction outputs: h1 against the
-    bound over the window, plus the detected numerical type."""
-    n = I.ring.n
-    d, g = detect_hilbert_polynomial(I)
-    profile = bound_profile(n, d, g)
-    lo, hi = profile.window
-    dual = DualCohomology(I)
-    h1 = [dual.h1_value(j) for j in range(lo, hi + 1)]
-    for j, (got, bound) in enumerate(zip(h1, profile.h1), start=lo):
-        if got > bound:
-            raise InternalCheckError(
-                f"h1 exceeds the proven bound at degree {j}: {got} > {bound}"
-            )
+    """Light analysis for randomized construction outputs: the input checks
+    of `CurveAnalysis`, h1 against the bound and the numerical type."""
+    c = CurveAnalysis(I)
     return {
-        "n": n,
-        "d": d,
-        "g": g,
-        "window": (lo, hi),
-        "h1": h1,
-        "h1_bound": list(profile.h1),
+        "n": c.spec.n,
+        "d": c.spec.d,
+        "g": c.spec.g,
+        "window": c.window,
+        "h1": c.h1,
+        "h1_bound": list(c.profile.h1),
         "nondegenerate": I.dim_piece(1) == 0,
     }

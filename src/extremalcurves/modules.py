@@ -1,10 +1,10 @@
 """Graded free modules on the packed Gröbner engine: minimal free
-resolutions by Schreyer syzygies, kernels and lifts by the graph trick, and
+resolutions by Schreyer syzygies, kernels by the graph trick, and
 finitely presented modules.
 
 A module term is one integer key, a packed monomial plus a component, with
 the coefficients of ``groebner`` (primitive integers over QQ, residues mod
-p).  Kernels, lifts and presented modules use position over term: the
+p).  Kernels and presented modules use position over term: the
 component sits in the bits above the monomial, so ascending keys run from
 the lowest component down through revlex.  A resolution level uses the
 Schreyer order induced by the level below: the key is the image monomial
@@ -263,7 +263,7 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
 
 
 # ---------------------------------------------------------------------------
-# kernels, lifts, presented modules (position over term)
+# kernels, presented modules (position over term)
 
 
 def packed_vector(ring, vec):
@@ -310,7 +310,7 @@ def _pot_vector(eng, keys, coeffs, first, div):
 
 
 class GraphBasis:
-    """Traced Gröbner data for a span of packed columns: kernels and lifts.
+    """Traced Gröbner data for a span of packed columns: their kernel.
 
     The graph elements (col_t, e_t) live in F + R^s; under position over
     term an element whose lead lies in the tracking part lies there
@@ -318,7 +318,6 @@ class GraphBasis:
 
     def __init__(self, cols, free_twists, ring):
         self.ring = ring
-        self.ncols = len(cols)
         self.rF = len(free_twists)
         eng = _Engine(ring)
         degs = []
@@ -333,24 +332,13 @@ class GraphBasis:
         self.engine = eng
 
     def kernel_generators(self):
-        """Packed generators of the syzygy module of the columns (in
-        R^ncols)."""
+        """Packed generators of the syzygy module of the columns, one component per column."""
         eng, rF = self.engine, self.rF
         return [
             _pot_vector(eng, g.keys, g.coeffs, rF, g.coeffs[0])
             for g in eng.basis
             if g.keys[0] >> eng.comp_shift >= rF
         ]
-
-    def lift(self, target):
-        """Packed coefficients expressing a packed vector over the free part
-        in the columns, or None."""
-        eng = self.engine
-        ep = _pot_element(eng, target)
-        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-        if keys and keys[0] >> eng.comp_shift < self.rF:
-            return None
-        return _pot_vector(eng, keys, coeffs, self.rF, -(ep.scale or 1) * mult)
 
 
 def module_kernel(cols, free_twists, ring) -> list:

@@ -109,16 +109,6 @@ class MonomialIdeal:
     def contains(self, m) -> bool:
         return any(mono_divides(g, m) for g in self.gens)
 
-    def plus(self, m) -> MonomialIdeal:
-        return MonomialIdeal(self.nvars, self.gens + (tuple(m),))
-
-    def colon(self, m) -> MonomialIdeal:
-        """I : m."""
-        return MonomialIdeal(
-            self.nvars,
-            [tuple(max(g_i - m_i, 0) for g_i, m_i in zip(g, m)) for g in self.gens],
-        )
-
     def join(self):
         """Componentwise max of the generators (their lcm)."""
         out = [0] * self.nvars

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from extremalcurves.cli import main
+from extremalcurves.construct import extremal_curve_ideal
 from extremalcurves.gin import GinDisagreement
 from extremalcurves.idealfile import (
     IdealFileError,
@@ -234,12 +235,40 @@ class TestCli:
     def test_unexpected_failure_exit_3(self, tmp_path, monkeypatch, capsys, exc):
         import extremalcurves.cli as cli
 
-        def broken(ideal, **kwargs):
+        def broken(*args, **kwargs):
             raise exc("injected failure")
 
-        monkeypatch.setattr(cli, "verify_extremal", broken)
+        monkeypatch.setattr(cli, "CurveAnalysis", broken)
         path = tmp_path / "curve.ideal"
         path.write_text("ring n=3 field=q\nx0\nx1\n")
         assert main(["verify", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "injected failure" in err
+
+    def test_verify_runs_only_the_verdict(self, tmp_path, monkeypatch):
+        # ex45 (n, d, g) = (3, 5, 2): d = 5, so the full report would run
+        # the gin, the sections, the Betti table and the planar check
+        import extremalcurves.cohomology as cohomology
+        from extremalcurves.modules import ResolutionData
+
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("verify ran a check outside the verdict")
+
+        for name in ("compute_gin", "general_section_values", "planar_subcurve_check"):
+            monkeypatch.setattr(cohomology, name, forbidden)
+        monkeypatch.setattr(ResolutionData, "betti_table", forbidden)
+        path = tmp_path / "curve.ideal"
+        path.write_text(emit_ideal(extremal_curve_ideal(3, 5, 2)))
+        assert main(["verify", str(path)]) == 0
+
+    def test_verify_exit_3_when_riemann_roch_fails(self, tmp_path, monkeypatch, capsys):
+        import extremalcurves.cohomology as cohomology
+
+        def broken(dual, hilbert):
+            raise AssertionError("injected Riemann-Roch failure")
+
+        monkeypatch.setattr(cohomology, "h2_table", broken)
+        path = tmp_path / "curve.ideal"
+        path.write_text(emit_ideal(extremal_curve_ideal(3, 4, 0)))
+        assert main(["verify", str(path)]) == 3
+        assert "injected Riemann-Roch failure" in capsys.readouterr().err

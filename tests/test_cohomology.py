@@ -1,6 +1,8 @@
 import pytest
 
+import extremalcurves.cohomology as cohomology
 from extremalcurves.cohomology import (
+    CurveAnalysis,
     DegenerateCurveError,
     DualCohomology,
     FiniteLengthModule,
@@ -15,9 +17,10 @@ from extremalcurves.cohomology import (
     verify_extremal,
 )
 from extremalcurves.construct import extremal_curve_ideal, non_extremal_witness
+from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal
 from extremalcurves.modules import ResolutionData
-from extremalcurves.ring import PolyRing
+from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 
 R4 = PolyRing(4)
 
@@ -40,19 +43,19 @@ class TestHilbertTable:
         # (x2^(d-1), x3) in P^3: plane curve of degree d-1, genus binom(d-2,2)
         d = 5
         x2, x3 = R4.gen(2), R4.gen(3)
-        ht = hilbert_table(Ideal(R4, [x2 ** (d - 1), x3]))
+        ht = hilbert_table(Ideal(R4, [x2 ** (d - 1), x3]), (0, 5))
         assert ht.degree == d - 1
         assert ht.genus == 3  # binom(3, 2)
 
     def test_points_rejected(self):
         gens = [R4.gen(1), R4.gen(2), R4.gen(3)]
         with pytest.raises(NotACurveError):
-            hilbert_table(Ideal(R4, gens))
+            hilbert_table(Ideal(R4, gens), (0, 5))
 
 
 class TestDeficiencyModule:
     def test_space_quartic(self):
-        m = deficiency_module(extremal_curve_ideal(3, 4, 0))
+        m = CurveAnalysis(extremal_curve_ideal(3, 4, 0)).rao
         assert {j: v for j, v in m.dims.items()} == {0: 1, 1: 1, 2: 1}
         assert m.generator_count == 1
         assert m.generator_degrees == [0]
@@ -60,17 +63,17 @@ class TestDeficiencyModule:
 
     def test_acm_plane_curve(self):
         x2, x3 = R4.gen(2), R4.gen(3)
-        m = deficiency_module(Ideal(R4, [x2 ** 3, x3]), window=(-3, 6))
+        m = deficiency_module(DualCohomology(Ideal(R4, [x2 ** 3, x3])), (-3, 6))
         assert m.dims == {}
         assert m.generator_count == 0
 
     def test_quintic_in_p4(self):
-        m = deficiency_module(extremal_curve_ideal(4, 5, 1))
+        m = CurveAnalysis(extremal_curve_ideal(4, 5, 1)).rao
         assert {j: v for j, v in m.dims.items()} == {-1: 1, 0: 2, 1: 1, 2: 1, 3: 1}
         assert m.generator_count == 1
 
     def test_multiplication_commutes(self):
-        m = deficiency_module(extremal_curve_ideal(3, 4, 0))
+        m = CurveAnalysis(extremal_curve_ideal(3, 4, 0)).rao
         assert m.multiplication_commutes()
 
 
@@ -78,8 +81,7 @@ class TestH2:
     def test_space_quartic_values(self):
         I = extremal_curve_ideal(3, 4, 0)
         window = (0, 3)
-        ht = hilbert_table(I, window=window)
-        values = h2_table(I, window, hilbert=ht)
+        values = h2_table(DualCohomology(I), hilbert_table(I, window=window))
         assert values[0] == 1  # binom(d-2, 2) at j = 0
         assert values[1:] == [0, 0, 0]
 
@@ -87,21 +89,21 @@ class TestH2:
         # The identity is asserted inside h2_table; a passing call proves it.
         I = extremal_curve_ideal(4, 4, 0)
         window = (-5, 6)
-        h2_table(I, window, hilbert=hilbert_table(I, window=window))
+        h2_table(DualCohomology(I), hilbert_table(I, window=window))
 
     def test_acm_space_quintic_values(self):
         # ex45 (n, d, g) = (3, 5, 3): ACM, so F*_{n-1}/im a alone gives h2
         I = extremal_curve_ideal(3, 5, 3)
         dual = DualCohomology(I)
         assert dual.acm
-        assert h2_table(I, (-2, 1), dual=dual) == [12, 7, 3, 1]
+        assert h2_table(dual, hilbert_table(I, window=(-2, 1))) == [12, 7, 3, 1]
 
     def test_non_acm_quintic_in_p4_values(self):
         # ex45 (n, d, g) = (4, 5, 1): h1 and h2 both nonzero at j = -1, 0
         I = extremal_curve_ideal(4, 5, 1)
         dual = DualCohomology(I)
         assert not dual.acm
-        assert h2_table(I, (-3, 2), dual=dual) == [15, 10, 6, 3, 1, 0]
+        assert h2_table(dual, hilbert_table(I, window=(-3, 2))) == [15, 10, 6, 3, 1, 0]
         assert [dual.h1_value(j) for j in range(-3, 3)] == [0, 0, 1, 2, 1, 1]
 
     def test_image_outside_the_kernel_raises(self):
@@ -170,6 +172,15 @@ class TestPlanarSubcurve:
         with pytest.raises(ValueError):
             planar_subcurve_check(I, [x3, x3])
 
+    def test_forms_dependent_mod_p_rejected(self):
+        # 4 * (2*x3 + x4) = x3 + 4*x4 over Z/7, though not over QQ
+        I = extremal_curve_ideal(5, 5, max_genus(5, 5) - 1)
+        R7 = PolyRing(6, PrimeField(7))
+        J = Ideal(R7, [Polynomial(R7, p.terms) for p in I.gens])
+        x3, x4, x5 = R7.gen(3), R7.gen(4), R7.gen(5)
+        with pytest.raises(ValueError, match="dependent"):
+            planar_subcurve_check(J, [2 * x3 + x4, x3 + 4 * x4, x5])
+
 
 class TestVerifyExtremal:
     def test_space_quartic_all_checks(self):
@@ -184,13 +195,9 @@ class TestVerifyExtremal:
         assert rep.planar_verdict  # d = 4 with a = 1
 
     def test_witness_not_extremal(self):
-        w = non_extremal_witness(4, 1, 4)
-        rep = verify_extremal(
-            w.ideal, seed=1, gin_check=False, betti_check=False,
-            section_check=False, planar_check=False,
-        )
-        assert rep.verdict == "not_extremal"
-        assert rep.first_h1_failure == 2
+        c = CurveAnalysis(non_extremal_witness(4, 1, 4).ideal, seed=1)
+        assert not c.extremal
+        assert next(j for j, x, y in zip(c.degrees, c.h1, c.profile.h1) if x != y) == 2
 
     def test_degenerate_rejected(self):
         x2, x3 = R4.gen(2), R4.gen(3)
@@ -198,10 +205,35 @@ class TestVerifyExtremal:
             verify_extremal(Ideal(R4, [x2 ** 4, x3]), seed=1)
 
     def test_degree_two_double_line(self):
-        rep = verify_extremal(
-            extremal_curve_ideal(3, 2, -1), seed=1,
-            gin_check=False, betti_check=False, section_check=False,
-            planar_check=False,
+        c = CurveAnalysis(extremal_curve_ideal(3, 2, -1), seed=1)
+        assert c.extremal
+        assert (c.spec.d, c.spec.g) == (2, -1)
+
+
+class TestCurveAnalysis:
+    def test_verify_extremal_computes_each_invariant_once(self, monkeypatch):
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("hilbert_table", "deficiency_module", "h2_table"):
+            monkeypatch.setattr(cohomology, name, counted(name, getattr(cohomology, name)))
+        monkeypatch.setattr(
+            DualCohomology, "__init__", counted("DualCohomology", DualCohomology.__init__)
         )
-        assert rep.verdict == "extremal"
-        assert rep.d == 2 and rep.g == -1
+        # d = 4 with a = 1: every check of the report runs
+        rep = verify_extremal(extremal_curve_ideal(3, 4, 0), seed=1)
+        assert rep.gin_checked and rep.betti_checked and rep.planar_checked
+        assert calls == {
+            "DualCohomology": 1, "hilbert_table": 1, "deficiency_module": 1, "h2_table": 1,
+        }
+
+    def test_statements_that_do_not_apply_read_none(self):
+        c = CurveAnalysis(extremal_curve_ideal(3, 2, -1), seed=1)
+        assert c.gin is None and c.section_values is None and c.section_seed is None
+        assert c.betti is None and c.planar is None and c.rao_expected is None

@@ -1,5 +1,5 @@
 """Property tests for the packed module engine on random homogeneous data
-in 3 to 5 variables over QQ and Z/7: resolutions, kernels, lifts,
+in 3 to 5 variables over QQ and Z/7: resolutions, kernels, normal forms,
 presented modules and the last-variable saturation, each against an
 independent check."""
 
@@ -12,12 +12,10 @@ from extremalcurves import ideals as ideals_module  # noqa: E402
 from extremalcurves.cohomology import _divide_out_last_variable  # noqa: E402
 from extremalcurves.groebner import buchberger  # noqa: E402
 from extremalcurves.modules import (  # noqa: E402
-    GraphBasis,
     PresentedModule,
     free_resolution_from_gb,
     module_kernel,
     packed_vector,
-    polynomial_vector,
 )
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import GradedSpan  # noqa: E402
@@ -111,15 +109,19 @@ def test_kernel_vectors_are_syzygies(data):
 
 @SETTINGS
 @given(column_maps(), st.data())
-def test_lift_reproduces_a_combination(data, draw):
+def test_a_combination_of_the_relations_reduces_to_zero(data, draw):
+    # normal forms are unique, so adding a combination of the relations to
+    # any vector leaves its normal form unchanged; a wrong multiplier in
+    # the reduction would rescale it
     ring, twists, cols, degs = data
     top = max(degs) + draw.draw(st.integers(0, 1))
     coeffs = [draw.draw(forms(ring, top - d)) for d in degs]
     target = combine(ring, coeffs, cols)
-    graph = GraphBasis([packed_vector(ring, c) for c in cols], twists, ring)
-    lifted = graph.lift(packed_vector(ring, target))
-    assert lifted is not None
-    assert combine(ring, polynomial_vector(ring, lifted, len(cols)), cols) == target
+    other = [draw.draw(forms(ring, top - w)) for w in twists]
+    pm = PresentedModule(ring, twists, [packed_vector(ring, c) for c in cols])
+    assert pm.reduce(packed_vector(ring, target)) == {}
+    shifted = [o + t for o, t in zip(other, target)]
+    assert pm.reduce(packed_vector(ring, shifted)) == pm.reduce(packed_vector(ring, other))
 
 
 @SETTINGS

@@ -3,7 +3,7 @@ pipeline, the linear-algebra oracle, and the closed-form layer together."""
 
 import random
 
-from extremalcurves.cohomology import deficiency_module
+from extremalcurves.cohomology import CurveAnalysis
 from extremalcurves.construct import ConstructionInput, construct_curve
 from extremalcurves.groebner import buchberger
 from extremalcurves.ideals import Ideal, saturate
@@ -39,7 +39,7 @@ class TestRaoModuleAgainstTwoVariableData:
             f=x1 ** 4,
         )
         I = construct_curve(inp)
-        m = deficiency_module(I)
+        m = CurveAnalysis(I).rao
         shift = a + n - 4
         dims = two_variable_quotient_dims(list(inp.f_list) + [inp.f], 12)
         for j in range(-4, 9):
@@ -51,7 +51,7 @@ class TestRaoModuleAgainstTwoVariableData:
         from extremalcurves.construct import non_extremal_witness
 
         w = non_extremal_witness(4, 2, 4)
-        m = deficiency_module(w.ideal)
+        m = CurveAnalysis(w.ideal).rao
         shift = w.input.a + w.input.n - 4
         dims = two_variable_quotient_dims(list(w.input.f_list), 14)
         for j in range(-5, 10):

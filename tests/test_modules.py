@@ -4,12 +4,10 @@ from extremalcurves.construct import extremal_curve_ideal
 from extremalcurves.formulas import max_genus
 from extremalcurves.groebner import buchberger
 from extremalcurves.modules import (
-    GraphBasis,
     PresentedModule,
     free_resolution_from_gb,
     module_kernel,
     packed_vector,
-    polynomial_vector,
 )
 from extremalcurves.packing import make_packer
 from extremalcurves.monomials import BettiTable, MonomialIdeal, ek_betti
@@ -187,15 +185,6 @@ class TestKernel:
         ker = module_kernel([[z], [z]], [0], R3)
         vecs = {tuple(str(p) for p in v) for v in ker}
         assert ("1", "0") in vecs and ("0", "1") in vecs
-
-    def test_lift(self):
-        x0, x1, x2 = R3.gens()
-        cols = [[x0], [x1]]
-        graph = GraphBasis([packed_vector(R3, c) for c in cols], [0], R3)
-        target = [x0 * x2 + x1 * x1]
-        coeffs = polynomial_vector(R3, graph.lift(packed_vector(R3, target)), 2)
-        assert coeffs[0] * x0 + coeffs[1] * x1 == target[0]
-        assert graph.lift(packed_vector(R3, [x2 * x2])) is None
 
 
 class TestPresentedModule:
