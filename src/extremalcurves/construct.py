@@ -14,8 +14,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ideals import Ideal, kernel_of_map
-from .oracle import fraction_rank, minimal_generators
+from .ideals import Ideal
+from .modules import GraphBasis, packed_vector
+from .oracle import fraction_rank
+from .packing import make_packer, make_unpacker
 from .ring import PolyRing, Polynomial, binom
 
 
@@ -133,7 +135,7 @@ class ConstructionInput:
         ):
             raise ConstructionError(f"the gluing form must have degree {deg_f} (or be zero)")
         rows = [binary_coeff_vector(p, deg_fi) for p in self.f_list]
-        if fraction_rank(rows) < n - 2:
+        if fraction_rank(rows, getattr(self.f_list[0].ring.field, "p", 0)) < n - 2:
             raise DegenerateInputError("dependent line forms give a degenerate curve")
         pool = list(self.f_list) + ([self.f] if self.f else [])
         if binary_gcd(pool).degree() > 0:
@@ -151,16 +153,25 @@ def construct_curve(inp: ConstructionInput) -> Ideal:
     x = ring.gens()
     planar_gens = [x[2] ** (d - 1)] + [x[i] for i in range(3, n + 1)]
     values = [inp.f] + list(inp.f_list)
-    line_ideal = [x[i] for i in range(2, n + 1)]
-    kernel = kernel_of_map(values, relations=line_ideal, ring=ring)
+    live = [t for t, p in enumerate(values) if p]
+    # the nonzero values, then the relations: the line's ideal (x2, ..., xn)
+    cols = [packed_vector(ring, [p]) for p in [values[t] for t in live] + x[2:]]
+    # the planar generators are monomials: sum c_t * u_t is a sum of key shifts
+    pack, unpack, fld = make_packer(ring.nvars), make_unpacker(ring.nvars), ring.field
+    shifts = [pack(planar_gens[t].lead_monomial) for t in live]
     gens = []
-    for vec in kernel:
-        h = ring.zero
-        for c, u in zip(vec, planar_gens):
-            h = h + c * u
-        if h:
-            gens.append(h)
-    return Ideal(ring, minimal_generators(gens))
+    for vec in GraphBasis(cols, [0], ring).kernel_generators():
+        acc = {}
+        for s, entry in vec.items():
+            if s < len(live):  # the relations' components drop out
+                for k, c in entry.items():
+                    acc[k + shifts[s]] = fld.add(acc.get(k + shifts[s], fld.zero), c)
+        terms = [(unpack(k), acc[k]) for k in sorted(acc) if acc[k]]
+        if terms:
+            gens.append(Polynomial.from_sorted(ring, terms))
+    if not inp.f:  # a zero value: its planar generator lies in the kernel
+        gens.append(planar_gens[0])
+    return Ideal.minimal(ring, gens)
 
 
 def extremal_curve_ideal(n: int, d: int, g: int) -> Ideal:
@@ -184,7 +195,7 @@ def extremal_curve_ideal(n: int, d: int, g: int) -> Ideal:
     gens.append(x[0] ** a * x[2] ** (d - 1) + x[1] ** (d + a - 2) * x[3])
     for i in range(3, n):
         gens.append(x[0] * x[i] + x[1] * x[i + 1])
-    return Ideal(ring, minimal_generators(gens))
+    return Ideal.minimal(ring, gens)
 
 
 def cubic_alternate_curve_ideal(n: int, a: int) -> Ideal:
@@ -198,7 +209,7 @@ def cubic_alternate_curve_ideal(n: int, a: int) -> Ideal:
     gens.append(x[0] ** (a + 1) * x[3] + x[1] ** (a + 1) * x[4])
     for i in range(4, n):
         gens.append(x[0] * x[i] + x[1] * x[i + 1])
-    return Ideal(ring, minimal_generators(gens))
+    return Ideal.minimal(ring, gens)
 
 
 @dataclass

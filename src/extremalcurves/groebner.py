@@ -191,6 +191,9 @@ class _Engine:
             self.slot_shift, self.slot_mask = 0, (1 << rank_bits) - 1
         self.basis = []
         self.by_slot = {}  # component -> [(lead key, index)] in index order
+        self.pairs = []  # heap of (degree, lcm degree, -lcm monomial, i, j, lcm key)
+        self.pending = set()  # the (i, j) on the heap
+        self.paired = 0  # elements whose pairs are on the heap
 
     def add(self, ep: _EnginePoly):
         lead = ep.keys[0]
@@ -273,13 +276,13 @@ class _Engine:
         lcm), then ascending revlex of the lcm, then index; the chain criterion skips a
         pair whose lcm another lead divides once both detours are done.
         The product criterion (coprime leads) holds at rank 1 only.  A cap
-        stops before the first pair above it.
+        stops before the first pair above it; the heap stays on the engine,
+        so a later call goes on from there, with the pairs of elements
+        added in between.
         """
         nv, cs, himask, modulus = self.nvars, self.comp_shift, self.himask, self.modulus
-        basis, by_slot = self.basis, self.by_slot
+        basis, by_slot, pairs, pending = self.basis, self.by_slot, self.pairs, self.pending
         lowest = min(twists, default=0)
-        pairs = []  # heap of (degree, lcm degree, -lcm monomial, i, j, lcm key)
-        pending = set()
 
         def push_pairs(j):
             lj = basis[j].keys[0]
@@ -293,14 +296,15 @@ class _Engine:
                 dw = packing.degree(w, nv)
                 heapq.heappush(pairs, (dw + twists[comp], dw, -w, i, j, comp << cs | w))
                 pending.add((i, j))
+            self.paired = j + 1
 
-        for j in range(len(basis)):
+        for j in range(self.paired, len(basis)):
             push_pairs(j)
 
         while pairs:
-            deg, _, _, i, j, w = heapq.heappop(pairs)
-            if cap is not None and deg > cap:
+            if cap is not None and pairs[0][0] > cap:
                 break
+            deg, _, _, i, j, w = heapq.heappop(pairs)
             if deg - lowest > MAXEXP:  # homogeneous: no exponent exceeds this
                 raise ExponentLimitError(f"S-pair degree {deg} exceeds the packed limit {MAXEXP}")
             pending.discard((i, j))
@@ -321,27 +325,24 @@ class _Engine:
             push_pairs(len(basis) - 1)
 
 
-def _buchberger_engine(ring, gens, cap=None, lead_only=False):
-    eng = _Engine(ring)
-    modulus = eng.modulus
-    start = []
+def _start(eng, gens):
+    """Engine elements of the nonzero gens (homogeneous polynomials or `linear_images`)."""
+    out = []
     for g in gens:
-        if isinstance(g, _EnginePoly):  # from linear_images
-            start.append(g)
-            continue
-        if not g:
-            continue
-        if not g.is_homogeneous():
-            raise ValueError("Buchberger engine expects homogeneous generators")
-        start.append(_to_engine(g, eng.pack, modulus))
-    start.sort(key=lambda e: (e.deg, e.keys[0]))
-    for e in start:
-        eng.add(e)
-    eng.complete(cap=cap, product=True)
-    basis = eng.basis
+        if isinstance(g, _EnginePoly):
+            out.append(g)
+        elif g:
+            if not g.is_homogeneous():
+                raise ValueError("Buchberger engine expects homogeneous generators")
+            out.append(_to_engine(g, eng.pack, eng.modulus))
+    return out
 
-    # prune elements whose lead is divisible by a later-found (smaller) lead
-    himask = eng.himask
+
+def _reduced(eng, lead_only=False):
+    """The reduced basis of a completed engine, as polynomials (or as lead
+    monomials only): drop each element whose lead another lead divides
+    (the earlier of two equal leads stays), then interreduce the rest."""
+    basis, himask = eng.basis, eng.himask
     kept = []
     for idx, g in enumerate(basis):
         lead = g.keys[0]
@@ -358,15 +359,23 @@ def _buchberger_engine(ring, gens, cap=None, lead_only=False):
         return [eng.unpack(g.keys[0]) for g in kept]
 
     # interreduce: no tail term is divisible by its own (equal-degree) lead
-    red = _Engine(ring)
+    red = _Engine(eng.ring)
     for g in kept:
         red.add(g)
     out = []
     for g in kept:
         keys, coeffs, mult = red.normal_form(g.keys[1:], g.coeffs[1:])
         ep = _EnginePoly([g.keys[0]] + keys, [g.coeffs[0] * mult] + coeffs, g.deg)
-        out.append(_from_engine(ep, ring, eng.unpack, modulus))
+        out.append(_from_engine(ep, eng.ring, eng.unpack, eng.modulus))
     return out
+
+
+def _buchberger_engine(ring, gens, cap=None, lead_only=False):
+    eng = _Engine(ring)
+    for e in sorted(_start(eng, gens), key=lambda e: (e.deg, e.keys[0])):
+        eng.add(e)
+    eng.complete(cap=cap, product=True)
+    return _reduced(eng, lead_only)
 
 
 class GroebnerBasis:
@@ -375,7 +384,6 @@ class GroebnerBasis:
 
     def __init__(self, ring: PolyRing, polys):
         self.ring = ring
-        self.order = "revlex"
         self.polys = tuple(
             sorted(
                 (p for p in polys if p),
@@ -443,6 +451,39 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
     if ring is None:
         ring = gens[0].ring
     return GroebnerBasis(ring, _buchberger_engine(ring, list(gens)))
+
+
+def minimal_basis(gens, ring: PolyRing):
+    """(kept, basis): the subset of the nonzero homogeneous gens that
+    `oracle.minimal_generators` keeps, in its order, and the reduced
+    Gröbner basis of the ideal it generates (equal to ``buchberger(kept)``).
+
+    One engine goes through the degrees e in ascending order: it completes
+    the pairs up to degree e, then top-reduces each degree-e candidate in
+    input order and keeps it iff the remainder is nonzero, adding the
+    remainder to the basis.  This keeps the oracle's subset, which holds g
+    iff g is not in (I_<e)_e + span(kept mates), I_<e the ideal of the gens
+    below degree e: that is, not in J_e for J the ideal of the gens kept so
+    far (the kept ones generate I_<e).  After the pairs up to degree e the
+    basis is a degree-e truncated Gröbner basis of J, so g reduces to zero
+    iff g lies in J_e.  A remainder's lead is irreducible, so it makes no
+    pair of degree <= e (no element is above degree e, so such an lcm would
+    mean another lead divides it), and the leads of degree e then span
+    J_e + K*g: the basis stays truncated at e for the next candidate.
+    After the last degree the pairs are completed with no cap.
+    """
+    gens = [g for g in gens if g]
+    eng = _Engine(ring)
+    kept = []
+    # a stable sort keeps the input order within a degree
+    for g, e in sorted(zip(gens, _start(eng, gens)), key=lambda c: c[1].deg):
+        eng.complete(cap=e.deg, product=True)
+        keys, coeffs = eng.top_reduce(e.keys, e.coeffs)
+        if keys:
+            kept.append(g)
+            eng.add(_EnginePoly(keys, _primitive(coeffs, eng.modulus), e.deg))
+    eng.complete(product=True)
+    return kept, GroebnerBasis(ring, _reduced(eng))
 
 
 def initial_monomials(gens, cap: int, ring: PolyRing | None = None) -> MonomialIdeal:

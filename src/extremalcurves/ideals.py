@@ -10,9 +10,9 @@ resolution instead (Auslander-Buchsbaum).
 
 from __future__ import annotations
 
-from .groebner import GroebnerBasis, buchberger
+from .groebner import GroebnerBasis, buchberger, minimal_basis
 from .modules import free_resolution_from_gb, module_kernel
-from .oracle import fraction_rank, minimal_generators
+from .oracle import fraction_rank
 from .ring import PolyRing, Polynomial, mono_div, mono_divides
 
 
@@ -33,6 +33,15 @@ class Ideal:
         self.gens = tuple(cleaned)
         self._gb = None
         self._resolution = None
+
+    @classmethod
+    def minimal(cls, ring: PolyRing, gens) -> Ideal:
+        """The ideal of the subset of gens that generates minimally (see
+        `groebner.minimal_basis`), with its Gröbner basis already set."""
+        ideal = cls(ring, gens)
+        kept, ideal._gb = minimal_basis(ideal.gens, ring)
+        ideal.gens = tuple(kept)
+        return ideal
 
     def groebner(self) -> GroebnerBasis:
         if self._gb is None:
@@ -124,7 +133,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
             h = h + c * f
         if h:
             out.append(h)
-    return Ideal(ring, minimal_generators(out))
+    return Ideal.minimal(ring, out)
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -161,7 +170,7 @@ def quotient(I: Ideal, J: Ideal) -> Ideal:
         gens = [divide_exact(h, g) for h in part.gens]
         cur = Ideal(ring, gens)
         result = cur if result is None else intersect(result, cur)
-    return Ideal(ring, minimal_generators(list(result.gens)))
+    return Ideal.minimal(ring, result.gens)
 
 
 def saturate(I: Ideal) -> Ideal:

@@ -8,7 +8,6 @@ Gröbner engine.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .packing import MAXEXP, SLOT, ExponentLimitError, make_packer
@@ -163,17 +162,6 @@ class GradedPieceMatrix:
     @property
     def shape(self):
         return (len(self.rows), len(self.monomials))
-
-    def dense(self):
-        pack = make_packer(self.ring.nvars)
-        cols = {pack(m): i for i, m in enumerate(self.monomials)}
-        out = []
-        for row in self.rows:
-            vec = [Fraction(0)] * len(self.monomials)
-            for k, v in row.items():
-                vec[cols[k]] = Fraction(v)
-            out.append(vec)
-        return out
 
 
 def graded_piece_basis(gens, j: int, ring: PolyRing | None = None) -> GradedPieceMatrix:

@@ -15,7 +15,7 @@ from extremalcurves.construct import (
 )
 from extremalcurves.ideals import Ideal, is_saturated
 from extremalcurves.oracle import oracle_ideal_dims
-from extremalcurves.ring import PolyRing
+from extremalcurves.ring import PolyRing, PrimeField
 
 
 class TestBinaryGcd:
@@ -60,6 +60,16 @@ class TestConstructCurve:
         x0 = R.gen(0)
         with pytest.raises(DegenerateInputError):
             ConstructionInput(n=4, d=4, a=0, f_list=(x0, x0), f=R.zero).validate()
+
+    def test_forms_dependent_mod_p_rejected(self):
+        # 3 * (x0^2 + 3*x1^2) = 3*x0^2 + 2*x1^2 mod 7: independent over QQ only
+        R = PolyRing(5, PrimeField(7))
+        x0, x1 = R.gen(0), R.gen(1)
+        inp = ConstructionInput(n=4, d=4, a=1, f_list=(x0**2 + 3 * x1**2, 3 * x0**2 + 2 * x1**2), f=R.zero)
+        with pytest.raises(DegenerateInputError):
+            inp.validate()
+        with pytest.raises(DegenerateInputError):
+            construct_curve(inp)
 
     def test_common_factor_rejected(self):
         R = PolyRing(5)

@@ -1,7 +1,7 @@
-"""Property tests for the packed module engine on random homogeneous data
-in 3 to 5 variables over QQ and Z/7: resolutions, kernels, normal forms,
-presented modules and the last-variable saturation, each against an
-independent check."""
+"""Property tests for the packed engine on random homogeneous data in 3 to
+5 variables over QQ and Z/7: reduced bases, minimal generators,
+resolutions, kernels, normal forms, presented modules and the last-variable
+saturation, each against an independent check."""
 
 import pytest
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from extremalcurves import ideals as ideals_module  # noqa: E402
 from extremalcurves.cohomology import _divide_out_last_variable  # noqa: E402
-from extremalcurves.groebner import buchberger  # noqa: E402
+from extremalcurves.groebner import buchberger, minimal_basis  # noqa: E402
 from extremalcurves.modules import (  # noqa: E402
     PresentedModule,
     free_resolution_from_gb,
@@ -18,8 +18,9 @@ from extremalcurves.modules import (  # noqa: E402
     packed_vector,
 )
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
-from extremalcurves.oracle import GradedSpan  # noqa: E402
-from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField  # noqa: E402
+from extremalcurves.oracle import GradedSpan, minimal_generators  # noqa: E402
+from extremalcurves.packing import MAXEXP, ExponentLimitError  # noqa: E402
+from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField, mono_div, mono_divides  # noqa: E402
 
 SETTINGS = settings(max_examples=20, derandomize=True, deadline=None, database=None)
 FIELDS = [QQ, PrimeField(7)]
@@ -51,6 +52,88 @@ def ideals(draw):
     for _ in range(draw(st.integers(2, 4 if ring.nvars < 5 else 3))):
         gens.append(draw(forms(ring, draw(st.integers(2, top)), min_terms=2, max_terms=4)))
     return ring, [g for g in gens if g]
+
+
+@st.composite
+def padded_generators(draw):
+    """Forms of degree 1 to 3 with redundant members put in at drawn places:
+    variable multiples, scalar multiples, sums of two members of one degree,
+    and S-vectors of two members whose leads share a variable, which only
+    the pairs of their own degree show redundant.  A redundant member may
+    land before the member it came from, which then becomes the redundant
+    one."""
+    ring = draw(rings())
+    fld = ring.field
+    top = 3 if ring.nvars == 3 else 2
+    gens = [
+        draw(forms(ring, draw(st.integers(1, top)), min_terms=1, max_terms=3))
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.sampled_from(gens))
+        kind = draw(st.sampled_from(("s-vector", "variable", "scalar", "sum")))
+        mates = [g for g in gens if g.degree() == f.degree()]
+        lcms = [(g, tuple(map(max, f.lead_monomial, g.lead_monomial))) for g in gens]
+        # leads that share a variable, neither dividing the other
+        near = [(g, w) for g, w in lcms
+                if max(f.degree(), g.degree()) < sum(w) < min(f.degree() + g.degree(), top + 2)]
+        if kind == "variable" and f.degree() < 3:
+            extra = f * ring.gen(draw(st.integers(0, ring.nvars - 1)))
+        elif kind == "sum":
+            extra = f + draw(st.sampled_from(mates))
+        elif kind == "s-vector" and near:
+            g, w = draw(st.sampled_from(near))
+            extra = (f.mono_shift(mono_div(w, f.lead_monomial), fld.div(fld.one, f.lead_coeff))
+                     - g.mono_shift(mono_div(w, g.lead_monomial), fld.div(fld.one, g.lead_coeff)))
+        else:
+            extra = f * draw(st.integers(-3, 3).filter(bool))
+        if extra:
+            gens.insert(draw(st.integers(0, len(gens))), extra)
+    return ring, gens
+
+
+def assert_reduced(gb, gens):
+    """Monic leads, none dividing another, no term of an element divisible
+    by another element's lead, and every generator a member."""
+    one = gb.ring.field.one
+    leads = [p.lead_monomial for p in gb.polys]
+    for k, p in enumerate(gb.polys):
+        assert p.lead_coeff == one
+        for m, _ in p.terms:
+            assert not any(mono_divides(lead, m) for t, lead in enumerate(leads) if t != k)
+    assert all(gb.contains(g) for g in gens)
+
+
+@SETTINGS
+@given(ideals())
+def test_buchberger_basis_is_reduced(data):
+    ring, gens = data
+    assert_reduced(buchberger(gens, ring), gens)
+
+
+@SETTINGS
+@given(padded_generators())
+def test_minimal_basis_keeps_the_oracle_subset(data):
+    ring, gens = data
+    kept, gb = minimal_basis(gens, ring)
+    assert kept == minimal_generators(gens)
+    assert gb == buchberger(kept, ring)
+    assert_reduced(gb, gens)
+
+
+@SETTINGS
+@given(padded_generators())
+def test_minimal_basis_enforces_the_exponent_limit(data):
+    # the oracle raises once it reaches the degree: alone, the generator
+    # above the limit is its first degree
+    ring, gens = data
+    big = gens[-1] * ring.gen(0) ** MAXEXP
+    with pytest.raises(ExponentLimitError):
+        minimal_generators([big])
+    with pytest.raises(ExponentLimitError):
+        minimal_basis([big], ring)
+    with pytest.raises(ExponentLimitError):
+        minimal_basis(gens + [big], ring)
 
 
 @st.composite

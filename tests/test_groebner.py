@@ -2,14 +2,38 @@ import random
 
 import pytest
 
-from extremalcurves.groebner import buchberger, initial_monomials
+from extremalcurves.groebner import buchberger, initial_monomials, minimal_basis
 from extremalcurves.monomials import MonomialIdeal
-from extremalcurves.oracle import oracle_ideal_dims
+from extremalcurves.oracle import minimal_generators, oracle_ideal_dims
 from extremalcurves.packing import ExponentLimitError, make_packer
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
+
+
+class TestMinimalBasis:
+    def test_a_pair_of_the_candidate_degree_shows_it_redundant(self):
+        # c = x1*a - x0*b has the lead x1^2*x2, which neither lead divides:
+        # only the S-pair of a and b, of degree 3, puts it in the basis
+        x0, x1, x2 = R3.gens()
+        a, b = x0 * x0 + x1 * x2, x0 * x1 + x2 * x2
+        c = x1 * a - x0 * b
+        kept, gb = minimal_basis([c, a, b], R3)
+        assert kept == [a, b] == minimal_generators([c, a, b])
+        assert gb == buchberger([a, b])
+
+    def test_kept_mates_count(self):
+        # within one degree a candidate is measured against the kept mates
+        x0, x1, x2 = R3.gens()
+        gens = [x0 * x1, x0 * x1 + x2 * x2, x2 * x2, x0 * x0]
+        kept, gb = minimal_basis(gens, R3)
+        assert kept == [x0 * x1, x0 * x1 + x2 * x2, x0 * x0] == minimal_generators(gens)
+        assert gb == buchberger(kept)
+
+    def test_empty_and_zero_generators(self):
+        kept, gb = minimal_basis([R3.zero], R3)
+        assert kept == [] and len(gb) == 0
 
 
 class TestBuchberger:
