@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 
 from .cohomology import (
@@ -169,6 +168,8 @@ def _cmd_sweep(args):
             for a in range(a_lo, a_hi + 1):
                 tasks.append((n, d, a, args.seed))
     if args.jobs > 1:
+        import multiprocessing  # only the parallel sweep needs it; keeps CLI start-up light
+
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.map(sweep_point, tasks, chunksize=1)
     else:

@@ -34,7 +34,7 @@ from .modules import GraphBasis, PresentedModule
 from .monomials import MonomialIdeal, ek_betti
 from .oracle import fraction_rank
 from .report import CurveReport
-from .ring import PolyRing, Polynomial, format_mono
+from .ring import PolyRing, format_mono
 
 
 class NotACurveError(ValueError):
@@ -170,8 +170,11 @@ class DualCohomology:
             self._h2_parts = (coker_a, coimage_b)
         return self._h2_parts
 
-    def h1_value(self, j: int) -> int:
-        return self.rao_dual.hf(-j - self.ring.nvars)
+    def rao_dims(self, lo: int, hi: int) -> dict:
+        """{j: dim M_j} for lo <= j <= hi, zeros included: M_j = H^1(I_C(j))
+        is dual to the dual module's piece in degree -j - nvars."""
+        nvars = self.ring.nvars
+        return {j: self.rao_dual.hf(-j - nvars) for j in range(lo, hi + 1)}
 
     def h2_value(self, j: int) -> int:
         coker_a, coimage_b = self.h2_parts
@@ -220,17 +223,14 @@ def _transpose(m):
     return [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
 
 
-def deficiency_module(dual: DualCohomology, window) -> FiniteLengthModule:
-    """The Hartshorne-Rao module from the dual complex: dimensions over the
-    window, multiplication maps, generator data, and (for cyclic modules)
-    the minimal generator degrees of the annihilator."""
+def deficiency_module(dual: DualCohomology, table) -> FiniteLengthModule:
+    """The Hartshorne-Rao module from the dual complex and its dimension
+    table over the window widened by 2 (`DualCohomology.rao_dims`):
+    dimensions, multiplication maps, generator data, and (for cyclic
+    modules) the minimal generator degrees of the annihilator."""
     nvars = dual.ring.nvars
-    lo, hi = window[0] - 2, window[1] + 2
-    dims = {}
-    for j in range(lo, hi + 1):
-        v = dual.rao_dual.hf(-j - nvars)
-        if v:
-            dims[j] = v
+    lo, hi = min(table), max(table)
+    dims = {j: v for j, v in table.items() if v}
     if dims and (min(dims) <= lo or max(dims) >= hi):
         raise InternalCheckError("deficiency module support leaks out of the window")
     mult = {}
@@ -308,14 +308,14 @@ def _annihilator_degrees(dims, mult, nvars, ranks):
     return sorted(out)
 
 
-def h2_table(dual: DualCohomology, hilbert: HilbertTable):
+def h2_table(dual: DualCohomology, hilbert: HilbertTable, h1_values):
     """Second cohomology over the Hilbert table's window, with the
-    Riemann-Roch identity asserted at every degree."""
+    Riemann-Roch identity asserted at every degree against the h1 values
+    over that window."""
     lo, hi = hilbert.window
     values = []
-    for j in range(lo, hi + 1):
+    for j, h1 in zip(range(lo, hi + 1), h1_values, strict=True):
         h2 = dual.h2_value(j)
-        h1 = dual.h1_value(j)
         lhs = hilbert.at(j) - hilbert.polynomial_value(j)
         if lhs != -h1 + h2:
             raise InternalCheckError(
@@ -330,53 +330,35 @@ def h2_table(dual: DualCohomology, hilbert: HilbertTable):
 # hyperplane sections and planar subcurves
 
 
-def _divide_out_last_variable(gb_polys, ring: PolyRing):
-    """Divide each basis element by its maximal last-variable power.
-
-    For a revlex Gröbner basis of a homogeneous ideal J this yields a
-    Gröbner basis of (J : x_last^infty), and the leads are divided the same
-    way (Bayer-Stillman)."""
-    out = []
-    last = ring.nvars - 1
-    for p in gb_polys:
-        k = min(m[last] for m, _ in p.terms)
-        if k:
-            shift = tuple(-k if i == last else 0 for i in range(ring.nvars))
-            p = Polynomial(ring, [(tuple(e + s for e, s in zip(m, shift)), c) for m, c in p.terms])
-        out.append(p)
-    return out
-
-
-def hyperplane_section(I: Ideal, seed: int = 0):
-    """Section by a general hyperplane: the saturated image ideal in one
-    fewer variable and its Hilbert values through degree + 1.
+def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
+    """Section by a general hyperplane of a curve of the given degree whose
+    Hilbert values in degrees 0 to reg + 2 are hvals: the section's Hilbert
+    values through degree + 1, and the drawn matrix.
 
     A seeded generic coordinate change moves the hyperplane to {x_n = 0};
-    the cut is the image with the matrix's last column dropped, saturated
-    with the last remaining variable (generic inside the hyperplane) by
-    dividing its reduced basis and its leads by that variable.  Of up to 12
-    draws, those whose cut fails the non-zerodivisor Hilbert test
-    h(R/(I+l))_j = h_C(j) - h_C(j-1) in low degrees are rejected, and so are
-    those whose saturated cut has fewer than degree points at degree + 1:
-    there the last variable vanishes at a section point, so it is not
-    generic inside the hyperplane."""
+    the cut is the image with the matrix's last column dropped.  Its
+    saturation with the last remaining variable (generic inside the
+    hyperplane) has the cut's leads with the last exponent set to 0 as its
+    initial ideal (Bayer-Stillman), so the values are read off those leads
+    and no section ideal is built.  Of up to 12 draws, those whose cut
+    fails the non-zerodivisor Hilbert test h(R/(I+l))_j = h_C(j) - h_C(j-1)
+    in low degrees are rejected, and so are those whose saturated cut has
+    fewer than degree points at degree + 1: there the last variable
+    vanishes at a section point, so it is not generic inside the
+    hyperplane."""
     ring = I.ring
-    degree, _ = detect_hilbert_polynomial(I)
-    reg = I.resolution().regularity()
     target = PolyRing(ring.nvars - 1, ring.field)
     last = target.nvars - 1
-    hvals = [I.initial_ideal().quotient_dim(j) for j in range(reg + 3)]
     for attempt in range(12):
         rng = random.Random(mix_seed(seed, attempt, 77))
         matrix = random_invertible_matrix(ring, rng, 20)
         cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
         if not cut:
             continue
-        gb = buchberger(cut, target)
-        cut_dims = gb.initial_ideal()
+        cut_dims = buchberger(cut, target).initial_ideal()
         ok = all(
             cut_dims.quotient_dim(j) == hvals[j] - (hvals[j - 1] if j else 0)
-            for j in range(reg + 3)
+            for j in range(len(hvals))
         )
         if not ok:
             continue
@@ -384,23 +366,29 @@ def hyperplane_section(I: Ideal, seed: int = 0):
         values = [lead.quotient_dim(j) for j in range(0, degree + 2)]
         if values[-1] != degree:  # section points on {x_last = 0}
             continue
-        section = Ideal(target, _divide_out_last_variable(gb.polys, target))
-        return section, values, matrix
-    raise ValueError("exhausted draws without a non-zerodivisor hyperplane")
+        return values, matrix
+    raise InternalCheckError("exhausted draws without a non-zerodivisor hyperplane")
 
 
 def general_section_values(I: Ideal, seed: int = 0):
     """Hilbert values of the general hyperplane section: two independent
     draws must agree (a third breaks ties), guarding against a special
-    hyperplane slipping past the non-zerodivisor test."""
-    first = hyperplane_section(I, seed=mix_seed(seed, 0, 101))[1]
-    second = hyperplane_section(I, seed=mix_seed(seed, 1, 101))[1]
+    hyperplane slipping past the non-zerodivisor test.  The curve's degree
+    and Hilbert values are derived once for all draws."""
+    degree, _ = detect_hilbert_polynomial(I)
+    lead = I.initial_ideal()
+    hvals = [lead.quotient_dim(j) for j in range(I.resolution().regularity() + 3)]
+
+    def draw(k):
+        return hyperplane_section(I, degree, hvals, seed=mix_seed(seed, k, 101))[0]
+
+    first, second = draw(0), draw(1)
     if first == second:
         return first
-    third = hyperplane_section(I, seed=mix_seed(seed, 2, 101))[1]
+    third = draw(2)
     if third in (first, second):
         return third
-    raise ValueError("hyperplane section values failed to stabilize over three draws")
+    raise InternalCheckError("hyperplane section values failed to stabilize over three draws")
 
 
 def planar_subcurve_check(I: Ideal, plane_forms) -> bool:
@@ -473,13 +461,20 @@ class CurveAnalysis:
         return hilbert_table(self.ideal, self.window)
 
     @cached_property
+    def rao_dims(self) -> dict:
+        """The Rao dimensions over the window widened by 2: the one table
+        that h1 and the Rao module read."""
+        lo, hi = self.window
+        return self.dual.rao_dims(lo - 2, hi + 2)
+
+    @cached_property
     def rao(self) -> FiniteLengthModule:
-        return deficiency_module(self.dual, self.window)
+        return deficiency_module(self.dual, self.rao_dims)
 
     @cached_property
     def h1(self) -> list:
         """h1 over the window, checked against the proven bound."""
-        h1 = [self.dual.h1_value(j) for j in self.degrees]
+        h1 = [self.rao_dims[j] for j in self.degrees]
         for j, got, bound in zip(self.degrees, h1, self.profile.h1):
             if got > bound:
                 raise InternalCheckError(
@@ -490,7 +485,7 @@ class CurveAnalysis:
     @cached_property
     def h2(self) -> list:
         """h2 over the window, with Riemann-Roch checked at every degree."""
-        return h2_table(self.dual, self.hilbert)
+        return h2_table(self.dual, self.hilbert, self.h1)
 
     @cached_property
     def rao_expected(self):

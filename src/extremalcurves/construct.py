@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ideals import Ideal
 from .modules import GraphBasis, packed_vector
@@ -40,15 +39,17 @@ def _is_binary(p: Polynomial) -> bool:
 
 
 def binary_coeff_vector(p: Polynomial, degree: int):
-    """Coefficients of a binary form along x0^e * x1^(degree-e), e = 0..degree."""
-    out = [Fraction(0)] * (degree + 1)
+    """Coefficients of a binary form along x0^e * x1^(degree-e), e = 0..degree,
+    in the ring's field."""
+    out = [p.ring.field.zero] * (degree + 1)
     for m, c in p.terms:
-        out[m[0]] = Fraction(c)
+        out[m[0]] = c
     return out
 
 
-def _uni_gcd(a, b):
-    """Monic gcd of univariate coefficient lists (ascending powers)."""
+def _uni_gcd(a, b, fld):
+    """Monic gcd of univariate coefficient lists (ascending powers) over the
+    field `fld`."""
 
     def strip(v):
         v = list(v)
@@ -64,15 +65,15 @@ def _uni_gcd(a, b):
             if not r[-1]:
                 r.pop()
                 continue
-            f = r[-1] / b[-1]
+            f = fld.div(r[-1], b[-1])
             off = len(r) - len(b)
             for i, c in enumerate(b):
-                r[off + i] -= f * c
+                r[off + i] = fld.add(r[off + i], fld.neg(fld.mul(f, c)))
             r.pop()
         a, b = b, strip(r)
     if a:
         lead = a[-1]
-        a = [c / lead for c in a]
+        a = [fld.div(c, lead) for c in a]
     return a
 
 
@@ -93,7 +94,7 @@ def binary_gcd(forms):
         top = max(i for i, c in enumerate(vec) if c)
         v1 = deg - top
         x1_power = v1 if x1_power is None else min(x1_power, v1)
-        uni = vec if uni is None else _uni_gcd(uni, vec)
+        uni = vec if uni is None else _uni_gcd(uni, vec, ring.field)
     gdeg = max((i for i, c in enumerate(uni) if c), default=0)
     terms = []
     for e, c in enumerate(uni):

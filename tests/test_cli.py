@@ -264,7 +264,7 @@ class TestCli:
     def test_verify_exit_3_when_riemann_roch_fails(self, tmp_path, monkeypatch, capsys):
         import extremalcurves.cohomology as cohomology
 
-        def broken(dual, hilbert):
+        def broken(dual, hilbert, h1_values):
             raise AssertionError("injected Riemann-Roch failure")
 
         monkeypatch.setattr(cohomology, "h2_table", broken)
@@ -272,3 +272,34 @@ class TestCli:
         path.write_text(emit_ideal(extremal_curve_ideal(3, 4, 0)))
         assert main(["verify", str(path)]) == 3
         assert "injected Riemann-Roch failure" in capsys.readouterr().err
+
+    def test_exhausted_section_draws_exit_3(self, tmp_path, monkeypatch, capsys):
+        # every draw is the identity: the hyperplane x3 = 0 contains the
+        # line supporting ex45 (3, 4, 0), so no draw is a non-zerodivisor;
+        # the input passed every check, so this is an internal failure
+        import extremalcurves.cohomology as cohomology
+
+        def identity(ring, rng, bound):
+            return [[int(i == j) for j in range(ring.nvars)] for i in range(ring.nvars)]
+
+        monkeypatch.setattr(cohomology, "random_invertible_matrix", identity)
+        path = tmp_path / "curve.ideal"
+        path.write_text(emit_ideal(extremal_curve_ideal(3, 4, 0)))
+        assert main(["analyze", str(path)]) == 3
+        assert "exhausted draws" in capsys.readouterr().err
+
+    def test_import_leaves_out_multiprocessing(self):
+        import os
+        import subprocess
+        import sys
+
+        import extremalcurves
+
+        src = os.path.dirname(os.path.dirname(extremalcurves.__file__))
+        code = "import sys, extremalcurves.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"

@@ -8,6 +8,7 @@ from extremalcurves.cohomology import (
     FiniteLengthModule,
     InternalCheckError,
     NotACurveError,
+    constructed_curve_probe,
     deficiency_module,
     general_section_values,
     h2_table,
@@ -19,7 +20,7 @@ from extremalcurves.cohomology import (
 from extremalcurves.construct import extremal_curve_ideal, non_extremal_witness
 from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal
-from extremalcurves.modules import ResolutionData
+from extremalcurves.modules import PresentedModule, ResolutionData
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 
 R4 = PolyRing(4)
@@ -63,7 +64,8 @@ class TestDeficiencyModule:
 
     def test_acm_plane_curve(self):
         x2, x3 = R4.gen(2), R4.gen(3)
-        m = deficiency_module(DualCohomology(Ideal(R4, [x2 ** 3, x3])), (-3, 6))
+        dual = DualCohomology(Ideal(R4, [x2 ** 3, x3]))
+        m = deficiency_module(dual, dual.rao_dims(-5, 8))
         assert m.dims == {}
         assert m.generator_count == 0
 
@@ -80,31 +82,42 @@ class TestDeficiencyModule:
 class TestH2:
     def test_space_quartic_values(self):
         I = extremal_curve_ideal(3, 4, 0)
-        window = (0, 3)
-        values = h2_table(DualCohomology(I), hilbert_table(I, window=window))
+        dual = DualCohomology(I)
+        values = h2_table(dual, hilbert_table(I, window=(0, 3)), list(dual.rao_dims(0, 3).values()))
         assert values[0] == 1  # binom(d-2, 2) at j = 0
         assert values[1:] == [0, 0, 0]
 
     def test_riemann_roch_enforced(self):
         # The identity is asserted inside h2_table; a passing call proves it.
         I = extremal_curve_ideal(4, 4, 0)
-        window = (-5, 6)
-        h2_table(DualCohomology(I), hilbert_table(I, window=window))
+        dual = DualCohomology(I)
+        h2_table(dual, hilbert_table(I, window=(-5, 6)), list(dual.rao_dims(-5, 6).values()))
+
+    def test_riemann_roch_failure_raises(self):
+        I = extremal_curve_ideal(4, 5, 1)
+        dual = DualCohomology(I)
+        h1 = list(dual.rao_dims(-3, 2).values())
+        h1[2] += 1
+        with pytest.raises(InternalCheckError, match="Riemann-Roch"):
+            h2_table(dual, hilbert_table(I, window=(-3, 2)), h1)
 
     def test_acm_space_quintic_values(self):
         # ex45 (n, d, g) = (3, 5, 3): ACM, so F*_{n-1}/im a alone gives h2
         I = extremal_curve_ideal(3, 5, 3)
         dual = DualCohomology(I)
         assert dual.acm
-        assert h2_table(dual, hilbert_table(I, window=(-2, 1))) == [12, 7, 3, 1]
+        h1 = list(dual.rao_dims(-2, 1).values())
+        assert h1 == [0, 0, 0, 0]
+        assert h2_table(dual, hilbert_table(I, window=(-2, 1)), h1) == [12, 7, 3, 1]
 
     def test_non_acm_quintic_in_p4_values(self):
         # ex45 (n, d, g) = (4, 5, 1): h1 and h2 both nonzero at j = -1, 0
         I = extremal_curve_ideal(4, 5, 1)
         dual = DualCohomology(I)
         assert not dual.acm
-        assert h2_table(dual, hilbert_table(I, window=(-3, 2))) == [15, 10, 6, 3, 1, 0]
-        assert [dual.h1_value(j) for j in range(-3, 3)] == [0, 0, 1, 2, 1, 1]
+        h1 = list(dual.rao_dims(-3, 2).values())
+        assert h1 == [0, 0, 1, 2, 1, 1]
+        assert h2_table(dual, hilbert_table(I, window=(-3, 2)), h1) == [15, 10, 6, 3, 1, 0]
 
     def test_image_outside_the_kernel_raises(self):
         # scale one entry of a: the image of a basis vector picks up
@@ -141,7 +154,8 @@ class TestHyperplaneSection:
         # plane conic in P^3: two points
         x0, x1, x2, x3 = R4.gens()
         I = Ideal(R4, [x3, x0 * x2 - x1 * x1])
-        _, values, _ = hyperplane_section(I, seed=5)
+        hvals = [1, 3, 5, 7, 9]  # degrees 0 to reg + 2, reg = 2
+        values, _ = hyperplane_section(I, 2, hvals, seed=5)
         assert values[:3] == [1, 2, 2]
 
     def test_not_collinear_in_p5(self):
@@ -221,17 +235,55 @@ class TestCurveAnalysis:
 
             return wrapper
 
-        for name in ("hilbert_table", "deficiency_module", "h2_table"):
+        for name in ("hilbert_table", "deficiency_module", "h2_table", "hyperplane_section"):
             monkeypatch.setattr(cohomology, name, counted(name, getattr(cohomology, name)))
-        monkeypatch.setattr(
-            DualCohomology, "__init__", counted("DualCohomology", DualCohomology.__init__)
-        )
+        duals, rao_degrees, in_sections = [], [], []
+        dual_init = counted("DualCohomology", DualCohomology.__init__)
+
+        def recorded_dual(self, I):
+            dual_init(self, I)
+            duals.append(self)
+
+        def recorded_hf(module, degree):
+            if any(module is dual.rao_dual for dual in duals):
+                rao_degrees.append(degree)
+            return hf(module, degree)
+
+        def sections(I, seed=0):
+            in_sections.append(True)
+            try:
+                return general_section_values(I, seed)
+            finally:
+                in_sections.pop()
+
+        def section_data(I):
+            if in_sections:  # the curve's (d, g) derived for the section draws
+                calls["section curve data"] = calls.get("section curve data", 0) + 1
+            return detect(I)
+
+        hf, detect = PresentedModule.hf, cohomology.detect_hilbert_polynomial
+        monkeypatch.setattr(DualCohomology, "__init__", recorded_dual)
+        monkeypatch.setattr(PresentedModule, "hf", recorded_hf)
+        monkeypatch.setattr(cohomology, "general_section_values", sections)
+        monkeypatch.setattr(cohomology, "detect_hilbert_polynomial", section_data)
         # d = 4 with a = 1: every check of the report runs
         rep = verify_extremal(extremal_curve_ideal(3, 4, 0), seed=1)
         assert rep.gin_checked and rep.betti_checked and rep.planar_checked
+        assert calls.pop("hyperplane_section") >= 2
         assert calls == {
             "DualCohomology": 1, "hilbert_table": 1, "deficiency_module": 1, "h2_table": 1,
+            "section curve data": 1,
         }
+        # each degree of the Rao dual is evaluated at most once
+        assert rao_degrees and len(rao_degrees) == len(set(rao_degrees))
+
+    def test_probe_builds_no_multiplication_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("the probe built a multiplication matrix")
+
+        monkeypatch.setattr(PresentedModule, "mult_matrix", forbidden)
+        # ex45 (4, 5, 1) is not ACM: its h1 comes from a nonzero Rao dual
+        assert any(constructed_curve_probe(extremal_curve_ideal(4, 5, 1))["h1"])
 
     def test_statements_that_do_not_apply_read_none(self):
         c = CurveAnalysis(extremal_curve_ideal(3, 2, -1), seed=1)

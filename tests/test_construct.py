@@ -36,6 +36,15 @@ class TestBinaryGcd:
         g = binary_gcd([x1 * x1 * x0, x1 * (x0 + x1) * (x0 + x1)])
         assert g == x1
 
+    def test_factor_common_only_mod_p(self):
+        # x0^2 + 3*x1^2 = (x0 + 2*x1)(x0 + 5*x1) over Z/7, irreducible over QQ
+        R = PolyRing(4, PrimeField(7))
+        x0, x1 = R.gen(0), R.gen(1)
+        assert binary_gcd([x0 + 2 * x1, x0 * x0 + 3 * x1 * x1]) == x0 + 2 * x1
+        inp = ConstructionInput(3, 3, 1, (x0 + 2 * x1,), x0 * x0 + 3 * x1 * x1)
+        with pytest.raises(InfiniteCokernelError):
+            inp.validate()
+
 
 class TestConstructCurve:
     def test_matches_catalog_quartic(self):

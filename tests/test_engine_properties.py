@@ -9,7 +9,6 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from extremalcurves import ideals as ideals_module  # noqa: E402
-from extremalcurves.cohomology import _divide_out_last_variable  # noqa: E402
 from extremalcurves.groebner import buchberger, minimal_basis  # noqa: E402
 from extremalcurves.modules import (  # noqa: E402
     PresentedModule,
@@ -232,15 +231,14 @@ def test_presented_module_hf_matches_linear_algebra(data):
 @SETTINGS
 @given(ideals_with_last_variable_factors())
 def test_last_variable_saturation_is_one_division(data):
-    # Bayer-Stillman: dividing a revlex basis by the last variable gives a
-    # basis of (J : x_last^infty), whose initial ideal is in(J) with the
-    # last exponent set to 0; the reference iterates ideal quotients
+    # Bayer-Stillman: for a revlex basis, the initial ideal of
+    # (J : x_last^infty) is in(J) with the last exponent set to 0, which is
+    # what the hyperplane section's values are read off; the reference
+    # iterates ideal quotients
     ring, gens = data
     last = ring.nvars - 1
     gb = buchberger(gens, ring)
     zeroed = MonomialIdeal(ring.nvars, [m[:last] + (0,) for m in gb.initial_ideal().gens])
-    divided = _divide_out_last_variable(gb.polys, ring)
-    assert MonomialIdeal(ring.nvars, [p.lead_monomial for p in divided]) == zeroed
     J = ideals_module.Ideal(ring, gens)
     x_last = ideals_module.Ideal(ring, [ring.gen(last)])
     for _ in range(ring.nvars + 4):
@@ -251,4 +249,3 @@ def test_last_variable_saturation_is_one_division(data):
     else:
         raise AssertionError("quotient chain did not stabilize")
     assert J.initial_ideal() == zeroed
-    assert ideals_module.Ideal(ring, divided) == J
