@@ -94,18 +94,17 @@ def detect_hilbert_polynomial(I: Ideal):
     return sum(q), 1 - sum(q) + sum(i * c for i, c in enumerate(q))
 
 
-def hilbert_table(I: Ideal, window) -> HilbertTable:
-    """Hilbert function of the quotient over a window, plus the detected
-    degree and genus; errors unless the quotient has dimension two."""
-    d, g = detect_hilbert_polynomial(I)
+def hilbert_table(I: Ideal, window, degree: int, genus: int) -> HilbertTable:
+    """Hilbert function of the quotient over a window, with the curve's
+    degree and genus (from `detect_hilbert_polynomial`)."""
     lo, hi = window
     lead = I.initial_ideal()
     dims = tuple(lead.quotient_dim(j) for j in range(lo, hi + 1))
     return HilbertTable(
         window=(lo, hi),
         dims=dims,
-        degree=d,
-        genus=g,
+        degree=degree,
+        genus=genus,
         regularity=I.resolution().regularity(),
     )
 
@@ -370,12 +369,11 @@ def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
     raise InternalCheckError("exhausted draws without a non-zerodivisor hyperplane")
 
 
-def general_section_values(I: Ideal, seed: int = 0):
-    """Hilbert values of the general hyperplane section: two independent
-    draws must agree (a third breaks ties), guarding against a special
-    hyperplane slipping past the non-zerodivisor test.  The curve's degree
-    and Hilbert values are derived once for all draws."""
-    degree, _ = detect_hilbert_polynomial(I)
+def general_section_values(I: Ideal, degree: int, seed: int = 0):
+    """Hilbert values of the general hyperplane section of a curve of the
+    given degree: two independent draws must agree (a third breaks ties),
+    guarding against a special hyperplane slipping past the non-zerodivisor
+    test.  The curve's Hilbert values are derived once for all draws."""
     lead = I.initial_ideal()
     hvals = [lead.quotient_dim(j) for j in range(I.resolution().regularity() + 3)]
 
@@ -391,9 +389,9 @@ def general_section_values(I: Ideal, seed: int = 0):
     raise InternalCheckError("hyperplane section values failed to stabilize over three draws")
 
 
-def planar_subcurve_check(I: Ideal, plane_forms) -> bool:
-    """True when the curve meets the given plane in a one-dimensional scheme
-    of degree one less than the curve's."""
+def planar_subcurve_check(I: Ideal, plane_forms, degree: int) -> bool:
+    """True when the curve, of the given degree, meets the given plane in a
+    one-dimensional scheme of degree one less."""
     ring = I.ring
     forms = list(plane_forms)
     if len(forms) != ring.n - 2:
@@ -405,14 +403,13 @@ def planar_subcurve_check(I: Ideal, plane_forms) -> bool:
         rows.append([f.coefficient(ring.var_mono(i)) for i in range(ring.nvars)])
     if fraction_rank(rows, getattr(ring.field, "p", 0)) < len(forms):
         raise ValueError("dependent plane forms")
-    d, _ = detect_hilbert_polynomial(I)
     # saturating I + (forms) would not change its Hilbert polynomial
     J = Ideal(ring, list(I.gens) + forms)
     try:
         section_degree, _ = detect_hilbert_polynomial(J)
     except NotACurveError:
         return False
-    return section_degree == d - 1
+    return section_degree == degree - 1
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +455,7 @@ class CurveAnalysis:
 
     @cached_property
     def hilbert(self) -> HilbertTable:
-        return hilbert_table(self.ideal, self.window)
+        return hilbert_table(self.ideal, self.window, self.spec.d, self.spec.g)
 
     @cached_property
     def rao_dims(self) -> dict:
@@ -516,7 +513,8 @@ class CurveAnalysis:
         """Hilbert values of the general hyperplane section in degrees 1 to d + 1."""
         if self.section_seed is None:
             return None
-        return general_section_values(self.ideal, seed=self.section_seed)[1 : self.spec.d + 2]
+        d = self.spec.d
+        return general_section_values(self.ideal, d, seed=self.section_seed)[1 : d + 2]
 
     @cached_property
     def betti(self):
@@ -529,7 +527,9 @@ class CurveAnalysis:
         if not self._betti_range():
             return None
         ring = self.ideal.ring
-        return planar_subcurve_check(self.ideal, [ring.gen(i) for i in range(3, ring.nvars)])
+        return planar_subcurve_check(
+            self.ideal, [ring.gen(i) for i in range(3, ring.nvars)], self.spec.d
+        )
 
 
 def _formatted(monomial_ideal):

@@ -1,11 +1,17 @@
 """Construction of non-degenerate curves supported on a line.
 
-A planar curve of degree d-1 on the line L = {x2 = ... = xn = 0} is glued
-against a twist of the line's coordinate ring along a map given by binary
-forms f_1, ..., f_{n-2} (degree a+n-3) and f (degree d+a+n-5, possibly
-zero); the kernel of that map is a saturated curve ideal of degree d and
-genus max_genus - a.  Explicit catalogs realize the extremal curves, the
-degree-3 alternate family, and a non-extremal witness.
+A planar curve of degree d-1 on the line L = {x2 = ... = xn = 0}, with
+generators u = (x2^(d-1), x3, ..., xn), is glued against a twist of the
+line's coordinate ring along the map e_t -> f_t given by binary forms
+f_0 = f (degree d+a+n-5, possibly zero) and f_1, ..., f_{n-2} (degree
+a+n-3).  The glued curve's ideal is
+
+    I = (x2, ..., xn)·(u) + (sum_t s_t u_t : s in Syz_{K[x0,x1]}(f_t)),
+
+a saturated curve ideal of degree d and genus max_genus - a, so the kernel
+is one syzygy computation over K[x0, x1]; the same computation decides
+that the forms are coprime.  Explicit catalogs realize the extremal
+curves, the degree-3 alternate family, and a non-extremal witness.
 """
 
 from __future__ import annotations
@@ -47,65 +53,6 @@ def binary_coeff_vector(p: Polynomial, degree: int):
     return out
 
 
-def _uni_gcd(a, b, fld):
-    """Monic gcd of univariate coefficient lists (ascending powers) over the
-    field `fld`."""
-
-    def strip(v):
-        v = list(v)
-        while v and not v[-1]:
-            v.pop()
-        return v
-
-    a, b = strip(a), strip(b)
-    while b:
-        # a mod b
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            if not r[-1]:
-                r.pop()
-                continue
-            f = fld.div(r[-1], b[-1])
-            off = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[off + i] = fld.add(r[off + i], fld.neg(fld.mul(f, c)))
-            r.pop()
-        a, b = b, strip(r)
-    if a:
-        lead = a[-1]
-        a = [fld.div(c, lead) for c in a]
-    return a
-
-
-def binary_gcd(forms):
-    """Gcd of homogeneous binary forms (monic in x0); 1 for coprime input."""
-    forms = [p for p in forms if p]
-    if not forms:
-        raise ValueError("gcd of zero forms")
-    ring = forms[0].ring
-    x1_power = None
-    uni = None
-    for p in forms:
-        if not _is_binary(p) or not p.is_homogeneous():
-            raise ValueError("binary homogeneous forms required")
-        deg = p.degree()
-        vec = binary_coeff_vector(p, deg)
-        # strip the trailing x1 part: v1 = deg - top x0 power
-        top = max(i for i, c in enumerate(vec) if c)
-        v1 = deg - top
-        x1_power = v1 if x1_power is None else min(x1_power, v1)
-        uni = vec if uni is None else _uni_gcd(uni, vec, ring.field)
-    gdeg = max((i for i, c in enumerate(uni) if c), default=0)
-    terms = []
-    for e, c in enumerate(uni):
-        if c:
-            m = [0] * ring.nvars
-            m[0] = e
-            m[1] = gdeg - e + x1_power
-            terms.append((tuple(m), c))
-    return Polynomial(ring, terms)
-
-
 @dataclass(frozen=True)
 class ConstructionInput:
     """Numerical data plus the binary forms driving the construction."""
@@ -116,7 +63,16 @@ class ConstructionInput:
     f_list: tuple
     f: Polynomial
 
-    def validate(self):
+    def validate(self) -> GraphBasis:
+        """Check the input; return the syzygy run over K[x0, x1] of the
+        nonzero values among (f, f_1, ..., f_{n-2}), in that order, which
+        decided that they are coprime.
+
+        Forms in K[x0, x1] are coprime iff they have no common zero on P^1
+        iff their ideal is primary to (x0, x1) iff its lead ideal is
+        artinian, that is, holds a power of x0 and a power of x1; the graph
+        elements with leads in the image component are a Gröbner basis of
+        that ideal."""
         n, d, a = self.n, self.d, self.a
         if n < 3 or d < 3 or a < 0:
             raise ConstructionError("need n >= 3, d >= 3, a >= 0")
@@ -135,44 +91,61 @@ class ConstructionInput:
             or self.f.degree() != deg_f
         ):
             raise ConstructionError(f"the gluing form must have degree {deg_f} (or be zero)")
+        field = self.f_list[0].ring.field
         rows = [binary_coeff_vector(p, deg_fi) for p in self.f_list]
-        if fraction_rank(rows, getattr(self.f_list[0].ring.field, "p", 0)) < n - 2:
+        if fraction_rank(rows, getattr(field, "p", 0)) < n - 2:
             raise DegenerateInputError("dependent line forms give a degenerate curve")
-        pool = list(self.f_list) + ([self.f] if self.f else [])
-        if binary_gcd(pool).degree() > 0:
+        # a binary form's packed keys read the same in two variables
+        line = PolyRing(2, field)
+        values = ([self.f] if self.f else []) + list(self.f_list)
+        graph = GraphBasis([packed_vector(p.ring, [p]) for p in values], [0], line)
+        leads = [graph.engine.unpack(k) for k, _ in graph.engine.by_slot.get(0, ())]
+        if not (any(e1 == 0 for _, e1 in leads) and any(e0 == 0 for e0, _ in leads)):
             raise InfiniteCokernelError("common factor: the cokernel has infinite length")
+        return graph
 
 
 def construct_curve(inp: ConstructionInput) -> Ideal:
-    """Saturated ideal of the glued curve: the kernel of the map sending the
-    planar-curve generators to the chosen binary forms."""
-    inp.validate()
+    """Saturated ideal of the glued curve: the combinations sum c_t u_t of
+    the planar generators whose coefficients satisfy sum c_t f_t = 0 modulo
+    the line's ideal (x2, ..., xn); with f = 0 that includes u_0.
+
+    That kernel is I = (x2, ..., xn)·(u) + (sum s_t u_t : s in Syz(f_t)),
+    s over K[x0, x1].  Proof: it is the projection onto the f-part of the
+    syzygies of (f_t, x2, ..., xn) over K[x0, ..., xn].  Write
+    c = c' + c'' with c' = c(x0, x1, 0, ..., 0) and c'' in (x2, ..., xn)R^m.
+    The f_t are binary, so sum c_t f_t = sum c'_t f_t modulo (x2, ..., xn),
+    and a binary form lies in that ideal iff it is zero.  So c is in the
+    projection iff c' is a syzygy of the f_t over K[x0, x1], and the
+    projection is (x2, ..., xn)R^m plus those syzygies; u maps it onto I.
+    For coprime forms the syzygies are free of rank m - 1 (Hilbert-Burch),
+    and the basis `validate` returns generates them.
+
+    The candidates are the distinct monomials x_i u_t (i = 2..n, t with
+    f_t != 0), and u_0 = x2^(d-1) when f = 0, in ascending packed key, then
+    the syzygy images in the basis' order; `Ideal.minimal` keeps a subset
+    of them, taken in that order within each degree."""
+    graph = inp.validate()
     n, d = inp.n, inp.d
     ring = inp.f_list[0].ring
     if ring.nvars != n + 1:
         raise ConstructionError("forms live in the wrong ring")
-    x = ring.gens()
-    planar_gens = [x[2] ** (d - 1)] + [x[i] for i in range(3, n + 1)]
-    values = [inp.f] + list(inp.f_list)
-    live = [t for t, p in enumerate(values) if p]
-    # the nonzero values, then the relations: the line's ideal (x2, ..., xn)
-    cols = [packed_vector(ring, [p]) for p in [values[t] for t in live] + x[2:]]
-    # the planar generators are monomials: sum c_t * u_t is a sum of key shifts
-    pack, unpack, fld = make_packer(ring.nvars), make_unpacker(ring.nvars), ring.field
-    shifts = [pack(planar_gens[t].lead_monomial) for t in live]
-    gens = []
-    for vec in GraphBasis(cols, [0], ring).kernel_generators():
-        acc = {}
-        for s, entry in vec.items():
-            if s < len(live):  # the relations' components drop out
-                for k, c in entry.items():
-                    acc[k + shifts[s]] = fld.add(acc.get(k + shifts[s], fld.zero), c)
-        terms = [(unpack(k), acc[k]) for k in sorted(acc) if acc[k]]
-        if terms:
-            gens.append(Polynomial.from_sorted(ring, terms))
+    pack, unpack = make_packer(ring.nvars), make_unpacker(ring.nvars)
+    x = [pack(ring.var_mono(i)) for i in range(ring.nvars)]
+    u0 = pack((0, 0, d - 1) + (0,) * (n - 2))
+    # the planar generators of the nonzero values, in the graph's column order
+    u = ([u0] if inp.f else []) + x[3:]
+    keys = {xi + ut for xi in x[2:] for ut in u}
     if not inp.f:  # a zero value: its planar generator lies in the kernel
-        gens.append(planar_gens[0])
-    return Ideal.minimal(ring, gens)
+        keys.add(u0)
+    one = ring.field.one
+    cands = [Polynomial.from_sorted(ring, [(unpack(k), one)]) for k in sorted(keys)]
+    for vec in graph.kernel_generators():
+        # s_t is binary and the u_t are distinct monomials: the terms of
+        # sum s_t u_t are the key shifts of the entries, all distinct
+        terms = sorted((k + u[t], c) for t, entry in vec.items() for k, c in entry.items())
+        cands.append(Polynomial.from_sorted(ring, [(unpack(k), c) for k, c in terms]))
+    return Ideal.minimal(ring, cands)
 
 
 def extremal_curve_ideal(n: int, d: int, g: int) -> Ideal:

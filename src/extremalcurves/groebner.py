@@ -40,7 +40,7 @@ def _clear(keys, coeffs, deg, modulus) -> _EnginePoly:
     den = 1
     for c in coeffs:
         den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     ints, g = _strip_content(ints)
     sign = -1 if ints and ints[0] < 0 else 1
     if sign < 0:

@@ -70,9 +70,9 @@ def catalog_point_task(point):
     g = _genus_of(n, d, a)
     t0 = time.time()
     ideal = extremal_curve_ideal(n, d, g)
-    from extremalcurves.cohomology import hilbert_table
+    from extremalcurves.cohomology import detect_hilbert_polynomial, hilbert_table
 
-    ht = hilbert_table(ideal, default_window(n, d, g))
+    ht = hilbert_table(ideal, default_window(n, d, g), *detect_hilbert_polynomial(ideal))
     hf_seconds = time.time() - t0
     report = verify_extremal(ideal, seed=seed)
     top = report.window[1]

@@ -10,6 +10,7 @@ from extremalcurves.cohomology import (
     NotACurveError,
     constructed_curve_probe,
     deficiency_module,
+    detect_hilbert_polynomial,
     general_section_values,
     h2_table,
     hilbert_table,
@@ -26,16 +27,21 @@ from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 R4 = PolyRing(4)
 
 
+def _table(I, window):
+    """The Hilbert table with the curve data detected, as a verdict does."""
+    return hilbert_table(I, window, *detect_hilbert_polynomial(I))
+
+
 class TestHilbertTable:
     def test_space_quartic(self):
-        ht = hilbert_table(extremal_curve_ideal(3, 4, 0), window=(0, 5))
+        ht = _table(extremal_curve_ideal(3, 4, 0), (0, 5))
         assert ht.dims == (1, 4, 8, 13, 17, 21)
         assert ht.degree == 4
         assert ht.genus == 0
 
     def test_line(self):
         gens = [R4.gen(2), R4.gen(3)]
-        ht = hilbert_table(Ideal(R4, gens), window=(0, 4))
+        ht = _table(Ideal(R4, gens), (0, 4))
         assert ht.dims == (1, 2, 3, 4, 5)
         assert ht.degree == 1
         assert ht.genus == 0
@@ -44,14 +50,14 @@ class TestHilbertTable:
         # (x2^(d-1), x3) in P^3: plane curve of degree d-1, genus binom(d-2,2)
         d = 5
         x2, x3 = R4.gen(2), R4.gen(3)
-        ht = hilbert_table(Ideal(R4, [x2 ** (d - 1), x3]), (0, 5))
+        ht = _table(Ideal(R4, [x2 ** (d - 1), x3]), (0, 5))
         assert ht.degree == d - 1
         assert ht.genus == 3  # binom(3, 2)
 
     def test_points_rejected(self):
         gens = [R4.gen(1), R4.gen(2), R4.gen(3)]
         with pytest.raises(NotACurveError):
-            hilbert_table(Ideal(R4, gens), (0, 5))
+            _table(Ideal(R4, gens), (0, 5))
 
 
 class TestDeficiencyModule:
@@ -83,7 +89,7 @@ class TestH2:
     def test_space_quartic_values(self):
         I = extremal_curve_ideal(3, 4, 0)
         dual = DualCohomology(I)
-        values = h2_table(dual, hilbert_table(I, window=(0, 3)), list(dual.rao_dims(0, 3).values()))
+        values = h2_table(dual, _table(I, (0, 3)), list(dual.rao_dims(0, 3).values()))
         assert values[0] == 1  # binom(d-2, 2) at j = 0
         assert values[1:] == [0, 0, 0]
 
@@ -91,7 +97,7 @@ class TestH2:
         # The identity is asserted inside h2_table; a passing call proves it.
         I = extremal_curve_ideal(4, 4, 0)
         dual = DualCohomology(I)
-        h2_table(dual, hilbert_table(I, window=(-5, 6)), list(dual.rao_dims(-5, 6).values()))
+        h2_table(dual, _table(I, (-5, 6)), list(dual.rao_dims(-5, 6).values()))
 
     def test_riemann_roch_failure_raises(self):
         I = extremal_curve_ideal(4, 5, 1)
@@ -99,7 +105,7 @@ class TestH2:
         h1 = list(dual.rao_dims(-3, 2).values())
         h1[2] += 1
         with pytest.raises(InternalCheckError, match="Riemann-Roch"):
-            h2_table(dual, hilbert_table(I, window=(-3, 2)), h1)
+            h2_table(dual, _table(I, (-3, 2)), h1)
 
     def test_acm_space_quintic_values(self):
         # ex45 (n, d, g) = (3, 5, 3): ACM, so F*_{n-1}/im a alone gives h2
@@ -108,7 +114,7 @@ class TestH2:
         assert dual.acm
         h1 = list(dual.rao_dims(-2, 1).values())
         assert h1 == [0, 0, 0, 0]
-        assert h2_table(dual, hilbert_table(I, window=(-2, 1)), h1) == [12, 7, 3, 1]
+        assert h2_table(dual, _table(I, (-2, 1)), h1) == [12, 7, 3, 1]
 
     def test_non_acm_quintic_in_p4_values(self):
         # ex45 (n, d, g) = (4, 5, 1): h1 and h2 both nonzero at j = -1, 0
@@ -117,7 +123,7 @@ class TestH2:
         assert not dual.acm
         h1 = list(dual.rao_dims(-3, 2).values())
         assert h1 == [0, 0, 1, 2, 1, 1]
-        assert h2_table(dual, hilbert_table(I, window=(-3, 2)), h1) == [15, 10, 6, 3, 1, 0]
+        assert h2_table(dual, _table(I, (-3, 2)), h1) == [15, 10, 6, 3, 1, 0]
 
     def test_image_outside_the_kernel_raises(self):
         # scale one entry of a: the image of a basis vector picks up
@@ -137,7 +143,7 @@ class TestH2:
 class TestHyperplaneSection:
     def test_space_quartic(self):
         I = extremal_curve_ideal(3, 4, 0)
-        values = general_section_values(I, seed=3)
+        values = general_section_values(I, 4, seed=3)
         assert values[1:4] == [3, 4, 4]
 
     def test_draw_with_a_section_point_on_the_last_hyperplane_is_rejected(self):
@@ -160,31 +166,31 @@ class TestHyperplaneSection:
 
     def test_not_collinear_in_p5(self):
         I = extremal_curve_ideal(5, 6, -2)
-        values = general_section_values(I, seed=2)
+        values = general_section_values(I, 6, seed=2)
         assert values[1] == 3
 
 
 class TestPlanarSubcurve:
     def test_coordinate_plane_hit(self):
         I = extremal_curve_ideal(3, 5, 0)
-        assert planar_subcurve_check(I, [R4.gen(3)])
+        assert planar_subcurve_check(I, [R4.gen(3)], 5)
 
     def test_random_plane_misses(self):
         I = extremal_curve_ideal(3, 5, 0)
         x0, x3 = R4.gen(0), R4.gen(3)
-        assert not planar_subcurve_check(I, [x0 + 17 * x3])
+        assert not planar_subcurve_check(I, [x0 + 17 * x3], 5)
 
     def test_plane_curve_has_full_degree(self):
         # degree-d plane curve against its own plane: degree d, not d-1
         x2, x3 = R4.gen(2), R4.gen(3)
         I = Ideal(R4, [x2 ** 4, x3])
-        assert not planar_subcurve_check(I, [x3])
+        assert not planar_subcurve_check(I, [x3], 4)
 
     def test_dependent_plane_rejected(self):
         I = extremal_curve_ideal(4, 5, 1)
         x3 = PolyRing(5).gen(3)
         with pytest.raises(ValueError):
-            planar_subcurve_check(I, [x3, x3])
+            planar_subcurve_check(I, [x3, x3], 5)
 
     def test_forms_dependent_mod_p_rejected(self):
         # 4 * (2*x3 + x4) = x3 + 4*x4 over Z/7, though not over QQ
@@ -193,7 +199,7 @@ class TestPlanarSubcurve:
         J = Ideal(R7, [Polynomial(R7, p.terms) for p in I.gens])
         x3, x4, x5 = R7.gen(3), R7.gen(4), R7.gen(5)
         with pytest.raises(ValueError, match="dependent"):
-            planar_subcurve_check(J, [2 * x3 + x4, x3 + 4 * x4, x5])
+            planar_subcurve_check(J, [2 * x3 + x4, x3 + 4 * x4, x5], 5)
 
 
 class TestVerifyExtremal:
@@ -237,7 +243,7 @@ class TestCurveAnalysis:
 
         for name in ("hilbert_table", "deficiency_module", "h2_table", "hyperplane_section"):
             monkeypatch.setattr(cohomology, name, counted(name, getattr(cohomology, name)))
-        duals, rao_degrees, in_sections = [], [], []
+        duals, rao_degrees = [], []
         dual_init = counted("DualCohomology", DualCohomology.__init__)
 
         def recorded_dual(self, I):
@@ -249,30 +255,25 @@ class TestCurveAnalysis:
                 rao_degrees.append(degree)
             return hf(module, degree)
 
-        def sections(I, seed=0):
-            in_sections.append(True)
-            try:
-                return general_section_values(I, seed)
-            finally:
-                in_sections.pop()
+        curve = extremal_curve_ideal(3, 4, 0)
 
-        def section_data(I):
-            if in_sections:  # the curve's (d, g) derived for the section draws
-                calls["section curve data"] = calls.get("section curve data", 0) + 1
+        def derived(I):
+            # the curve's (d, g), or that of the curve plus the plane's forms
+            name = "curve (d, g)" if I is curve else "plane cut (d, g)"
+            calls[name] = calls.get(name, 0) + 1
             return detect(I)
 
         hf, detect = PresentedModule.hf, cohomology.detect_hilbert_polynomial
         monkeypatch.setattr(DualCohomology, "__init__", recorded_dual)
         monkeypatch.setattr(PresentedModule, "hf", recorded_hf)
-        monkeypatch.setattr(cohomology, "general_section_values", sections)
-        monkeypatch.setattr(cohomology, "detect_hilbert_polynomial", section_data)
+        monkeypatch.setattr(cohomology, "detect_hilbert_polynomial", derived)
         # d = 4 with a = 1: every check of the report runs
-        rep = verify_extremal(extremal_curve_ideal(3, 4, 0), seed=1)
+        rep = verify_extremal(curve, seed=1)
         assert rep.gin_checked and rep.betti_checked and rep.planar_checked
         assert calls.pop("hyperplane_section") >= 2
         assert calls == {
             "DualCohomology": 1, "hilbert_table": 1, "deficiency_module": 1, "h2_table": 1,
-            "section curve data": 1,
+            "curve (d, g)": 1, "plane cut (d, g)": 1,
         }
         # each degree of the Rao dual is evaluated at most once
         assert rao_degrees and len(rao_degrees) == len(set(rao_degrees))

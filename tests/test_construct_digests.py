@@ -39,21 +39,21 @@ def _ex45(n, d, a):
 
 CASES = [
     ("n3d5a1", lambda: _seeded(3, 5, 1, 21),
-     "4d4ae72ec088f5577d3a61cd20591cab90ebf25be329b406a03eee2cefb9b9bb"),
+     "4b8f0a401553e0db1281901c6d2cab75fab687b55126231f5850fb4f32a61026"),
     ("n3d6a0-zero-f", lambda: _seeded(3, 6, 0, 10),
-     "9ff813d09660b74998078188865f52a9b1839b4c9480ae03bc67355fc383ab7a"),
+     "4714a68b1197f82d4875c568a139f273f7c4950885e259c8a4cb7b6ce5232fdc"),
     ("n4d5a2", lambda: _seeded(4, 5, 2, 5),
-     "90dd71e3d9cc97d593c7390e180aae2abd17f8b07accd585ff14bff82f4d2f09"),
+     "2d1b99179dd00da574072a01f8462fe0397aa3c717c33bf74b1ac4e962f468b1"),
     ("n4d4a1-zero-f", lambda: _seeded(4, 4, 1, 8),
-     "0a9e2645682b2ed056de76d006867e7512d08fe79aac3eae46a64d1717fa98b8"),
+     "7f8152838c009570b36fbdf00c4ac6878cbdc4b0a1eb07d63ec7f65fbf9dc04c"),
     ("n5d4a1", lambda: _seeded(5, 4, 1, 3),
-     "a81aa6d59b5c612f97ff24c590aa0e7ea0e2f4c836b28273f2d737c46cba87f4"),
+     "afa56e8acfed03f46621e8a968c63d41e579bc8f1872c5e028f95b9c0fef0de7"),
     ("n5d5a2-zero-f", lambda: _seeded(5, 5, 2, 4),
-     "2cc05671d320ed2633c5f8cc52c64dcbe71d0607216a3a5a3ac9663301560eeb"),
+     "24d9ea1babab67df9f3427fe28d4663d896a72ec701c62d78615a7651bbe0f41"),
     ("n4d5a1-mod7", lambda: _seeded(4, 5, 1, 13, 7),
-     "7c275c42694f9b3143c3da97d809b5b665fbec170a084ac89d7bd1f69e2ecd3c"),
+     "2ce5d44ba5f781f3072f379f86319ce98bbce90252c08c0dde8c48fb1c0a0e62"),
     ("n3d4a2-mod7", lambda: _seeded(3, 4, 2, 5, 7),
-     "0ce78d381bd50f5449528fdf6cb61cf86dc26fd79e005f330e73cb3c74424fe3"),
+     "2f938530f65385d4ef11a8307e10cde988bec6369749b85cdd234331e9388761"),
     ("ex45-n3d5a1", lambda: _ex45(3, 5, 1),
      "90436e3986ff3a22c2199cbcb4d533fbd582b51fe92bcd88770ae05b039f1d23"),
     ("ex45-n3d2a1", lambda: _ex45(3, 2, 1),
@@ -69,9 +69,9 @@ CASES = [
     ("alternate-n6a2", lambda: cubic_alternate_curve_ideal(6, 2),
      "89f03112f345bb02902d17c42910b5e12548793ed9f2c53b51acfd17617b95f2"),
     ("ex46-n4a1d4", lambda: non_extremal_witness(4, 1, 4).ideal,
-     "9278c0cb98addd5b9e8cf405835a74b8ac198cab9b82591557e0d7f4e109432b"),
+     "4cf9178166e218a61732353f7d6f1262b35fcfa47e03f540d48f29f6764fdb3f"),
     ("ex46-n5a2d5", lambda: non_extremal_witness(5, 2, 5).ideal,
-     "1cb81a1cce00892dccf80781d51b95101324b0ec10af9ac931e3f52ad9233b1c"),
+     "0e538c7a197f6fd9017d27d8659683971f8d936a2f6ff98bea4b0b91fd1d11a8"),
 ]
 
 
