@@ -28,7 +28,7 @@ from .formulas import (
     rao_structure_excluded,
 )
 from .gin import gin as compute_gin, mix_seed
-from .groebner import buchberger, linear_images
+from .groebner import initial_monomials, linear_images
 from .ideals import Ideal, is_saturated, random_invertible_matrix
 from .modules import GraphBasis, PresentedModule
 from .monomials import MonomialIdeal, ek_betti
@@ -335,11 +335,12 @@ def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
     values through degree + 1, and the drawn matrix.
 
     A seeded generic coordinate change moves the hyperplane to {x_n = 0};
-    the cut is the image with the matrix's last column dropped.  Its
-    saturation with the last remaining variable (generic inside the
-    hyperplane) has the cut's leads with the last exponent set to 0 as its
-    initial ideal (Bayer-Stillman), so the values are read off those leads
-    and no section ideal is built.  Of up to 12 draws, those whose cut
+    the cut is the image with the matrix's last column dropped, and only
+    its leads are read (a lead-only engine run).  Its saturation with the
+    last remaining variable (generic inside the hyperplane) has the cut's
+    leads with the last exponent set to 0 as its initial ideal
+    (Bayer-Stillman), so the values are read off those leads and no
+    section ideal is built.  Of up to 12 draws, those whose cut
     fails the non-zerodivisor Hilbert test h(R/(I+l))_j = h_C(j) - h_C(j-1)
     in low degrees are rejected, and so are those whose saturated cut has
     fewer than degree points at degree + 1: there the last variable
@@ -354,7 +355,7 @@ def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
         cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
         if not cut:
             continue
-        cut_dims = buchberger(cut, target).initial_ideal()
+        cut_dims = initial_monomials(cut, None, target)
         ok = all(
             cut_dims.quotient_dim(j) == hvals[j] - (hvals[j - 1] if j else 0)
             for j in range(len(hvals))

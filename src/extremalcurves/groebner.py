@@ -109,58 +109,6 @@ def _primitive(coeffs, modulus):
     return coeffs
 
 
-def _axpy(keys_f, coeffs_f, a, keys_g, coeffs_g, b, shift, modulus):
-    """a*f - b*(x^shift * g) with ascending-key merge; shift may be negative."""
-    out_k, out_c = [], []
-    i = j = 0
-    nf, ng = len(keys_f), len(keys_g)
-    while i < nf and j < ng:
-        kf = keys_f[i]
-        kg = keys_g[j] + shift
-        if kf < kg:
-            v = a * coeffs_f[i]
-            if modulus:
-                v %= modulus
-            if v:
-                out_k.append(kf)
-                out_c.append(v)
-            i += 1
-        elif kf > kg:
-            v = -b * coeffs_g[j]
-            if modulus:
-                v %= modulus
-            if v:
-                out_k.append(kg)
-                out_c.append(v)
-            j += 1
-        else:
-            v = a * coeffs_f[i] - b * coeffs_g[j]
-            if modulus:
-                v %= modulus
-            if v:
-                out_k.append(kf)
-                out_c.append(v)
-            i += 1
-            j += 1
-    while i < nf:
-        v = a * coeffs_f[i]
-        if modulus:
-            v %= modulus
-        if v:
-            out_k.append(keys_f[i])
-            out_c.append(v)
-        i += 1
-    while j < ng:
-        v = -b * coeffs_g[j]
-        if modulus:
-            v %= modulus
-        if v:
-            out_k.append(keys_g[j] + shift)
-            out_c.append(v)
-        j += 1
-    return out_k, out_c
-
-
 class _Engine:
     """A growing list of packed basis elements of a ring or a free module,
     indexed by the component of their leads.
@@ -170,8 +118,9 @@ class _Engine:
     term), and a polynomial is a vector in component 0.  With
     ``rank_bits`` the monomial sits above that many low bits, which hold
     the component instead (the Schreyer layout of ``modules``).  Either
-    way a monomial shift is a difference of keys in one component, and
-    ``_axpy`` merges term lists in key order.
+    way a monomial shift is a difference of keys in one component, and a
+    reduction adds shifted terms into a {key: coeff} accumulator whose
+    lead is its smallest key.
     """
 
     def __init__(self, ring: PolyRing, rank_bits=None):
@@ -210,58 +159,79 @@ class _Engine:
                 return t
         return None
 
-    def cancel_lead(self, keys, coeffs, g):
-        """(keys, coeffs, a, b) for a*f - b*x^s*g, which cancels the lead of f."""
+    def cancel_lead(self, acc, lead, g):
+        """Take the accumulator f = {key: coeff} with lead key lead to
+        a*f - b*x^s*g, which cancels that lead; returns (acc, a, b).  Mod p
+        a is 1; over QQ a and b are the cofactors of the two lead
+        coefficients, and a != 1 rescales acc into a new dict."""
         modulus = self.modulus
         if modulus:
-            a, b = 1, coeffs[0] * pow(g.coeffs[0], -1, modulus) % modulus
+            a, b = 1, acc[lead] * pow(g.coeffs[0], -1, modulus) % modulus
         else:
-            cf, cg = coeffs[0], g.coeffs[0]
+            cf, cg = acc[lead], g.coeffs[0]
             d = gcd(cf, cg)
             a, b = cg // d, cf // d
-        keys, coeffs = _axpy(keys, coeffs, a, g.keys, g.coeffs, b, keys[0] - g.keys[0], modulus)
-        return keys, coeffs, a, b
+            if a != 1:
+                acc = {k: a * c for k, c in acc.items()}
+        shift = lead - g.keys[0]
+        get = acc.get
+        for k, c in zip(g.keys, g.coeffs):
+            k += shift
+            v = get(k, 0) - b * c
+            if modulus:
+                v %= modulus
+            if v:
+                acc[k] = v
+            else:  # b * c != 0, so k was there
+                del acc[k]
+        return acc, a, b
 
     def spair(self, i, j, lcm_key):
-        """S-vector of elements i and j at lcm_key: (keys, coeffs, a, b) for
-        a*x^si*g_i - b*x^sj*g_j."""
+        """S-vector of elements i and j at lcm_key: (acc, a, b) for the
+        accumulator acc = a*x^si*g_i - b*x^sj*g_j."""
         gi = self.basis[i]
         si = lcm_key - gi.keys[0]
-        return self.cancel_lead([k + si for k in gi.keys], gi.coeffs, self.basis[j])
+        return self.cancel_lead({k + si: c for k, c in zip(gi.keys, gi.coeffs)}, lcm_key, self.basis[j])
 
-    def top_reduce(self, keys, coeffs, trace=None):
-        """Reduce the lead until irreducible or zero.  A trace list receives
-        (lead, index, a, b) per step: that step took f to a*f - b*x^s*g."""
+    def top_reduce(self, acc, trace=None):
+        """Reduce the lead of the accumulator {key: coeff} until it is
+        irreducible or zero, and return the result as ascending (keys,
+        coeffs).  The lead is the smallest key; each step updates only the
+        terms of the reducer.  A trace list receives (lead, index, a, b)
+        per step: that step took f to a*f - b*x^s*g."""
         modulus = self.modulus
         steps = 0
-        while keys:
-            lead = keys[0]
+        while acc:
+            lead = min(acc)
             t = self.find_reducer(lead)
             if t is None:
                 break
-            keys, coeffs, a, b = self.cancel_lead(keys, coeffs, self.basis[t])
+            acc, a, b = self.cancel_lead(acc, lead, self.basis[t])
             if trace is not None:
                 trace.append((lead, t, a, b))
             elif not modulus:
                 steps += 1
-                if steps % 16 == 0 and coeffs:
-                    coeffs, _ = _strip_content(coeffs)
-        return keys, coeffs
+                if steps % 16 == 0 and acc:
+                    g = gcd(*acc.values())
+                    if g > 1:
+                        acc = {k: c // g for k, c in acc.items()}
+        keys = sorted(acc)
+        return keys, [acc[k] for k in keys]
 
     def normal_form(self, keys, coeffs):
         """Full normal form.  Returns (keys, coeffs, mult): the output equals
         mult times the input modulo the span of the basis."""
+        acc = dict(zip(keys, coeffs))
         rem_k, rem_c = [], []
         mult = 1
-        while keys:
-            t = self.find_reducer(keys[0])
+        while acc:
+            lead = min(acc)
+            t = self.find_reducer(lead)
             if t is None:
-                rem_k.append(keys[0])
-                rem_c.append(coeffs[0])
-                keys = keys[1:]
-                coeffs = coeffs[1:]
+                rem_k.append(lead)
+                rem_c.append(acc.pop(lead))
                 continue
-            keys, coeffs, a, _ = self.cancel_lead(keys, coeffs, self.basis[t])
+            acc, a, _ = self.cancel_lead(acc, lead, self.basis[t])
             if a != 1:
                 mult *= a
                 if rem_c:
@@ -317,22 +287,22 @@ class _Engine:
                     break
             if skip:
                 continue
-            keys, coeffs, _, _ = self.spair(i, j, w)
-            keys, coeffs = self.top_reduce(keys, coeffs)
+            keys, coeffs = self.top_reduce(self.spair(i, j, w)[0])
             if not keys:
                 continue
             self.add(_EnginePoly(keys, _primitive(coeffs, modulus), deg))
             push_pairs(len(basis) - 1)
 
 
-def _start(eng, gens):
-    """Engine elements of the nonzero gens (homogeneous polynomials or `linear_images`)."""
+def _start(eng, gens, checked=False):
+    """Engine elements of the nonzero gens (homogeneous polynomials or
+    `linear_images`); checked gens are known homogeneous."""
     out = []
     for g in gens:
         if isinstance(g, _EnginePoly):
             out.append(g)
         elif g:
-            if not g.is_homogeneous():
+            if not checked and not g.is_homogeneous():
                 raise ValueError("Buchberger engine expects homogeneous generators")
             out.append(_to_engine(g, eng.pack, eng.modulus))
     return out
@@ -457,6 +427,8 @@ def minimal_basis(gens, ring: PolyRing):
     """(kept, basis): the subset of the nonzero homogeneous gens that
     `oracle.minimal_generators` keeps, in its order, and the reduced
     Gröbner basis of the ideal it generates (equal to ``buchberger(kept)``).
+    The gens are not tested for homogeneity again: `Ideal.minimal`, the
+    one caller, passes an `Ideal`'s.
 
     One engine goes through the degrees e in ascending order: it completes
     the pairs up to degree e, then top-reduces each degree-e candidate in
@@ -476,9 +448,9 @@ def minimal_basis(gens, ring: PolyRing):
     eng = _Engine(ring)
     kept = []
     # a stable sort keeps the input order within a degree
-    for g, e in sorted(zip(gens, _start(eng, gens)), key=lambda c: c[1].deg):
+    for g, e in sorted(zip(gens, _start(eng, gens, checked=True)), key=lambda c: c[1].deg):
         eng.complete(cap=e.deg, product=True)
-        keys, coeffs = eng.top_reduce(e.keys, e.coeffs)
+        keys, coeffs = eng.top_reduce(dict(zip(e.keys, e.coeffs)))
         if keys:
             kept.append(g)
             eng.add(_EnginePoly(keys, _primitive(coeffs, eng.modulus), e.deg))
@@ -486,10 +458,11 @@ def minimal_basis(gens, ring: PolyRing):
     return kept, GroebnerBasis(ring, _reduced(eng))
 
 
-def initial_monomials(gens, cap: int, ring: PolyRing | None = None) -> MonomialIdeal:
+def initial_monomials(gens, cap: int | None, ring: PolyRing | None = None) -> MonomialIdeal:
     """Lead monomials from a degree-truncated run: contains every minimal
-    generator of the initial ideal living in degrees <= cap.  Gens are
-    taken as by `buchberger`."""
+    generator of the initial ideal living in degrees <= cap (with no cap,
+    the initial ideal itself, from no interreduction and no Fraction).
+    Gens are taken as by `buchberger`."""
     if ring is None:
         ring = gens[0].ring
     leads = _buchberger_engine(ring, list(gens), cap=cap, lead_only=True)

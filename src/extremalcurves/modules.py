@@ -17,9 +17,16 @@ the engine an element is a packed vector {component: {packed monomial: field
 coefficient}} of homogeneous nonzero entries: resolution maps stay packed
 from the Schreyer step to the presented modules, and ``Polynomial`` vectors
 appear only at the boundary (`module_kernel`, `ResolutionData.mats`).
+Between the Schreyer step and the minimal resolution a column keeps the
+engine's integers with one scale (its Schreyer lead coefficient inverted):
+units cancel fraction-free, and field coefficients are made only for the
+entries that survive.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from . import packing
 from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive, _to_engine
@@ -78,9 +85,9 @@ def _schreyer_step(eng):
         deg = packing.degree(w, nv)
         if deg > MAXEXP:
             raise ExponentLimitError(f"syzygy degree {deg} exceeds the packed limit {MAXEXP}")
-        keys, coeffs, a, b = eng.spair(i, j, (w << bits) | (leads[i] & mask))
+        acc, a, b = eng.spair(i, j, (w << bits) | (leads[i] & mask))
         trace = []
-        keys, _ = eng.top_reduce(keys, coeffs, trace)
+        keys, _ = eng.top_reduce(acc, trace)
         if keys:
             raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
         # mult * spair == sum of the traced multiples; over the monic elements
@@ -98,22 +105,45 @@ def _schreyer_step(eng):
         keys = sorted(k for k, c in terms.items() if c)
         new.append(_EnginePoly(keys, _primitive([terms[k] for k in keys], modulus), deg))
     new.sort(key=lambda e: (-e.deg, e.keys[0]))  # packed keys compare within a degree
-    return new, [e.deg for e in new], new_bits, decode
+    return new, new_bits, decode
+
+
+def _schreyer_frame(gb: GroebnerBasis):
+    """The pruned Schreyer frame of R/I for a nonempty reduced basis: per
+    level, (elements, rank bits, decode) as `_packed_columns` reads them,
+    the basis itself first (one component, keys are monomials)."""
+    ring = gb.ring
+    eng = _Engine(ring, rank_bits=0)
+    for p in gb.polys:
+        eng.add(_to_engine(p, eng.pack, eng.modulus))
+    levels = [(eng.basis, 0, [(0, 0)])]
+    for _ in range(ring.nvars + 2):
+        new, bits, decode = _schreyer_step(eng)
+        if not new:
+            return levels
+        levels.append((new, bits, decode))
+        eng = _Engine(ring, rank_bits=bits)
+        for e in new:
+            eng.add(e)
+    raise AssertionError("resolution exceeded the variable-count bound")
 
 
 def _packed_columns(elements, bits, decode, modulus):
-    """Monic packed columns of Schreyer-keyed elements: the term at key
+    """Integer packed columns of Schreyer-keyed elements, with one scale
+    per column: column times scale is the monic column over the field
+    (scale 1/lead over QQ, the lead's inverse mod p).  The term at key
     (image << bits) | rank lands in row t at image minus the lead image of
     t, where decode[rank] = (t, lead image)."""
     mask = (1 << bits) - 1
-    cols = []
+    cols, scales = [], []
     for e in elements:
         col = {}
-        for k, c in zip(e.keys, _divide(e.coeffs, e.coeffs[0], modulus)):
+        for k, c in zip(e.keys, e.coeffs):
             t, img = decode[k & mask]
             col.setdefault(t, {})[(k >> bits) - img] = c
         cols.append(col)
-    return cols
+        scales.append(pow(e.coeffs[0], -1, modulus) if modulus else Fraction(1, e.coeffs[0]))
+    return cols, scales
 
 
 def _addmul(acc, f, g, modulus):
@@ -194,8 +224,10 @@ class ResolutionData:
                     raise AssertionError(f"composition at level {k} is nonzero")
 
 
-def _minimalize(twists, cols, modulus):
-    """Cancel unit entries level by level from the back.
+def _minimalize(twists, cols, scales, modulus):
+    """Cancel unit entries level by level from the back, on the integer
+    columns of `_packed_columns`; the surviving entries come out in the
+    field (Fractions over QQ, residues mod p).
 
     At each level the first column holding a unit, at its lowest unit row,
     is the pivot: every other column is cleared at that row, and the pivot
@@ -203,29 +235,56 @@ def _minimalize(twists, cols, modulus):
     stand for die in both neighbouring maps).  Entries are homogeneous, so
     a unit sits only where the two twists agree, as the key 0.  Clearing
     makes no new unit in a column without one, so one pass over each level
-    finds every pivot."""
+    finds every pivot.  Clearing is fraction-free: with the unit u at the
+    pivot row and q in the column there, the column becomes
+    (u/g)*col - (q/g)*pivot, g = gcd(u, content of q), its scale is divided
+    by u/g and its content moves into the scale (mod p, col - (q/u)*pivot
+    with the scale kept)."""
     live = [[True] * len(t) for t in twists]
     for k in range(len(cols) - 1, -1, -1):
-        rows, tops, level = twists[k], twists[k + 1], cols[k]
+        rows, tops, level, scale = twists[k], twists[k + 1], cols[k], scales[k]
         for j, pivot in enumerate(level):
             if not live[k + 1][j]:
                 continue
             i = min((r for r in pivot if rows[r] == tops[j]), default=None)
             if i is None:
                 continue
-            inv = _divide([-1], pivot[i][0], modulus)[0]
+            u = pivot[i][0]
+            inv = -pow(u, -1, modulus) if modulus else None
             for jp, col in enumerate(level):
                 q = col.pop(i, None) if jp != j and live[k + 1][jp] else None
-                if q:
+                if not q:
+                    continue
+                if modulus:
                     factor = {key: c * inv for key, c in q.items()}
-                    for r, e in pivot.items():
-                        if r != i and not _addmul(col.setdefault(r, {}), factor, e, modulus):
-                            del col[r]
+                else:
+                    g = gcd(u, *q.values())
+                    factor = {key: -c // g for key, c in q.items()}
+                    a = u // g
+                    if a != 1:
+                        for e in col.values():
+                            for key in e:
+                                e[key] *= a
+                        scale[jp] /= a
+                for r, e in pivot.items():
+                    if r != i and not _addmul(col.setdefault(r, {}), factor, e, modulus):
+                        del col[r]
+                if not modulus:
+                    content = gcd(*(c for e in col.values() for c in e.values()))
+                    if content > 1:
+                        for e in col.values():
+                            for key in e:
+                                e[key] //= content
+                        scale[jp] *= content
             live[k + 1][j] = live[k][i] = False
     index = [{old: new for new, old in enumerate(o for o, a in enumerate(lv) if a)} for lv in live]
     twists = [tuple(w for w, a in zip(t, lv) if a) for t, lv in zip(twists, live)]
     cols = [
-        [{index[k][r]: e for r, e in col.items() if r in index[k]} for col, a in zip(level, live[k + 1]) if a]
+        [
+            {index[k][r]: _scaled(e, s, modulus) for r, e in col.items() if r in index[k]}
+            for col, s, a in zip(level, scales[k], live[k + 1])
+            if a
+        ]
         for k, level in enumerate(cols)
     ]
     while cols and not cols[-1]:
@@ -234,32 +293,27 @@ def _minimalize(twists, cols, modulus):
     return twists, cols
 
 
+def _scaled(entry, scale, modulus):
+    """The packed entry {key: integer} times scale, in the field."""
+    if modulus:
+        return {key: c * scale % modulus for key, c in entry.items()}
+    n, d = scale.numerator, scale.denominator
+    if d == 1:
+        return {key: Fraction(c * n) for key, c in entry.items()}
+    return {key: Fraction(c * n, d) for key, c in entry.items()}
+
+
 def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
     """Minimal graded free resolution of R/I from a reduced Gröbner basis:
     iterated pruned Schreyer syzygies, then unit-entry cancellation."""
     ring = gb.ring
-    polys = list(gb.polys)
-    if not polys:
+    if not gb.polys:
         return ResolutionData(ring, [(0,)], [])
-    eng = _Engine(ring, rank_bits=0)  # level 1: one component, keys are monomials
-    for p in polys:
-        eng.add(_to_engine(p, eng.pack, eng.modulus))
-    twists = [(0,), tuple(p.degree() for p in polys)]
-    cols = [_packed_columns(eng.basis, 0, [(0, 0)], eng.modulus)]  # into F_0 = R
-
-    for _ in range(ring.nvars + 2):
-        new, new_twists, bits, decode = _schreyer_step(eng)
-        if not new:
-            break
-        cols.append(_packed_columns(new, bits, decode, eng.modulus))
-        twists.append(tuple(new_twists))
-        eng = _Engine(ring, rank_bits=bits)
-        for e in new:
-            eng.add(e)
-    else:
-        raise AssertionError("resolution exceeded the variable-count bound")
-
-    return ResolutionData(ring, *_minimalize(twists, cols, eng.modulus))
+    modulus = getattr(ring.field, "p", 0)
+    levels = _schreyer_frame(gb)
+    twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
+    cols, scales = zip(*(_packed_columns(*level, modulus) for level in levels))
+    return ResolutionData(ring, *_minimalize(twists, list(cols), scales, modulus))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .oracle import fraction_rank
-from .ring import binom, mono_degree, mono_divides, revlex_key
+from .ring import binom, mono_degree, mono_divides
 
 
 class BettiTable:
@@ -82,15 +82,32 @@ class MonomialIdeal:
 
     def __init__(self, nvars: int, gens):
         self.nvars = nvars
-        mins = []
-        for m in sorted(set(tuple(g) for g in gens), key=lambda m: (mono_degree(m), m)):
-            if len(m) != nvars:
-                raise ValueError("exponent tuple of wrong length")
-            if not any(mono_divides(g, m) for g in mins):
-                mins = [g for g in mins if not mono_divides(m, g)]
-                mins.append(m)
-        mins.sort(key=revlex_key, reverse=True)
-        self.gens = tuple(mins)
+        unique = set(map(tuple, gens))
+        if any(len(m) != nvars for m in unique):
+            raise ValueError("exponent tuple of wrong length")
+        # packed divisibility (the borrow trick of `packing`) in slots of
+        # whole bytes with a spare top bit: exponents here have no bound
+        top = max(map(max, unique), default=0) if nvars else 0
+        width = top.bit_length() // 8 + 1
+        himask = int.from_bytes((bytes(width - 1) + b"\x80") * nvars, "little")
+        if width == 1:
+            packed = [(sum(m), int.from_bytes(bytes(m), "little"), m) for m in unique]
+        else:
+            packed = [
+                (sum(m), int.from_bytes(b"".join(e.to_bytes(width, "little") for e in m), "little"), m)
+                for m in unique
+            ]
+        # by degree, a later monomial never divides an earlier one
+        packed.sort()
+        keys, mins = [], []
+        for d, key, m in packed:
+            high = key | himask
+            if not any((high - k) & himask == himask for k in keys):
+                keys.append(key)
+                mins.append((-d, key, m))
+        # descending revlex: higher degree first, then the smaller packed key
+        mins.sort()
+        self.gens = tuple(m for _, _, m in mins)
         self._numerator = None
 
     def __eq__(self, other):

@@ -10,7 +10,9 @@ the encoding with one degree compare against MAXEXP.
 
 from __future__ import annotations
 
-SLOT = 8
+from functools import cache
+
+SLOT = 8  # one byte per slot: `high_mask` and `degree` read slots as bytes
 MAXEXP = 127  # keeps the high bit of every slot free for the borrow trick
 
 
@@ -44,10 +46,13 @@ def make_unpacker(nvars: int):
 
 
 def high_mask(nvars: int) -> int:
-    mask = 0
-    for i in range(nvars):
-        mask |= 0x80 << (SLOT * i)
-    return mask
+    return int.from_bytes(b"\x80" * nvars, "little")
+
+
+@cache
+def _masks(nvars: int):
+    """(the high bit of every slot, all slot bits)."""
+    return high_mask(nvars), (1 << (SLOT * nvars)) - 1
 
 
 def divides(a: int, b: int, himask: int) -> bool:
@@ -56,14 +61,15 @@ def divides(a: int, b: int, himask: int) -> bool:
 
 
 def lcm(a: int, b: int, nvars: int) -> int:
-    mask = (1 << SLOT) - 1
-    out = 0
-    for i in range(nvars):
-        s = SLOT * i
-        out |= max((a >> s) & mask, (b >> s) & mask) << s
-    return out
+    """Componentwise max of the nvars slots of a and b (each at most
+    MAXEXP); bits above the slots are dropped.  The borrow trick marks
+    the slots where a >= b, and the mark times 0xFF selects a there."""
+    himask, full = _masks(nvars)
+    select = ((((a | himask) - b) & himask) >> (SLOT - 1)) * 0xFF
+    return ((a ^ b) & select ^ b) & full
 
 
 def degree(key: int, nvars: int) -> int:
-    mask = (1 << SLOT) - 1
-    return sum((key >> (SLOT * i)) & mask for i in range(nvars))
+    """Sum of the nvars slots of a packed monomial, exact for every slot
+    value (so past MAXEXP, where the guards must see it)."""
+    return sum(key.to_bytes(nvars, "little"))

@@ -1,13 +1,15 @@
 """Reference algorithms that the package no longer runs, kept for the
 tests that compare the package against them: Euclid's gcd of binary forms
-in the ring's field, and the kernel of the line construction as a graph
-Gröbner basis in all n+1 variables."""
+in the ring's field, the kernel of the line construction as a graph
+Gröbner basis in all n+1 variables, and the minimalization of the Schreyer
+frame in field arithmetic (`Fraction`s over QQ)."""
 
 from extremalcurves.construct import _is_binary, binary_coeff_vector
+from extremalcurves.groebner import _divide
 from extremalcurves.ideals import Ideal
-from extremalcurves.modules import GraphBasis, packed_vector
+from extremalcurves.modules import GraphBasis, ResolutionData, _addmul, _schreyer_frame, packed_vector
 from extremalcurves.packing import make_packer, make_unpacker
-from extremalcurves.ring import Polynomial
+from extremalcurves.ring import Polynomial, mono_divides, revlex_key
 
 
 def _uni_gcd(a, b, fld):
@@ -96,3 +98,90 @@ def graph_kernel_ideal(inp) -> Ideal:
     if not inp.f:
         gens.append(planar_gens[0])
     return Ideal.minimal(ring, gens)
+
+
+def field_packed_columns(elements, bits, decode, modulus):
+    """Monic packed columns of Schreyer-keyed elements: the term at key
+    (image << bits) | rank lands in row t at image minus the lead image of
+    t, where decode[rank] = (t, lead image)."""
+    mask = (1 << bits) - 1
+    cols = []
+    for e in elements:
+        col = {}
+        for k, c in zip(e.keys, _divide(e.coeffs, e.coeffs[0], modulus)):
+            t, img = decode[k & mask]
+            col.setdefault(t, {})[(k >> bits) - img] = c
+        cols.append(col)
+    return cols
+
+
+def field_minimalize(twists, cols, modulus):
+    """Cancel unit entries level by level from the back, in the field.
+
+    At each level the first column holding a unit, at its lowest unit row,
+    is the pivot: every other column is cleared at that row, and the pivot
+    row and column split off as a trivial summand."""
+    live = [[True] * len(t) for t in twists]
+    for k in range(len(cols) - 1, -1, -1):
+        rows, tops, level = twists[k], twists[k + 1], cols[k]
+        for j, pivot in enumerate(level):
+            if not live[k + 1][j]:
+                continue
+            i = min((r for r in pivot if rows[r] == tops[j]), default=None)
+            if i is None:
+                continue
+            inv = _divide([-1], pivot[i][0], modulus)[0]
+            for jp, col in enumerate(level):
+                q = col.pop(i, None) if jp != j and live[k + 1][jp] else None
+                if q:
+                    factor = {key: c * inv for key, c in q.items()}
+                    for r, e in pivot.items():
+                        if r != i and not _addmul(col.setdefault(r, {}), factor, e, modulus):
+                            del col[r]
+            live[k + 1][j] = live[k][i] = False
+    index = [{old: new for new, old in enumerate(o for o, a in enumerate(lv) if a)} for lv in live]
+    twists = [tuple(w for w, a in zip(t, lv) if a) for t, lv in zip(twists, live)]
+    cols = [
+        [{index[k][r]: e for r, e in col.items() if r in index[k]} for col, a in zip(level, live[k + 1]) if a]
+        for k, level in enumerate(cols)
+    ]
+    while cols and not cols[-1]:
+        cols.pop()
+        twists.pop()
+    return twists, cols
+
+
+def field_resolution(gb) -> ResolutionData:
+    """`modules.free_resolution_from_gb` with the frame's columns made
+    monic in the field and minimalized there."""
+    ring = gb.ring
+    if not gb.polys:
+        return ResolutionData(ring, [(0,)], [])
+    modulus = getattr(ring.field, "p", 0)
+    levels = _schreyer_frame(gb)
+    twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
+    cols = [field_packed_columns(*level, modulus) for level in levels]
+    return ResolutionData(ring, *field_minimalize(twists, cols, modulus))
+
+
+def slot_lcm(a, b, nvars, slot=8):
+    """Componentwise max of packed monomials, one slot at a time."""
+    mask = (1 << slot) - 1
+    return sum(max((a >> (slot * i)) & mask, (b >> (slot * i)) & mask) << (slot * i) for i in range(nvars))
+
+
+def slot_degree(key, nvars, slot=8):
+    """Sum of the slots of a packed monomial, one slot at a time."""
+    mask = (1 << slot) - 1
+    return sum((key >> (slot * i)) & mask for i in range(nvars))
+
+
+def tuple_minimal_generators(gens):
+    """Minimal generators of a monomial ideal by tuple divisibility, in
+    descending revlex."""
+    mins = []
+    for m in sorted(set(map(tuple, gens)), key=lambda m: (sum(m), m)):
+        if not any(mono_divides(g, m) for g in mins):
+            mins = [g for g in mins if not mono_divides(m, g)]
+            mins.append(m)
+    return tuple(sorted(mins, key=revlex_key, reverse=True))

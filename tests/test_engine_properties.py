@@ -1,7 +1,11 @@
 """Property tests for the packed engine on random homogeneous data in 3 to
 5 variables over QQ and Z/7: reduced bases, minimal generators,
 resolutions, kernels, normal forms, presented modules and the last-variable
-saturation, each against an independent check."""
+saturation, each against an independent check; and the fraction-free
+minimalization of resolutions against its field reference on random
+constructions in P^3 to P^5."""
+
+import random
 
 import pytest
 
@@ -9,7 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from extremalcurves import ideals as ideals_module  # noqa: E402
-from extremalcurves.groebner import buchberger, minimal_basis  # noqa: E402
+from extremalcurves.construct import construct_curve, random_construction_input  # noqa: E402
+from extremalcurves.groebner import buchberger, initial_monomials, minimal_basis  # noqa: E402
 from extremalcurves.modules import (  # noqa: E402
     PresentedModule,
     free_resolution_from_gb,
@@ -20,6 +25,7 @@ from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import GradedSpan, minimal_generators  # noqa: E402
 from extremalcurves.packing import MAXEXP, ExponentLimitError  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField, mono_div, mono_divides  # noqa: E402
+from reference import field_resolution  # noqa: E402
 
 SETTINGS = settings(max_examples=20, derandomize=True, deadline=None, database=None)
 FIELDS = [QQ, PrimeField(7)]
@@ -178,6 +184,68 @@ def test_resolution_verifies_and_matches_the_numerator(data):
     assert res.length <= ring.nvars
     numerator = gb.initial_ideal().hilbert_numerator()
     assert res.betti_table().alternating_numerator(ring.nvars) == numerator
+
+
+def constructed_curve(n, d, a, seed, field, matrix=None):
+    """A seeded random construction cast to field (None when a denominator
+    vanishes there), in the coordinates of matrix when given."""
+    I = construct_curve(random_construction_input(n, d, a, random.Random(seed)))
+    ring = PolyRing(I.ring.nvars, field)
+    try:
+        I = ideals_module.Ideal(ring, [Polynomial(ring, g.terms) for g in I.gens])
+    except ZeroDivisionError:
+        return None
+    return I if matrix is None else ideals_module.change_coordinates(I, matrix)
+
+
+@st.composite
+def constructed_curves(draw):
+    """Random constructions in P^3 to P^5 over QQ, Z/32003 or Z/7, some
+    after a small change to dense coordinates.  Units are cancelled only
+    in P^5 here."""
+    n = draw(st.integers(3, 5))
+    matrix = None
+    if draw(st.booleans()):
+        matrix = [[int(i == j) + draw(st.integers(-1, 1)) * (i < j) for j in range(n + 1)] for i in range(n + 1)]
+    I = constructed_curve(
+        n, draw(st.integers(3, 5)), draw(st.integers(0, 2)), draw(st.integers(0, 10**6)),
+        draw(st.sampled_from([QQ, PrimeField(32003), PrimeField(7)])), matrix,
+    )
+    hypothesis.assume(I is not None)
+    return I
+
+
+def assert_matches_the_field_reference(I):
+    # fraction-free columns with one scale each, against the same frame
+    # made monic and minimalized in the field
+    res = free_resolution_from_gb(I.groebner())
+    ref = field_resolution(I.groebner())
+    assert res.twists == ref.twists
+    assert res.cols == ref.cols
+    assert res.mats == ref.mats
+
+
+@SETTINGS
+@given(constructed_curves())
+def test_integer_minimalization_matches_the_field_reference(I):
+    assert_matches_the_field_reference(I)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(7)], ids=["QQ", "zp32003", "zp7"])
+@pytest.mark.parametrize("n,d,a,seed", [(5, 4, 0, 0), (5, 5, 1, 0)])
+def test_integer_minimalization_clears_with_non_unit_pivots(n, d, a, seed, field):
+    # over QQ these cancel units u with u not dividing the cleared entry,
+    # so the cleared column is scaled and its content stripped
+    I = constructed_curve(n, d, a, seed, field)
+    assert I is not None
+    assert_matches_the_field_reference(I)
+
+
+@SETTINGS
+@given(ideals())
+def test_lead_only_run_gives_the_initial_ideal(data):
+    ring, gens = data
+    assert initial_monomials(gens, None, ring) == buchberger(gens, ring).initial_ideal()
 
 
 @SETTINGS

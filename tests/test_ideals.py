@@ -167,3 +167,23 @@ class TestKernelOfMap:
         # and membership is exactly {h : h in (x2) + syzygy image}
         got = quotient(Ideal(R3, [x2]), Ideal(R3, [R3.one]))
         assert got == Ideal(R3, [x2])
+
+
+def test_minimal_checks_each_candidate_once(monkeypatch):
+    # `Ideal.__init__` tests homogeneity; the engine run of `minimal_basis`
+    # must not test the same candidates again
+    x0, x1, x2 = R3.gens()
+    gens = [x0 * x1, x0 * x1 * x2, x1**2 - x0 * x2, x2**3, R3.zero, x0 * x1]
+    calls = []
+    original = Polynomial.is_homogeneous
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Polynomial, "is_homogeneous", counted)
+    I = Ideal.minimal(R3, gens)
+    assert len(calls) == 5  # the nonzero candidates, once each
+    assert I.gens == (x0 * x1, x1**2 - x0 * x2, x2**3)
+    with pytest.raises(ValueError, match="homogeneous"):
+        Ideal.minimal(R3, [x0 * x1, x0 + x1**2])

@@ -1,0 +1,81 @@
+"""Word-parallel packed arithmetic against slot-by-slot references: the
+lcm and degree of packed monomials, and the packed minimalization of
+monomial ideals, whose exponents have no packed limit."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from extremalcurves.monomials import MonomialIdeal  # noqa: E402
+from extremalcurves.packing import MAXEXP, degree, lcm, make_packer  # noqa: E402
+from reference import slot_degree, slot_lcm, tuple_minimal_generators  # noqa: E402
+
+SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
+# exponents weighted towards the ends of a slot: 0, 1 and MAXEXP
+EXPONENTS = st.one_of(st.integers(0, MAXEXP), st.sampled_from([0, 1, MAXEXP - 1, MAXEXP]))
+
+
+@st.composite
+def packed_pairs(draw):
+    nvars = draw(st.integers(1, 12))
+    pack = make_packer(nvars)
+    a, b = (draw(st.lists(EXPONENTS, min_size=nvars, max_size=nvars)) for _ in range(2))
+    return nvars, pack(a), pack(b)
+
+
+@SETTINGS
+@given(packed_pairs())
+def test_lcm_matches_the_slot_loop(data):
+    nvars, a, b = data
+    assert lcm(a, b, nvars) == slot_lcm(a, b, nvars)
+    assert lcm(b, a, nvars) == lcm(a, b, nvars)
+
+
+@SETTINGS
+@given(packed_pairs())
+def test_degree_matches_the_slot_loop(data):
+    nvars, a, b = data
+    assert degree(a, nvars) == slot_degree(a, nvars)
+    assert degree(lcm(a, b, nvars), nvars) == slot_degree(slot_lcm(a, b, nvars), nvars)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5, 6, 8, 17])
+def test_degree_is_exact_at_the_full_key(nvars):
+    # 127 in every slot: an 8-bit multiply-sum would wrap at 256
+    top = make_packer(nvars)([MAXEXP] * nvars)
+    assert degree(top, nvars) == MAXEXP * nvars
+    assert lcm(top, 0, nvars) == lcm(0, top, nvars) == top
+
+
+def test_lcm_drops_bits_above_the_slots():
+    # position-over-term keys carry their component above the slots
+    a, b = 3 << 24 | 0x050102, 3 << 24 | 0x010703
+    assert lcm(a, b, 3) == 0x050703
+
+
+@st.composite
+def monomial_lists(draw):
+    """Exponent tuples with duplicates, some above the packed limit."""
+    nvars = draw(st.integers(1, 5))
+    exps = st.one_of(st.integers(0, 4), st.integers(120, 300), st.sampled_from([127, 128, 255, 256, 1000]))
+    gens = draw(st.lists(st.tuples(*[exps] * nvars), max_size=12))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=4))  # duplicates
+    return nvars, gens
+
+
+@SETTINGS
+@given(monomial_lists())
+def test_monomial_ideal_matches_the_tuple_minimalization(data):
+    nvars, gens = data
+    assert MonomialIdeal(nvars, gens).gens == tuple_minimal_generators(gens)
+    assert MonomialIdeal(nvars, [list(m) for m in reversed(gens)]).gens == tuple_minimal_generators(gens)
+
+
+def test_monomial_ideal_above_a_byte():
+    # x^256 would alias x^0 in one byte; x^300 divides nothing smaller
+    I = MonomialIdeal(2, [(256, 0), (0, 300), (300, 0), (0, 300), (255, 1)])
+    assert I.gens == ((0, 300), (256, 0), (255, 1))
+    assert I.contains((256, 5)) and not I.contains((255, 0))
