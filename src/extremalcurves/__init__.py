@@ -37,7 +37,6 @@ from .formulas import (
 from .groebner import GroebnerBasis, buchberger
 from .ideals import (
     Ideal,
-    change_coordinates,
     intersect,
     kernel_of_map,
     quotient,
@@ -49,12 +48,11 @@ from .monomials import (
     BettiTable,
     MonomialIdeal,
     ek_betti,
-    hochster_betti_oracle,
     is_strongly_stable,
 )
-from .oracle import graded_piece_basis, minimal_generators, oracle_quotient_dims
+from .oracle import minimal_generators, oracle_quotient_dims
 from .report import CurveReport
-from .ring import QQ, PolyRing, Polynomial, PrimeField, compare_revlex
+from .ring import QQ, PolyRing, Polynomial, PrimeField
 
 __all__ = [
     "BettiTable",
@@ -78,8 +76,6 @@ __all__ = [
     "ResolutionData",
     "bound_profile",
     "buchberger",
-    "change_coordinates",
-    "compare_revlex",
     "construct_curve",
     "cubic_alternate_curve_ideal",
     "deficiency_module",
@@ -90,12 +86,10 @@ __all__ = [
     "expected_rao_hf",
     "extremal_curve_ideal",
     "free_resolution_from_gb",
-    "graded_piece_basis",
     "h1_bound",
     "h2_bound",
     "h2_table",
     "hilbert_table",
-    "hochster_betti_oracle",
     "hyperplane_section",
     "intersect",
     "is_strongly_stable",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from .formulas import (
     CurveSpec,
@@ -194,33 +193,6 @@ class FiniteLengthModule:
     def dim(self, j):
         return self.dims.get(j, 0)
 
-    def multiplication_commutes(self) -> bool:
-        degrees = sorted(self.dims)
-        nv = max((v for v, _ in self.mult), default=-1) + 1
-        for j in degrees:
-            for v in range(nv):
-                for w in range(v + 1, nv):
-                    a = _mat_mul(self.mult[(w, j + 1)], self.mult[(v, j)])
-                    b = _mat_mul(self.mult[(v, j + 1)], self.mult[(w, j)])
-                    if a != b:
-                        return False
-        return True
-
-
-def _mat_mul(A, B):
-    if not A or not B:
-        return []
-    return [
-        [sum((a * B[k][c] for k, a in enumerate(row)), Fraction(0)) for c in range(len(B[0]))]
-        for row in A
-    ]
-
-
-def _transpose(m):
-    if not m:
-        return []
-    return [[m[r][c] for r in range(len(m))] for c in range(len(m[0]))]
-
 
 def deficiency_module(dual: DualCohomology, table) -> FiniteLengthModule:
     """The Hartshorne-Rao module from the dual complex and its dimension
@@ -238,11 +210,10 @@ def deficiency_module(dual: DualCohomology, table) -> FiniteLengthModule:
         live = dims.get(j) and dims.get(j + 1)
         for v in range(nvars):
             # x_v on the dual module at degree e_next has target degree
-            # e_next + 1 = -j - nvars; transpose to act on the module itself.
+            # e_next + 1 = -j - nvars; its lists, one per source element,
+            # are the rows of x_v : M_j -> M_{j+1} on the module itself.
             # A map to or from a zero piece is the empty matrix.
-            mult[(v, j)] = (
-                _transpose(dual.rao_dual.mult_matrix(v, e_next)) if live else []
-            )
+            mult[(v, j)] = dual.rao_dual.mult_matrix(v, e_next) if live else []
     ranks = _stacked_ranks(dims, mult, nvars)
     gen_count = 0
     gen_degrees = []

@@ -19,7 +19,7 @@ from math import gcd
 from . import packing
 from .packing import MAXEXP, SLOT, ExponentLimitError
 from .monomials import MonomialIdeal
-from .ring import PolyRing, Polynomial, expand_linear, revlex_key
+from .ring import PolyRing, Polynomial, clear_denominators, expand_linear, revlex_key, strip_content
 
 
 class _EnginePoly:
@@ -37,11 +37,8 @@ def _clear(keys, coeffs, deg, modulus) -> _EnginePoly:
     p, or over QQ the primitive integer vector with a positive lead."""
     if modulus:
         return _EnginePoly(keys, [int(c) % modulus for c in coeffs], deg, None)
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    ints, g = _strip_content(ints)
+    (ints,), den = clear_denominators([coeffs])
+    ints, g = strip_content(ints)
     sign = -1 if ints and ints[0] < 0 else 1
     if sign < 0:
         ints = [-c for c in ints]
@@ -88,22 +85,11 @@ def _divide(coeffs, d, modulus):
     return [Fraction(c, d) for c in coeffs]
 
 
-def _strip_content(coeffs):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            return coeffs, 1
-    if g > 1:
-        return [c // g for c in coeffs], g
-    return coeffs, 1
-
-
 def _primitive(coeffs, modulus):
     """Over QQ: content-free with a positive lead; residues stay as they are."""
     if modulus:
         return coeffs
-    coeffs, _ = _strip_content(coeffs)
+    coeffs, _ = strip_content(coeffs)
     if coeffs[0] < 0:
         coeffs = [-c for c in coeffs]
     return coeffs
@@ -395,17 +381,8 @@ class GroebnerBasis:
             eng.add(_to_engine(p, eng.pack, eng.modulus))
         ep = _to_engine(f, eng.pack, eng.modulus)
         keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-        if not keys:
-            return self.ring.zero
-        if eng.modulus:
-            return Polynomial(
-                self.ring, [(eng.unpack(k), c) for k, c in zip(keys, coeffs)]
-            )
-        scale = 1 / (mult * ep.scale)
-        return Polynomial(
-            self.ring,
-            [(eng.unpack(k), scale * c) for k, c in zip(keys, coeffs)],
-        )
+        coeffs = _divide(coeffs, (ep.scale or 1) * mult, eng.modulus)
+        return Polynomial(self.ring, zip(map(eng.unpack, keys), coeffs))
 
     def contains(self, f: Polynomial) -> bool:
         return not self.reduce(f)

@@ -9,10 +9,9 @@ Every polynomial must be homogeneous.
 from __future__ import annotations
 
 import re
-from math import gcd
 
 from .ideals import Ideal
-from .ring import PolyRing, Polynomial, PrimeField, QQ
+from .ring import QQ, PolyRing, Polynomial, PrimeField, clear_denominators, strip_content
 
 
 class IdealFileError(ValueError):
@@ -155,18 +154,13 @@ def parse_ideal(path) -> Ideal:
 
 
 def _primitive_integer(p: Polynomial) -> Polynomial:
-    """Scale to content-free integer coefficients for emission."""
+    """Scale to content-free integer coefficients for emission; the signs
+    are kept."""
     if getattr(p.ring.field, "p", 0):
         return p
-    den = 1
-    for _, c in p.terms:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for _, c in p.terms]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    g = g or 1
-    return Polynomial(p.ring, [(m, c // g) for (m, _), c in zip(p.terms, ints)])
+    (ints,), _ = clear_denominators([[c for _, c in p.terms]])
+    ints, _ = strip_content(ints)
+    return Polynomial(p.ring, [(m, c) for (m, _), c in zip(p.terms, ints)])
 
 
 def emit_ideal(I: Ideal) -> str:

@@ -1,5 +1,6 @@
 """Graded ideals and their arithmetic: intersection, quotient, saturation,
-coordinate changes, and kernels of maps into cyclic quotients.
+seeded invertible coordinate draws, and kernels of maps into cyclic
+quotients.
 
 Intersections run through syzygies of stacked generator lists (everything
 stays homogeneous), quotients through intersection plus exact division,
@@ -202,15 +203,3 @@ def random_invertible_matrix(ring: PolyRing, rng, bound: int):
         if fraction_rank(matrix, modulus) == nvars:
             return matrix
     raise AssertionError("failed to draw an invertible matrix")
-
-
-def change_coordinates(I: Ideal, matrix) -> Ideal:
-    """Substitute x_i -> sum_j matrix[i][j] x_j in every generator.  The
-    matrix must be invertible over the ring's field: the images of the
-    variables span the linear forms."""
-    ring = I.ring
-    if len(matrix) != ring.nvars or any(len(r) != ring.nvars for r in matrix):
-        raise ValueError("matrix size does not match the ring")
-    if fraction_rank(matrix, getattr(ring.field, "p", 0)) < ring.nvars:
-        raise ValueError("singular coordinate change")
-    return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])

@@ -16,7 +16,7 @@ near-minimal before the exact unit-entry minimalization pass.  Outside
 the engine an element is a packed vector {component: {packed monomial: field
 coefficient}} of homogeneous nonzero entries: resolution maps stay packed
 from the Schreyer step to the presented modules, and ``Polynomial`` vectors
-appear only at the boundary (`module_kernel`, `ResolutionData.mats`).
+appear only at the boundary (`module_kernel`).
 Between the Schreyer step and the minimal resolution a column keeps the
 engine's integers with one scale (its Schreyer lead coefficient inverted):
 units cancel fraction-free, and field coefficients are made only for the
@@ -32,7 +32,7 @@ from . import packing
 from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive, _to_engine
 from .monomials import BettiTable, MonomialIdeal
 from .packing import MAXEXP, ExponentLimitError
-from .ring import PolyRing, Polynomial
+from .ring import PolyRing, Polynomial, _addmul
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +146,6 @@ def _packed_columns(elements, bits, decode, modulus):
     return cols, scales
 
 
-def _addmul(acc, f, g, modulus):
-    """acc += f * g for packed entries {key: coefficient}; returns acc."""
-    for kf, cf in f.items():
-        for kg, cg in g.items():
-            k = kf + kg
-            v = acc.get(k, 0) + cf * cg
-            if modulus:
-                v %= modulus
-            if v:
-                acc[k] = v
-            else:
-                acc.pop(k, None)
-    return acc
-
-
 class ResolutionData:
     """Graded free resolution of R/I: twists per level and the maps between
     consecutive levels (level 0 is R itself).  cols[k] holds the map F_{k+1}
@@ -170,18 +155,6 @@ class ResolutionData:
         self.ring = ring
         self.twists = [tuple(t) for t in twists]
         self.cols = cols
-        self._mats = None
-
-    @property
-    def mats(self):
-        """The maps as Polynomials, built on first read: mats[k][j][i] is
-        the entry of column j of the k-th map at row i."""
-        if self._mats is None:
-            self._mats = tuple(
-                tuple(tuple(polynomial_vector(self.ring, col, len(self.twists[k]))) for col in level)
-                for k, level in enumerate(self.cols)
-            )
-        return self._mats
 
     @property
     def length(self):
@@ -462,8 +435,9 @@ class PresentedModule:
         return _pot_vector(eng, keys, coeffs, 0, (ep.scale or 1) * mult)
 
     def mult_matrix(self, var: int, degree: int):
-        """Matrix of multiplication by x_var from degree to degree+1, in the
-        standard monomial bases (rows: target, columns: source)."""
+        """Multiplication by x_var from degree to degree+1 in the standard
+        monomial bases: one list per source element, over the target
+        basis."""
         if degree + 1 - min(self.gen_degrees, default=0) > MAXEXP:
             raise ExponentLimitError(f"degree {degree + 1} exceeds the packed limit {MAXEXP}")
         eng = self.engine
@@ -484,5 +458,4 @@ class PresentedModule:
                 for k, c in zip(keys, _divide(coeffs, mult, eng.modulus)):
                     vec[tgt_index[k]] = c
             cols.append(vec)
-        # transpose to rows=target
-        return [[cols[c][r] for c in range(len(src))] for r in range(len(tgt))]
+        return cols

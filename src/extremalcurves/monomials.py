@@ -1,14 +1,9 @@
 """Combinatorics of monomial ideals: Hilbert series numerators, strong
-stability, the Eliahou-Kervaire Betti formula for stable ideals, and an
-independent Betti oracle via upper Koszul simplicial homology that works
-for every monomial ideal.
+stability, and the Eliahou-Kervaire Betti formula for stable ideals.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-
-from .oracle import fraction_rank
 from .ring import binom, mono_degree, mono_divides
 
 
@@ -125,13 +120,6 @@ class MonomialIdeal:
 
     def contains(self, m) -> bool:
         return any(mono_divides(g, m) for g in self.gens)
-
-    def join(self):
-        """Componentwise max of the generators (their lcm)."""
-        out = [0] * self.nvars
-        for g in self.gens:
-            out = [max(a, b) for a, b in zip(out, g)]
-        return tuple(out)
 
     def hilbert_numerator(self):
         """Numerator N(t) with HS(R/I) = N(t)/(1-t)^nvars."""
@@ -257,73 +245,4 @@ def ek_betti(I: MonomialIdeal) -> BettiTable:
         d = mono_degree(u)
         for i in range(m_u + 1):
             table.add(i, i + d, binom(m_u, i))
-    return table
-
-
-def _reduced_homology_dims(faces):
-    """Reduced homology dimensions of a simplicial complex over Q.
-
-    ``faces`` is the set of frozensets (including frozenset() when the
-    empty face is present).  Returns dict dim -> rank, with dim -1 for the
-    sphere of the empty complex convention.
-    """
-    if not faces:
-        return {}
-    by_dim = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(sorted(f))
-    for fs in by_dim.values():
-        fs.sort()
-    top = max(by_dim)
-    index = {d: {tuple(f): k for k, f in enumerate(fs)} for d, fs in by_dim.items()}
-
-    def boundary_rank(d):
-        # rank of d-th boundary map C_d -> C_{d-1}
-        if d <= -1 or d not in by_dim or (d - 1) not in by_dim:
-            return 0
-        rows = []
-        lower = index[d - 1]
-        for f in by_dim[d]:
-            vec = [0] * len(lower)
-            for k in range(len(f)):
-                face = tuple(f[:k] + f[k + 1 :])
-                vec[lower[face]] = (-1) ** k
-            rows.append(vec)
-        return fraction_rank(rows)
-
-    ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
-    out = {}
-    for d in range(-1, top + 1):
-        dim_c = len(by_dim.get(d, []))
-        h = dim_c - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if h:
-            out[d] = h
-    return out
-
-
-def hochster_betti_oracle(I: MonomialIdeal) -> BettiTable:
-    """Betti numbers of any monomial ideal via upper Koszul complexes.
-
-    For each exponent vector b below the join of the generators,
-    beta_{i,b}(I) is the reduced homology in dimension i-1 of
-    {S subset supp(b) : x^b / prod_{s in S} x_s in I}; summing over |b| = j
-    gives beta_{i,j}.
-    """
-    table = BettiTable()
-    if not I.gens:
-        return table
-    join = I.join()
-    for b in product(*[range(e + 1) for e in join]):
-        if not I.contains(b):
-            continue
-        supp = [i for i, e in enumerate(b) if e]
-        faces = set()
-        for r in range(len(supp) + 1):
-            for S in combinations(supp, r):
-                quotient = tuple(e - 1 if i in S else e for i, e in enumerate(b))
-                if I.contains(quotient):
-                    faces.add(frozenset(S))
-        deg = sum(b)
-        for hdim, rank in _reduced_homology_dims(faces).items():
-            table.add(hdim + 1, deg, rank)
     return table

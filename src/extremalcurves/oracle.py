@@ -21,20 +21,13 @@ def _poly_rows(gens):
     ring = gens[0].ring
     pack = make_packer(ring.nvars)
     rows = []
-    modulus = getattr(ring.field, "p", 0)
     for g in gens:
         if not g:
             continue
         if not g.is_homogeneous():
             raise ValueError("graded pieces need homogeneous generators")
-        if modulus:
-            row = {pack(m): int(c) % modulus for m, c in g.terms}
-        else:
-            den = 1
-            for _, c in g.terms:
-                den = den * c.denominator // gcd(den, c.denominator)
-            row = {pack(m): int(c * den) for m, c in g.terms}
-        rows.append((g.degree(), row))
+        (ints,), _ = clear_denominators([[c for _, c in g.terms]])  # residues stay
+        rows.append((g.degree(), {pack(m): c for (m, _), c in zip(g.terms, ints)}))
     return rows
 
 
@@ -148,46 +141,6 @@ def oracle_quotient_dims(gens, jmax: int, ring: PolyRing | None = None):
         ring = gens[0].ring
     ideal_dims = oracle_ideal_dims(gens, jmax, ring)
     return [ring.dim_degree(j) - ideal_dims[j] for j in range(jmax + 1)]
-
-
-class GradedPieceMatrix:
-    """Matrix whose rows are all generator*monomial products in one degree."""
-
-    def __init__(self, ring, rows, monomials, rank):
-        self.ring = ring
-        self.rows = rows  # list of dicts: packed key -> int
-        self.monomials = monomials  # revlex-descending column labels
-        self.rank = rank
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.monomials))
-
-
-def graded_piece_basis(gens, j: int, ring: PolyRing | None = None) -> GradedPieceMatrix:
-    """All products generator x monomial landing in degree j, row reduced.
-
-    The row space equals the degree-j piece of the ideal; the rank is its
-    dimension.  Empty matrix when j lies below every generator.
-    """
-    if ring is None:
-        ring = gens[0].ring
-    _check_degree(j)
-    pack = make_packer(ring.nvars)
-    rows = []
-    for d, row in _poly_rows([g for g in gens if g]):
-        if d > j:
-            continue
-        for m in ring.monomials_of_degree(j - d):
-            shift = pack(m)
-            rows.append({k + shift: v for k, v in row.items()})
-    span = GradedSpan(ring, [])
-    span.degree = j
-    rank = 0
-    for row in rows:
-        if span._insert(dict(row)):
-            rank += 1
-    return GradedPieceMatrix(ring, rows, ring.monomials_of_degree(j), rank)
 
 
 def minimal_generators(gens):

@@ -141,7 +141,6 @@ class CurveReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
-        d = self.to_json_dict()
         lines = []
         lines.append(
             f"curve: n={self.n} d={self.d} g={self.g} a={self.a}   verdict: {self.verdict}"

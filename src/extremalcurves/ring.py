@@ -3,9 +3,12 @@ lexicographic order.
 
 Monomials are dense exponent tuples of length ``nvars`` (variables
 x0 > x1 > ... ordered by index).  Coefficients live in an exact field:
-arbitrary-precision rationals by default, or an odd prime field as an
-opt-in accelerator.  Every value is immutable and safe to share between
-tasks.
+arbitrary-precision rationals by default, or an odd prime field.  Verdicts
+run over the rationals only; Z/p serves ideal files with a ``zp`` header
+(parsing, emission, ``oracle-hf``), constructions from forms over Z/p,
+the rank tests of coordinate draws and plane forms over the ring's field,
+and the tests that cross-check the engines mod p.  Every value is
+immutable and safe to share between tasks.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 Monomial = tuple  # exponent tuple of length nvars
 
@@ -142,25 +145,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b, assuming b | a."""
     return tuple(x - y for x, y in zip(a, b))
-
-
-def compare_revlex(m1: Monomial, m2: Monomial) -> int:
-    """Degree-refined reverse lexicographic comparison.
-
-    Returns 1 when m1 > m2, -1 when m1 < m2, 0 on equality.  m1 > m2 when
-    the last non-zero coordinate of the vector
-    (a_0-b_0, ..., a_n-b_n, sum(b)-sum(a)) is negative; the appended degree
-    slot makes higher total degree larger.
-    """
-    if len(m1) != len(m2):
-        raise ValueError("monomials from different rings")
-    d = mono_degree(m2) - mono_degree(m1)
-    if d:
-        return 1 if d < 0 else -1
-    for a, b in zip(reversed(m1), reversed(m2)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
 
 
 def revlex_key(m: Monomial):
@@ -359,19 +343,19 @@ def expand_linear(polys, matrix, width):
     out = []
     for p in polys:
         top = max(p.degree(), 0)
-        den_c = 1 if modulus else lcm(*(c.denominator for _, c in p.terms))
+        (ints,), den_c = clear_denominators([[c for _, c in p.terms]])  # den_c 1 over Z/p
         acc = {}
         get = acc.get
-        for m, c in p.terms:
+        for (m, _), c in zip(p.terms, ints):
             prod = {0: 1}
             for i, e in enumerate(m):
                 if e:
                     cache = powers[i]
                     while len(cache) <= e:
-                        cache.append(_mul_packed(cache[-1], cache[1], modulus))
-                    prod = _mul_packed(prod, cache[e], modulus)
+                        cache.append(_addmul({}, cache[-1], cache[1], modulus))
+                    prod = _addmul({}, prod, cache[e], modulus)
             if not modulus:
-                c = c.numerator * (den_c // c.denominator) * den ** (top - mono_degree(m))
+                c *= den ** (top - mono_degree(m))
             for k, v in prod.items():
                 acc[k] = get(k, 0) + c * v
         if modulus:
@@ -389,17 +373,33 @@ def clear_denominators(matrix):
     return [[v.numerator * (den // v.denominator) for v in row] for row in matrix], den
 
 
-def _mul_packed(a, b, modulus):
-    """Product of two {packed monomial key: int} dicts (mod p when given)."""
-    out = {}
-    get = out.get
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    if modulus:
-        return {k: v % modulus for k, v in out.items() if v % modulus}
-    return {k: v for k, v in out.items() if v}
+def strip_content(coeffs):
+    """(coeffs // g, g) for g the gcd of the integers coeffs (1 when they
+    are all zero); signs are kept."""
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+        if g == 1:
+            return coeffs, 1
+    if g > 1:
+        return [c // g for c in coeffs], g
+    return coeffs, 1
+
+
+def _addmul(acc, f, g, modulus):
+    """acc += f * g for packed entries {key: coefficient} (mod p when
+    modulus is nonzero), zero terms dropped; returns acc."""
+    for kf, cf in f.items():
+        for kg, cg in g.items():
+            k = kf + kg
+            v = acc.get(k, 0) + cf * cg
+            if modulus:
+                v %= modulus
+            if v:
+                acc[k] = v
+            else:
+                acc.pop(k, None)
+    return acc
 
 
 def format_mono(m: Monomial) -> str:

@@ -34,10 +34,10 @@ from extremalcurves.gin import gin
 from extremalcurves.monomials import (
     MonomialIdeal,
     ek_betti,
-    hochster_betti_oracle,
     is_strongly_stable,
 )
 from extremalcurves.oracle import oracle_quotient_dims
+from reference import hochster_betti_oracle
 
 GRID = [
     (n, d, a)

@@ -15,7 +15,7 @@ from extremalcurves.construct import (
 from extremalcurves.ideals import Ideal, is_saturated
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing, PrimeField
-from reference import binary_gcd
+from reference import binary_gcd, change_coordinates
 
 
 class TestBinaryGcd:
@@ -60,8 +60,6 @@ class TestConstructCurve:
         assert built_dims == catalog_dims
         # the mixed generator may flip sign; x1 -> -x1 identifies the ideals
         flip = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        from extremalcurves.ideals import change_coordinates
-
         assert change_coordinates(built, flip) == Ideal(R, list(catalog.gens))
 
     def test_degenerate_rejected(self):

@@ -1,6 +1,5 @@
 from extremalcurves.ideals import (
     Ideal,
-    change_coordinates,
     divide_exact,
     intersect,
     is_saturated,
@@ -11,6 +10,7 @@ from extremalcurves.ideals import (
 )
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
+from reference import change_coordinates
 
 import pytest
 

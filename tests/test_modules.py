@@ -12,6 +12,7 @@ from extremalcurves.modules import (
 from extremalcurves.packing import make_packer
 from extremalcurves.monomials import BettiTable, MonomialIdeal, ek_betti
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
+from reference import mats
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -26,8 +27,9 @@ def first_syzygies(gb):
     """Level 1 of the minimal resolution: the minimal generators and one
     vector over them per minimal first syzygy."""
     res = free_resolution_from_gb(gb)
-    gens = [col[0] for col in res.mats[0]]
-    return gens, (res.mats[1] if len(res.mats) > 1 else [])
+    maps = mats(res)
+    gens = [col[0] for col in maps[0]]
+    return gens, (maps[1] if len(maps) > 1 else [])
 
 
 class TestSyzygies:

@@ -6,9 +6,9 @@ from extremalcurves.monomials import (
     BettiTable,
     MonomialIdeal,
     ek_betti,
-    hochster_betti_oracle,
     is_strongly_stable,
 )
+from reference import hochster_betti_oracle
 
 
 def I(nvars, *gens):

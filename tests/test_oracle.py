@@ -3,12 +3,12 @@ from fractions import Fraction
 
 from extremalcurves.oracle import (
     fraction_rank,
-    graded_piece_basis,
     minimal_generators,
     oracle_ideal_dims,
     oracle_quotient_dims,
 )
 from extremalcurves.ring import PolyRing, Polynomial
+from reference import graded_piece_basis
 
 R4 = PolyRing(4)
 

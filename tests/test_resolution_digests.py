@@ -3,10 +3,11 @@
 The resolution's matrices are a deterministic function of the reduced
 Gröbner basis: the Schreyer frame, then unit cancellation with the first
 unit column and its lowest row as the pivot.  A change to how the maps
-are stored or minimalized must leave every entry of `ResolutionData.mats`
-as it was; these digests make that a standing check.  The curves are
-seeded random constructions in P^3, P^4 and P^5 over QQ, one of them in
-dense coordinates, and constructions and a coordinate change over Z/p."""
+are stored or minimalized must leave every entry of the maps (as
+`reference.mats` reads them) as it was; these digests make that a
+standing check.  The curves are seeded random constructions in P^3, P^4
+and P^5 over QQ, one of them in dense coordinates, and constructions and
+a coordinate change over Z/p."""
 
 import hashlib
 import random
@@ -14,8 +15,9 @@ import random
 import pytest
 
 from extremalcurves.construct import construct_curve, random_construction_input
-from extremalcurves.ideals import Ideal, change_coordinates
+from extremalcurves.ideals import Ideal
 from extremalcurves.ring import PolyRing, PrimeField
+from reference import change_coordinates, mats
 
 
 def _curve(n, d, a, seed, field=None):
@@ -37,7 +39,7 @@ def _dense(I, seed):
 def resolution_digest(res) -> str:
     text = repr((
         res.twists,
-        [[[[(m, str(c)) for m, c in e.terms] for e in col] for col in mat] for mat in res.mats],
+        [[[[(m, str(c)) for m, c in e.terms] for e in col] for col in mat] for mat in mats(res)],
     ))
     return hashlib.sha256(text.encode()).hexdigest()
 

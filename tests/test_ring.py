@@ -8,10 +8,10 @@ from extremalcurves.ring import (
     PolyRing,
     Polynomial,
     PrimeField,
-    compare_revlex,
     mono_mul,
     revlex_key,
 )
+from reference import compare_revlex
 
 R4 = PolyRing(4)  # K[x0..x3], ambient P^3
 
