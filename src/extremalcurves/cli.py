@@ -67,9 +67,9 @@ def _build_parser():
     p.add_argument("--max-deg", type=int, required=True)
 
     p = sub.add_parser("sweep", help="run the verification grid")
-    p.add_argument("--n", required=True, help="range A:B inclusive")
-    p.add_argument("--d", required=True, help="range A:B inclusive")
-    p.add_argument("--a", required=True, help="range A:B inclusive")
+    p.add_argument("--n", type=_span, required=True, help="range A:B inclusive")
+    p.add_argument("--d", type=_span, required=True, help="range A:B inclusive")
+    p.add_argument("--a", type=_span, required=True, help="range A:B inclusive")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -80,8 +80,8 @@ def _span(text):
     try:
         lo, hi = text.split(":")
         return int(lo), int(hi)
-    except Exception:
-        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}") from None
 
 
 def _cmd_bounds(args):
@@ -159,9 +159,7 @@ def sweep_point(task):
 
 
 def _cmd_sweep(args):
-    n_lo, n_hi = _span(args.n)
-    d_lo, d_hi = _span(args.d)
-    a_lo, a_hi = _span(args.a)
+    (n_lo, n_hi), (d_lo, d_hi), (a_lo, a_hi) = args.n, args.d, args.a
     tasks = []
     for n in range(n_lo, n_hi + 1):
         for d in range(d_lo, d_hi + 1):

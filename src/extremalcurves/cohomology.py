@@ -32,7 +32,7 @@ from .ideals import Ideal, is_saturated, random_invertible_matrix
 from .modules import GraphBasis, PresentedModule
 from .monomials import MonomialIdeal, ek_betti
 from .oracle import fraction_rank
-from .report import CurveReport
+from .report import SCHEMA_VERSION, CurveReport
 from .ring import PolyRing, format_mono
 
 
@@ -508,8 +508,13 @@ def _formatted(monomial_ideal):
     return None if monomial_ideal is None else [format_mono(m) for m in monomial_ideal.gens]
 
 
+def _betti_json(table):
+    return None if table is None else [{"i": i, "j": j, "rank": r} for (i, j), r in table.items()]
+
+
 def verify_extremal(I: Ideal, seed: int = 0) -> CurveReport:
-    """Full computed-versus-expected report for a saturated curve ideal."""
+    """Full computed-versus-expected report for a saturated curve ideal.
+    This is where the report's versioned JSON document is laid out."""
     c = CurveAnalysis(I, seed)
     spec, extremal, rao = c.spec, c.extremal, c.rao
     n, d, a = spec.n, spec.d, spec.a
@@ -532,6 +537,7 @@ def verify_extremal(I: Ideal, seed: int = 0) -> CurveReport:
             gin_match = "alternate"
         else:
             gin_match = "mismatch"
+    gin_seeds = None if gin is None else list(gin.seeds)
 
     betti, betti_expected, betti_gin = c.betti, None, None
     if betti is not None:
@@ -553,55 +559,76 @@ def verify_extremal(I: Ideal, seed: int = 0) -> CurveReport:
     sections = c.section_values
     sections_expected = None if sections is None else [min(j + 2, d) for j in range(1, d + 2)]
 
-    return CurveReport(
-        n=n,
-        d=d,
-        g=spec.g,
-        a=a,
-        window=c.window,
-        hilbert_dims=list(c.hilbert.dims),
-        regularity=c.hilbert.regularity,
-        h1=c.h1,
-        h1_expected=list(c.profile.h1),
-        h1_matches=h1_matches,
-        first_h1_failure=next((j for j, ok in zip(c.degrees, h1_matches) if not ok), None),
-        h2=c.h2,
-        h2_expected=list(c.profile.h2),
-        h2_checked=extremal and d >= 3,
-        # the degree-2 bound is undefined (None) for j < 0
-        h2_match=all(x == y for x, y in zip(c.h2, c.profile.h2) if y is not None) if extremal else None,
-        gin_checked=gin is not None,
-        gin_monomials=_formatted(gin and gin.ideal),
-        gin_expected=_formatted(gin_expected),
-        gin_alternate=_formatted(alternate),
-        gin_match=gin_match,
-        gin_seeds=gin and gin.seeds,
-        gin_entry_bound=gin and gin.entry_bound,
-        betti_checked=betti is not None,
-        betti=betti,
-        betti_expected=betti_expected,
-        betti_gin=betti_gin,
-        betti_match=None if betti is None else betti == betti_expected,
-        betti_gin_match=None if betti is None else betti == betti_gin,
-        rao_dims=rao_dims,
-        rao_expected=rao_expected,
-        rao_match=rao_expected == rao_dims if rao_checked else None,
-        rao_generator_count=rao.generator_count,
-        rao_generator_degrees=rao.generator_degrees,
-        rao_cyclic=rao.generator_count <= 1,
-        annihilator_degrees=rao.annihilator_degrees,
-        annihilator_expected=ann_expected,
-        annihilator_match=rao.annihilator_degrees == ann_expected if rao_checked else None,
-        section_values=sections,
-        section_expected=sections_expected,
-        section_match=None if sections is None else sections == sections_expected,
-        section_seed=c.section_seed,
-        planar_checked=c.planar is not None,
-        planar_verdict=c.planar,
-        verdict="extremal" if extremal else "not_extremal",
-        seed=seed,
-        warnings=warnings,
-    )
+    window = list(c.window)
+    return CurveReport({
+        "schema": SCHEMA_VERSION,
+        "spec": {"n": n, "d": d, "g": spec.g, "a": a},
+        "seeds": {
+            "base": seed,
+            "gin": gin_seeds,
+            "gin_entry_bound": None if gin is None else gin.entry_bound,
+            "hyperplane": c.section_seed,
+        },
+        "hilbert": {
+            "window": window,
+            "dims": list(c.hilbert.dims),
+            "degree": d,
+            "genus": spec.g,
+            "regularity": c.hilbert.regularity,
+        },
+        "h1": {
+            "window": window,
+            "computed": c.h1,
+            "expected": list(c.profile.h1),
+            "matches": h1_matches,
+            "match": all(h1_matches),
+            "first_h1_failure": next((j for j, ok in zip(c.degrees, h1_matches) if not ok), None),
+        },
+        "h2": {
+            "window": window,
+            "computed": c.h2,
+            "expected": list(c.profile.h2),
+            "checked": extremal and d >= 3,
+            # the degree-2 bound is undefined (None) for j < 0
+            "match": all(x == y for x, y in zip(c.h2, c.profile.h2) if y is not None) if extremal else None,
+        },
+        "gin": {
+            "checked": gin is not None,
+            "monomials": _formatted(gin and gin.ideal),
+            "expected": _formatted(gin_expected),
+            "alternate": _formatted(alternate),
+            "match": gin_match,
+            "seeds": gin_seeds,
+        },
+        "betti": {
+            "checked": betti is not None,
+            "computed": _betti_json(betti),
+            "expected": _betti_json(betti_expected),
+            "gin": _betti_json(betti_gin),
+            "match_expected": None if betti is None else betti == betti_expected,
+            "match_gin": None if betti is None else betti == betti_gin,
+        },
+        "rao": {
+            "window": window,
+            "dims": rao_dims,
+            "expected": rao_expected,
+            "match": rao_expected == rao_dims if rao_checked else None,
+            "generator_count": rao.generator_count,
+            "generator_degrees": rao.generator_degrees,
+            "cyclic": rao.generator_count <= 1,
+            "annihilator_degrees": rao.annihilator_degrees,
+            "annihilator_expected": ann_expected,
+            "annihilator_match": rao.annihilator_degrees == ann_expected if rao_checked else None,
+        },
+        "hyperplane_section": {
+            "values": sections,
+            "expected": sections_expected,
+            "match": None if sections is None else sections == sections_expected,
+        },
+        "planar_subcurve": {"checked": c.planar is not None, "verdict": c.planar},
+        "verdict": "extremal" if extremal else "not_extremal",
+        "warnings": warnings,
+    })
 
 
 def constructed_curve_probe(I: Ideal):

@@ -370,23 +370,6 @@ class GroebnerBasis:
             self._initial = MonomialIdeal(self.ring.nvars, [p.lead_monomial for p in self.polys])
         return self._initial
 
-    def reduce(self, f: Polynomial) -> Polynomial:
-        """Full normal form of f; zero iff f is a member."""
-        if f.ring != self.ring:
-            raise ValueError("polynomial from a different ring")
-        if not f or not self.polys:
-            return f
-        eng = _Engine(self.ring)
-        for p in self.polys:
-            eng.add(_to_engine(p, eng.pack, eng.modulus))
-        ep = _to_engine(f, eng.pack, eng.modulus)
-        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-        coeffs = _divide(coeffs, (ep.scale or 1) * mult, eng.modulus)
-        return Polynomial(self.ring, zip(map(eng.unpack, keys), coeffs))
-
-    def contains(self, f: Polynomial) -> bool:
-        return not self.reduce(f)
-
     def __repr__(self):
         return f"GroebnerBasis({len(self.polys)} elements)"
 

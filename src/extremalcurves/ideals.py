@@ -11,9 +11,10 @@ resolution instead (Auslander-Buchsbaum).
 
 from __future__ import annotations
 
-from .groebner import GroebnerBasis, buchberger, minimal_basis
+from .groebner import GroebnerBasis, _to_engine, buchberger, minimal_basis
 from .modules import free_resolution_from_gb, module_kernel
 from .oracle import fraction_rank
+from .packing import make_packer
 from .ring import PolyRing, Polynomial, mono_div, mono_divides
 
 
@@ -46,7 +47,10 @@ class Ideal:
 
     def groebner(self) -> GroebnerBasis:
         if self._gb is None:
-            self._gb = buchberger(self.gens, self.ring)
+            # the constructor tested the gens for homogeneity, so they go
+            # in as engine elements, which `buchberger` takes untested
+            pack, modulus = make_packer(self.ring.nvars), getattr(self.ring.field, "p", 0)
+            self._gb = buchberger([_to_engine(g, pack, modulus) for g in self.gens], self.ring)
         return self._gb
 
     def resolution(self):
@@ -63,9 +67,6 @@ class Ideal:
     def dim_piece(self, j: int) -> int:
         """dim_K of the degree-j piece of the ideal."""
         return self.ring.dim_degree(j) - self.quotient_dim(j)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.groebner().contains(f)
 
     def __eq__(self, other):
         if not isinstance(other, Ideal) or self.ring != other.ring:

@@ -36,9 +36,6 @@ class BettiTable:
     def items(self):
         return sorted(self.entries.items())
 
-    def max_index(self) -> int:
-        return max((i for i, _ in self.entries), default=-1)
-
     def regularity(self) -> int:
         """max(j - i) over nonzero entries (ideal convention)."""
         return max((j - i for i, j in self.entries), default=0)
@@ -50,15 +47,6 @@ class BettiTable:
             if i == 0:
                 out.extend([j] * r)
         return out
-
-    def alternating_numerator(self, nvars: int):
-        """Hilbert numerator of R/I from the table: 1 - sum (-1)^i b_{i,j} t^j."""
-        top = max((j for _, j in self.entries), default=0)
-        out = [0] * (top + 1)
-        out[0] = 1
-        for (i, j), r in self.entries.items():
-            out[j] -= (-1) ** i * r
-        return tuple(_trim(out))
 
     def __repr__(self):
         cells = ", ".join(f"({i},{j}):{r}" for (i, j), r in self.items())
@@ -134,14 +122,6 @@ class MonomialIdeal:
         num = self.hilbert_numerator()
         nv = self.nvars
         return sum(c * binom(j - k + nv - 1, nv - 1) for k, c in enumerate(num))
-
-    def quotient_dims(self, jmax: int):
-        return [self.quotient_dim(j) for j in range(jmax + 1)]
-
-    def ideal_dim(self, j: int) -> int:
-        if j < 0:
-            return 0
-        return binom(j + self.nvars - 1, self.nvars - 1) - self.quotient_dim(j)
 
     def is_artinian(self) -> bool:
         """Contains a power of every variable (the unit ideal does)."""

@@ -462,9 +462,6 @@ class PolyRing:
     def one(self) -> Polynomial:
         return Polynomial(self, [(tuple([0] * self.nvars), 1)])
 
-    def from_scalar(self, c) -> Polynomial:
-        return Polynomial(self, [(tuple([0] * self.nvars), c)])
-
     def monomial(self, m: Monomial, c=1) -> Polynomial:
         if len(m) != self.nvars:
             raise ValueError("wrong exponent tuple length")

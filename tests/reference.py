@@ -6,19 +6,23 @@ minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
 QQ), coordinate changes of ideals, resolution maps as `Polynomial`s, the
 row-reduced graded piece of an ideal, the revlex comparison of exponent
 tuples, the Hochster Betti oracle for monomial ideals, and the
-commutation check of a Rao module's multiplication maps."""
+commutation check of a Rao module's multiplication maps; and small
+reads of package objects that only the tests make: the normal form and
+membership of a Gröbner basis, the top index and alternating numerator of
+a Betti table, the graded dimensions of a monomial ideal, and constant
+polynomials."""
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from extremalcurves.construct import _is_binary, binary_coeff_vector
-from extremalcurves.groebner import _divide
+from extremalcurves.groebner import _divide, _Engine, _to_engine
 from extremalcurves.ideals import Ideal
 from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
 from extremalcurves.monomials import BettiTable
 from extremalcurves.oracle import GradedSpan, _check_degree, _poly_rows, fraction_rank
 from extremalcurves.packing import make_packer, make_unpacker
-from extremalcurves.ring import PolyRing, Polynomial, _addmul, mono_degree, mono_divides, revlex_key
+from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
 
 
 def _uni_gcd(a, b, fld):
@@ -373,3 +377,58 @@ def multiplication_commutes(module) -> bool:
                 if a != b:
                     return False
     return True
+
+
+def normal_form(gb, f):
+    """Full normal form of f modulo a `GroebnerBasis`; zero iff f is a member."""
+    if f.ring != gb.ring:
+        raise ValueError("polynomial from a different ring")
+    if not f or not gb.polys:
+        return f
+    eng = _Engine(gb.ring)
+    for p in gb.polys:
+        eng.add(_to_engine(p, eng.pack, eng.modulus))
+    ep = _to_engine(f, eng.pack, eng.modulus)
+    keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
+    coeffs = _divide(coeffs, (ep.scale or 1) * mult, eng.modulus)
+    return Polynomial(gb.ring, zip(map(eng.unpack, keys), coeffs))
+
+
+def contains(gb, f) -> bool:
+    """Membership of f in the ideal of a `GroebnerBasis`."""
+    return not normal_form(gb, f)
+
+
+def max_index(table) -> int:
+    """The largest homological index of a `BettiTable`, -1 when empty."""
+    return max((i for i, _ in table.entries), default=-1)
+
+
+def alternating_numerator(table):
+    """Hilbert numerator of R/I from a `BettiTable` of I:
+    1 - sum (-1)^i b_{i,j} t^j, without trailing zeros."""
+    top = max((j for _, j in table.entries), default=0)
+    out = [0] * (top + 1)
+    out[0] = 1
+    for (i, j), r in table.entries.items():
+        out[j] -= (-1) ** i * r
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def quotient_dims(ideal, jmax: int):
+    """dim_K [R/I]_j of a `MonomialIdeal` for 0 <= j <= jmax."""
+    return [ideal.quotient_dim(j) for j in range(jmax + 1)]
+
+
+def ideal_dim(ideal, j: int) -> int:
+    """dim_K I_j of a `MonomialIdeal`."""
+    if j < 0:
+        return 0
+    return binom(j + ideal.nvars - 1, ideal.nvars - 1) - ideal.quotient_dim(j)
+
+
+def from_scalar(ring, c) -> Polynomial:
+    """The constant polynomial c of the ring."""
+    return Polynomial(ring, [(tuple([0] * ring.nvars), c)])

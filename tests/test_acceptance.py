@@ -74,8 +74,8 @@ def catalog_point_task(point):
 
     ht = hilbert_table(ideal, default_window(n, d, g), *detect_hilbert_polynomial(ideal))
     hf_seconds = time.time() - t0
-    report = verify_extremal(ideal, seed=seed)
-    top = report.window[1]
+    report = verify_extremal(ideal, seed=seed).to_json_dict()
+    top = report["hilbert"]["window"][1]
     oracle = oracle_quotient_dims(list(ideal.gens), top, ideal.ring)
     groebner = [ideal.initial_ideal().quotient_dim(j) for j in range(top + 1)]
     return {
@@ -137,8 +137,8 @@ def witness_task(a):
 def alternate_task(a):
     n = 5
     ideal = cubic_alternate_curve_ideal(n, a)
-    report = verify_extremal(ideal, seed=_mix(BASE_SEED, 13, a))
-    top = report.window[1]
+    report = verify_extremal(ideal, seed=_mix(BASE_SEED, 13, a)).to_json_dict()
+    top = report["hilbert"]["window"][1]
     oracle = oracle_quotient_dims(list(ideal.gens), top, ideal.ring)
     groebner = [ideal.initial_ideal().quotient_dim(j) for j in range(top + 1)]
     return {"a": a, "report": report, "oracle_agrees": oracle == groebner}
@@ -229,7 +229,7 @@ def test_criterion_01_degree_and_genus(data):
 
 def test_criterion_02_extremality(data):
     ok = all(
-        r["report"].verdict == "extremal" and all(r["report"].h1_matches)
+        r["report"]["verdict"] == "extremal" and all(r["report"]["h1"]["matches"])
         for r in data["catalog"].values()
     )
     _line(2, "h1 equals the bound on the whole window", ok)
@@ -255,7 +255,7 @@ def test_criterion_04_second_cohomology(data):
         n, d, a = point
         if d < 3:
             continue
-        if r["report"].h2_match is not True:
+        if r["report"]["h2"]["match"] is not True:
             ok = False
     _line(4, "h2 equals its bound on the window (d >= 3)", ok)
 
@@ -266,7 +266,7 @@ def test_criterion_05_gin(data):
         n, d, a = point
         if d < 3:
             continue
-        match = r["report"].gin_match
+        match = r["report"]["gin"]["match"]
         if d >= 4 or (d == 3 and (a == 0 or n == 3)):
             if match != "primary":
                 ok = False
@@ -274,7 +274,7 @@ def test_criterion_05_gin(data):
             if match not in ("primary", "alternate"):
                 ok = False
     for a, r in data["alternates"].items():
-        if r["report"].gin_match != "alternate":
+        if r["report"]["gin"]["match"] != "alternate":
             ok = False
     _line(5, "gin matches the displayed ideal(s)", ok)
 
@@ -285,8 +285,8 @@ def test_criterion_06_betti_tables(data):
         n, d, a = point
         if not (d >= 5 or (d == 4 and a >= 1)):
             continue
-        rep = r["report"]
-        if not (rep.betti_checked and rep.betti_match and rep.betti_gin_match):
+        betti = r["report"]["betti"]
+        if not (betti["checked"] and betti["match_expected"] and betti["match_gin"]):
             ok = False
     _line(6, "Betti tables match the closed form and the gin", ok)
 
@@ -295,19 +295,19 @@ def test_criterion_07_rao_module(data):
     ok = True
     for point, r in data["catalog"].items():
         n, d, a = point
-        rep = r["report"]
+        rao = r["report"]["rao"]
         if d < 3:
-            if not rep.rao_cyclic:
+            if not rao["cyclic"]:
                 ok = False
             continue
         expected_count = 0 if (n == 3 and a == 0) else 1
-        if rep.rao_generator_count != expected_count:
+        if rao["generator_count"] != expected_count:
             ok = False
         if rao_structure_excluded(CurveSpec(n, d, _genus_of(n, d, a))):
             continue  # structure statement does not apply at this corner
-        if rep.rao_match is not True:
+        if rao["match"] is not True:
             ok = False
-        if rep.annihilator_match is not True:
+        if rao["annihilator_match"] is not True:
             ok = False
     _line(7, "Rao dimensions, cyclicity, annihilator degrees", ok)
 
@@ -333,7 +333,7 @@ def test_criterion_09_planar_subcurve(data):
         n, d, a = point
         if not (d >= 5 or (d == 4 and a >= 1)):
             continue
-        if r["report"].planar_verdict is not True:
+        if r["report"]["planar_subcurve"]["verdict"] is not True:
             ok = False
     _line(9, "planar subcurve of degree d-1 in the coordinate plane", ok)
 
@@ -366,9 +366,9 @@ def test_criterion_11_hyperplane_section(data):
         n, d, a = point
         if d < 3:
             continue
-        rep = r["report"]
-        if rep.section_match is not True:
+        section = r["report"]["hyperplane_section"]
+        if section["match"] is not True:
             ok = False
-        if rep.section_values != [min(j + 2, d) for j in range(1, d + 2)]:
+        if section["values"] != [min(j + 2, d) for j in range(1, d + 2)]:
             ok = False
     _line(11, "general hyperplane section has the stated Hilbert values", ok)

@@ -30,6 +30,14 @@ GONE = [
     ("cohomology", "FiniteLengthModule.multiplication_commutes"),
     ("cohomology", "_mat_mul"),
     ("cohomology", "_transpose"),
+    ("groebner", "GroebnerBasis.reduce"),
+    ("groebner", "GroebnerBasis.contains"),
+    ("ideals", "Ideal.contains"),
+    ("monomials", "BettiTable.max_index"),
+    ("monomials", "BettiTable.alternating_numerator"),
+    ("monomials", "MonomialIdeal.quotient_dims"),
+    ("monomials", "MonomialIdeal.ideal_dim"),
+    ("ring", "PolyRing.from_scalar"),
 ]
 
 

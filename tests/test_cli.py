@@ -157,6 +157,12 @@ class TestCli:
         main(["sweep", "--n", "3:3", "--d", "3:3", "--a", "0:0", "-o", str(b), "--seed", "5", "--jobs", "2"])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sweep_bad_range_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--n", "3-5", "--d", "3:3", "--a", "0:0", "-o", str(out)]) == 2
+        assert "expected A:B, got '3-5'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_hf_prime_field(self, tmp_path, capsys):
         # the oracle runs over a prime field too and matches the rationals
         qfile = tmp_path / "q.ideal"

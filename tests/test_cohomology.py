@@ -154,8 +154,9 @@ class TestHyperplaneSection:
         # x_last then gave the unit ideal and values [0, 0, 0, 0]
         I = extremal_curve_ideal(3, 3, -1)
         report = verify_extremal(I, seed=8187606606260888246)
-        assert report.section_values == [3, 3, 3, 3]
-        assert report.section_match
+        section = report.to_json_dict()["hyperplane_section"]
+        assert section["values"] == [3, 3, 3, 3]
+        assert section["match"]
 
     def test_conic_section(self):
         # plane conic in P^3: two points
@@ -205,15 +206,16 @@ class TestPlanarSubcurve:
 
 class TestVerifyExtremal:
     def test_space_quartic_all_checks(self):
-        rep = verify_extremal(extremal_curve_ideal(3, 4, 0), seed=1)
-        assert rep.verdict == "extremal"
-        assert all(rep.h1_matches)
-        assert rep.h2_match
-        assert rep.gin_match == "primary"
-        assert rep.betti_checked and rep.betti_match and rep.betti_gin_match
-        assert rep.rao_match and rep.annihilator_match
-        assert rep.section_match
-        assert rep.planar_verdict  # d = 4 with a = 1
+        rep = verify_extremal(extremal_curve_ideal(3, 4, 0), seed=1).to_json_dict()
+        assert rep["verdict"] == "extremal"
+        assert all(rep["h1"]["matches"])
+        assert rep["h2"]["match"]
+        assert rep["gin"]["match"] == "primary"
+        betti = rep["betti"]
+        assert betti["checked"] and betti["match_expected"] and betti["match_gin"]
+        assert rep["rao"]["match"] and rep["rao"]["annihilator_match"]
+        assert rep["hyperplane_section"]["match"]
+        assert rep["planar_subcurve"]["verdict"]  # d = 4 with a = 1
 
     def test_witness_not_extremal(self):
         c = CurveAnalysis(non_extremal_witness(4, 1, 4).ideal, seed=1)
@@ -269,8 +271,8 @@ class TestCurveAnalysis:
         monkeypatch.setattr(PresentedModule, "hf", recorded_hf)
         monkeypatch.setattr(cohomology, "detect_hilbert_polynomial", derived)
         # d = 4 with a = 1: every check of the report runs
-        rep = verify_extremal(curve, seed=1)
-        assert rep.gin_checked and rep.betti_checked and rep.planar_checked
+        rep = verify_extremal(curve, seed=1).to_json_dict()
+        assert rep["gin"]["checked"] and rep["betti"]["checked"] and rep["planar_subcurve"]["checked"]
         assert calls.pop("hyperplane_section") >= 2
         assert calls == {
             "DualCohomology": 1, "hilbert_table": 1, "deficiency_module": 1, "h2_table": 1,

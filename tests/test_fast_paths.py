@@ -27,6 +27,7 @@ from extremalcurves.ideals import Ideal, intersect, is_saturated, quotient
 from extremalcurves.oracle import fraction_rank
 from extremalcurves.packing import ExponentLimitError, make_packer
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField, clear_denominators
+from reference import from_scalar
 
 
 def _random_form(ring, degree, rng, density=0.5):
@@ -129,7 +130,7 @@ def _naive_substitute(f, matrix):
     ]
     out = ring.zero
     for m, c in f.terms:
-        term = ring.from_scalar(c)
+        term = from_scalar(ring, c)
         for i, e in enumerate(m):
             term = term * images[i] ** e
         out = out + term
@@ -169,9 +170,9 @@ def test_verdict_needs_no_quotient(monkeypatch):
 
     monkeypatch.setattr(ideals, "quotient", forbidden)
     monkeypatch.setattr(ideals, "saturate", forbidden)
-    report = verify_extremal(Ideal(I.ring, list(I.gens)), seed=3)
-    assert report.verdict == "extremal"
-    assert report.planar_checked and report.planar_verdict
+    report = verify_extremal(Ideal(I.ring, list(I.gens)), seed=3).to_json_dict()
+    assert report["verdict"] == "extremal"
+    assert report["planar_subcurve"]["checked"] and report["planar_subcurve"]["verdict"]
 
 
 def _random_matrix(nvars, rng, kind):

@@ -1,3 +1,4 @@
+from extremalcurves.groebner import buchberger
 from extremalcurves.ideals import (
     Ideal,
     divide_exact,
@@ -10,7 +11,7 @@ from extremalcurves.ideals import (
 )
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import change_coordinates
+from reference import change_coordinates, contains
 
 import pytest
 
@@ -41,7 +42,7 @@ class TestIntersect:
         K = intersect(I, J)
         # membership both ways, degree by degree, via the Gröbner engine
         for g in K.gens:
-            assert I.contains(g) and J.contains(g)
+            assert contains(I.groebner(), g) and contains(J.groebner(), g)
         for j in range(8):
             # dim of the intersection piece: inclusion-exclusion check
             assert K.dim_piece(j) <= min(I.dim_piece(j), J.dim_piece(j))
@@ -162,8 +163,8 @@ class TestKernelOfMap:
         ker = kernel_of_map([x0, x1], relations=[x2])
         I = Ideal(R3, [sum((c * v for c, v in zip(vec, [x0, x1])), R3.zero) for vec in ker])
         # the image ideal is (x0, x1) cap preimage: x2-multiples plus Koszul
-        assert I.contains(x1 * x0 - x0 * x1)
-        assert I.contains(x0 * x2)
+        assert contains(I.groebner(), x1 * x0 - x0 * x1)
+        assert contains(I.groebner(), x0 * x2)
         # and membership is exactly {h : h in (x2) + syzygy image}
         got = quotient(Ideal(R3, [x2]), Ideal(R3, [R3.one]))
         assert got == Ideal(R3, [x2])
@@ -187,3 +188,23 @@ def test_minimal_checks_each_candidate_once(monkeypatch):
     assert I.gens == (x0 * x1, x1**2 - x0 * x2, x2**3)
     with pytest.raises(ValueError, match="homogeneous"):
         Ideal.minimal(R3, [x0 * x1, x0 + x1**2])
+
+
+def test_groebner_checks_each_generator_once(monkeypatch):
+    # `Ideal.__init__` tests homogeneity; the engine run of `Ideal.groebner`
+    # must not test the same generators again, while `buchberger` on raw
+    # polynomials still does
+    x0, x1, x2 = R3.gens()
+    calls = []
+    original = Polynomial.is_homogeneous
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Polynomial, "is_homogeneous", counted)
+    I = Ideal(R3, [x0 * x1, x1**2 - x0 * x2, R3.zero, x2**3])
+    assert len(I.groebner()) == 4
+    assert len(calls) == 3  # the nonzero generators, once each
+    with pytest.raises(ValueError, match="homogeneous"):
+        buchberger([x0 * x1, x0 + x1**2])

@@ -8,7 +8,7 @@ from extremalcurves.monomials import (
     ek_betti,
     is_strongly_stable,
 )
-from reference import hochster_betti_oracle
+from reference import alternating_numerator, hochster_betti_oracle, max_index, quotient_dims
 
 
 def I(nvars, *gens):
@@ -20,7 +20,7 @@ class TestHilbertNumerator:
         # (x^2, xy, y^3) in 2 variables: quotient dims 1,2,1 -> 1 - 2t^2 + t^4
         ideal = I(2, (2, 0), (1, 1), (0, 3))
         assert ideal.hilbert_numerator() == (1, 0, -2, 0, 1)
-        assert ideal.quotient_dims(4) == [1, 2, 1, 0, 0]
+        assert quotient_dims(ideal, 4) == [1, 2, 1, 0, 0]
 
     def test_zero_ideal(self):
         assert I(3).hilbert_numerator() == (1,)
@@ -94,7 +94,7 @@ class TestHochsterOracle:
         table = hochster_betti_oracle(I(3, (1, 1, 0), (0, 1, 1), (1, 0, 1)))
         assert table.get(0, 2) == 3
         assert table.get(1, 3) == 2
-        assert table.max_index() == 1
+        assert max_index(table) == 1
 
     def test_principal(self):
         table = hochster_betti_oracle(I(3, (1, 2, 0)))
@@ -134,7 +134,7 @@ class TestHochsterOracle:
     def test_alternating_sum_gives_numerator(self):
         ideal = I(3, (2, 0, 0), (1, 1, 0), (0, 4, 0), (0, 3, 1))
         table = ek_betti(ideal)
-        assert table.alternating_numerator(3) == ideal.hilbert_numerator()
+        assert alternating_numerator(table) == ideal.hilbert_numerator()
 
 
 class TestHilbertAmbiguityPair:
@@ -149,7 +149,7 @@ class TestHilbertAmbiguityPair:
 
     def test_pair_hilbert_values(self):
         a = I(2, (4, 0), (3, 1), (2, 2), (0, 5))
-        assert a.quotient_dims(6) == [1, 2, 3, 4, 2, 1, 0]
+        assert quotient_dims(a, 6) == [1, 2, 3, 4, 2, 1, 0]
 
 
 def test_betti_table_helpers():
