@@ -64,24 +64,41 @@ def _build_parser():
         "oracle-hf", help="Hilbert values by pure linear algebra (no Gröbner engine)"
     )
     p.add_argument("file")
-    p.add_argument("--max-deg", type=int, required=True)
+    p.add_argument("--max-deg", type=_at_least(0), required=True)
 
     p = sub.add_parser("sweep", help="run the verification grid")
     p.add_argument("--n", type=_span, required=True, help="range A:B inclusive")
     p.add_argument("--d", type=_span, required=True, help="range A:B inclusive")
     p.add_argument("--a", type=_span, required=True, help="range A:B inclusive")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _span(text):
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}") from None
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: A exceeds B")
+    return lo, hi
+
+
+def _at_least(low):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _cmd_bounds(args):

@@ -116,7 +116,7 @@ def _dual_map(res, level):
     """Hom(-, R) of the map F_level -> F_{level-1}: one packed vector over
     F_level per basis element of F_{level-1}."""
     rows = [{} for _ in res.twists[level - 1]]
-    for c, col in enumerate(res.cols[level - 1]):
+    for c, col in enumerate(res.level(level - 1)):
         for r, e in col.items():
             rows[r][c] = e
     return rows

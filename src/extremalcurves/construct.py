@@ -19,10 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .groebner import _EnginePoly
 from .ideals import Ideal
 from .modules import GraphBasis, packed_vector
 from .oracle import fraction_rank
-from .packing import make_packer, make_unpacker
+from .packing import MAXEXP, ExponentLimitError, degree, make_packer, make_unpacker
 from .ring import PolyRing, Polynomial, binom
 
 
@@ -142,9 +143,13 @@ def construct_curve(inp: ConstructionInput) -> Ideal:
     cands = [Polynomial.from_sorted(ring, [(unpack(k), one)]) for k in sorted(keys)]
     for vec in graph.kernel_generators():
         # s_t is binary and the u_t are distinct monomials: the terms of
-        # sum s_t u_t are the key shifts of the entries, all distinct
+        # sum s_t u_t are the key shifts of the entries, all distinct; they
+        # stay engine integers, and only the kept ones become Polynomials
         terms = sorted((k + u[t], c) for t, entry in vec.items() for k, c in entry.items())
-        cands.append(Polynomial.from_sorted(ring, [(unpack(k), c) for k, c in terms]))
+        deg = degree(terms[0][0], ring.nvars)
+        if deg > MAXEXP:
+            raise ExponentLimitError(f"degree {deg} exceeds the packed limit {MAXEXP}")
+        cands.append(_EnginePoly([k for k, _ in terms], [c for _, c in terms], deg))
     return Ideal.minimal(ring, cands)
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import packing
 from .packing import MAXEXP, SLOT, ExponentLimitError
 from .monomials import MonomialIdeal
-from .ring import PolyRing, Polynomial, clear_denominators, expand_linear, revlex_key, strip_content
+from .ring import PolyRing, Polynomial, clear_denominators, expand_linear, strip_content
 
 
 class _EnginePoly:
@@ -93,6 +94,13 @@ def _primitive(coeffs, modulus):
     if coeffs[0] < 0:
         coeffs = [-c for c in coeffs]
     return coeffs
+
+
+def _monic(coeffs, modulus):
+    """The one integer vector of a nonzero element's line that `_to_engine`
+    makes from its monic polynomial: over QQ the primitive vector with a
+    positive lead, mod p the monic residues."""
+    return _divide(coeffs, coeffs[0], modulus) if modulus else _primitive(coeffs, 0)
 
 
 class _Engine:
@@ -262,7 +270,10 @@ class _Engine:
                 break
             deg, _, _, i, j, w = heapq.heappop(pairs)
             if deg - lowest > MAXEXP:  # homogeneous: no exponent exceeds this
-                raise ExponentLimitError(f"S-pair degree {deg} exceeds the packed limit {MAXEXP}")
+                raise ExponentLimitError(
+                    f"monomial degree {deg - lowest} of an S-pair (degree {deg}, lowest twist "
+                    f"{lowest}) exceeds the packed limit {MAXEXP}"
+                )
             pending.discard((i, j))
             skip = False
             for lk, k in by_slot[w >> cs]:
@@ -295,9 +306,10 @@ def _start(eng, gens, checked=False):
 
 
 def _reduced(eng, lead_only=False):
-    """The reduced basis of a completed engine, as polynomials (or as lead
-    monomials only): drop each element whose lead another lead divides
-    (the earlier of two equal leads stays), then interreduce the rest."""
+    """The reduced basis of a completed engine, as engine elements in the
+    canonical integers of `_monic` (or as lead monomials only): drop each
+    element whose lead another lead divides (the earlier of two equal
+    leads stays), then interreduce the rest."""
     basis, himask = eng.basis, eng.himask
     kept = []
     for idx, g in enumerate(basis):
@@ -321,8 +333,7 @@ def _reduced(eng, lead_only=False):
     out = []
     for g in kept:
         keys, coeffs, mult = red.normal_form(g.keys[1:], g.coeffs[1:])
-        ep = _EnginePoly([g.keys[0]] + keys, [g.coeffs[0] * mult] + coeffs, g.deg)
-        out.append(_from_engine(ep, eng.ring, eng.unpack, eng.modulus))
+        out.append(_EnginePoly([g.keys[0]] + keys, _monic([g.coeffs[0] * mult] + coeffs, eng.modulus), g.deg))
     return out
 
 
@@ -335,43 +346,56 @@ def _buchberger_engine(ring, gens, cap=None, lead_only=False):
 
 
 class GroebnerBasis:
-    """Reduced Gröbner basis under revlex: monic, auto-reduced, sorted by
-    descending lead monomial."""
+    """Reduced Gröbner basis under revlex, sorted by descending lead
+    monomial.
 
-    def __init__(self, ring: PolyRing, polys):
+    It holds the engine's elements in the canonical integers of `_monic`
+    (one vector per monic polynomial): the resolution's Schreyer frame
+    takes them as they are, equality and hashing compare them, and the
+    lead ideal is unpacked from their leads.  The monic `Polynomial`s,
+    ``polys``, are made on their first read (iteration reads them); no
+    verdict reads them."""
+
+    def __init__(self, ring: PolyRing, elems):
         self.ring = ring
-        self.polys = tuple(
-            sorted(
-                (p for p in polys if p),
-                key=lambda p: revlex_key(p.lead_monomial),
-                reverse=True,
-            )
-        )
-        self._initial = None
+        # descending revlex: higher degree first, then ascending packed lead
+        self.elems = tuple(sorted(elems, key=lambda e: (-e.deg, e.keys[0])))
+
+    @cached_property
+    def polys(self):
+        unpack, modulus = packing.make_unpacker(self.ring.nvars), getattr(self.ring.field, "p", 0)
+        return tuple(_from_engine(e, self.ring, unpack, modulus) for e in self.elems)
+
+    @cached_property
+    def _canonical(self):
+        return tuple((tuple(e.keys), tuple(e.coeffs)) for e in self.elems)
 
     def __eq__(self, other):
         return (
             isinstance(other, GroebnerBasis)
             and self.ring == other.ring
-            and self.polys == other.polys
+            and self._canonical == other._canonical
         )
 
     def __hash__(self):
-        return hash((self.ring, self.polys))
+        return hash((self.ring, self._canonical))
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self.elems)
+
+    @cached_property
+    def _initial(self):
+        unpack = packing.make_unpacker(self.ring.nvars)
+        return MonomialIdeal(self.ring.nvars, [unpack(e.keys[0]) for e in self.elems])
 
     def initial_ideal(self) -> MonomialIdeal:
-        if self._initial is None:
-            self._initial = MonomialIdeal(self.ring.nvars, [p.lead_monomial for p in self.polys])
         return self._initial
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.polys)} elements)"
+        return f"GroebnerBasis({len(self.elems)} elements)"
 
 
 def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
@@ -388,7 +412,8 @@ def minimal_basis(gens, ring: PolyRing):
     `oracle.minimal_generators` keeps, in its order, and the reduced
     Gröbner basis of the ideal it generates (equal to ``buchberger(kept)``).
     The gens are not tested for homogeneity again: `Ideal.minimal`, the
-    one caller, passes an `Ideal`'s.
+    one caller, has tested its Polynomials.  Engine elements may stand
+    among them; a kept one comes out as its monic Polynomial.
 
     One engine goes through the degrees e in ascending order: it completes
     the pairs up to degree e, then top-reduces each degree-e candidate in
@@ -412,7 +437,7 @@ def minimal_basis(gens, ring: PolyRing):
         eng.complete(cap=e.deg, product=True)
         keys, coeffs = eng.top_reduce(dict(zip(e.keys, e.coeffs)))
         if keys:
-            kept.append(g)
+            kept.append(g if isinstance(g, Polynomial) else _from_engine(g, ring, eng.unpack, eng.modulus))
             eng.add(_EnginePoly(keys, _primitive(coeffs, eng.modulus), e.deg))
     eng.complete(product=True)
     return kept, GroebnerBasis(ring, _reduced(eng))

@@ -17,10 +17,12 @@ the engine an element is a packed vector {component: {packed monomial: field
 coefficient}} of homogeneous nonzero entries: resolution maps stay packed
 from the Schreyer step to the presented modules, and ``Polynomial`` vectors
 appear only at the boundary (`module_kernel`).
-Between the Schreyer step and the minimal resolution a column keeps the
-engine's integers with one scale (its Schreyer lead coefficient inverted):
-units cancel fraction-free, and field coefficients are made only for the
-entries that survive.
+From the Schreyer step on a column keeps the engine's integers with one
+scale (its Schreyer lead coefficient inverted): units cancel
+fraction-free, and `ResolutionData` keeps the surviving integer columns.
+Field coefficients are made for one map when a reader asks for it
+(`ResolutionData.level`: the dual maps of the cohomology, `verify`), and
+kernel generators stay in the engine's integers.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import packing
-from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive, _to_engine
+from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive
 from .monomials import BettiTable, MonomialIdeal
 from .packing import MAXEXP, ExponentLimitError
 from .ring import PolyRing, Polynomial, _addmul
@@ -114,8 +116,8 @@ def _schreyer_frame(gb: GroebnerBasis):
     the basis itself first (one component, keys are monomials)."""
     ring = gb.ring
     eng = _Engine(ring, rank_bits=0)
-    for p in gb.polys:
-        eng.add(_to_engine(p, eng.pack, eng.modulus))
+    for e in gb.elems:
+        eng.add(e)
     levels = [(eng.basis, 0, [(0, 0)])]
     for _ in range(ring.nvars + 2):
         new, bits, decode = _schreyer_step(eng)
@@ -149,12 +151,32 @@ def _packed_columns(elements, bits, decode, modulus):
 class ResolutionData:
     """Graded free resolution of R/I: twists per level and the maps between
     consecutive levels (level 0 is R itself).  cols[k] holds the map F_{k+1}
-    -> F_k as one packed column over F_k per basis element of F_{k+1}."""
+    -> F_k as one packed column over F_k per basis element of F_{k+1}.
 
-    def __init__(self, ring, twists, cols):
+    The resolution keeps the integer columns of `_minimalize` with one
+    scale each (scales[k][j] for column j of map k); `level(k)` makes the
+    field entries of map k on its first read, and only there.  The h1
+    path reads the last map, h2 the last two, and ``cols`` (every map:
+    `verify` and the tests) all of them; twists, length, Betti table and
+    regularity read no coefficient."""
+
+    def __init__(self, ring, twists, cols, scales):
         self.ring = ring
         self.twists = [tuple(t) for t in twists]
-        self.cols = cols
+        self._cols = cols
+        self._scales = scales
+        self._field = {}
+
+    def level(self, k):
+        """The map F_{k+1} -> F_k with field coefficients."""
+        out = self._field.get(k)
+        if out is None:
+            out = self._field[k] = _scaled(self._cols[k], self._scales[k], getattr(self.ring.field, "p", 0))
+        return out
+
+    @property
+    def cols(self):
+        return [self.level(k) for k in range(len(self._cols))]
 
     @property
     def length(self):
@@ -180,7 +202,8 @@ class ResolutionData:
         """Every entry is homogeneous of the degree its twists give and no
         entry is a unit (minimality); consecutive maps compose to zero."""
         nv, modulus = self.ring.nvars, getattr(self.ring.field, "p", 0)
-        for k, level in enumerate(self.cols):
+        cols = self.cols
+        for k, level in enumerate(cols):
             rows, tops = self.twists[k], self.twists[k + 1]
             if len(level) != len(tops) or any(not 0 <= i < len(rows) for col in level for i in col):
                 raise AssertionError("twist/matrix shape mismatch")
@@ -191,7 +214,7 @@ class ResolutionData:
                         raise AssertionError(f"entry of the wrong degree at level {k}")
                     if 0 in e:
                         raise AssertionError("scalar entry in a minimal resolution")
-                    for r, f in (self.cols[k - 1][i].items() if k else ()):
+                    for r, f in (cols[k - 1][i].items() if k else ()):
                         _addmul(image.setdefault(r, {}), e, f, modulus)
                 if any(image.values()):
                     raise AssertionError(f"composition at level {k} is nonzero")
@@ -199,8 +222,8 @@ class ResolutionData:
 
 def _minimalize(twists, cols, scales, modulus):
     """Cancel unit entries level by level from the back, on the integer
-    columns of `_packed_columns`; the surviving entries come out in the
-    field (Fractions over QQ, residues mod p).
+    columns of `_packed_columns`; returns the twists, integer columns and
+    scales of the surviving basis elements.
 
     At each level the first column holding a unit, at its lowest unit row,
     is the pivot: every other column is cleared at that row, and the pivot
@@ -253,21 +276,25 @@ def _minimalize(twists, cols, scales, modulus):
     index = [{old: new for new, old in enumerate(o for o, a in enumerate(lv) if a)} for lv in live]
     twists = [tuple(w for w, a in zip(t, lv) if a) for t, lv in zip(twists, live)]
     cols = [
-        [
-            {index[k][r]: _scaled(e, s, modulus) for r, e in col.items() if r in index[k]}
-            for col, s, a in zip(level, scales[k], live[k + 1])
-            if a
-        ]
+        [{index[k][r]: e for r, e in col.items() if r in index[k]} for col, a in zip(level, live[k + 1]) if a]
         for k, level in enumerate(cols)
     ]
+    scales = [[s for s, a in zip(level, live[k + 1]) if a] for k, level in enumerate(scales)]
     while cols and not cols[-1]:
         cols.pop()
+        scales.pop()
         twists.pop()
-    return twists, cols
+    return twists, cols, scales
 
 
-def _scaled(entry, scale, modulus):
-    """The packed entry {key: integer} times scale, in the field."""
+def _scaled(level, scales, modulus):
+    """The integer columns of one level, each times its scale, in the field."""
+    return [{r: _times(e, scale, modulus) for r, e in col.items()} for col, scale in zip(level, scales)]
+
+
+def _times(entry, scale, modulus):
+    """The packed entry {key: integer} times scale, in the field: Fractions
+    over QQ, residues mod p."""
     if modulus:
         return {key: c * scale % modulus for key, c in entry.items()}
     n, d = scale.numerator, scale.denominator
@@ -280,8 +307,8 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
     """Minimal graded free resolution of R/I from a reduced Gröbner basis:
     iterated pruned Schreyer syzygies, then unit-entry cancellation."""
     ring = gb.ring
-    if not gb.polys:
-        return ResolutionData(ring, [(0,)], [])
+    if not gb.elems:
+        return ResolutionData(ring, [(0,)], [], [])
     modulus = getattr(ring.field, "p", 0)
     levels = _schreyer_frame(gb)
     twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
@@ -325,13 +352,13 @@ def _pot_element(eng, vec, unit=None):
     return _clear([k for k, _ in terms], [c for _, c in terms], None, eng.modulus)
 
 
-def _pot_vector(eng, keys, coeffs, first, div):
+def _pot_vector(eng, keys, coeffs, first):
     """Packed vector of the terms in components first and above, shifted
-    down by first, with the coefficients divided by div."""
+    down by first."""
     cs = eng.comp_shift
     mmask = (1 << cs) - 1
     out = {}
-    for k, c in zip(keys, _divide(coeffs, div, eng.modulus)):
+    for k, c in zip(keys, coeffs):
         out.setdefault((k >> cs) - first, {})[k & mmask] = c
     return out
 
@@ -359,20 +386,27 @@ class GraphBasis:
         self.engine = eng
 
     def kernel_generators(self):
-        """Packed generators of the syzygy module of the columns, one component per column."""
+        """Packed generators of the syzygy module of the columns, one
+        component per column, in the engine's integers (primitive with a
+        positive lead over QQ, residues mod p): each is a nonzero multiple
+        of its monic generator."""
         eng, rF = self.engine, self.rF
-        return [
-            _pot_vector(eng, g.keys, g.coeffs, rF, g.coeffs[0])
-            for g in eng.basis
-            if g.keys[0] >> eng.comp_shift >= rF
-        ]
+        return [_pot_vector(eng, g.keys, g.coeffs, rF) for g in eng.basis if g.keys[0] >> eng.comp_shift >= rF]
 
 
 def module_kernel(cols, free_twists, ring) -> list:
     """Generators of {(c_t) : sum c_t * cols_t = 0} for columns of
-    Polynomials, as lists of Polynomials."""
+    Polynomials, as lists of Polynomials, each divided by its lead
+    coefficient."""
     graph = GraphBasis([packed_vector(ring, col) for col in cols], free_twists, ring)
-    return [polynomial_vector(ring, v, len(cols)) for v in graph.kernel_generators()]
+    modulus = getattr(ring.field, "p", 0)
+    out = []
+    for v in graph.kernel_generators():
+        lead = v[min(v)]
+        lead = lead[min(lead)]
+        field = {s: dict(zip(e, _divide(list(e.values()), lead, modulus))) for s, e in v.items()}
+        out.append(polynomial_vector(ring, field, len(cols)))
+    return out
 
 
 class PresentedModule:
@@ -432,7 +466,7 @@ class PresentedModule:
         eng = self.engine
         ep = _pot_element(eng, vec)
         keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-        return _pot_vector(eng, keys, coeffs, 0, (ep.scale or 1) * mult)
+        return _pot_vector(eng, keys, _divide(coeffs, (ep.scale or 1) * mult, eng.modulus), 0)
 
     def mult_matrix(self, var: int, degree: int):
         """Multiplication by x_var from degree to degree+1 in the standard

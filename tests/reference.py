@@ -168,13 +168,19 @@ def field_resolution(gb) -> ResolutionData:
     """`modules.free_resolution_from_gb` with the frame's columns made
     monic in the field and minimalized there."""
     ring = gb.ring
-    if not gb.polys:
-        return ResolutionData(ring, [(0,)], [])
+    if not gb.elems:
+        return ResolutionData(ring, [(0,)], [], [])
     modulus = getattr(ring.field, "p", 0)
     levels = _schreyer_frame(gb)
     twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
     cols = [field_packed_columns(*level, modulus) for level in levels]
-    return ResolutionData(ring, *field_minimalize(twists, cols, modulus))
+    return field_resolution_data(ring, *field_minimalize(twists, cols, modulus))
+
+
+def field_resolution_data(ring, twists, cols):
+    """`ResolutionData` of maps whose columns hold field entries already
+    (each column's scale is 1)."""
+    return ResolutionData(ring, twists, cols, [[1] * len(level) for level in cols])
 
 
 def slot_lcm(a, b, nvars, slot=8):
@@ -383,11 +389,11 @@ def normal_form(gb, f):
     """Full normal form of f modulo a `GroebnerBasis`; zero iff f is a member."""
     if f.ring != gb.ring:
         raise ValueError("polynomial from a different ring")
-    if not f or not gb.polys:
+    if not f or not gb.elems:
         return f
     eng = _Engine(gb.ring)
-    for p in gb.polys:
-        eng.add(_to_engine(p, eng.pack, eng.modulus))
+    for e in gb.elems:
+        eng.add(e)
     ep = _to_engine(f, eng.pack, eng.modulus)
     keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
     coeffs = _divide(coeffs, (ep.scale or 1) * mult, eng.modulus)

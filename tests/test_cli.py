@@ -163,6 +163,28 @@ class TestCli:
         assert "expected A:B, got '3-5'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_empty_range_exit_2(self, tmp_path, capsys):
+        # 5:3 holds no n: a usage error, not a sweep of 0 grid points
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--n", "5:3", "--d", "3:3", "--a", "0:0", "-o", str(out)]) == 2
+        assert "empty range '5:3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--n", "3:3", "--d", "3:3", "--a", "0:0", "--jobs", jobs, "-o", str(out)]) == 2
+        assert f"expected an integer >= 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_hf_negative_max_deg_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.ideal"
+        path.write_text("ring n=3 field=q\nx2^2\nx2*x3\nx3^2\n")
+        assert main(["oracle-hf", str(path), "--max-deg", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "expected an integer >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     def test_oracle_hf_prime_field(self, tmp_path, capsys):
         # the oracle runs over a prime field too and matches the rationals
         qfile = tmp_path / "q.ideal"

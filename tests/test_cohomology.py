@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import extremalcurves.cohomology as cohomology
+import extremalcurves.modules as modules
 from extremalcurves.cohomology import (
     CurveAnalysis,
     DegenerateCurveError,
@@ -18,12 +21,17 @@ from extremalcurves.cohomology import (
     planar_subcurve_check,
     verify_extremal,
 )
-from extremalcurves.construct import extremal_curve_ideal, non_extremal_witness
+from extremalcurves.construct import (
+    construct_curve,
+    extremal_curve_ideal,
+    non_extremal_witness,
+    random_construction_input,
+)
 from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal
-from extremalcurves.modules import PresentedModule, ResolutionData
+from extremalcurves.modules import PresentedModule
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import multiplication_commutes
+from reference import field_resolution_data, multiplication_commutes
 
 R4 = PolyRing(4)
 
@@ -136,7 +144,7 @@ class TestH2:
         r, s = next((r, s) for r, col in enumerate(a) for s in col if any(r in bcol for bcol in b))
         cols = [[dict(col) for col in level] for level in res.cols]
         cols[n - 2][r][s] = {key: 2 * c for key, c in a[r][s].items()}
-        dual.res = ResolutionData(I.ring, res.twists, cols)
+        dual.res = field_resolution_data(I.ring, res.twists, cols)
         with pytest.raises(InternalCheckError):
             dual.h2_value(0)
 
@@ -288,6 +296,28 @@ class TestCurveAnalysis:
         monkeypatch.setattr(PresentedModule, "mult_matrix", forbidden)
         # ex45 (4, 5, 1) is not ACM: its h1 comes from a nonzero Rao dual
         assert any(constructed_curve_probe(extremal_curve_ideal(4, 5, 1))["h1"])
+
+    def test_probe_reads_the_integers_of_all_but_the_last_map(self, monkeypatch):
+        # a random construction in P^4 whose resolution has length 4 (not
+        # ACM): the probe's h1 reads only F_4 -> F_3 in the field, and the
+        # ideal's Gröbner basis stays in engine integers throughout
+        levels = []
+
+        def counted(level, scales, modulus):
+            levels.append(len(level))
+            return scaled(level, scales, modulus)
+
+        scaled = modules._scaled
+        monkeypatch.setattr(modules, "_scaled", counted)
+        I = construct_curve(random_construction_input(4, 4, 1, random.Random(0)))
+        probe = constructed_curve_probe(I)
+        res = I.resolution()
+        assert res.length == 4 and any(probe["h1"])
+        assert levels == [len(res.twists[4])]
+        assert "polys" not in vars(I.groebner())
+        # a verdict's h2 reads the map before it too, and nothing else
+        assert CurveAnalysis(I).h2 is not None
+        assert levels == [len(res.twists[4]), len(res.twists[3])]
 
     def test_statements_that_do_not_apply_read_none(self):
         c = CurveAnalysis(extremal_curve_ideal(3, 2, -1), seed=1)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from extremalcurves import ideals as ideals_module  # noqa: E402
 from extremalcurves.construct import construct_curve, random_construction_input  # noqa: E402
-from extremalcurves.groebner import buchberger, initial_monomials, minimal_basis  # noqa: E402
+from extremalcurves.groebner import _to_engine, buchberger, initial_monomials, minimal_basis  # noqa: E402
 from extremalcurves.modules import (  # noqa: E402
     PresentedModule,
     free_resolution_from_gb,
@@ -23,7 +23,7 @@ from extremalcurves.modules import (  # noqa: E402
 )
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import GradedSpan, minimal_generators  # noqa: E402
-from extremalcurves.packing import MAXEXP, ExponentLimitError  # noqa: E402
+from extremalcurves.packing import MAXEXP, ExponentLimitError, make_packer  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField, mono_div, mono_divides  # noqa: E402
 from reference import alternating_numerator, change_coordinates, contains, field_resolution, mats  # noqa: E402
 
@@ -124,6 +124,35 @@ def test_minimal_basis_keeps_the_oracle_subset(data):
     assert kept == minimal_generators(gens)
     assert gb == buchberger(kept, ring)
     assert_reduced(gb, gens)
+
+
+def integers(gb):
+    return [(e.keys, e.coeffs) for e in gb.elems]
+
+
+@SETTINGS
+@given(ideals(), st.data())
+def test_basis_equality_from_integers_matches_the_polynomials(ideal, data):
+    # the other generators give the same ideal (reversed, rescaled, plus a
+    # multiple), or drop one generator, or add one form
+    ring, gens = ideal
+    kind = data.draw(st.sampled_from(("same", "drop", "add")))
+    if kind == "same":
+        scalars = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(gens), max_size=len(gens)))
+        other = [g * c for g, c in zip(reversed(gens), scalars)] + [gens[0] * ring.gen(0)]
+    elif kind == "drop":
+        other = gens[1:]
+    else:
+        other = gens + [data.draw(forms(ring, 2, min_terms=1))]
+    a, b = buchberger(gens, ring), buchberger(other, ring)
+    # the integers are those of the monic polynomials, one vector each
+    pack, modulus = make_packer(ring.nvars), getattr(ring.field, "p", 0)
+    for gb in (a, b):
+        assert integers(gb) == [(e.keys, e.coeffs) for e in (_to_engine(p, pack, modulus) for p in gb.polys)]
+    assert (a == b) == (integers(a) == integers(b)) == (a.polys == b.polys)
+    assert a != b or hash(a) == hash(b)
+    if kind == "same":
+        assert a == b
 
 
 @SETTINGS

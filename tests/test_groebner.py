@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from extremalcurves.cohomology import verify_extremal
+from extremalcurves.construct import extremal_curve_ideal
 from extremalcurves.groebner import buchberger, initial_monomials, minimal_basis
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.oracle import minimal_generators, oracle_ideal_dims
@@ -169,3 +171,10 @@ class TestExponentLimit:
             module_kernel([[a], [b]], [0], R3)
         with pytest.raises(ExponentLimitError):
             PresentedModule(R3, [0, 0], [packed_vector(R3, [a, b]), packed_vector(R3, [b, a])])
+
+    def test_pair_limit_names_the_monomial_degree(self):
+        # h2's coker module of ex45 (3, 14, 0) pops a pair of degree 63
+        # over twists down to -81: its terms reach monomial degree 144,
+        # the degree that the limit tests
+        with pytest.raises(ExponentLimitError, match=r"monomial degree 144 .* exceeds the packed limit 127"):
+            verify_extremal(extremal_curve_ideal(3, 14, 0))
