@@ -270,7 +270,7 @@ def _annihilator_degrees(dims, mult, nvars, ranks):
                         col[v * dim_prev + r] += mult[(w, t - 2)][r][b]
                         col[w * dim_prev + r] -= mult[(v, t - 2)][r][b]
                     b_cols.append(col)
-        rank_b = fraction_rank(b_cols) if b_cols else 0
+        rank_b = fraction_rank(b_cols)
         h1 = ker_dim - rank_b
         if h1 < 0:
             raise InternalCheckError("negative Koszul homology dimension")

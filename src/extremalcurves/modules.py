@@ -480,13 +480,12 @@ class PresentedModule:
         tgt = self.standard_basis(degree + 1)
         tgt_index = {s << cs | pack(m): k for k, (s, m) in enumerate(tgt)}
         vk = 1 << (packing.SLOT * var)
-        zero, one = _divide([0, 1], 1, eng.modulus)
         cols = []
         for s, m in src:
             key = (s << cs | pack(m)) + vk
-            vec = [zero] * len(tgt)
+            vec = [0] * len(tgt)
             if key in tgt_index:
-                vec[tgt_index[key]] = one
+                vec[tgt_index[key]] = 1
             else:
                 keys, coeffs, mult = eng.normal_form([key], [1])
                 for k, c in zip(keys, _divide(coeffs, mult, eng.modulus)):

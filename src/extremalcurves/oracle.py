@@ -3,7 +3,10 @@
 Dimensions of graded pieces come from exact sparse row reduction of
 generator-multiple matrices.  This is the independent oracle used to
 cross-check the Gröbner pipeline, so nothing here may import from the
-Gröbner engine.
+Gröbner engine.  `_insert` is the one elimination: sparse integer rows,
+reduced fraction-free over QQ or mod p.  `fraction_rank`, the exact rank
+of the verdict's multiplication and Koszul maps and of the coordinate
+checks, is a loop over it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from math import gcd
 
 from .packing import MAXEXP, SLOT, ExponentLimitError, make_packer
-from .ring import PolyRing, clear_denominators
+from .ring import PolyRing, clear_denominators, strip_content
 
 
 def _poly_rows(gens):
@@ -38,6 +41,50 @@ def _check_degree(j):
         raise ExponentLimitError(f"degree {j} exceeds the packed limit {MAXEXP}")
 
 
+def _insert(pivots, row, modulus):
+    """Reduce the sparse integer row {column: value} against the pivots
+    {lead column: row} and add what is left as a new pivot; True when the
+    row was independent.  Over QQ (modulus 0) the reduction is fraction-free
+    and a new pivot is content-free with a positive lead; mod p the values
+    are residues."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            if not modulus:
+                vals, _ = strip_content(list(row.values()))
+                sign = 1 if row[lead] > 0 else -1
+                row = {k: sign * v for k, v in zip(row, vals)}
+            pivots[lead] = row
+            return True
+        if modulus:
+            factor = row[lead] * pow(piv[lead], -1, modulus) % modulus
+            new = dict(row)
+            for k, v in piv.items():
+                s = (new.get(k, 0) - factor * v) % modulus
+                if s:
+                    new[k] = s
+                else:
+                    new.pop(k, None)
+        else:
+            a, b = piv[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = {k: v * a for k, v in row.items()}
+            for k, v in piv.items():
+                s = new.get(k, 0) - b * v
+                if s:
+                    new[k] = s
+                else:
+                    new.pop(k, None)
+            if len(new) > 64:
+                vals, g = strip_content(list(new.values()))
+                if g > 1:
+                    new = dict(zip(new, vals))
+        row = new
+    return False
+
+
 class GradedSpan:
     """Row space of a homogeneous ideal, advanced one degree at a time."""
 
@@ -54,56 +101,6 @@ class GradedSpan:
         self.pivots = {}  # lead key -> row, all of current degree
         self.dims = {}  # degree -> dim [I]_j  (0 below first generator)
 
-    def _strip(self, row):
-        if self.modulus:
-            return row
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                return row
-        if g > 1:
-            return {k: v // g for k, v in row.items()}
-        return row
-
-    def _insert(self, row):
-        pivots = self.pivots
-        modulus = self.modulus
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                row = self._strip(row)
-                if row[lead] < 0 and not modulus:
-                    row = {k: -v for k, v in row.items()}
-                pivots[lead] = row
-                return True
-            if modulus:
-                factor = row[lead] * pow(piv[lead], -1, modulus) % modulus
-                new = {}
-                for k, v in row.items():
-                    new[k] = v
-                for k, v in piv.items():
-                    s = (new.get(k, 0) - factor * v) % modulus
-                    if s:
-                        new[k] = s
-                    else:
-                        new.pop(k, None)
-                row = new
-            else:
-                a, b = piv[lead], row[lead]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                new = {k: v * a for k, v in row.items()}
-                for k, v in piv.items():
-                    s = new.get(k, 0) - b * v
-                    if s:
-                        new[k] = s
-                    else:
-                        new.pop(k, None)
-                row = self._strip(new) if len(new) > 64 else new
-        return False
-
     def advance(self):
         """Move from degree j to j+1: span x_i * rows plus new generators."""
         _check_degree(self.degree + 1)
@@ -112,9 +109,9 @@ class GradedSpan:
         self.pivots = {}
         for row in old:
             for vk in self._var_keys:
-                self._insert({k + vk: v for k, v in row.items()})
+                _insert(self.pivots, {k + vk: v for k, v in row.items()}, self.modulus)
         for row in self._gen_rows.get(self.degree, ()):
-            self._insert(dict(row))
+            _insert(self.pivots, dict(row), self.modulus)
         self.dims[self.degree] = len(self.pivots)
 
 
@@ -165,32 +162,23 @@ def minimal_generators(gens):
         span.advance()
         for g in by_degree.get(e, ()):
             (_, row), = _poly_rows([g])
-            if span._insert(row):
+            if _insert(span.pivots, row, span.modulus):
                 kept.append(g)
         span.dims[e] = len(span.pivots)
     return kept
 
 
 def fraction_rank(rows, modulus=0) -> int:
-    """Exact rank of a dense matrix of int or Fraction entries: the rows are
-    cleared of denominators, then eliminated fraction-free (Bareiss, Math.
-    Comp. 22, 1968), skipping columns without a pivot.  Every division is
-    exact.  With a prime modulus the entries are ints and the rank is over
-    Z/p: the same elimination reduced mod p, which needs no division."""
-    mat, _ = clear_denominators(rows)
-    if modulus:
-        mat = [[v % modulus for v in row] for row in mat]
-    rank, prev = 0, 1
-    for col in range(len(mat[0]) if mat else 0):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        top = mat[rank]
-        for row in mat[rank + 1 :]:
-            row[col + 1 :] = [(v * top[col] - row[col] * t) // prev for v, t in zip(row[col + 1 :], top[col + 1 :])]
-            if modulus:
-                row[col + 1 :] = [v % modulus for v in row[col + 1 :]]
-        prev = 1 if modulus else top[col]
-        rank += 1
-    return rank
+    """Exact rank of a dense matrix of int or Fraction entries.  Each row is
+    cleared of its own denominators and its nonzero entries, keyed by
+    column, go through `_insert`; every step stays in the integers.  With a
+    prime modulus the entries are ints, reduced mod p, and the rank is over
+    Z/p."""
+    pivots = {}
+    for row in rows:
+        if modulus:
+            ints = [v % modulus for v in row]
+        else:
+            (ints,), _ = clear_denominators([row])
+        _insert(pivots, {c: v for c, v in enumerate(ints) if v}, modulus)
+    return len(pivots)

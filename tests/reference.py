@@ -20,7 +20,7 @@ from extremalcurves.groebner import _divide, _Engine, _to_engine
 from extremalcurves.ideals import Ideal
 from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
 from extremalcurves.monomials import BettiTable
-from extremalcurves.oracle import GradedSpan, _check_degree, _poly_rows, fraction_rank
+from extremalcurves.oracle import _check_degree, _insert, _poly_rows, fraction_rank
 from extremalcurves.packing import make_packer, make_unpacker
 from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
 
@@ -277,12 +277,10 @@ def graded_piece_basis(gens, j: int, ring: PolyRing | None = None) -> GradedPiec
         for m in ring.monomials_of_degree(j - d):
             shift = pack(m)
             rows.append({k + shift: v for k, v in row.items()})
-    span = GradedSpan(ring, [])
-    span.degree = j
+    pivots = {}
     rank = 0
     for row in rows:
-        if span._insert(dict(row)):
-            rank += 1
+        rank += _insert(pivots, dict(row), getattr(ring.field, "p", 0))
     return GradedPieceMatrix(ring, rows, ring.monomials_of_degree(j), rank)
 
 

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from extremalcurves.oracle import (
     fraction_rank,
     minimal_generators,
@@ -87,18 +89,24 @@ def test_fraction_rank_mod_p():
     assert fraction_rank([[1, 3], [2, -1]], 5) == 2
 
 
-def _reference_rank(rows):
-    """Plain Gaussian elimination over the rationals."""
-    mat = [[Fraction(v) for v in row] for row in rows]
+def _reference_rank(rows, modulus=0):
+    """Plain Gaussian elimination over the rationals, or over Z/p."""
+    if modulus:
+        mat = [[v % modulus for v in row] for row in rows]
+    else:
+        mat = [[Fraction(v) for v in row] for row in rows]
     rank = 0
     for col in range(len(mat[0]) if mat else 0):
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], -1, modulus) if modulus else 1 / mat[rank][col]
         for r in range(rank + 1, len(mat)):
-            f = mat[r][col] / mat[rank][col]
+            f = mat[r][col] * inv
             mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+            if modulus:
+                mat[r] = [v % modulus for v in mat[r]]
         rank += 1
     return rank
 
@@ -109,13 +117,14 @@ def _random_entry(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
-def _random_rational_matrix(rng):
+def _random_matrix(rng, entry=_random_entry):
     """Rectangular, often rank-deficient: a product of thin random factors
-    with int and Fraction entries, then zero rows and columns put in."""
+    with entries entry(rng) (by default int and Fraction), then zero rows
+    and columns put in."""
     nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
     inner = rng.randint(0, 4)
-    left = [[_random_entry(rng) for _ in range(inner)] for _ in range(nrows)]
-    right = [[_random_entry(rng) for _ in range(ncols)] for _ in range(inner)]
+    left = [[entry(rng) for _ in range(inner)] for _ in range(nrows)]
+    right = [[entry(rng) for _ in range(ncols)] for _ in range(inner)]
     mat = [[sum((a * right[k][c] for k, a in enumerate(row)), 0) for c in range(ncols)] for row in left]
     if mat and rng.random() < 0.3:
         mat[rng.randrange(nrows)] = [0] * ncols
@@ -128,19 +137,47 @@ def _random_rational_matrix(rng):
     return mat
 
 
-def test_fraction_rank_equals_rational_elimination():
-    rng = random.Random(20261018)
-    mats = [[], [[]], [[], []], [[0, 0]], [[Fraction(1, 2), 1], [1, 2]], [[0], [Fraction(-2, 3)]]]
-    mats += [_random_rational_matrix(rng) for _ in range(500)]
-    ranks = [fraction_rank(m) for m in mats]
-    assert ranks == [_reference_rank(m) for m in mats]
-    assert len(set(ranks)) >= 5
+def _random_sparse_matrix(rng):
+    """0/+-1 entries, a few per row, up to 40 x 60: the shape of the Rao
+    module's Koszul matrices.  Repeated, negated and summed rows (summed
+    only over disjoint supports, so the entries stay 0/+-1) make it
+    rank-deficient."""
+    nrows, ncols = rng.randint(1, 27), rng.randint(1, 60)
+    density = rng.uniform(0.02, 0.15)
+    mat = [[rng.choice((1, -1)) if rng.random() < density else 0 for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, nrows // 2)):
+        a, b = rng.choice(mat), rng.choice(mat)
+        if rng.random() < 0.5:
+            mat.append([-v for v in a])
+        elif not any(x and y for x, y in zip(a, b)):
+            mat.append([x + y for x, y in zip(a, b)])
+    rng.shuffle(mat)
+    return mat
+
+
+@pytest.mark.parametrize("modulus", [0, 7, 32003])
+def test_fraction_rank_equals_rational_elimination(modulus):
+    rng = random.Random(20261018 + modulus)
+    p = modulus or 7
+
+    def int_entry(rng):  # some multiples of p, so the rank mod p can drop
+        return rng.choice([rng.randint(-4, 4), p * rng.randint(-3, 3), p * rng.randint(-2, 2) + rng.randint(-2, 2)])
+
+    mats = [[], [[]], [[], []], [[0, 0]], [[7, 1], [14, 2]], [[0], [-32003]]]
+    if not modulus:
+        mats += [[[Fraction(1, 2), 1], [1, 2]], [[0], [Fraction(-2, 3)]]]
+        mats += [_random_matrix(rng) for _ in range(500)]
+    mats += [_random_matrix(rng, int_entry) for _ in range(300)]
+    mats += [_random_sparse_matrix(rng) for _ in range(40)]
+    ranks = [fraction_rank(m, modulus) for m in mats]
+    assert ranks == [_reference_rank(m, modulus) for m in mats]
+    assert len(set(ranks)) >= 10
+    if modulus:  # some ranks drop mod p
+        assert any(r < _reference_rank(m) for r, m in zip(ranks, mats))
 
 
 def test_degree_past_the_packed_limit_raises():
     # past degree 127 the 8-bit keys would carry into the next variable
-    import pytest
-
     from extremalcurves.oracle import GradedSpan
     from extremalcurves.packing import MAXEXP, ExponentLimitError
 

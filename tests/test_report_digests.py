@@ -1,7 +1,10 @@
 """Report bytes pinned by SHA-256, of the JSON and of the text form: a
-speed-up must leave every report of `verify_extremal` byte-identical.  The points are cheap and between them
-run every check of a verdict: gin, hyperplane sections, Betti tables, the
-planar check, an ex46 witness and degree 2, in P^3 and P^4.
+speed-up must leave every report of `verify_extremal` byte-identical.  All
+points but the last are cheap; between them they run every check of a
+verdict: gin, hyperplane sections, Betti tables, the planar check, an ex46
+witness and degree 2, in P^3 and P^4.  The last, a rational ex45 curve of
+degree 8 in P^3, pins a large Rao module (315 dimensions, annihilator
+degrees [1, 1, 15, 21]) and takes about a second.
 
 A change that alters a report on purpose (a new field, a new draw) must
 say so and record the new digests here."""
@@ -41,6 +44,9 @@ CASES = [
     ("ex46-n4d4a1", lambda: non_extremal_witness(4, 1, 4).ideal, 13, ALL, "not_extremal",
      "de46e58e20c8f5eb6dd51513071b05b404bc24ad5ead1d496d2c87624e85b0cd",
      "2d6a1dad4910e82f5b2bf9693aebf3c601c33c96ebad590e9ad5c0925f720584"),
+    ("ex45-n3d8a15", lambda: _ex45(3, 8, 15), 1, ALL, "extremal",
+     "7b959e523da007cfd17825eb58d2d61fd6aaa6e0bb4b6ab35fd8d7f6c6b4e06c",
+     "eae37fa19981908353e78b6e67902d343cfc356eb70d9b513081422c4948d258"),
 ]
 
 
