@@ -111,9 +111,11 @@ def _cmd_bounds(args):
         )
         return 2
     prof = bound_profile(args.n, args.d, args.g, jmin=args.jmin, jmax=args.jmax)
+    lo, hi = prof.window
+    if lo > hi:
+        raise ValueError(f"empty window: jmin {lo} exceeds jmax {hi}")
     print(f"g_max(n={args.n}, d={args.d}) = {g_top}   a = {g_top - args.g}")
     print(f"{'j':>5} {'h1_bound':>9} {'h2_bound':>9}")
-    lo, hi = prof.window
     for j in range(lo, hi + 1):
         mu = prof.h2_at(j)
         print(f"{j:>5} {prof.h1_at(j):>9} {mu if mu is not None else '-':>9}")

@@ -213,7 +213,9 @@ def deficiency_module(dual: DualCohomology, table) -> FiniteLengthModule:
             # e_next + 1 = -j - nvars; its lists, one per source element,
             # are the rows of x_v : M_j -> M_{j+1} on the module itself.
             # A map to or from a zero piece is the empty matrix.
-            mult[(v, j)] = dual.rao_dual.mult_matrix(v, e_next) if live else []
+            m = mult[(v, j)] = dual.rao_dual.mult_matrix(v, e_next) if live else []
+            if live and (len(m) != dims[j + 1] or any(len(row) != dims[j] for row in m)):
+                raise InternalCheckError(f"multiplication by x{v} on M_{j} disagrees with the Rao dimensions")
     ranks = _stacked_ranks(dims, mult, nvars)
     gen_count = 0
     gen_degrees = []

@@ -424,42 +424,36 @@ class PresentedModule:
                 eng.add(e)
         eng.complete(self.gen_degrees)
         self.engine = eng
-        mmask = (1 << eng.comp_shift) - 1
-        self.lead_ideals = {
-            s: MonomialIdeal(
-                ring.nvars, [eng.unpack(k & mmask) for k, _ in eng.by_slot.get(s, ())]
-            )
-            for s in range(len(self.gen_degrees))
-        }
+        slots = [eng.by_slot.get(s, ()) for s in range(len(self.gen_degrees))]
+        # unpack reads the monomial slots only, not the component above them
+        self.lead_ideals = [MonomialIdeal(ring.nvars, [eng.unpack(k) for k, _ in leads]) for leads in slots]
         self._standard = {}
 
     def hf(self, degree: int) -> int:
         """Dimension of the graded piece via standard monomial counting."""
-        total = 0
-        for s, w in enumerate(self.gen_degrees):
-            total += self.lead_ideals[s].quotient_dim(degree - w)
-        return total
+        return sum(I.quotient_dim(degree - w) for I, w in zip(self.lead_ideals, self.gen_degrees))
 
     def is_finite_length(self) -> bool:
-        return all(
-            self.lead_ideals[s].is_artinian() for s in range(len(self.gen_degrees))
-        )
+        return all(I.is_artinian() for I in self.lead_ideals)
 
     def standard_basis(self, degree: int):
-        """(slot, monomial) pairs outside the lead module, memoised per
-        degree."""
-        out = self._standard.get(degree)
-        if out is None:
-            out = []
-            for s, w in enumerate(self.gen_degrees):
-                d = degree - w
-                if d < 0:
-                    continue
-                for m in self.ring.monomials_of_degree(d):
-                    if not self.lead_ideals[s].contains(m):
-                        out.append((s, m))
-            self._standard[degree] = out
-        return out
+        """Ascending POT keys slot << comp_shift | monomial outside the lead
+        module, memoised per degree.  Its complement is an order ideal: the
+        keys of degree e+1 are the variable multiples of those of degree e
+        and the slots generated in e+1, less the keys a lead divides."""
+        lowest = min(self.gen_degrees, default=0)
+        if degree - lowest > MAXEXP:  # no exponent may reach a slot's top bit
+            raise ExponentLimitError(f"degree {degree} exceeds the packed limit {MAXEXP}")
+        eng, memo = self.engine, self._standard
+        steps = [1 << (packing.SLOT * v) for v in range(self.ring.nvars)]
+        e = max(memo, default=lowest - 1)
+        out = memo.get(e, [])
+        while e < degree:  # a loop, not recursion: the tracer wraps this method
+            e += 1
+            keys = {k + x for k in out for x in steps}
+            keys.update(s << eng.comp_shift for s, w in enumerate(self.gen_degrees) if w == e)
+            out = memo[e] = sorted(k for k in keys if eng.find_reducer(k) is None)
+        return memo.get(degree, [])  # none below the lowest generator
 
     def reduce(self, vec):
         """Normal form of a packed vector, as a packed vector."""
@@ -472,17 +466,13 @@ class PresentedModule:
         """Multiplication by x_var from degree to degree+1 in the standard
         monomial bases: one list per source element, over the target
         basis."""
-        if degree + 1 - min(self.gen_degrees, default=0) > MAXEXP:
-            raise ExponentLimitError(f"degree {degree + 1} exceeds the packed limit {MAXEXP}")
         eng = self.engine
-        cs, pack = eng.comp_shift, eng.pack
-        src = self.standard_basis(degree)
-        tgt = self.standard_basis(degree + 1)
-        tgt_index = {s << cs | pack(m): k for k, (s, m) in enumerate(tgt)}
+        tgt = self.standard_basis(degree + 1)  # first: past the limit, it names degree + 1
+        tgt_index = {k: i for i, k in enumerate(tgt)}
         vk = 1 << (packing.SLOT * var)
         cols = []
-        for s, m in src:
-            key = (s << cs | pack(m)) + vk
+        for key in self.standard_basis(degree):
+            key += vk
             vec = [0] * len(tgt)
             if key in tgt_index:
                 vec[tgt_index[key]] = 1

@@ -4,7 +4,7 @@ stability, and the Eliahou-Kervaire Betti formula for stable ideals.
 
 from __future__ import annotations
 
-from .ring import binom, mono_degree, mono_divides
+from .ring import binom, mono_degree
 
 
 class BettiTable:
@@ -60,6 +60,12 @@ def _trim(coeffs):
     return out
 
 
+def _pack(m, width):
+    """Exponents in little-endian slots of width bytes."""
+    raw = bytes(m) if width == 1 else b"".join(e.to_bytes(width, "little") for e in m)
+    return int.from_bytes(raw, "little")
+
+
 class MonomialIdeal:
     """Minimal generating set of a monomial ideal."""
 
@@ -73,15 +79,8 @@ class MonomialIdeal:
         top = max(map(max, unique), default=0) if nvars else 0
         width = top.bit_length() // 8 + 1
         himask = int.from_bytes((bytes(width - 1) + b"\x80") * nvars, "little")
-        if width == 1:
-            packed = [(sum(m), int.from_bytes(bytes(m), "little"), m) for m in unique]
-        else:
-            packed = [
-                (sum(m), int.from_bytes(b"".join(e.to_bytes(width, "little") for e in m), "little"), m)
-                for m in unique
-            ]
         # by degree, a later monomial never divides an earlier one
-        packed.sort()
+        packed = sorted((sum(m), _pack(m, width), m) for m in unique)
         keys, mins = [], []
         for d, key, m in packed:
             high = key | himask
@@ -91,6 +90,7 @@ class MonomialIdeal:
         # descending revlex: higher degree first, then the smaller packed key
         mins.sort()
         self.gens = tuple(m for _, _, m in mins)
+        self._keys, self._top, self._width, self._himask = keys, top, width, himask
         self._numerator = None
 
     def __eq__(self, other):
@@ -107,7 +107,10 @@ class MonomialIdeal:
         return bool(self.gens)
 
     def contains(self, m) -> bool:
-        return any(mono_divides(g, m) for g in self.gens)
+        """Some generator divides m (packed with exponents clamped to the top)."""
+        top, himask = self._top, self._himask
+        high = _pack([min(e, top) for e in m], self._width) | himask
+        return any((high - k) & himask == himask for k in self._keys)
 
     def hilbert_numerator(self):
         """Numerator N(t) with HS(R/I) = N(t)/(1-t)^nvars."""

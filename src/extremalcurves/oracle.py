@@ -170,15 +170,16 @@ def minimal_generators(gens):
 
 def fraction_rank(rows, modulus=0) -> int:
     """Exact rank of a dense matrix of int or Fraction entries.  Each row is
-    cleared of its own denominators and its nonzero entries, keyed by
-    column, go through `_insert`; every step stays in the integers.  With a
-    prime modulus the entries are ints, reduced mod p, and the rank is over
-    Z/p."""
+    made sparse, keyed by column, and cleared of the denominators of its
+    nonzero entries before it goes through `_insert`; every step stays in
+    the integers.  With a prime modulus the entries are ints, reduced mod
+    p, and the rank is over Z/p."""
     pivots = {}
     for row in rows:
+        cols = [c for c, v in enumerate(row) if v]
         if modulus:
-            ints = [v % modulus for v in row]
+            ints = [row[c] % modulus for c in cols]
         else:
-            (ints,), _ = clear_denominators([row])
-        _insert(pivots, {c: v for c, v in enumerate(ints) if v}, modulus)
+            (ints,), _ = clear_denominators([[row[c] for c in cols]])
+        _insert(pivots, {c: v for c, v in zip(cols, ints) if v}, modulus)
     return len(pivots)

@@ -5,8 +5,9 @@ construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
 QQ), coordinate changes of ideals, resolution maps as `Polynomial`s, the
 row-reduced graded piece of an ideal, the revlex comparison of exponent
-tuples, the Hochster Betti oracle for monomial ideals, and the
-commutation check of a Rao module's multiplication maps; and small
+tuples, the Hochster Betti oracle for monomial ideals, the standard
+monomials of a presented module by listing every monomial of the degree,
+and the commutation check of a Rao module's multiplication maps; and small
 reads of package objects that only the tests make: the normal form and
 membership of a Gröbner basis, the top index and alternating numerator of
 a Betti table, the graded dimensions of a monomial ideal, and constant
@@ -358,6 +359,21 @@ def hochster_betti_oracle(I) -> BettiTable:
         for hdim, rank in _reduced_homology_dims(faces).items():
             table.add(hdim + 1, deg, rank)
     return table
+
+
+def brute_force_standard_basis(module, degree):
+    """The standard monomials of a `PresentedModule` in a degree as its
+    ascending POT keys: every monomial of the degree in each slot, tested
+    against the slot's lead ideal by tuple divisibility."""
+    cs = module.engine.comp_shift
+    pack = make_packer(module.ring.nvars)
+    out = []
+    for s, w in enumerate(module.gen_degrees):
+        leads = module.lead_ideals[s].gens
+        for m in module.ring.monomials_of_degree(degree - w):  # ascending packed keys
+            if not any(mono_divides(g, m) for g in leads):
+                out.append(s << cs | pack(m))
+    return out
 
 
 def _mat_mul(A, B):

@@ -206,6 +206,13 @@ class TestCli:
         rows = [l for l in out.splitlines() if l.strip() and l.strip()[0].isdigit()]
         assert len(rows) == 3
 
+    def test_bounds_empty_window_exit_2(self, capsys):
+        assert main(
+            ["bounds", "--n", "3", "--d", "5", "--g", "0", "--jmin", "5", "--jmax", "2"]
+        ) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "jmin 5 exceeds jmax 2" in out.err
+
     def test_rem64_catalog(self, tmp_path):
         path = tmp_path / "alt.ideal"
         from extremalcurves.formulas import max_genus

@@ -93,6 +93,19 @@ class TestDeficiencyModule:
         m = CurveAnalysis(extremal_curve_ideal(3, 4, 0)).rao
         assert multiplication_commutes(m)
 
+    def test_a_basis_missing_a_key_fails_the_shape_check(self, monkeypatch):
+        # M_1 of the space quartic is the Rao dual in degree -1 - 4; without
+        # its key, x_v : M_0 -> M_1 would have no row and M_1 would count
+        # as a second generator
+        def dropped(self, degree):
+            keys = basis(self, degree)
+            return keys[1:] if degree == -5 else keys
+
+        basis = PresentedModule.standard_basis
+        monkeypatch.setattr(PresentedModule, "standard_basis", dropped)
+        with pytest.raises(InternalCheckError, match="Rao dimensions"):
+            CurveAnalysis(extremal_curve_ideal(3, 4, 0)).rao
+
 
 class TestH2:
     def test_space_quartic_values(self):

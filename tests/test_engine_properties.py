@@ -1,7 +1,8 @@
 """Property tests for the packed engine on random homogeneous data in 3 to
 5 variables over QQ and Z/7: reduced bases, minimal generators,
-resolutions, kernels, normal forms, presented modules and the last-variable
-saturation, each against an independent check; and the fraction-free
+resolutions, kernels, normal forms, presented modules (their Hilbert
+functions and standard monomials) and the last-variable saturation, each
+against an independent check; and the fraction-free
 minimalization of resolutions against its field reference on random
 constructions in P^3 to P^5."""
 
@@ -25,7 +26,14 @@ from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import _insert, minimal_generators  # noqa: E402
 from extremalcurves.packing import MAXEXP, ExponentLimitError, make_packer  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField, mono_div, mono_divides  # noqa: E402
-from reference import alternating_numerator, change_coordinates, contains, field_resolution, mats  # noqa: E402
+from reference import (  # noqa: E402
+    alternating_numerator,
+    brute_force_standard_basis,
+    change_coordinates,
+    contains,
+    field_resolution,
+    mats,
+)
 
 SETTINGS = settings(max_examples=20, derandomize=True, deadline=None, database=None)
 FIELDS = [QQ, PrimeField(7)]
@@ -323,6 +331,59 @@ def test_presented_module_hf_matches_linear_algebra(data):
                     rank += _insert(pivots, row, getattr(ring.field, "p", 0))
         free = sum(ring.dim_degree(j - w) for w in twists)
         assert pm.hf(j) == free - rank
+
+
+@st.composite
+def presented_modules(draw):
+    """Relations on one to three slots of twists -1 to 1, some of them
+    zero in a slot, and at times one relation with a unit in a drawn slot,
+    which kills that slot; returns the module and the killed slot."""
+    ring = draw(rings())
+    twists = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3))
+    rels = []
+    for _ in range(draw(st.integers(0, 4))):
+        deg = max(twists) + draw(st.integers(0, 2))
+        rels.append([draw(forms(ring, deg - w)) for w in twists])
+    killed = draw(st.one_of(st.none(), st.integers(0, len(twists) - 1)))
+    if killed is not None:
+        # position over term: the lead sits in the lowest nonzero slot
+        rel = [draw(forms(ring, twists[killed] - w)) if t > killed else ring.zero
+               for t, w in enumerate(twists)]
+        rel[killed] = ring.one * draw(st.integers(-5, 5).filter(bool))
+        rels.append(rel)
+    return PresentedModule(ring, twists, [packed_vector(ring, r) for r in rels]), killed
+
+
+@SETTINGS
+@given(presented_modules(), st.data())
+def test_grown_standard_bases_match_the_brute_force(data, draw):
+    pm, killed = data
+    lowest = min(pm.gen_degrees)
+    # in a drawn order, so a degree below the grown top is read back from
+    # the memo; from two below the lowest generator, where there is none
+    degrees = draw.draw(st.permutations(range(lowest - 2, max(pm.gen_degrees) + 5)))
+    for e in degrees:
+        assert pm.standard_basis(e) == brute_force_standard_basis(pm, e)
+    if killed is not None:
+        cs = pm.engine.comp_shift
+        assert not any(k >> cs == killed for e in degrees for k in pm.standard_basis(e))
+
+
+@pytest.mark.parametrize("twists", [(), (0,), (-3, 2)])
+def test_standard_bases_stop_at_the_packed_limit(twists):
+    # the walk raises before it makes a key past the limit; mult_matrix
+    # names its target degree, as its own guard did
+    ring = PolyRing(3)
+    x = ring.gens()
+    slots = range(len(twists))
+    rels = [[x[i] ** 2 if t == s else ring.zero for t in slots] for s in slots for i in range(3)]
+    pm = PresentedModule(ring, twists, [packed_vector(ring, r) for r in rels])
+    top = min(twists, default=0) + MAXEXP
+    assert pm.standard_basis(top) == []
+    assert pm.mult_matrix(0, top - 1) == []
+    for degree in (top, top + 5):
+        with pytest.raises(ExponentLimitError, match=f"^degree {degree + 1} exceeds the packed limit {MAXEXP}$"):
+            pm.mult_matrix(0, degree)
 
 
 @SETTINGS

@@ -1,6 +1,7 @@
 """Word-parallel packed arithmetic against slot-by-slot references: the
-lcm and degree of packed monomials, and the packed minimalization of
-monomial ideals, whose exponents have no packed limit."""
+lcm and degree of packed monomials, and the packed minimalization and
+membership test of monomial ideals, whose exponents have no packed
+limit."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.packing import MAXEXP, degree, lcm, make_packer  # noqa: E402
+from extremalcurves.ring import mono_divides  # noqa: E402
 from reference import slot_degree, slot_lcm, tuple_minimal_generators  # noqa: E402
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -72,6 +74,27 @@ def test_monomial_ideal_matches_the_tuple_minimalization(data):
     nvars, gens = data
     assert MonomialIdeal(nvars, gens).gens == tuple_minimal_generators(gens)
     assert MonomialIdeal(nvars, [list(m) for m in reversed(gens)]).gens == tuple_minimal_generators(gens)
+
+
+@SETTINGS
+@given(st.data())
+def test_contains_matches_tuple_divisibility(draw):
+    # ideals in slots of one, two and three bytes, queried at and past
+    # their top exponent (a query is packed clamped to it), each generator
+    # also with one exponent moved
+    nvars = draw.draw(st.integers(1, 4))
+    top = draw.draw(st.sampled_from([4, MAXEXP, 200, 40000]))
+    exps = st.one_of(st.integers(0, 4), st.integers(max(0, top - 4), top))
+    gens = draw.draw(st.lists(st.tuples(*[exps] * nvars), max_size=8))
+    I = MonomialIdeal(nvars, gens)
+    wide = st.sampled_from([128, 130, 255, 256, 65535, 65536, 10**6])
+    past = st.one_of(exps, st.integers(top, top + 300), wide)
+    queries = draw.draw(st.lists(st.tuples(*[past] * nvars), max_size=8))
+    for g in gens:
+        i = draw.draw(st.integers(0, nvars - 1))
+        queries.append(g[:i] + (draw.draw(past),) + g[i + 1:])
+    for m in queries:
+        assert I.contains(m) == any(mono_divides(g, m) for g in gens)
 
 
 def test_monomial_ideal_above_a_byte():

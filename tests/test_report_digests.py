@@ -1,10 +1,11 @@
 """Report bytes pinned by SHA-256, of the JSON and of the text form: a
 speed-up must leave every report of `verify_extremal` byte-identical.  All
-points but the last are cheap; between them they run every check of a
+points but the last two are cheap; between them they run every check of a
 verdict: gin, hyperplane sections, Betti tables, the planar check, an ex46
-witness and degree 2, in P^3 and P^4.  The last, a rational ex45 curve of
-degree 8 in P^3, pins a large Rao module (315 dimensions, annihilator
-degrees [1, 1, 15, 21]) and takes about a second.
+witness and degree 2, in P^3 and P^4.  The last two, rational ex45 curves
+of degree 8 and 9 in P^3, pin large Rao modules (315 dimensions with
+annihilator degrees [1, 1, 15, 21], and 588 with [1, 1, 21, 28]) and take
+about a second each.
 
 A change that alters a report on purpose (a new field, a new draw) must
 say so and record the new digests here."""
@@ -47,6 +48,9 @@ CASES = [
     ("ex45-n3d8a15", lambda: _ex45(3, 8, 15), 1, ALL, "extremal",
      "7b959e523da007cfd17825eb58d2d61fd6aaa6e0bb4b6ab35fd8d7f6c6b4e06c",
      "eae37fa19981908353e78b6e67902d343cfc356eb70d9b513081422c4948d258"),
+    ("ex45-n3d9a21", lambda: _ex45(3, 9, 21), 1, ALL, "extremal",
+     "2695d3e81e7e7e442852aca81c15dcfdeee1e2fb29b73cac975a0a2715652393",
+     "893c9761e998e79618f91da431a21fd70fa37d0ddac0d8c1b064265af0e9ab4b"),
 ]
 
 
