@@ -184,10 +184,11 @@ def _cmd_sweep(args):
         for d in range(d_lo, d_hi + 1):
             for a in range(a_lo, a_hi + 1):
                 tasks.append((n, d, a, args.seed))
-    if args.jobs > 1:
+    workers = min(args.jobs, len(tasks))  # no idle worker processes
+    if workers > 1:
         import multiprocessing  # only the parallel sweep needs it; keeps CLI start-up light
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(sweep_point, tasks, chunksize=1)
     else:
         results = [sweep_point(t) for t in tasks]

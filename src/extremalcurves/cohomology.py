@@ -112,19 +112,10 @@ def hilbert_table(I: Ideal, window, degree: int, genus: int) -> HilbertTable:
 # duality
 
 
-def _dual_map(res, level):
-    """Hom(-, R) of the map F_level -> F_{level-1}: one packed vector over
-    F_level per basis element of F_{level-1}."""
-    rows = [{} for _ in res.twists[level - 1]]
-    for c, col in enumerate(res.level(level - 1)):
-        for r, e in col.items():
-            rows[r][c] = e
-    return rows
-
-
 class DualCohomology:
     """Ext modules at the last two homological positions of R/I; the second
-    cohomology side is built lazily since many callers only need h1."""
+    cohomology side is built lazily since many callers only need h1.  The
+    dual maps are the resolution's dual rows (`ResolutionData.dual`)."""
 
     def __init__(self, I: Ideal):
         self.ring = I.ring
@@ -143,7 +134,7 @@ class DualCohomology:
             self.rao_dual = PresentedModule(self.ring, [], [])
         else:
             # coker(Hom(F_{n-1}, R) -> Hom(F_n, R))
-            self.rao_dual = PresentedModule(self.ring, [-w for w in res.twists[n]], _dual_map(res, n))
+            self.rao_dual = PresentedModule(self.ring, [-w for w in res.twists[n]], res.dual(n - 1)[0])
             if not self.rao_dual.is_finite_length():
                 raise NotLocallyCohenMacaulayError(
                     "the curve is not locally Cohen-Macaulay (it has embedded "
@@ -157,11 +148,12 @@ class DualCohomology:
         difference of their Hilbert functions.  In the ACM case b = 0."""
         if self._h2_parts is None:
             res, ring, n = self.res, self.ring, self.ring.n
-            a = _dual_map(res, n - 1)
+            a, _ = res.dual(n - 2)
             coker_a = PresentedModule(ring, [-w for w in res.twists[n - 1]], a)
             coimage_b = PresentedModule(ring, [], [])
             if not self.acm:
-                b = GraphBasis(_dual_map(res, n), [-w for w in res.twists[n]], ring)
+                rows, multipliers = res.dual(n - 1)
+                b = GraphBasis(rows, [-w for w in res.twists[n]], ring, multipliers)
                 coimage_b = PresentedModule(ring, [-w for w in res.twists[n - 1]], b.kernel_generators())
                 if any(coimage_b.reduce(image) for image in a):
                     raise InternalCheckError("dual complex image missed the kernel")
@@ -375,7 +367,7 @@ def planar_subcurve_check(I: Ideal, plane_forms, degree: int) -> bool:
         if f.degree() != 1:
             raise ValueError("plane forms must be linear")
         rows.append([f.coefficient(ring.var_mono(i)) for i in range(ring.nvars)])
-    if fraction_rank(rows, getattr(ring.field, "p", 0)) < len(forms):
+    if fraction_rank(rows, ring.modulus) < len(forms):
         raise ValueError("dependent plane forms")
     # saturating I + (forms) would not change its Hilbert polynomial
     J = Ideal(ring, list(I.gens) + forms)
@@ -403,7 +395,7 @@ class CurveAnalysis:
 
     def __init__(self, I: Ideal, seed: int = 0):
         ring = I.ring
-        if getattr(ring.field, "p", 0):
+        if ring.modulus:
             raise ValueError("verdicts are computed over the rationals")
         if I.dim_piece(1) != 0:
             raise DegenerateCurveError("the ideal contains a linear form")

@@ -94,7 +94,7 @@ class ConstructionInput:
             raise ConstructionError(f"the gluing form must have degree {deg_f} (or be zero)")
         field = self.f_list[0].ring.field
         rows = [binary_coeff_vector(p, deg_fi) for p in self.f_list]
-        if fraction_rank(rows, getattr(field, "p", 0)) < n - 2:
+        if fraction_rank(rows, self.f_list[0].ring.modulus) < n - 2:
             raise DegenerateInputError("dependent line forms give a degenerate curve")
         # a binary form's packed keys read the same in two variables
         line = PolyRing(2, field)

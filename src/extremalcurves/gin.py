@@ -47,7 +47,7 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
     """Generic initial ideal with the two-seed agreement protocol: three
     rounds, the entry bound doubling from DEFAULT_ENTRY_BOUND."""
     ring = I.ring
-    if getattr(ring.field, "p", 0):
+    if ring.modulus:
         raise ValueError("generic initial ideals need characteristic zero")
     if not I.gens:
         return GinResult(MonomialIdeal(ring.nvars, []), (seed, seed), DEFAULT_ENTRY_BOUND)

@@ -24,26 +24,23 @@ from .ring import PolyRing, Polynomial, clear_denominators, expand_linear, strip
 
 
 class _EnginePoly:
-    __slots__ = ("keys", "coeffs", "deg", "scale")
+    __slots__ = ("keys", "coeffs", "deg")
 
-    def __init__(self, keys, coeffs, deg, scale=None):
+    def __init__(self, keys, coeffs, deg):
         self.keys = keys  # ascending packed keys == descending terms
         self.coeffs = coeffs
         self.deg = deg
-        self.scale = scale  # engine element == scale * source
 
 
 def _clear(keys, coeffs, deg, modulus) -> _EnginePoly:
-    """Engine element from sorted keys and field coefficients: residues mod
-    p, or over QQ the primitive integer vector with a positive lead."""
+    """Engine element from sorted keys and field (or integer) coefficients:
+    residues mod p, or over QQ the primitive integer vector with a positive
+    lead.  It keeps no scale: a caller that needs the factor between the
+    element and its input reads it off the two leads."""
     if modulus:
-        return _EnginePoly(keys, [int(c) % modulus for c in coeffs], deg, None)
-    (ints,), den = clear_denominators([coeffs])
-    ints, g = strip_content(ints)
-    sign = -1 if ints and ints[0] < 0 else 1
-    if sign < 0:
-        ints = [-c for c in ints]
-    return _EnginePoly(keys, ints, deg, Fraction(sign * den, g))
+        return _EnginePoly(keys, [int(c) % modulus for c in coeffs], deg)
+    (ints,), _ = clear_denominators([coeffs])
+    return _EnginePoly(keys, _primitive(ints, 0), deg)
 
 
 def _to_engine(p: Polynomial, pack, modulus) -> _EnginePoly:
@@ -61,7 +58,7 @@ def linear_images(gens, matrix, ring: PolyRing):
     top = max((g.degree() for g in gens), default=0)
     if top > MAXEXP:
         raise ExponentLimitError(f"degree {top} exceeds the packed limit {MAXEXP}")
-    modulus = getattr(ring.field, "p", 0)
+    modulus = ring.modulus
     out = []
     for g, (image, _) in zip(gens, expand_linear(gens, matrix, SLOT)):
         if image:
@@ -91,7 +88,7 @@ def _primitive(coeffs, modulus):
     if modulus:
         return coeffs
     coeffs, _ = strip_content(coeffs)
-    if coeffs[0] < 0:
+    if coeffs and coeffs[0] < 0:
         coeffs = [-c for c in coeffs]
     return coeffs
 
@@ -123,7 +120,7 @@ class _Engine:
         self.nvars = nv
         self.pack = packing.make_packer(nv)
         self.unpack = packing.make_unpacker(nv)
-        self.modulus = getattr(ring.field, "p", 0)
+        self.modulus = ring.modulus
         self.comp_shift = SLOT * nv  # position over term: component bits
         self.rank_bits = rank_bits
         if rank_bits is None:
@@ -363,7 +360,7 @@ class GroebnerBasis:
 
     @cached_property
     def polys(self):
-        unpack, modulus = packing.make_unpacker(self.ring.nvars), getattr(self.ring.field, "p", 0)
+        unpack, modulus = packing.make_unpacker(self.ring.nvars), self.ring.modulus
         return tuple(_from_engine(e, self.ring, unpack, modulus) for e in self.elems)
 
     @cached_property

@@ -24,7 +24,7 @@ class IdealFileError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*^]))")
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^]))")
 
 
 def _tokenize(s: str, line_no: int):
@@ -118,7 +118,7 @@ def parse_polynomial(ring: PolyRing, s: str, line_no: int = 0) -> Polynomial:
     return p
 
 
-_HEADER = re.compile(r"^ring\s+n=(\d+)\s+field=(q|zp:\d+)\s*$")
+_HEADER = re.compile(r"^ring\s+n=([0-9]+)\s+field=(q|zp:[0-9]+)\s*$")
 
 
 def parse_ideal_text(text: str) -> Ideal:
@@ -156,7 +156,7 @@ def parse_ideal(path) -> Ideal:
 def _primitive_integer(p: Polynomial) -> Polynomial:
     """Scale to content-free integer coefficients for emission; the signs
     are kept."""
-    if getattr(p.ring.field, "p", 0):
+    if p.ring.modulus:
         return p
     (ints,), _ = clear_denominators([[c for _, c in p.terms]])
     ints, _ = strip_content(ints)
@@ -165,7 +165,7 @@ def _primitive_integer(p: Polynomial) -> Polynomial:
 
 def emit_ideal(I: Ideal) -> str:
     ring = I.ring
-    fld = "q" if not getattr(ring.field, "p", 0) else f"zp:{ring.field.p}"
+    fld = f"zp:{ring.modulus}" if ring.modulus else "q"
     out = [f"ring n={ring.n} field={fld}"]
     for g in I.gens:
         out.append(str(_primitive_integer(g)))

@@ -53,7 +53,7 @@ class Ideal:
         if self._gb is None:
             # the constructor tested the gens for homogeneity, so they go
             # in as engine elements, which `buchberger` takes untested
-            pack, modulus = make_packer(self.ring.nvars), getattr(self.ring.field, "p", 0)
+            pack, modulus = make_packer(self.ring.nvars), self.ring.modulus
             self._gb = buchberger([_to_engine(g, pack, modulus) for g in self.gens], self.ring)
         return self._gb
 
@@ -202,7 +202,7 @@ def is_saturated(I: Ideal) -> bool:
 def random_invertible_matrix(ring: PolyRing, rng, bound: int):
     """Seeded integer matrix with entries in [-bound, bound], invertible
     over the ring's field."""
-    nvars, modulus = ring.nvars, getattr(ring.field, "p", 0)
+    nvars, modulus = ring.nvars, ring.modulus
     for _ in range(100):
         matrix = [[rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(nvars)]
         if fraction_rank(matrix, modulus) == nvars:

@@ -13,22 +13,23 @@ the components by their chains of lead components through the levels
 below.  Syzygy levels are pruned to the pairs whose Schreyer lead is a
 minimal generator of the per-component lead module, which keeps the tower
 near-minimal before the exact unit-entry minimalization pass.  Outside
-the engine an element is a packed vector {component: {packed monomial: field
-coefficient}} of homogeneous nonzero entries: resolution maps stay packed
+the engine an element is a packed vector {component: {packed monomial:
+coefficient}} of homogeneous nonzero entries, its coefficients field
+elements or integers: resolution maps stay packed
 from the Schreyer step to the presented modules, and ``Polynomial`` vectors
 appear only at the boundary (`module_kernel`).
-From the Schreyer step on a column keeps the engine's integers with one
-scale (its Schreyer lead coefficient inverted): units cancel
-fraction-free, and `ResolutionData` keeps the surviving integer columns.
-Field coefficients are made for one map when a reader asks for it
-(`ResolutionData.level`: the dual maps of the cohomology, `verify`), and
-kernel generators stay in the engine's integers.
+A resolution map has one representation: from the Schreyer step on a
+column keeps the engine's integers with one integer scale (over QQ a
+denominator, mod p a residue), and units cancel fraction-free.  The
+cohomology reads a map through its dual rows, made once from those
+integers, each the field row times a positive integer multiplier; kernel
+generators stay in the engine's integers.  The field view of a map lives
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import packing
 from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive
@@ -131,9 +132,10 @@ def _schreyer_frame(gb: GroebnerBasis):
 
 
 def _packed_columns(elements, bits, decode, modulus):
-    """Integer packed columns of Schreyer-keyed elements, with one scale
-    per column: column times scale is the monic column over the field
-    (scale 1/lead over QQ, the lead's inverse mod p).  The term at key
+    """Integer packed columns of Schreyer-keyed elements, with one integer
+    scale per column: over QQ the lead coefficient, a denominator (the
+    monic column is the column divided by it), mod p the lead's inverse (the
+    monic column is the column times it).  The term at key
     (image << bits) | rank lands in row t at image minus the lead image of
     t, where decode[rank] = (t, lead image)."""
     mask = (1 << bits) - 1
@@ -144,39 +146,39 @@ def _packed_columns(elements, bits, decode, modulus):
             t, img = decode[k & mask]
             col.setdefault(t, {})[(k >> bits) - img] = c
         cols.append(col)
-        scales.append(pow(e.coeffs[0], -1, modulus) if modulus else Fraction(1, e.coeffs[0]))
+        scales.append(pow(e.coeffs[0], -1, modulus) if modulus else e.coeffs[0])
     return cols, scales
 
 
 class ResolutionData:
     """Graded free resolution of R/I: twists per level and the maps between
-    consecutive levels (level 0 is R itself).  cols[k] holds the map F_{k+1}
-    -> F_k as one packed column over F_k per basis element of F_{k+1}.
+    consecutive levels (level 0 is R itself).  Map k, F_{k+1} -> F_k, is
+    one packed column over F_k per basis element of F_{k+1}.
 
-    The resolution keeps the integer columns of `_minimalize` with one
-    scale each (scales[k][j] for column j of map k); `level(k)` makes the
-    field entries of map k on its first read, and only there.  The h1
-    path reads the last map, h2 the last two, and ``cols`` (every map:
-    `verify` and the tests) all of them; twists, length, Betti table and
-    regularity read no coefficient."""
+    Each map is held once, as the integer columns of `_minimalize` with one
+    integer scale per column (_scales[k][j] for column j of map k): over QQ
+    a denominator, the field column being the column divided by it; mod p
+    a residue, the field column being the column times it.  `dual(k)`
+    builds the dual rows of map k from these integers on its first read:
+    the h1 path reads the last map, h2 the last two.  Twists, length, Betti
+    table and regularity read no coefficient.  The field view of the maps
+    and the check of the complex live in ``tests/reference.py``."""
 
     def __init__(self, ring, twists, cols, scales):
         self.ring = ring
         self.twists = [tuple(t) for t in twists]
         self._cols = cols
         self._scales = scales
-        self._field = {}
+        self._dual = {}
 
-    def level(self, k):
-        """The map F_{k+1} -> F_k with field coefficients."""
-        out = self._field.get(k)
+    def dual(self, k):
+        """Hom(-, R) of map k as (rows, multipliers): one packed vector over
+        F_{k+1} per basis element of F_k, each the field row times its
+        positive integer multiplier (`_dual_rows`)."""
+        out = self._dual.get(k)
         if out is None:
-            out = self._field[k] = _scaled(self._cols[k], self._scales[k], getattr(self.ring.field, "p", 0))
+            out = self._dual[k] = _dual_rows(self._cols[k], self._scales[k], len(self.twists[k]), self.ring.modulus)
         return out
-
-    @property
-    def cols(self):
-        return [self.level(k) for k in range(len(self._cols))]
 
     @property
     def length(self):
@@ -198,32 +200,11 @@ class ResolutionData:
             default=0,
         )
 
-    def verify(self):
-        """Every entry is homogeneous of the degree its twists give and no
-        entry is a unit (minimality); consecutive maps compose to zero."""
-        nv, modulus = self.ring.nvars, getattr(self.ring.field, "p", 0)
-        cols = self.cols
-        for k, level in enumerate(cols):
-            rows, tops = self.twists[k], self.twists[k + 1]
-            if len(level) != len(tops) or any(not 0 <= i < len(rows) for col in level for i in col):
-                raise AssertionError("twist/matrix shape mismatch")
-            for j, col in enumerate(level):
-                image = {}
-                for i, e in col.items():
-                    if any(packing.degree(key, nv) != tops[j] - rows[i] for key in e):
-                        raise AssertionError(f"entry of the wrong degree at level {k}")
-                    if 0 in e:
-                        raise AssertionError("scalar entry in a minimal resolution")
-                    for r, f in (cols[k - 1][i].items() if k else ()):
-                        _addmul(image.setdefault(r, {}), e, f, modulus)
-                if any(image.values()):
-                    raise AssertionError(f"composition at level {k} is nonzero")
-
 
 def _minimalize(twists, cols, scales, modulus):
     """Cancel unit entries level by level from the back, on the integer
     columns of `_packed_columns`; returns the twists, integer columns and
-    scales of the surviving basis elements.
+    integer scales of the surviving basis elements.
 
     At each level the first column holding a unit, at its lowest unit row,
     is the pivot: every other column is cleared at that row, and the pivot
@@ -233,9 +214,10 @@ def _minimalize(twists, cols, scales, modulus):
     makes no new unit in a column without one, so one pass over each level
     finds every pivot.  Clearing is fraction-free: with the unit u at the
     pivot row and q in the column there, the column becomes
-    (u/g)*col - (q/g)*pivot, g = gcd(u, content of q), its scale is divided
-    by u/g and its content moves into the scale (mod p, col - (q/u)*pivot
-    with the scale kept)."""
+    (u/g)*col - (q/g)*pivot, g = gcd(u, content of q), and its denominator
+    is multiplied by u/g; then the gcd of the column's content and its
+    denominator is divided out of both (mod p, col - (q/u)*pivot with the
+    scale kept)."""
     live = [[True] * len(t) for t in twists]
     for k in range(len(cols) - 1, -1, -1):
         rows, tops, level, scale = twists[k], twists[k + 1], cols[k], scales[k]
@@ -261,17 +243,17 @@ def _minimalize(twists, cols, scales, modulus):
                         for e in col.values():
                             for key in e:
                                 e[key] *= a
-                        scale[jp] /= a
+                        scale[jp] *= a
                 for r, e in pivot.items():
                     if r != i and not _addmul(col.setdefault(r, {}), factor, e, modulus):
                         del col[r]
                 if not modulus:
-                    content = gcd(*(c for e in col.values() for c in e.values()))
-                    if content > 1:
+                    g = gcd(scale[jp], *(c for e in col.values() for c in e.values()))
+                    if g > 1:
                         for e in col.values():
                             for key in e:
-                                e[key] //= content
-                        scale[jp] *= content
+                                e[key] //= g
+                        scale[jp] //= g
             live[k + 1][j] = live[k][i] = False
     index = [{old: new for new, old in enumerate(o for o, a in enumerate(lv) if a)} for lv in live]
     twists = [tuple(w for w, a in zip(t, lv) if a) for t, lv in zip(twists, live)]
@@ -287,20 +269,26 @@ def _minimalize(twists, cols, scales, modulus):
     return twists, cols, scales
 
 
-def _scaled(level, scales, modulus):
-    """The integer columns of one level, each times its scale, in the field."""
-    return [{r: _times(e, scale, modulus) for r, e in col.items()} for col, scale in zip(level, scales)]
-
-
-def _times(entry, scale, modulus):
-    """The packed entry {key: integer} times scale, in the field: Fractions
-    over QQ, residues mod p."""
+def _dual_rows(level, scales, nrows, modulus):
+    """The transpose of one map's integer columns, with no field copy: per
+    row of the map a packed vector over its columns, and a positive integer
+    multiplier, the vector being the field row times it.  Over QQ the
+    multiplier is the lcm of the denominators of the row's columns; mod p
+    the vector is the field row itself and the multiplier 1."""
+    rows = [{} for _ in range(nrows)]
+    for c, col in enumerate(level):
+        for r, e in col.items():
+            rows[r][c] = e
     if modulus:
-        return {key: c * scale % modulus for key, c in entry.items()}
-    n, d = scale.numerator, scale.denominator
-    if d == 1:
-        return {key: Fraction(c * n) for key, c in entry.items()}
-    return {key: Fraction(c * n, d) for key, c in entry.items()}
+        rows = [{c: {key: v * scales[c] % modulus for key, v in e.items()} for c, e in row.items()} for row in rows]
+        return rows, [1] * nrows
+    mults = [lcm(*(scales[c] for c in row)) for row in rows]
+    for row, m in zip(rows, mults):
+        for c, e in row.items():
+            f = m // scales[c]  # exact: a denominator may be negative, the lcm is not
+            if f != 1:
+                row[c] = {key: v * f for key, v in e.items()}
+    return rows, mults
 
 
 def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
@@ -309,7 +297,7 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
     ring = gb.ring
     if not gb.elems:
         return ResolutionData(ring, [(0,)], [], [])
-    modulus = getattr(ring.field, "p", 0)
+    modulus = ring.modulus
     levels = _schreyer_frame(gb)
     twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
     cols, scales = zip(*(_packed_columns(*level, modulus) for level in levels))
@@ -342,13 +330,13 @@ def polynomial_vector(ring, vec, rank):
     return out
 
 
-def _pot_element(eng, vec, unit=None):
-    """Engine element of a packed vector, plus a unit term in component
-    unit when given."""
+def _pot_element(eng, vec, unit=None, multiplier=1):
+    """Engine element of a packed vector, plus a unit term with coefficient
+    multiplier in component unit when given."""
     cs = eng.comp_shift
     terms = sorted((s << cs | k, c) for s, e in vec.items() for k, c in e.items())
     if unit is not None:
-        terms.append((unit << cs, 1))
+        terms.append((unit << cs, multiplier))
     return _clear([k for k, _ in terms], [c for _, c in terms], None, eng.modulus)
 
 
@@ -366,11 +354,14 @@ def _pot_vector(eng, keys, coeffs, first):
 class GraphBasis:
     """Traced Gröbner data for a span of packed columns: their kernel.
 
-    The graph elements (col_t, e_t) live in F + R^s; under position over
-    term an element whose lead lies in the tracking part lies there
-    entirely."""
+    The graph elements (col_t, m_t e_t) live in F + R^s, where the given
+    column col_t is m_t times the column whose kernel is wanted (m_t from
+    multipliers, 1 by default): each element is m_t times the graph element
+    of the wanted column, so scaling it moves no kernel coordinate.  Under
+    position over term an element whose lead lies in the tracking part lies
+    there entirely."""
 
-    def __init__(self, cols, free_twists, ring):
+    def __init__(self, cols, free_twists, ring, multipliers=None):
         self.ring = ring
         self.rF = len(free_twists)
         eng = _Engine(ring)
@@ -380,7 +371,7 @@ class GraphBasis:
             if len(found) > 1:
                 raise ValueError("inhomogeneous column")
             degs.append(found.pop() if found else 0)
-            eng.add(_pot_element(eng, col, self.rF + t))
+            eng.add(_pot_element(eng, col, self.rF + t, multipliers[t] if multipliers else 1))
         self.twists = list(free_twists) + degs
         eng.complete(self.twists)
         self.engine = eng
@@ -399,7 +390,7 @@ def module_kernel(cols, free_twists, ring) -> list:
     Polynomials, as lists of Polynomials, each divided by its lead
     coefficient."""
     graph = GraphBasis([packed_vector(ring, col) for col in cols], free_twists, ring)
-    modulus = getattr(ring.field, "p", 0)
+    modulus = ring.modulus
     out = []
     for v in graph.kernel_generators():
         lead = v[min(v)]
@@ -457,10 +448,15 @@ class PresentedModule:
 
     def reduce(self, vec):
         """Normal form of a packed vector, as a packed vector."""
+        if not vec:
+            return {}
         eng = self.engine
         ep = _pot_element(eng, vec)
         keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-        return _pot_vector(eng, keys, _divide(coeffs, (ep.scale or 1) * mult, eng.modulus), 0)
+        # ep is ep.coeffs[0] / lead times vec, lead the coefficient at vec's smallest key
+        first = vec[min(vec)]
+        lead = first[min(first)]
+        return _pot_vector(eng, keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), 0)
 
     def mult_matrix(self, var: int, degree: int):
         """Multiplication by x_var from degree to degree+1 in the standard

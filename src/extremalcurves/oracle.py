@@ -90,7 +90,7 @@ class GradedSpan:
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
-        self.modulus = getattr(ring.field, "p", 0)
+        self.modulus = ring.modulus
         self._gen_rows = {}
         mindeg = None
         for d, row in _poly_rows([g for g in gens if g]):

@@ -332,7 +332,7 @@ def expand_linear(polys, matrix, width):
     if not polys:
         return []
     fld = polys[0].ring.field
-    modulus = getattr(fld, "p", 0)
+    modulus = polys[0].ring.modulus
     den = 1
     if modulus:
         rows = [[fld.coerce(v) for v in row] for row in matrix]
@@ -442,6 +442,11 @@ class PolyRing:
     def n(self) -> int:
         """Dimension of the ambient projective space."""
         return self.nvars - 1
+
+    @property
+    def modulus(self) -> int:
+        """The field's characteristic: 0 for QQ, p for Z/p."""
+        return getattr(self.field, "p", 0)
 
     def var_mono(self, i: int) -> Monomial:
         if not 0 <= i < self.nvars:

@@ -3,9 +3,11 @@ the tests that compare the package against them or read through them:
 Euclid's gcd of binary forms in the ring's field, the kernel of the line
 construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
-QQ), coordinate changes of ideals, resolution maps as `Polynomial`s, the
-row-reduced graded piece of an ideal, the revlex comparison of exponent
-tuples, the Hochster Betti oracle for monomial ideals, the standard
+QQ), coordinate changes of ideals, the field view of a resolution's maps
+(its integer columns with their scales applied) with the check that they
+form a minimal complex, resolution maps as `Polynomial`s, the row-reduced
+graded piece of an ideal, the revlex comparison of exponent tuples, the
+Hochster Betti oracle for monomial ideals, the standard
 monomials of a presented module by listing every monomial of the degree,
 and the commutation check of a Rao module's multiplication maps; and small
 reads of package objects that only the tests make: the normal form and
@@ -22,7 +24,7 @@ from extremalcurves.ideals import Ideal
 from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
 from extremalcurves.monomials import BettiTable
 from extremalcurves.oracle import _check_degree, _insert, _poly_rows, fraction_rank
-from extremalcurves.packing import make_packer, make_unpacker
+from extremalcurves.packing import degree, make_packer, make_unpacker
 from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
 
 
@@ -171,7 +173,7 @@ def field_resolution(gb) -> ResolutionData:
     ring = gb.ring
     if not gb.elems:
         return ResolutionData(ring, [(0,)], [], [])
-    modulus = getattr(ring.field, "p", 0)
+    modulus = ring.modulus
     levels = _schreyer_frame(gb)
     twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
     cols = [field_packed_columns(*level, modulus) for level in levels]
@@ -182,6 +184,48 @@ def field_resolution_data(ring, twists, cols):
     """`ResolutionData` of maps whose columns hold field entries already
     (each column's scale is 1)."""
     return ResolutionData(ring, twists, cols, [[1] * len(level) for level in cols])
+
+
+def _times(entry, scale, modulus):
+    """The packed entry {key: integer} of a column with the given integer
+    scale, in the field: divided by it over QQ (Fractions), times it mod p."""
+    if modulus:
+        return {key: c * scale % modulus for key, c in entry.items()}
+    return {key: Fraction(c, scale) for key, c in entry.items()}
+
+
+def field_level(res, k):
+    """Map k of a `ResolutionData`, F_{k+1} -> F_k, with field coefficients:
+    one packed column over F_k per basis element of F_{k+1}."""
+    modulus = res.ring.modulus
+    return [{r: _times(e, scale, modulus) for r, e in col.items()} for col, scale in zip(res._cols[k], res._scales[k])]
+
+
+def field_cols(res):
+    """Every map of a `ResolutionData` with field coefficients."""
+    return [field_level(res, k) for k in range(len(res._cols))]
+
+
+def verify_resolution(res):
+    """Every entry is homogeneous of the degree its twists give and no
+    entry is a unit (minimality); consecutive maps compose to zero."""
+    nv, modulus = res.ring.nvars, res.ring.modulus
+    cols = field_cols(res)
+    for k, level in enumerate(cols):
+        rows, tops = res.twists[k], res.twists[k + 1]
+        if len(level) != len(tops) or any(not 0 <= i < len(rows) for col in level for i in col):
+            raise AssertionError("twist/matrix shape mismatch")
+        for j, col in enumerate(level):
+            image = {}
+            for i, e in col.items():
+                if any(degree(key, nv) != tops[j] - rows[i] for key in e):
+                    raise AssertionError(f"entry of the wrong degree at level {k}")
+                if 0 in e:
+                    raise AssertionError("scalar entry in a minimal resolution")
+                for r, f in (cols[k - 1][i].items() if k else ()):
+                    _addmul(image.setdefault(r, {}), e, f, modulus)
+            if any(image.values()):
+                raise AssertionError(f"composition at level {k} is nonzero")
 
 
 def slot_lcm(a, b, nvars, slot=8):
@@ -233,7 +277,7 @@ def change_coordinates(I: Ideal, matrix) -> Ideal:
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(r) != ring.nvars for r in matrix):
         raise ValueError("matrix size does not match the ring")
-    if fraction_rank(matrix, getattr(ring.field, "p", 0)) < ring.nvars:
+    if fraction_rank(matrix, ring.modulus) < ring.nvars:
         raise ValueError("singular coordinate change")
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])
 
@@ -243,7 +287,7 @@ def mats(res: ResolutionData):
     entry of column j of the k-th map at row i."""
     return tuple(
         tuple(tuple(polynomial_vector(res.ring, col, len(res.twists[k]))) for col in level)
-        for k, level in enumerate(res.cols)
+        for k, level in enumerate(field_cols(res))
     )
 
 
@@ -281,7 +325,7 @@ def graded_piece_basis(gens, j: int, ring: PolyRing | None = None) -> GradedPiec
     pivots = {}
     rank = 0
     for row in rows:
-        rank += _insert(pivots, dict(row), getattr(ring.field, "p", 0))
+        rank += _insert(pivots, dict(row), ring.modulus)
     return GradedPieceMatrix(ring, rows, ring.monomials_of_degree(j), rank)
 
 
@@ -410,7 +454,9 @@ def normal_form(gb, f):
         eng.add(e)
     ep = _to_engine(f, eng.pack, eng.modulus)
     keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-    coeffs = _divide(coeffs, (ep.scale or 1) * mult, eng.modulus)
+    # the engine element is ep.coeffs[0] / lead times f
+    lead = f.terms[0][1]
+    coeffs = _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus)
     return Polynomial(gb.ring, zip(map(eng.unpack, keys), coeffs))
 
 

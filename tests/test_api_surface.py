@@ -38,6 +38,12 @@ GONE = [
     ("monomials", "MonomialIdeal.quotient_dims"),
     ("monomials", "MonomialIdeal.ideal_dim"),
     ("ring", "PolyRing.from_scalar"),
+    ("modules", "ResolutionData.level"),
+    ("modules", "ResolutionData.cols"),
+    ("modules", "ResolutionData.verify"),
+    ("modules", "_scaled"),
+    ("modules", "_times"),
+    ("groebner", "_EnginePoly.scale"),
 ]
 
 

@@ -177,6 +177,36 @@ class TestCli:
         assert f"expected an integer >= 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid,asked", [("0:0", []), ("0:1", [2])])
+    def test_sweep_starts_no_more_workers_than_grid_points(self, tmp_path, monkeypatch, grid, asked):
+        # --jobs 64 on a one- or two-point grid: the pool is asked for one
+        # process per point at most (one point runs in this process), and
+        # the bytes are those of the serial sweep; no real pool is started
+        import multiprocessing
+
+        started = []
+
+        class RecordedPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordedPool)
+        serial, parallel = tmp_path / "serial.json", tmp_path / "parallel.json"
+        args = ["sweep", "--n", "3:3", "--d", "3:3", "--a", grid, "--seed", "5"]
+        assert main(args + ["-o", str(serial)]) == 0
+        assert main(args + ["--jobs", "64", "-o", str(parallel)]) == 0
+        assert started == asked
+        assert parallel.read_bytes() == serial.read_bytes()
+
     def test_oracle_hf_negative_max_deg_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.ideal"
         path.write_text("ring n=3 field=q\nx2^2\nx2*x3\nx3^2\n")
@@ -225,6 +255,21 @@ class TestCli:
             == 0
         )
         assert main(["verify", str(path)]) == 0
+
+    @pytest.mark.parametrize("text,message", [
+        # the double line (x2, x3)^2 in Arabic-Indic digits, header included
+        ("ring n=\u0663 field=q\nx\u0662^2\nx2*x\u0663\n\u0661*x3^2\n", "expected header"),
+        # an ASCII header, Arabic-Indic digits in the generators only
+        ("ring n=3 field=q\nx\u0662^2\nx2*x\u0663\n\u0661*x3^2\n", "unexpected character"),
+    ], ids=["header", "generators"])
+    def test_non_ascii_digits_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "digits.ideal"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        # in ASCII digits the same file is the double line, a valid input
+        ascii_text = text.translate({0x0660 + k: str(k) for k in range(10)})
+        assert len(parse_ideal_text(ascii_text).gens) == 3
 
     def test_exponent_beyond_packed_limit_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.ideal"

@@ -31,7 +31,7 @@ from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal
 from extremalcurves.modules import PresentedModule
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import field_resolution_data, multiplication_commutes
+from reference import field_cols, field_resolution_data, multiplication_commutes
 
 R4 = PolyRing(4)
 
@@ -153,9 +153,10 @@ class TestH2:
         I = extremal_curve_ideal(4, 5, 1)
         dual = DualCohomology(I)
         res, n = dual.res, I.ring.n
-        a, b = res.cols[n - 2], res.cols[n - 1]
+        fields = field_cols(res)
+        a, b = fields[n - 2], fields[n - 1]
         r, s = next((r, s) for r, col in enumerate(a) for s in col if any(r in bcol for bcol in b))
-        cols = [[dict(col) for col in level] for level in res.cols]
+        cols = [[dict(col) for col in level] for level in fields]
         cols[n - 2][r][s] = {key: 2 * c for key, c in a[r][s].items()}
         dual.res = field_resolution_data(I.ring, res.twists, cols)
         with pytest.raises(InternalCheckError):
@@ -312,25 +313,50 @@ class TestCurveAnalysis:
 
     def test_probe_reads_the_integers_of_all_but_the_last_map(self, monkeypatch):
         # a random construction in P^4 whose resolution has length 4 (not
-        # ACM): the probe's h1 reads only F_4 -> F_3 in the field, and the
-        # ideal's Gröbner basis stays in engine integers throughout
-        levels = []
+        # ACM): the probe's h1 builds the dual rows of F_4 -> F_3 only, and
+        # the ideal's Gröbner basis stays in engine integers throughout
+        maps = []
 
-        def counted(level, scales, modulus):
-            levels.append(len(level))
-            return scaled(level, scales, modulus)
+        def counted(level, scales, nrows, modulus):
+            maps.append((len(level), nrows))
+            return dual_rows(level, scales, nrows, modulus)
 
-        scaled = modules._scaled
-        monkeypatch.setattr(modules, "_scaled", counted)
+        dual_rows = modules._dual_rows
+        monkeypatch.setattr(modules, "_dual_rows", counted)
         I = construct_curve(random_construction_input(4, 4, 1, random.Random(0)))
         probe = constructed_curve_probe(I)
         res = I.resolution()
+        last, before = (len(res.twists[4]), len(res.twists[3])), (len(res.twists[3]), len(res.twists[2]))
         assert res.length == 4 and any(probe["h1"])
-        assert levels == [len(res.twists[4])]
+        assert maps == [last]
         assert "polys" not in vars(I.groebner())
-        # a verdict's h2 reads the map before it too, and nothing else
+        # a verdict's h2 adds the map before it, and nothing else
         assert CurveAnalysis(I).h2 is not None
-        assert levels == [len(res.twists[4]), len(res.twists[3])]
+        assert maps == [last, before]
+        # a fresh verdict builds each map's rows once: the Rao dual and the
+        # graph basis of h2 share the rows of the last map
+        maps.clear()
+        J = Ideal(I.ring, list(I.gens))
+        assert CurveAnalysis(J).h2 is not None
+        assert maps == [last, before]
+        assert "polys" not in vars(J.groebner())
+
+    def test_h2_of_random_non_acm_constructions(self):
+        # seeded random non-ACM constructions over QQ: h2 checks that the
+        # image of a lies in the kernel of b, and Riemann-Roch at every
+        # degree.  Many draws have unequal multipliers in the dual rows of
+        # the last map, where a graph basis that left its unit terms at 1
+        # would compute the kernel of the wrong map.
+        unequal = 0
+        for s in range(60):
+            rng = random.Random(s)
+            n, d, a = rng.randint(3, 5), rng.randint(3, 6), rng.randint(0, 3)
+            c = CurveAnalysis(construct_curve(random_construction_input(n, d, a, rng)))
+            if c.dual.acm:
+                continue
+            unequal += len(set(c.dual.res.dual(n - 1)[1])) > 1
+            assert len(c.h2) == len(c.degrees), s
+        assert unequal >= 20
 
     def test_statements_that_do_not_apply_read_none(self):
         c = CurveAnalysis(extremal_curve_ideal(3, 2, -1), seed=1)

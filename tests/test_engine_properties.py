@@ -3,8 +3,8 @@
 resolutions, kernels, normal forms, presented modules (their Hilbert
 functions and standard monomials) and the last-variable saturation, each
 against an independent check; and the fraction-free
-minimalization of resolutions against its field reference on random
-constructions in P^3 to P^5."""
+minimalization of resolutions, with the dual rows read from its integers,
+against its field reference on random constructions in P^3 to P^5."""
 
 import random
 
@@ -31,8 +31,10 @@ from reference import (  # noqa: E402
     brute_force_standard_basis,
     change_coordinates,
     contains,
+    field_cols,
     field_resolution,
     mats,
+    verify_resolution,
 )
 
 SETTINGS = settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -217,7 +219,7 @@ def test_resolution_verifies_and_matches_the_numerator(data):
     ring, gens = data
     gb = buchberger(gens, ring)
     res = free_resolution_from_gb(gb)
-    res.verify()
+    verify_resolution(res)
     assert res.length <= ring.nvars
     numerator = gb.initial_ideal().hilbert_numerator()
     assert alternating_numerator(res.betti_table()) == numerator
@@ -258,8 +260,18 @@ def assert_matches_the_field_reference(I):
     res = free_resolution_from_gb(I.groebner())
     ref = field_resolution(I.groebner())
     assert res.twists == ref.twists
-    assert res.cols == ref.cols
+    assert field_cols(res) == field_cols(ref)
     assert mats(res) == mats(ref)
+    for k, level in enumerate(field_cols(res)):
+        # the dual rows hold integers (residues mod p): each is its field
+        # row times a positive multiplier, 1 mod p
+        rows, multipliers = res.dual(k)
+        assert len(rows) == len(res.twists[k]) and all(m > 0 for m in multipliers)
+        assert all(type(v) is int for row in rows for e in row.values() for v in e.values())
+        if I.ring.modulus:
+            assert set(multipliers) <= {1}
+        for r, (row, m) in enumerate(zip(rows, multipliers)):
+            assert row == {c: {key: m * v for key, v in col[r].items()} for c, col in enumerate(level) if r in col}
 
 
 @SETTINGS

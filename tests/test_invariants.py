@@ -10,7 +10,7 @@ from extremalcurves.ideals import Ideal, saturate
 from extremalcurves.modules import free_resolution_from_gb
 from extremalcurves.oracle import oracle_ideal_dims, oracle_quotient_dims
 from extremalcurves.ring import PolyRing, Polynomial
-from reference import alternating_numerator, ideal_dim
+from reference import alternating_numerator, ideal_dim, verify_resolution
 
 
 def two_variable_quotient_dims(forms, jmax):
@@ -92,7 +92,7 @@ class TestConstructionOutputs:
                 continue
             gb = buchberger(polys, ring)
             res = free_resolution_from_gb(gb)
-            res.verify()
+            verify_resolution(res)
             assert (
                 alternating_numerator(res.betti_table())
                 == gb.initial_ideal().hilbert_numerator()

@@ -12,7 +12,7 @@ from extremalcurves.modules import (
 from extremalcurves.packing import make_packer
 from extremalcurves.monomials import BettiTable, MonomialIdeal, ek_betti
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import alternating_numerator, mats
+from reference import alternating_numerator, mats, verify_resolution
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -86,7 +86,7 @@ class TestResolution:
         assert [len(t) for t in res.twists] == [1, 2, 1]
         assert res.twists[1] == (1, 1)
         assert res.twists[2] == (2,)
-        res.verify()
+        verify_resolution(res)
 
     def test_gin_of_quartic_curve(self):
         # stable monomial ideal (x0^2, x0*x1, x1^4, x1^3*x2) in P^3:
@@ -94,7 +94,7 @@ class TestResolution:
         x0, x1, x2, x3 = R4.gens()
         gb = buchberger([x0 * x0, x0 * x1, x1 ** 4, x1 ** 3 * x2])
         res = free_resolution_from_gb(gb)
-        res.verify()
+        verify_resolution(res)
         table = res.betti_table()
         expected = BettiTable(
             {(0, 2): 2, (0, 4): 2, (1, 3): 1, (1, 5): 3, (2, 6): 1}
@@ -132,7 +132,7 @@ class TestResolution:
             ideal = MonomialIdeal(nv, closure)
             gens = [ring.monomial(m) for m in ideal.gens]
             res = free_resolution_from_gb(buchberger(gens, ring))
-            res.verify()
+            verify_resolution(res)
             assert res.betti_table() == ek_betti(ideal)
             done += 1
 
@@ -153,7 +153,7 @@ class TestResolution:
                 over_q = free_resolution_from_gb(ideal.groebner())
                 gens = [Polynomial(fp, g.terms) for g in ideal.gens]
                 over_p = free_resolution_from_gb(buchberger(gens, fp))
-                over_p.verify()
+                verify_resolution(over_p)
                 assert over_p.betti_table() == over_q.betti_table(), (d, a)
 
     def test_regularity(self):

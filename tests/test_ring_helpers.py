@@ -117,4 +117,6 @@ def test_strip_content_keeps_signs_and_leaves_a_primitive_vector(ints, factor):
 def test_clear_gives_a_primitive_vector_with_a_positive_lead(coeffs):
     ep = _clear(list(range(len(coeffs))), coeffs, None, 0)
     assert ep.coeffs[0] > 0 and gcd(*ep.coeffs) == 1
-    assert [Fraction(c) for c in ep.coeffs] == [ep.scale * Fraction(v) for v in coeffs]
+    # a multiple of the input: the factor is read off the two leads
+    scale = ep.coeffs[0] / Fraction(coeffs[0])
+    assert [Fraction(c) for c in ep.coeffs] == [scale * Fraction(v) for v in coeffs]
