@@ -15,7 +15,6 @@ import sys
 from .cohomology import (
     CurveAnalysis,
     InternalCheckError,
-    NotACurveError,
     verify_extremal,
 )
 from .construct import (
@@ -25,7 +24,7 @@ from .construct import (
     non_extremal_witness,
 )
 from .formulas import bound_profile, max_genus
-from .idealfile import IdealFileError, emit_ideal, parse_ideal
+from .idealfile import emit_ideal, parse_ideal
 from .oracle import oracle_quotient_dims
 from .report import SCHEMA_VERSION
 
@@ -235,7 +234,7 @@ def main(argv=None) -> int:
     except AssertionError as e:  # InternalCheckError and the engines' own checks
         print(f"internal invariant violation: {e}", file=sys.stderr)
         return 3
-    except (IdealFileError, NotACurveError, ConstructionError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # the input errors are all ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # never Python's status 1, which means "not extremal"

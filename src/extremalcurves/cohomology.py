@@ -129,7 +129,6 @@ class DualCohomology:
             raise NotACurveError("projective dimension too small for a curve quotient")
         self.res = res
         self.acm = res.length == n - 1
-        self._h2_parts = None
         if self.acm:
             self.rao_dual = PresentedModule(self.ring, [], [])
         else:
@@ -141,24 +140,22 @@ class DualCohomology:
                     "or isolated points): its deficiency module is not of finite length"
                 )
 
-    @property
+    @cached_property
     def h2_parts(self):
         """(F*_{n-1}/im a, F*_{n-1}/ker b) for the dual complex
         F*_{n-2} -a-> F*_{n-1} -b-> F*_n: since im a lies in ker b, h2 is the
         difference of their Hilbert functions.  In the ACM case b = 0."""
-        if self._h2_parts is None:
-            res, ring, n = self.res, self.ring, self.ring.n
-            a, _ = res.dual(n - 2)
-            coker_a = PresentedModule(ring, [-w for w in res.twists[n - 1]], a)
-            coimage_b = PresentedModule(ring, [], [])
-            if not self.acm:
-                rows, multipliers = res.dual(n - 1)
-                b = GraphBasis(rows, [-w for w in res.twists[n]], ring, multipliers)
-                coimage_b = PresentedModule(ring, [-w for w in res.twists[n - 1]], b.kernel_generators())
-                if any(coimage_b.reduce(image) for image in a):
-                    raise InternalCheckError("dual complex image missed the kernel")
-            self._h2_parts = (coker_a, coimage_b)
-        return self._h2_parts
+        res, ring, n = self.res, self.ring, self.ring.n
+        a, _ = res.dual(n - 2)
+        coker_a = PresentedModule(ring, [-w for w in res.twists[n - 1]], a)
+        coimage_b = PresentedModule(ring, [], [])
+        if not self.acm:
+            rows, multipliers = res.dual(n - 1)
+            b = GraphBasis(rows, [-w for w in res.twists[n]], ring, multipliers)
+            coimage_b = PresentedModule(ring, [-w for w in res.twists[n - 1]], b.kernel_generators())
+            if any(coimage_b.reduce(image) for image in a):
+                raise InternalCheckError("dual complex image missed the kernel")
+        return coker_a, coimage_b
 
     def rao_dims(self, lo: int, hi: int) -> dict:
         """{j: dim M_j} for lo <= j <= hi, zeros included: M_j = H^1(I_C(j))

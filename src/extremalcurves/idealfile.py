@@ -1,9 +1,12 @@
-"""Ideal file format.
+"""Ideal file format, an ASCII grammar.
 
 Header line ``ring n=<N> field=<q|zp:P>`` followed by one polynomial per
 line; ``#`` starts a comment.  Variables are named x0..xN, coefficients are
-integers, the operators are + - * ^ and juxtaposition is not allowed.
-Every polynomial must be homogeneous.
+integers in the digits 0-9, the operators are + - * ^ and juxtaposition is
+not allowed.  Every polynomial must be homogeneous.  Lines end at a line
+feed (a carriage return just before it is dropped, so CRLF files read as
+LF files) and the only blanks are space and tab: any other character,
+Unicode line and space separators included, is an error.
 """
 
 from __future__ import annotations
@@ -24,132 +27,89 @@ class IdealFileError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^]))")
-
-
-def _tokenize(s: str, line_no: int):
-    pos = 0
-    out = []
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            if s[pos:].strip():
-                raise IdealFileError(
-                    f"unexpected character {s[pos:].strip()[0]!r}", line_no, pos + 1
-                )
-            break
-        if m.group("int"):
-            out.append(("int", int(m.group("int")), m.start() + 1))
-        elif m.group("var"):
-            out.append(("var", int(m.group("var")[1:]), m.start() + 1))
-        else:
-            out.append(("op", m.group("op"), m.start() + 1))
-        pos = m.end()
-    return out
+# one token: blanks, then an integer, a variable with its optional
+# exponent, an operator, or any other character (an error)
+_TOKEN = re.compile(
+    r"[ \t]*(?:(?P<int>[0-9]+)|x(?P<var>[0-9]+)(?:[ \t]*(?P<caret>\^)(?:[ \t]*(?P<pow>[0-9]+))?)?"
+    r"|(?P<op>[-+*^])|(?P<bad>[^ \t]))"
+)
+_HEADER = re.compile(r"ring[ \t]+n=([0-9]+)[ \t]+field=(q|zp:[0-9]+)")
 
 
 def parse_polynomial(ring: PolyRing, s: str, line_no: int = 0) -> Polynomial:
-    tokens = _tokenize(s, line_no)
+    """One polynomial: terms, each a run of signs and then
+    `factor ('*' factor)*`.  Columns count from 1 at the blanks before a
+    token; a character outside the grammar is reported before any other
+    error on the line."""
+    tokens = list(_TOKEN.finditer(s))
+    for m in tokens:
+        if m["bad"]:
+            raise IdealFileError(f"unexpected character {m['bad']!r}", line_no, m.start() + 1)
     if not tokens:
         raise IdealFileError("empty polynomial", line_no)
     terms = []
-    i = 0
-    nv = ring.nvars
-
-    def term(i, sign):
-        coeff = sign
-        expo = [0] * nv
-        seen_factor = False
-        while True:
-            kind, val, col = tokens[i]
-            if kind == "int":
-                coeff *= val
-            elif kind == "var":
-                if val >= nv:
-                    raise IdealFileError(
-                        f"variable x{val} out of range for n={nv - 1}", line_no, col
-                    )
-                power = 1
-                if i + 1 < len(tokens) and tokens[i + 1] == ("op", "^", tokens[i + 1][2]):
-                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "int":
-                        raise IdealFileError("exponent expected after '^'", line_no, col)
-                    power = tokens[i + 2][1]
-                    i += 2
-                expo[val] += power
-            else:
-                raise IdealFileError(f"unexpected {val!r}", line_no, col)
-            seen_factor = True
-            i += 1
-            if i >= len(tokens) or tokens[i][0] == "op" and tokens[i][1] in "+-":
-                break
-            if tokens[i] == ("op", "*", tokens[i][2]):
-                i += 1
-                if i >= len(tokens):
-                    raise IdealFileError("dangling '*'", line_no)
+    sign, want = 1, "term"  # "term": signs or a factor; "factor": after '*'; "op": after a factor
+    for m in tokens:
+        op, col = m["op"], m.start() + 1
+        if want == "op":
+            if op == "*":
+                want = "factor"
                 continue
-            raise IdealFileError(
-                "juxtaposition is not allowed; use '*'", line_no, tokens[i][2]
-            )
-        if not seen_factor:
-            raise IdealFileError("empty term", line_no)
-        return i, tuple(expo), coeff
-
-    sign = 1
-    # optional leading sign
-    while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-        if tokens[i][1] == "-":
-            sign = -sign
-        i += 1
-    while True:
-        if i >= len(tokens):
-            raise IdealFileError("term expected", line_no)
-        i, expo, coeff = term(i, sign)
-        terms.append((expo, coeff))
-        if i >= len(tokens):
-            break
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-    p = Polynomial(ring, terms)
+            if op not in ("+", "-"):
+                raise IdealFileError("juxtaposition is not allowed; use '*'", line_no, col)
+            terms.append((tuple(expo), coeff))
+            sign, want = 1, "term"
+        if want == "term" and op in ("+", "-"):
+            sign = -sign if op == "-" else sign
+            continue
+        if op:
+            raise IdealFileError(f"unexpected {op!r}", line_no, col)
+        if want == "term":
+            coeff, expo = sign, [0] * ring.nvars
+        want = "op"
+        if m["int"]:
+            coeff *= int(m["int"])
+            continue
+        v = int(m["var"])
+        if v >= ring.nvars:
+            raise IdealFileError(f"variable x{v} out of range for n={ring.n}", line_no, col)
+        if m["caret"] and not m["pow"]:
+            raise IdealFileError("exponent expected after '^'", line_no, col)
+        expo[v] += int(m["pow"] or 1)
+    if want == "term":
+        raise IdealFileError("term expected", line_no)
+    if want == "factor":
+        raise IdealFileError("dangling '*'", line_no)
+    p = Polynomial(ring, terms + [(tuple(expo), coeff)])
     if not p.is_homogeneous():
         raise IdealFileError("non-homogeneous polynomial", line_no)
     return p
 
 
-_HEADER = re.compile(r"^ring\s+n=([0-9]+)\s+field=(q|zp:[0-9]+)\s*$")
-
-
 def parse_ideal_text(text: str) -> Ideal:
-    lines = text.splitlines()
-    header = None
+    """The header, then one polynomial per line (see the module docstring)."""
     ring = None
     gens = []
-    for idx, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    for idx, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").split("#", 1)[0].strip(" \t")
         if not line:
             continue
-        if header is None:
-            m = _HEADER.match(line)
-            if not m:
-                raise IdealFileError(
-                    "expected header 'ring n=<N> field=<q|zp:P>'", idx
-                )
-            n = int(m.group(1))
-            fld = m.group(2)
-            field = QQ if fld == "q" else PrimeField(int(fld.split(":")[1]))
-            ring = PolyRing(n + 1, field)
-            header = True
+        if ring is not None:
+            gens.append(parse_polynomial(ring, line, idx))
             continue
-        gens.append(parse_polynomial(ring, line, idx))
+        m = _HEADER.fullmatch(line)
+        if not m:
+            raise IdealFileError("expected header 'ring n=<N> field=<q|zp:P>'", idx)
+        ring = PolyRing(int(m[1]) + 1, QQ if m[2] == "q" else PrimeField(int(m[2][3:])))
     if ring is None:
         raise IdealFileError("missing header", 1)
     return Ideal(ring, gens)
 
 
 def parse_ideal(path) -> Ideal:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="": the line ends reach parse_ideal_text untranslated, so a
+    # file reads exactly as its text does
+    with open(path, encoding="utf-8", newline="") as fh:
         return parse_ideal_text(fh.read())
 
 

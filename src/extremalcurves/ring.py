@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 Monomial = tuple  # exponent tuple of length nvars
 
@@ -493,16 +493,8 @@ class PolyRing:
         """dim of the degree-j graded piece of the ring."""
         if j < 0:
             return 0
-        return _binom(j + self.nvars - 1, self.nvars - 1)
+        return binom(j + self.nvars - 1, self.nvars - 1)
 
 
-def _binom(m: int, k: int) -> int:
-    if k < 0 or k > m:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (m - i) // (i + 1)
-    return out
-
-
-binom = _binom
+def binom(m: int, k: int) -> int:
+    return comb(m, k) if 0 <= k <= m else 0

@@ -6,7 +6,8 @@ minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
 QQ), coordinate changes of ideals, the field view of a resolution's maps
 (its integer columns with their scales applied) with the check that they
 form a minimal complex, resolution maps as `Polynomial`s, the row-reduced
-graded piece of an ideal, the revlex comparison of exponent tuples, the
+graded piece of an ideal, the ideal-file polynomial reader as a token
+list and a term closure, the revlex comparison of exponent tuples, the
 Hochster Betti oracle for monomial ideals, the standard
 monomials of a presented module by listing every monomial of the degree,
 and the commutation check of a Rao module's multiplication maps; and small
@@ -15,11 +16,13 @@ membership of a Gröbner basis, the top index and alternating numerator of
 a Betti table, the graded dimensions of a monomial ideal, and constant
 polynomials."""
 
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
 from extremalcurves.construct import _is_binary, binary_coeff_vector
 from extremalcurves.groebner import _divide, _Engine, _to_engine
+from extremalcurves.idealfile import IdealFileError
 from extremalcurves.ideals import Ideal
 from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
 from extremalcurves.monomials import BettiTable
@@ -498,3 +501,102 @@ def ideal_dim(ideal, j: int) -> int:
 def from_scalar(ring, c) -> Polynomial:
     """The constant polynomial c of the ring."""
     return Polynomial(ring, [(tuple([0] * ring.nvars), c)])
+
+
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^]))")
+
+
+def _tokenize(s: str, line_no: int):
+    """Tokens of one ideal-file line, each (kind, value, 1-based column at
+    the blanks before it); `\\s` takes Unicode blanks too."""
+    pos = 0
+    out = []
+    while pos < len(s):
+        m = _TOKEN.match(s, pos)
+        if not m:
+            if s[pos:].strip():
+                raise IdealFileError(
+                    f"unexpected character {s[pos:].strip()[0]!r}", line_no, pos + 1
+                )
+            break
+        if m.group("int"):
+            out.append(("int", int(m.group("int")), m.start() + 1))
+        elif m.group("var"):
+            out.append(("var", int(m.group("var")[1:]), m.start() + 1))
+        else:
+            out.append(("op", m.group("op"), m.start() + 1))
+        pos = m.end()
+    return out
+
+
+def tokenized_parse_polynomial(ring: PolyRing, s: str, line_no: int = 0) -> Polynomial:
+    """The ideal-file polynomial reader as a token list and a term closure:
+    the differential reference of `idealfile.parse_polynomial` on ASCII
+    lines."""
+    tokens = _tokenize(s, line_no)
+    if not tokens:
+        raise IdealFileError("empty polynomial", line_no)
+    terms = []
+    i = 0
+    nv = ring.nvars
+
+    def term(i, sign):
+        coeff = sign
+        expo = [0] * nv
+        seen_factor = False
+        while True:
+            kind, val, col = tokens[i]
+            if kind == "int":
+                coeff *= val
+            elif kind == "var":
+                if val >= nv:
+                    raise IdealFileError(
+                        f"variable x{val} out of range for n={nv - 1}", line_no, col
+                    )
+                power = 1
+                if i + 1 < len(tokens) and tokens[i + 1] == ("op", "^", tokens[i + 1][2]):
+                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "int":
+                        raise IdealFileError("exponent expected after '^'", line_no, col)
+                    power = tokens[i + 2][1]
+                    i += 2
+                expo[val] += power
+            else:
+                raise IdealFileError(f"unexpected {val!r}", line_no, col)
+            seen_factor = True
+            i += 1
+            if i >= len(tokens) or tokens[i][0] == "op" and tokens[i][1] in "+-":
+                break
+            if tokens[i] == ("op", "*", tokens[i][2]):
+                i += 1
+                if i >= len(tokens):
+                    raise IdealFileError("dangling '*'", line_no)
+                continue
+            raise IdealFileError(
+                "juxtaposition is not allowed; use '*'", line_no, tokens[i][2]
+            )
+        if not seen_factor:
+            raise IdealFileError("empty term", line_no)
+        return i, tuple(expo), coeff
+
+    sign = 1
+    # optional leading sign
+    while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
+        if tokens[i][1] == "-":
+            sign = -sign
+        i += 1
+    while True:
+        if i >= len(tokens):
+            raise IdealFileError("term expected", line_no)
+        i, expo, coeff = term(i, sign)
+        terms.append((expo, coeff))
+        if i >= len(tokens):
+            break
+        sign = 1
+        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+    p = Polynomial(ring, terms)
+    if not p.is_homogeneous():
+        raise IdealFileError("non-homogeneous polynomial", line_no)
+    return p

@@ -44,6 +44,8 @@ GONE = [
     ("modules", "_scaled"),
     ("modules", "_times"),
     ("groebner", "_EnginePoly.scale"),
+    ("idealfile", "_tokenize"),
+    ("ring", "_binom"),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,13 +9,51 @@ from extremalcurves.gin import GinDisagreement
 from extremalcurves.idealfile import (
     IdealFileError,
     emit_ideal,
+    parse_ideal,
     parse_ideal_text,
     parse_polynomial,
 )
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing
+from reference import tokenized_parse_polynomial
 
 R4 = PolyRing(4)
+
+# the differential test's alphabet: every ASCII piece of the grammar, the
+# out-of-range x9, a bare x, and two characters outside the grammar
+PIECES = ["x0", "x1", "x2", "x3", "x9", "x", *"0123456789", "+", "-", "*", "^", " ", "\t", "y", "("]
+
+
+def _random_line(rng):
+    """A random sequence of pieces, or a homogeneous quadric or cubic in
+    the grammar with random blanks and, half of the time, one random piece
+    put in at a random place."""
+    if rng.random() < 0.5:
+        return "".join(rng.choice(PIECES) for _ in range(rng.randrange(13)))
+    deg = rng.choice((2, 3))
+    parts = []
+    for _ in range(rng.randrange(1, 4)):
+        parts.append("".join(rng.choice("+- ") for _ in range(rng.randrange(3))) or "+")
+        factors = [str(rng.randrange(12))] if rng.random() < 0.5 else []
+        left = deg
+        while left:
+            e = rng.randrange(1, left + 1)
+            left -= e
+            power = f"{rng.choice(['', ' '])}^{rng.choice(['', ' '])}{e}" if e > 1 or rng.random() < 0.2 else ""
+            factors.append(f"x{rng.randrange(4)}{power}")
+        parts.append(rng.choice(["*", " * ", "\t*"]).join(factors))
+    line = rng.choice(["", " "]).join(parts)
+    if rng.random() < 0.5:
+        k = rng.randrange(len(line) + 1)
+        line = line[:k] + rng.choice(PIECES) + line[k:]
+    return line
+
+
+def _outcome(parse, line):
+    try:
+        return parse(R4, line, 7).terms
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
 
 
 class TestIdealFile:
@@ -59,6 +98,34 @@ class TestIdealFile:
             list(again.gens), 6, again.ring
         )
         assert I == again
+
+    def test_parse_polynomial_matches_the_token_list_reference(self):
+        # the one-loop reader against the reference's token list and term
+        # closure: the same terms, or the same message with the same line
+        # and column, on seeded random ASCII lines
+        rng = random.Random(20)
+        parsed = 0
+        for _ in range(20_000):
+            line = _random_line(rng)
+            expected = _outcome(tokenized_parse_polynomial, line)
+            assert _outcome(parse_polynomial, line) == expected, repr(line)
+            parsed += isinstance(expected, tuple)
+        assert parsed > 2_000
+
+    def test_crlf_reads_as_lf(self, tmp_path):
+        text = "# double line\nring n=3 field=q\nx2^2\n\nx2*x3  # tail\n x3^2\t\n"
+        crlf = text.replace("\n", "\r\n")
+        assert parse_ideal_text(crlf).gens == parse_ideal_text(text).gens
+        assert len(parse_ideal_text(crlf).gens) == 3
+        path = tmp_path / "crlf.ideal"
+        path.write_text(crlf, encoding="utf-8", newline="")
+        assert parse_ideal(path).gens == parse_ideal_text(text).gens
+        bad = text + "x2 x3\n"
+        with pytest.raises(IdealFileError) as lf_error:
+            parse_ideal_text(bad)
+        with pytest.raises(IdealFileError) as crlf_error:
+            parse_ideal_text(bad.replace("\n", "\r\n"))
+        assert str(crlf_error.value) == str(lf_error.value)
 
 
 class TestCli:
@@ -269,6 +336,25 @@ class TestCli:
         assert message in capsys.readouterr().err
         # in ASCII digits the same file is the double line, a valid input
         ascii_text = text.translate({0x0660 + k: str(k) for k in range(10)})
+        assert len(parse_ideal_text(ascii_text).gens) == 3
+
+    @pytest.mark.parametrize("text,message", [
+        # the double line (x2, x3)^2 on one line, its generators split by a
+        # character that str.splitlines() takes for a line break
+        *[(f"ring n=3 field=q\nx2^2{sep}x2*x3{sep}x3^2\n", "unexpected character")
+          for sep in ("\u2028", "\u0085", "\x0b", "\x0c", "\x1c", "\r")],
+        # a Unicode blank inside a generator, at a line end, in the header
+        ("ring n=3 field=q\nx2^2\nx2\u00a0*\u00a0x3\nx3^2\n", "unexpected character"),
+        ("ring n=3 field=q\nx2^2\u3000\nx2*x3\nx3^2\n", "unexpected character"),
+        ("ring\u00a0n=3 field=q\nx2^2\nx2*x3\nx3^2\n", "expected header"),
+    ], ids=["u2028", "u0085", "x0b", "x0c", "x1c", "lone-cr", "nbsp-generator", "u3000-line-end", "nbsp-header"])
+    def test_other_separators_and_blanks_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "separators.ideal"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert main(["verify", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        # with a line feed or a space in its place the file is the double line
+        ascii_text = text.translate({0x2028: "\n", 0x85: "\n", 0x0B: "\n", 0x0C: "\n", 0x1C: "\n", 0x0D: "\n", 0xA0: " ", 0x3000: " "})
         assert len(parse_ideal_text(ascii_text).gens) == 3
 
     def test_exponent_beyond_packed_limit_exit_2(self, tmp_path, capsys):
