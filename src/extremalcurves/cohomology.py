@@ -28,7 +28,7 @@ from .formulas import (
 )
 from .gin import gin as compute_gin, mix_seed
 from .groebner import initial_monomials, linear_images
-from .ideals import Ideal, is_saturated, random_invertible_matrix
+from .ideals import Ideal, is_saturated, random_unipotent_matrix
 from .modules import GraphBasis, PresentedModule
 from .monomials import MonomialIdeal, ek_betti
 from .oracle import fraction_rank
@@ -296,8 +296,11 @@ def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
     Hilbert values in degrees 0 to reg + 2 are hvals: the section's Hilbert
     values through degree + 1, and the drawn matrix.
 
-    A seeded generic coordinate change moves the hyperplane to {x_n = 0};
-    the cut is the image with the matrix's last column dropped, and only
+    A seeded unit lower-triangular coordinate change moves the hyperplane
+    to {x_n = 0}: such a draw lies in the big Bruhat cell, so it is as
+    generic as a dense one for the leads read below, and it is invertible
+    with no rank test (see `random_unipotent_matrix`).  The cut is the
+    image with the matrix's last column dropped, and only
     its leads are read (a lead-only engine run).  Its saturation with the
     last remaining variable (generic inside the hyperplane) has the cut's
     leads with the last exponent set to 0 as its initial ideal
@@ -313,7 +316,7 @@ def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
     last = target.nvars - 1
     for attempt in range(12):
         rng = random.Random(mix_seed(seed, attempt, 77))
-        matrix = random_invertible_matrix(ring, rng, 20)
+        matrix = random_unipotent_matrix(ring, rng, 20)
         cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
         if not cut:
             continue

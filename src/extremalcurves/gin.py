@@ -1,15 +1,29 @@
-"""Generic initial ideals under revlex.
+"""Generic initial ideals under revlex, read off the generic hyperplane cut.
 
-A random invertible change of coordinates is applied, then a degree-capped
-lead-term Buchberger run collects the initial ideal up to the regularity of
-the input: in characteristic zero the revlex gin has the regularity of the
-ideal (Bayer-Stillman), so it is generated in degrees <= reg.  Each run is
-certified exactly: the candidate's Hilbert numerator must equal that of the
-ideal (the Hilbert function is invariant under coordinate changes, and the
-discovered leads generate a subideal of the true initial ideal, so
-numerator equality forces equality); a draw that fails it was not generic.
-Two independent certified draws must agree and the result must be strongly
-stable; otherwise the entry range widens and the next round draws again.
+A random invertible change of coordinates g is drawn, and the cut of g.I
+by x_n = 0 (the images with the matrix's last column dropped, in the
+first n variables) goes through a degree-capped lead-term Buchberger run.
+Two theorems make the last variable unnecessary.  Under revlex,
+in(J + (x_n)) = in(J) + (x_n) for every homogeneous J (Eisenbud,
+Commutative Algebra, Prop. 15.12), so the cut's initial ideal is
+generated by the minimal generators of in(g.I) free of x_n; and for a
+saturated I in generic coordinates no minimal generator of in(g.I)
+involves x_n (Bayer-Stillman, Invent. Math. 87, 1987), so the cut's leads,
+extended by a zero exponent, are the gin's minimal generators.  In
+characteristic zero the revlex gin has the regularity of the ideal
+(Bayer-Stillman), so it is generated in degrees <= reg and the run stops
+there.
+
+Each run is certified exactly: the candidate's Hilbert numerator, in all
+n+1 variables, must equal that of the ideal (the Hilbert function is
+invariant under coordinate changes, and the extended leads generate a
+subideal of in(g.I), so numerator equality forces equality); a draw that
+fails it was not generic.  Two independent certified draws must agree and
+the result must be strongly stable; otherwise the entry range widens and
+the next round draws again.  A non-saturated ideal is refused with a
+ValueError: x_n is then a zero-divisor on R/g.I for every g, so in(g.I)
+has a minimal generator involving x_n and every draw would fail the
+certificate.
 """
 
 from __future__ import annotations
@@ -18,8 +32,9 @@ import random
 from dataclasses import dataclass
 
 from .groebner import initial_monomials, linear_images
-from .ideals import Ideal, random_invertible_matrix
+from .ideals import Ideal, is_saturated, random_invertible_matrix
 from .monomials import MonomialIdeal, is_strongly_stable
+from .ring import PolyRing
 
 DEFAULT_ENTRY_BOUND = 50
 
@@ -44,15 +59,20 @@ def mix_seed(*parts) -> int:
 
 
 def gin(I: Ideal, seed: int = 0) -> GinResult:
-    """Generic initial ideal with the two-seed agreement protocol: three
-    rounds, the entry bound doubling from DEFAULT_ENTRY_BOUND."""
+    """Generic initial ideal of a saturated ideal, read off the cut by
+    x_n = 0 of each dense draw (ValueError if pd R/I > n), with the two-seed
+    agreement protocol: three rounds, the entry bound doubling from
+    DEFAULT_ENTRY_BOUND."""
     ring = I.ring
     if ring.modulus:
         raise ValueError("generic initial ideals need characteristic zero")
     if not I.gens:
         return GinResult(MonomialIdeal(ring.nvars, []), (seed, seed), DEFAULT_ENTRY_BOUND)
+    if not is_saturated(I):
+        raise ValueError("the gin is read off a hyperplane cut, which needs a saturated ideal")
     base_numerator = I.initial_ideal().hilbert_numerator()
     reg = I.resolution().regularity()
+    target = PolyRing(ring.nvars - 1, ring.field)
 
     bound = DEFAULT_ENTRY_BOUND
     for attempt in range(3):
@@ -60,8 +80,9 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
         candidates = []
         for s in seeds:
             matrix = random_invertible_matrix(ring, random.Random(s), bound)
-            images = linear_images(I.gens, matrix, ring)
-            candidates.append(initial_monomials(images, cap=reg, ring=ring))
+            cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
+            leads = initial_monomials(cut, cap=reg, ring=target)
+            candidates.append(MonomialIdeal(ring.nvars, [m + (0,) for m in leads.gens]))
         first, second = candidates
         if (
             first == second

@@ -3,7 +3,8 @@ the tests that compare the package against them or read through them:
 Euclid's gcd of binary forms in the ring's field, the kernel of the line
 construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
-QQ), coordinate changes of ideals, the field view of a resolution's maps
+QQ), coordinate changes of ideals, the gin read off the full images in all
+n+1 variables, the field view of a resolution's maps
 (its integer columns with their scales applied) with the check that they
 form a minimal complex, resolution maps as `Polynomial`s, the row-reduced
 graded piece of an ideal, the ideal-file polynomial reader as a token
@@ -16,16 +17,18 @@ membership of a Gröbner basis, the top index and alternating numerator of
 a Betti table, the graded dimensions of a monomial ideal, and constant
 polynomials."""
 
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
 
 from extremalcurves.construct import _is_binary, binary_coeff_vector
-from extremalcurves.groebner import _divide, _Engine, _to_engine
+from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, mix_seed
+from extremalcurves.groebner import _divide, _Engine, _to_engine, initial_monomials, linear_images
 from extremalcurves.idealfile import IdealFileError
-from extremalcurves.ideals import Ideal
+from extremalcurves.ideals import Ideal, random_invertible_matrix
 from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
-from extremalcurves.monomials import BettiTable
+from extremalcurves.monomials import BettiTable, MonomialIdeal, is_strongly_stable
 from extremalcurves.oracle import _check_degree, _insert, _poly_rows, fraction_rank
 from extremalcurves.packing import degree, make_packer, make_unpacker
 from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
@@ -283,6 +286,37 @@ def change_coordinates(I: Ideal, matrix) -> Ideal:
     if fraction_rank(matrix, ring.modulus) < ring.nvars:
         raise ValueError("singular coordinate change")
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])
+
+
+def full_variable_gin(I: Ideal, seed: int = 0) -> GinResult:
+    """`gin.gin` with each candidate read off the full images g.I in all
+    n+1 variables instead of the cut by x_n = 0: the same seeds, draws, cap
+    and certificate, and no saturation requirement."""
+    ring = I.ring
+    if ring.modulus:
+        raise ValueError("generic initial ideals need characteristic zero")
+    if not I.gens:
+        return GinResult(MonomialIdeal(ring.nvars, []), (seed, seed), DEFAULT_ENTRY_BOUND)
+    base_numerator = I.initial_ideal().hilbert_numerator()
+    reg = I.resolution().regularity()
+
+    bound = DEFAULT_ENTRY_BOUND
+    for attempt in range(3):
+        seeds = (mix_seed(seed, attempt, 1), mix_seed(seed, attempt, 2))
+        candidates = []
+        for s in seeds:
+            matrix = random_invertible_matrix(ring, random.Random(s), bound)
+            images = linear_images(I.gens, matrix, ring)
+            candidates.append(initial_monomials(images, cap=reg, ring=ring))
+        first, second = candidates
+        if (
+            first == second
+            and first.hilbert_numerator() == base_numerator
+            and is_strongly_stable(first)
+        ):
+            return GinResult(first, seeds, bound)
+        bound *= 2
+    raise GinDisagreement(f"no agreement after 3 rounds (last entry bound {bound})")
 
 
 def mats(res: ResolutionData):

@@ -440,15 +440,16 @@ class TestCli:
         assert "injected Riemann-Roch failure" in capsys.readouterr().err
 
     def test_exhausted_section_draws_exit_3(self, tmp_path, monkeypatch, capsys):
-        # every draw is the identity: the hyperplane x3 = 0 contains the
-        # line supporting ex45 (3, 4, 0), so no draw is a non-zerodivisor;
-        # the input passed every check, so this is an internal failure
+        # every draw is the identity (unit lower-triangular, so a draw the
+        # section may make): the hyperplane x3 = 0 contains the line
+        # supporting ex45 (3, 4, 0), so no draw is a non-zerodivisor; the
+        # input passed every check, so this is an internal failure
         import extremalcurves.cohomology as cohomology
 
         def identity(ring, rng, bound):
             return [[int(i == j) for j in range(ring.nvars)] for i in range(ring.nvars)]
 
-        monkeypatch.setattr(cohomology, "random_invertible_matrix", identity)
+        monkeypatch.setattr(cohomology, "random_unipotent_matrix", identity)
         path = tmp_path / "curve.ideal"
         path.write_text(emit_ideal(extremal_curve_ideal(3, 4, 0)))
         assert main(["analyze", str(path)]) == 3

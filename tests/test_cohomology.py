@@ -170,12 +170,12 @@ class TestHyperplaneSection:
         assert values[1:4] == [3, 4, 4]
 
     def test_draw_with_a_section_point_on_the_last_hyperplane_is_rejected(self):
-        # ex45 (n, d, a) = (3, 3, 1) at this seed (the catalog_analyze item
-        # ex45/n3d3a1#0 of bench seed 110): two of the three sections first
-        # drew a cut whose one point lies on {x_last = 0}; saturating by
-        # x_last then gave the unit ideal and values [0, 0, 0, 0]
+        # ex45 (n, d, a) = (3, 3, 1) at this seed: the first section's first
+        # draw puts the cut's one point on {x_last = 0}, and so would the
+        # third's, which breaks a tie; saturating by x_last gives the unit
+        # ideal there, so accepting those draws would report [0, 0, 0, 0]
         I = extremal_curve_ideal(3, 3, -1)
-        report = verify_extremal(I, seed=8187606606260888246)
+        report = verify_extremal(I, seed=828)
         section = report.to_json_dict()["hyperplane_section"]
         assert section["values"] == [3, 3, 3, 3]
         assert section["match"]
@@ -192,6 +192,21 @@ class TestHyperplaneSection:
         I = extremal_curve_ideal(5, 6, -2)
         values = general_section_values(I, 6, seed=2)
         assert values[1] == 3
+
+    @pytest.mark.parametrize("n,d,a", [(3, 4, 0), (3, 5, 1), (4, 4, 1)])
+    def test_lead_preserving_draws_exhaust_the_section(self, n, d, a, monkeypatch):
+        # the transposed shape x_i -> x_i + (terms in x_j, j > i) keeps
+        # x_n = 0 as the hyperplane, which contains the line supporting
+        # these curves: a draw of the swapped convention is never generic
+        def upper_triangular(ring, rng, bound):
+            m = ring.nvars
+            return [[rng.randint(-bound, bound) if j > i else int(i == j) for j in range(m)] for i in range(m)]
+
+        I = extremal_curve_ideal(n, d, max_genus(n, d) - a)
+        assert general_section_values(I, d, seed=3)[d + 1] == d
+        monkeypatch.setattr(cohomology, "random_unipotent_matrix", upper_triangular)
+        with pytest.raises(InternalCheckError, match="exhausted draws"):
+            general_section_values(I, d, seed=3)
 
 
 class TestPlanarSubcurve:

@@ -5,6 +5,7 @@ from extremalcurves.gin import GinResult, gin, mix_seed
 from extremalcurves.ideals import Ideal
 from extremalcurves.monomials import MonomialIdeal, is_strongly_stable
 from extremalcurves.ring import PolyRing, PrimeField
+from reference import full_variable_gin
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -75,6 +76,16 @@ def test_a_draw_failing_the_certificate_loses_its_round(monkeypatch):
     assert res.seeds == (mix_seed(11, 1, 1), mix_seed(11, 1, 2))
     assert res.entry_bound == 100
     assert caps == [I.resolution().regularity()] * 4
+
+
+def test_non_saturated_input_is_refused():
+    # (x2, x3)(x0, x1, x2, x3) = (x2, x3) ∩ m^2 has depth 0, so its gin has
+    # generators involving x3, which the cut by x3 = 0 cannot see
+    x0, x1, x2, x3 = R4.gens()
+    I = Ideal(R4, [u * v for u in (x2, x3) for v in (x0, x1, x2, x3)])
+    assert any(m[3] for m in full_variable_gin(I, seed=1).ideal.gens)
+    with pytest.raises(ValueError, match="saturated"):
+        gin(I, seed=1)
 
 
 def test_deterministic():

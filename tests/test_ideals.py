@@ -7,6 +7,7 @@ from extremalcurves.ideals import (
     kernel_of_map,
     quotient,
     random_invertible_matrix,
+    random_unipotent_matrix,
     saturate,
 )
 from extremalcurves.oracle import oracle_ideal_dims
@@ -123,6 +124,22 @@ class TestChangeCoordinates:
             m = random_invertible_matrix(ring, rng, 20)
             rows = [Polynomial(ring, [(ring.var_mono(j), c) for j, c in enumerate(row)]) for row in m]
             assert Ideal(ring, rows).dim_piece(1) == 4
+
+    def test_unipotent_draws_are_unit_lower_triangular(self):
+        # x_i -> x_i + (terms in x_j, j < i), entries within the bound, the
+        # same matrix from the same seed
+        import random
+
+        for nvars in (1, 4, 6):
+            ring = PolyRing(nvars)
+            for seed in range(20):
+                m = random_unipotent_matrix(ring, random.Random(seed), 3)
+                assert m == random_unipotent_matrix(ring, random.Random(seed), 3)
+                assert len(m) == nvars and all(len(row) == nvars for row in m)
+                assert all(m[i][i] == 1 and not any(m[i][i + 1:]) for i in range(nvars))
+                assert all(-3 <= m[i][j] <= 3 for i in range(nvars) for j in range(i))
+        below = [random_unipotent_matrix(R4, random.Random(s), 3)[3][0] for s in range(200)]
+        assert set(below) == set(range(-3, 4))
 
     def test_hilbert_function_invariant(self):
         import random

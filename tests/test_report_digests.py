@@ -1,11 +1,14 @@
 """Report bytes pinned by SHA-256, of the JSON and of the text form: a
 speed-up must leave every report of `verify_extremal` byte-identical.  All
-points but the last two are cheap; between them they run every check of a
-verdict: gin, hyperplane sections, Betti tables, the planar check, an ex46
-witness and degree 2, in P^3 and P^4.  The last two, rational ex45 curves
-of degree 8 and 9 in P^3, pin large Rao modules (315 dimensions with
-annihilator degrees [1, 1, 15, 21], and 588 with [1, 1, 21, 28]) and take
-about a second each.
+points but the last three are cheap; between them they run every check of
+a verdict: gin, hyperplane sections, Betti tables, the planar check, an
+ex46 witness and degree 2, in P^3 and P^4.  Of the last three, two are
+rational ex45 curves of degree 8 and 9 in P^3, which pin large Rao modules
+(315 dimensions with annihilator degrees [1, 1, 15, 21], and 588 with
+[1, 1, 21, 28]) and take about a second each; the third, the rational
+ex45 curve of degree 8 in P^4 (regularity 21), pins a large gin and its
+hyperplane sections in five variables and takes under a CPU second (the
+gin computed in all five variables took about six).
 
 A change that alters a report on purpose (a new field, a new draw) must
 say so and record the new digests here."""
@@ -51,6 +54,9 @@ CASES = [
     ("ex45-n3d9a21", lambda: _ex45(3, 9, 21), 1, ALL, "extremal",
      "2695d3e81e7e7e442852aca81c15dcfdeee1e2fb29b73cac975a0a2715652393",
      "893c9761e998e79618f91da431a21fd70fa37d0ddac0d8c1b064265af0e9ab4b"),
+    ("ex45-n4d8a14", lambda: _ex45(4, 8, 14), 1, ALL, "extremal",
+     "5dfaee787849db5650a92253b8e2bea7ad871990b03f1ea7f15e3898ae72d564",
+     "ce39ba3c7c5e96bdc231df16b0b4657510a4548f4a50cd805191cfab7fcac408"),
 ]
 
 
