@@ -27,13 +27,13 @@ from .formulas import (
     rao_structure_excluded,
 )
 from .gin import gin as compute_gin, mix_seed
-from .groebner import initial_monomials, linear_images
+from .groebner import cut_leads
 from .ideals import Ideal, is_saturated, random_unipotent_matrix
 from .modules import GraphBasis, PresentedModule
 from .monomials import MonomialIdeal, ek_betti
 from .oracle import fraction_rank
 from .report import SCHEMA_VERSION, CurveReport
-from .ring import PolyRing, format_mono
+from .ring import format_mono
 
 
 class NotACurveError(ValueError):
@@ -296,38 +296,32 @@ def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
     Hilbert values in degrees 0 to reg + 2 are hvals: the section's Hilbert
     values through degree + 1, and the drawn matrix.
 
-    A seeded unit lower-triangular coordinate change moves the hyperplane
-    to {x_n = 0}: such a draw lies in the big Bruhat cell, so it is as
-    generic as a dense one for the leads read below, and it is invertible
-    with no rank test (see `random_unipotent_matrix`).  The cut is the
-    image with the matrix's last column dropped, and only
-    its leads are read (a lead-only engine run).  Its saturation with the
-    last remaining variable (generic inside the hyperplane) has the cut's
-    leads with the last exponent set to 0 as its initial ideal
-    (Bayer-Stillman), so the values are read off those leads and no
-    section ideal is built.  Of up to 12 draws, those whose cut
-    fails the non-zerodivisor Hilbert test h(R/(I+l))_j = h_C(j) - h_C(j-1)
-    in low degrees are rejected, and so are those whose saturated cut has
-    fewer than degree points at degree + 1: there the last variable
-    vanishes at a section point, so it is not generic inside the
-    hyperplane."""
+    A seeded unit lower-triangular coordinate change
+    (`random_unipotent_matrix`) moves the hyperplane to {x_n = 0}, and only
+    the cut's leads are read (`cut_leads`, uncapped).  Its saturation with
+    the last remaining variable (generic inside the hyperplane) has the
+    cut's leads with the last exponent set to 0 as its initial ideal
+    (Bayer-Stillman), so the values are read off those leads and no section
+    ideal is built.  Of up to 12 draws, those whose cut fails the
+    non-zerodivisor Hilbert test h(R/(I+l))_j = h_C(j) - h_C(j-1) in low
+    degrees are rejected, and so are those whose saturated cut has fewer
+    than degree points at degree + 1: there the last variable vanishes at a
+    section point, so it is not generic inside the hyperplane."""
     ring = I.ring
-    target = PolyRing(ring.nvars - 1, ring.field)
-    last = target.nvars - 1
+    last = ring.n - 1
     for attempt in range(12):
         rng = random.Random(mix_seed(seed, attempt, 77))
         matrix = random_unipotent_matrix(ring, rng, 20)
-        cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
-        if not cut:
+        cut_dims = cut_leads(I.gens, matrix, None, ring)
+        if not cut_dims.gens:
             continue
-        cut_dims = initial_monomials(cut, None, target)
         ok = all(
             cut_dims.quotient_dim(j) == hvals[j] - (hvals[j - 1] if j else 0)
             for j in range(len(hvals))
         )
         if not ok:
             continue
-        lead = MonomialIdeal(target.nvars, [m[:last] + (0,) for m in cut_dims.gens])
+        lead = MonomialIdeal(ring.n, [m[:last] + (0,) for m in cut_dims.gens])
         values = [lead.quotient_dim(j) for j in range(0, degree + 2)]
         if values[-1] != degree:  # section points on {x_last = 0}
             continue

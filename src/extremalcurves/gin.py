@@ -1,18 +1,13 @@
 """Generic initial ideals under revlex, read off the generic hyperplane cut.
 
 A random invertible change of coordinates g is drawn, and the cut of g.I
-by x_n = 0 (the images with the matrix's last column dropped, in the
-first n variables) goes through a degree-capped lead-term Buchberger run.
-Two theorems make the last variable unnecessary.  Under revlex,
-in(J + (x_n)) = in(J) + (x_n) for every homogeneous J (Eisenbud,
-Commutative Algebra, Prop. 15.12), so the cut's initial ideal is
-generated by the minimal generators of in(g.I) free of x_n; and for a
-saturated I in generic coordinates no minimal generator of in(g.I)
-involves x_n (Bayer-Stillman, Invent. Math. 87, 1987), so the cut's leads,
-extended by a zero exponent, are the gin's minimal generators.  In
-characteristic zero the revlex gin has the regularity of the ideal
-(Bayer-Stillman), so it is generated in degrees <= reg and the run stops
-there.
+by x_n = 0 goes through a degree-capped lead-only Buchberger run
+(`groebner.cut_leads`).  For a saturated I in generic coordinates no
+minimal generator of in(g.I) involves x_n (Bayer-Stillman, Invent. Math.
+87, 1987), so the cut's leads, extended by a zero exponent, are the gin's
+minimal generators; in characteristic zero the revlex gin has the
+regularity of I, so the run stops at degree reg.  A non-saturated ideal
+is refused with a ValueError: every draw would fail the certificate.
 
 Each run is certified exactly: the candidate's Hilbert numerator, in all
 n+1 variables, must equal that of the ideal (the Hilbert function is
@@ -20,10 +15,7 @@ invariant under coordinate changes, and the extended leads generate a
 subideal of in(g.I), so numerator equality forces equality); a draw that
 fails it was not generic.  Two independent certified draws must agree and
 the result must be strongly stable; otherwise the entry range widens and
-the next round draws again.  A non-saturated ideal is refused with a
-ValueError: x_n is then a zero-divisor on R/g.I for every g, so in(g.I)
-has a minimal generator involving x_n and every draw would fail the
-certificate.
+the next round draws again.
 """
 
 from __future__ import annotations
@@ -31,10 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .groebner import initial_monomials, linear_images
+from .groebner import cut_leads
 from .ideals import Ideal, is_saturated, random_invertible_matrix
 from .monomials import MonomialIdeal, is_strongly_stable
-from .ring import PolyRing
 
 DEFAULT_ENTRY_BOUND = 50
 
@@ -72,7 +63,6 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
         raise ValueError("the gin is read off a hyperplane cut, which needs a saturated ideal")
     base_numerator = I.initial_ideal().hilbert_numerator()
     reg = I.resolution().regularity()
-    target = PolyRing(ring.nvars - 1, ring.field)
 
     bound = DEFAULT_ENTRY_BOUND
     for attempt in range(3):
@@ -80,8 +70,7 @@ def gin(I: Ideal, seed: int = 0) -> GinResult:
         candidates = []
         for s in seeds:
             matrix = random_invertible_matrix(ring, random.Random(s), bound)
-            cut = linear_images(I.gens, [row[:-1] for row in matrix], target)
-            leads = initial_monomials(cut, cap=reg, ring=target)
+            leads = cut_leads(I.gens, matrix, reg, ring)
             candidates.append(MonomialIdeal(ring.nvars, [m + (0,) for m in leads.gens]))
         first, second = candidates
         if (

@@ -449,3 +449,15 @@ def initial_monomials(gens, cap: int | None, ring: PolyRing | None = None) -> Mo
         ring = gens[0].ring
     leads = _buchberger_engine(ring, list(gens), cap=cap, lead_only=True)
     return MonomialIdeal(ring.nvars, leads)
+
+
+def cut_leads(gens, matrix, cap: int | None, ring: PolyRing) -> MonomialIdeal:
+    """Leads of the cut by x_n = 0 of g.I, for I = (gens) in ring and g the
+    coordinate change matrix: the images with the matrix's last column
+    dropped, in the first n variables, through `initial_monomials` with the
+    given cap.  Under revlex, in(J + (x_n)) = in(J) + (x_n) for every
+    homogeneous J (Eisenbud, Commutative Algebra, Prop. 15.12), so these
+    are the minimal generators of in(g.I) free of x_n, up to degree cap."""
+    target = PolyRing(ring.n, ring.field)
+    cut = linear_images(gens, [row[:-1] for row in matrix], target)
+    return initial_monomials(cut, cap, target)

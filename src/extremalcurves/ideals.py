@@ -1,6 +1,6 @@
 """Graded ideals and their arithmetic: intersection, quotient, saturation,
-seeded invertible coordinate draws (dense, and unit lower-triangular),
-and kernels of maps into cyclic quotients.
+seeded invertible coordinate draws, and kernels of maps into cyclic
+quotients.
 
 Intersections run through syzygies of stacked generator lists (everything
 stays homogeneous), quotients through intersection plus exact division,
@@ -212,18 +212,13 @@ def random_invertible_matrix(ring: PolyRing, rng, bound: int):
 
 def random_unipotent_matrix(ring: PolyRing, rng, bound: int):
     """Seeded unit lower-triangular integer matrix, entries below the
-    diagonal in [-bound, bound]: x_i -> x_i + (terms in x_j, j < i).  Its
-    determinant is 1, so it is invertible over every field.
-
-    Such a draw is as generic as a dense one (the big Bruhat cell).  Write
-    g.J for J under x -> g x, so that b.(g.J) = (g b).J.  The upper
-    triangular b: x_i -> c_i x_i + (terms in x_j, j > i) map each monomial
-    to itself plus smaller ones under revlex, so in(b.J) = in(J) for every
-    J.  Hence the g that are generic for what is read off in(g.I) form a
-    nonempty Zariski-open set U with U b = U; the products u b, u unit
-    lower-triangular, fill a dense open set of GL (the big cell), so U
-    meets the unit lower-triangular matrices (Galligo 1974; Eisenbud,
-    Commutative Algebra, 15.9).  The opposite shape, upper triangular,
-    preserves leads: it gives back in(J), not the generic one."""
+    diagonal in [-bound, bound]: x_i -> x_i + (terms in x_j, j < i), of
+    determinant 1 over every field.  It is as generic as a dense draw: the
+    upper-triangular b (x_i -> c_i x_i + terms in x_j, j > i) keep revlex
+    leads, in(b.J) = in(J), so the g generic for in(g.I) form a nonempty
+    open set U with U b = U, and the products of unit lower-triangular
+    matrices with such b are dense in GL (the big Bruhat cell), so U meets
+    the unit lower-triangular ones (Galligo 1974; Eisenbud, Commutative
+    Algebra, 15.9).  The upper-triangular shape gives back in(J)."""
     nvars = ring.nvars
     return [[rng.randint(-bound, bound) if j < i else int(i == j) for j in range(nvars)] for i in range(nvars)]

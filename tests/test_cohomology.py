@@ -28,7 +28,7 @@ from extremalcurves.construct import (
     random_construction_input,
 )
 from extremalcurves.formulas import max_genus
-from extremalcurves.ideals import Ideal
+from extremalcurves.ideals import Ideal, random_unipotent_matrix
 from extremalcurves.modules import PresentedModule
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 from reference import field_cols, field_resolution_data, multiplication_commutes
@@ -169,16 +169,24 @@ class TestHyperplaneSection:
         values = general_section_values(I, 4, seed=3)
         assert values[1:4] == [3, 4, 4]
 
-    def test_draw_with_a_section_point_on_the_last_hyperplane_is_rejected(self):
-        # ex45 (n, d, a) = (3, 3, 1) at this seed: the first section's first
-        # draw puts the cut's one point on {x_last = 0}, and so would the
-        # third's, which breaks a tie; saturating by x_last gives the unit
-        # ideal there, so accepting those draws would report [0, 0, 0, 0]
+    def test_draw_with_a_section_point_on_the_last_hyperplane_is_rejected(self, monkeypatch):
+        # ex45 (n, d, a) = (3, 3, 1): this first draw passes the
+        # non-zerodivisor test, but the last variable of the cut vanishes
+        # at a section point; saturating by it gives the unit ideal, so
+        # accepting the draw would report [0, 0, 0, 0]
+        special = [[1, 0, 0, 0], [-1, 1, 0, 0], [-1, -1, 1, 0], [0, 0, 1, 1]]
+        draws = []
+
+        def special_first(ring, rng, bound):
+            draws.append(random_unipotent_matrix(ring, rng, bound) if draws else special)
+            return draws[-1]
+
+        monkeypatch.setattr(cohomology, "random_unipotent_matrix", special_first)
         I = extremal_curve_ideal(3, 3, -1)
-        report = verify_extremal(I, seed=828)
-        section = report.to_json_dict()["hyperplane_section"]
-        assert section["values"] == [3, 3, 3, 3]
-        assert section["match"]
+        hvals = [I.initial_ideal().quotient_dim(j) for j in range(I.resolution().regularity() + 3)]
+        values, matrix = hyperplane_section(I, 3, hvals, seed=0)
+        assert draws[0] is special and matrix is not special
+        assert values[1:] == [3, 3, 3, 3]
 
     def test_conic_section(self):
         # plane conic in P^3: two points

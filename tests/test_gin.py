@@ -62,15 +62,15 @@ def test_a_draw_failing_the_certificate_loses_its_round(monkeypatch):
 
     x0, x1, x2, x3 = R4.gens()
     I = Ideal(R4, [x2 ** 4, x2 ** 3 * x3, x2 * x3, x3 ** 2, x0 * x2 ** 3 + x1 ** 3 * x3])
-    real = gin_module.initial_monomials
+    real = gin_module.cut_leads
     caps = []
 
-    def first_draw_misses_a_generator(images, cap, ring):
+    def first_draw_misses_a_generator(gens, matrix, cap, ring):
         caps.append(cap)
-        J = real(images, cap=cap, ring=ring)
+        J = real(gens, matrix, cap, ring)
         return MonomialIdeal(J.nvars, J.gens[1:]) if len(caps) == 1 else J
 
-    monkeypatch.setattr(gin_module, "initial_monomials", first_draw_misses_a_generator)
+    monkeypatch.setattr(gin_module, "cut_leads", first_draw_misses_a_generator)
     res = gin(I, seed=11)
     assert res.ideal == expected_gin(CurveSpec(3, 4, 0))
     assert res.seeds == (mix_seed(11, 1, 1), mix_seed(11, 1, 2))
