@@ -292,21 +292,15 @@ def h2_table(dual: DualCohomology, hilbert: HilbertTable, h1_values):
 
 
 def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
-    """Section by a general hyperplane of a curve of the given degree whose
-    Hilbert values in degrees 0 to reg + 2 are hvals: the section's Hilbert
-    values through degree + 1, and the drawn matrix.
-
-    A seeded unit lower-triangular coordinate change
-    (`random_unipotent_matrix`) moves the hyperplane to {x_n = 0}, and only
-    the cut's leads are read (`cut_leads`, uncapped).  Its saturation with
-    the last remaining variable (generic inside the hyperplane) has the
-    cut's leads with the last exponent set to 0 as its initial ideal
-    (Bayer-Stillman), so the values are read off those leads and no section
-    ideal is built.  Of up to 12 draws, those whose cut fails the
-    non-zerodivisor Hilbert test h(R/(I+l))_j = h_C(j) - h_C(j-1) in low
-    degrees are rejected, and so are those whose saturated cut has fewer
-    than degree points at degree + 1: there the last variable vanishes at a
-    section point, so it is not generic inside the hyperplane."""
+    """Section of a curve of the given degree, whose Hilbert values in
+    degrees 0 to reg + 2 are hvals, by a drawn hyperplane: its Hilbert
+    values through degree + 1, and the drawn matrix.  A verdict reads the
+    values off the gin (`general_section_values`); this draw checks that
+    read.  Of up to 12 seeded unit lower-triangular draws
+    (`random_unipotent_matrix`) that move the hyperplane to {x_n = 0}, it
+    rejects those whose cut fails the non-zerodivisor test
+    h(R/(I+l))_j = h_C(j) - h_C(j-1), or has fewer than degree points at
+    degree + 1 (the last variable vanishes at a section point)."""
     ring = I.ring
     last = ring.n - 1
     for attempt in range(12):
@@ -329,24 +323,34 @@ def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
     raise InternalCheckError("exhausted draws without a non-zerodivisor hyperplane")
 
 
-def general_section_values(I: Ideal, degree: int, seed: int = 0):
-    """Hilbert values of the general hyperplane section of a curve of the
-    given degree: two independent draws must agree (a third breaks ties),
-    guarding against a special hyperplane slipping past the non-zerodivisor
-    test.  The curve's Hilbert values are derived once for all draws."""
-    lead = I.initial_ideal()
-    hvals = [lead.quotient_dim(j) for j in range(I.resolution().regularity() + 3)]
+def general_section_values(gin, degree: int):
+    """Hilbert values in degrees 0 to degree + 1 of the general hyperplane
+    section of a curve of the given degree, read off the curve's certified
+    gin (a `MonomialIdeal` in n + 1 variables) with no hyperplane drawn.
 
-    def draw(k):
-        return hyperplane_section(I, degree, hvals, seed=mix_seed(seed, k, 101))[0]
-
-    first, second = draw(0), draw(1)
-    if first == second:
-        return first
-    third = draw(2)
-    if third in (first, second):
-        return third
-    raise InternalCheckError("hyperplane section values failed to stabilize over three draws")
+    Let g be a certified draw, so G = in(g.I) is strongly stable and no
+    generator of G involves x_n.  Under revlex, with x the last variable,
+    in(J + (x)) = in(J) + (x) and in(J : x) = in(J) : x (Eisenbud,
+    Commutative Algebra, Prop. 15.12).  Used twice, the cut of g.I by
+    x_n = 0 has G with x_n = 0 as its initial ideal, and the cut's
+    saturation by x_{n-1} has that ideal with the x_{n-1} exponent set to
+    0.  As G has no generator in x_n, x_n is a non-zerodivisor: a drawn
+    section's Hilbert test passes by itself.  As G is strongly stable,
+    saturating by the last variable is the full saturation (Green, Generic
+    initial ideals, 1998, §2), so the section of degree d has d points from
+    degree d - 1 on: a drawn section's last-value test passes too.  The
+    values depend on in(g.I) alone, so on the dense open set where
+    in(g.I) = gin(I) they are the general section's: the two-draw standard
+    of the gin itself.  A generator in x_n, or a last value other than the
+    degree, raises InternalCheckError."""
+    n = gin.nvars - 1
+    if any(m[n] for m in gin.gens):
+        raise InternalCheckError("a gin generator involves the last variable")
+    lead = MonomialIdeal(n, [m[: n - 1] + (0,) for m in gin.gens])
+    values = [lead.quotient_dim(j) for j in range(degree + 2)]
+    if values[-1] != degree:
+        raise InternalCheckError(f"the section read off the gin has {values[-1]} points, not {degree}")
+    return values
 
 
 def planar_subcurve_check(I: Ideal, plane_forms, degree: int) -> bool:
@@ -407,7 +411,6 @@ class CurveAnalysis:
         self.profile = bound_profile(ring.n, d, g)
         self.window = self.profile.window
         self.degrees = range(self.window[0], self.window[1] + 1)
-        self.section_seed = mix_seed(seed, 9) if d >= 3 else None
 
     def _betti_range(self):
         """Where the closed-form Betti table and the planar subcurve are stated."""
@@ -471,10 +474,7 @@ class CurveAnalysis:
     @cached_property
     def section_values(self):
         """Hilbert values of the general hyperplane section in degrees 1 to d + 1."""
-        if self.section_seed is None:
-            return None
-        d = self.spec.d
-        return general_section_values(self.ideal, d, seed=self.section_seed)[1 : d + 2]
+        return None if self.gin is None else general_section_values(self.gin.ideal, self.spec.d)[1:]
 
     @cached_property
     def betti(self):
@@ -555,7 +555,7 @@ def verify_extremal(I: Ideal, seed: int = 0) -> CurveReport:
             "base": seed,
             "gin": gin_seeds,
             "gin_entry_bound": None if gin is None else gin.entry_bound,
-            "hyperplane": c.section_seed,
+            "hyperplane": None,  # the sections are read off the gin
         },
         "hilbert": {
             "window": window,

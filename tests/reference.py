@@ -4,7 +4,8 @@ Euclid's gcd of binary forms in the ring's field, the kernel of the line
 construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
 QQ), coordinate changes of ideals, the gin read off the full images in all
-n+1 variables, the field view of a resolution's maps
+n+1 variables, the general hyperplane section by drawn hyperplanes, the
+field view of a resolution's maps
 (its integer columns with their scales applied) with the check that they
 form a minimal complex, resolution maps as `Polynomial`s, the row-reduced
 graded piece of an ideal, the ideal-file polynomial reader as a token
@@ -22,6 +23,7 @@ import re
 from fractions import Fraction
 from itertools import combinations, product
 
+from extremalcurves.cohomology import InternalCheckError, hyperplane_section
 from extremalcurves.construct import _is_binary, binary_coeff_vector
 from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, mix_seed
 from extremalcurves.groebner import _divide, _Engine, _to_engine, initial_monomials, linear_images
@@ -317,6 +319,27 @@ def full_variable_gin(I: Ideal, seed: int = 0) -> GinResult:
             return GinResult(first, seeds, bound)
         bound *= 2
     raise GinDisagreement(f"no agreement after 3 rounds (last entry bound {bound})")
+
+
+def drawn_section_values(I: Ideal, degree: int, seed: int = 0):
+    """Hilbert values in degrees 0 to degree + 1 of the general hyperplane
+    section of a curve of the given degree, by drawing hyperplanes
+    (`cohomology.hyperplane_section`) instead of reading them off the gin:
+    two independent draws must agree, and a third breaks a tie.  The
+    curve's Hilbert values are derived once for all draws."""
+    lead = I.initial_ideal()
+    hvals = [lead.quotient_dim(j) for j in range(I.resolution().regularity() + 3)]
+
+    def draw(k):
+        return hyperplane_section(I, degree, hvals, seed=mix_seed(seed, k, 101))[0]
+
+    first, second = draw(0), draw(1)
+    if first == second:
+        return first
+    third = draw(2)
+    if third in (first, second):
+        return third
+    raise InternalCheckError("hyperplane section values failed to stabilize over three draws")
 
 
 def mats(res: ResolutionData):

@@ -439,21 +439,23 @@ class TestCli:
         assert main(["verify", str(path)]) == 3
         assert "injected Riemann-Roch failure" in capsys.readouterr().err
 
-    def test_exhausted_section_draws_exit_3(self, tmp_path, monkeypatch, capsys):
-        # every draw is the identity (unit lower-triangular, so a draw the
-        # section may make): the hyperplane x3 = 0 contains the line
-        # supporting ex45 (3, 4, 0), so no draw is a non-zerodivisor; the
-        # input passed every check, so this is an internal failure
-        import extremalcurves.cohomology as cohomology
+    def test_non_generic_gin_draws_exit_3(self, tmp_path, monkeypatch, capsys):
+        # every gin draw is the identity: the hyperplane x3 = 0 contains the
+        # line supporting ex45 (3, 4, 0), so no draw passes the gin's
+        # certificate (the sections are read off the gin, so this is the
+        # draw a verdict's sections rest on); the input passed every check,
+        # so this is an internal failure
+        import extremalcurves.gin as gin
 
         def identity(ring, rng, bound):
             return [[int(i == j) for j in range(ring.nvars)] for i in range(ring.nvars)]
 
-        monkeypatch.setattr(cohomology, "random_unipotent_matrix", identity)
+        monkeypatch.setattr(gin, "random_invertible_matrix", identity)
         path = tmp_path / "curve.ideal"
         path.write_text(emit_ideal(extremal_curve_ideal(3, 4, 0)))
         assert main(["analyze", str(path)]) == 3
-        assert "exhausted draws" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "GinDisagreement" in err and "no agreement after 3 rounds" in err
 
     def test_import_leaves_out_multiprocessing(self):
         import os

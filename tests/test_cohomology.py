@@ -3,6 +3,7 @@ import random
 import pytest
 
 import extremalcurves.cohomology as cohomology
+import extremalcurves.ideals as ideals
 import extremalcurves.modules as modules
 from extremalcurves.cohomology import (
     CurveAnalysis,
@@ -30,8 +31,9 @@ from extremalcurves.construct import (
 from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal, random_unipotent_matrix
 from extremalcurves.modules import PresentedModule
+from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import field_cols, field_resolution_data, multiplication_commutes
+from reference import drawn_section_values, field_cols, field_resolution_data, multiplication_commutes
 
 R4 = PolyRing(4)
 
@@ -166,7 +168,7 @@ class TestH2:
 class TestHyperplaneSection:
     def test_space_quartic(self):
         I = extremal_curve_ideal(3, 4, 0)
-        values = general_section_values(I, 4, seed=3)
+        values = drawn_section_values(I, 4, seed=3)
         assert values[1:4] == [3, 4, 4]
 
     def test_draw_with_a_section_point_on_the_last_hyperplane_is_rejected(self, monkeypatch):
@@ -198,7 +200,7 @@ class TestHyperplaneSection:
 
     def test_not_collinear_in_p5(self):
         I = extremal_curve_ideal(5, 6, -2)
-        values = general_section_values(I, 6, seed=2)
+        values = drawn_section_values(I, 6, seed=2)
         assert values[1] == 3
 
     @pytest.mark.parametrize("n,d,a", [(3, 4, 0), (3, 5, 1), (4, 4, 1)])
@@ -211,10 +213,27 @@ class TestHyperplaneSection:
             return [[rng.randint(-bound, bound) if j > i else int(i == j) for j in range(m)] for i in range(m)]
 
         I = extremal_curve_ideal(n, d, max_genus(n, d) - a)
-        assert general_section_values(I, d, seed=3)[d + 1] == d
+        assert drawn_section_values(I, d, seed=3)[d + 1] == d
         monkeypatch.setattr(cohomology, "random_unipotent_matrix", upper_triangular)
         with pytest.raises(InternalCheckError, match="exhausted draws"):
-            general_section_values(I, d, seed=3)
+            drawn_section_values(I, d, seed=3)
+
+    def test_the_read_off_the_initial_ideal_in_given_coordinates_fails(self):
+        # negative control: in(I) in the given coordinates is not the gin.
+        # The line supporting the ex45 curves lies in {x_n = 0}: read as it
+        # stands, in(I) has generators in x_n, and restricted to x_n = 0 it
+        # gives a section with no points, where the drawn section has d
+        for n in (3, 4):
+            for d in range(3, 7):
+                for a in range(3):
+                    I = extremal_curve_ideal(n, d, max_genus(n, d) - a)
+                    assert drawn_section_values(I, d, seed=a)[d + 1] == d
+                    lead = I.initial_ideal()
+                    with pytest.raises(InternalCheckError, match="involves the last variable"):
+                        general_section_values(lead, d)
+                    restricted = MonomialIdeal(n + 1, [m for m in lead.gens if not m[n]])
+                    with pytest.raises(InternalCheckError, match=f"has 0 points, not {d}"):
+                        general_section_values(restricted, d)
 
 
 class TestPlanarSubcurve:
@@ -289,7 +308,7 @@ class TestCurveAnalysis:
 
             return wrapper
 
-        for name in ("hilbert_table", "deficiency_module", "h2_table", "hyperplane_section"):
+        for name in ("hilbert_table", "deficiency_module", "h2_table", "compute_gin", "hyperplane_section"):
             monkeypatch.setattr(cohomology, name, counted(name, getattr(cohomology, name)))
         duals, rao_degrees = [], []
         dual_init = counted("DualCohomology", DualCohomology.__init__)
@@ -318,13 +337,28 @@ class TestCurveAnalysis:
         # d = 4 with a = 1: every check of the report runs
         rep = verify_extremal(curve, seed=1).to_json_dict()
         assert rep["gin"]["checked"] and rep["betti"]["checked"] and rep["planar_subcurve"]["checked"]
-        assert calls.pop("hyperplane_section") >= 2
+        # the sections are read off the gin: no hyperplane is drawn
         assert calls == {
             "DualCohomology": 1, "hilbert_table": 1, "deficiency_module": 1, "h2_table": 1,
-            "curve (d, g)": 1, "plane cut (d, g)": 1,
+            "compute_gin": 1, "curve (d, g)": 1, "plane cut (d, g)": 1,
         }
         # each degree of the Rao dual is evaluated at most once
         assert rao_degrees and len(rao_degrees) == len(set(rao_degrees))
+
+    def test_a_verdict_draws_no_hyperplane(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("the verdict drew a hyperplane")
+
+        curve = extremal_curve_ideal(3, 4, 0)
+        expected = verify_extremal(Ideal(curve.ring, list(curve.gens)), seed=1).to_json()
+        monkeypatch.setattr(cohomology, "hyperplane_section", forbidden)
+        monkeypatch.setattr(cohomology, "random_unipotent_matrix", forbidden)
+        monkeypatch.setattr(ideals, "random_unipotent_matrix", forbidden)
+        report = verify_extremal(curve, seed=1)
+        doc = report.to_json_dict()
+        assert doc["gin"]["checked"] and doc["betti"]["checked"] and doc["planar_subcurve"]["checked"]
+        assert doc["hyperplane_section"]["match"] and doc["seeds"]["hyperplane"] is None
+        assert report.to_json() == expected
 
     def test_probe_builds_no_multiplication_matrix(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -383,5 +417,5 @@ class TestCurveAnalysis:
 
     def test_statements_that_do_not_apply_read_none(self):
         c = CurveAnalysis(extremal_curve_ideal(3, 2, -1), seed=1)
-        assert c.gin is None and c.section_values is None and c.section_seed is None
+        assert c.gin is None and c.section_values is None
         assert c.betti is None and c.planar is None and c.rao_expected is None
