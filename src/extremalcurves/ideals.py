@@ -1,6 +1,6 @@
 """Graded ideals and their arithmetic: intersection, quotient, saturation,
-seeded invertible coordinate draws, and kernels of maps into cyclic
-quotients.
+seeded unit lower-triangular coordinate draws, and kernels of maps into
+cyclic quotients.
 
 Intersections run through syzygies of stacked generator lists (everything
 stays homogeneous), quotients through intersection plus exact division,
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .groebner import GroebnerBasis, _to_engine, buchberger, minimal_basis
 from .modules import free_resolution_from_gb, module_kernel
-from .oracle import fraction_rank
 from .packing import make_packer
 from .ring import PolyRing, Polynomial, mono_div, mono_divides
 
@@ -199,17 +198,6 @@ def is_saturated(I: Ideal) -> bool:
     return I.resolution().length <= I.ring.n
 
 
-def random_invertible_matrix(ring: PolyRing, rng, bound: int):
-    """Seeded integer matrix with entries in [-bound, bound], invertible
-    over the ring's field."""
-    nvars, modulus = ring.nvars, ring.modulus
-    for _ in range(100):
-        matrix = [[rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(nvars)]
-        if fraction_rank(matrix, modulus) == nvars:
-            return matrix
-    raise AssertionError("failed to draw an invertible matrix")
-
-
 def random_unipotent_matrix(ring: PolyRing, rng, bound: int):
     """Seeded unit lower-triangular integer matrix, entries below the
     diagonal in [-bound, bound]: x_i -> x_i + (terms in x_j, j < i), of
@@ -219,6 +207,6 @@ def random_unipotent_matrix(ring: PolyRing, rng, bound: int):
     open set U with U b = U, and the products of unit lower-triangular
     matrices with such b are dense in GL (the big Bruhat cell), so U meets
     the unit lower-triangular ones (Galligo 1974; Eisenbud, Commutative
-    Algebra, 15.9).  The upper-triangular shape gives back in(J)."""
+    Algebra, 15.9)."""
     nvars = ring.nvars
     return [[rng.randint(-bound, bound) if j < i else int(i == j) for j in range(nvars)] for i in range(nvars)]

@@ -1,5 +1,5 @@
 """Combinatorics of monomial ideals: Hilbert series numerators, strong
-stability, and the Eliahou-Kervaire Betti formula for stable ideals.
+stability, and the Eliahou-Kervaire formulas for strongly stable ideals.
 """
 
 from __future__ import annotations
@@ -216,6 +216,10 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
     return True
 
 
+def _max_index(u) -> int:
+    return max((i for i, e in enumerate(u) if e), default=0)  # m(u), 0 for u = 1
+
+
 def ek_betti(I: MonomialIdeal) -> BettiTable:
     """Eliahou-Kervaire Betti numbers of a strongly stable ideal:
     beta_{i, i+deg u} += C(m(u), i) over minimal generators u, where m(u)
@@ -224,8 +228,19 @@ def ek_betti(I: MonomialIdeal) -> BettiTable:
         raise ValueError("Eliahou-Kervaire needs a strongly stable ideal")
     table = BettiTable()
     for u in I.gens:
-        m_u = max(i for i, e in enumerate(u) if e) if mono_degree(u) else 0
-        d = mono_degree(u)
+        m_u, d = _max_index(u), mono_degree(u)
         for i in range(m_u + 1):
             table.add(i, i + d, binom(m_u, i))
     return table
+
+
+def ek_numerator(I: MonomialIdeal):
+    """`MonomialIdeal.hilbert_numerator`, read off the generators: each
+    monomial of I is u*v for one generator u and one v in x_m(u), ...,
+    x_{nvars-1}, so N(t) = 1 - sum_u t^deg(u) (1-t)^m(u) (Eliahou-Kervaire).
+    Precondition, not tested here: I is strongly stable ((x1) gives 1-t+t^2)."""
+    acc = [1]
+    for u in I.gens:
+        m_u = _max_index(u)
+        acc = _poly_add_shift(acc, [(-1) ** (i + 1) * binom(m_u, i) for i in range(m_u + 1)], mono_degree(u))
+    return tuple(_trim(acc))

@@ -1,19 +1,19 @@
-"""Reference algorithms and views that the package does not run, kept for
-the tests that compare the package against them or read through them:
-Euclid's gcd of binary forms in the ring's field, the kernel of the line
+"""Reference algorithms and views that the package does not run, kept for the
+tests that compare the package against them or read through them: Euclid's
+gcd of binary forms in the ring's field, the kernel of the line
 construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
-QQ), coordinate changes of ideals, the gin read off the full images in all
-n+1 variables, the general hyperplane section by drawn hyperplanes, the
-field view of a resolution's maps
-(its integer columns with their scales applied) with the check that they
-form a minimal complex, resolution maps as `Polynomial`s, the row-reduced
-graded piece of an ideal, the ideal-file polynomial reader as a token
-list and a term closure, the revlex comparison of exponent tuples, the
-Hochster Betti oracle for monomial ideals, the standard
-monomials of a presented module by listing every monomial of the degree,
-and the commutation check of a Rao module's multiplication maps; and small
-reads of package objects that only the tests make: the normal form and
+QQ), coordinate changes of ideals and the dense invertible draw, the gin
+read off the full images in all n+1 variables, the general hyperplane
+section by drawn hyperplanes, the field view of a resolution's maps (its
+integer columns with their scales applied) with the check that they form a
+minimal complex, resolution maps as `Polynomial`s, the row-reduced graded
+piece of an ideal, the ideal-file polynomial reader as a token list and a
+term closure, the revlex comparison of exponent tuples, the Borel closure
+and the Hochster Betti oracle for monomial ideals, the standard monomials
+of a presented module by listing every monomial of the degree, and the
+commutation check of a Rao module's multiplication maps; and small reads
+of package objects that only the tests make: the normal form and
 membership of a Gröbner basis, the top index and alternating numerator of
 a Betti table, the graded dimensions of a monomial ideal, and constant
 polynomials."""
@@ -28,7 +28,7 @@ from extremalcurves.construct import _is_binary, binary_coeff_vector
 from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, mix_seed
 from extremalcurves.groebner import _divide, _Engine, _to_engine, initial_monomials, linear_images
 from extremalcurves.idealfile import IdealFileError
-from extremalcurves.ideals import Ideal, random_invertible_matrix
+from extremalcurves.ideals import Ideal, random_unipotent_matrix
 from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
 from extremalcurves.monomials import BettiTable, MonomialIdeal, is_strongly_stable
 from extremalcurves.oracle import _check_degree, _insert, _poly_rows, fraction_rank
@@ -290,10 +290,24 @@ def change_coordinates(I: Ideal, matrix) -> Ideal:
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])
 
 
+def random_invertible_matrix(ring: PolyRing, rng, bound: int):
+    """Seeded dense integer matrix with entries in [-bound, bound],
+    invertible over the ring's field: the coordinate draw the gin made
+    before it drew from the big Bruhat cell."""
+    nvars, modulus = ring.nvars, ring.modulus
+    for _ in range(100):
+        matrix = [[rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(nvars)]
+        if fraction_rank(matrix, modulus) == nvars:
+            return matrix
+    raise AssertionError("failed to draw an invertible matrix")
+
+
 def full_variable_gin(I: Ideal, seed: int = 0) -> GinResult:
     """`gin.gin` with each candidate read off the full images g.I in all
-    n+1 variables instead of the cut by x_n = 0: the same seeds, draws, cap
-    and certificate, and no saturation requirement."""
+    n+1 variables instead of the cut by x_n = 0: the same seeds, draws and
+    cap, and no saturation requirement.  The certificate decides the same,
+    with the candidate's numerator from the general pivot recursion
+    (`MonomialIdeal.hilbert_numerator`) instead of Eliahou-Kervaire."""
     ring = I.ring
     if ring.modulus:
         raise ValueError("generic initial ideals need characteristic zero")
@@ -307,7 +321,7 @@ def full_variable_gin(I: Ideal, seed: int = 0) -> GinResult:
         seeds = (mix_seed(seed, attempt, 1), mix_seed(seed, attempt, 2))
         candidates = []
         for s in seeds:
-            matrix = random_invertible_matrix(ring, random.Random(s), bound)
+            matrix = random_unipotent_matrix(ring, random.Random(s), bound)
             images = linear_images(I.gens, matrix, ring)
             candidates.append(initial_monomials(images, cap=reg, ring=ring))
         first, second = candidates
@@ -436,6 +450,26 @@ def _reduced_homology_dims(faces):
         if h:
             out[d] = h
     return out
+
+
+def borel_closure(nvars: int, monomials) -> MonomialIdeal:
+    """The smallest strongly stable monomial ideal containing the given
+    exponent tuples: close under x_j -> x_i for i < j."""
+    closure = set()
+    work = [tuple(m) for m in monomials]
+    while work:
+        u = work.pop()
+        if u in closure:
+            continue
+        closure.add(u)
+        for j in range(nvars):
+            if u[j]:
+                for i in range(j):
+                    v = list(u)
+                    v[j] -= 1
+                    v[i] += 1
+                    work.append(tuple(v))
+    return MonomialIdeal(nvars, closure)
 
 
 def hochster_betti_oracle(I) -> BettiTable:

@@ -37,7 +37,7 @@ from extremalcurves.monomials import (
     is_strongly_stable,
 )
 from extremalcurves.oracle import oracle_quotient_dims
-from reference import hochster_betti_oracle
+from reference import borel_closure, hochster_betti_oracle
 
 GRID = [
     (n, d, a)
@@ -159,21 +159,7 @@ def stable_batch_task(chunk):
             for _ in range(deg):
                 m[rng.randrange(nv)] += 1
             seeds.append(tuple(m))
-        closure = set()
-        work = list(seeds)
-        while work:
-            u = work.pop()
-            if u in closure:
-                continue
-            closure.add(u)
-            for j in range(nv):
-                if u[j]:
-                    for i in range(j):
-                        v = list(u)
-                        v[j] -= 1
-                        v[i] += 1
-                        work.append(tuple(v))
-        ideal = MonomialIdeal(nv, closure)
+        ideal = borel_closure(nv, seeds)
         if not is_strongly_stable(ideal):
             continue
         results.append(ek_betti(ideal) == hochster_betti_oracle(ideal))

@@ -46,6 +46,7 @@ GONE = [
     ("groebner", "_EnginePoly.scale"),
     ("idealfile", "_tokenize"),
     ("ring", "_binom"),
+    ("ideals", "random_invertible_matrix"),
 ]
 
 

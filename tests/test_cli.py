@@ -440,17 +440,17 @@ class TestCli:
         assert "injected Riemann-Roch failure" in capsys.readouterr().err
 
     def test_non_generic_gin_draws_exit_3(self, tmp_path, monkeypatch, capsys):
-        # every gin draw is the identity: the hyperplane x3 = 0 contains the
-        # line supporting ex45 (3, 4, 0), so no draw passes the gin's
-        # certificate (the sections are read off the gin, so this is the
-        # draw a verdict's sections rest on); the input passed every check,
-        # so this is an internal failure
+        # every gin draw is the identity, which is unit lower-triangular: the
+        # hyperplane x3 = 0 contains the line supporting ex45 (3, 4, 0), so
+        # no draw passes the gin's certificate (the sections are read off
+        # the gin, so this is the draw a verdict's sections rest on); the
+        # input passed every check, so this is an internal failure
         import extremalcurves.gin as gin
 
         def identity(ring, rng, bound):
             return [[int(i == j) for j in range(ring.nvars)] for i in range(ring.nvars)]
 
-        monkeypatch.setattr(gin, "random_invertible_matrix", identity)
+        monkeypatch.setattr(gin, "random_unipotent_matrix", identity)
         path = tmp_path / "curve.ideal"
         path.write_text(emit_ideal(extremal_curve_ideal(3, 4, 0)))
         assert main(["analyze", str(path)]) == 3

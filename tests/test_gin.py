@@ -1,7 +1,8 @@
 import pytest
 
-from extremalcurves.formulas import CurveSpec, expected_gin
-from extremalcurves.gin import GinResult, gin, mix_seed
+from extremalcurves.construct import extremal_curve_ideal
+from extremalcurves.formulas import CurveSpec, expected_gin, max_genus
+from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, gin, mix_seed
 from extremalcurves.ideals import Ideal
 from extremalcurves.monomials import MonomialIdeal, is_strongly_stable
 from extremalcurves.ring import PolyRing, PrimeField
@@ -76,6 +77,35 @@ def test_a_draw_failing_the_certificate_loses_its_round(monkeypatch):
     assert res.seeds == (mix_seed(11, 1, 1), mix_seed(11, 1, 2))
     assert res.entry_bound == 100
     assert caps == [I.resolution().regularity()] * 4
+
+
+@pytest.mark.parametrize("n,d,a", [(3, 4, 0), (3, 5, 1), (4, 4, 1)])
+def test_lead_preserving_draws_fail_to_give_the_gin(n, d, a, monkeypatch):
+    # a swapped convention: the transposed shape x_i -> x_i + (terms in x_j,
+    # j > i) keeps revlex leads and the hyperplane x_n = 0, which contains
+    # the line supporting these curves, so no round is certified
+    import extremalcurves.gin as gin_module
+
+    def upper_triangular(ring, rng, bound):
+        m = ring.nvars
+        return [[rng.randint(-bound, bound) if j > i else int(i == j) for j in range(m)] for i in range(m)]
+
+    g = max_genus(n, d) - a
+    I = extremal_curve_ideal(n, d, g)
+    assert gin(I, seed=3).ideal == expected_gin(CurveSpec(n, d, g))
+    monkeypatch.setattr(gin_module, "random_unipotent_matrix", upper_triangular)
+    with pytest.raises(GinDisagreement, match="no agreement after 3 rounds"):
+        gin(I, seed=3)
+
+
+@pytest.mark.parametrize("n,d", [(4, 8), (5, 7), (5, 8)])
+def test_the_first_round_certifies_the_gin_at_scale(n, d):
+    # the larger catalog points, with the gin seed of a verdict at seed 1:
+    # a unit lower-triangular draw is generic in the first round, so each
+    # costs one cut per draw
+    res = gin(extremal_curve_ideal(n, d, 0), seed=mix_seed(1, 5))
+    assert res.entry_bound == DEFAULT_ENTRY_BOUND == 50
+    assert res.ideal == expected_gin(CurveSpec(n, d, 0))
 
 
 def test_non_saturated_input_is_refused():

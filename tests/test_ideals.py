@@ -6,13 +6,12 @@ from extremalcurves.ideals import (
     is_saturated,
     kernel_of_map,
     quotient,
-    random_invertible_matrix,
     random_unipotent_matrix,
     saturate,
 )
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import change_coordinates, contains
+from reference import change_coordinates, contains, random_invertible_matrix
 
 import pytest
 

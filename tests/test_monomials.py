@@ -6,9 +6,10 @@ from extremalcurves.monomials import (
     BettiTable,
     MonomialIdeal,
     ek_betti,
+    ek_numerator,
     is_strongly_stable,
 )
-from reference import alternating_numerator, hochster_betti_oracle, max_index, quotient_dims
+from reference import alternating_numerator, borel_closure, hochster_betti_oracle, max_index, quotient_dims
 
 
 def I(nvars, *gens):
@@ -84,6 +85,23 @@ class TestEliahouKervaire:
         with pytest.raises(ValueError):
             ek_betti(I(2, (0, 2)))
 
+    def test_numerator_of_a_stable_ideal(self):
+        # 1 - (t^2 + t^2(1-t) + t^4(1-t) + t^4(1-t)^2), the pivot recursion's value
+        ideal = I(3, (2, 0, 0), (1, 1, 0), (0, 4, 0), (0, 3, 1))
+        assert ek_numerator(ideal) == ideal.hilbert_numerator() == (1, 0, -2, 1, -2, 3, -1)
+        assert ek_numerator(I(3)) == I(3).hilbert_numerator() == (1,)
+        assert ek_numerator(I(3, (0, 0, 0))) == I(3, (0, 0, 0)).hilbert_numerator() == ()
+
+    def test_numerator_needs_stability(self):
+        # negative control: (x1) in k[x0, x1] is not stable, and the formula
+        # counts x1 * k[x1] where the ideal holds x1 * k[x0, x1]; this is
+        # why the gin's certificate tests stability before it reads the
+        # numerator
+        ideal = I(2, (0, 1))
+        assert not is_strongly_stable(ideal)
+        assert ideal.hilbert_numerator() == (1, -1)
+        assert ek_numerator(ideal) == (1, -1, 1)
+
 
 class TestHochsterOracle:
     def test_agrees_with_ek(self):
@@ -112,21 +130,7 @@ class TestHochsterOracle:
             seeds = [s for s in seeds if 0 < sum(s) <= 6]
             if not seeds:
                 continue
-            closure = set()
-            work = list(seeds)
-            while work:
-                u = work.pop()
-                if u in closure:
-                    continue
-                closure.add(u)
-                for j in range(nv):
-                    if u[j]:
-                        for i in range(j):
-                            v = list(u)
-                            v[j] -= 1
-                            v[i] += 1
-                            work.append(tuple(v))
-            ideal = MonomialIdeal(nv, closure)
+            ideal = borel_closure(nv, seeds)
             assert is_strongly_stable(ideal)
             assert ek_betti(ideal) == hochster_betti_oracle(ideal)
             done += 1
