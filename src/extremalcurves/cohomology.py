@@ -75,18 +75,18 @@ class HilbertTable:
         return self.degree * j - self.genus + 1
 
 
-def detect_hilbert_polynomial(I: Ideal):
+def detect_hilbert_polynomial(lead: MonomialIdeal):
     """(degree, arithmetic genus) of a curve, whose Hilbert polynomial is
-    d j + 1 - g, read off the Hilbert numerator.  With N(t) = (1-t)^k Q(t)
-    and Q(1) != 0 the quotient has dimension nvars - k; for dimension two
-    d = Q(1) and g = 1 - Q(1) + Q'(1).  Any other dimension, the unit ideal
-    included, raises NotACurveError."""
-    q = list(I.initial_ideal().hilbert_numerator())
+    d j + 1 - g, read off the Hilbert numerator of its initial ideal lead.
+    With N(t) = (1-t)^k Q(t) and Q(1) != 0 the quotient has dimension
+    nvars - k; for dimension two d = Q(1) and g = 1 - Q(1) + Q'(1).  Any
+    other dimension, the unit ideal included, raises NotACurveError."""
+    q = list(lead.hilbert_numerator())
     k = 0
     while any(q) and sum(q) == 0:  # divide by (1 - t): partial sums
         q = [sum(q[: i + 1]) for i in range(len(q) - 1)]
         k += 1
-    if not any(q) or I.ring.nvars - k != 2:
+    if not any(q) or lead.nvars - k != 2:
         raise NotACurveError(
             "the quotient does not have dimension two: the ideal does not define a curve"
         )
@@ -174,7 +174,7 @@ class FiniteLengthModule:
     """Per-degree dimensions with multiplication matrices between them."""
 
     dims: dict
-    mult: dict  # (var, j) -> matrix taking degree j to j+1 (rows: target)
+    mult: dict  # (var, j) -> x_var : M_j -> M_{j+1}, one sparse row {column: value} per target element
     generator_count: int
     generator_degrees: list
     annihilator_degrees: list | None
@@ -197,13 +197,16 @@ def deficiency_module(dual: DualCohomology, table) -> FiniteLengthModule:
     for j in range(lo, hi):
         e_next = -(j + 1) - nvars
         live = dims.get(j) and dims.get(j + 1)
+        # sparse rows have no length: the target basis is counted instead
+        if live and len(dual.rao_dual.standard_basis(e_next + 1)) != dims[j]:
+            raise InternalCheckError(f"the dual basis of M_{j} disagrees with the Rao dimensions")
         for v in range(nvars):
             # x_v on the dual module at degree e_next has target degree
-            # e_next + 1 = -j - nvars; its lists, one per source element,
-            # are the rows of x_v : M_j -> M_{j+1} on the module itself.
-            # A map to or from a zero piece is the empty matrix.
+            # e_next + 1 = -j - nvars; its sparse rows, one per source
+            # element, are the rows of x_v : M_j -> M_{j+1} on the module
+            # itself.  A map to or from a zero piece is the empty matrix.
             m = mult[(v, j)] = dual.rao_dual.mult_matrix(v, e_next) if live else []
-            if live and (len(m) != dims[j + 1] or any(len(row) != dims[j] for row in m)):
+            if live and len(m) != dims[j + 1]:
                 raise InternalCheckError(f"multiplication by x{v} on M_{j} disagrees with the Rao dimensions")
     ranks = _stacked_ranks(dims, mult, nvars)
     gen_count = 0
@@ -230,8 +233,12 @@ def _stacked_ranks(dims, mult, nvars):
     every t with both pieces nonzero; every other such rank is zero."""
     ranks = {}
     for t, dim_here in dims.items():
-        if dims.get(t - 1):
-            rows = [[c for v in range(nvars) for c in mult[(v, t - 1)][r]] for r in range(dim_here)]
+        width = dims.get(t - 1)
+        if width:
+            rows = [
+                {v * width + c: x for v in range(nvars) for c, x in mult[(v, t - 1)][r].items()}
+                for r in range(dim_here)
+            ]
             ranks[t] = fraction_rank(rows)
     return ranks
 
@@ -248,20 +255,20 @@ def _annihilator_degrees(dims, mult, nvars, ranks):
         if not dim_prev:
             continue
         # kernel of the combined multiplication into degree t
-        ncols = nvars * dim_prev
-        ker_dim = ncols - ranks.get(t, 0)
-        # image of the Koszul two-form map
-        dim_prev2 = dims.get(t - 2, 0)
-        b_cols = []
+        ker_dim = nvars * dim_prev - ranks.get(t, 0)
+        # image of the Koszul two-form map: the column of e_v ^ e_w at a
+        # basis element b of M_{t-2} is x_w b in slot v minus x_v b in slot
+        # w, gathered from the nonzero entries (x_w b)_r and (x_v b)_r of the
+        # rows r of M_{t-1}
+        b_cols = {}
         for v in range(nvars):
             for w in range(v + 1, nvars):
-                for b in range(dim_prev2):
-                    col = [0] * ncols
-                    for r in range(dim_prev):
-                        col[v * dim_prev + r] += mult[(w, t - 2)][r][b]
-                        col[w * dim_prev + r] -= mult[(v, t - 2)][r][b]
-                    b_cols.append(col)
-        rank_b = fraction_rank(b_cols)
+                for r, (row_v, row_w) in enumerate(zip(mult[(v, t - 2)], mult[(w, t - 2)])):
+                    for b, x in row_w.items():
+                        b_cols.setdefault((v, w, b), {})[v * dim_prev + r] = x
+                    for b, x in row_v.items():
+                        b_cols.setdefault((v, w, b), {})[w * dim_prev + r] = -x
+        rank_b = fraction_rank(b_cols.values())
         h1 = ker_dim - rank_b
         if h1 < 0:
             raise InternalCheckError("negative Koszul homology dimension")
@@ -353,24 +360,21 @@ def general_section_values(gin, degree: int):
     return values
 
 
-def planar_subcurve_check(I: Ideal, plane_forms, degree: int) -> bool:
-    """True when the curve, of the given degree, meets the given plane in a
-    one-dimensional scheme of degree one less."""
-    ring = I.ring
-    forms = list(plane_forms)
-    if len(forms) != ring.n - 2:
-        raise ValueError(f"a plane in P^{ring.n} needs {ring.n - 2} linear forms")
-    rows = []
-    for f in forms:
-        if f.degree() != 1:
-            raise ValueError("plane forms must be linear")
-        rows.append([f.coefficient(ring.var_mono(i)) for i in range(ring.nvars)])
-    if fraction_rank(rows, ring.modulus) < len(forms):
-        raise ValueError("dependent plane forms")
-    # saturating I + (forms) would not change its Hilbert polynomial
-    J = Ideal(ring, list(I.gens) + forms)
+def planar_subcurve_check(I: Ideal, degree: int) -> bool:
+    """True when the curve, of the given degree, meets the plane
+    x3 = ... = xn in a one-dimensional scheme of degree one less, read off
+    in(I) with no Gröbner run beyond I's own.  Under revlex
+    in(I + L) = in(I) + L for L = (x_k, ..., x_n): Eisenbud, Commutative
+    Algebra, Prop. 15.12, applied to x_n, then to x_{n-1} modulo x_n, and
+    so on.  Directly: a monomial outside L is larger than every monomial of
+    its degree in L, so for h = f + l homogeneous, f in I, l in L, with
+    in(h) outside L, in(h) and in(f) are both the largest term of f
+    outside L."""
+    lead = I.initial_ideal()
+    tail = [I.ring.var_mono(i) for i in range(3, I.ring.nvars)]
+    # saturating the cut would not change its Hilbert polynomial
     try:
-        section_degree, _ = detect_hilbert_polynomial(J)
+        section_degree, _ = detect_hilbert_polynomial(MonomialIdeal(lead.nvars, list(lead.gens) + tail))
     except NotACurveError:
         return False
     return section_degree == degree - 1
@@ -399,7 +403,7 @@ class CurveAnalysis:
             raise DegenerateCurveError("the ideal contains a linear form")
         if not is_saturated(I):
             raise ValueError("the ideal is not saturated")
-        d, g = detect_hilbert_polynomial(I)
+        d, g = detect_hilbert_polynomial(I.initial_ideal())
         # the genus bound holds for locally Cohen-Macaulay curves, which the
         # dual complex checks first
         self.dual = DualCohomology(I)
@@ -486,10 +490,7 @@ class CurveAnalysis:
         degree d - 1."""
         if not self._betti_range():
             return None
-        ring = self.ideal.ring
-        return planar_subcurve_check(
-            self.ideal, [ring.gen(i) for i in range(3, ring.nvars)], self.spec.d
-        )
+        return planar_subcurve_check(self.ideal, self.spec.d)
 
 
 def _formatted(monomial_ideal):

@@ -45,15 +45,6 @@ def _is_binary(p: Polynomial) -> bool:
     return all(all(e == 0 for e in m[2:]) for m, _ in p.terms)
 
 
-def binary_coeff_vector(p: Polynomial, degree: int):
-    """Coefficients of a binary form along x0^e * x1^(degree-e), e = 0..degree,
-    in the ring's field."""
-    out = [p.ring.field.zero] * (degree + 1)
-    for m, c in p.terms:
-        out[m[0]] = c
-    return out
-
-
 @dataclass(frozen=True)
 class ConstructionInput:
     """Numerical data plus the binary forms driving the construction."""
@@ -93,7 +84,8 @@ class ConstructionInput:
         ):
             raise ConstructionError(f"the gluing form must have degree {deg_f} (or be zero)")
         field = self.f_list[0].ring.field
-        rows = [binary_coeff_vector(p, deg_fi) for p in self.f_list]
+        # a binary form of one degree is keyed by its x0 exponent
+        rows = [{m[0]: c for m, c in p.terms} for p in self.f_list]
         if fraction_rank(rows, self.f_list[0].ring.modulus) < n - 2:
             raise DegenerateInputError("dependent line forms give a degenerate curve")
         # a binary form's packed keys read the same in two variables

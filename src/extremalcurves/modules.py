@@ -460,21 +460,18 @@ class PresentedModule:
 
     def mult_matrix(self, var: int, degree: int):
         """Multiplication by x_var from degree to degree+1 in the standard
-        monomial bases: one list per source element, over the target
-        basis."""
+        monomial bases: one sparse row {target index: value} per source
+        element."""
         eng = self.engine
         tgt = self.standard_basis(degree + 1)  # first: past the limit, it names degree + 1
         tgt_index = {k: i for i, k in enumerate(tgt)}
         vk = 1 << (packing.SLOT * var)
-        cols = []
+        rows = []
         for key in self.standard_basis(degree):
             key += vk
-            vec = [0] * len(tgt)
             if key in tgt_index:
-                vec[tgt_index[key]] = 1
+                rows.append({tgt_index[key]: 1})
             else:
                 keys, coeffs, mult = eng.normal_form([key], [1])
-                for k, c in zip(keys, _divide(coeffs, mult, eng.modulus)):
-                    vec[tgt_index[k]] = c
-            cols.append(vec)
-        return cols
+                rows.append({tgt_index[k]: c for k, c in zip(keys, _divide(coeffs, mult, eng.modulus))})
+        return rows

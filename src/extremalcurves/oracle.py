@@ -5,8 +5,8 @@ generator-multiple matrices.  This is the independent oracle used to
 cross-check the Gröbner pipeline, so nothing here may import from the
 Gröbner engine.  `_insert` is the one elimination: sparse integer rows,
 reduced fraction-free over QQ or mod p.  `fraction_rank`, the exact rank
-of the verdict's multiplication and Koszul maps and of the coordinate
-checks, is a loop over it.
+of the verdict's multiplication and Koszul maps and of the line forms'
+independence check, is a loop over it on sparse rows.
 """
 
 from __future__ import annotations
@@ -169,17 +169,15 @@ def minimal_generators(gens):
 
 
 def fraction_rank(rows, modulus=0) -> int:
-    """Exact rank of a dense matrix of int or Fraction entries.  Each row is
-    made sparse, keyed by column, and cleared of the denominators of its
-    nonzero entries before it goes through `_insert`; every step stays in
-    the integers.  With a prime modulus the entries are ints, reduced mod
-    p, and the rank is over Z/p."""
+    """Exact rank of sparse rows {column: value} of int or Fraction values.
+    Each row is cleared of its denominators and goes through `_insert`;
+    every step stays in the integers.  With a prime modulus the values are
+    ints, reduced mod p, and the rank is over Z/p."""
     pivots = {}
     for row in rows:
-        cols = [c for c, v in enumerate(row) if v]
         if modulus:
-            ints = [row[c] % modulus for c in cols]
+            ints = [v % modulus for v in row.values()]
         else:
-            (ints,), _ = clear_denominators([[row[c] for c in cols]])
-        _insert(pivots, {c: v for c, v in zip(cols, ints) if v}, modulus)
+            (ints,), _ = clear_denominators([list(row.values())])
+        _insert(pivots, {c: v for c, v in zip(row, ints) if v}, modulus)
     return len(pivots)

@@ -1,5 +1,7 @@
 """Reference algorithms and views that the package does not run, kept for the
-tests that compare the package against them or read through them: Euclid's
+tests that compare the package against them or read through them: the
+rank of a dense matrix (`dense_rank`, through `oracle.fraction_rank`) and
+a binary form's dense coefficient vector, Euclid's
 gcd of binary forms in the ring's field, the kernel of the line
 construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
@@ -11,8 +13,11 @@ minimal complex, resolution maps as `Polynomial`s, the row-reduced graded
 piece of an ideal, the ideal-file polynomial reader as a token list and a
 term closure, the revlex comparison of exponent tuples, the Borel closure
 and the Hochster Betti oracle for monomial ideals, the standard monomials
-of a presented module by listing every monomial of the degree, and the
-commutation check of a Rao module's multiplication maps; and small reads
+of a presented module by listing every monomial of the degree, the
+commutation check of a Rao module's multiplication maps, its generators
+and annihilator by the dense stacked-rank and Koszul route, and the
+planar check of any plane given by linear forms, through the Gröbner
+basis of the cut; and small reads
 of package objects that only the tests make: the normal form and
 membership of a Gröbner basis, the top index and alternating numerator of
 a Betti table, the graded dimensions of a monomial ideal, and constant
@@ -23,8 +28,8 @@ import re
 from fractions import Fraction
 from itertools import combinations, product
 
-from extremalcurves.cohomology import InternalCheckError, hyperplane_section
-from extremalcurves.construct import _is_binary, binary_coeff_vector
+from extremalcurves.cohomology import InternalCheckError, NotACurveError, detect_hilbert_polynomial, hyperplane_section
+from extremalcurves.construct import _is_binary
 from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, mix_seed
 from extremalcurves.groebner import _divide, _Engine, _to_engine, initial_monomials, linear_images
 from extremalcurves.idealfile import IdealFileError
@@ -34,6 +39,21 @@ from extremalcurves.monomials import BettiTable, MonomialIdeal, is_strongly_stab
 from extremalcurves.oracle import _check_degree, _insert, _poly_rows, fraction_rank
 from extremalcurves.packing import degree, make_packer, make_unpacker
 from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
+
+
+def dense_rank(matrix, modulus=0) -> int:
+    """`oracle.fraction_rank` of a dense matrix (a list of rows of int or
+    `Fraction` entries): each row made sparse, its zeros left out."""
+    return fraction_rank([{c: v for c, v in enumerate(row) if v} for row in matrix], modulus)
+
+
+def binary_coeff_vector(p: Polynomial, degree: int):
+    """Coefficients of a binary form along x0^e * x1^(degree-e), e = 0..degree,
+    in the ring's field."""
+    out = [p.ring.field.zero] * (degree + 1)
+    for m, c in p.terms:
+        out[m[0]] = c
+    return out
 
 
 def _uni_gcd(a, b, fld):
@@ -285,7 +305,7 @@ def change_coordinates(I: Ideal, matrix) -> Ideal:
     ring = I.ring
     if len(matrix) != ring.nvars or any(len(r) != ring.nvars for r in matrix):
         raise ValueError("matrix size does not match the ring")
-    if fraction_rank(matrix, ring.modulus) < ring.nvars:
+    if dense_rank(matrix, ring.modulus) < ring.nvars:
         raise ValueError("singular coordinate change")
     return Ideal(ring, [g.substitute_linear(matrix) for g in I.gens])
 
@@ -297,7 +317,7 @@ def random_invertible_matrix(ring: PolyRing, rng, bound: int):
     nvars, modulus = ring.nvars, ring.modulus
     for _ in range(100):
         matrix = [[rng.randint(-bound, bound) for _ in range(nvars)] for _ in range(nvars)]
-        if fraction_rank(matrix, modulus) == nvars:
+        if dense_rank(matrix, modulus) == nvars:
             return matrix
     raise AssertionError("failed to draw an invertible matrix")
 
@@ -440,7 +460,7 @@ def _reduced_homology_dims(faces):
                 face = tuple(f[:k] + f[k + 1 :])
                 vec[lower[face]] = (-1) ** k
             rows.append(vec)
-        return fraction_rank(rows)
+        return dense_rank(rows)
 
     ranks = {d: boundary_rank(d) for d in range(0, top + 1)}
     out = {}
@@ -515,12 +535,17 @@ def brute_force_standard_basis(module, degree):
 
 
 def _mat_mul(A, B):
+    """The product of two matrices of sparse rows {column: value}."""
     if not A or not B:
         return []
-    return [
-        [sum((a * B[k][c] for k, a in enumerate(row)), Fraction(0)) for c in range(len(B[0]))]
-        for row in A
-    ]
+    out = []
+    for row in A:
+        acc = {}
+        for k, a in row.items():
+            for c, b in B[k].items():
+                acc[c] = acc.get(c, 0) + a * b
+        out.append({c: x for c, x in acc.items() if x})
+    return out
 
 
 def multiplication_commutes(module) -> bool:
@@ -535,6 +560,74 @@ def multiplication_commutes(module) -> bool:
                 if a != b:
                     return False
     return True
+
+
+def dense_rao_structure(module):
+    """(generator_count, generator_degrees, annihilator_degrees) of a
+    `FiniteLengthModule`, as `cohomology.deficiency_module` found them
+    before its maps were sparse: each multiplication map made a dense
+    matrix, the stacked maps and the Koszul two-form map dense lists, and
+    every rank a `dense_rank`."""
+    dims = module.dims
+    nvars = max((v for v, _ in module.mult), default=-1) + 1
+    mult = {
+        (v, j): [[row.get(c, 0) for c in range(dims.get(j, 0))] for row in rows]
+        for (v, j), rows in module.mult.items()
+    }
+    ranks = {}
+    for t, dim_here in dims.items():
+        if dims.get(t - 1):
+            rows = [[c for v in range(nvars) for c in mult[(v, t - 1)][r]] for r in range(dim_here)]
+            ranks[t] = dense_rank(rows)
+    gen_degrees = [j for j in sorted(dims) for _ in range(dims[j] - ranks.get(j, 0))]
+    if len(gen_degrees) > 1 or not dims:
+        return len(gen_degrees), gen_degrees, None
+    j0, top = min(dims), max(dims)
+    ann = []
+    for t in range(j0 + 1, top + 3):
+        dim_prev = dims.get(t - 1, 0)
+        if not dim_prev:
+            continue
+        ncols = nvars * dim_prev
+        ker_dim = ncols - ranks.get(t, 0)
+        dim_prev2 = dims.get(t - 2, 0)
+        b_cols = []
+        for v in range(nvars):
+            for w in range(v + 1, nvars):
+                for b in range(dim_prev2):
+                    col = [0] * ncols
+                    for r in range(dim_prev):
+                        col[v * dim_prev + r] += mult[(w, t - 2)][r][b]
+                        col[w * dim_prev + r] -= mult[(v, t - 2)][r][b]
+                    b_cols.append(col)
+        h1 = ker_dim - dense_rank(b_cols)
+        assert h1 >= 0, "negative Koszul homology dimension"
+        ann.extend([t - j0] * h1)
+    return len(gen_degrees), gen_degrees, sorted(ann)
+
+
+def planar_subcurve_by_forms(I: Ideal, plane_forms, degree: int) -> bool:
+    """True when the curve, of the given degree, meets the plane cut out by
+    the given linear forms in a one-dimensional scheme of degree one less:
+    the Hilbert polynomial of I + (forms), read off its own Gröbner basis.
+    `cohomology.planar_subcurve_check` reads the plane x3 = ... = xn off
+    in(I) instead."""
+    ring = I.ring
+    forms = list(plane_forms)
+    if len(forms) != ring.n - 2:
+        raise ValueError(f"a plane in P^{ring.n} needs {ring.n - 2} linear forms")
+    rows = []
+    for f in forms:
+        if f.degree() != 1:
+            raise ValueError("plane forms must be linear")
+        rows.append([f.coefficient(ring.var_mono(i)) for i in range(ring.nvars)])
+    if dense_rank(rows, ring.modulus) < len(forms):
+        raise ValueError("dependent plane forms")
+    try:
+        section_degree, _ = detect_hilbert_polynomial(Ideal(ring, list(I.gens) + forms).initial_ideal())
+    except NotACurveError:
+        return False
+    return section_degree == degree - 1
 
 
 def normal_form(gb, f):

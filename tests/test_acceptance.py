@@ -72,7 +72,7 @@ def catalog_point_task(point):
     ideal = extremal_curve_ideal(n, d, g)
     from extremalcurves.cohomology import detect_hilbert_polynomial, hilbert_table
 
-    ht = hilbert_table(ideal, default_window(n, d, g), *detect_hilbert_polynomial(ideal))
+    ht = hilbert_table(ideal, default_window(n, d, g), *detect_hilbert_polynomial(ideal.initial_ideal()))
     hf_seconds = time.time() - t0
     report = verify_extremal(ideal, seed=seed).to_json_dict()
     top = report["hilbert"]["window"][1]

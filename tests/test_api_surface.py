@@ -47,6 +47,7 @@ GONE = [
     ("idealfile", "_tokenize"),
     ("ring", "_binom"),
     ("ideals", "random_invertible_matrix"),
+    ("construct", "binary_coeff_vector"),
 ]
 
 

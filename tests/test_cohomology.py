@@ -3,6 +3,7 @@ import random
 import pytest
 
 import extremalcurves.cohomology as cohomology
+import extremalcurves.groebner as groebner
 import extremalcurves.ideals as ideals
 import extremalcurves.modules as modules
 from extremalcurves.cohomology import (
@@ -24,23 +25,32 @@ from extremalcurves.cohomology import (
 )
 from extremalcurves.construct import (
     construct_curve,
+    cubic_alternate_curve_ideal,
     extremal_curve_ideal,
     non_extremal_witness,
     random_construction_input,
 )
 from extremalcurves.formulas import max_genus
-from extremalcurves.ideals import Ideal, random_unipotent_matrix
+from extremalcurves.ideals import Ideal, intersect, random_unipotent_matrix
 from extremalcurves.modules import PresentedModule
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import drawn_section_values, field_cols, field_resolution_data, multiplication_commutes
+from reference import (
+    change_coordinates,
+    dense_rao_structure,
+    drawn_section_values,
+    field_cols,
+    field_resolution_data,
+    multiplication_commutes,
+    planar_subcurve_by_forms,
+)
 
 R4 = PolyRing(4)
 
 
 def _table(I, window):
     """The Hilbert table with the curve data detected, as a verdict does."""
-    return hilbert_table(I, window, *detect_hilbert_polynomial(I))
+    return hilbert_table(I, window, *detect_hilbert_polynomial(I.initial_ideal()))
 
 
 class TestHilbertTable:
@@ -95,6 +105,22 @@ class TestDeficiencyModule:
         m = CurveAnalysis(extremal_curve_ideal(3, 4, 0)).rao
         assert multiplication_commutes(m)
 
+    def test_skew_lines_need_one_generator_less_than_lines(self):
+        # s skew lines in general position have h1(I(0)) = s - 1, all of it
+        # generators: two lines give K, annihilated by the four variables,
+        # and more give no cyclic module, so no annihilator is read; the
+        # dense route agrees
+        x = R4.gens()
+        lines = [[x[0], x[1]], [x[2], x[3]], [x[0] - x[2], x[1] - x[3]], [x[0] + 2 * x[3], x[1] - x[2]]]
+        I = Ideal(R4, lines[0])
+        for s, line in enumerate(lines[1:], start=2):
+            I = intersect(I, Ideal(R4, line))
+            m = CurveAnalysis(I).rao
+            ann = [1, 1, 1, 1] if s == 2 else None
+            assert m.dims[0] == m.generator_count == s - 1 and m.annihilator_degrees == ann
+            assert dense_rao_structure(m) == (s - 1, [0] * (s - 1), ann)
+            assert multiplication_commutes(m)
+
     def test_a_basis_missing_a_key_fails_the_shape_check(self, monkeypatch):
         # M_1 of the space quartic is the Rao dual in degree -1 - 4; without
         # its key, x_v : M_0 -> M_1 would have no row and M_1 would count
@@ -107,6 +133,48 @@ class TestDeficiencyModule:
         monkeypatch.setattr(PresentedModule, "standard_basis", dropped)
         with pytest.raises(InternalCheckError, match="Rao dimensions"):
             CurveAnalysis(extremal_curve_ideal(3, 4, 0)).rao
+
+    def test_support_leaking_out_of_the_window_fails(self, monkeypatch):
+        # a table cut down to the support has the module at its edges
+        def support_only(self, lo, hi):
+            return {j: v for j, v in rao_dims(self, lo, hi).items() if v}
+
+        rao_dims = DualCohomology.rao_dims
+        monkeypatch.setattr(DualCohomology, "rao_dims", support_only)
+        with pytest.raises(InternalCheckError, match="leaks out of the window"):
+            CurveAnalysis(extremal_curve_ideal(4, 5, 1)).rao
+
+    def test_a_map_with_too_few_rows_fails_the_shape_check(self, monkeypatch):
+        def short(self, var, degree):
+            return mult_matrix(self, var, degree)[:-1]
+
+        mult_matrix = PresentedModule.mult_matrix
+        monkeypatch.setattr(PresentedModule, "mult_matrix", short)
+        with pytest.raises(InternalCheckError, match="multiplication by x0 on M_-1 disagrees with the Rao dimensions"):
+            CurveAnalysis(extremal_curve_ideal(4, 5, 1)).rao
+
+    def test_a_short_target_basis_fails_the_shape_check(self, monkeypatch):
+        # M_0 of the space quartic is the Rao dual in degree -4, the target
+        # of x_v : M_0 -> M_1; sparse rows carry no length, so only the
+        # count of that basis can tell
+        def dropped(self, degree):
+            keys = basis(self, degree)
+            return keys[1:] if degree == -4 else keys
+
+        basis = PresentedModule.standard_basis
+        monkeypatch.setattr(PresentedModule, "standard_basis", dropped)
+        with pytest.raises(InternalCheckError, match="dual basis of M_0 disagrees with the Rao dimensions"):
+            CurveAnalysis(extremal_curve_ideal(3, 4, 0)).rao
+
+    def test_negative_koszul_homology_fails(self, monkeypatch):
+        # stacked maps claimed injective leave no kernel for the Koszul
+        # two-forms to land in
+        def injective(dims, mult, nvars):
+            return {t: nvars * dims[t - 1] for t in dims if dims.get(t - 1)}
+
+        monkeypatch.setattr(cohomology, "_stacked_ranks", injective)
+        with pytest.raises(InternalCheckError, match="negative Koszul homology"):
+            CurveAnalysis(extremal_curve_ideal(4, 5, 1)).rao
 
 
 class TestH2:
@@ -236,36 +304,72 @@ class TestHyperplaneSection:
                         general_section_values(restricted, d)
 
 
+def _planar_cases():
+    """Catalog curves in P^3 to P^5 and seeded random constructions, over
+    QQ and one over Z/7, each with its degree."""
+    cases = [
+        (extremal_curve_ideal(n, d, max_genus(n, d) - a), d) for n in (3, 4, 5) for d in (3, 4, 5, 6) for a in (0, 2)
+    ]
+    cases += [(cubic_alternate_curve_ideal(5, 1), 3), (non_extremal_witness(4, 1, 4).ideal, 4)]
+    for s in range(16):
+        rng = random.Random(s)
+        n, d, a = rng.randint(3, 5), rng.randint(3, 6), rng.randint(0, 2)
+        cases.append((construct_curve(random_construction_input(n, d, a, rng)), d))
+    I = extremal_curve_ideal(5, 5, max_genus(5, 5) - 1)
+    R7 = PolyRing(6, PrimeField(7))
+    cases.append((Ideal(R7, [Polynomial(R7, p.terms) for p in I.gens]), 5))
+    return cases
+
+
 class TestPlanarSubcurve:
     def test_coordinate_plane_hit(self):
         I = extremal_curve_ideal(3, 5, 0)
-        assert planar_subcurve_check(I, [R4.gen(3)], 5)
+        assert planar_subcurve_check(I, 5)
 
     def test_random_plane_misses(self):
+        # x3 -> x3 - 17 x0 moves the plane 17 x0 + x3 = 0 to x3 = 0
         I = extremal_curve_ideal(3, 5, 0)
         x0, x3 = R4.gen(0), R4.gen(3)
-        assert not planar_subcurve_check(I, [x0 + 17 * x3], 5)
+        matrix = [[int(i == j) for j in range(4)] for i in range(4)]
+        matrix[3][0] = -17
+        assert not planar_subcurve_check(change_coordinates(I, matrix), 5)
+        assert not planar_subcurve_by_forms(I, [17 * x0 + x3], 5)
 
     def test_plane_curve_has_full_degree(self):
         # degree-d plane curve against its own plane: degree d, not d-1
         x2, x3 = R4.gen(2), R4.gen(3)
         I = Ideal(R4, [x2 ** 4, x3])
-        assert not planar_subcurve_check(I, [x3], 4)
+        assert not planar_subcurve_check(I, 4)
 
-    def test_dependent_plane_rejected(self):
-        I = extremal_curve_ideal(4, 5, 1)
-        x3 = PolyRing(5).gen(3)
-        with pytest.raises(ValueError):
-            planar_subcurve_check(I, [x3, x3], 5)
+    def test_the_cut_is_read_off_the_initial_ideal(self):
+        # in(I + (x_k, ..., x_n)) = in(I) + (x_k, ..., x_n) under revlex, for
+        # every tail, against the cut's own Buchberger run; and the planar
+        # verdict against the one read off that run
+        cases = 0
+        for I, d in _planar_cases():
+            ring = I.ring
+            lead = I.initial_ideal()
+            for k in range(ring.nvars):
+                tail = [ring.var_mono(i) for i in range(k, ring.nvars)]
+                cut = Ideal(ring, list(I.gens) + [ring.gen(i) for i in range(k, ring.nvars)])
+                assert MonomialIdeal(ring.nvars, list(lead.gens) + tail) == cut.initial_ideal(), (I, k)
+                cases += 1
+            plane = [ring.gen(i) for i in range(3, ring.nvars)]
+            assert planar_subcurve_check(I, d) == planar_subcurve_by_forms(I, plane, d)
+        assert cases >= 150
 
-    def test_forms_dependent_mod_p_rejected(self):
-        # 4 * (2*x3 + x4) = x3 + 4*x4 over Z/7, though not over QQ
-        I = extremal_curve_ideal(5, 5, max_genus(5, 5) - 1)
-        R7 = PolyRing(6, PrimeField(7))
-        J = Ideal(R7, [Polynomial(R7, p.terms) for p in I.gens])
-        x3, x4, x5 = R7.gen(3), R7.gen(4), R7.gen(5)
-        with pytest.raises(ValueError, match="dependent"):
-            planar_subcurve_check(J, [2 * x3 + x4, x3 + 4 * x4, x5], 5)
+    def test_the_check_makes_no_groebner_run_beyond_the_ideal_own(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("the planar check started a Gröbner engine")
+
+        verdicts = []
+        for n, d in ((3, 5), (4, 6), (5, 5)):
+            I = extremal_curve_ideal(n, d, max_genus(n, d) - 1)
+            I.initial_ideal()
+            with monkeypatch.context() as patch:
+                patch.setattr(groebner._Engine, "__init__", forbidden)
+                verdicts.append(planar_subcurve_check(I, d))
+        assert verdicts == [True, True, True]
 
 
 class TestVerifyExtremal:
@@ -324,11 +428,11 @@ class TestCurveAnalysis:
 
         curve = extremal_curve_ideal(3, 4, 0)
 
-        def derived(I):
-            # the curve's (d, g), or that of the curve plus the plane's forms
-            name = "curve (d, g)" if I is curve else "plane cut (d, g)"
+        def derived(lead):
+            # the curve's (d, g), or that of its cut by the plane x3 = 0
+            name = "curve (d, g)" if lead is curve.initial_ideal() else "plane cut (d, g)"
             calls[name] = calls.get(name, 0) + 1
-            return detect(I)
+            return detect(lead)
 
         hf, detect = PresentedModule.hf, cohomology.detect_hilbert_polynomial
         monkeypatch.setattr(DualCohomology, "__init__", recorded_dual)

@@ -43,7 +43,7 @@ def test_gin_from_the_cut_is_the_full_variable_gin(I, seed):
 @SETTINGS
 @given(constructions(dmax=7, amax=3), st.integers(0, 2**63 - 1))
 def test_section_read_off_the_gin_is_the_drawn_section(I, seed):
-    d, _ = detect_hilbert_polynomial(I)
+    d, _ = detect_hilbert_polynomial(I.initial_ideal())
     assert general_section_values(gin(I, seed).ideal, d) == drawn_section_values(I, d, seed)
 
 

@@ -203,8 +203,8 @@ class TestPresentedModule:
         assert pm.is_finite_length()
         assert [pm.hf(j) for j in range(3)] == [1, 1, 0]
         m = pm.mult_matrix(1, 0)  # x1: degree 0 -> degree 1
-        assert m == [[1]]
-        assert pm.mult_matrix(0, 0) == [[0]]
+        assert m == [{0: 1}]
+        assert pm.mult_matrix(0, 0) == [{}]
 
     def test_zero_module_has_finite_length(self):
         pm = presented(R3, [0], [[R3.one]])

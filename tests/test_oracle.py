@@ -10,7 +10,7 @@ from extremalcurves.oracle import (
     oracle_quotient_dims,
 )
 from extremalcurves.ring import PolyRing, Polynomial
-from reference import graded_piece_basis
+from reference import dense_rank, graded_piece_basis
 
 R4 = PolyRing(4)
 
@@ -77,16 +77,33 @@ def test_minimal_generators_drops_multiples():
 
 
 def test_fraction_rank():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
     assert fraction_rank(rows) == 2
+    assert fraction_rank([]) == 0 and fraction_rank([{}, {}]) == 0
 
 
 def test_fraction_rank_mod_p():
     # det [[1, 3], [2, -1]] = -7: full rank over QQ, rank one over Z/7
-    assert fraction_rank([[1, 3], [2, -1]]) == 2
-    assert fraction_rank([[1, 3], [2, -1]], 7) == 1
-    assert fraction_rank([[7, 0], [0, 14]], 7) == 0
-    assert fraction_rank([[1, 3], [2, -1]], 5) == 2
+    assert fraction_rank([{0: 1, 1: 3}, {0: 2, 1: -1}]) == 2
+    assert fraction_rank([{0: 1, 1: 3}, {0: 2, 1: -1}], 7) == 1
+    assert fraction_rank([{0: 7}, {1: 14}], 7) == 0  # multiples of p drop out
+    assert fraction_rank([{0: 1, 1: 3}, {0: 2, 1: -1}], 5) == 2
+
+
+def test_fraction_rank_reads_sparse_rows_as_given():
+    # columns are any int keys, in any order; Fraction values are cleared
+    # row by row, and explicit zeros are left out
+    rng = random.Random(24)
+    for _ in range(200):
+        entries = (0, 0, 1, -2, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        matrix = [[rng.choice(entries) for _ in range(6)] for _ in range(rng.randint(0, 6))]
+        keys = rng.sample(range(10**6), 6)
+        rows = []
+        for row in matrix:
+            items = [(keys[c], v) for c, v in enumerate(row) if v or rng.random() < 0.3]
+            rng.shuffle(items)
+            rows.append(dict(items))
+        assert fraction_rank(rows) == _reference_rank(matrix)
 
 
 def _reference_rank(rows, modulus=0):
@@ -169,7 +186,7 @@ def test_fraction_rank_equals_rational_elimination(modulus):
         mats += [_random_matrix(rng) for _ in range(500)]
     mats += [_random_matrix(rng, int_entry) for _ in range(300)]
     mats += [_random_sparse_matrix(rng) for _ in range(40)]
-    ranks = [fraction_rank(m, modulus) for m in mats]
+    ranks = [dense_rank(m, modulus) for m in mats]
     assert ranks == [_reference_rank(m, modulus) for m in mats]
     assert len(set(ranks)) >= 10
     if modulus:  # some ranks drop mod p
