@@ -68,7 +68,7 @@ def _build_parser():
     p = sub.add_parser("sweep", help="run the verification grid")
     p.add_argument("--n", type=_span, required=True, help="range A:B inclusive")
     p.add_argument("--d", type=_span, required=True, help="range A:B inclusive")
-    p.add_argument("--a", type=_span, required=True, help="range A:B inclusive")
+    p.add_argument("--a", type=_deficits, required=True, help="range A:B inclusive, A >= 0")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -82,6 +82,14 @@ def _span(text):
         raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}: A exceeds B")
+    return lo, hi
+
+
+def _deficits(text):
+    """A range of genus deficits a = g_max - g, which are never negative."""
+    lo, hi = _span(text)
+    if lo < 0:
+        raise argparse.ArgumentTypeError(f"negative genus deficit in {text!r}: A must be >= 0")
     return lo, hi
 
 

@@ -115,14 +115,16 @@ class MonomialIdeal:
     def hilbert_numerator(self):
         """Numerator N(t) with HS(R/I) = N(t)/(1-t)^nvars."""
         if self._numerator is None:
-            self._numerator = _numerator(self.gens, self.nvars)
+            self._numerator = tuple(_trim(_numerator(self.gens)))
         return self._numerator
 
     def quotient_dim(self, j: int) -> int:
         """dim_K [R/I]_j."""
         if j < 0:
             return 0
-        num = self.hilbert_numerator()
+        num = self._numerator
+        if num is None:  # not `if not num`: the unit ideal's numerator is ()
+            num = self.hilbert_numerator()
         nv = self.nvars
         return sum(c * binom(j - k + nv - 1, nv - 1) for k, c in enumerate(num))
 
@@ -139,16 +141,6 @@ class MonomialIdeal:
         return "MonomialIdeal(" + ", ".join(format_mono(g) for g in self.gens) + ")"
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _poly_add_shift(a, b, shift):
     out = list(a) + [0] * max(0, shift + len(b) - len(a))
     for j, y in enumerate(b):
@@ -156,49 +148,40 @@ def _poly_add_shift(a, b, shift):
     return out
 
 
-def _numerator(gens, nvars, _memo=None):
-    if _memo is None:
-        _memo = {}
-    key = gens
-    got = _memo.get(key)
-    if got is not None:
-        return got
-    if not gens:
-        result = (1,)
-    else:
-        supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-        disjoint = all(
-            not (supports[i] & supports[j])
-            for i in range(len(gens))
-            for j in range(i + 1, len(gens))
-        )
-        if disjoint:
-            acc = [1]
-            for g in gens:
-                factor = [0] * (mono_degree(g) + 1)
-                factor[0] = 1
-                factor[-1] -= 1
-                acc = _poly_mul(acc, factor)
-            result = tuple(_trim(acc))
-        else:
-            counts = [0] * nvars
-            for s in supports:
-                for i in s:
-                    counts[i] += 1
-            v = max(range(nvars), key=lambda i: counts[i])
-            e = min(g[v] for g in gens if g[v])
-            pivot = tuple(e if i == v else 0 for i in range(nvars))
-            plus = MonomialIdeal(nvars, gens + (pivot,)).gens
-            colon = MonomialIdeal(
-                nvars,
-                [tuple(max(gi - pi, 0) for gi, pi in zip(g, pivot)) for g in gens],
-            ).gens
-            acc = _poly_add_shift(
-                _numerator(plus, nvars, _memo), _numerator(colon, nvars, _memo), e
-            )
-            result = tuple(_trim(acc))
-    _memo[key] = result
-    return result
+def _numerator(gens):
+    """N(t) of R/(gens) as a list, on exponent tuples (any generating set).
+    The pivot recursion (Bayer-Stillman 1992, Bigatti 1997): with p = x_v^e,
+    v the most shared variable and e its least positive exponent, p divides
+    every generator that involves x_v, so I + (p) = F + (p) with F the
+    generators free of x_v, p is regular on R/F, and
+    N(I) = (1 - t^e) N(F) + t^e N(I : p).  Pairwise disjoint supports are a
+    regular sequence: N = prod (1 - t^deg g)."""
+    counts = [len(gens) - column.count(0) for column in zip(*gens)]
+    top = max(counts, default=0)
+    if top < 2:
+        acc = [1]
+        for g in gens:
+            d = sum(g)
+            shifted = acc + [0] * d
+            for i, a in enumerate(acc):
+                shifted[i + d] -= a
+            acc = shifted
+        return acc
+    v = counts.index(top)
+    e = min(g[v] for g in gens if g[v])
+    free = [g for g in gens if not g[v]]
+    # I : p, minimal: by degree, a later monomial never divides an earlier one
+    colon = []
+    for g in sorted((g[:v] + (g[v] - e,) + g[v + 1 :] if g[v] else g for g in gens), key=sum):
+        if not any(all(a <= b for a, b in zip(k, g)) for k in colon):
+            colon.append(g)
+    base, low = _numerator(free), _numerator(colon)
+    out = base + [0] * max(e + len(low) - len(base), e)
+    for j, y in enumerate(base):
+        out[e + j] -= y
+    for j, y in enumerate(low):
+        out[e + j] += y
+    return out
 
 
 def is_strongly_stable(I: MonomialIdeal) -> bool:

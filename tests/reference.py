@@ -12,21 +12,23 @@ integer columns with their scales applied) with the check that they form a
 minimal complex, resolution maps as `Polynomial`s, the row-reduced graded
 piece of an ideal, the ideal-file polynomial reader as a token list and a
 term closure, the revlex comparison of exponent tuples, the Borel closure
-and the Hochster Betti oracle for monomial ideals, the standard monomials
-of a presented module by listing every monomial of the degree, the
+and the Hochster Betti oracle for monomial ideals, the pivot recursion
+for Hilbert numerators with a `MonomialIdeal` at every node, the standard
+monomials of a presented module by listing every monomial of the degree, the
 commutation check of a Rao module's multiplication maps, its generators
 and annihilator by the dense stacked-rank and Koszul route, and the
 planar check of any plane given by linear forms, through the Gröbner
 basis of the cut; and small reads
 of package objects that only the tests make: the normal form and
 membership of a Gröbner basis, the top index and alternating numerator of
-a Betti table, the graded dimensions of a monomial ideal, and constant
+a Betti table, the graded dimensions of a monomial ideal by counting its
+standard monomials, and constant
 polynomials."""
 
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from extremalcurves.cohomology import InternalCheckError, NotACurveError, detect_hilbert_polynomial, hyperplane_section
 from extremalcurves.construct import _is_binary
@@ -35,7 +37,7 @@ from extremalcurves.groebner import _divide, _Engine, _to_engine, initial_monomi
 from extremalcurves.idealfile import IdealFileError
 from extremalcurves.ideals import Ideal, random_unipotent_matrix
 from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
-from extremalcurves.monomials import BettiTable, MonomialIdeal, is_strongly_stable
+from extremalcurves.monomials import BettiTable, MonomialIdeal, _poly_add_shift, _trim, is_strongly_stable
 from extremalcurves.oracle import _check_degree, _insert, _poly_rows, fraction_rank
 from extremalcurves.packing import degree, make_packer, make_unpacker
 from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
@@ -472,6 +474,65 @@ def _reduced_homology_dims(faces):
     return out
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def pivot_numerator(gens, nvars, _memo=None):
+    """`MonomialIdeal.hilbert_numerator` by the pivot recursion with a
+    minimal `MonomialIdeal` for both I + (p) and I : p at every node,
+    memoized per call (the package's numerator before it ran on plain
+    exponent tuples); gens must be minimal, as `MonomialIdeal.gens` are."""
+    if _memo is None:
+        _memo = {}
+    key = gens
+    got = _memo.get(key)
+    if got is not None:
+        return got
+    if not gens:
+        result = (1,)
+    else:
+        supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
+        disjoint = all(
+            not (supports[i] & supports[j])
+            for i in range(len(gens))
+            for j in range(i + 1, len(gens))
+        )
+        if disjoint:
+            acc = [1]
+            for g in gens:
+                factor = [0] * (mono_degree(g) + 1)
+                factor[0] = 1
+                factor[-1] -= 1
+                acc = _poly_mul(acc, factor)
+            result = tuple(_trim(acc))
+        else:
+            counts = [0] * nvars
+            for s in supports:
+                for i in s:
+                    counts[i] += 1
+            v = max(range(nvars), key=lambda i: counts[i])
+            e = min(g[v] for g in gens if g[v])
+            pivot = tuple(e if i == v else 0 for i in range(nvars))
+            plus = MonomialIdeal(nvars, gens + (pivot,)).gens
+            colon = MonomialIdeal(
+                nvars,
+                [tuple(max(gi - pi, 0) for gi, pi in zip(g, pivot)) for g in gens],
+            ).gens
+            acc = _poly_add_shift(
+                pivot_numerator(plus, nvars, _memo), pivot_numerator(colon, nvars, _memo), e
+            )
+            result = tuple(_trim(acc))
+    _memo[key] = result
+    return result
+
+
 def borel_closure(nvars: int, monomials) -> MonomialIdeal:
     """The smallest strongly stable monomial ideal containing the given
     exponent tuples: close under x_j -> x_i for i < j."""
@@ -671,8 +732,18 @@ def alternating_numerator(table):
 
 
 def quotient_dims(ideal, jmax: int):
-    """dim_K [R/I]_j of a `MonomialIdeal` for 0 <= j <= jmax."""
-    return [ideal.quotient_dim(j) for j in range(jmax + 1)]
+    """dim_K [R/I]_j of a `MonomialIdeal` for 0 <= j <= jmax, by counting
+    the standard monomials: those of degree j that no generator divides."""
+    out = []
+    for j in range(jmax + 1):
+        count = 0
+        for factors in combinations_with_replacement(range(ideal.nvars), j):
+            m = [0] * ideal.nvars
+            for i in factors:
+                m[i] += 1
+            count += not any(mono_divides(g, m) for g in ideal.gens)
+        out.append(count)
+    return out
 
 
 def ideal_dim(ideal, j: int) -> int:

@@ -237,6 +237,14 @@ class TestCli:
         assert "empty range '5:3'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_negative_deficit_exit_2(self, tmp_path, capsys):
+        # a < 0 asks for a genus above the bound: a usage error, not a
+        # sweep that records a ValueError under each such point and exits 3
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--n", "3:3", "--d", "3:3", "--a=-1:0", "-o", str(out)]) == 2
+        assert "negative genus deficit in '-1:0'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_sweep_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
         out = tmp_path / "s.json"

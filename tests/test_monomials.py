@@ -5,6 +5,8 @@ import pytest
 from extremalcurves.monomials import (
     BettiTable,
     MonomialIdeal,
+    _numerator,
+    _trim,
     ek_betti,
     ek_numerator,
     is_strongly_stable,
@@ -28,6 +30,46 @@ class TestHilbertNumerator:
 
     def test_principal(self):
         assert I(3, (1, 0, 0)).hilbert_numerator() == (1, -1)
+
+    def test_unit_ideal(self):
+        ideal = I(3, (0, 0, 0), (1, 2, 0))
+        assert ideal.gens == ((0, 0, 0),)
+        assert ideal.hilbert_numerator() == ()
+        assert quotient_dims(ideal, 3) == [ideal.quotient_dim(j) for j in range(4)] == [0, 0, 0, 0]
+
+    def test_duplicated_and_non_minimal_generators(self):
+        ideal = I(3, (1, 1, 0), (1, 1, 0), (2, 1, 0), (1, 1, 3), (0, 2, 0))
+        assert ideal.gens == I(3, (1, 1, 0), (0, 2, 0)).gens
+        # (xy, y^2) = y (x, y): 1 - 2t^2 + t^3
+        assert ideal.hilbert_numerator() == (1, 0, -2, 1)
+        assert tuple(_trim(_numerator(((1, 1, 0), (1, 1, 0), (2, 1, 0), (0, 2, 0))))) == (1, 0, -2, 1)
+
+    def test_one_variable(self):
+        assert I(1, (3,)).hilbert_numerator() == (1, 0, 0, -1)
+        assert quotient_dims(I(1, (3,)), 4) == [1, 1, 1, 0, 0]
+
+    def test_pure_powers(self):
+        # a regular sequence: (1 - t^2)(1 - t^3)(1 - t)
+        ideal = I(3, (2, 0, 0), (0, 3, 0), (0, 0, 1))
+        assert ideal.hilbert_numerator() == (1, -1, -1, 0, 1, 1, -1)
+        assert quotient_dims(ideal, 4) == [1, 2, 2, 1, 0]
+
+    def test_quotient_dims_compute_the_numerator_once(self, monkeypatch):
+        # the tracer wraps hilbert_numerator the same way: its count is the
+        # computations plus the reads from outside the class
+        calls = []
+        compute = MonomialIdeal.hilbert_numerator
+
+        def counting(self):
+            calls.append(self._numerator)
+            return compute(self)
+
+        monkeypatch.setattr(MonomialIdeal, "hilbert_numerator", counting)
+        for ideal in (I(3, (2, 0, 0), (1, 1, 0)), I(3, (0, 0, 0))):
+            calls.clear()
+            for j in range(-1, 12):
+                ideal.quotient_dim(j)
+            assert calls == [None]
 
     def test_matches_direct_count_random(self):
         rng = random.Random(5)
