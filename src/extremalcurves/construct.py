@@ -23,7 +23,7 @@ from .groebner import _EnginePoly
 from .ideals import Ideal
 from .modules import GraphBasis, packed_vector
 from .oracle import fraction_rank
-from .packing import MAXEXP, ExponentLimitError, degree, make_packer, make_unpacker
+from .packing import layout
 from .ring import PolyRing, Polynomial, binom
 
 
@@ -92,7 +92,7 @@ class ConstructionInput:
         line = PolyRing(2, field)
         values = ([self.f] if self.f else []) + list(self.f_list)
         graph = GraphBasis([packed_vector(p.ring, [p]) for p in values], [0], line)
-        leads = [graph.engine.unpack(k) for k, _ in graph.engine.by_slot.get(0, ())]
+        leads = [graph.engine.layout.unpack(k) for k, _ in graph.engine.by_slot.get(0, ())]
         if not (any(e1 == 0 for _, e1 in leads) and any(e0 == 0 for e0, _ in leads)):
             raise InfiniteCokernelError("common factor: the cokernel has infinite length")
         return graph
@@ -123,24 +123,23 @@ def construct_curve(inp: ConstructionInput) -> Ideal:
     ring = inp.f_list[0].ring
     if ring.nvars != n + 1:
         raise ConstructionError("forms live in the wrong ring")
-    pack, unpack = make_packer(ring.nvars), make_unpacker(ring.nvars)
-    x = [pack(ring.var_mono(i)) for i in range(ring.nvars)]
-    u0 = pack((0, 0, d - 1) + (0,) * (n - 2))
+    lay = layout(ring.nvars)
+    x = [lay.pack(ring.var_mono(i)) for i in range(ring.nvars)]
+    u0 = lay.pack((0, 0, d - 1) + (0,) * (n - 2))
     # the planar generators of the nonzero values, in the graph's column order
     u = ([u0] if inp.f else []) + x[3:]
     keys = {xi + ut for xi in x[2:] for ut in u}
     if not inp.f:  # a zero value: its planar generator lies in the kernel
         keys.add(u0)
     one = ring.field.one
-    cands = [Polynomial.from_sorted(ring, [(unpack(k), one)]) for k in sorted(keys)]
+    cands = [Polynomial.from_sorted(ring, [(lay.unpack(k), one)]) for k in sorted(keys)]
     for vec in graph.kernel_generators():
         # s_t is binary and the u_t are distinct monomials: the terms of
         # sum s_t u_t are the key shifts of the entries, all distinct; they
         # stay engine integers, and only the kept ones become Polynomials
         terms = sorted((k + u[t], c) for t, entry in vec.items() for k, c in entry.items())
-        deg = degree(terms[0][0], ring.nvars)
-        if deg > MAXEXP:
-            raise ExponentLimitError(f"degree {deg} exceeds the packed limit {MAXEXP}")
+        deg = lay.degree(terms[0][0])
+        lay.check(deg)
         cands.append(_EnginePoly([k for k, _ in terms], [c for _, c in terms], deg))
     return Ideal.minimal(ring, cands)
 

@@ -18,7 +18,6 @@ from functools import cached_property
 from math import gcd
 
 from . import packing
-from .packing import MAXEXP, SLOT, ExponentLimitError
 from .monomials import MonomialIdeal
 from .ring import PolyRing, Polynomial, clear_denominators, expand_linear, strip_content
 
@@ -43,9 +42,9 @@ def _clear(keys, coeffs, deg, modulus) -> _EnginePoly:
     return _EnginePoly(keys, _primitive(ints, 0), deg)
 
 
-def _to_engine(p: Polynomial, pack, modulus) -> _EnginePoly:
-    if p.degree() > MAXEXP:
-        raise ExponentLimitError(f"degree {p.degree()} exceeds the packed limit {MAXEXP}")
+def _to_engine(p: Polynomial, lay, modulus) -> _EnginePoly:
+    lay.check(p.degree())
+    pack = lay.pack
     return _clear([pack(m) for m, _ in p.terms], [c for _, c in p.terms], p.degree(), modulus)
 
 
@@ -55,12 +54,11 @@ def linear_images(gens, matrix, ring: PolyRing):
     dropped column sets its variable to zero): the primitive vectors of
     `_to_engine`, made without a Polynomial.  `buchberger` and
     `initial_monomials` take them in place of polynomials."""
-    top = max((g.degree() for g in gens), default=0)
-    if top > MAXEXP:
-        raise ExponentLimitError(f"degree {top} exceeds the packed limit {MAXEXP}")
+    lay = packing.layout(ring.nvars)
+    lay.check(max((g.degree() for g in gens), default=0))
     modulus = ring.modulus
     out = []
-    for g, (image, _) in zip(gens, expand_linear(gens, matrix, SLOT)):
+    for g, (image, _) in zip(gens, expand_linear(gens, matrix, lay)):
         if image:
             keys = sorted(image)
             out.append(_EnginePoly(keys, _primitive([image[k] for k in keys], modulus), g.degree()))
@@ -115,20 +113,14 @@ class _Engine:
     """
 
     def __init__(self, ring: PolyRing, rank_bits=None):
-        nv = ring.nvars
         self.ring = ring
-        self.nvars = nv
-        self.pack = packing.make_packer(nv)
-        self.unpack = packing.make_unpacker(nv)
+        self.layout = lay = packing.layout(ring.nvars)
         self.modulus = ring.modulus
-        self.comp_shift = SLOT * nv  # position over term: component bits
+        self.comp_shift = lay.bits  # position over term: component bits
         self.rank_bits = rank_bits
-        if rank_bits is None:
-            self.himask = packing.high_mask(nv)
-            self.slot_shift, self.slot_mask = self.comp_shift, -1
-        else:
-            self.himask = packing.high_mask(nv) << rank_bits
-            self.slot_shift, self.slot_mask = 0, (1 << rank_bits) - 1
+        self.himask = lay.himask << (rank_bits or 0)
+        # the bits of a key that name its component
+        self.slot_shift, self.slot_mask = (self.comp_shift, -1) if rank_bits is None else (0, (1 << rank_bits) - 1)
         self.basis = []
         self.by_slot = {}  # component -> [(lead key, index)] in index order
         self.pairs = []  # heap of (degree, lcm degree, -lcm monomial, i, j, lcm key)
@@ -241,9 +233,11 @@ class _Engine:
         so a later call goes on from there, with the pairs of elements
         added in between.
         """
-        nv, cs, himask, modulus = self.nvars, self.comp_shift, self.himask, self.modulus
+        cs, himask, modulus = self.comp_shift, self.himask, self.modulus
         basis, by_slot, pairs, pending = self.basis, self.by_slot, self.pairs, self.pending
         lowest = min(twists, default=0)
+        lay = self.layout
+        lcm, degree, limit = lay.lcm, lay.degree, lay.limit
 
         def push_pairs(j):
             lj = basis[j].keys[0]
@@ -251,10 +245,10 @@ class _Engine:
             for li, i in by_slot[comp]:
                 if i >= j:
                     break
-                w = packing.lcm(li, lj, nv)
+                w = lcm(li, lj)
                 if product and w == li + lj:
                     continue  # coprime leads: S-pair reduces to zero
-                dw = packing.degree(w, nv)
+                dw = degree(w)
                 heapq.heappush(pairs, (dw + twists[comp], dw, -w, i, j, comp << cs | w))
                 pending.add((i, j))
             self.paired = j + 1
@@ -266,11 +260,8 @@ class _Engine:
             if cap is not None and pairs[0][0] > cap:
                 break
             deg, _, _, i, j, w = heapq.heappop(pairs)
-            if deg - lowest > MAXEXP:  # homogeneous: no exponent exceeds this
-                raise ExponentLimitError(
-                    f"monomial degree {deg - lowest} of an S-pair (degree {deg}, lowest twist "
-                    f"{lowest}) exceeds the packed limit {MAXEXP}"
-                )
+            if deg - lowest > limit:  # homogeneous: no exponent exceeds this
+                lay.check(deg - lowest, "monomial degree", " of an S-pair (degree {}, lowest twist {})", deg, lowest)
             pending.discard((i, j))
             skip = False
             for lk, k in by_slot[w >> cs]:
@@ -298,7 +289,7 @@ def _start(eng, gens, checked=False):
         elif g:
             if not checked and not g.is_homogeneous():
                 raise ValueError("Buchberger engine expects homogeneous generators")
-            out.append(_to_engine(g, eng.pack, eng.modulus))
+            out.append(_to_engine(g, eng.layout, eng.modulus))
     return out
 
 
@@ -321,7 +312,7 @@ def _reduced(eng, lead_only=False):
     kept.sort(key=lambda e: e.keys[0])
 
     if lead_only:
-        return [eng.unpack(g.keys[0]) for g in kept]
+        return [eng.layout.unpack(g.keys[0]) for g in kept]
 
     # interreduce: no tail term is divisible by its own (equal-degree) lead
     red = _Engine(eng.ring)
@@ -360,7 +351,7 @@ class GroebnerBasis:
 
     @cached_property
     def polys(self):
-        unpack, modulus = packing.make_unpacker(self.ring.nvars), self.ring.modulus
+        unpack, modulus = packing.layout(self.ring.nvars).unpack, self.ring.modulus
         return tuple(_from_engine(e, self.ring, unpack, modulus) for e in self.elems)
 
     @cached_property
@@ -385,7 +376,7 @@ class GroebnerBasis:
 
     @cached_property
     def _initial(self):
-        unpack = packing.make_unpacker(self.ring.nvars)
+        unpack = packing.layout(self.ring.nvars).unpack
         return MonomialIdeal(self.ring.nvars, [unpack(e.keys[0]) for e in self.elems])
 
     def initial_ideal(self) -> MonomialIdeal:
@@ -434,7 +425,7 @@ def minimal_basis(gens, ring: PolyRing):
         eng.complete(cap=e.deg, product=True)
         keys, coeffs = eng.top_reduce(dict(zip(e.keys, e.coeffs)))
         if keys:
-            kept.append(g if isinstance(g, Polynomial) else _from_engine(g, ring, eng.unpack, eng.modulus))
+            kept.append(g if isinstance(g, Polynomial) else _from_engine(g, ring, eng.layout.unpack, eng.modulus))
             eng.add(_EnginePoly(keys, _primitive(coeffs, eng.modulus), e.deg))
     eng.complete(product=True)
     return kept, GroebnerBasis(ring, _reduced(eng))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .groebner import GroebnerBasis, _to_engine, buchberger, minimal_basis
 from .modules import free_resolution_from_gb, module_kernel
-from .packing import make_packer
+from .packing import layout
 from .ring import PolyRing, Polynomial, mono_div, mono_divides
 
 
@@ -52,8 +52,8 @@ class Ideal:
         if self._gb is None:
             # the constructor tested the gens for homogeneity, so they go
             # in as engine elements, which `buchberger` takes untested
-            pack, modulus = make_packer(self.ring.nvars), self.ring.modulus
-            self._gb = buchberger([_to_engine(g, pack, modulus) for g in self.gens], self.ring)
+            lay, modulus = layout(self.ring.nvars), self.ring.modulus
+            self._gb = buchberger([_to_engine(g, lay, modulus) for g in self.gens], self.ring)
         return self._gb
 
     def resolution(self):

@@ -34,7 +34,6 @@ from math import gcd, lcm
 from . import packing
 from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive
 from .monomials import BettiTable, MonomialIdeal
-from .packing import MAXEXP, ExponentLimitError
 from .ring import PolyRing, Polynomial, _addmul
 
 
@@ -52,7 +51,7 @@ def _schreyer_step(eng):
     decode[rank] = (element index, its lead image).  Each syzygy is an
     integer multiple of the monic syzygy over the monic elements.
     """
-    nv, modulus, basis, bits = eng.nvars, eng.modulus, eng.basis, eng.rank_bits
+    lay, modulus, basis, bits = eng.layout, eng.modulus, eng.basis, eng.rank_bits
     mask = (1 << bits) - 1
     leads = [g.keys[0] for g in basis]
     # chains of lead components compare as (rank of the lead component, index)
@@ -62,7 +61,7 @@ def _schreyer_step(eng):
         rank[t] = r
     new_bits = len(basis).bit_length()
     decode = [(t, leads[t] >> bits) for t in order]
-    plain = packing.high_mask(nv)
+    plain = lay.himask
 
     chosen = []
     for i, li in enumerate(leads):
@@ -72,9 +71,9 @@ def _schreyer_step(eng):
         cands = []
         for lj, j in eng.by_slot[li & mask]:
             if j > i:
-                w = packing.lcm(img, lj >> bits, nv)
+                w = lay.lcm(img, lj >> bits)
                 q = w - img
-                cands.append((packing.degree(q, nv), -q, j, w))
+                cands.append((lay.degree(q), -q, j, w))
         # ascending revlex: a later lead monomial never divides an earlier one
         kept = []
         for _, nq, j, w in sorted(cands):
@@ -85,9 +84,8 @@ def _schreyer_step(eng):
     lam = [g.coeffs[0] for g in basis]  # element == lam * monic element
     new = []
     for i, j, w in chosen:
-        deg = packing.degree(w, nv)
-        if deg > MAXEXP:
-            raise ExponentLimitError(f"syzygy degree {deg} exceeds the packed limit {MAXEXP}")
+        deg = lay.degree(w)
+        lay.check(deg, "syzygy degree")
         acc, a, b = eng.spair(i, j, (w << bits) | (leads[i] & mask))
         trace = []
         keys, _ = eng.top_reduce(acc, trace)
@@ -310,7 +308,7 @@ def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
 
 def packed_vector(ring, vec):
     """Packed vector of a list of homogeneous Polynomials, zeros left out."""
-    pack = packing.make_packer(ring.nvars)
+    pack = packing.layout(ring.nvars).pack
     out = {}
     for s, p in enumerate(vec):
         if p:
@@ -323,7 +321,7 @@ def packed_vector(ring, vec):
 def polynomial_vector(ring, vec, rank):
     """The Polynomials in components 0 .. rank-1 of a homogeneous packed
     vector; ascending keys run down through revlex."""
-    unpack = packing.make_unpacker(ring.nvars)
+    unpack = packing.layout(ring.nvars).unpack
     out = [ring.zero] * rank
     for s, e in vec.items():
         out[s] = Polynomial.from_sorted(ring, [(unpack(k), e[k]) for k in sorted(e)])
@@ -343,8 +341,7 @@ def _pot_element(eng, vec, unit=None, multiplier=1):
 def _pot_vector(eng, keys, coeffs, first):
     """Packed vector of the terms in components first and above, shifted
     down by first."""
-    cs = eng.comp_shift
-    mmask = (1 << cs) - 1
+    cs, mmask = eng.comp_shift, eng.layout.full
     out = {}
     for k, c in zip(keys, coeffs):
         out.setdefault((k >> cs) - first, {})[k & mmask] = c
@@ -367,7 +364,7 @@ class GraphBasis:
         eng = _Engine(ring)
         degs = []
         for t, col in enumerate(cols):
-            found = {packing.degree(next(iter(e)), ring.nvars) + free_twists[s] for s, e in col.items()}
+            found = {eng.layout.degree(next(iter(e))) + free_twists[s] for s, e in col.items()}
             if len(found) > 1:
                 raise ValueError("inhomogeneous column")
             degs.append(found.pop() if found else 0)
@@ -417,7 +414,7 @@ class PresentedModule:
         self.engine = eng
         slots = [eng.by_slot.get(s, ()) for s in range(len(self.gen_degrees))]
         # unpack reads the monomial slots only, not the component above them
-        self.lead_ideals = [MonomialIdeal(ring.nvars, [eng.unpack(k) for k, _ in leads]) for leads in slots]
+        self.lead_ideals = [MonomialIdeal(ring.nvars, [eng.layout.unpack(k) for k, _ in leads]) for leads in slots]
         self._standard = {}
 
     def hf(self, degree: int) -> int:
@@ -432,11 +429,11 @@ class PresentedModule:
         module, memoised per degree.  Its complement is an order ideal: the
         keys of degree e+1 are the variable multiples of those of degree e
         and the slots generated in e+1, less the keys a lead divides."""
-        lowest = min(self.gen_degrees, default=0)
-        if degree - lowest > MAXEXP:  # no exponent may reach a slot's top bit
-            raise ExponentLimitError(f"degree {degree} exceeds the packed limit {MAXEXP}")
         eng, memo = self.engine, self._standard
-        steps = [1 << (packing.SLOT * v) for v in range(self.ring.nvars)]
+        lowest = min(self.gen_degrees, default=0)
+        lay = eng.layout  # no exponent may reach a slot's top bit
+        lay.check(degree - lowest, "monomial degree", " of a standard basis (degree {}, lowest twist {})", degree, lowest)
+        steps = lay.var_keys
         e = max(memo, default=lowest - 1)
         out = memo.get(e, [])
         while e < degree:  # a loop, not recursion: the tracer wraps this method
@@ -465,7 +462,7 @@ class PresentedModule:
         eng = self.engine
         tgt = self.standard_basis(degree + 1)  # first: past the limit, it names degree + 1
         tgt_index = {k: i for i, k in enumerate(tgt)}
-        vk = 1 << (packing.SLOT * var)
+        vk = eng.layout.var_keys[var]
         rows = []
         for key in self.standard_basis(degree):
             key += vk

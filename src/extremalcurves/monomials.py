@@ -4,6 +4,7 @@ stability, and the Eliahou-Kervaire formulas for strongly stable ideals.
 
 from __future__ import annotations
 
+from .packing import fit
 from .ring import binom, mono_degree
 
 
@@ -60,12 +61,6 @@ def _trim(coeffs):
     return out
 
 
-def _pack(m, width):
-    """Exponents in little-endian slots of width bytes."""
-    raw = bytes(m) if width == 1 else b"".join(e.to_bytes(width, "little") for e in m)
-    return int.from_bytes(raw, "little")
-
-
 class MonomialIdeal:
     """Minimal generating set of a monomial ideal."""
 
@@ -74,13 +69,13 @@ class MonomialIdeal:
         unique = set(map(tuple, gens))
         if any(len(m) != nvars for m in unique):
             raise ValueError("exponent tuple of wrong length")
-        # packed divisibility (the borrow trick of `packing`) in slots of
-        # whole bytes with a spare top bit: exponents here have no bound
+        # packed divisibility (the borrow trick of `packing`) in slots that
+        # fit the top exponent: exponents here have no bound
         top = max(map(max, unique), default=0) if nvars else 0
-        width = top.bit_length() // 8 + 1
-        himask = int.from_bytes((bytes(width - 1) + b"\x80") * nvars, "little")
+        lay = fit(nvars, top)
+        pack, himask = lay.pack_fitted, lay.himask
         # by degree, a later monomial never divides an earlier one
-        packed = sorted((sum(m), _pack(m, width), m) for m in unique)
+        packed = sorted((sum(m), pack(m), m) for m in unique)
         keys, mins = [], []
         for d, key, m in packed:
             high = key | himask
@@ -90,7 +85,7 @@ class MonomialIdeal:
         # descending revlex: higher degree first, then the smaller packed key
         mins.sort()
         self.gens = tuple(m for _, _, m in mins)
-        self._keys, self._top, self._width, self._himask = keys, top, width, himask
+        self._keys, self._top, self._pack, self._himask = keys, top, pack, himask
         self._numerator = None
 
     def __eq__(self, other):
@@ -109,7 +104,7 @@ class MonomialIdeal:
     def contains(self, m) -> bool:
         """Some generator divides m (packed with exponents clamped to the top)."""
         top, himask = self._top, self._himask
-        high = _pack([min(e, top) for e in m], self._width) | himask
+        high = self._pack([min(e, top) for e in m]) | himask
         return any((high - k) & himask == himask for k in self._keys)
 
     def hilbert_numerator(self):

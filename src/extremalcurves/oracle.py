@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .packing import MAXEXP, SLOT, ExponentLimitError, make_packer
+from .packing import layout
 from .ring import PolyRing, clear_denominators, strip_content
 
 
@@ -22,7 +22,7 @@ def _poly_rows(gens):
     if not gens:
         return []
     ring = gens[0].ring
-    pack = make_packer(ring.nvars)
+    pack = layout(ring.nvars).pack
     rows = []
     for g in gens:
         if not g:
@@ -32,13 +32,6 @@ def _poly_rows(gens):
         (ints,), _ = clear_denominators([[c for _, c in g.terms]])  # residues stay
         rows.append((g.degree(), {pack(m): c for (m, _), c in zip(g.terms, ints)}))
     return rows
-
-
-def _check_degree(j):
-    """Keys of degree j carry exponents up to j; past MAXEXP they would spill
-    into the next slot."""
-    if j > MAXEXP:
-        raise ExponentLimitError(f"degree {j} exceeds the packed limit {MAXEXP}")
 
 
 def _insert(pivots, row, modulus):
@@ -97,18 +90,18 @@ class GradedSpan:
             self._gen_rows.setdefault(d, []).append(row)
             mindeg = d if mindeg is None else min(mindeg, d)
         self.degree = (mindeg - 1) if mindeg is not None else -1
-        self._var_keys = [1 << (SLOT * i) for i in range(ring.nvars)]
+        self.layout = layout(ring.nvars)  # keys of degree j carry exponents up to j
         self.pivots = {}  # lead key -> row, all of current degree
         self.dims = {}  # degree -> dim [I]_j  (0 below first generator)
 
     def advance(self):
         """Move from degree j to j+1: span x_i * rows plus new generators."""
-        _check_degree(self.degree + 1)
+        self.layout.check(self.degree + 1)
         self.degree += 1
-        old = list(self.pivots.values())
+        old, var_keys = list(self.pivots.values()), self.layout.var_keys
         self.pivots = {}
         for row in old:
-            for vk in self._var_keys:
+            for vk in var_keys:
                 _insert(self.pivots, {k + vk: v for k, v in row.items()}, self.modulus)
         for row in self._gen_rows.get(self.degree, ()):
             _insert(self.pivots, dict(row), self.modulus)
@@ -119,7 +112,7 @@ def oracle_ideal_dims(gens, jmax: int, ring: PolyRing | None = None):
     """dim_K [I]_j for j = 0..jmax by pure linear algebra."""
     if ring is None:
         ring = gens[0].ring
-    _check_degree(jmax)
+    layout(ring.nvars).check(jmax)
     span = GradedSpan(ring, gens)
     dims = []
     for j in range(jmax + 1):

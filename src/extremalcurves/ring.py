@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
 
+from .packing import fit
+
 Monomial = tuple  # exponent tuple of length nvars
 
 
@@ -308,10 +310,9 @@ class Polynomial:
         exponent slots that fit the degree)."""
         if not self.terms:
             return self
-        width = self.degree().bit_length() or 1  # the lead has the top degree
-        ((image, den),) = expand_linear([self], matrix, width)
-        mask, shifts = (1 << width) - 1, [width * i for i in range(self.ring.nvars)]
-        terms = [(tuple((k >> s) & mask for s in shifts), Fraction(v, den)) for k, v in image.items()]
+        lay = fit(self.ring.nvars, self.degree())  # the lead has the top degree
+        ((image, den),) = expand_linear([self], matrix, lay)
+        terms = [(lay.unpack(k), Fraction(v, den)) for k, v in image.items()]
         return Polynomial(self.ring, terms)  # the field coerces
 
     def __repr__(self):
@@ -321,13 +322,13 @@ class Polynomial:
         return format_poly(self)
 
 
-def expand_linear(polys, matrix, width):
+def expand_linear(polys, matrix, lay):
     """Images of polys under x_i -> sum_j matrix[i][j] x_j, on integers: one
-    (image, den) per polynomial, where image maps exponent keys (width bits
-    per output variable, one per matrix column, x0 lowest) to nonzero
-    integers and the image is sum image[k] / den * x^k (residues and den 1
-    over Z/p).  The matrix is cleared of denominators once and each power of
-    a row is expanded once for all polys; 2^width must exceed each degree.
+    (image, den) per polynomial, where image maps keys packed in the layout
+    lay (one variable per matrix column) to nonzero integers and the image
+    is sum image[k] / den * x^k (residues and den 1 over Z/p).  The matrix is
+    cleared of denominators once and each power of a row is expanded once
+    for all polys; the layout's limit must hold each degree.
     """
     if not polys:
         return []
@@ -339,7 +340,7 @@ def expand_linear(polys, matrix, width):
     else:
         rows, den = clear_denominators(matrix)
     # powers[i][e]: the e-th power of den * (image of x_i), packed
-    powers = [[{0: 1}, {1 << (width * j): v for j, v in enumerate(row) if v}] for row in rows]
+    powers = [[{0: 1}, {lay.var_keys[j]: v for j, v in enumerate(row) if v}] for row in rows]
     out = []
     for p in polys:
         top = max(p.degree(), 0)

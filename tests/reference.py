@@ -38,8 +38,8 @@ from extremalcurves.idealfile import IdealFileError
 from extremalcurves.ideals import Ideal, random_unipotent_matrix
 from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
 from extremalcurves.monomials import BettiTable, MonomialIdeal, _poly_add_shift, _trim, is_strongly_stable
-from extremalcurves.oracle import _check_degree, _insert, _poly_rows, fraction_rank
-from extremalcurves.packing import degree, make_packer, make_unpacker
+from extremalcurves.oracle import _insert, _poly_rows, fraction_rank
+from extremalcurves.packing import layout
 from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
 
 
@@ -129,7 +129,8 @@ def graph_kernel_ideal(inp) -> Ideal:
     values = [inp.f] + list(inp.f_list)
     live = [t for t, p in enumerate(values) if p]
     cols = [packed_vector(ring, [p]) for p in [values[t] for t in live] + x[2:]]
-    pack, unpack, fld = make_packer(ring.nvars), make_unpacker(ring.nvars), ring.field
+    lay, fld = layout(ring.nvars), ring.field
+    pack, unpack = lay.pack, lay.unpack
     shifts = [pack(planar_gens[t].lead_monomial) for t in live]
     gens = []
     for vec in GraphBasis(cols, [0], ring).kernel_generators():
@@ -239,7 +240,7 @@ def field_cols(res):
 def verify_resolution(res):
     """Every entry is homogeneous of the degree its twists give and no
     entry is a unit (minimality); consecutive maps compose to zero."""
-    nv, modulus = res.ring.nvars, res.ring.modulus
+    degree, modulus = layout(res.ring.nvars).degree, res.ring.modulus
     cols = field_cols(res)
     for k, level in enumerate(cols):
         rows, tops = res.twists[k], res.twists[k + 1]
@@ -248,7 +249,7 @@ def verify_resolution(res):
         for j, col in enumerate(level):
             image = {}
             for i, e in col.items():
-                if any(degree(key, nv) != tops[j] - rows[i] for key in e):
+                if any(degree(key) != tops[j] - rows[i] for key in e):
                     raise AssertionError(f"entry of the wrong degree at level {k}")
                 if 0 in e:
                     raise AssertionError("scalar entry in a minimal resolution")
@@ -258,14 +259,15 @@ def verify_resolution(res):
                 raise AssertionError(f"composition at level {k} is nonzero")
 
 
-def slot_lcm(a, b, nvars, slot=8):
-    """Componentwise max of packed monomials, one slot at a time."""
+def slot_lcm(a, b, nvars, slot):
+    """Componentwise max of packed monomials in slots of slot bits, one slot
+    at a time."""
     mask = (1 << slot) - 1
     return sum(max((a >> (slot * i)) & mask, (b >> (slot * i)) & mask) << (slot * i) for i in range(nvars))
 
 
-def slot_degree(key, nvars, slot=8):
-    """Sum of the slots of a packed monomial, one slot at a time."""
+def slot_degree(key, nvars, slot):
+    """Sum of the slot-bit slots of a packed monomial, one slot at a time."""
     mask = (1 << slot) - 1
     return sum((key >> (slot * i)) & mask for i in range(nvars))
 
@@ -409,8 +411,9 @@ def graded_piece_basis(gens, j: int, ring: PolyRing | None = None) -> GradedPiec
     """
     if ring is None:
         ring = gens[0].ring
-    _check_degree(j)
-    pack = make_packer(ring.nvars)
+    lay = layout(ring.nvars)
+    lay.check(j)
+    pack = lay.pack
     rows = []
     for d, row in _poly_rows([g for g in gens if g]):
         if d > j:
@@ -585,7 +588,7 @@ def brute_force_standard_basis(module, degree):
     ascending POT keys: every monomial of the degree in each slot, tested
     against the slot's lead ideal by tuple divisibility."""
     cs = module.engine.comp_shift
-    pack = make_packer(module.ring.nvars)
+    pack = layout(module.ring.nvars).pack
     out = []
     for s, w in enumerate(module.gen_degrees):
         leads = module.lead_ideals[s].gens
@@ -700,12 +703,12 @@ def normal_form(gb, f):
     eng = _Engine(gb.ring)
     for e in gb.elems:
         eng.add(e)
-    ep = _to_engine(f, eng.pack, eng.modulus)
+    ep = _to_engine(f, eng.layout, eng.modulus)
     keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
     # the engine element is ep.coeffs[0] / lead times f
     lead = f.terms[0][1]
     coeffs = _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus)
-    return Polynomial(gb.ring, zip(map(eng.unpack, keys), coeffs))
+    return Polynomial(gb.ring, zip(map(eng.layout.unpack, keys), coeffs))
 
 
 def contains(gb, f) -> bool:

@@ -1,7 +1,8 @@
 """What the package exposes: every layer function that the benchmark's
 tracer wraps (read from its TARGETS list) still resolves, every name in
-`__all__` imports, the test-only references stay out of the package, and
-no package module imports from the tests."""
+`__all__` imports, the test-only references stay out of the package, no
+package module imports from the tests, and only `packing` knows the
+packed-monomial format."""
 
 import ast
 import importlib
@@ -48,6 +49,14 @@ GONE = [
     ("ring", "_binom"),
     ("ideals", "random_invertible_matrix"),
     ("construct", "binary_coeff_vector"),
+    ("monomials", "_pack"),
+    ("oracle", "_check_degree"),
+    ("packing", "make_packer"),
+    ("packing", "make_unpacker"),
+    ("packing", "high_mask"),
+    ("packing", "lcm"),
+    ("packing", "degree"),
+    ("packing", "_masks"),
 ]
 
 
@@ -101,3 +110,32 @@ def test_no_package_module_imports_from_the_tests():
                 continue
             for name in names:
                 assert name.split(".")[0] not in ("reference", "tests"), (source.name, name)
+
+
+def _codec_uses(tree):
+    """The places in a module's syntax tree that know the packed format:
+    a read or an import of the slot width or the limit, a raise of the
+    limit's error, and a byte conversion or a byte mask."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in ("SLOT", "MAXEXP"):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and node.attr in ("SLOT", "MAXEXP"):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (a.name for a in node.names if a.name in ("SLOT", "MAXEXP"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("ExponentLimitError", "to_bytes", "from_bytes"):
+                yield name + "()"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, bytes):
+            yield repr(node.value)
+
+
+def test_only_packing_knows_the_packed_format():
+    found = {
+        source.name: sorted(set(_codec_uses(ast.parse(source.read_text(encoding="utf-8")))))
+        for source in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    assert {"SLOT", "MAXEXP", "ExponentLimitError()", "to_bytes()"} <= set(found.pop("packing.py"))
+    assert {name: uses for name, uses in found.items() if uses} == {}

@@ -24,7 +24,7 @@ from extremalcurves.modules import (  # noqa: E402
 )
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import _insert, minimal_generators  # noqa: E402
-from extremalcurves.packing import MAXEXP, ExponentLimitError, make_packer  # noqa: E402
+from extremalcurves.packing import MAXEXP, ExponentLimitError, layout  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField, mono_div, mono_divides  # noqa: E402
 from reference import (  # noqa: E402
     alternating_numerator,
@@ -156,9 +156,9 @@ def test_basis_equality_from_integers_matches_the_polynomials(ideal, data):
         other = gens + [data.draw(forms(ring, 2, min_terms=1))]
     a, b = buchberger(gens, ring), buchberger(other, ring)
     # the integers are those of the monic polynomials, one vector each
-    pack, modulus = make_packer(ring.nvars), getattr(ring.field, "p", 0)
+    lay, modulus = layout(ring.nvars), getattr(ring.field, "p", 0)
     for gb in (a, b):
-        assert integers(gb) == [(e.keys, e.coeffs) for e in (_to_engine(p, pack, modulus) for p in gb.polys)]
+        assert integers(gb) == [(e.keys, e.coeffs) for e in (_to_engine(p, lay, modulus) for p in gb.polys)]
     assert (a == b) == (integers(a) == integers(b)) == (a.polys == b.polys)
     assert a != b or hash(a) == hash(b)
     if kind == "same":
@@ -383,18 +383,24 @@ def test_grown_standard_bases_match_the_brute_force(data, draw):
 
 @pytest.mark.parametrize("twists", [(), (0,), (-3, 2)])
 def test_standard_bases_stop_at_the_packed_limit(twists):
-    # the walk raises before it makes a key past the limit; mult_matrix
+    # the walk raises before it makes a key past the limit, naming the
+    # monomial degree, the target degree and the lowest twist; mult_matrix
     # names its target degree, as its own guard did
     ring = PolyRing(3)
     x = ring.gens()
     slots = range(len(twists))
     rels = [[x[i] ** 2 if t == s else ring.zero for t in slots] for s in slots for i in range(3)]
     pm = PresentedModule(ring, twists, [packed_vector(ring, r) for r in rels])
-    top = min(twists, default=0) + MAXEXP
+    lowest = min(twists, default=0)
+    top = lowest + MAXEXP
     assert pm.standard_basis(top) == []
     assert pm.mult_matrix(0, top - 1) == []
     for degree in (top, top + 5):
-        with pytest.raises(ExponentLimitError, match=f"^degree {degree + 1} exceeds the packed limit {MAXEXP}$"):
+        message = (
+            rf"^monomial degree {degree + 1 - lowest} of a standard basis \(degree {degree + 1}, "
+            rf"lowest twist {lowest}\) exceeds the packed limit {MAXEXP}$"
+        )
+        with pytest.raises(ExponentLimitError, match=message):
             pm.mult_matrix(0, degree)
 
 

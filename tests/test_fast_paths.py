@@ -24,7 +24,7 @@ from extremalcurves.construct import (
 )
 from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal, intersect, is_saturated, quotient
-from extremalcurves.packing import ExponentLimitError, make_packer
+from extremalcurves.packing import ExponentLimitError, layout
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField, clear_denominators
 from reference import dense_rank, from_scalar
 
@@ -220,7 +220,7 @@ def _expansion_cases(field, seed):
 def _engine_list(p, ring):
     if not p:
         return []
-    ep = _to_engine(p, make_packer(ring.nvars), getattr(ring.field, "p", 0))
+    ep = _to_engine(p, layout(ring.nvars), getattr(ring.field, "p", 0))
     return [(ep.keys, ep.coeffs, ep.deg)]
 
 

@@ -7,7 +7,7 @@ from extremalcurves.construct import extremal_curve_ideal
 from extremalcurves.groebner import buchberger, initial_monomials, minimal_basis
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.oracle import minimal_generators, oracle_ideal_dims
-from extremalcurves.packing import ExponentLimitError, make_packer
+from extremalcurves.packing import ExponentLimitError, layout
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 from reference import contains, ideal_dim, normal_form
 
@@ -137,7 +137,7 @@ class TestTruncatedLeads:
 class TestExponentLimit:
     def test_pack_rejects_large_exponent(self):
         with pytest.raises(ExponentLimitError):
-            make_packer(3)((128, 0, 0))
+            layout(3).pack((128, 0, 0))
 
     def test_pair_degree_beyond_limit_raises(self):
         # the S-pair of the first two generators has degree 200; 8-bit

@@ -1,7 +1,8 @@
 """Word-parallel packed arithmetic against slot-by-slot references: the
-lcm and degree of packed monomials, and the packed minimalization and
-membership test of monomial ideals, whose exponents have no packed
-limit."""
+lcm and degree of packed monomials in the engines' 8-bit slots and in the
+16-bit slots of `MonomialIdeal`'s exponents from 128 to 32767, and the
+packed minimalization and membership test of monomial ideals, whose
+exponents have no packed limit."""
 
 import pytest
 
@@ -9,52 +10,65 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
-from extremalcurves.packing import MAXEXP, degree, lcm, make_packer  # noqa: E402
+from extremalcurves.packing import MAXEXP, fit, layout  # noqa: E402
 from extremalcurves.ring import mono_divides  # noqa: E402
 from reference import slot_degree, slot_lcm, tuple_minimal_generators  # noqa: E402
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 
-# exponents weighted towards the ends of a slot: 0, 1 and MAXEXP
-EXPONENTS = st.one_of(st.integers(0, MAXEXP), st.sampled_from([0, 1, MAXEXP - 1, MAXEXP]))
+SLOTS = (8, 16)  # the engines' width, and the width `fit` gives exponents 128..32767
 
 
-@st.composite
-def packed_pairs(draw):
-    nvars = draw(st.integers(1, 12))
-    pack = make_packer(nvars)
-    a, b = (draw(st.lists(EXPONENTS, min_size=nvars, max_size=nvars)) for _ in range(2))
-    return nvars, pack(a), pack(b)
+def packed_pairs(data, slot):
+    """(layout, a, b) with exponents weighted towards the ends of a slot:
+    0, 1 and the limit."""
+    lay = layout(data.draw(st.integers(1, 12)), slot)
+    top = lay.limit
+    exps = st.one_of(st.integers(0, top), st.sampled_from([0, 1, top - 1, top]))
+    a, b = (data.draw(st.lists(exps, min_size=lay.nvars, max_size=lay.nvars)) for _ in range(2))
+    return lay, lay.pack(a), lay.pack(b)
 
 
 @SETTINGS
-@given(packed_pairs())
+@given(st.data())
 def test_lcm_matches_the_slot_loop(data):
-    nvars, a, b = data
-    assert lcm(a, b, nvars) == slot_lcm(a, b, nvars)
-    assert lcm(b, a, nvars) == lcm(a, b, nvars)
+    for slot in SLOTS:
+        lay, a, b = packed_pairs(data, slot)
+        assert lay.lcm(a, b) == slot_lcm(a, b, lay.nvars, slot)
+        assert lay.lcm(b, a) == lay.lcm(a, b)
 
 
 @SETTINGS
-@given(packed_pairs())
+@given(st.data())
 def test_degree_matches_the_slot_loop(data):
-    nvars, a, b = data
-    assert degree(a, nvars) == slot_degree(a, nvars)
-    assert degree(lcm(a, b, nvars), nvars) == slot_degree(slot_lcm(a, b, nvars), nvars)
+    for slot in SLOTS:
+        lay, a, b = packed_pairs(data, slot)
+        assert lay.degree(a) == slot_degree(a, lay.nvars, slot)
+        assert lay.degree(lay.lcm(a, b)) == slot_degree(slot_lcm(a, b, lay.nvars, slot), lay.nvars, slot)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5, 6, 8, 17])
 def test_degree_is_exact_at_the_full_key(nvars):
-    # 127 in every slot: an 8-bit multiply-sum would wrap at 256
-    top = make_packer(nvars)([MAXEXP] * nvars)
-    assert degree(top, nvars) == MAXEXP * nvars
-    assert lcm(top, 0, nvars) == lcm(0, top, nvars) == top
+    # the limit in every slot: a slot-wide multiply-sum would wrap
+    for slot in SLOTS:
+        lay = layout(nvars, slot)
+        top = lay.pack([lay.limit] * nvars)
+        assert lay.degree(top) == lay.limit * nvars
+        assert lay.lcm(top, 0) == lay.lcm(0, top) == top
+        assert lay.pack_fitted([lay.limit] * nvars) == top
+    assert layout(nvars).limit == MAXEXP
 
 
 def test_lcm_drops_bits_above_the_slots():
     # position-over-term keys carry their component above the slots
     a, b = 3 << 24 | 0x050102, 3 << 24 | 0x010703
-    assert lcm(a, b, 3) == 0x050703
+    assert layout(3).lcm(a, b) == 0x050703
+
+
+def test_fit_is_the_narrowest_byte_layout_holding_the_top():
+    for top, slot in [(0, 8), (127, 8), (128, 16), (32767, 16), (32768, 24)]:
+        assert fit(3, top).slot == slot and fit(3, top).limit >= top
+    assert fit(3, 127) is layout(3)
 
 
 @st.composite

@@ -13,12 +13,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from extremalcurves.groebner import _clear  # noqa: E402
-from extremalcurves.packing import make_packer  # noqa: E402
+from extremalcurves.packing import layout  # noqa: E402
 from extremalcurves.ring import _addmul, clear_denominators, mono_mul, strip_content  # noqa: E402
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 NVARS = 3
-PACK = make_packer(NVARS)
+PACK = layout(NVARS).pack
 
 
 def naive_product(f, g, modulus):
