@@ -9,7 +9,6 @@ Exit codes: 0 extremal / 1 not extremal / 2 usage or file error /
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .cohomology import (
@@ -209,6 +208,8 @@ def _cmd_sweep(args):
         },
         "reports": results,
     }
+    import json  # only a written sweep needs it; keeps CLI start-up light
+
     payload = json.dumps(doc, indent=2) + "\n"
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(payload)

@@ -13,7 +13,6 @@ against the Riemann-Roch identity h_C(j) - p_C(j) = -h1(j) + h2(j).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .formulas import (
@@ -57,13 +56,31 @@ class InternalCheckError(AssertionError):
 # Hilbert data
 
 
-@dataclass(frozen=True)
 class HilbertTable:
-    window: tuple
-    dims: tuple
-    degree: int
-    genus: int
-    regularity: int
+    def __init__(self, window: tuple, dims: tuple, degree: int, genus: int, regularity: int):
+        self.__dict__.update(window=window, dims=dims, degree=degree, genus=genus, regularity=regularity)
+
+    def _fields(self):
+        return (self.window, self.dims, self.degree, self.genus, self.regularity)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, *a):
+        raise AttributeError("HilbertTable is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return (
+            f"HilbertTable(window={self.window!r}, dims={self.dims!r}, degree={self.degree!r}, "
+            f"genus={self.genus!r}, regularity={self.regularity!r})"
+        )
 
     def at(self, j):
         lo, hi = self.window
@@ -169,15 +186,37 @@ class DualCohomology:
         return coker_a.hf(e) - coimage_b.hf(e)
 
 
-@dataclass
 class FiniteLengthModule:
     """Per-degree dimensions with multiplication matrices between them."""
 
-    dims: dict
-    mult: dict  # (var, j) -> x_var : M_j -> M_{j+1}, one sparse row {column: value} per target element
-    generator_count: int
-    generator_degrees: list
-    annihilator_degrees: list | None
+    def __init__(
+        self,
+        dims: dict,
+        mult: dict,  # (var, j) -> x_var : M_j -> M_{j+1}, one sparse row {column: value} per target element
+        generator_count: int,
+        generator_degrees: list,
+        annihilator_degrees: list | None,
+    ):
+        self.dims = dims
+        self.mult = mult
+        self.generator_count = generator_count
+        self.generator_degrees = generator_degrees
+        self.annihilator_degrees = annihilator_degrees
+
+    def _fields(self):
+        return (self.dims, self.mult, self.generator_count, self.generator_degrees, self.annihilator_degrees)
+
+    def __eq__(self, other):  # no __hash__: the record is mutable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (
+            f"FiniteLengthModule(dims={self.dims!r}, mult={self.mult!r}, "
+            f"generator_count={self.generator_count!r}, generator_degrees={self.generator_degrees!r}, "
+            f"annihilator_degrees={self.annihilator_degrees!r})"
+        )
 
     def dim(self, j):
         return self.dims.get(j, 0)

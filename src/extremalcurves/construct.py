@@ -17,7 +17,6 @@ curves, the degree-3 alternate family, and a non-extremal witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .groebner import _EnginePoly
 from .ideals import Ideal
@@ -45,15 +44,33 @@ def _is_binary(p: Polynomial) -> bool:
     return all(all(e == 0 for e in m[2:]) for m, _ in p.terms)
 
 
-@dataclass(frozen=True)
 class ConstructionInput:
     """Numerical data plus the binary forms driving the construction."""
 
-    n: int
-    d: int
-    a: int
-    f_list: tuple
-    f: Polynomial
+    def __init__(self, n: int, d: int, a: int, f_list: tuple, f: Polynomial):
+        self.__dict__.update(n=n, d=d, a=a, f_list=f_list, f=f)
+
+    def _fields(self):
+        return (self.n, self.d, self.a, self.f_list, self.f)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, *a):
+        raise AttributeError("ConstructionInput is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return (
+            f"ConstructionInput(n={self.n!r}, d={self.d!r}, a={self.a!r}, "
+            f"f_list={self.f_list!r}, f={self.f!r})"
+        )
 
     def validate(self) -> GraphBasis:
         """Check the input; return the syzygy run over K[x0, x1] of the
@@ -182,10 +199,18 @@ def cubic_alternate_curve_ideal(n: int, a: int) -> Ideal:
     return Ideal.minimal(ring, gens)
 
 
-@dataclass
 class NonExtremalWitness:
-    ideal: Ideal
-    input: ConstructionInput
+    def __init__(self, ideal: Ideal, input: ConstructionInput):
+        self.ideal = ideal
+        self.input = input
+
+    def __eq__(self, other):  # no __hash__: the record is mutable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ideal, self.input) == (other.ideal, other.input)
+
+    def __repr__(self):
+        return f"NonExtremalWitness(ideal={self.ideal!r}, input={self.input!r})"
 
 
 def non_extremal_witness(n: int, a: int, d: int) -> NonExtremalWitness:

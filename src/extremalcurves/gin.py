@@ -22,7 +22,6 @@ otherwise the entry range widens and the next round draws again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .groebner import cut_leads
 from .ideals import Ideal, is_saturated, random_unipotent_matrix
@@ -35,11 +34,19 @@ class GinDisagreement(Exception):
     """No round produced two agreeing, certified, strongly stable draws."""
 
 
-@dataclass
 class GinResult:
-    ideal: MonomialIdeal
-    seeds: tuple
-    entry_bound: int
+    def __init__(self, ideal: MonomialIdeal, seeds: tuple, entry_bound: int):
+        self.ideal = ideal
+        self.seeds = seeds
+        self.entry_bound = entry_bound
+
+    def __eq__(self, other):  # no __hash__: the record is mutable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ideal, self.seeds, self.entry_bound) == (other.ideal, other.seeds, other.entry_bound)
+
+    def __repr__(self):
+        return f"GinResult(ideal={self.ideal!r}, seeds={self.seeds!r}, entry_bound={self.entry_bound!r})"
 
 
 def mix_seed(*parts) -> int:

@@ -5,17 +5,22 @@ JSON (stable key order) or aligned text.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 SCHEMA_VERSION = 1
 
 
-@dataclass
 class CurveReport:
     """One curve's report, held as its versioned JSON document."""
 
-    document: dict
+    def __init__(self, document: dict):
+        self.document = document
+
+    def __eq__(self, other):  # no __hash__: the record is mutable
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.document == other.document
+
+    def __repr__(self):
+        return f"CurveReport(document={self.document!r})"
 
     @property
     def verdict(self) -> str:
@@ -29,6 +34,8 @@ class CurveReport:
         return self.document
 
     def to_json(self) -> str:
+        import json  # only a written report needs it; keeps CLI start-up light
+
         return json.dumps(self.document, indent=2) + "\n"
 
     def to_text(self) -> str:

@@ -13,7 +13,6 @@ immutable and safe to share between tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, lcm
@@ -27,9 +26,22 @@ Monomial = tuple  # exponent tuple of length nvars
 # coefficient fields
 
 
-@dataclass(frozen=True)
 class RationalField:
-    """Exact rationals; coefficients are Fraction instances."""
+    """Exact rationals; coefficients are Fraction instances.  A value with
+    no fields: all instances are equal."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(())
+
+    def __setattr__(self, *a):
+        raise AttributeError("RationalField is immutable")
+
+    __delattr__ = __setattr__
 
     def coerce(self, v):
         if isinstance(v, Fraction):
@@ -60,15 +72,26 @@ class RationalField:
         return "QQ"
 
 
-@dataclass(frozen=True)
 class PrimeField:
     """Z/p for an odd prime p; coefficients are ints in [0, p)."""
 
-    p: int
+    def __init__(self, p: int):
+        if p < 3 or p % 2 == 0 or not _is_prime(p):
+            raise ValueError(f"need an odd prime, got {p}")
+        self.__dict__["p"] = p
 
-    def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not _is_prime(self.p):
-            raise ValueError(f"need an odd prime, got {self.p}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __setattr__(self, *a):
+        raise AttributeError("PrimeField is immutable")
+
+    __delattr__ = __setattr__
 
     def coerce(self, v):
         if isinstance(v, Fraction):
@@ -432,12 +455,27 @@ def format_poly(p: Polynomial) -> str:
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-@dataclass(frozen=True)
 class PolyRing:
     """K[x0, ..., x_{nvars-1}] with the revlex order baked in."""
 
-    nvars: int
-    field: object = QQ
+    def __init__(self, nvars: int, field=QQ):
+        self.__dict__.update(nvars=nvars, field=field)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nvars, self.field) == (other.nvars, other.field)
+
+    def __hash__(self):
+        return hash((self.nvars, self.field))
+
+    def __setattr__(self, *a):
+        raise AttributeError("PolyRing is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"PolyRing(nvars={self.nvars!r}, field={self.field!r})"
 
     @property
     def n(self) -> int:

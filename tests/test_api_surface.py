@@ -1,12 +1,16 @@
 """What the package exposes: every layer function that the benchmark's
 tracer wraps (read from its TARGETS list) still resolves, every name in
 `__all__` imports, the test-only references stay out of the package, no
-package module imports from the tests, and only `packing` knows the
-packed-monomial format."""
+package module imports from the tests, only `packing` knows the
+packed-monomial format, and importing the CLI loads neither `dataclasses`
+nor `json`."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -139,3 +143,42 @@ def test_only_packing_knows_the_packed_format():
     }
     assert {"SLOT", "MAXEXP", "ExponentLimitError()", "to_bytes()"} <= set(found.pop("packing.py"))
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _imports(tree):
+    """(module name, imported inside a function) for each import statement."""
+    nested = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested.update(id(n) for n in ast.walk(node) if n is not node)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.name, id(node) in nested) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, id(node) in nested
+
+
+def test_no_dataclasses_and_json_only_inside_functions():
+    offenders, json_inside = [], set()
+    for source in sorted(PACKAGE_DIR.glob("*.py")):
+        for name, nested in _imports(ast.parse(source.read_text(encoding="utf-8"))):
+            root = name.split(".")[0]
+            if root == "dataclasses" or (root == "json" and not nested):
+                offenders.append((source.name, name))
+            elif root == "json":
+                json_inside.add(source.name)
+    assert offenders == []
+    assert {"cli.py", "report.py"} <= json_inside  # the scan sees the lazy imports
+
+
+def test_cli_import_loads_neither_dataclasses_nor_json():
+    # -S: no site hook of the environment can preload or mask a module
+    probe = (
+        "import sys, extremalcurves.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'json'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
