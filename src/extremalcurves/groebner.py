@@ -176,12 +176,11 @@ class _Engine:
         si = lcm_key - gi.keys[0]
         return self.cancel_lead({k + si: c for k, c in zip(gi.keys, gi.coeffs)}, lcm_key, self.basis[j])
 
-    def top_reduce(self, acc, trace=None):
+    def top_reduce(self, acc):
         """Reduce the lead of the accumulator {key: coeff} until it is
         irreducible or zero, and return the result as ascending (keys,
         coeffs).  The lead is the smallest key; each step updates only the
-        terms of the reducer.  A trace list receives (lead, index, a, b)
-        per step: that step took f to a*f - b*x^s*g."""
+        terms of the reducer, the first element whose lead divides."""
         modulus = self.modulus
         steps = 0
         while acc:
@@ -189,10 +188,8 @@ class _Engine:
             t = self.find_reducer(lead)
             if t is None:
                 break
-            acc, a, b = self.cancel_lead(acc, lead, self.basis[t])
-            if trace is not None:
-                trace.append((lead, t, a, b))
-            elif not modulus:
+            acc, _, _ = self.cancel_lead(acc, lead, self.basis[t])
+            if not modulus:
                 steps += 1
                 if steps % 16 == 0 and acc:
                     g = gcd(*acc.values())

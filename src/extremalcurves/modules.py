@@ -12,7 +12,13 @@ Schreyer order induced by the level below: the key is the image monomial
 the components by their chains of lead components through the levels
 below.  Syzygy levels are pruned to the pairs whose Schreyer lead is a
 minimal generator of the per-component lead module, which keeps the tower
-near-minimal before the exact unit-entry minimalization pass.  Outside
+near-minimal before the exact unit-entry minimalization pass.  A pruned
+pair is reduced to zero by the shortest divisor: each step uses, among
+the elements whose lead divides, the one with the fewest terms, the
+lowest index among equals (the Buchberger paths take the first divisor in
+index order).  Any divisor gives the same Schreyer lead, so leads and
+twists do not depend on the rule; the shortest one makes fewer steps and
+sparser maps.  Outside
 the engine an element is a packed vector {component: {packed monomial:
 coefficient}} of homogeneous nonzero entries, its coefficients field
 elements or integers: resolution maps stay packed
@@ -29,6 +35,7 @@ in ``tests/reference.py``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, lcm
 
 from . import packing
@@ -50,6 +57,13 @@ def _schreyer_step(eng):
     new_bits rank bits, sorted by descending Schreyer lead, and
     decode[rank] = (element index, its lead image).  Each syzygy is an
     integer multiple of the monic syzygy over the monic elements.
+
+    A pair's S-vector is reduced to zero with a trace; each step uses the
+    divisor with the fewest terms, the lowest index among equals, so the
+    rule is deterministic.  Any divisor gives a syzygy with the same
+    Schreyer lead: only the tails depend on the rule, and the shortest
+    reducer adds the fewest terms, so the tails come out sparser and
+    the next level reduces them in fewer steps.
     """
     lay, modulus, basis, bits = eng.layout, eng.modulus, eng.basis, eng.rank_bits
     mask = (1 << bits) - 1
@@ -82,15 +96,26 @@ def _schreyer_step(eng):
                 chosen.append((i, j, w))
 
     lam = [g.coeffs[0] for g in basis]  # element == lam * monic element
+    # per component, the elements by (term count, index): the first whose
+    # lead divides is the shortest divisor, the lowest index among equals
+    reducers = {s: sorted(found, key=lambda e: (len(basis[e[1]].keys), e[1])) for s, found in eng.by_slot.items()}
+    himask = eng.himask
     new = []
     for i, j, w in chosen:
         deg = lay.degree(w)
         lay.check(deg, "syzygy degree")
         acc, a, b = eng.spair(i, j, (w << bits) | (leads[i] & mask))
-        trace = []
-        keys, _ = eng.top_reduce(acc, trace)
-        if keys:
-            raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
+        trace = []  # (lead, t, a, b) per step: it took acc to a*acc - b*x^s*g_t
+        while acc:
+            lead = min(acc)
+            top = lead | himask
+            for key, t in reducers.get(lead & mask, ()):
+                if (top - key) & himask == himask:  # packing.divides(key, lead, himask)
+                    break
+            else:
+                raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
+            acc, a_s, b_s = eng.cancel_lead(acc, lead, basis[t])
+            trace.append((lead, t, a_s, b_s))
         # mult * spair == sum of the traced multiples; over the monic elements
         # the syzygy is mult*a*lam_i at i, -mult*b*lam_j at j, minus the trace
         terms = {}
@@ -348,19 +373,56 @@ def _pot_vector(eng, keys, coeffs, first):
     return out
 
 
-class GraphBasis:
-    """Traced Gröbner data for a span of packed columns: their kernel.
+class _Quotient:
+    """A free module on components first, first + 1, ... of a completed
+    position-over-term engine (generated in gen_degrees) modulo the engine's
+    elements whose leads lie there, which lie there entirely: the Hilbert
+    function and normal forms.  Subclasses set engine, gen_degrees and
+    first."""
+
+    first = 0
+
+    @cached_property
+    def lead_ideals(self):
+        eng, first = self.engine, self.first
+        # unpack reads the monomial slots only, not the component above them
+        slots = [eng.by_slot.get(s, ()) for s in range(first, first + len(self.gen_degrees))]
+        return [MonomialIdeal(eng.ring.nvars, [eng.layout.unpack(k) for k, _ in leads]) for leads in slots]
+
+    def hf(self, degree: int) -> int:
+        """Dimension of the graded piece via standard monomial counting."""
+        return sum(I.quotient_dim(degree - w) for I, w in zip(self.lead_ideals, self.gen_degrees))
+
+    def reduce(self, vec):
+        """Normal form of a packed vector, as a packed vector."""
+        if not vec:
+            return {}
+        eng, first = self.engine, self.first
+        ep = _pot_element(eng, {s + first: e for s, e in vec.items()})
+        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
+        # ep is ep.coeffs[0] / lead times vec, lead the coefficient at vec's smallest key
+        top = vec[min(vec)]
+        lead = top[min(top)]
+        return _pot_vector(eng, keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), first)
+
+
+class GraphBasis(_Quotient):
+    """Traced Gröbner data for a span of packed columns: their kernel, and
+    the coimage R^s / kernel, graded by the columns' degrees.
 
     The graph elements (col_t, m_t e_t) live in F + R^s, where the given
     column col_t is m_t times the column whose kernel is wanted (m_t from
     multipliers, 1 by default): each element is m_t times the graph element
     of the wanted column, so scaling it moves no kernel coordinate.  Under
     position over term an element whose lead lies in the tracking part lies
-    there entirely."""
+    there entirely, so the completed elements there are a Gröbner basis of
+    the kernel: `hf` and `reduce` read the coimage off them.  A zero
+    column's component is all kernel (its unit is a graph element), so the
+    twist 0 it gets here moves no dimension."""
 
     def __init__(self, cols, free_twists, ring, multipliers=None):
         self.ring = ring
-        self.rF = len(free_twists)
+        self.first = first = len(free_twists)  # the tracking part's first component
         eng = _Engine(ring)
         degs = []
         for t, col in enumerate(cols):
@@ -368,18 +430,18 @@ class GraphBasis:
             if len(found) > 1:
                 raise ValueError("inhomogeneous column")
             degs.append(found.pop() if found else 0)
-            eng.add(_pot_element(eng, col, self.rF + t, multipliers[t] if multipliers else 1))
+            eng.add(_pot_element(eng, col, first + t, multipliers[t] if multipliers else 1))
         self.twists = list(free_twists) + degs
         eng.complete(self.twists)
-        self.engine = eng
+        self.engine, self.gen_degrees = eng, degs
 
     def kernel_generators(self):
         """Packed generators of the syzygy module of the columns, one
         component per column, in the engine's integers (primitive with a
         positive lead over QQ, residues mod p): each is a nonzero multiple
         of its monic generator."""
-        eng, rF = self.engine, self.rF
-        return [_pot_vector(eng, g.keys, g.coeffs, rF) for g in eng.basis if g.keys[0] >> eng.comp_shift >= rF]
+        eng, first = self.engine, self.first
+        return [_pot_vector(eng, g.keys, g.coeffs, first) for g in eng.basis if g.keys[0] >> eng.comp_shift >= first]
 
 
 def module_kernel(cols, free_twists, ring) -> list:
@@ -397,7 +459,7 @@ def module_kernel(cols, free_twists, ring) -> list:
     return out
 
 
-class PresentedModule:
+class PresentedModule(_Quotient):
     """Finitely presented graded module: free slots with generator degrees
     plus a relation submodule of packed vectors, held as a POT Gröbner
     basis."""
@@ -412,14 +474,7 @@ class PresentedModule:
                 eng.add(e)
         eng.complete(self.gen_degrees)
         self.engine = eng
-        slots = [eng.by_slot.get(s, ()) for s in range(len(self.gen_degrees))]
-        # unpack reads the monomial slots only, not the component above them
-        self.lead_ideals = [MonomialIdeal(ring.nvars, [eng.layout.unpack(k) for k, _ in leads]) for leads in slots]
         self._standard = {}
-
-    def hf(self, degree: int) -> int:
-        """Dimension of the graded piece via standard monomial counting."""
-        return sum(I.quotient_dim(degree - w) for I, w in zip(self.lead_ideals, self.gen_degrees))
 
     def is_finite_length(self) -> bool:
         return all(I.is_artinian() for I in self.lead_ideals)
@@ -442,18 +497,6 @@ class PresentedModule:
             keys.update(s << eng.comp_shift for s, w in enumerate(self.gen_degrees) if w == e)
             out = memo[e] = sorted(k for k in keys if eng.find_reducer(k) is None)
         return memo.get(degree, [])  # none below the lowest generator
-
-    def reduce(self, vec):
-        """Normal form of a packed vector, as a packed vector."""
-        if not vec:
-            return {}
-        eng = self.engine
-        ep = _pot_element(eng, vec)
-        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-        # ep is ep.coeffs[0] / lead times vec, lead the coefficient at vec's smallest key
-        first = vec[min(vec)]
-        lead = first[min(first)]
-        return _pot_vector(eng, keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), 0)
 
     def mult_matrix(self, var: int, degree: int):
         """Multiplication by x_var from degree to degree+1 in the standard

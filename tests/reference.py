@@ -7,9 +7,11 @@ construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
 QQ), coordinate changes of ideals and the dense invertible draw, the gin
 read off the full images in all n+1 variables, the general hyperplane
-section by drawn hyperplanes, the field view of a resolution's maps (its
-integer columns with their scales applied) with the check that they form a
-minimal complex, resolution maps as `Polynomial`s, the row-reduced graded
+section by drawn hyperplanes, the Schreyer step with the first divisor
+in index order as its reducer and the resolution it gives, the field view
+of a resolution's maps (its integer columns with their scales applied)
+with the check that they form a minimal resolution of the ideal,
+resolution maps as `Polynomial`s, the row-reduced graded
 piece of an ideal, the ideal-file polynomial reader as a token list and a
 term closure, the revlex comparison of exponent tuples, the Borel closure
 and the Hochster Betti oracle for monomial ideals, the pivot recursion
@@ -33,13 +35,21 @@ from itertools import combinations, combinations_with_replacement, product
 from extremalcurves.cohomology import InternalCheckError, NotACurveError, detect_hilbert_polynomial, hyperplane_section
 from extremalcurves.construct import _is_binary
 from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, mix_seed
-from extremalcurves.groebner import _divide, _Engine, _to_engine, initial_monomials, linear_images
+from extremalcurves.groebner import _divide, _Engine, _EnginePoly, _primitive, _to_engine, buchberger, initial_monomials, linear_images
 from extremalcurves.idealfile import IdealFileError
 from extremalcurves.ideals import Ideal, random_unipotent_matrix
-from extremalcurves.modules import GraphBasis, ResolutionData, _schreyer_frame, packed_vector, polynomial_vector
+from extremalcurves.modules import (
+    GraphBasis,
+    ResolutionData,
+    _minimalize,
+    _packed_columns,
+    _schreyer_frame,
+    packed_vector,
+    polynomial_vector,
+)
 from extremalcurves.monomials import BettiTable, MonomialIdeal, _poly_add_shift, _trim, is_strongly_stable
 from extremalcurves.oracle import _insert, _poly_rows, fraction_rank
-from extremalcurves.packing import layout
+from extremalcurves.packing import divides, layout
 from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
 
 
@@ -211,6 +221,100 @@ def field_resolution(gb) -> ResolutionData:
     return field_resolution_data(ring, *field_minimalize(twists, cols, modulus))
 
 
+def first_divisor_step(eng):
+    """`modules._schreyer_step` with the reducer rule it had before the
+    shortest divisor: each step of an S-pair's reduction uses the first
+    element, in index order, whose lead divides (`_Engine.find_reducer`).
+    Any divisor gives a syzygy with the same Schreyer lead, so the frame's
+    leads and twists are those of the package; only the tails differ."""
+    lay, modulus, basis, bits = eng.layout, eng.modulus, eng.basis, eng.rank_bits
+    mask = (1 << bits) - 1
+    leads = [g.keys[0] for g in basis]
+    order = sorted(range(len(basis)), key=lambda t: (leads[t] & mask, t))
+    rank = [0] * len(basis)
+    for r, t in enumerate(order):
+        rank[t] = r
+    new_bits = len(basis).bit_length()
+    decode = [(t, leads[t] >> bits) for t in order]
+    chosen = []
+    for i, li in enumerate(leads):
+        img = li >> bits
+        cands = []
+        for lj, j in eng.by_slot[li & mask]:
+            if j > i:
+                w = lay.lcm(img, lj >> bits)
+                cands.append((lay.degree(w - img), img - w, j, w))
+        kept = []
+        for _, nq, j, w in sorted(cands):
+            if not any(divides(k, -nq, lay.himask) for k in kept):
+                kept.append(-nq)
+                chosen.append((i, j, w))
+    lam = [g.coeffs[0] for g in basis]
+    new = []
+    for i, j, w in chosen:
+        acc, a, b = eng.spair(i, j, (w << bits) | (leads[i] & mask))
+        trace = []
+        while acc:
+            lead = min(acc)
+            t = eng.find_reducer(lead)
+            if t is None:
+                raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
+            acc, a_s, b_s = eng.cancel_lead(acc, lead, basis[t])
+            trace.append((lead, t, a_s, b_s))
+        terms = {}
+        mult = 1
+        for lead, t, a_s, b_s in reversed(trace):
+            key = ((lead >> bits) << new_bits) | rank[t]
+            terms[key] = terms.get(key, 0) - b_s * mult * lam[t]
+            mult *= a_s
+        terms[(w << new_bits) | rank[i]] = mult * a * lam[i]
+        terms[(w << new_bits) | rank[j]] = -mult * b * lam[j]
+        if modulus:
+            terms = {k: c % modulus for k, c in terms.items()}
+        keys = sorted(k for k, c in terms.items() if c)
+        new.append(_EnginePoly(keys, _primitive([terms[k] for k in keys], modulus), lay.degree(w)))
+    new.sort(key=lambda e: (-e.deg, e.keys[0]))
+    return new, new_bits, decode
+
+
+def first_divisor_frame(gb):
+    """`modules._schreyer_frame` with `first_divisor_step` for each level."""
+    ring = gb.ring
+    eng = _Engine(ring, rank_bits=0)
+    for e in gb.elems:
+        eng.add(e)
+    levels = [(eng.basis, 0, [(0, 0)])]
+    while True:
+        new, bits, decode = first_divisor_step(eng)
+        if not new:
+            break
+        levels.append((new, bits, decode))
+        eng = _Engine(ring, rank_bits=bits)
+        for e in new:
+            eng.add(e)
+    return levels
+
+
+def first_divisor_resolution(gb) -> ResolutionData:
+    """`modules.free_resolution_from_gb` on the frame of `first_divisor_step`:
+    the resolution as the package made it before the shortest divisor."""
+    ring = gb.ring
+    if not gb.elems:
+        return ResolutionData(ring, [(0,)], [], [])
+    levels = first_divisor_frame(gb)
+    twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
+    cols, scales = zip(*(_packed_columns(*level, ring.modulus) for level in levels))
+    return ResolutionData(ring, *_minimalize(twists, list(cols), scales, ring.modulus))
+
+
+def with_resolution(I: Ideal, res: ResolutionData) -> Ideal:
+    """A copy of the ideal whose Gröbner basis is I's and whose resolution
+    is res, for the verdict code to read."""
+    J = Ideal(I.ring, I.gens)
+    J._gb, J._resolution = I.groebner(), res
+    return J
+
+
 def field_resolution_data(ring, twists, cols):
     """`ResolutionData` of maps whose columns hold field entries already
     (each column's scale is 1)."""
@@ -237,9 +341,13 @@ def field_cols(res):
     return [field_level(res, k) for k in range(len(res._cols))]
 
 
-def verify_resolution(res):
+def verify_resolution(res, gb):
     """Every entry is homogeneous of the degree its twists give and no
-    entry is a unit (minimality); consecutive maps compose to zero."""
+    entry is a unit (minimality); consecutive maps compose to zero; and the
+    complex resolves the ideal I whose reduced Gröbner basis is gb: the
+    alternating sum of the twists' Hilbert functions is the Hilbert
+    function of R/I in degrees 0 .. reg + n + 1, and the first map's
+    entries generate I (their reduced Gröbner basis is gb)."""
     degree, modulus = layout(res.ring.nvars).degree, res.ring.modulus
     cols = field_cols(res)
     for k, level in enumerate(cols):
@@ -257,6 +365,15 @@ def verify_resolution(res):
                     _addmul(image.setdefault(r, {}), e, f, modulus)
             if any(image.values()):
                 raise AssertionError(f"composition at level {k} is nonzero")
+    ring, quotient = res.ring, gb.initial_ideal()
+    nvars = ring.nvars
+    for j in range(res.regularity() + ring.n + 2):
+        euler = sum((-1) ** k * binom(j - w + nvars - 1, nvars - 1) for k, t in enumerate(res.twists) for w in t if w <= j)
+        if euler != quotient.quotient_dim(j):
+            raise AssertionError(f"Euler characteristic differs from the Hilbert function of R/I in degree {j}")
+    entries = [p for col in (mats(res)[0] if cols else ()) for p in col]
+    if buchberger(entries, ring) != gb:
+        raise AssertionError("the first map's entries generate another ideal")
 
 
 def slot_lcm(a, b, nvars, slot):

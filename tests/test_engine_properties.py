@@ -1,8 +1,10 @@
 """Property tests for the packed engine on random homogeneous data in 3 to
 5 variables over QQ and Z/7: reduced bases, minimal generators,
-resolutions, kernels, normal forms, presented modules (their Hilbert
-functions and standard monomials) and the last-variable saturation, each
-against an independent check; and the fraction-free
+resolutions (and, on random constructions, the frame's shortest-divisor
+rule against the first divisor), kernels and the coimage a graph basis
+reads off them, normal forms, presented modules (their Hilbert functions
+and standard monomials) and the last-variable saturation, each against an
+independent check; and the fraction-free
 minimalization of resolutions, with the dual rows read from its integers,
 against its field reference on random constructions in P^3 to P^5."""
 
@@ -11,12 +13,14 @@ import random
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from extremalcurves import ideals as ideals_module  # noqa: E402
+from extremalcurves.cohomology import DualCohomology  # noqa: E402
 from extremalcurves.construct import construct_curve, random_construction_input  # noqa: E402
 from extremalcurves.groebner import _to_engine, buchberger, initial_monomials, minimal_basis  # noqa: E402
 from extremalcurves.modules import (  # noqa: E402
+    GraphBasis,
     PresentedModule,
     free_resolution_from_gb,
     module_kernel,
@@ -33,8 +37,10 @@ from reference import (  # noqa: E402
     contains,
     field_cols,
     field_resolution,
+    first_divisor_resolution,
     mats,
     verify_resolution,
+    with_resolution,
 )
 
 SETTINGS = settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -219,7 +225,7 @@ def test_resolution_verifies_and_matches_the_numerator(data):
     ring, gens = data
     gb = buchberger(gens, ring)
     res = free_resolution_from_gb(gb)
-    verify_resolution(res)
+    verify_resolution(res, gb)
     assert res.length <= ring.nvars
     numerator = gb.initial_ideal().hilbert_numerator()
     assert alternating_numerator(res.betti_table()) == numerator
@@ -280,6 +286,26 @@ def test_integer_minimalization_matches_the_field_reference(I):
     assert_matches_the_field_reference(I)
 
 
+@SETTINGS
+@given(
+    st.integers(3, 5), st.integers(3, 5), st.integers(0, 2), st.integers(0, 10**6),
+    st.sampled_from([QQ, PrimeField(32003)]),
+)
+@example(5, 4, 1, 17, PrimeField(7))
+def test_shortest_divisor_resolves_like_the_first_divisor(n, d, a, seed, field):
+    # the frame's reducer rule moves only the tails: the first divisor in
+    # index order gives the same twists, Betti table and Rao module
+    I = constructed_curve(n, d, a, seed, field)
+    hypothesis.assume(I is not None)
+    gb, res = I.groebner(), I.resolution()
+    verify_resolution(res, gb)
+    first = first_divisor_resolution(gb)
+    assert (first.twists, first.length) == (res.twists, res.length)
+    assert first.betti_table() == res.betti_table()
+    window = (-2, d + n)
+    assert DualCohomology(with_resolution(I, first)).rao_dims(*window) == DualCohomology(I).rao_dims(*window)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(7)], ids=["QQ", "zp32003", "zp7"])
 @pytest.mark.parametrize("n,d,a,seed", [(5, 4, 0, 0), (5, 5, 1, 0)])
 def test_integer_minimalization_clears_with_non_unit_pivots(n, d, a, seed, field):
@@ -328,6 +354,7 @@ def test_a_combination_of_the_relations_reduces_to_zero(data, draw):
 def test_presented_module_hf_matches_linear_algebra(data):
     ring, twists, cols, degs = data
     pm = PresentedModule(ring, twists, [packed_vector(ring, c) for c in cols])
+    graph = GraphBasis([packed_vector(ring, c) for c in cols], twists, ring)
     for j in range(min(twists), max(degs) + 3):
         # rows: every monomial multiple of every relation landing in degree j
         pivots = {}
@@ -343,6 +370,26 @@ def test_presented_module_hf_matches_linear_algebra(data):
                     rank += _insert(pivots, row, getattr(ring.field, "p", 0))
         free = sum(ring.dim_degree(j - w) for w in twists)
         assert pm.hf(j) == free - rank
+        # the coimage of the columns is their image: rank in every degree
+        assert graph.hf(j) == rank
+
+
+@SETTINGS
+@given(column_maps(), st.data())
+def test_the_graph_basis_reads_the_coimage_off_the_kernel(data, draw):
+    # the coimage as the presented module of the kernel generators, which
+    # runs Buchberger on them again: the same Hilbert function and normal
+    # forms (normal forms modulo a Gröbner basis are unique)
+    ring, twists, cols, degs = data
+    graph = GraphBasis([packed_vector(ring, c) for c in cols], twists, ring)
+    pm = PresentedModule(ring, degs, graph.kernel_generators())
+    degrees = range(min(degs) - 1, max(degs) + 3)
+    assert [graph.hf(j) for j in degrees] == [pm.hf(j) for j in degrees]
+    top = max(degs) + draw.draw(st.integers(0, 1))
+    vec = packed_vector(ring, [draw.draw(forms(ring, top - d)) for d in degs])
+    assert graph.reduce(vec) == pm.reduce(vec)
+    for v in graph.kernel_generators():
+        assert graph.reduce(v) == {}
 
 
 @st.composite

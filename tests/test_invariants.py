@@ -92,7 +92,7 @@ class TestConstructionOutputs:
                 continue
             gb = buchberger(polys, ring)
             res = free_resolution_from_gb(gb)
-            verify_resolution(res)
+            verify_resolution(res, gb)
             assert (
                 alternating_numerator(res.betti_table())
                 == gb.initial_ideal().hilbert_numerator()

@@ -82,11 +82,12 @@ class TestSyzygies:
 class TestResolution:
     def test_koszul_shape(self):
         x0, x1, _ = R3.gens()
-        res = free_resolution_from_gb(buchberger([x0, x1]))
+        gb = buchberger([x0, x1])
+        res = free_resolution_from_gb(gb)
         assert [len(t) for t in res.twists] == [1, 2, 1]
         assert res.twists[1] == (1, 1)
         assert res.twists[2] == (2,)
-        verify_resolution(res)
+        verify_resolution(res, gb)
 
     def test_gin_of_quartic_curve(self):
         # stable monomial ideal (x0^2, x0*x1, x1^4, x1^3*x2) in P^3:
@@ -94,7 +95,7 @@ class TestResolution:
         x0, x1, x2, x3 = R4.gens()
         gb = buchberger([x0 * x0, x0 * x1, x1 ** 4, x1 ** 3 * x2])
         res = free_resolution_from_gb(gb)
-        verify_resolution(res)
+        verify_resolution(res, gb)
         table = res.betti_table()
         expected = BettiTable(
             {(0, 2): 2, (0, 4): 2, (1, 3): 1, (1, 5): 3, (2, 6): 1}
@@ -131,8 +132,9 @@ class TestResolution:
             ring = PolyRing(nv)
             ideal = MonomialIdeal(nv, closure)
             gens = [ring.monomial(m) for m in ideal.gens]
-            res = free_resolution_from_gb(buchberger(gens, ring))
-            verify_resolution(res)
+            gb = buchberger(gens, ring)
+            res = free_resolution_from_gb(gb)
+            verify_resolution(res, gb)
             assert res.betti_table() == ek_betti(ideal)
             done += 1
 
@@ -152,8 +154,9 @@ class TestResolution:
                 ideal = extremal_curve_ideal(3, d, max_genus(3, d) - a)
                 over_q = free_resolution_from_gb(ideal.groebner())
                 gens = [Polynomial(fp, g.terms) for g in ideal.gens]
-                over_p = free_resolution_from_gb(buchberger(gens, fp))
-                verify_resolution(over_p)
+                gb_p = buchberger(gens, fp)
+                over_p = free_resolution_from_gb(gb_p)
+                verify_resolution(over_p, gb_p)
                 assert over_p.betti_table() == over_q.betti_table(), (d, a)
 
     def test_regularity(self):
