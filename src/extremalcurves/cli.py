@@ -180,7 +180,7 @@ def sweep_point(task):
         return {"point": {"n": n, "d": d, "a": a}, "internal_error": str(e)}
     except Exception as e:  # recorded under its point; the grid goes on
         return {"point": {"n": n, "d": d, "a": a}, "error": f"{type(e).__name__}: {e}"}
-    return {"point": {"n": n, "d": d, "a": a}, "report": report.to_json_dict()}
+    return {"point": {"n": n, "d": d, "a": a}, "report": report.document}
 
 
 def _cmd_sweep(args):

@@ -32,7 +32,7 @@ from .modules import GraphBasis, PresentedModule
 from .monomials import MonomialIdeal, ek_betti
 from .oracle import fraction_rank
 from .report import SCHEMA_VERSION, CurveReport
-from .ring import format_mono
+from .ring import FrozenRecord, Record, format_mono
 
 
 class NotACurveError(ValueError):
@@ -56,31 +56,11 @@ class InternalCheckError(AssertionError):
 # Hilbert data
 
 
-class HilbertTable:
+class HilbertTable(FrozenRecord):
+    _fields = ("window", "dims", "degree", "genus", "regularity")
+
     def __init__(self, window: tuple, dims: tuple, degree: int, genus: int, regularity: int):
         self.__dict__.update(window=window, dims=dims, degree=degree, genus=genus, regularity=regularity)
-
-    def _fields(self):
-        return (self.window, self.dims, self.degree, self.genus, self.regularity)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, *a):
-        raise AttributeError("HilbertTable is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        return (
-            f"HilbertTable(window={self.window!r}, dims={self.dims!r}, degree={self.degree!r}, "
-            f"genus={self.genus!r}, regularity={self.regularity!r})"
-        )
 
     def at(self, j):
         lo, hi = self.window
@@ -187,8 +167,10 @@ class DualCohomology:
         return coker_a.hf(e) - coimage_b.hf(e)
 
 
-class FiniteLengthModule:
+class FiniteLengthModule(Record):
     """Per-degree dimensions with multiplication matrices between them."""
+
+    _fields = ("dims", "mult", "generator_count", "generator_degrees", "annihilator_degrees")
 
     def __init__(
         self,
@@ -203,21 +185,6 @@ class FiniteLengthModule:
         self.generator_count = generator_count
         self.generator_degrees = generator_degrees
         self.annihilator_degrees = annihilator_degrees
-
-    def _fields(self):
-        return (self.dims, self.mult, self.generator_count, self.generator_degrees, self.annihilator_degrees)
-
-    def __eq__(self, other):  # no __hash__: the record is mutable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return (
-            f"FiniteLengthModule(dims={self.dims!r}, mult={self.mult!r}, "
-            f"generator_count={self.generator_count!r}, generator_degrees={self.generator_degrees!r}, "
-            f"annihilator_degrees={self.annihilator_degrees!r})"
-        )
 
     def dim(self, j):
         return self.dims.get(j, 0)

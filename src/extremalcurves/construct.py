@@ -23,7 +23,7 @@ from .ideals import Ideal
 from .modules import GraphBasis, packed_vector
 from .oracle import fraction_rank
 from .packing import layout
-from .ring import PolyRing, Polynomial, binom
+from .ring import FrozenRecord, PolyRing, Polynomial, Record, binom
 
 
 class ConstructionError(ValueError):
@@ -44,33 +44,13 @@ def _is_binary(p: Polynomial) -> bool:
     return all(all(e == 0 for e in m[2:]) for m, _ in p.terms)
 
 
-class ConstructionInput:
+class ConstructionInput(FrozenRecord):
     """Numerical data plus the binary forms driving the construction."""
+
+    _fields = ("n", "d", "a", "f_list", "f")
 
     def __init__(self, n: int, d: int, a: int, f_list: tuple, f: Polynomial):
         self.__dict__.update(n=n, d=d, a=a, f_list=f_list, f=f)
-
-    def _fields(self):
-        return (self.n, self.d, self.a, self.f_list, self.f)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, *a):
-        raise AttributeError("ConstructionInput is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        return (
-            f"ConstructionInput(n={self.n!r}, d={self.d!r}, a={self.a!r}, "
-            f"f_list={self.f_list!r}, f={self.f!r})"
-        )
 
     def validate(self) -> GraphBasis:
         """Check the input; return the syzygy run over K[x0, x1] of the
@@ -199,18 +179,12 @@ def cubic_alternate_curve_ideal(n: int, a: int) -> Ideal:
     return Ideal.minimal(ring, gens)
 
 
-class NonExtremalWitness:
+class NonExtremalWitness(Record):
+    _fields = ("ideal", "input")
+
     def __init__(self, ideal: Ideal, input: ConstructionInput):
         self.ideal = ideal
         self.input = input
-
-    def __eq__(self, other):  # no __hash__: the record is mutable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ideal, self.input) == (other.ideal, other.input)
-
-    def __repr__(self):
-        return f"NonExtremalWitness(ideal={self.ideal!r}, input={self.input!r})"
 
 
 def non_extremal_witness(n: int, a: int, d: int) -> NonExtremalWitness:

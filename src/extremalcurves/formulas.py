@@ -7,7 +7,7 @@ cohomology.
 from __future__ import annotations
 
 from .monomials import BettiTable, MonomialIdeal, ek_betti
-from .ring import binom
+from .ring import FrozenRecord, binom
 
 
 def max_genus(n: int, d: int) -> int:
@@ -21,29 +21,15 @@ def max_genus(n: int, d: int) -> int:
     return binom(d - 2, 2) - (n - 3)
 
 
-class CurveSpec:
+class CurveSpec(FrozenRecord):
     """Numerical type of a curve: ambient dimension, degree, genus."""
+
+    _fields = ("n", "d", "g")
 
     def __init__(self, n: int, d: int, g: int):
         if g > max_genus(n, d):
             raise ValueError(f"genus {g} exceeds the bound {max_genus(n, d)}")
         self.__dict__.update(n=n, d=d, g=g)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.d, self.g) == (other.n, other.d, other.g)
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.g))
-
-    def __setattr__(self, *a):
-        raise AttributeError("CurveSpec is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        return f"CurveSpec(n={self.n!r}, d={self.d!r}, g={self.g!r})"
 
     @property
     def a(self) -> int:
@@ -71,8 +57,6 @@ def h1_bound(n: int, d: int, g: int, j: int) -> int:
         if 1 <= j <= -g - (n - 3):
             branches.append(-g - (n - 3) - j)
         if -g - (n - 3) <= j and j >= 1:
-            branches.append(0)
-        if not branches and j >= 1:
             branches.append(0)
         return _branches_agree(branches, (n, d, g, j))
     b2 = binom(d - 2, 2)
@@ -112,8 +96,6 @@ def h2_bound(n: int, d: int, g: int, j: int) -> int:
         branches.append(b2 - (d - 1) * j - 1)
     if j <= g - b2 - 1:
         branches.append(g - 1 - d * j)
-    if j == g - b2 and j <= -1:
-        pass  # both middle branches already appended and must agree
     return _branches_agree(branches, (n, d, g, j))
 
 
@@ -123,34 +105,14 @@ def default_window(n: int, d: int, g: int):
     return (g - b2 - 2, binom(d - 1, 2) - g + 2)
 
 
-class BoundProfile:
+class BoundProfile(FrozenRecord):
     """Tabulated h^1/h^2 bounds over a window; the h^2 entries are None
     where the degree-2 bound is undefined."""
 
+    _fields = ("n", "d", "g", "window", "h1", "h2")
+
     def __init__(self, n: int, d: int, g: int, window: tuple, h1: tuple, h2: tuple):
         self.__dict__.update(n=n, d=d, g=g, window=window, h1=h1, h2=h2)
-
-    def _fields(self):
-        return (self.n, self.d, self.g, self.window, self.h1, self.h2)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, *a):
-        raise AttributeError("BoundProfile is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        return (
-            f"BoundProfile(n={self.n!r}, d={self.d!r}, g={self.g!r}, "
-            f"window={self.window!r}, h1={self.h1!r}, h2={self.h2!r})"
-        )
 
     def h1_at(self, j):
         return self.h1[j - self.window[0]]

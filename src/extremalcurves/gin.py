@@ -26,6 +26,7 @@ import random
 from .groebner import cut_leads
 from .ideals import Ideal, is_saturated, random_unipotent_matrix
 from .monomials import MonomialIdeal, ek_numerator, is_strongly_stable
+from .ring import Record
 
 DEFAULT_ENTRY_BOUND = 50
 
@@ -34,19 +35,13 @@ class GinDisagreement(Exception):
     """No round produced two agreeing, certified, strongly stable draws."""
 
 
-class GinResult:
+class GinResult(Record):
+    _fields = ("ideal", "seeds", "entry_bound")
+
     def __init__(self, ideal: MonomialIdeal, seeds: tuple, entry_bound: int):
         self.ideal = ideal
         self.seeds = seeds
         self.entry_bound = entry_bound
-
-    def __eq__(self, other):  # no __hash__: the record is mutable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ideal, self.seeds, self.entry_bound) == (other.ideal, other.seeds, other.entry_bound)
-
-    def __repr__(self):
-        return f"GinResult(ideal={self.ideal!r}, seeds={self.seeds!r}, entry_bound={self.entry_bound!r})"
 
 
 def mix_seed(*parts) -> int:

@@ -41,14 +41,6 @@ class BettiTable:
         """max(j - i) over nonzero entries (ideal convention)."""
         return max((j - i for i, j in self.entries), default=0)
 
-    def generator_degrees(self):
-        """Multiset of degrees of the minimal generators (index 0 row)."""
-        out = []
-        for (i, j), r in sorted(self.entries.items()):
-            if i == 0:
-                out.extend([j] * r)
-        return out
-
     def __repr__(self):
         cells = ", ".join(f"({i},{j}):{r}" for (i, j), r in self.items())
         return f"BettiTable({cells})"

@@ -5,22 +5,18 @@ JSON (stable key order) or aligned text.
 
 from __future__ import annotations
 
+from .ring import Record
+
 SCHEMA_VERSION = 1
 
 
-class CurveReport:
+class CurveReport(Record):
     """One curve's report, held as its versioned JSON document."""
+
+    _fields = ("document",)
 
     def __init__(self, document: dict):
         self.document = document
-
-    def __eq__(self, other):  # no __hash__: the record is mutable
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.document == other.document
-
-    def __repr__(self):
-        return f"CurveReport(document={self.document!r})"
 
     @property
     def verdict(self) -> str:
@@ -29,9 +25,6 @@ class CurveReport:
     @property
     def extremal(self) -> bool:
         return self.verdict == "extremal"
-
-    def to_json_dict(self) -> dict:
-        return self.document
 
     def to_json(self) -> str:
         import json  # only a written report needs it; keeps CLI start-up light

@@ -8,7 +8,8 @@ run over the rationals only; Z/p serves ideal files with a ``zp`` header
 (parsing, emission, ``oracle-hf``), constructions from forms over Z/p,
 the rank tests of coordinate draws and plane forms over the ring's field,
 and the tests that cross-check the engines mod p.  Every value is
-immutable and safe to share between tasks.
+immutable and safe to share between tasks.  The module also holds the two
+record bases that the package's value classes derive from.
 """
 
 from __future__ import annotations
@@ -23,25 +24,50 @@ Monomial = tuple  # exponent tuple of length nvars
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields
+# record bases
 
 
-class RationalField:
-    """Exact rationals; coefficients are Fraction instances.  A value with
-    no fields: all instances are equal."""
+class Record:
+    """A value held in named fields, listed once in the class-level tuple
+    ``_fields``: field-wise equality with records of the same class only,
+    and the ``Cls(name=value, ...)`` repr.  Defining ``__eq__`` without
+    ``__hash__`` leaves a mutable record unhashable."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return True
+        return self._values() == other._values()
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__name__}({body})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by ``__init__`` writing
+    ``self.__dict__``; it hashes as the tuple of its field values."""
 
     def __hash__(self):
-        return hash(())
+        return hash(self._values())
 
     def __setattr__(self, *a):
-        raise AttributeError("RationalField is immutable")
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
 
     __delattr__ = __setattr__
+
+
+# ---------------------------------------------------------------------------
+# coefficient fields
+
+
+class RationalField(FrozenRecord):
+    """Exact rationals; coefficients are Fraction instances.  A value with
+    no fields: all instances are equal."""
 
     def coerce(self, v):
         if isinstance(v, Fraction):
@@ -72,26 +98,15 @@ class RationalField:
         return "QQ"
 
 
-class PrimeField:
+class PrimeField(FrozenRecord):
     """Z/p for an odd prime p; coefficients are ints in [0, p)."""
+
+    _fields = ("p",)
 
     def __init__(self, p: int):
         if p < 3 or p % 2 == 0 or not _is_prime(p):
             raise ValueError(f"need an odd prime, got {p}")
         self.__dict__["p"] = p
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PrimeField is immutable")
-
-    __delattr__ = __setattr__
 
     def coerce(self, v):
         if isinstance(v, Fraction):
@@ -322,12 +337,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def coefficient(self, m: Monomial):
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return self.ring.field.zero
-
     def substitute_linear(self, matrix) -> Polynomial:
         """Apply x_i -> sum_j matrix[i][j] x_j (by `expand_linear`, with
         exponent slots that fit the degree)."""
@@ -455,27 +464,13 @@ def format_poly(p: Polynomial) -> str:
     return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-class PolyRing:
+class PolyRing(FrozenRecord):
     """K[x0, ..., x_{nvars-1}] with the revlex order baked in."""
+
+    _fields = ("nvars", "field")
 
     def __init__(self, nvars: int, field=QQ):
         self.__dict__.update(nvars=nvars, field=field)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.nvars, self.field) == (other.nvars, other.field)
-
-    def __hash__(self):
-        return hash((self.nvars, self.field))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyRing is immutable")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self):
-        return f"PolyRing(nvars={self.nvars!r}, field={self.field!r})"
 
     @property
     def n(self) -> int:
@@ -505,11 +500,6 @@ class PolyRing:
     @property
     def one(self) -> Polynomial:
         return Polynomial(self, [(tuple([0] * self.nvars), 1)])
-
-    def monomial(self, m: Monomial, c=1) -> Polynomial:
-        if len(m) != self.nvars:
-            raise ValueError("wrong exponent tuple length")
-        return Polynomial(self, [(tuple(m), c)])
 
     def monomials_of_degree(self, j: int):
         """All degree-j monomials, descending in revlex."""

@@ -22,10 +22,10 @@ and annihilator by the dense stacked-rank and Koszul route, and the
 planar check of any plane given by linear forms, through the Gröbner
 basis of the cut; and small reads
 of package objects that only the tests make: the normal form and
-membership of a Gröbner basis, the top index and alternating numerator of
-a Betti table, the graded dimensions of a monomial ideal by counting its
-standard monomials, and constant
-polynomials."""
+membership of a Gröbner basis, the top index, generator degrees and
+alternating numerator of a Betti table, the graded dimensions of a
+monomial ideal by counting its standard monomials, constant and monomial
+polynomials, and the coefficient of one monomial."""
 
 import random
 import re
@@ -801,7 +801,7 @@ def planar_subcurve_by_forms(I: Ideal, plane_forms, degree: int) -> bool:
     for f in forms:
         if f.degree() != 1:
             raise ValueError("plane forms must be linear")
-        rows.append([f.coefficient(ring.var_mono(i)) for i in range(ring.nvars)])
+        rows.append([coefficient(f, ring.var_mono(i)) for i in range(ring.nvars)])
     if dense_rank(rows, ring.modulus) < len(forms):
         raise ValueError("dependent plane forms")
     try:
@@ -836,6 +836,16 @@ def contains(gb, f) -> bool:
 def max_index(table) -> int:
     """The largest homological index of a `BettiTable`, -1 when empty."""
     return max((i for i, _ in table.entries), default=-1)
+
+
+def generator_degrees(table):
+    """Multiset of degrees of the minimal generators (index 0 row) of a
+    `BettiTable`."""
+    out = []
+    for (i, j), r in sorted(table.entries.items()):
+        if i == 0:
+            out.extend([j] * r)
+    return out
 
 
 def alternating_numerator(table):
@@ -876,6 +886,21 @@ def ideal_dim(ideal, j: int) -> int:
 def from_scalar(ring, c) -> Polynomial:
     """The constant polynomial c of the ring."""
     return Polynomial(ring, [(tuple([0] * ring.nvars), c)])
+
+
+def monomial(ring, m, c=1) -> Polynomial:
+    """The term c·x^m of the ring."""
+    if len(m) != ring.nvars:
+        raise ValueError("wrong exponent tuple length")
+    return Polynomial(ring, [(tuple(m), c)])
+
+
+def coefficient(p, m):
+    """The coefficient of the monomial m in the `Polynomial` p."""
+    for mm, c in p.terms:
+        if mm == m:
+            return c
+    return p.ring.field.zero
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^]))")

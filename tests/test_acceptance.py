@@ -74,7 +74,7 @@ def catalog_point_task(point):
 
     ht = hilbert_table(ideal, default_window(n, d, g), *detect_hilbert_polynomial(ideal.initial_ideal()))
     hf_seconds = time.time() - t0
-    report = verify_extremal(ideal, seed=seed).to_json_dict()
+    report = verify_extremal(ideal, seed=seed).document
     top = report["hilbert"]["window"][1]
     oracle = oracle_quotient_dims(list(ideal.gens), top, ideal.ring)
     groebner = [ideal.initial_ideal().quotient_dim(j) for j in range(top + 1)]
@@ -137,7 +137,7 @@ def witness_task(a):
 def alternate_task(a):
     n = 5
     ideal = cubic_alternate_curve_ideal(n, a)
-    report = verify_extremal(ideal, seed=_mix(BASE_SEED, 13, a)).to_json_dict()
+    report = verify_extremal(ideal, seed=_mix(BASE_SEED, 13, a)).document
     top = report["hilbert"]["window"][1]
     oracle = oracle_quotient_dims(list(ideal.gens), top, ideal.ring)
     groebner = [ideal.initial_ideal().quotient_dim(j) for j in range(top + 1)]

@@ -20,7 +20,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE_DIR = pathlib.Path(extremalcurves.__file__).parent
 
 # (module, attribute path) of each name that moved to tests/reference.py,
-# or was deleted when its job went to one shared helper
+# or was deleted when its job went to one shared helper or to a field that
+# callers read directly
 GONE = [
     ("ideals", "change_coordinates"),
     ("modules", "ResolutionData.mats"),
@@ -61,6 +62,10 @@ GONE = [
     ("packing", "lcm"),
     ("packing", "degree"),
     ("packing", "_masks"),
+    ("monomials", "BettiTable.generator_degrees"),
+    ("ring", "Polynomial.coefficient"),
+    ("ring", "PolyRing.monomial"),
+    ("report", "CurveReport.to_json_dict"),
 ]
 
 

@@ -15,7 +15,7 @@ from extremalcurves.idealfile import (
 )
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing
-from reference import tokenized_parse_polynomial
+from reference import coefficient, tokenized_parse_polynomial
 
 R4 = PolyRing(4)
 
@@ -82,9 +82,9 @@ class TestIdealFile:
 
     def test_negative_and_coefficients(self):
         p = parse_polynomial(R4, "-3*x0^2 + 2*x1*x2 - x3^2", 1)
-        assert p.coefficient((2, 0, 0, 0)) == -3
-        assert p.coefficient((0, 1, 1, 0)) == 2
-        assert p.coefficient((0, 0, 0, 2)) == -1
+        assert coefficient(p, (2, 0, 0, 0)) == -3
+        assert coefficient(p, (0, 1, 1, 0)) == 2
+        assert coefficient(p, (0, 0, 0, 2)) == -1
 
     def test_prime_field_header(self):
         I = parse_ideal_text("ring n=2 field=zp:32003\nx0^2 - x1*x2\n")

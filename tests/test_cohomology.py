@@ -374,7 +374,7 @@ class TestPlanarSubcurve:
 
 class TestVerifyExtremal:
     def test_space_quartic_all_checks(self):
-        rep = verify_extremal(extremal_curve_ideal(3, 4, 0), seed=1).to_json_dict()
+        rep = verify_extremal(extremal_curve_ideal(3, 4, 0), seed=1).document
         assert rep["verdict"] == "extremal"
         assert all(rep["h1"]["matches"])
         assert rep["h2"]["match"]
@@ -439,7 +439,7 @@ class TestCurveAnalysis:
         monkeypatch.setattr(PresentedModule, "hf", recorded_hf)
         monkeypatch.setattr(cohomology, "detect_hilbert_polynomial", derived)
         # d = 4 with a = 1: every check of the report runs
-        rep = verify_extremal(curve, seed=1).to_json_dict()
+        rep = verify_extremal(curve, seed=1).document
         assert rep["gin"]["checked"] and rep["betti"]["checked"] and rep["planar_subcurve"]["checked"]
         # the sections are read off the gin: no hyperplane is drawn
         assert calls == {
@@ -459,7 +459,7 @@ class TestCurveAnalysis:
         monkeypatch.setattr(cohomology, "random_unipotent_matrix", forbidden)
         monkeypatch.setattr(ideals, "random_unipotent_matrix", forbidden)
         report = verify_extremal(curve, seed=1)
-        doc = report.to_json_dict()
+        doc = report.document
         assert doc["gin"]["checked"] and doc["betti"]["checked"] and doc["planar_subcurve"]["checked"]
         assert doc["hyperplane_section"]["match"] and doc["seeds"]["hyperplane"] is None
         assert report.to_json() == expected

@@ -26,7 +26,7 @@ from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal, intersect, is_saturated, quotient
 from extremalcurves.packing import ExponentLimitError, layout
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField, clear_denominators
-from reference import dense_rank, from_scalar
+from reference import dense_rank, from_scalar, monomial
 
 
 def _random_form(ring, degree, rng, density=0.5):
@@ -59,7 +59,7 @@ def _saturation_cases():
         I = _random_ideal(ring, rng, count)
         cases.append((f"random{nvars}v{count}", I))
         if nvars <= 4:
-            m3 = Ideal(ring, [ring.monomial(m) for m in ring.monomials_of_degree(3)])
+            m3 = Ideal(ring, [monomial(ring, m) for m in ring.monomials_of_degree(3)])
             cases.append((f"random{nvars}v{count}-cap-m3", intersect(I, m3)))
     for nvars in (3, 4):
         ring = PolyRing(nvars)
@@ -169,7 +169,7 @@ def test_verdict_needs_no_quotient(monkeypatch):
 
     monkeypatch.setattr(ideals, "quotient", forbidden)
     monkeypatch.setattr(ideals, "saturate", forbidden)
-    report = verify_extremal(Ideal(I.ring, list(I.gens)), seed=3).to_json_dict()
+    report = verify_extremal(Ideal(I.ring, list(I.gens)), seed=3).document
     assert report["verdict"] == "extremal"
     assert report["planar_subcurve"]["checked"] and report["planar_subcurve"]["verdict"]
 
@@ -206,7 +206,7 @@ def _expansion_cases(field, seed):
             for m in ring.monomials_of_degree(degree)
             if rng.random() < 0.35
         ]
-        f = Polynomial(ring, terms) or ring.monomial(ring.monomials_of_degree(degree)[0], 3)
+        f = Polynomial(ring, terms) or monomial(ring, ring.monomials_of_degree(degree)[0], 3)
         kind = ("generic", "repeated", "zero-row", "rank-one", "sevens")[trial % 5]
         matrix = _random_matrix(nvars, rng, kind)
         cases.append((f, matrix))

@@ -6,14 +6,14 @@ from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, 
 from extremalcurves.ideals import Ideal
 from extremalcurves.monomials import MonomialIdeal, is_strongly_stable
 from extremalcurves.ring import PolyRing, PrimeField
-from reference import full_variable_gin
+from reference import full_variable_gin, monomial
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
 
 
 def ideal_from_monomials(ring, monomial_ideal):
-    return Ideal(ring, [ring.monomial(m) for m in monomial_ideal.gens])
+    return Ideal(ring, [monomial(ring, m) for m in monomial_ideal.gens])
 
 
 def test_principal_binary_quadric():

@@ -12,7 +12,7 @@ from extremalcurves.modules import (
 from extremalcurves.packing import layout
 from extremalcurves.monomials import BettiTable, MonomialIdeal, ek_betti
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import alternating_numerator, mats, verify_resolution
+from reference import alternating_numerator, mats, monomial, verify_resolution
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -131,7 +131,7 @@ class TestResolution:
                             work.append(tuple(v))
             ring = PolyRing(nv)
             ideal = MonomialIdeal(nv, closure)
-            gens = [ring.monomial(m) for m in ideal.gens]
+            gens = [monomial(ring, m) for m in ideal.gens]
             gb = buchberger(gens, ring)
             res = free_resolution_from_gb(gb)
             verify_resolution(res, gb)

@@ -1,7 +1,9 @@
 """Value semantics of the package's eleven record classes: the constructor
 (positional and keyword), field-wise equality that refuses other classes,
 a field-tuple hash and read-only fields on the seven frozen records, no
-hash on the four mutable ones, the input checks, and the exact repr."""
+hash on the four mutable ones, the input checks, and the exact repr; and
+that all of it comes from the two shared bases in `ring`, not from copies
+in each class."""
 
 import itertools
 import pickle
@@ -15,7 +17,7 @@ from extremalcurves.gin import GinResult
 from extremalcurves.ideals import Ideal
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.report import CurveReport
-from extremalcurves.ring import QQ, PolyRing, PrimeField, RationalField
+from extremalcurves.ring import QQ, FrozenRecord, PolyRing, PrimeField, RationalField, Record
 
 R = PolyRing(4)
 X = R.gens()
@@ -143,6 +145,15 @@ def test_mutable_records_are_unhashable(cls, fields, text):
     name, value = next(iter(fields.items()))
     setattr(record, name, value)
     assert record == cls(**fields)
+
+
+@pytest.mark.parametrize("cls,fields,text", RECORDS, ids=_ids(RECORDS))
+def test_value_methods_come_from_the_shared_bases(cls, fields, text):
+    own = {"__eq__", "__hash__", "__setattr__", "__delattr__"} & set(vars(cls))
+    assert not own, own
+    assert ("__repr__" in vars(cls)) == (cls in (RationalField, PrimeField))
+    assert cls.__bases__ == ((FrozenRecord,) if cls in FROZEN_CLASSES else (Record,))
+    assert cls._fields == tuple(fields)
 
 
 def test_input_checks():

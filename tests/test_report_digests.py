@@ -68,7 +68,7 @@ CASES = [
 def test_report_bytes_are_pinned(label, make, seed, checks, verdict, digest, text_digest):
     I = make()
     report = verify_extremal(Ideal(I.ring, list(I.gens)), seed=seed)
-    doc = report.to_json_dict()
+    doc = report.document
     ran = (
         doc["gin"]["checked"],
         bool(doc["hyperplane_section"]["values"]),
