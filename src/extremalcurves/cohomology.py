@@ -186,9 +186,6 @@ class FiniteLengthModule(Record):
         self.generator_degrees = generator_degrees
         self.annihilator_degrees = annihilator_degrees
 
-    def dim(self, j):
-        return self.dims.get(j, 0)
-
 
 def deficiency_module(dual: DualCohomology, table) -> FiniteLengthModule:
     """The Hartshorne-Rao module from the dual complex and its dimension
@@ -545,7 +542,6 @@ def verify_extremal(I: Ideal, seed: int = 0) -> CurveReport:
                 "a=0: the closed-form top twist follows the stable-ideal formula"
             )
 
-    rao_dims = [rao.dim(j) for j in c.degrees]
     rao_expected, ann_expected = c.rao_expected or (None, None)
     if rao_structure_excluded(spec):
         warnings.append(
@@ -606,9 +602,9 @@ def verify_extremal(I: Ideal, seed: int = 0) -> CurveReport:
         },
         "rao": {
             "window": window,
-            "dims": rao_dims,
+            "dims": c.h1,  # h1 reads the one Rao table
             "expected": rao_expected,
-            "match": rao_expected == rao_dims if rao_checked else None,
+            "match": rao_expected == c.h1 if rao_checked else None,
             "generator_count": rao.generator_count,
             "generator_degrees": rao.generator_degrees,
             "cyclic": rao.generator_count <= 1,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 
+from .formulas import max_genus
 from .groebner import _EnginePoly
 from .ideals import Ideal
 from .modules import GraphBasis, packed_vector
@@ -128,7 +129,7 @@ def construct_curve(inp: ConstructionInput) -> Ideal:
     keys = {xi + ut for xi in x[2:] for ut in u}
     if not inp.f:  # a zero value: its planar generator lies in the kernel
         keys.add(u0)
-    one = ring.field.one
+    one = ring.field.coerce(1)
     cands = [Polynomial.from_sorted(ring, [(lay.unpack(k), one)]) for k in sorted(keys)]
     for vec in graph.kernel_generators():
         # s_t is binary and the u_t are distinct monomials: the terms of
@@ -144,16 +145,14 @@ def construct_curve(inp: ConstructionInput) -> Ideal:
 def extremal_curve_ideal(n: int, d: int, g: int) -> Ideal:
     """Explicit extremal curve of degree d and genus g in projective n-space.
 
-    Degree 2 is allowed with genus 3 - n - a for a >= 1; degree >= 3 covers
-    every genus up to the bound.
+    Every genus up to `max_genus(n, d)` is allowed.  The exponent a below
+    is the genus deficit, plus one at d = 2.
     """
     if n < 3 or d < 2:
         raise ValueError("need n >= 3 and d >= 2")
+    if g > max_genus(n, d):
+        raise ValueError(f"genus {g} exceeds the bound {max_genus(n, d)} for (n, d) = ({n}, {d})")
     a = binom(d - 2, 2) - (n - 3) - g
-    if a < 0:
-        raise ValueError(f"genus {g} exceeds the bound for (n, d) = ({n}, {d})")
-    if d == 2 and a < 1:
-        raise ValueError("degree 2 needs a >= 1 (a planar conic is degenerate)")
     ring = PolyRing(n + 1)
     x = ring.gens()
     planar = [x[2] ** (d - 1)] + [x[i] for i in range(3, n + 1)]

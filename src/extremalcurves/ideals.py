@@ -11,6 +11,8 @@ resolution instead (Auslander-Buchsbaum).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .groebner import GroebnerBasis, _to_engine, buchberger, minimal_basis
 from .modules import free_resolution_from_gb, module_kernel
 from .packing import layout
@@ -148,14 +150,14 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     q_terms = []
     r = f
-    fld = ring.field
+    coerce = ring.field.coerce
     while r:
         lm, lc = r.lead_monomial, r.lead_coeff
         gm, gc = g.lead_monomial, g.lead_coeff
         if not mono_divides(gm, lm):
             raise ValueError("not an exact division")
         mono = mono_div(lm, gm)
-        coeff = fld.div(lc, gc)
+        coeff = coerce(Fraction(lc) / gc)
         q_terms.append((mono, coeff))
         r = r - g.mono_shift(mono, coeff)
     return Polynomial(ring, q_terms)

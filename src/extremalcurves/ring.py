@@ -2,14 +2,17 @@
 lexicographic order.
 
 Monomials are dense exponent tuples of length ``nvars`` (variables
-x0 > x1 > ... ordered by index).  Coefficients live in an exact field:
-arbitrary-precision rationals by default, or an odd prime field.  Verdicts
-run over the rationals only; Z/p serves ideal files with a ``zp`` header
-(parsing, emission, ``oracle-hf``), constructions from forms over Z/p,
-the rank tests of coordinate draws and plane forms over the ring's field,
-and the tests that cross-check the engines mod p.  Every value is
-immutable and safe to share between tasks.  The module also holds the two
-record bases that the package's value classes derive from.
+x0 > x1 > ... ordered by index).  Coefficients are plain numbers of an
+exact field: ``Fraction`` instances over the rationals (the default), ints
+in [0, p) over an odd prime field.  The field classes only normalise a
+value (``coerce``); ``Polynomial`` computes with ``+``, ``-`` and ``*`` and
+coerces what it keeps.  Verdicts run over the rationals only; Z/p serves
+ideal files with a ``zp`` header (parsing, emission, ``oracle-hf``),
+constructions from forms over Z/p, the rank tests of coordinate draws and
+plane forms over the ring's field, and the tests that cross-check the
+engines mod p.  Every value is immutable and safe to share between tasks.
+The module also holds the two record bases that the package's value
+classes derive from.
 """
 
 from __future__ import annotations
@@ -74,26 +77,6 @@ class RationalField(FrozenRecord):
             return v
         return Fraction(v)
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def div(self, a, b):
-        return a / b
-
     def __repr__(self):
         return "QQ"
 
@@ -114,26 +97,6 @@ class PrimeField(FrozenRecord):
                 raise ZeroDivisionError("denominator vanishes mod p")
             return v.numerator * pow(v.denominator, -1, self.p) % self.p
         return int(v) % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def div(self, a, b):
-        return a * pow(b, -1, self.p) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -207,22 +170,13 @@ class Polynomial:
 
     def __init__(self, ring: PolyRing, terms):
         acc = {}
-        fld = ring.field
         for m, c in terms:
-            c = fld.coerce(c)
-            if m in acc:
-                s = fld.add(acc[m], c)
-                if s == fld.zero:
-                    del acc[m]
-                else:
-                    acc[m] = s
-            elif c != fld.zero:
-                acc[m] = c
+            acc[m] = acc[m] + c if m in acc else c
+        coerce = ring.field.coerce
+        kept = [(m, c) for m, c in zip(acc, map(coerce, acc.values())) if c]
         object.__setattr__(self, "ring", ring)
         object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(acc.items(), key=lambda t: revlex_key(t[0]), reverse=True)),
+            self, "terms", tuple(sorted(kept, key=lambda t: revlex_key(t[0]), reverse=True))
         )
 
     @classmethod
@@ -236,6 +190,8 @@ class Polynomial:
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
+
+    __delattr__ = __setattr__
 
     def __bool__(self):
         return bool(self.terms)
@@ -280,50 +236,33 @@ class Polynomial:
 
     def __sub__(self, other):
         self._check_ring(other)
-        fld = self.ring.field
-        return Polynomial(
-            self.ring,
-            list(self.terms) + [(m, fld.neg(c)) for m, c in other.terms],
-        )
+        return Polynomial(self.ring, list(self.terms) + [(m, -c) for m, c in other.terms])
 
     def __neg__(self):
-        fld = self.ring.field
-        return Polynomial(self.ring, [(m, fld.neg(c)) for m, c in self.terms])
+        return Polynomial(self.ring, [(m, -c) for m, c in self.terms])
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check_ring(other)
-        fld = self.ring.field
         acc = {}
-        zero = fld.zero
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = mono_mul(m1, m2)
-                s = fld.add(acc.get(m, zero), fld.mul(c1, c2))
-                if s == zero:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return Polynomial(self.ring, acc.items())
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return Polynomial(self.ring, acc.items())  # the field coerces, zeros drop
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        fld = self.ring.field
-        c = fld.coerce(c)
-        if c == fld.zero:
-            return self.ring.zero
-        return Polynomial(self.ring, [(m, fld.mul(cc, c)) for m, cc in self.terms])
+        c = self.ring.field.coerce(c)
+        return Polynomial(self.ring, [(m, cc * c) for m, cc in self.terms])
 
     def mono_shift(self, m: Monomial, c=1):
         """Multiply by the monomial m scaled by c."""
-        fld = self.ring.field
-        c = fld.coerce(c)
-        return Polynomial(
-            self.ring, [(mono_mul(mm, m), fld.mul(cc, c)) for mm, cc in self.terms]
-        )
+        c = self.ring.field.coerce(c)
+        return Polynomial(self.ring, [(mono_mul(mm, m), cc * c) for mm, cc in self.terms])
 
     def __pow__(self, k: int):
         if k < 0:

@@ -62,7 +62,7 @@ def dense_rank(matrix, modulus=0) -> int:
 def binary_coeff_vector(p: Polynomial, degree: int):
     """Coefficients of a binary form along x0^e * x1^(degree-e), e = 0..degree,
     in the ring's field."""
-    out = [p.ring.field.zero] * (degree + 1)
+    out = [p.ring.field.coerce(0)] * (degree + 1)
     for m, c in p.terms:
         out[m[0]] = c
     return out
@@ -70,7 +70,7 @@ def binary_coeff_vector(p: Polynomial, degree: int):
 
 def _uni_gcd(a, b, fld):
     """Monic gcd of univariate coefficient lists (ascending powers) over the
-    field `fld`."""
+    field `fld`, each new coefficient normalised by `fld.coerce`."""
 
     def strip(v):
         v = list(v)
@@ -86,15 +86,15 @@ def _uni_gcd(a, b, fld):
             if not r[-1]:
                 r.pop()
                 continue
-            f = fld.div(r[-1], b[-1])
+            f = Fraction(r[-1]) / b[-1]
             off = len(r) - len(b)
             for i, c in enumerate(b):
-                r[off + i] = fld.add(r[off + i], fld.neg(fld.mul(f, c)))
+                r[off + i] = fld.coerce(r[off + i] - f * c)
             r.pop()
         a, b = b, strip(r)
     if a:
         lead = a[-1]
-        a = [fld.div(c, lead) for c in a]
+        a = [fld.coerce(Fraction(c) / lead) for c in a]
     return a
 
 
@@ -139,7 +139,7 @@ def graph_kernel_ideal(inp) -> Ideal:
     values = [inp.f] + list(inp.f_list)
     live = [t for t, p in enumerate(values) if p]
     cols = [packed_vector(ring, [p]) for p in [values[t] for t in live] + x[2:]]
-    lay, fld = layout(ring.nvars), ring.field
+    lay, coerce = layout(ring.nvars), ring.field.coerce
     pack, unpack = lay.pack, lay.unpack
     shifts = [pack(planar_gens[t].lead_monomial) for t in live]
     gens = []
@@ -148,7 +148,7 @@ def graph_kernel_ideal(inp) -> Ideal:
         for s, entry in vec.items():
             if s < len(live):  # the relations' components drop out
                 for k, c in entry.items():
-                    acc[k + shifts[s]] = fld.add(acc.get(k + shifts[s], fld.zero), c)
+                    acc[k + shifts[s]] = coerce(acc.get(k + shifts[s], 0) + c)
         terms = [(unpack(k), acc[k]) for k in sorted(acc) if acc[k]]
         if terms:
             gens.append(Polynomial.from_sorted(ring, terms))
@@ -900,7 +900,7 @@ def coefficient(p, m):
     for mm, c in p.terms:
         if mm == m:
             return c
-    return p.ring.field.zero
+    return p.ring.field.coerce(0)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<var>x[0-9]+)|(?P<op>[-+*^]))")

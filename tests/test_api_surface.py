@@ -66,6 +66,12 @@ GONE = [
     ("ring", "Polynomial.coefficient"),
     ("ring", "PolyRing.monomial"),
     ("report", "CurveReport.to_json_dict"),
+    ("cohomology", "FiniteLengthModule.dim"),
+    *[
+        ("ring", f"{cls}.{name}")
+        for cls in ("RationalField", "PrimeField")
+        for name in ("zero", "one", "add", "mul", "neg", "div")
+    ],
 ]
 
 

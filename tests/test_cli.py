@@ -217,6 +217,16 @@ class TestCli:
         for entry in doc["reports"]:
             assert entry["report"]["verdict"] == "extremal"
 
+    def test_sweep_degree_two_top_genus(self, tmp_path, capsys):
+        # a = 0 at d = 2 is the genus 2 - n, a grid point like any other
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--n", "3:3", "--d", "2:2", "--a", "0:0", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == "1 grid points, 1 extremal, 0 failed\n"
+        (entry,) = json.loads(out.read_text())["reports"]
+        assert entry["point"] == {"n": 3, "d": 2, "a": 0}
+        assert entry["report"]["spec"] == {"n": 3, "d": 2, "g": -1, "a": 0}
+        assert entry["report"]["verdict"] == "extremal"
+
     def test_sweep_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -12,6 +12,7 @@ from extremalcurves.construct import (
     non_extremal_witness,
     random_construction_input,
 )
+from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal, is_saturated
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing, PrimeField
@@ -146,6 +147,14 @@ class TestCatalogs:
             extremal_curve_ideal(3, 4, 2)
         with pytest.raises(ValueError):
             extremal_curve_ideal(3, 2, 0)
+
+    def test_every_genus_up_to_the_bound_is_admissible(self):
+        for n in (3, 4, 5):
+            for d in (2, 3, 4):
+                top = max_genus(n, d)
+                assert extremal_curve_ideal(n, d, top).ring.nvars == n + 1
+                with pytest.raises(ValueError, match=f"genus {top + 1} exceeds the bound {top}"):
+                    extremal_curve_ideal(n, d, top + 1)
 
     def test_alternate_cubic_shape(self):
         I = cubic_alternate_curve_ideal(5, 2)

@@ -9,6 +9,7 @@ minimalization of resolutions, with the dual rows read from its integers,
 against its field reference on random constructions in P^3 to P^5."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -84,7 +85,6 @@ def padded_generators(draw):
     land before the member it came from, which then becomes the redundant
     one."""
     ring = draw(rings())
-    fld = ring.field
     top = 3 if ring.nvars == 3 else 2
     gens = [
         draw(forms(ring, draw(st.integers(1, top)), min_terms=1, max_terms=3))
@@ -104,8 +104,8 @@ def padded_generators(draw):
             extra = f + draw(st.sampled_from(mates))
         elif kind == "s-vector" and near:
             g, w = draw(st.sampled_from(near))
-            extra = (f.mono_shift(mono_div(w, f.lead_monomial), fld.div(fld.one, f.lead_coeff))
-                     - g.mono_shift(mono_div(w, g.lead_monomial), fld.div(fld.one, g.lead_coeff)))
+            extra = (f.mono_shift(mono_div(w, f.lead_monomial), Fraction(1, f.lead_coeff))
+                     - g.mono_shift(mono_div(w, g.lead_monomial), Fraction(1, g.lead_coeff)))
         else:
             extra = f * draw(st.integers(-3, 3).filter(bool))
         if extra:
@@ -116,10 +116,9 @@ def padded_generators(draw):
 def assert_reduced(gb, gens):
     """Monic leads, none dividing another, no term of an element divisible
     by another element's lead, and every generator a member."""
-    one = gb.ring.field.one
     leads = [p.lead_monomial for p in gb.polys]
     for k, p in enumerate(gb.polys):
-        assert p.lead_coeff == one
+        assert p.lead_coeff == 1
         for m, _ in p.terms:
             assert not any(mono_divides(lead, m) for t, lead in enumerate(leads) if t != k)
     assert all(contains(gb, g) for g in gens)

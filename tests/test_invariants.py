@@ -46,7 +46,7 @@ class TestRaoModuleAgainstTwoVariableData:
         for j in range(-4, 9):
             e = j + shift
             expected = dims[e] if 0 <= e <= 12 else 0
-            assert m.dim(j) == expected
+            assert m.dims.get(j, 0) == expected
 
     def test_witness_rao_with_zero_gluing_form(self):
         from extremalcurves.construct import non_extremal_witness
@@ -58,7 +58,7 @@ class TestRaoModuleAgainstTwoVariableData:
         for j in range(-5, 10):
             e = j + shift
             expected = dims[e] if 0 <= e <= 14 else 0
-            assert m.dim(j) == expected
+            assert m.dims.get(j, 0) == expected
 
 
 class TestConstructionOutputs:

@@ -131,6 +131,73 @@ class TestPolynomial:
         assert coefficient(cube, mono(3, 0, 0, 0)) == 1
 
 
+def _in_field(field, c):
+    """Whether c is a coefficient as the field keeps it: a nonzero Fraction
+    over QQ, a nonzero int in [0, p) over GF(p)."""
+    if field == QQ:
+        return type(c) is Fraction and c != 0
+    return type(c) is int and 0 < c < field.p
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+    def test_every_operation_keeps_field_coefficients(self, field):
+        ring = PolyRing(3, field)
+        x0, x1, x2 = ring.gens()
+        f = 3 * x0 - x1 * 5 + x2
+        g = x0 * x1 - 2 * x2 * x2
+        results = {
+            "add": f + x1,
+            "sub": f - 4 * x0,
+            "neg": -f,
+            "mul": f * g,
+            "scale": f.scale(Fraction(2, 3)),
+            "mono_shift": f.mono_shift((1, 0, 2), -4),
+            "pow": f**3,
+        }
+        for name, h in results.items():
+            assert h, name
+            assert all(_in_field(field, c) for _, c in h.terms), (name, h.terms)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+    def test_a_cancelling_product_drops_its_zero_terms(self, field):
+        ring = PolyRing(3, field)
+        x0, x1, _ = ring.gens()
+        square = (x0 + x1) * (x0 - x1)
+        assert [m for m, _ in square.terms] == [(2, 0, 0), (0, 2, 0)]
+        if field != QQ:
+            assert (x0 * (7 * x1)).terms == ()
+            assert ((x0 + x1) * (x0 + 6 * x1)).terms == (((2, 0, 0), 1), ((0, 2, 0), 6))
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+    def test_scale_by_zero_is_zero(self, field):
+        ring = PolyRing(3, field)
+        f = ring.gen(0) - 2 * ring.gen(2)
+        assert f.scale(0) == ring.zero and f.scale(0).terms == ()
+        assert 0 * f == ring.zero
+        assert f.mono_shift((1, 1, 0), 0) == ring.zero
+
+    def test_fractions_reduce_mod_p(self):
+        ring = PolyRing(2, PrimeField(7))
+        assert Polynomial(ring, [((1, 0), Fraction(1, 2))]).terms == (((1, 0), 4),)
+        assert Polynomial(ring, [((1, 0), Fraction(-3, 5))]).terms == (((1, 0), 5),)
+        assert ring.gen(0).scale(Fraction(1, 3)).terms == (((1, 0), 5),)
+        with pytest.raises(ZeroDivisionError):
+            Polynomial(ring, [((1, 0), Fraction(1, 14))])
+        with pytest.raises(ZeroDivisionError):
+            ring.gen(0).scale(Fraction(2, 7))
+
+    def test_fields_are_immutable_and_cannot_be_deleted(self):
+        f = R4.gen(0)
+        with pytest.raises(AttributeError):
+            f.terms = ()
+        with pytest.raises(AttributeError):
+            del f.terms
+        with pytest.raises(AttributeError):
+            del f.ring
+        assert f.terms == ((mono(1, 0, 0, 0), 1),) and bool(f)
+
+
 class TestMonomialEnumeration:
     def test_count_and_order(self):
         ms = R4.monomials_of_degree(3)
