@@ -8,6 +8,10 @@ the coprimality criterion at rank 1.  A polynomial ideal is the rank-1 case
 of the one pair loop.  Homogeneous input means pair degrees are
 non-decreasing, so a degree cap yields the exact initial ideal up to that
 degree.
+
+One driver, `_Engine.build`, makes every ideal run and every presented
+module: up the degrees, each input top-reduced after the pairs below it.
+No lead it adds divides another, so the reduced basis only interreduces.
 """
 
 from __future__ import annotations
@@ -275,59 +279,74 @@ class _Engine:
             self.add(_EnginePoly(keys, _primitive(coeffs, modulus), deg))
             push_pairs(len(basis) - 1)
 
+    def build(self, elems, twists=(0,), cap=None, product=False):
+        """The one driver: insert the homogeneous elems in ascending degree
+        (a lead's degree plus its component's twist, input order within a
+        degree), drop those above cap, and complete the pairs up to cap.
+        Returns the indices of the elems kept, in the order they went in.
 
-def _start(eng, gens, checked=False):
-    """Engine elements of the nonzero gens (homogeneous polynomials or
-    `linear_images`); checked gens are known homogeneous."""
-    out = []
+        Before an element of degree e goes in, the pairs up to e are done:
+        the basis is a degree-e truncated Gröbner basis of J, the span of the
+        elements kept so far, so the element reduces to zero iff it lies in
+        J_e, and else its top-reduced remainder is added.  That lead is
+        irreducible, so it makes no pair of degree <= e (such an lcm is the
+        lead, which no other lead divides), and the basis stays truncated
+        at e for the next element.  On an ideal's generators this keeps
+        the subset of `oracle.minimal_generators`: g not in (I_<e)_e +
+        span(kept mates).
+
+        Every element added, input or S-vector, is top-reduced, and degrees
+        only rise.  So no lead divides another in its component: an earlier
+        one would have reduced the later, and a later one, of no smaller
+        degree, would equal the earlier.  `_reduced` keeps every element."""
+        lay, cs, modulus = self.layout, self.comp_shift, self.modulus
+        degs = [lay.degree(e.keys[0] & lay.full) + twists[e.keys[0] >> cs] for e in elems]
+        kept = []
+        for t in sorted(range(len(elems)), key=degs.__getitem__):
+            deg = degs[t]
+            if cap is not None and deg > cap:
+                break
+            self.complete(twists, deg, product)
+            keys, coeffs = self.top_reduce(dict(zip(elems[t].keys, elems[t].coeffs)))
+            if keys:
+                self.add(_EnginePoly(keys, _primitive(coeffs, modulus), deg))
+                kept.append(t)
+        self.complete(twists, cap, product)
+        return kept
+
+
+def _run(gens, ring=None, cap=None, checked=False):
+    """The driver's run (`_Engine.build`) on the ideal of the nonzero gens,
+    homogeneous polynomials or `linear_images` (checked polynomials are
+    known homogeneous): the engine and the indices of the kept gens among
+    the nonzero ones.  The ring is the first polynomial's when not given."""
+    gens = list(gens)
+    if ring is None:
+        ring = next((g.ring for g in gens if isinstance(g, Polynomial)), None)
+        if ring is None:
+            raise ValueError("cannot infer the ring from no polynomial generator")
+    eng = _Engine(ring)
+    elems = []
     for g in gens:
         if isinstance(g, _EnginePoly):
-            out.append(g)
+            elems.append(g)
         elif g:
             if not checked and not g.is_homogeneous():
                 raise ValueError("Buchberger engine expects homogeneous generators")
-            out.append(_to_engine(g, eng.layout, eng.modulus))
-    return out
+            elems.append(_to_engine(g, eng.layout, eng.modulus))
+    return eng, eng.build(elems, cap=cap, product=True)
 
 
-def _reduced(eng, lead_only=False):
-    """The reduced basis of a completed engine, as engine elements in the
-    canonical integers of `_monic` (or as lead monomials only): drop each
-    element whose lead another lead divides (the earlier of two equal
-    leads stays), then interreduce the rest."""
-    basis, himask = eng.basis, eng.himask
-    kept = []
-    for idx, g in enumerate(basis):
-        lead = g.keys[0]
-        redundant = any(
-            k != idx and packing.divides(h.keys[0], lead, himask)
-            for k, h in enumerate(basis)
-            if h.keys[0] != lead or k < idx
-        )
-        if not redundant:
-            kept.append(g)
-    kept.sort(key=lambda e: e.keys[0])
-
-    if lead_only:
-        return [eng.layout.unpack(g.keys[0]) for g in kept]
-
-    # interreduce: no tail term is divisible by its own (equal-degree) lead
-    red = _Engine(eng.ring)
-    for g in kept:
-        red.add(g)
+def _reduced(eng):
+    """The reduced basis of a driver's engine, as engine elements in the
+    canonical integers of `_monic`: no lead divides another
+    (`_Engine.build`), so every element stays, and each tail is reduced
+    against the engine itself."""
     out = []
-    for g in kept:
-        keys, coeffs, mult = red.normal_form(g.keys[1:], g.coeffs[1:])
+    for g in eng.basis:
+        keys, coeffs, mult = eng.normal_form(g.keys[1:], g.coeffs[1:])
         out.append(_EnginePoly([g.keys[0]] + keys, _monic([g.coeffs[0] * mult] + coeffs, eng.modulus), g.deg))
     return out
-
-
-def _buchberger_engine(ring, gens, cap=None, lead_only=False):
-    eng = _Engine(ring)
-    for e in sorted(_start(eng, gens), key=lambda e: (e.deg, e.keys[0])):
-        eng.add(e)
-    eng.complete(cap=cap, product=True)
-    return _reduced(eng, lead_only)
 
 
 class GroebnerBasis:
@@ -387,9 +406,8 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Gröbner basis of the homogeneous ideal generated by gens
     (polynomials, or engine elements from `linear_images` with the ring
     given)."""
-    if ring is None:
-        ring = gens[0].ring
-    return GroebnerBasis(ring, _buchberger_engine(ring, list(gens)))
+    eng, _ = _run(gens, ring)
+    return GroebnerBasis(eng.ring, _reduced(eng))
 
 
 def minimal_basis(gens, ring: PolyRing):
@@ -398,45 +416,22 @@ def minimal_basis(gens, ring: PolyRing):
     Gröbner basis of the ideal it generates (equal to ``buchberger(kept)``).
     The gens are not tested for homogeneity again: `Ideal.minimal`, the
     one caller, has tested its Polynomials.  Engine elements may stand
-    among them; a kept one comes out as its monic Polynomial.
-
-    One engine goes through the degrees e in ascending order: it completes
-    the pairs up to degree e, then top-reduces each degree-e candidate in
-    input order and keeps it iff the remainder is nonzero, adding the
-    remainder to the basis.  This keeps the oracle's subset, which holds g
-    iff g is not in (I_<e)_e + span(kept mates), I_<e the ideal of the gens
-    below degree e: that is, not in J_e for J the ideal of the gens kept so
-    far (the kept ones generate I_<e).  After the pairs up to degree e the
-    basis is a degree-e truncated Gröbner basis of J, so g reduces to zero
-    iff g lies in J_e.  A remainder's lead is irreducible, so it makes no
-    pair of degree <= e (no element is above degree e, so such an lcm would
-    mean another lead divides it), and the leads of degree e then span
-    J_e + K*g: the basis stays truncated at e for the next candidate.
-    After the last degree the pairs are completed with no cap.
-    """
+    among them; a kept one comes out as its monic Polynomial.  The driver
+    keeps exactly the oracle's subset (`_Engine.build`)."""
     gens = [g for g in gens if g]
-    eng = _Engine(ring)
-    kept = []
-    # a stable sort keeps the input order within a degree
-    for g, e in sorted(zip(gens, _start(eng, gens, checked=True)), key=lambda c: c[1].deg):
-        eng.complete(cap=e.deg, product=True)
-        keys, coeffs = eng.top_reduce(dict(zip(e.keys, e.coeffs)))
-        if keys:
-            kept.append(g if isinstance(g, Polynomial) else _from_engine(g, ring, eng.layout.unpack, eng.modulus))
-            eng.add(_EnginePoly(keys, _primitive(coeffs, eng.modulus), e.deg))
-    eng.complete(product=True)
+    eng, kept = _run(gens, ring, checked=True)
+    kept = [gens[t] for t in kept]
+    unpack, modulus = eng.layout.unpack, eng.modulus
+    kept = [g if isinstance(g, Polynomial) else _from_engine(g, ring, unpack, modulus) for g in kept]
     return kept, GroebnerBasis(ring, _reduced(eng))
 
 
 def initial_monomials(gens, cap: int | None, ring: PolyRing | None = None) -> MonomialIdeal:
-    """Lead monomials from a degree-truncated run: contains every minimal
-    generator of the initial ideal living in degrees <= cap (with no cap,
-    the initial ideal itself, from no interreduction and no Fraction).
-    Gens are taken as by `buchberger`."""
-    if ring is None:
-        ring = gens[0].ring
-    leads = _buchberger_engine(ring, list(gens), cap=cap, lead_only=True)
-    return MonomialIdeal(ring.nvars, leads)
+    """The minimal generators of the initial ideal in degrees <= cap (with
+    no cap, the initial ideal itself), read off a capped run's leads with
+    no interreduction and no Fraction.  Gens are taken as by `buchberger`."""
+    eng, _ = _run(gens, ring, cap)
+    return MonomialIdeal(eng.ring.nvars, [eng.layout.unpack(e.keys[0]) for e in eng.basis])
 
 
 def cut_leads(gens, matrix, cap: int | None, ring: PolyRing) -> MonomialIdeal:

@@ -31,6 +31,9 @@ cohomology reads a map through its dual rows, made once from those
 integers, each the field row times a positive integer multiplier; kernel
 generators stay in the engine's integers.  The field view of a map lives
 in ``tests/reference.py``.
+A presented module is built by the driver of ``groebner``; a graph basis
+adds every column, then completes, since `construct_curve` picks minimal
+generators from its kernel generators, its elements as they are.
 """
 
 from __future__ import annotations
@@ -468,11 +471,8 @@ class PresentedModule(_Quotient):
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
         eng = _Engine(ring)
-        for rel in relations:
-            e = _pot_element(eng, rel)
-            if e.keys:
-                eng.add(e)
-        eng.complete(self.gen_degrees)
+        rels = (_pot_element(eng, rel) for rel in relations)
+        eng.build([e for e in rels if e.keys], self.gen_degrees)
         self.engine = eng
         self._standard = {}
 

@@ -37,10 +37,6 @@ class BettiTable:
     def items(self):
         return sorted(self.entries.items())
 
-    def regularity(self) -> int:
-        """max(j - i) over nonzero entries (ideal convention)."""
-        return max((j - i for i, j in self.entries), default=0)
-
     def __repr__(self):
         cells = ", ".join(f"({i},{j}):{r}" for (i, j), r in self.items())
         return f"BettiTable({cells})"

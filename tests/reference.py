@@ -20,10 +20,12 @@ monomials of a presented module by listing every monomial of the degree, the
 commutation check of a Rao module's multiplication maps, its generators
 and annihilator by the dense stacked-rank and Koszul route, and the
 planar check of any plane given by linear forms, through the Gröbner
-basis of the cut; and small reads
+basis of the cut; the ideal and presented-module runs that add every
+input and then complete the pairs, as the engine did before its one
+driver; and small reads
 of package objects that only the tests make: the normal form and
-membership of a Gröbner basis, the top index, generator degrees and
-alternating numerator of a Betti table, the graded dimensions of a
+membership of a Gröbner basis, the regularity, top index, generator
+degrees and alternating numerator of a Betti table, the graded dimensions of a
 monomial ideal by counting its standard monomials, constant and monomial
 polynomials, and the coefficient of one monomial."""
 
@@ -35,12 +37,25 @@ from itertools import combinations, combinations_with_replacement, product
 from extremalcurves.cohomology import InternalCheckError, NotACurveError, detect_hilbert_polynomial, hyperplane_section
 from extremalcurves.construct import _is_binary
 from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, mix_seed
-from extremalcurves.groebner import _divide, _Engine, _EnginePoly, _primitive, _to_engine, buchberger, initial_monomials, linear_images
+from extremalcurves.groebner import (
+    GroebnerBasis,
+    _divide,
+    _Engine,
+    _EnginePoly,
+    _monic,
+    _primitive,
+    _to_engine,
+    buchberger,
+    initial_monomials,
+    linear_images,
+)
 from extremalcurves.idealfile import IdealFileError
 from extremalcurves.ideals import Ideal, random_unipotent_matrix
 from extremalcurves.modules import (
     GraphBasis,
+    PresentedModule,
     ResolutionData,
+    _pot_element,
     _minimalize,
     _packed_columns,
     _schreyer_frame,
@@ -374,6 +389,71 @@ def verify_resolution(res, gb):
     entries = [p for col in (mats(res)[0] if cols else ()) for p in col]
     if buchberger(entries, ring) != gb:
         raise AssertionError("the first map's entries generate another ideal")
+
+
+def batch_engine(gens, ring, cap=None):
+    """The add-then-complete run that the ideal engine made before its one
+    driver: every nonzero generator added, in (degree, lead) order, then
+    the pairs completed up to cap.  Generators above cap stay in."""
+    eng = _Engine(ring)
+    elems = [g if isinstance(g, _EnginePoly) else _to_engine(g, eng.layout, eng.modulus) for g in gens if g]
+    for e in sorted(elems, key=lambda e: (e.deg, e.keys[0])):
+        eng.add(e)
+    eng.complete(cap=cap, product=True)
+    return eng
+
+
+def batch_leads(eng):
+    """The elements of a completed batch engine whose lead no other lead
+    divides (the earlier of two equal leads stays), sorted by lead."""
+    basis, himask = eng.basis, eng.himask
+    kept = [
+        g for idx, g in enumerate(basis)
+        if not any(
+            k != idx and divides(h.keys[0], g.keys[0], himask)
+            for k, h in enumerate(basis)
+            if h.keys[0] != g.keys[0] or k < idx
+        )
+    ]
+    return sorted(kept, key=lambda e: e.keys[0])
+
+
+def batch_basis(gens, ring) -> GroebnerBasis:
+    """The reduced basis of the batch run: its redundant leads dropped, and
+    the rest interreduced against a copy that holds only them."""
+    kept = batch_leads(batch_engine(gens, ring))
+    red = _Engine(ring)
+    for g in kept:
+        red.add(g)
+    out = []
+    for g in kept:
+        keys, coeffs, mult = red.normal_form(g.keys[1:], g.coeffs[1:])
+        out.append(_EnginePoly([g.keys[0]] + keys, _monic([g.coeffs[0] * mult] + coeffs, ring.modulus), g.deg))
+    return GroebnerBasis(ring, out)
+
+
+def batch_initial_monomials(gens, cap, ring) -> MonomialIdeal:
+    """The lead monomials of the capped batch run, redundant ones dropped:
+    the generators above cap are among them."""
+    unpack = layout(ring.nvars).unpack
+    return MonomialIdeal(ring.nvars, [unpack(g.keys[0]) for g in batch_leads(batch_engine(gens, ring, cap))])
+
+
+class BatchPresentedModule(PresentedModule):
+    """A `PresentedModule` whose engine adds every nonzero relation, then
+    completes the pairs: the batch run, redundant leads and all."""
+
+    def __init__(self, ring, gen_degrees, relations):
+        self.ring = ring
+        self.gen_degrees = tuple(gen_degrees)
+        eng = _Engine(ring)
+        for rel in relations:
+            e = _pot_element(eng, rel)
+            if e.keys:
+                eng.add(e)
+        eng.complete(self.gen_degrees)
+        self.engine = eng
+        self._standard = {}
 
 
 def slot_lcm(a, b, nvars, slot):
@@ -831,6 +911,12 @@ def normal_form(gb, f):
 def contains(gb, f) -> bool:
     """Membership of f in the ideal of a `GroebnerBasis`."""
     return not normal_form(gb, f)
+
+
+def betti_regularity(table) -> int:
+    """max(j - i) over the nonzero entries of a `BettiTable` (ideal
+    convention), 0 when empty."""
+    return max((j - i for i, j in table.entries), default=0)
 
 
 def max_index(table) -> int:

@@ -67,6 +67,7 @@ GONE = [
     ("ring", "PolyRing.monomial"),
     ("report", "CurveReport.to_json_dict"),
     ("cohomology", "FiniteLengthModule.dim"),
+    ("monomials", "BettiTable.regularity"),
     *[
         ("ring", f"{cls}.{name}")
         for cls in ("RationalField", "PrimeField")

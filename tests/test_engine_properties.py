@@ -4,7 +4,11 @@ resolutions (and, on random constructions, the frame's shortest-divisor
 rule against the first divisor), kernels and the coimage a graph basis
 reads off them, normal forms, presented modules (their Hilbert functions
 and standard monomials) and the last-variable saturation, each against an
-independent check; and the fraction-free
+independent check; the one Gröbner driver against the add-then-complete
+runs of `tests/reference.py` (reduced bases and capped leads, also over
+Z/32003, and presented modules on the dual rows of random constructions),
+with no lead of a driver's engine dividing another and a negative control
+for that check; and the fraction-free
 minimalization of resolutions, with the dual rows read from its integers,
 against its field reference on random constructions in P^3 to P^5."""
 
@@ -19,7 +23,14 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from extremalcurves import ideals as ideals_module  # noqa: E402
 from extremalcurves.cohomology import DualCohomology  # noqa: E402
 from extremalcurves.construct import construct_curve, random_construction_input  # noqa: E402
-from extremalcurves.groebner import _to_engine, buchberger, initial_monomials, minimal_basis  # noqa: E402
+from extremalcurves.groebner import (  # noqa: E402
+    _Engine,
+    _run,
+    _to_engine,
+    buchberger,
+    initial_monomials,
+    minimal_basis,
+)
 from extremalcurves.modules import (  # noqa: E402
     GraphBasis,
     PresentedModule,
@@ -29,10 +40,13 @@ from extremalcurves.modules import (  # noqa: E402
 )
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import _insert, minimal_generators  # noqa: E402
-from extremalcurves.packing import MAXEXP, ExponentLimitError, layout  # noqa: E402
+from extremalcurves.packing import MAXEXP, ExponentLimitError, divides, layout  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField, mono_div, mono_divides  # noqa: E402
 from reference import (  # noqa: E402
+    BatchPresentedModule,
     alternating_numerator,
+    batch_basis,
+    batch_initial_monomials,
     brute_force_standard_basis,
     change_coordinates,
     contains,
@@ -46,11 +60,13 @@ from reference import (  # noqa: E402
 
 SETTINGS = settings(max_examples=20, derandomize=True, deadline=None, database=None)
 FIELDS = [QQ, PrimeField(7)]
+ALL_FIELDS = [QQ, PrimeField(32003), PrimeField(7)]
+R3 = PolyRing(3)
 
 
 @st.composite
-def rings(draw):
-    return PolyRing(draw(st.integers(3, 5)), draw(st.sampled_from(FIELDS)))
+def rings(draw, fields=FIELDS):
+    return PolyRing(draw(st.integers(3, 5)), draw(st.sampled_from(fields)))
 
 
 @st.composite
@@ -77,14 +93,14 @@ def ideals(draw):
 
 
 @st.composite
-def padded_generators(draw):
+def padded_generators(draw, fields=FIELDS):
     """Forms of degree 1 to 3 with redundant members put in at drawn places:
     variable multiples, scalar multiples, sums of two members of one degree,
     and S-vectors of two members whose leads share a variable, which only
     the pairs of their own degree show redundant.  A redundant member may
     land before the member it came from, which then becomes the redundant
     one."""
-    ring = draw(rings())
+    ring = draw(rings(fields))
     top = 3 if ring.nvars == 3 else 2
     gens = [
         draw(forms(ring, draw(st.integers(1, top)), min_terms=1, max_terms=3))
@@ -139,6 +155,76 @@ def test_minimal_basis_keeps_the_oracle_subset(data):
     assert kept == minimal_generators(gens)
     assert gb == buchberger(kept, ring)
     assert_reduced(gb, gens)
+
+
+def assert_no_dividing_leads(eng):
+    """No lead of the engine divides another lead in its component."""
+    for leads in eng.by_slot.values():
+        for a, i in leads:
+            assert not any(j != i and divides(a, b, eng.himask) for b, j in leads)
+
+
+@SETTINGS
+@given(padded_generators(ALL_FIELDS), st.integers(1, 4))
+def test_the_driver_matches_the_batch_run(data, cap):
+    # the one driver against the run that adds every generator and then
+    # completes: the same reduced basis, the same leads up to the cap, and
+    # none of the batch run's redundant leads
+    ring, gens = data
+    assert buchberger(gens, ring) == batch_basis(gens, ring)
+    capped = initial_monomials(gens, cap, ring)
+    assert all(sum(m) <= cap for m in capped.gens)
+    assert capped.gens == tuple(m for m in batch_initial_monomials(gens, cap, ring).gens if sum(m) <= cap)
+    assert initial_monomials(gens, None, ring) == batch_initial_monomials(gens, None, ring)
+    for top in (None, cap):
+        assert_no_dividing_leads(_run(gens, ring, top)[0])
+
+
+def _insert_unreduced(ring, gens):
+    """The driver with the top-reduction of its inputs taken out: each
+    generator goes in as it is once the pairs below it are done."""
+    eng = _Engine(ring)
+    for e in sorted((_to_engine(g, eng.layout, eng.modulus) for g in gens if g), key=lambda e: e.deg):
+        eng.complete(cap=e.deg, product=True)
+        eng.add(e)
+    eng.complete(product=True)
+    return eng
+
+
+@SETTINGS
+@given(padded_generators(ALL_FIELDS))
+@example((R3, [R3.gen(0) * R3.gen(1), R3.gen(0) ** 2 * R3.gen(1)]))
+def test_leads_divide_without_the_top_reduction(data):
+    # the negative control of `assert_no_dividing_leads`: without the
+    # top-reduction an input whose lead another input's lead divides goes
+    # in as it is, and the check sees it
+    ring, gens = data
+    leads = [g.lead_monomial for g in gens if g]
+    hypothesis.assume(any(i != j and mono_divides(a, b) for i, a in enumerate(leads) for j, b in enumerate(leads)))
+    with pytest.raises(AssertionError):
+        assert_no_dividing_leads(_insert_unreduced(ring, gens))
+
+
+@SETTINGS
+@given(st.integers(3, 5), st.integers(3, 5), st.integers(0, 2), st.integers(0, 10**6), st.sampled_from(ALL_FIELDS))
+def test_presented_modules_match_the_batch_run(n, d, a, seed, field):
+    # the dual rows that `DualCohomology` presents, built by the one driver
+    # and by the batch run: normal forms modulo a Gröbner basis are unique,
+    # so the Hilbert function, standard monomials and multiplication maps
+    # agree
+    I = constructed_curve(n, d, a, seed, field)
+    hypothesis.assume(I is not None)
+    res, ring = I.resolution(), I.ring
+    for k in range(max(res.length - 2, 0), res.length):
+        twists = [-w for w in res.twists[k + 1]]
+        rows = res.dual(k)[0]
+        pm, batch = PresentedModule(ring, twists, rows), BatchPresentedModule(ring, twists, rows)
+        assert_no_dividing_leads(pm.engine)
+        for j in range(min(twists), min(twists) + 4):
+            assert pm.hf(j) == batch.hf(j)
+            assert pm.standard_basis(j) == batch.standard_basis(j)
+            for var in range(ring.nvars):
+                assert pm.mult_matrix(var, j) == batch.mult_matrix(var, j)
 
 
 def integers(gb):

@@ -4,7 +4,7 @@ import pytest
 
 from extremalcurves.cohomology import verify_extremal
 from extremalcurves.construct import extremal_curve_ideal
-from extremalcurves.groebner import buchberger, initial_monomials, minimal_basis
+from extremalcurves.groebner import buchberger, initial_monomials, linear_images, minimal_basis
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.oracle import minimal_generators, oracle_ideal_dims
 from extremalcurves.packing import ExponentLimitError, layout
@@ -122,6 +122,32 @@ class TestNormalForm:
         lead = gb.initial_ideal()
         for m, _ in r.terms:
             assert not lead.contains(m)
+
+
+class TestRingInference:
+    # with no ring given, it is read off the first polynomial generator;
+    # with none, the run refuses as `kernel_of_map` does
+    def test_no_generators(self):
+        with pytest.raises(ValueError, match="cannot infer the ring"):
+            buchberger([])
+        assert len(buchberger([], R3)) == 0
+
+    def test_no_generators_capped(self):
+        with pytest.raises(ValueError, match="cannot infer the ring"):
+            initial_monomials([], 3)
+        assert initial_monomials([], 3, R3) == MonomialIdeal(3, [])
+
+    def test_engine_elements_need_the_ring(self):
+        x0, x1, x2 = R3.gens()
+        gens = [x0 * x1 - x2 * x2, x1 * x1]
+        identity = [[int(i == j) for j in range(3)] for i in range(3)]
+        images = linear_images(gens, identity, R3)
+        with pytest.raises(ValueError, match="cannot infer the ring"):
+            buchberger(images)
+        with pytest.raises(ValueError, match="cannot infer the ring"):
+            initial_monomials(images, None)
+        assert buchberger(images, R3) == buchberger(gens)
+        assert initial_monomials(images, None, R3) == buchberger(gens).initial_ideal()
 
 
 class TestTruncatedLeads:

@@ -13,6 +13,7 @@ from extremalcurves.monomials import (
 )
 from reference import (
     alternating_numerator,
+    betti_regularity,
     borel_closure,
     generator_degrees,
     hochster_betti_oracle,
@@ -208,6 +209,6 @@ class TestHilbertAmbiguityPair:
 def test_betti_table_helpers():
     t = BettiTable({(0, 2): 2, (1, 3): 1})
     assert generator_degrees(t) == [2, 2]
-    assert t.regularity() == 2
+    assert betti_regularity(t) == 2
     assert t.get(5, 5) == 0
     assert bool(t)
