@@ -10,8 +10,9 @@ non-decreasing, so a degree cap yields the exact initial ideal up to that
 degree.
 
 One driver, `_Engine.build`, makes every ideal run and every presented
-module: up the degrees, each input top-reduced after the pairs below it.
-No lead it adds divides another, so the reduced basis only interreduces.
+module, graph bases (so every kernel and ideal quotient) included: up the
+degrees, each input top-reduced after the pairs below it.  No lead it
+adds divides another, so the reduced basis only interreduces.
 """
 
 from __future__ import annotations

@@ -2,21 +2,21 @@
 seeded unit lower-triangular coordinate draws, and kernels of maps into
 cyclic quotients.
 
-Intersections run through syzygies of stacked generator lists (everything
-stays homogeneous), quotients through intersection plus exact division,
-saturation by iterating the quotient against the irrelevant maximal ideal
+Intersections and quotients are kernels of maps (`kernel_of_map`, the
+syzygies of a stacked generator list, so everything stays homogeneous),
+saturation iterates the quotient against the irrelevant maximal ideal
 until it stabilizes.  Whether an ideal is saturated is read off its
 resolution instead (Auslander-Buchsbaum).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import reduce
 
 from .groebner import GroebnerBasis, _to_engine, buchberger, minimal_basis
 from .modules import free_resolution_from_gb, module_kernel
 from .packing import layout
-from .ring import PolyRing, Polynomial, mono_div, mono_divides
+from .ring import PolyRing, Polynomial
 
 
 class Ideal:
@@ -85,99 +85,39 @@ class Ideal:
 
 
 def kernel_of_map(images, relations=(), ring: PolyRing | None = None):
-    """Generators of {(c_t) : sum c_t * images_t lies in (relations)}.
-
-    Computed as syzygies of the stacked list, projected onto the image
-    coordinates; the zero map returns the full source.
-    """
+    """Generators of {(c_t) : sum c_t * images_t lies in (relations)}: the
+    syzygies of the stacked list (`module_kernel`) projected onto the image
+    coordinates, zero vectors dropped.  A zero entry's unit vector is a
+    syzygy, so the zero map returns the full source."""
+    stacked = list(images) + list(relations)
     if ring is None:
-        pool = [p for p in list(images) + list(relations) if p]
+        pool = [p for p in stacked if p]
         if not pool:
             raise ValueError("cannot infer the ring from zero data")
         ring = pool[0].ring
-    stacked = list(images) + list(relations)
-    live = [(t, p) for t, p in enumerate(stacked) if p]
-    if not live:
-        # zero map: kernel is everything
-        out = []
-        for t in range(len(images)):
-            vec = [ring.zero] * len(images)
-            vec[t] = ring.one
-            out.append(vec)
-        return out
-    cols = [[p] for _, p in live]
-    kernel = module_kernel(cols, [0], ring)
-    out = []
-    zero_slots = [t for t, p in enumerate(stacked) if not p]
-    for vec in kernel:
-        full = [ring.zero] * len(stacked)
-        for (t, _), entry in zip(live, vec):
-            full[t] = entry
-        out.append(full[: len(images)])
-    for t in zero_slots:
-        if t < len(images):
-            vec = [ring.zero] * len(images)
-            vec[t] = ring.one
-            out.append(vec)
-    return out
+    kernel = (vec[: len(images)] for vec in module_kernel([[p] for p in stacked], [0], ring))
+    return [vec for vec in kernel if any(vec)]
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J through syzygies of the stacked generators."""
+    """I ∩ J: the combinations sum c_t f_t of I's generators that lie in
+    J, c running over the generators of that kernel (`kernel_of_map`)."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
-    if not I.gens or not J.gens:
-        return Ideal(ring, [])
-    fi = list(I.gens)
-    gj = list(J.gens)
-    cols = [[p] for p in fi + gj]
-    kernel = module_kernel(cols, [0], ring)
-    out = []
-    for vec in kernel:
-        h = ring.zero
-        for c, f in zip(vec[: len(fi)], fi):
-            h = h + c * f
-        if h:
-            out.append(h)
-    return Ideal.minimal(ring, out)
-
-
-def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f; raises otherwise."""
-    ring = f.ring
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q_terms = []
-    r = f
-    coerce = ring.field.coerce
-    while r:
-        lm, lc = r.lead_monomial, r.lead_coeff
-        gm, gc = g.lead_monomial, g.lead_coeff
-        if not mono_divides(gm, lm):
-            raise ValueError("not an exact division")
-        mono = mono_div(lm, gm)
-        coeff = coerce(Fraction(lc) / gc)
-        q_terms.append((mono, coeff))
-        r = r - g.mono_shift(mono, coeff)
-    return Polynomial(ring, q_terms)
+    kernel = kernel_of_map(I.gens, J.gens, ring)
+    return Ideal.minimal(ring, [sum((c * f for c, f in zip(vec, I.gens)), ring.zero) for vec in kernel])
 
 
 def quotient(I: Ideal, J: Ideal) -> Ideal:
-    """I : J = {f : f*J inside I}."""
+    """I : J = {f : f*J inside I}, the intersection over the generators g
+    of J of I : g = {c : c*g in I}, the kernel of c -> c*g modulo I
+    (`kernel_of_map`)."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
-    if not J.gens:
-        # J = 0: every f has f*0 = 0 in I
-        return Ideal(ring, [ring.one])
-    result = None
-    for g in J.gens:
-        part = intersect(I, Ideal(ring, [g]))
-        gens = [divide_exact(h, g) for h in part.gens]
-        cur = Ideal(ring, gens)
-        result = cur if result is None else intersect(result, cur)
-    return Ideal.minimal(ring, result.gens)
+    parts = (Ideal(ring, [c for c, in kernel_of_map([g], I.gens, ring)]) for g in J.gens)
+    return reduce(intersect, parts, Ideal(ring, [ring.one]))  # I : 0 = R
 
 
 def saturate(I: Ideal) -> Ideal:

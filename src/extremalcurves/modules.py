@@ -31,9 +31,8 @@ cohomology reads a map through its dual rows, made once from those
 integers, each the field row times a positive integer multiplier; kernel
 generators stay in the engine's integers.  The field view of a map lives
 in ``tests/reference.py``.
-A presented module is built by the driver of ``groebner``; a graph basis
-adds every column, then completes, since `construct_curve` picks minimal
-generators from its kernel generators, its elements as they are.
+Every presented module is built by the driver of ``groebner``, a graph
+basis too: the kernels that ``ideals`` reads quotients off are its own.
 """
 
 from __future__ import annotations
@@ -356,13 +355,10 @@ def polynomial_vector(ring, vec, rank):
     return out
 
 
-def _pot_element(eng, vec, unit=None, multiplier=1):
-    """Engine element of a packed vector, plus a unit term with coefficient
-    multiplier in component unit when given."""
+def _pot_element(eng, vec):
+    """Engine element of a packed vector."""
     cs = eng.comp_shift
     terms = sorted((s << cs | k, c) for s, e in vec.items() for k, c in e.items())
-    if unit is not None:
-        terms.append((unit << cs, multiplier))
     return _clear([k for k, _ in terms], [c for _, c in terms], None, eng.modulus)
 
 
@@ -376,14 +372,22 @@ def _pot_vector(eng, keys, coeffs, first):
     return out
 
 
-class _Quotient:
-    """A free module on components first, first + 1, ... of a completed
-    position-over-term engine (generated in gen_degrees) modulo the engine's
-    elements whose leads lie there, which lie there entirely: the Hilbert
-    function and normal forms.  Subclasses set engine, gen_degrees and
-    first."""
+class PresentedModule:
+    """Finitely presented graded module: free slots with generator degrees
+    plus a relation submodule of packed vectors, held as a POT Gröbner
+    basis.  Its readers see the components first, first + 1, ... (first is
+    0 unless a `GraphBasis` narrows the view), in degrees gen_degrees."""
 
     first = 0
+
+    def __init__(self, ring: PolyRing, gen_degrees, relations):
+        self.ring = ring
+        self.gen_degrees = tuple(gen_degrees)
+        eng = _Engine(ring)
+        rels = (_pot_element(eng, rel) for rel in relations)
+        eng.build([e for e in rels if e.keys], self.gen_degrees)
+        self.engine = eng
+        self._standard = {}
 
     @cached_property
     def lead_ideals(self):
@@ -408,35 +412,74 @@ class _Quotient:
         lead = top[min(top)]
         return _pot_vector(eng, keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), first)
 
+    def is_finite_length(self) -> bool:
+        return all(I.is_artinian() for I in self.lead_ideals)
 
-class GraphBasis(_Quotient):
+    def standard_basis(self, degree: int):
+        """Ascending POT keys (first + slot) << comp_shift | monomial outside
+        the lead module, memoised per degree.  Its complement is an order
+        ideal: the keys of degree e+1 are the variable multiples of those of
+        degree e and the slots generated in e+1, less the keys a lead
+        divides."""
+        eng, memo = self.engine, self._standard
+        lowest = min(self.gen_degrees, default=0)
+        lay = eng.layout  # no exponent may reach a slot's top bit
+        lay.check(degree - lowest, "monomial degree", " of a standard basis (degree {}, lowest twist {})", degree, lowest)
+        steps = lay.var_keys
+        e = max(memo, default=lowest - 1)
+        out = memo.get(e, [])
+        while e < degree:  # a loop, not recursion: the tracer wraps this method
+            e += 1
+            keys = {k + x for k in out for x in steps}
+            keys.update(s << eng.comp_shift for s, w in enumerate(self.gen_degrees, self.first) if w == e)
+            out = memo[e] = sorted(k for k in keys if eng.find_reducer(k) is None)
+        return memo.get(degree, [])  # none below the lowest generator
+
+    def mult_matrix(self, var: int, degree: int):
+        """Multiplication by x_var from degree to degree+1 in the standard
+        monomial bases: one sparse row {target index: value} per source
+        element."""
+        eng = self.engine
+        tgt = self.standard_basis(degree + 1)  # first: past the limit, it names degree + 1
+        tgt_index = {k: i for i, k in enumerate(tgt)}
+        vk = eng.layout.var_keys[var]
+        rows = []
+        for key in self.standard_basis(degree):
+            key += vk
+            if key in tgt_index:
+                rows.append({tgt_index[key]: 1})
+            else:
+                keys, coeffs, mult = eng.normal_form([key], [1])
+                rows.append({tgt_index[k]: c for k, c in zip(keys, _divide(coeffs, mult, eng.modulus))})
+        return rows
+
+
+class GraphBasis(PresentedModule):
     """Traced Gröbner data for a span of packed columns: their kernel, and
     the coimage R^s / kernel, graded by the columns' degrees.
 
     The graph elements (col_t, m_t e_t) live in F + R^s, where the given
     column col_t is m_t times the column whose kernel is wanted (m_t from
     multipliers, 1 by default): each element is m_t times the graph element
-    of the wanted column, so scaling it moves no kernel coordinate.  Under
-    position over term an element whose lead lies in the tracking part lies
-    there entirely, so the completed elements there are a Gröbner basis of
-    the kernel: `hf` and `reduce` read the coimage off them.  A zero
-    column's component is all kernel (its unit is a graph element), so the
-    twist 0 it gets here moves no dimension."""
+    of the wanted column, so scaling it moves no kernel coordinate.  They
+    present a module on F + R^s whose view narrows to R^s: under position
+    over term an element whose lead lies there lies there entirely, so the
+    elements there are a Gröbner basis of the kernel, and `hf` and
+    `reduce` read the coimage off them.  A zero column's component is all
+    kernel (its unit is a graph element), so the twist 0 it gets here moves
+    no dimension."""
 
     def __init__(self, cols, free_twists, ring, multipliers=None):
-        self.ring = ring
-        self.first = first = len(free_twists)  # the tracking part's first component
-        eng = _Engine(ring)
-        degs = []
+        first, degree = len(free_twists), packing.layout(ring.nvars).degree
+        degs, graph = [], []
         for t, col in enumerate(cols):
-            found = {eng.layout.degree(next(iter(e))) + free_twists[s] for s, e in col.items()}
+            found = {degree(next(iter(e))) + free_twists[s] for s, e in col.items()}
             if len(found) > 1:
                 raise ValueError("inhomogeneous column")
             degs.append(found.pop() if found else 0)
-            eng.add(_pot_element(eng, col, first + t, multipliers[t] if multipliers else 1))
-        self.twists = list(free_twists) + degs
-        eng.complete(self.twists)
-        self.engine, self.gen_degrees = eng, degs
+            graph.append({**col, first + t: {0: multipliers[t] if multipliers else 1}})
+        super().__init__(ring, list(free_twists) + degs, graph)
+        self.first, self.gen_degrees = first, tuple(degs)
 
     def kernel_generators(self):
         """Packed generators of the syzygy module of the columns, one
@@ -460,58 +503,3 @@ def module_kernel(cols, free_twists, ring) -> list:
         field = {s: dict(zip(e, _divide(list(e.values()), lead, modulus))) for s, e in v.items()}
         out.append(polynomial_vector(ring, field, len(cols)))
     return out
-
-
-class PresentedModule(_Quotient):
-    """Finitely presented graded module: free slots with generator degrees
-    plus a relation submodule of packed vectors, held as a POT Gröbner
-    basis."""
-
-    def __init__(self, ring: PolyRing, gen_degrees, relations):
-        self.ring = ring
-        self.gen_degrees = tuple(gen_degrees)
-        eng = _Engine(ring)
-        rels = (_pot_element(eng, rel) for rel in relations)
-        eng.build([e for e in rels if e.keys], self.gen_degrees)
-        self.engine = eng
-        self._standard = {}
-
-    def is_finite_length(self) -> bool:
-        return all(I.is_artinian() for I in self.lead_ideals)
-
-    def standard_basis(self, degree: int):
-        """Ascending POT keys slot << comp_shift | monomial outside the lead
-        module, memoised per degree.  Its complement is an order ideal: the
-        keys of degree e+1 are the variable multiples of those of degree e
-        and the slots generated in e+1, less the keys a lead divides."""
-        eng, memo = self.engine, self._standard
-        lowest = min(self.gen_degrees, default=0)
-        lay = eng.layout  # no exponent may reach a slot's top bit
-        lay.check(degree - lowest, "monomial degree", " of a standard basis (degree {}, lowest twist {})", degree, lowest)
-        steps = lay.var_keys
-        e = max(memo, default=lowest - 1)
-        out = memo.get(e, [])
-        while e < degree:  # a loop, not recursion: the tracer wraps this method
-            e += 1
-            keys = {k + x for k in out for x in steps}
-            keys.update(s << eng.comp_shift for s, w in enumerate(self.gen_degrees) if w == e)
-            out = memo[e] = sorted(k for k in keys if eng.find_reducer(k) is None)
-        return memo.get(degree, [])  # none below the lowest generator
-
-    def mult_matrix(self, var: int, degree: int):
-        """Multiplication by x_var from degree to degree+1 in the standard
-        monomial bases: one sparse row {target index: value} per source
-        element."""
-        eng = self.engine
-        tgt = self.standard_basis(degree + 1)  # first: past the limit, it names degree + 1
-        tgt_index = {k: i for i, k in enumerate(tgt)}
-        vk = eng.layout.var_keys[var]
-        rows = []
-        for key in self.standard_basis(degree):
-            key += vk
-            if key in tgt_index:
-                rows.append({tgt_index[key]: 1})
-            else:
-                keys, coeffs, mult = eng.normal_form([key], [1])
-                rows.append({tgt_index[k]: c for k, c in zip(keys, _divide(coeffs, mult, eng.modulus))})
-        return rows

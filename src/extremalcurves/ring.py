@@ -140,16 +140,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming b | a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def revlex_key(m: Monomial):
     """Sort key: ascending key order equals ascending revlex order."""
     return (sum(m), tuple(-e for e in reversed(m)))

@@ -20,9 +20,11 @@ monomials of a presented module by listing every monomial of the degree, the
 commutation check of a Rao module's multiplication maps, its generators
 and annihilator by the dense stacked-rank and Koszul route, and the
 planar check of any plane given by linear forms, through the Gröbner
-basis of the cut; the ideal and presented-module runs that add every
-input and then complete the pairs, as the engine did before its one
-driver; and small reads
+basis of the cut; the ideal, presented-module and graph-basis runs that
+add every input and then complete the pairs, as the engine did before
+its one driver; the ideal quotient by exact division of the generators
+of each I ∩ (g) by g, with that division and the divisibility and
+quotient of exponent tuples; and small reads
 of package objects that only the tests make: the normal form and
 membership of a Gröbner basis, the regularity, top index, generator
 degrees and alternating numerator of a Betti table, the graded dimensions of a
@@ -50,7 +52,7 @@ from extremalcurves.groebner import (
     linear_images,
 )
 from extremalcurves.idealfile import IdealFileError
-from extremalcurves.ideals import Ideal, random_unipotent_matrix
+from extremalcurves.ideals import Ideal, intersect, random_unipotent_matrix
 from extremalcurves.modules import (
     GraphBasis,
     PresentedModule,
@@ -65,7 +67,53 @@ from extremalcurves.modules import (
 from extremalcurves.monomials import BettiTable, MonomialIdeal, _poly_add_shift, _trim, is_strongly_stable
 from extremalcurves.oracle import _insert, _poly_rows, fraction_rank
 from extremalcurves.packing import divides, layout
-from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_divides, revlex_key
+from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, revlex_key
+
+
+def mono_divides(a, b) -> bool:
+    """True when the exponent tuple a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    """a / b for exponent tuples, assuming b | a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f / g when g divides f, by long division on lead terms; raises
+    otherwise."""
+    ring = f.ring
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q_terms = []
+    r = f
+    coerce = ring.field.coerce
+    while r:
+        lm, lc = r.lead_monomial, r.lead_coeff
+        gm, gc = g.lead_monomial, g.lead_coeff
+        if not mono_divides(gm, lm):
+            raise ValueError("not an exact division")
+        mono = mono_div(lm, gm)
+        coeff = coerce(Fraction(lc) / gc)
+        q_terms.append((mono, coeff))
+        r = r - g.mono_shift(mono, coeff)
+    return Polynomial(ring, q_terms)
+
+
+def division_quotient(I: Ideal, J: Ideal) -> Ideal:
+    """I : J by the route the package took before quotients were kernels:
+    per generator g of J, the generators of I ∩ (g) divided exactly by g,
+    and those ideals intersected."""
+    ring = I.ring
+    if not J.gens:
+        return Ideal(ring, [ring.one])
+    result = None
+    for g in J.gens:
+        part = intersect(I, Ideal(ring, [g]))
+        cur = Ideal(ring, [divide_exact(h, g) for h in part.gens])
+        result = cur if result is None else intersect(result, cur)
+    return Ideal.minimal(ring, result.gens)
 
 
 def dense_rank(matrix, modulus=0) -> int:
@@ -456,6 +504,25 @@ class BatchPresentedModule(PresentedModule):
         self._standard = {}
 
 
+class BatchGraphBasis(GraphBasis):
+    """A `GraphBasis` made as before its one driver: every graph element
+    added, in column order, then the pairs completed."""
+
+    def __init__(self, cols, free_twists, ring, multipliers=None):
+        self.ring = ring
+        self.first = first = len(free_twists)
+        eng = _Engine(ring)
+        degs = []
+        for t, col in enumerate(cols):
+            found = {eng.layout.degree(next(iter(e))) + free_twists[s] for s, e in col.items()}
+            if len(found) > 1:
+                raise ValueError("inhomogeneous column")
+            degs.append(found.pop() if found else 0)
+            eng.add(_pot_element(eng, {**col, first + t: {0: multipliers[t] if multipliers else 1}}))
+        eng.complete(list(free_twists) + degs)
+        self.engine, self.gen_degrees, self._standard = eng, tuple(degs), {}
+
+
 def slot_lcm(a, b, nvars, slot):
     """Componentwise max of packed monomials in slots of slot bits, one slot
     at a time."""
@@ -791,7 +858,7 @@ def brute_force_standard_basis(module, degree):
         leads = module.lead_ideals[s].gens
         for m in module.ring.monomials_of_degree(degree - w):  # ascending packed keys
             if not any(mono_divides(g, m) for g in leads):
-                out.append(s << cs | pack(m))
+                out.append((module.first + s) << cs | pack(m))
     return out
 
 

@@ -2,8 +2,9 @@
 tracer wraps (read from its TARGETS list) still resolves, every name in
 `__all__` imports, the test-only references stay out of the package, no
 package module imports from the tests, only `packing` knows the
-packed-monomial format, and importing the CLI loads neither `dataclasses`
-nor `json`."""
+packed-monomial format, the Gröbner driver is the one caller of the pair
+completion, and importing the CLI loads neither `dataclasses` nor
+`json`."""
 
 import ast
 import importlib
@@ -68,6 +69,10 @@ GONE = [
     ("report", "CurveReport.to_json_dict"),
     ("cohomology", "FiniteLengthModule.dim"),
     ("monomials", "BettiTable.regularity"),
+    ("ideals", "divide_exact"),
+    ("ring", "mono_div"),
+    ("ring", "mono_divides"),
+    ("modules", "_Quotient"),
     *[
         ("ring", f"{cls}.{name}")
         for cls in ("RationalField", "PrimeField")
@@ -155,6 +160,32 @@ def test_only_packing_knows_the_packed_format():
     }
     assert {"SLOT", "MAXEXP", "ExponentLimitError()", "to_bytes()"} <= set(found.pop("packing.py"))
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def _complete_callers(tree):
+    """The dotted name of the function around each call of a `.complete`
+    method, or "<module>" for a call outside every function."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "complete":
+                yield ".".join(scope) or "<module>"
+            yield from walk(child, scope)
+
+    return walk(tree, [])
+
+
+def test_the_driver_is_the_one_caller_of_complete():
+    # every Gröbner run, ideals, capped leads, presented modules and graph
+    # bases alike, goes up the degrees through `_Engine.build`
+    found = [
+        (source.name, caller)
+        for source in sorted(PACKAGE_DIR.glob("*.py"))
+        for caller in _complete_callers(ast.parse(source.read_text(encoding="utf-8")))
+    ]
+    assert found == [("groebner.py", "_Engine.build"), ("groebner.py", "_Engine.build")]
 
 
 def _imports(tree):

@@ -41,7 +41,7 @@ from extremalcurves.modules import (  # noqa: E402
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.oracle import _insert, minimal_generators  # noqa: E402
 from extremalcurves.packing import MAXEXP, ExponentLimitError, divides, layout  # noqa: E402
-from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField, mono_div, mono_divides  # noqa: E402
+from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField  # noqa: E402
 from reference import (  # noqa: E402
     BatchPresentedModule,
     alternating_numerator,
@@ -54,6 +54,8 @@ from reference import (  # noqa: E402
     field_resolution,
     first_divisor_resolution,
     mats,
+    mono_div,
+    mono_divides,
     verify_resolution,
     with_resolution,
 )

@@ -1,7 +1,6 @@
 from extremalcurves.groebner import buchberger
 from extremalcurves.ideals import (
     Ideal,
-    divide_exact,
     intersect,
     is_saturated,
     kernel_of_map,
@@ -11,7 +10,7 @@ from extremalcurves.ideals import (
 )
 from extremalcurves.oracle import oracle_ideal_dims
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import change_coordinates, contains, random_invertible_matrix
+from reference import change_coordinates, contains, divide_exact, random_invertible_matrix
 
 import pytest
 

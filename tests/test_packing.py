@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
 from extremalcurves.packing import MAXEXP, fit, layout  # noqa: E402
-from extremalcurves.ring import mono_divides  # noqa: E402
-from reference import slot_degree, slot_lcm, tuple_minimal_generators  # noqa: E402
+from reference import mono_divides, slot_degree, slot_lcm, tuple_minimal_generators  # noqa: E402
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 
