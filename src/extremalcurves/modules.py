@@ -12,27 +12,18 @@ Schreyer order induced by the level below: the key is the image monomial
 the components by their chains of lead components through the levels
 below.  Syzygy levels are pruned to the pairs whose Schreyer lead is a
 minimal generator of the per-component lead module, which keeps the tower
-near-minimal before the exact unit-entry minimalization pass.  A pruned
-pair is reduced to zero by the shortest divisor: each step uses, among
-the elements whose lead divides, the one with the fewest terms, the
-lowest index among equals (the Buchberger paths take the first divisor in
-index order).  Any divisor gives the same Schreyer lead, so leads and
-twists do not depend on the rule; the shortest one makes fewer steps and
-sparser maps.  Outside
-the engine an element is a packed vector {component: {packed monomial:
-coefficient}} of homogeneous nonzero entries, its coefficients field
-elements or integers: resolution maps stay packed
-from the Schreyer step to the presented modules, and ``Polynomial`` vectors
-appear only at the boundary (`module_kernel`).
-A resolution map has one representation: from the Schreyer step on a
-column keeps the engine's integers with one integer scale (over QQ a
-denominator, mod p a residue), and units cancel fraction-free.  The
-cohomology reads a map through its dual rows, made once from those
-integers, each the field row times a positive integer multiplier; kernel
-generators stay in the engine's integers.  The field view of a map lives
-in ``tests/reference.py``.
-Every presented module is built by the driver of ``groebner``, a graph
-basis too: the kernels that ``ideals`` reads quotients off are its own.
+near-minimal before the exact unit-entry minimalization pass; a pruned
+pair is reduced to zero by the shortest divisor (`_schreyer_step`).
+Outside the engine an element is a packed vector {component: {packed
+monomial: coefficient}} of homogeneous nonzero entries, its coefficients
+field elements or integers: resolution maps stay packed (integer columns
+with one scale each, `ResolutionData`) from the Schreyer step to the
+presented modules, and ``Polynomial`` vectors appear only at the boundary
+(`module_kernel`).  Every presented module is built by the driver of
+``groebner``, a graph basis too: the kernels that ``ideals`` reads
+quotients off are its own.  Its dimensions come from one Hilbert series,
+that of its lead module (Eisenbud, Commutative Algebra, Thm 15.26), and it
+has finite length when (1-t)^nvars divides the series' numerator.
 """
 
 from __future__ import annotations
@@ -42,8 +33,8 @@ from math import gcd, lcm
 
 from . import packing
 from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive
-from .monomials import BettiTable, MonomialIdeal
-from .ring import PolyRing, Polynomial, _addmul
+from .monomials import BettiTable, _numerator, series_dim
+from .ring import PolyRing, Polynomial, _addmul, binom
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +381,22 @@ class PresentedModule:
         self._standard = {}
 
     @cached_property
-    def lead_ideals(self):
-        eng, first = self.engine, self.first
-        # unpack reads the monomial slots only, not the component above them
-        slots = [eng.by_slot.get(s, ()) for s in range(first, first + len(self.gen_degrees))]
-        return [MonomialIdeal(eng.ring.nvars, [eng.layout.unpack(k) for k, _ in leads]) for leads in slots]
+    def series(self):
+        """The numerator N of HS(M) = N(t)/(1-t)^nvars as ascending terms
+        [(k, c)], c nonzero.  M has the Hilbert function of its lead module
+        (Macaulay; Eisenbud, Thm 15.26), the sum over the slots s of
+        t^w_s R/L_s, L_s the slot's lead ideal: N = sum of t^w_s N(L_s),
+        each by the pivot recursion (a slot with no leads adds t^w_s)."""
+        eng, acc = self.engine, {}
+        unpack = eng.layout.unpack  # reads the monomial slots, not the component above them
+        for s, w in enumerate(self.gen_degrees, self.first):
+            for k, c in enumerate(_numerator([unpack(key) for key, _ in eng.by_slot.get(s, ())]), w):
+                acc[k] = acc.get(k, 0) + c
+        return sorted((k, c) for k, c in acc.items() if c)
 
     def hf(self, degree: int) -> int:
-        """Dimension of the graded piece via standard monomial counting."""
-        return sum(I.quotient_dim(degree - w) for I, w in zip(self.lead_ideals, self.gen_degrees))
+        """Dimension of the graded piece, read off the Hilbert series."""
+        return series_dim(self.series, self.ring.nvars, degree)
 
     def reduce(self, vec):
         """Normal form of a packed vector, as a packed vector."""
@@ -413,7 +411,13 @@ class PresentedModule:
         return _pot_vector(eng, keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), first)
 
     def is_finite_length(self) -> bool:
-        return all(I.is_artinian() for I in self.lead_ideals)
+        """Whether HS(M) = N(t)/(1-t)^n is a Laurent polynomial, that is
+        (1-t)^n divides N.  With m the lowest k, N = t^m P(t) and P(t) =
+        sum_i (sum_k c_k C(k-m, i)) (t-1)^i, so it does when those sums
+        vanish for every i < n (every L_s is artinian)."""
+        terms = self.series
+        low = terms[0][0] if terms else 0
+        return not any(sum(c * binom(k - low, i) for k, c in terms) for i in range(self.ring.nvars))
 
     def standard_basis(self, degree: int):
         """Ascending POT keys (first + slot) << comp_shift | monomial outside

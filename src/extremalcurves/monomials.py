@@ -103,25 +103,21 @@ class MonomialIdeal:
 
     def quotient_dim(self, j: int) -> int:
         """dim_K [R/I]_j."""
-        if j < 0:
-            return 0
         num = self._numerator
         if num is None:  # not `if not num`: the unit ideal's numerator is ()
             num = self.hilbert_numerator()
-        nv = self.nvars
-        return sum(c * binom(j - k + nv - 1, nv - 1) for k, c in enumerate(num))
-
-    def is_artinian(self) -> bool:
-        """Contains a power of every variable (the unit ideal does)."""
-        for i in range(self.nvars):
-            if not any(all(e == 0 for k, e in enumerate(g) if k != i) for g in self.gens):
-                return False
-        return True
+        return series_dim(enumerate(num), self.nvars, j)
 
     def __repr__(self):
         from .ring import format_mono
 
         return "MonomialIdeal(" + ", ".join(format_mono(g) for g in self.gens) + ")"
+
+
+def series_dim(terms, nvars: int, j: int) -> int:
+    """The coefficient of t^j in N(t)/(1-t)^nvars, N given by its terms
+    (k, c): sum c * C(j - k + nvars - 1, nvars - 1), 0 for k > j."""
+    return sum(c * binom(j - k + nvars - 1, nvars - 1) for k, c in terms)
 
 
 def _poly_add_shift(a, b, shift):

@@ -16,7 +16,9 @@ piece of an ideal, the ideal-file polynomial reader as a token list and a
 term closure, the revlex comparison of exponent tuples, the Borel closure
 and the Hochster Betti oracle for monomial ideals, the pivot recursion
 for Hilbert numerators with a `MonomialIdeal` at every node, the standard
-monomials of a presented module by listing every monomial of the degree, the
+monomials of a presented module by listing every monomial of the degree,
+its Hilbert function and finite-length test slot by slot (one
+`MonomialIdeal` per slot, and the artinian test of a monomial ideal), the
 commutation check of a Rao module's multiplication maps, its generators
 and annihilator by the dense stacked-rank and Koszul route, and the
 planar check of any plane given by linear forms, through the Gröbner
@@ -847,15 +849,45 @@ def hochster_betti_oracle(I) -> BettiTable:
     return table
 
 
+def slot_leads(module):
+    """The lead exponent tuples of each slot of a `PresentedModule`, read
+    off its engine's `by_slot` from component `first` on."""
+    eng = module.engine
+    unpack = eng.layout.unpack
+    return [[unpack(k) for k, _ in eng.by_slot.get(module.first + s, ())] for s in range(len(module.gen_degrees))]
+
+
+def component_hf(module, degree):
+    """`PresentedModule.hf` slot by slot: the sum over the slots s of
+    dim [R/L_s]_(degree - w_s), one `MonomialIdeal` of the leads L_s per
+    slot."""
+    n = module.ring.nvars
+    return sum(MonomialIdeal(n, leads).quotient_dim(degree - w) for leads, w in zip(slot_leads(module), module.gen_degrees))
+
+
+def component_finite_length(module):
+    """`PresentedModule.is_finite_length` slot by slot: every slot's lead
+    ideal is artinian."""
+    return all(is_artinian(MonomialIdeal(module.ring.nvars, leads)) for leads in slot_leads(module))
+
+
+def is_artinian(ideal):
+    """A monomial ideal contains a power of every variable (the unit ideal
+    does)."""
+    for i in range(ideal.nvars):
+        if not any(all(e == 0 for k, e in enumerate(g) if k != i) for g in ideal.gens):
+            return False
+    return True
+
+
 def brute_force_standard_basis(module, degree):
     """The standard monomials of a `PresentedModule` in a degree as its
     ascending POT keys: every monomial of the degree in each slot, tested
-    against the slot's lead ideal by tuple divisibility."""
+    against the slot's leads by tuple divisibility."""
     cs = module.engine.comp_shift
     pack = layout(module.ring.nvars).pack
     out = []
-    for s, w in enumerate(module.gen_degrees):
-        leads = module.lead_ideals[s].gens
+    for s, (leads, w) in enumerate(zip(slot_leads(module), module.gen_degrees)):
         for m in module.ring.monomials_of_degree(degree - w):  # ascending packed keys
             if not any(mono_divides(g, m) for g in leads):
                 out.append((module.first + s) << cs | pack(m))

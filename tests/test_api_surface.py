@@ -73,6 +73,8 @@ GONE = [
     ("ring", "mono_div"),
     ("ring", "mono_divides"),
     ("modules", "_Quotient"),
+    ("modules", "PresentedModule.lead_ideals"),
+    ("monomials", "MonomialIdeal.is_artinian"),
     *[
         ("ring", f"{cls}.{name}")
         for cls in ("RationalField", "PrimeField")

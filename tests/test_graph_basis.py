@@ -87,7 +87,7 @@ def assert_same_graph(a, b, top):
 def without(graph, drop):
     """A copy of graph whose engine lacks its element drop."""
     out = copy.copy(graph)
-    out.__dict__.pop("lead_ideals", None)
+    out.__dict__.pop("series", None)
     out._standard = {}
     out.engine = _Engine(graph.ring)
     for t, g in enumerate(graph.engine.basis):
