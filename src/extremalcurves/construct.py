@@ -17,6 +17,7 @@ curves, the degree-3 alternate family, and a non-extremal witness.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from .formulas import max_genus
 from .groebner import _EnginePoly
@@ -53,10 +54,21 @@ class ConstructionInput(FrozenRecord):
     def __init__(self, n: int, d: int, a: int, f_list: tuple, f: Polynomial):
         self.__dict__.update(n=n, d=d, a=a, f_list=f_list, f=f)
 
-    def validate(self) -> GraphBasis:
-        """Check the input; return the syzygy run over K[x0, x1] of the
-        nonzero values among (f, f_1, ..., f_{n-2}), in that order, which
-        decided that they are coprime.
+    def validate(self) -> tuple:
+        """Check the input; return the packed kernel generators
+        (`GraphBasis.kernel_generators`) of the syzygy run over K[x0, x1]
+        that decided the nonzero values among (f, f_1, ..., f_{n-2}), one
+        component each in that order, coprime.  The first successful call
+        keeps them on the input, and later calls return the same tuple; the
+        graph basis itself is not kept.  A rejected input keeps nothing, so a
+        later call raises again."""
+        return self._kernel
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        """The check and the kernel of `validate`.  A cached property
+        writes ``__dict__`` past the record's ``__setattr__``; it is no
+        field, so equality, hash and repr stay those of the fields.
 
         Forms in K[x0, x1] are coprime iff they have no common zero on P^1
         iff their ideal is primary to (x0, x1) iff its lead ideal is
@@ -64,10 +76,15 @@ class ConstructionInput(FrozenRecord):
         elements with leads in the image component are a Gröbner basis of
         that ideal."""
         n, d, a = self.n, self.d, self.a
-        if n < 3 or d < 3 or a < 0:
-            raise ConstructionError("need n >= 3, d >= 3, a >= 0")
+        _check_numbers(n, d, a)
         if len(self.f_list) != n - 2:
             raise ConstructionError(f"need {n - 2} line forms, got {len(self.f_list)}")
+        ring = self.f_list[0].ring
+        for p in (*self.f_list, self.f):
+            if p.ring != ring:
+                raise ConstructionError(f"forms from two rings: {p.ring} and {ring}")
+        if ring.nvars != n + 1:
+            raise ConstructionError(f"forms live in the wrong ring: {ring} for n = {n}")
         deg_fi = a + n - 3
         for p in self.f_list:
             if not p or not _is_binary(p) or not p.is_homogeneous() or p.degree() != deg_fi:
@@ -81,19 +98,23 @@ class ConstructionInput(FrozenRecord):
             or self.f.degree() != deg_f
         ):
             raise ConstructionError(f"the gluing form must have degree {deg_f} (or be zero)")
-        field = self.f_list[0].ring.field
         # a binary form of one degree is keyed by its x0 exponent
         rows = [{m[0]: c for m, c in p.terms} for p in self.f_list]
-        if fraction_rank(rows, self.f_list[0].ring.modulus) < n - 2:
+        if fraction_rank(rows, ring.modulus) < n - 2:
             raise DegenerateInputError("dependent line forms give a degenerate curve")
         # a binary form's packed keys read the same in two variables
-        line = PolyRing(2, field)
+        line = PolyRing(2, ring.field)
         values = ([self.f] if self.f else []) + list(self.f_list)
-        graph = GraphBasis([packed_vector(p.ring, [p]) for p in values], [0], line)
+        graph = GraphBasis([packed_vector(ring, [p]) for p in values], [0], line)
         leads = [graph.engine.layout.unpack(k) for k, _ in graph.engine.by_slot.get(0, ())]
         if not (any(e1 == 0 for _, e1 in leads) and any(e0 == 0 for e0, _ in leads)):
             raise InfiniteCokernelError("common factor: the cokernel has infinite length")
-        return graph
+        return tuple(graph.kernel_generators())
+
+
+def _check_numbers(n: int, d: int, a: int):
+    if n < 3 or d < 3 or a < 0:
+        raise ConstructionError("need n >= 3, d >= 3, a >= 0")
 
 
 def construct_curve(inp: ConstructionInput) -> Ideal:
@@ -110,17 +131,17 @@ def construct_curve(inp: ConstructionInput) -> Ideal:
     projection iff c' is a syzygy of the f_t over K[x0, x1], and the
     projection is (x2, ..., xn)R^m plus those syzygies; u maps it onto I.
     For coprime forms the syzygies are free of rank m - 1 (Hilbert-Burch),
-    and the basis `validate` returns generates them.
+    and the kernel generators that `validate` kept on the input generate
+    them; no second syzygy run is made.
 
     The candidates are the distinct monomials x_i u_t (i = 2..n, t with
     f_t != 0), and u_0 = x2^(d-1) when f = 0, in ascending packed key, then
-    the syzygy images in the basis' order; `Ideal.minimal` keeps a subset
-    of them, taken in that order within each degree."""
-    graph = inp.validate()
+    the syzygy images in the kernel's order, all as engine elements;
+    `Ideal.minimal` keeps a subset of them, taken in that order within each
+    degree, and only the kept ones become Polynomials."""
+    kernel = inp.validate()
     n, d = inp.n, inp.d
     ring = inp.f_list[0].ring
-    if ring.nvars != n + 1:
-        raise ConstructionError("forms live in the wrong ring")
     lay = layout(ring.nvars)
     x = [lay.pack(ring.var_mono(i)) for i in range(ring.nvars)]
     u0 = lay.pack((0, 0, d - 1) + (0,) * (n - 2))
@@ -129,12 +150,16 @@ def construct_curve(inp: ConstructionInput) -> Ideal:
     keys = {xi + ut for xi in x[2:] for ut in u}
     if not inp.f:  # a zero value: its planar generator lies in the kernel
         keys.add(u0)
-    one = ring.field.coerce(1)
-    cands = [Polynomial.from_sorted(ring, [(lay.unpack(k), one)]) for k in sorted(keys)]
-    for vec in graph.kernel_generators():
+    # every candidate stays engine integers, and only the kept ones become
+    # Polynomials; a monomial is its key with coefficient 1
+    cands = []
+    for k in sorted(keys):
+        deg = lay.degree(k)
+        lay.check(deg)
+        cands.append(_EnginePoly([k], [1], deg))
+    for vec in kernel:
         # s_t is binary and the u_t are distinct monomials: the terms of
-        # sum s_t u_t are the key shifts of the entries, all distinct; they
-        # stay engine integers, and only the kept ones become Polynomials
+        # sum s_t u_t are the key shifts of the entries, all distinct
         terms = sorted((k + u[t], c) for t, entry in vec.items() for k, c in entry.items())
         deg = lay.degree(terms[0][0])
         lay.check(deg)
@@ -212,6 +237,7 @@ def random_construction_input(
 ) -> ConstructionInput:
     """Admissible random input: independent line forms, coprime with the
     gluing form (which is zero one time in five)."""
+    _check_numbers(n, d, a)
     ring = PolyRing(n + 1)
     deg_fi = a + n - 3
     deg_f = d + a + n - 5

@@ -3,11 +3,13 @@ that ``modules`` shares for submodules of free modules.
 
 The hot loop works on packed integer keys with primitive integer
 coefficients (rationals cleared to content-free integer vectors, or residues
-mod p), using the normal selection strategy with the chain criterion, and
-the coprimality criterion at rank 1.  A polynomial ideal is the rank-1 case
-of the one pair loop.  Homogeneous input means pair degrees are
-non-decreasing, so a degree cap yields the exact initial ideal up to that
-degree.
+mod p), using the normal selection strategy with the chain criterion, the
+coprimality criterion at rank 1, and at every rank its rank-free case: two
+single-term elements have a zero S-vector, so none is built for them
+(Buchberger's first criterion, as in Gebauer and Möller, JSC 6, 1988).  A
+polynomial ideal is the rank-1 case of the one pair loop.  Homogeneous
+input means pair degrees are non-decreasing, so a degree cap yields the
+exact initial ideal up to that degree.
 
 One driver, `_Engine.build`, makes every ideal run and every presented
 module, graph bases (so every kernel and ideal quotient) included: up the
@@ -230,7 +232,11 @@ class _Engine:
         Pairs pop by degree (twist of the component plus the degree of the
         lcm), then ascending revlex of the lcm, then index; the chain criterion skips a
         pair whose lcm another lead divides once both detours are done.
-        The product criterion (coprime leads) holds at rank 1 only.  A cap
+        The product criterion (coprime leads) holds at rank 1 only.  A
+        popped pair of two single-term elements is skipped at every rank
+        before its S-vector is built: the two terms cancel at the lcm, so
+        it is zero.  A skipped pair counts as done, as one that reduced to
+        zero does, so the chain criterion and the basis stay the same.  A cap
         stops before the first pair above it; the heap stays on the engine,
         so a later call goes on from there, with the pairs of elements
         added in between.
@@ -265,6 +271,8 @@ class _Engine:
             if deg - lowest > limit:  # homogeneous: no exponent exceeds this
                 lay.check(deg - lowest, "monomial degree", " of an S-pair (degree {}, lowest twist {})", deg, lowest)
             pending.discard((i, j))
+            if len(basis[i].keys) == 1 and len(basis[j].keys) == 1:
+                continue  # two single terms: the S-vector is zero
             skip = False
             for lk, k in by_slot[w >> cs]:
                 if k == i or k == j or not packing.divides(lk, w, himask):

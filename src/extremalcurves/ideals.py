@@ -42,8 +42,8 @@ class Ideal:
         """The ideal of the subset of gens that generates minimally (see
         `groebner.minimal_basis`), with its Gröbner basis already set.
         Engine elements may stand among the gens (`construct_curve`'s
-        syzygy images, homogeneous by construction): only the kept ones
-        become Polynomials."""
+        monomial candidates and syzygy images, homogeneous by
+        construction): only the kept ones become Polynomials."""
         gens = list(gens)
         ideal = cls(ring, [g for g in gens if isinstance(g, Polynomial)])  # tests the Polynomials
         kept, ideal._gb = minimal_basis(gens, ring)

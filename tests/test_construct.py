@@ -1,8 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 
+from extremalcurves import construct as construct_module
 from extremalcurves.construct import (
+    ConstructionError,
     ConstructionInput,
     DegenerateInputError,
     InfiniteCokernelError,
@@ -14,7 +17,9 @@ from extremalcurves.construct import (
 )
 from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal, is_saturated
+from extremalcurves.modules import GraphBasis
 from extremalcurves.oracle import oracle_ideal_dims
+from extremalcurves.packing import ExponentLimitError
 from extremalcurves.ring import PolyRing, PrimeField
 from reference import binary_gcd, change_coordinates
 
@@ -110,6 +115,96 @@ class TestConstructCurve:
             inp.validate()
             I = construct_curve(inp)
             assert I.dim_piece(1) == 0
+
+
+class TestKeptKernel:
+    """An input keeps the kernel of its first successful `validate`, so a
+    drawn construction makes one graph basis in all."""
+
+    def test_one_graph_basis_per_drawn_construction(self):
+        made = []
+
+        class Counted(GraphBasis):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+        with mock.patch.object(construct_module, "GraphBasis", Counted):
+            inp = random_construction_input(4, 5, 1, random.Random(3))
+            assert len(made) == 1
+            I = construct_curve(inp)
+            assert len(made) == 1
+            assert inp.validate() is inp.validate()
+            assert len(made) == 1
+        assert I == construct_curve(ConstructionInput(inp.n, inp.d, inp.a, inp.f_list, inp.f))
+
+    def test_a_rejected_input_raises_again(self):
+        R = PolyRing(5)
+        x0, x1 = R.gen(0), R.gen(1)
+        inp = ConstructionInput(n=4, d=4, a=1, f_list=(x0 * x0, x0 * x1), f=x0 ** 4)
+        for _ in range(2):
+            with pytest.raises(InfiniteCokernelError):
+                inp.validate()
+        with pytest.raises(InfiniteCokernelError):
+            construct_curve(inp)
+
+    def test_the_kept_kernel_is_no_field(self):
+        R = PolyRing(4)
+        x0, x1 = R.gen(0), R.gen(1)
+        inp = ConstructionInput(n=3, d=4, a=1, f_list=(x0,), f=x1 ** 3)
+        twin = ConstructionInput(n=3, d=4, a=1, f_list=(x0,), f=x1 ** 3)
+        before = repr(inp), hash(inp)
+        inp.validate()
+        assert (repr(inp), hash(inp)) == before == (repr(twin), hash(twin))
+        assert inp == twin and twin == inp
+        with pytest.raises(AttributeError):
+            inp.n = 5
+
+    def test_the_exponent_limit_holds_at_degree_128(self):
+        # u_0 = x2^127 packs; with f = 0 its pair with x2·x3 has degree 128,
+        # and with f != 0 the candidate x2·u_0 has
+        R = PolyRing(4)
+        x0, x1 = R.gen(0), R.gen(1)
+        for f in (R.zero, x0 ** 126 + x1 ** 126):
+            inp = ConstructionInput(n=3, d=128, a=0, f_list=(R.one,), f=f)
+            inp.validate()
+            with pytest.raises(ExponentLimitError):
+                construct_curve(inp)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("n, d, a", [(2, 3, 0), (3, 2, 0), (3, 4, -1)])
+    def test_bad_numbers_are_refused_before_a_draw(self, n, d, a):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ConstructionError, match=r"need n >= 3, d >= 3, a >= 0"):
+            random_construction_input(n, d, a, rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("other", [PolyRing(4, PrimeField(7)), PolyRing(5)])
+    def test_forms_from_two_rings_are_refused(self, other):
+        R = PolyRing(4)
+        y0, y1 = other.gen(0), other.gen(1)
+        inp = ConstructionInput(n=3, d=4, a=1, f_list=(R.gen(0),), f=y0 ** 3 + y1 ** 3)
+        with pytest.raises(ConstructionError, match="two rings") as err:
+            inp.validate()
+        assert repr(R) in str(err.value) and repr(other) in str(err.value)
+        with pytest.raises(ConstructionError):
+            construct_curve(inp)
+        # a line form from another ring, and a zero gluing form from one
+        mixed = ConstructionInput(n=4, d=4, a=0, f_list=(R.gen(0), y1), f=R.zero)
+        with pytest.raises(ConstructionError, match="two rings"):
+            mixed.validate()
+        zero = ConstructionInput(n=3, d=4, a=0, f_list=(R.gen(0),), f=other.zero)
+        with pytest.raises(ConstructionError, match="two rings"):
+            zero.validate()
+
+    def test_forms_in_the_wrong_number_of_variables_are_refused(self):
+        R = PolyRing(6)
+        inp = ConstructionInput(n=3, d=4, a=1, f_list=(R.gen(0),), f=R.gen(1) ** 3)
+        for check in (inp.validate, lambda: construct_curve(inp)):
+            with pytest.raises(ConstructionError, match=r"wrong ring: .*nvars=6.* for n = 3"):
+                check()
 
 
 class TestCatalogs:

@@ -6,7 +6,9 @@ reads off them, normal forms, presented modules (their Hilbert functions
 and standard monomials) and the last-variable saturation, each against an
 independent check; the one Gröbner driver against the add-then-complete
 runs of `tests/reference.py` (reduced bases and capped leads, also over
-Z/32003, and presented modules on the dual rows of random constructions),
+Z/32003, presented modules on the dual rows of random constructions, and
+reduced bases of mostly single-term generators, where the pair loop builds
+no S-vector for two single terms, also against dense linear algebra),
 with no lead of a driver's engine dividing another and a negative control
 for that check; and the fraction-free
 minimalization of resolutions, with the dual rows read from its integers,
@@ -39,7 +41,7 @@ from extremalcurves.modules import (  # noqa: E402
     packed_vector,
 )
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
-from extremalcurves.oracle import _insert, minimal_generators  # noqa: E402
+from extremalcurves.oracle import _insert, minimal_generators, oracle_ideal_dims  # noqa: E402
 from extremalcurves.packing import MAXEXP, ExponentLimitError, divides, layout  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField  # noqa: E402
 from reference import (  # noqa: E402
@@ -180,6 +182,37 @@ def test_the_driver_matches_the_batch_run(data, cap):
     assert initial_monomials(gens, None, ring) == batch_initial_monomials(gens, None, ring)
     for top in (None, cap):
         assert_no_dividing_leads(_run(gens, ring, top)[0])
+
+
+@st.composite
+def monomial_heavy(draw, fields=ALL_FIELDS):
+    """Forms of degree 1 to 3, three in five of them a single term, so
+    that most pairs are of two single-term elements."""
+    ring = draw(rings(fields))
+    top = 3 if ring.nvars == 3 else 2
+    gens = []
+    for _ in range(draw(st.integers(2, 6))):
+        size = draw(st.sampled_from((1, 1, 1, 2, 3)))
+        gens.append(draw(forms(ring, draw(st.integers(1, top)), min_terms=size, max_terms=size)))
+    return ring, gens
+
+
+@SETTINGS
+@given(monomial_heavy())
+def test_monomial_heavy_bases_match_the_batch_run(data):
+    # the pair loop builds no S-vector for two single-term elements; the
+    # batch run shares that loop, so the lead ideal is also held against
+    # dense linear algebra up to the degree of every pair's lcm
+    ring, gens = data
+    gb = buchberger(gens, ring)
+    assert gb == batch_basis(gens, ring)
+    kept, minimal = minimal_basis(gens, ring)
+    assert kept == minimal_generators(gens) and minimal == gb
+    assert_reduced(gb, gens)
+    top = 2 * max(g.degree() for g in gens)
+    dims = oracle_ideal_dims(gens, top, ring)
+    leads = gb.initial_ideal()
+    assert [ring.dim_degree(j) - dims[j] for j in range(top + 1)] == [leads.quotient_dim(j) for j in range(top + 1)]
 
 
 def _insert_unreduced(ring, gens):

@@ -1,10 +1,12 @@
 """The graph basis, a presented module that the one Gröbner driver builds,
 against the run it replaced (`reference.BatchGraphBasis`: every graph
 element added, then the pairs completed), on random columns over QQ,
-Z/32003 and Z/7 with zero columns and multipliers, and on the dual rows
-that the h2 path reads: the same kernel (the kernel generators of each
-reduce to zero in the other), the same coimage Hilbert function, as many
-standard monomials as it counts, and the same constructed curve ideals;
+Z/32003 and Z/7 with zero columns and multipliers, on columns of mostly
+single terms (whose kernel generators are also checked to be syzygies),
+and on the dual rows that the h2 path reads: the same kernel (the kernel
+generators of each reduce to zero in the other), the same coimage Hilbert
+function, as many standard monomials as it counts, and the same
+constructed curve ideals (each side on its own copy of the input);
 dropping one kernel generator fails that check.  Then the ideal
 arithmetic that runs on the graph basis, against oracles that do not
 share it: intersections against inclusion-exclusion of the graded
@@ -16,6 +18,7 @@ seeds: the driver's insertion order must not hang on dict order."""
 import copy
 import hashlib
 import random
+from math import prod
 from unittest import mock
 
 import pytest
@@ -32,7 +35,7 @@ from extremalcurves.construct import (  # noqa: E402
 )
 from extremalcurves.groebner import _Engine, buchberger  # noqa: E402
 from extremalcurves.ideals import Ideal, intersect, kernel_of_map, quotient  # noqa: E402
-from extremalcurves.modules import GraphBasis, packed_vector  # noqa: E402
+from extremalcurves.modules import GraphBasis, packed_vector, polynomial_vector  # noqa: E402
 from extremalcurves.oracle import oracle_ideal_dims  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField  # noqa: E402
 from reference import BatchGraphBasis, brute_force_standard_basis, contains, division_quotient  # noqa: E402
@@ -105,6 +108,39 @@ def test_the_driver_graph_matches_the_batch_run(data):
     assert_same_graph(graph, batch, max(graph.gen_degrees) + 3)
 
 
+@st.composite
+def monomial_columns(draw):
+    """Columns of Polynomials into F = R(-w_0) + ... + R(-w_{r-1}) in 3 to
+    5 variables whose entries are single terms three times in four (zero
+    at times), with their multipliers (None at times)."""
+    ring = PolyRing(draw(st.integers(3, 5)), draw(st.sampled_from(FIELDS)))
+    twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    cols = []
+    for _ in range(draw(st.integers(2, 5))):
+        deg = max(twists) + draw(st.integers(0, 2))
+        size = draw(st.sampled_from((1, 1, 1, 2)))
+        cols.append([draw(forms(ring, deg - w, max_terms=size)) for w in twists])
+    multipliers = draw(st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=len(cols), max_size=len(cols))))
+    return ring, twists, cols, multipliers
+
+
+@SETTINGS
+@given(monomial_columns())
+def test_monomial_heavy_graph_matches_the_batch_run(data):
+    # the same kernel and coimage as the batch run, and each kernel
+    # generator c a syzygy of the wanted columns: sum c_t col_t / m_t = 0
+    ring, twists, cols, multipliers = data
+    packed = [packed_vector(ring, c) for c in cols]
+    graph = GraphBasis(packed, twists, ring, multipliers)
+    assert_same_graph(graph, BatchGraphBasis(packed, twists, ring, multipliers), max(graph.gen_degrees) + 3)
+    mults = multipliers or [1] * len(cols)
+    total = prod(mults)
+    for v in graph.kernel_generators():
+        coeffs = polynomial_vector(ring, v, len(cols))
+        for s in range(len(twists)):
+            assert not sum((c * col[s] * (total // m) for c, col, m in zip(coeffs, cols, mults)), ring.zero)
+
+
 @SETTINGS
 @given(graph_inputs(), st.data())
 def test_dropping_a_kernel_generator_fails_the_check(data, draw):
@@ -147,8 +183,11 @@ def in_field(inp, field):
 
 
 def outcome(inp):
-    """The reduced Gröbner basis of the constructed ideal, or the class of
-    the construction's error."""
+    """The reduced Gröbner basis of the ideal constructed from a fresh copy
+    of inp, or the class of the construction's error.  An input keeps the
+    kernel of its first successful `validate`, so each run takes its own
+    copy and makes its own graph basis."""
+    inp = ConstructionInput(n=inp.n, d=inp.d, a=inp.a, f_list=inp.f_list, f=inp.f)
     try:
         return construct_curve(inp).groebner()
     except ConstructionError as err:

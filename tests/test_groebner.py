@@ -4,7 +4,8 @@ import pytest
 
 from extremalcurves.cohomology import verify_extremal
 from extremalcurves.construct import extremal_curve_ideal
-from extremalcurves.groebner import buchberger, initial_monomials, linear_images, minimal_basis
+from extremalcurves.groebner import _Engine, buchberger, initial_monomials, linear_images, minimal_basis
+from extremalcurves.modules import PresentedModule, packed_vector
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.oracle import minimal_generators, oracle_ideal_dims
 from extremalcurves.packing import ExponentLimitError, layout
@@ -92,6 +93,57 @@ class TestBuchberger:
             dims = oracle_ideal_dims(polys, 8, ring)
             for j in range(9):
                 assert dims[j] == ideal_dim(lead, j), (polys, j)
+
+
+class TestSingleTermPairs:
+    """Two single-term elements have a zero S-vector at every rank: the
+    pair loop builds none for them, and a pair with a longer element still
+    gets its S-vector."""
+
+    @staticmethod
+    def count_spairs(monkeypatch):
+        calls = []
+        spair = _Engine.spair
+
+        def counted(self, *args):
+            calls.append(args)
+            return spair(self, *args)
+
+        monkeypatch.setattr(_Engine, "spair", counted)
+        return calls
+
+    def test_an_ideal_of_monomials_builds_no_s_vector(self, monkeypatch):
+        calls = self.count_spairs(monkeypatch)
+        x0, x1, x2 = R3.gens()
+        # every two leads share a variable, so the coprime criterion skips none
+        gens = [x0 * x0 * x1, x0 * x1 * x1, x1 * x2 * x2, x0 * x1 * x2, x0 * x2]
+        gb = buchberger(gens, R3)
+        assert calls == []
+        # x0*x1*x2 is a multiple of x0*x2; the rest are the basis
+        assert {str(p) for p in gb} == {"x0^2*x1", "x0*x1^2", "x1*x2^2", "x0*x2"}
+        kept, _ = minimal_basis(gens, R3)
+        assert kept == [x0 * x2, x0 * x0 * x1, x0 * x1 * x1, x1 * x2 * x2]
+        assert calls == []
+
+    def test_a_module_of_monomials_builds_no_s_vector(self, monkeypatch):
+        calls = self.count_spairs(monkeypatch)
+        x0, x1, x2 = R3.gens()
+        zero = R3.zero
+        rels = [[x0 * x1, zero], [x0 * x2, zero], [zero, x1 * x2], [zero, x1 * x1], [x0 * x0 * x2, zero]]
+        module = PresentedModule(R3, [0, 1], [packed_vector(R3, r) for r in rels])
+        assert calls == []
+        # R/(x0x1, x0x2) + R/(x1x2, x1^2)(-1), x0^2*x2 redundant
+        first = MonomialIdeal(3, [(1, 1, 0), (1, 0, 1)])
+        second = MonomialIdeal(3, [(0, 1, 1), (0, 2, 0)])
+        for e in range(6):
+            assert module.hf(e) == first.quotient_dim(e) + second.quotient_dim(e - 1)
+
+    def test_a_longer_element_still_pairs(self, monkeypatch):
+        calls = self.count_spairs(monkeypatch)
+        x0, x1, x2 = R3.gens()
+        gb = buchberger([x0 * x1, x0 * x0 - x1 * x2], R3)
+        assert calls
+        assert all(contains(gb, g) for g in (x1 * x1 * x2, x0 * x1))
 
 
 class TestNormalForm:
