@@ -65,31 +65,31 @@ def _build_parser():
     p.add_argument("--max-deg", type=_at_least(0), required=True)
 
     p = sub.add_parser("sweep", help="run the verification grid")
-    p.add_argument("--n", type=_span, required=True, help="range A:B inclusive")
-    p.add_argument("--d", type=_span, required=True, help="range A:B inclusive")
-    p.add_argument("--a", type=_deficits, required=True, help="range A:B inclusive, A >= 0")
+    p.add_argument("--n", type=_span(3, "ambient dimension below 3"), required=True, help="range A:B inclusive, A >= 3")
+    p.add_argument("--d", type=_span(2, "degree below 2"), required=True, help="range A:B inclusive, A >= 2")
+    p.add_argument("--a", type=_span(0, "negative genus deficit"), required=True, help="range A:B inclusive, A >= 0")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _span(text):
-    try:
-        lo, hi = map(int, text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}") from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}: A exceeds B")
-    return lo, hi
+def _span(low, below):
+    """An argparse type: a nonempty range A:B of integers with A >= low;
+    below names what an A under low would ask for."""
 
+    def parse(text):
+        try:
+            lo, hi = map(int, text.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}") from None
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}: A exceeds B")
+        if lo < low:
+            raise argparse.ArgumentTypeError(f"{below} in {text!r}: A must be >= {low}")
+        return lo, hi
 
-def _deficits(text):
-    """A range of genus deficits a = g_max - g, which are never negative."""
-    lo, hi = _span(text)
-    if lo < 0:
-        raise argparse.ArgumentTypeError(f"negative genus deficit in {text!r}: A must be >= 0")
-    return lo, hi
+    return parse
 
 
 def _at_least(low):
@@ -110,12 +110,7 @@ def _at_least(low):
 def _cmd_bounds(args):
     g_top = max_genus(args.n, args.d)
     if args.g > g_top:
-        print(
-            f"error: genus {args.g} exceeds the bound {g_top} for (n, d) = "
-            f"({args.n}, {args.d})",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"genus {args.g} exceeds the bound {g_top} for (n, d) = ({args.n}, {args.d})")
     prof = bound_profile(args.n, args.d, args.g, jmin=args.jmin, jmax=args.jmax)
     lo, hi = prof.window
     if lo > hi:

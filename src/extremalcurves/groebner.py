@@ -7,7 +7,9 @@ mod p), using the normal selection strategy with the chain criterion, the
 coprimality criterion at rank 1, and at every rank its rank-free case: two
 single-term elements have a zero S-vector, so none is built for them
 (Buchberger's first criterion, as in Gebauer and Möller, JSC 6, 1988).  A
-polynomial ideal is the rank-1 case of the one pair loop.  Homogeneous
+polynomial ideal is the rank-1 case of the one pair loop.  `spair` and
+`cancel_lead` shift by a difference of keys, so the Schreyer frame of
+``modules`` runs them on its own key layout.  Homogeneous
 input means pair degrees are non-decreasing, so a degree cap yields the
 exact initial ideal up to that degree.
 
@@ -105,97 +107,114 @@ def _monic(coeffs, modulus):
     return _divide(coeffs, coeffs[0], modulus) if modulus else _primitive(coeffs, 0)
 
 
+def cancel_lead(acc, lead, g, modulus):
+    """Take the accumulator f = {key: coeff} with lead key lead to
+    a*f - b*x^s*g, which cancels that lead; returns (acc, a, b).  Mod p
+    a is 1; over QQ a and b are the cofactors of the two lead
+    coefficients, and a != 1 rescales acc into a new dict.  The shift s is
+    the difference of the two leads, so any key layout in which a monomial
+    shift is a difference of keys will do."""
+    if modulus:
+        a, b = 1, acc[lead] * pow(g.coeffs[0], -1, modulus) % modulus
+    else:
+        cf, cg = acc[lead], g.coeffs[0]
+        d = gcd(cf, cg)
+        a, b = cg // d, cf // d
+        if a != 1:
+            acc = {k: a * c for k, c in acc.items()}
+    shift = lead - g.keys[0]
+    get = acc.get
+    for k, c in zip(g.keys, g.coeffs):
+        k += shift
+        v = get(k, 0) - b * c
+        if modulus:
+            v %= modulus
+        if v:
+            acc[k] = v
+        else:  # b * c != 0, so k was there
+            del acc[k]
+    return acc, a, b
+
+
+def spair(gi, gj, lcm_key, modulus):
+    """S-vector of the elements gi and gj at lcm_key: (acc, a, b) for the
+    accumulator acc = a*x^si*gi - b*x^sj*gj."""
+    si = lcm_key - gi.keys[0]
+    return cancel_lead({k + si: c for k, c in zip(gi.keys, gi.coeffs)}, lcm_key, gj, modulus)
+
+
 class _Engine:
     """A growing list of packed basis elements of a ring or a free module,
     indexed by the component of their leads.
 
-    A key holds a packed monomial and a component.  By default the
-    component sits in the bits above the monomial slots (position over
-    term), and a polynomial is a vector in component 0.  With
-    ``rank_bits`` the monomial sits above that many low bits, which hold
-    the component instead (the Schreyer layout of ``modules``).  Either
-    way a monomial shift is a difference of keys in one component, and a
+    A key holds a packed monomial and, in the bits above its slots, a
+    component (position over term); a polynomial is a vector in component
+    0.  A monomial shift is a difference of keys in one component, and a
     reduction adds shifted terms into a {key: coeff} accumulator whose
-    lead is its smallest key.
+    lead is its smallest key.  `element`, `vector` and `unit` convert
+    between these keys and packed vectors {component: {packed monomial:
+    coeff}}; no other module shifts a component into a key.
     """
 
-    def __init__(self, ring: PolyRing, rank_bits=None):
+    def __init__(self, ring: PolyRing):
         self.ring = ring
         self.layout = lay = packing.layout(ring.nvars)
         self.modulus = ring.modulus
-        self.comp_shift = lay.bits  # position over term: component bits
-        self.rank_bits = rank_bits
-        self.himask = lay.himask << (rank_bits or 0)
-        # the bits of a key that name its component
-        self.slot_shift, self.slot_mask = (self.comp_shift, -1) if rank_bits is None else (0, (1 << rank_bits) - 1)
+        self.comp_shift = lay.bits  # the component sits above the monomial slots
+        self.himask = lay.himask
         self.basis = []
         self.by_slot = {}  # component -> [(lead key, index)] in index order
         self.pairs = []  # heap of (degree, lcm degree, -lcm monomial, i, j, lcm key)
         self.pending = set()  # the (i, j) on the heap
         self.paired = 0  # elements whose pairs are on the heap
 
+    def element(self, vec) -> _EnginePoly:
+        """Engine element of a packed vector."""
+        cs = self.comp_shift
+        terms = sorted((s << cs | k, c) for s, e in vec.items() for k, c in e.items())
+        return _clear([k for k, _ in terms], [c for _, c in terms], None, self.modulus)
+
+    def vector(self, keys, coeffs, first):
+        """Packed vector of the terms in components first and above, shifted
+        down by first."""
+        cs, mmask = self.comp_shift, self.layout.full
+        out = {}
+        for k, c in zip(keys, coeffs):
+            out.setdefault((k >> cs) - first, {})[k & mmask] = c
+        return out
+
+    def unit(self, slot):
+        """The key of the unit monomial of component slot: the keys of slot
+        and the components above it are those from it on."""
+        return slot << self.comp_shift
+
     def add(self, ep: _EnginePoly):
         lead = ep.keys[0]
-        slot = (lead >> self.slot_shift) & self.slot_mask
-        self.by_slot.setdefault(slot, []).append((lead, len(self.basis)))
+        self.by_slot.setdefault(lead >> self.comp_shift, []).append((lead, len(self.basis)))
         self.basis.append(ep)
 
     def find_reducer(self, lead):
         """Index of the first element whose lead divides lead, or None."""
         himask = self.himask
         top = lead | himask
-        for key, t in self.by_slot.get((lead >> self.slot_shift) & self.slot_mask, ()):
+        for key, t in self.by_slot.get(lead >> self.comp_shift, ()):
             if (top - key) & himask == himask:  # packing.divides(key, lead, himask)
                 return t
         return None
-
-    def cancel_lead(self, acc, lead, g):
-        """Take the accumulator f = {key: coeff} with lead key lead to
-        a*f - b*x^s*g, which cancels that lead; returns (acc, a, b).  Mod p
-        a is 1; over QQ a and b are the cofactors of the two lead
-        coefficients, and a != 1 rescales acc into a new dict."""
-        modulus = self.modulus
-        if modulus:
-            a, b = 1, acc[lead] * pow(g.coeffs[0], -1, modulus) % modulus
-        else:
-            cf, cg = acc[lead], g.coeffs[0]
-            d = gcd(cf, cg)
-            a, b = cg // d, cf // d
-            if a != 1:
-                acc = {k: a * c for k, c in acc.items()}
-        shift = lead - g.keys[0]
-        get = acc.get
-        for k, c in zip(g.keys, g.coeffs):
-            k += shift
-            v = get(k, 0) - b * c
-            if modulus:
-                v %= modulus
-            if v:
-                acc[k] = v
-            else:  # b * c != 0, so k was there
-                del acc[k]
-        return acc, a, b
-
-    def spair(self, i, j, lcm_key):
-        """S-vector of elements i and j at lcm_key: (acc, a, b) for the
-        accumulator acc = a*x^si*g_i - b*x^sj*g_j."""
-        gi = self.basis[i]
-        si = lcm_key - gi.keys[0]
-        return self.cancel_lead({k + si: c for k, c in zip(gi.keys, gi.coeffs)}, lcm_key, self.basis[j])
 
     def top_reduce(self, acc):
         """Reduce the lead of the accumulator {key: coeff} until it is
         irreducible or zero, and return the result as ascending (keys,
         coeffs).  The lead is the smallest key; each step updates only the
         terms of the reducer, the first element whose lead divides."""
-        modulus = self.modulus
+        basis, modulus = self.basis, self.modulus
         steps = 0
         while acc:
             lead = min(acc)
             t = self.find_reducer(lead)
             if t is None:
                 break
-            acc, _, _ = self.cancel_lead(acc, lead, self.basis[t])
+            acc, _, _ = cancel_lead(acc, lead, basis[t], modulus)
             if not modulus:
                 steps += 1
                 if steps % 16 == 0 and acc:
@@ -218,7 +237,7 @@ class _Engine:
                 rem_k.append(lead)
                 rem_c.append(acc.pop(lead))
                 continue
-            acc, a, _ = self.cancel_lead(acc, lead, self.basis[t])
+            acc, a, _ = cancel_lead(acc, lead, self.basis[t], self.modulus)
             if a != 1:
                 mult *= a
                 if rem_c:
@@ -282,7 +301,7 @@ class _Engine:
                     break
             if skip:
                 continue
-            keys, coeffs = self.top_reduce(self.spair(i, j, w)[0])
+            keys, coeffs = self.top_reduce(spair(basis[i], basis[j], w, modulus)[0])
             if not keys:
                 continue
             self.add(_EnginePoly(keys, _primitive(coeffs, modulus), deg))

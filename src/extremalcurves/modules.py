@@ -4,16 +4,18 @@ finitely presented modules.
 
 A module term is one integer key, a packed monomial plus a component, with
 the coefficients of ``groebner`` (primitive integers over QQ, residues mod
-p).  Kernels and presented modules use position over term: the
-component sits in the bits above the monomial, so ascending keys run from
-the lowest component down through revlex.  A resolution level uses the
-Schreyer order induced by the level below: the key is the image monomial
-(the term times the lead image of its component) above a rank that orders
-the components by their chains of lead components through the levels
-below.  Syzygy levels are pruned to the pairs whose Schreyer lead is a
-minimal generator of the per-component lead module, which keeps the tower
-near-minimal before the exact unit-entry minimalization pass; a pruned
-pair is reduced to zero by the shortest divisor (`_schreyer_step`).
+p).  Kernels and presented modules use the engine's position over term
+(its `element`, `vector` and `unit` convert): ascending keys run from the
+lowest component down through revlex.  A resolution level uses the
+Schreyer order induced by the level below, a layout of this module's own:
+the key is the image monomial (the term times the lead image of its
+component) above a rank that orders the components by their chains of
+lead components through the levels below; the frame runs on its level
+lists with ``groebner``'s `spair` and `cancel_lead`.  Syzygy levels are
+pruned to the pairs whose Schreyer lead is a minimal generator of the
+per-component lead module, which keeps the tower near-minimal before the
+exact unit-entry minimalization pass; a pruned pair is reduced to zero by
+the shortest divisor (`_schreyer_step`).
 Outside the engine an element is a packed vector {component: {packed
 monomial: coefficient}} of homogeneous nonzero entries, its coefficients
 field elements or integers: resolution maps stay packed (integer columns
@@ -32,7 +34,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import packing
-from .groebner import GroebnerBasis, _clear, _divide, _Engine, _EnginePoly, _primitive
+from .groebner import GroebnerBasis, _divide, _Engine, _EnginePoly, _primitive, cancel_lead, spair
 from .monomials import BettiTable, _numerator, series_dim
 from .ring import PolyRing, Polynomial, _addmul, binom
 
@@ -41,11 +43,11 @@ from .ring import PolyRing, Polynomial, _addmul, binom
 # Schreyer resolution
 
 
-def _schreyer_step(eng):
+def _schreyer_step(level, bits, lay, modulus):
     """One syzygy level: pruned S-pair syzygies of a Gröbner basis.
 
-    eng holds the level's elements, keyed (image << bits) | rank, with bits
-    its rank_bits.  Returns (syzygies, their twists, new_bits, decode): the
+    level holds the level's elements, keyed (image << bits) | rank, in the
+    packing layout lay.  Returns (syzygies, new_bits, decode): the
     syzygies are keyed the same way over this level's elements with
     new_bits rank bits, sorted by descending Schreyer lead, and
     decode[rank] = (element index, its lead image).  Each syzygy is an
@@ -58,15 +60,17 @@ def _schreyer_step(eng):
     reducer adds the fewest terms, so the tails come out sparser and
     the next level reduces them in fewer steps.
     """
-    lay, modulus, basis, bits = eng.layout, eng.modulus, eng.basis, eng.rank_bits
     mask = (1 << bits) - 1
-    leads = [g.keys[0] for g in basis]
+    leads = [g.keys[0] for g in level]
+    by_rank = {}  # rank of the lead component -> [(lead, index)] in index order
+    for t, lead in enumerate(leads):
+        by_rank.setdefault(lead & mask, []).append((lead, t))
     # chains of lead components compare as (rank of the lead component, index)
-    order = sorted(range(len(basis)), key=lambda t: (leads[t] & mask, t))
-    rank = [0] * len(basis)
+    order = sorted(range(len(level)), key=lambda t: (leads[t] & mask, t))
+    rank = [0] * len(level)
     for r, t in enumerate(order):
         rank[t] = r
-    new_bits = len(basis).bit_length()
+    new_bits = len(level).bit_length()
     decode = [(t, leads[t] >> bits) for t in order]
     plain = lay.himask
 
@@ -76,7 +80,7 @@ def _schreyer_step(eng):
         # equal, and the chain ending in the smaller index wins the tie
         img = li >> bits
         cands = []
-        for lj, j in eng.by_slot[li & mask]:
+        for lj, j in by_rank[li & mask]:
             if j > i:
                 w = lay.lcm(img, lj >> bits)
                 q = w - img
@@ -88,16 +92,16 @@ def _schreyer_step(eng):
                 kept.append(-nq)
                 chosen.append((i, j, w))
 
-    lam = [g.coeffs[0] for g in basis]  # element == lam * monic element
-    # per component, the elements by (term count, index): the first whose
-    # lead divides is the shortest divisor, the lowest index among equals
-    reducers = {s: sorted(found, key=lambda e: (len(basis[e[1]].keys), e[1])) for s, found in eng.by_slot.items()}
-    himask = eng.himask
+    lam = [g.coeffs[0] for g in level]  # element == lam * monic element
+    # per rank, the elements by (term count, index): the first whose lead
+    # divides is the shortest divisor, the lowest index among equals
+    reducers = {r: sorted(found, key=lambda e: (len(level[e[1]].keys), e[1])) for r, found in by_rank.items()}
+    himask = plain << bits
     new = []
     for i, j, w in chosen:
         deg = lay.degree(w)
         lay.check(deg, "syzygy degree")
-        acc, a, b = eng.spair(i, j, (w << bits) | (leads[i] & mask))
+        acc, a, b = spair(level[i], level[j], (w << bits) | (leads[i] & mask), modulus)
         trace = []  # (lead, t, a, b) per step: it took acc to a*acc - b*x^s*g_t
         while acc:
             lead = min(acc)
@@ -107,7 +111,7 @@ def _schreyer_step(eng):
                     break
             else:
                 raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
-            acc, a_s, b_s = eng.cancel_lead(acc, lead, basis[t])
+            acc, a_s, b_s = cancel_lead(acc, lead, level[t], modulus)
             trace.append((lead, t, a_s, b_s))
         # mult * spair == sum of the traced multiples; over the monic elements
         # the syzygy is mult*a*lam_i at i, -mult*b*lam_j at j, minus the trace
@@ -132,18 +136,14 @@ def _schreyer_frame(gb: GroebnerBasis):
     level, (elements, rank bits, decode) as `_packed_columns` reads them,
     the basis itself first (one component, keys are monomials)."""
     ring = gb.ring
-    eng = _Engine(ring, rank_bits=0)
-    for e in gb.elems:
-        eng.add(e)
-    levels = [(eng.basis, 0, [(0, 0)])]
+    lay = packing.layout(ring.nvars)
+    level, bits = gb.elems, 0
+    levels = [(level, bits, [(0, 0)])]
     for _ in range(ring.nvars + 2):
-        new, bits, decode = _schreyer_step(eng)
-        if not new:
+        level, bits, decode = _schreyer_step(level, bits, lay, ring.modulus)
+        if not level:
             return levels
-        levels.append((new, bits, decode))
-        eng = _Engine(ring, rank_bits=bits)
-        for e in new:
-            eng.add(e)
+        levels.append((level, bits, decode))
     raise AssertionError("resolution exceeded the variable-count bound")
 
 
@@ -346,23 +346,6 @@ def polynomial_vector(ring, vec, rank):
     return out
 
 
-def _pot_element(eng, vec):
-    """Engine element of a packed vector."""
-    cs = eng.comp_shift
-    terms = sorted((s << cs | k, c) for s, e in vec.items() for k, c in e.items())
-    return _clear([k for k, _ in terms], [c for _, c in terms], None, eng.modulus)
-
-
-def _pot_vector(eng, keys, coeffs, first):
-    """Packed vector of the terms in components first and above, shifted
-    down by first."""
-    cs, mmask = eng.comp_shift, eng.layout.full
-    out = {}
-    for k, c in zip(keys, coeffs):
-        out.setdefault((k >> cs) - first, {})[k & mmask] = c
-    return out
-
-
 class PresentedModule:
     """Finitely presented graded module: free slots with generator degrees
     plus a relation submodule of packed vectors, held as a POT Gröbner
@@ -375,7 +358,7 @@ class PresentedModule:
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
         eng = _Engine(ring)
-        rels = (_pot_element(eng, rel) for rel in relations)
+        rels = (eng.element(rel) for rel in relations)
         eng.build([e for e in rels if e.keys], self.gen_degrees)
         self.engine = eng
         self._standard = {}
@@ -403,12 +386,12 @@ class PresentedModule:
         if not vec:
             return {}
         eng, first = self.engine, self.first
-        ep = _pot_element(eng, {s + first: e for s, e in vec.items()})
+        ep = eng.element({s + first: e for s, e in vec.items()})
         keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
         # ep is ep.coeffs[0] / lead times vec, lead the coefficient at vec's smallest key
         top = vec[min(vec)]
         lead = top[min(top)]
-        return _pot_vector(eng, keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), first)
+        return eng.vector(keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), first)
 
     def is_finite_length(self) -> bool:
         """Whether HS(M) = N(t)/(1-t)^n is a Laurent polynomial, that is
@@ -420,8 +403,8 @@ class PresentedModule:
         return not any(sum(c * binom(k - low, i) for k, c in terms) for i in range(self.ring.nvars))
 
     def standard_basis(self, degree: int):
-        """Ascending POT keys (first + slot) << comp_shift | monomial outside
-        the lead module, memoised per degree.  Its complement is an order
+        """Ascending POT keys, the unit key of slot first + slot plus a
+        monomial, outside the lead module, memoised per degree.  Its complement is an order
         ideal: the keys of degree e+1 are the variable multiples of those of
         degree e and the slots generated in e+1, less the keys a lead
         divides."""
@@ -435,7 +418,7 @@ class PresentedModule:
         while e < degree:  # a loop, not recursion: the tracer wraps this method
             e += 1
             keys = {k + x for k in out for x in steps}
-            keys.update(s << eng.comp_shift for s, w in enumerate(self.gen_degrees, self.first) if w == e)
+            keys.update(eng.unit(s) for s, w in enumerate(self.gen_degrees, self.first) if w == e)
             out = memo[e] = sorted(k for k in keys if eng.find_reducer(k) is None)
         return memo.get(degree, [])  # none below the lowest generator
 
@@ -491,7 +474,8 @@ class GraphBasis(PresentedModule):
         positive lead over QQ, residues mod p): each is a nonzero multiple
         of its monic generator."""
         eng, first = self.engine, self.first
-        return [_pot_vector(eng, g.keys, g.coeffs, first) for g in eng.basis if g.keys[0] >> eng.comp_shift >= first]
+        low = eng.unit(first)
+        return [eng.vector(g.keys, g.coeffs, first) for g in eng.basis if g.keys[0] >= low]
 
 
 def module_kernel(cols, free_twists, ring) -> list:

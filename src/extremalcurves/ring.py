@@ -196,14 +196,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, self.terms))
 
-    @property
-    def lead_monomial(self) -> Monomial:
-        return self.terms[0][0]
-
-    @property
-    def lead_coeff(self):
-        return self.terms[0][1]
-
     def degree(self) -> int:
         """Total degree (of the lead term; -1 for the zero polynomial)."""
         if not self.terms:
@@ -248,11 +240,6 @@ class Polynomial:
     def scale(self, c):
         c = self.ring.field.coerce(c)
         return Polynomial(self.ring, [(m, cc * c) for m, cc in self.terms])
-
-    def mono_shift(self, m: Monomial, c=1):
-        """Multiply by the monomial m scaled by c."""
-        c = self.ring.field.coerce(c)
-        return Polynomial(self.ring, [(mono_mul(mm, m), cc * c) for mm, cc in self.terms])
 
     def __pow__(self, k: int):
         if k < 0:

@@ -28,7 +28,8 @@ its one driver; the ideal quotient by exact division of the generators
 of each I ∩ (g) by g, with that division and the divisibility and
 quotient of exponent tuples; and small reads
 of package objects that only the tests make: the normal form and
-membership of a Gröbner basis, the regularity, top index, generator
+membership of a Gröbner basis, the lead monomial, lead coefficient and
+monomial shift of a polynomial, the regularity, top index, generator
 degrees and alternating numerator of a Betti table, the graded dimensions of a
 monomial ideal by counting its standard monomials, constant and monomial
 polynomials, and the coefficient of one monomial."""
@@ -50,8 +51,10 @@ from extremalcurves.groebner import (
     _primitive,
     _to_engine,
     buchberger,
+    cancel_lead,
     initial_monomials,
     linear_images,
+    spair,
 )
 from extremalcurves.idealfile import IdealFileError
 from extremalcurves.ideals import Ideal, intersect, random_unipotent_matrix
@@ -59,7 +62,6 @@ from extremalcurves.modules import (
     GraphBasis,
     PresentedModule,
     ResolutionData,
-    _pot_element,
     _minimalize,
     _packed_columns,
     _schreyer_frame,
@@ -69,7 +71,23 @@ from extremalcurves.modules import (
 from extremalcurves.monomials import BettiTable, MonomialIdeal, _poly_add_shift, _trim, is_strongly_stable
 from extremalcurves.oracle import _insert, _poly_rows, fraction_rank
 from extremalcurves.packing import divides, layout
-from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, revlex_key
+from extremalcurves.ring import PolyRing, Polynomial, _addmul, binom, mono_degree, mono_mul, revlex_key
+
+
+def lead_monomial(p: Polynomial):
+    """The exponent tuple of a nonzero polynomial's lead term."""
+    return p.terms[0][0]
+
+
+def lead_coeff(p: Polynomial):
+    """The coefficient of a nonzero polynomial's lead term."""
+    return p.terms[0][1]
+
+
+def mono_shift(p: Polynomial, m, c=1) -> Polynomial:
+    """p times the monomial m scaled by c."""
+    c = p.ring.field.coerce(c)
+    return Polynomial(p.ring, [(mono_mul(mm, m), cc * c) for mm, cc in p.terms])
 
 
 def mono_divides(a, b) -> bool:
@@ -92,14 +110,14 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     r = f
     coerce = ring.field.coerce
     while r:
-        lm, lc = r.lead_monomial, r.lead_coeff
-        gm, gc = g.lead_monomial, g.lead_coeff
+        lm, lc = lead_monomial(r), lead_coeff(r)
+        gm, gc = lead_monomial(g), lead_coeff(g)
         if not mono_divides(gm, lm):
             raise ValueError("not an exact division")
         mono = mono_div(lm, gm)
         coeff = coerce(Fraction(lc) / gc)
         q_terms.append((mono, coeff))
-        r = r - g.mono_shift(mono, coeff)
+        r = r - mono_shift(g, mono, coeff)
     return Polynomial(ring, q_terms)
 
 
@@ -206,7 +224,7 @@ def graph_kernel_ideal(inp) -> Ideal:
     cols = [packed_vector(ring, [p]) for p in [values[t] for t in live] + x[2:]]
     lay, coerce = layout(ring.nvars), ring.field.coerce
     pack, unpack = lay.pack, lay.unpack
-    shifts = [pack(planar_gens[t].lead_monomial) for t in live]
+    shifts = [pack(lead_monomial(planar_gens[t])) for t in live]
     gens = []
     for vec in GraphBasis(cols, [0], ring).kernel_generators():
         acc = {}
@@ -286,26 +304,28 @@ def field_resolution(gb) -> ResolutionData:
     return field_resolution_data(ring, *field_minimalize(twists, cols, modulus))
 
 
-def first_divisor_step(eng):
+def first_divisor_step(level, bits, lay, modulus):
     """`modules._schreyer_step` with the reducer rule it had before the
     shortest divisor: each step of an S-pair's reduction uses the first
-    element, in index order, whose lead divides (`_Engine.find_reducer`).
-    Any divisor gives a syzygy with the same Schreyer lead, so the frame's
-    leads and twists are those of the package; only the tails differ."""
-    lay, modulus, basis, bits = eng.layout, eng.modulus, eng.basis, eng.rank_bits
+    element, in index order, whose lead divides.  Any divisor gives a
+    syzygy with the same Schreyer lead, so the frame's leads and twists
+    are those of the package; only the tails differ."""
     mask = (1 << bits) - 1
-    leads = [g.keys[0] for g in basis]
-    order = sorted(range(len(basis)), key=lambda t: (leads[t] & mask, t))
-    rank = [0] * len(basis)
+    leads = [g.keys[0] for g in level]
+    by_rank = {}
+    for t, lead in enumerate(leads):
+        by_rank.setdefault(lead & mask, []).append((lead, t))
+    order = sorted(range(len(level)), key=lambda t: (leads[t] & mask, t))
+    rank = [0] * len(level)
     for r, t in enumerate(order):
         rank[t] = r
-    new_bits = len(basis).bit_length()
+    new_bits = len(level).bit_length()
     decode = [(t, leads[t] >> bits) for t in order]
     chosen = []
     for i, li in enumerate(leads):
         img = li >> bits
         cands = []
-        for lj, j in eng.by_slot[li & mask]:
+        for lj, j in by_rank[li & mask]:
             if j > i:
                 w = lay.lcm(img, lj >> bits)
                 cands.append((lay.degree(w - img), img - w, j, w))
@@ -314,17 +334,18 @@ def first_divisor_step(eng):
             if not any(divides(k, -nq, lay.himask) for k in kept):
                 kept.append(-nq)
                 chosen.append((i, j, w))
-    lam = [g.coeffs[0] for g in basis]
+    lam = [g.coeffs[0] for g in level]
+    himask = lay.himask << bits
     new = []
     for i, j, w in chosen:
-        acc, a, b = eng.spair(i, j, (w << bits) | (leads[i] & mask))
+        acc, a, b = spair(level[i], level[j], (w << bits) | (leads[i] & mask), modulus)
         trace = []
         while acc:
             lead = min(acc)
-            t = eng.find_reducer(lead)
+            t = next((t for key, t in by_rank.get(lead & mask, ()) if divides(key, lead, himask)), None)
             if t is None:
                 raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
-            acc, a_s, b_s = eng.cancel_lead(acc, lead, basis[t])
+            acc, a_s, b_s = cancel_lead(acc, lead, level[t], modulus)
             trace.append((lead, t, a_s, b_s))
         terms = {}
         mult = 1
@@ -344,20 +365,14 @@ def first_divisor_step(eng):
 
 def first_divisor_frame(gb):
     """`modules._schreyer_frame` with `first_divisor_step` for each level."""
-    ring = gb.ring
-    eng = _Engine(ring, rank_bits=0)
-    for e in gb.elems:
-        eng.add(e)
-    levels = [(eng.basis, 0, [(0, 0)])]
+    lay, modulus = layout(gb.ring.nvars), gb.ring.modulus
+    level, bits = gb.elems, 0
+    levels = [(level, bits, [(0, 0)])]
     while True:
-        new, bits, decode = first_divisor_step(eng)
-        if not new:
-            break
-        levels.append((new, bits, decode))
-        eng = _Engine(ring, rank_bits=bits)
-        for e in new:
-            eng.add(e)
-    return levels
+        level, bits, decode = first_divisor_step(level, bits, lay, modulus)
+        if not level:
+            return levels
+        levels.append((level, bits, decode))
 
 
 def first_divisor_resolution(gb) -> ResolutionData:
@@ -498,7 +513,7 @@ class BatchPresentedModule(PresentedModule):
         self.gen_degrees = tuple(gen_degrees)
         eng = _Engine(ring)
         for rel in relations:
-            e = _pot_element(eng, rel)
+            e = eng.element(rel)
             if e.keys:
                 eng.add(e)
         eng.complete(self.gen_degrees)
@@ -520,7 +535,7 @@ class BatchGraphBasis(GraphBasis):
             if len(found) > 1:
                 raise ValueError("inhomogeneous column")
             degs.append(found.pop() if found else 0)
-            eng.add(_pot_element(eng, {**col, first + t: {0: multipliers[t] if multipliers else 1}}))
+            eng.add(eng.element({**col, first + t: {0: multipliers[t] if multipliers else 1}}))
         eng.complete(list(free_twists) + degs)
         self.engine, self.gen_degrees, self._standard = eng, tuple(degs), {}
 
@@ -884,13 +899,13 @@ def brute_force_standard_basis(module, degree):
     """The standard monomials of a `PresentedModule` in a degree as its
     ascending POT keys: every monomial of the degree in each slot, tested
     against the slot's leads by tuple divisibility."""
-    cs = module.engine.comp_shift
+    unit = module.engine.unit
     pack = layout(module.ring.nvars).pack
     out = []
     for s, (leads, w) in enumerate(zip(slot_leads(module), module.gen_degrees)):
         for m in module.ring.monomials_of_degree(degree - w):  # ascending packed keys
             if not any(mono_divides(g, m) for g in leads):
-                out.append((module.first + s) << cs | pack(m))
+                out.append(unit(module.first + s) | pack(m))
     return out
 
 

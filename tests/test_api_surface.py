@@ -3,7 +3,7 @@ tracer wraps (read from its TARGETS list) still resolves, every name in
 `__all__` imports, the test-only references stay out of the package, no
 package module imports from the tests, only `packing` knows the
 packed-monomial format, the Gröbner driver is the one caller of the pair
-completion, and importing the CLI loads neither `dataclasses` nor
+completion, each key layout has one owner module, and importing the CLI loads neither `dataclasses` nor
 `json`."""
 
 import ast
@@ -75,6 +75,11 @@ GONE = [
     ("modules", "_Quotient"),
     ("modules", "PresentedModule.lead_ideals"),
     ("monomials", "MonomialIdeal.is_artinian"),
+    ("ring", "Polynomial.lead_monomial"),
+    ("ring", "Polynomial.lead_coeff"),
+    ("ring", "Polynomial.mono_shift"),
+    ("modules", "_pot_element"),
+    ("modules", "_pot_vector"),
     *[
         ("ring", f"{cls}.{name}")
         for cls in ("RationalField", "PrimeField")
@@ -164,30 +169,56 @@ def test_only_packing_knows_the_packed_format():
     assert {name: uses for name, uses in found.items() if uses} == {}
 
 
-def _complete_callers(tree):
-    """The dotted name of the function around each call of a `.complete`
-    method, or "<module>" for a call outside every function."""
+def _callers(tree, name):
+    """The dotted name of the function around each call of a function or
+    method called name, or "<module>" for a call outside every function."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from walk(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "complete":
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "attr", None), getattr(child.func, "id", None)):
                 yield ".".join(scope) or "<module>"
             yield from walk(child, scope)
 
     return walk(tree, [])
 
 
+def _package_trees():
+    return {source.name: ast.parse(source.read_text(encoding="utf-8")) for source in sorted(PACKAGE_DIR.glob("*.py"))}
+
+
 def test_the_driver_is_the_one_caller_of_complete():
     # every Gröbner run, ideals, capped leads, presented modules and graph
     # bases alike, goes up the degrees through `_Engine.build`
-    found = [
-        (source.name, caller)
-        for source in sorted(PACKAGE_DIR.glob("*.py"))
-        for caller in _complete_callers(ast.parse(source.read_text(encoding="utf-8")))
-    ]
+    found = [(name, caller) for name, tree in _package_trees().items() for caller in _callers(tree, "complete")]
     assert found == [("groebner.py", "_Engine.build"), ("groebner.py", "_Engine.build")]
+
+
+def test_each_key_layout_has_one_owner():
+    # the engine's position-over-term keys belong to groebner.py, which
+    # alone shifts by comp_shift; the Schreyer frame's rank bits belong to
+    # modules.py, which builds an engine only for a presented module
+    trees = _package_trees()
+    (init,) = [
+        node for node in ast.walk(trees["groebner.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "_Engine"
+        for node in node.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    args = init.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["self", "ring"]
+    assert not (args.vararg or args.kwarg or args.kwonlyargs)
+    gone = {"rank_bits", "slot_shift", "slot_mask", "_pot_element", "_pot_vector"}
+    readers = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            # names, attributes, parameters, keywords, definitions, imports
+            idents = {getattr(node, field, None) for field in ("id", "attr", "arg", "name")}
+            assert not idents & gone, (name, idents & gone)
+            if isinstance(node, ast.Attribute) and node.attr == "comp_shift":
+                readers.add(name)
+    assert readers == {"groebner.py"}
+    assert set(_callers(trees["modules.py"], "_Engine")) == {"PresentedModule.__init__"}
 
 
 def _imports(tree):

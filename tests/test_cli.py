@@ -139,6 +139,7 @@ class TestCli:
 
     def test_bounds_rejects_large_genus(self, capsys):
         assert main(["bounds", "--n", "3", "--d", "4", "--g", "7"]) == 2
+        assert capsys.readouterr().err == "error: genus 7 exceeds the bound 1 for (n, d) = (3, 4)\n"
 
     def test_construct_verify_roundtrip(self, tmp_path):
         path = tmp_path / "curve.ideal"
@@ -253,6 +254,19 @@ class TestCli:
         out = tmp_path / "s.json"
         assert main(["sweep", "--n", "3:3", "--d", "3:3", "--a=-1:0", "-o", str(out)]) == 2
         assert "negative genus deficit in '-1:0'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag,span,message",
+        [("--n", "2:3", "ambient dimension below 3 in '2:3'"), ("--d", "1:2", "degree below 2 in '1:2'")],
+    )
+    def test_sweep_range_below_its_bound_exit_2(self, tmp_path, capsys, flag, span, message):
+        # n < 3 or d < 2 names no catalog curve: a usage error, not a sweep
+        # that records a ValueError under each such point and exits 3
+        out = tmp_path / "s.json"
+        args = {"--n": "3:3", "--d": "3:3", "--a": "0:0", flag: span}
+        assert main(["sweep", *(x for item in args.items() for x in item), "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
+from extremalcurves import groebner
 from extremalcurves.cohomology import verify_extremal
 from extremalcurves.construct import extremal_curve_ideal
-from extremalcurves.groebner import _Engine, buchberger, initial_monomials, linear_images, minimal_basis
+from extremalcurves.groebner import buchberger, initial_monomials, linear_images, minimal_basis
 from extremalcurves.modules import PresentedModule, packed_vector
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.oracle import minimal_generators, oracle_ideal_dims
 from extremalcurves.packing import ExponentLimitError, layout
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import contains, ideal_dim, normal_form
+from reference import contains, ideal_dim, lead_coeff, normal_form
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -61,7 +62,7 @@ class TestBuchberger:
         x0, x1, x2 = R3.gens()
         gb = buchberger([2 * (x0 * x0) - 4 * (x1 * x2), 3 * (x0 * x1)])
         for p in gb:
-            assert p.lead_coeff == 1
+            assert lead_coeff(p) == 1
         assert {str(p) for p in gb} == {"x0^2 - 2*x1*x2", "x0*x1", "x1^2*x2"}
 
     def test_prime_field(self):
@@ -103,13 +104,13 @@ class TestSingleTermPairs:
     @staticmethod
     def count_spairs(monkeypatch):
         calls = []
-        spair = _Engine.spair
+        spair = groebner.spair
 
-        def counted(self, *args):
+        def counted(*args):
             calls.append(args)
-            return spair(self, *args)
+            return spair(*args)
 
-        monkeypatch.setattr(_Engine, "spair", counted)
+        monkeypatch.setattr(groebner, "spair", counted)
         return calls
 
     def test_an_ideal_of_monomials_builds_no_s_vector(self, monkeypatch):
