@@ -28,7 +28,7 @@ from .formulas import (
 from .gin import gin as compute_gin, mix_seed
 from .groebner import cut_leads
 from .ideals import Ideal, is_saturated, random_unipotent_matrix
-from .modules import GraphBasis, PresentedModule
+from .modules import GraphBasis, InternalCheckError, PresentedModule
 from .monomials import MonomialIdeal, ek_betti
 from .oracle import fraction_rank
 from .report import SCHEMA_VERSION, CurveReport
@@ -46,10 +46,6 @@ class DegenerateCurveError(ValueError):
 class NotLocallyCohenMacaulayError(ValueError):
     """The curve has embedded or isolated points: its deficiency module is
     not of finite length."""
-
-
-class InternalCheckError(AssertionError):
-    """A proven identity failed: upstream bug, not a property of the input."""
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +399,8 @@ class CurveAnalysis:
         ring = I.ring
         if ring.modulus:
             raise ValueError("verdicts are computed over the rationals")
-        if I.dim_piece(1) != 0:
-            raise DegenerateCurveError("the ideal contains a linear form")
+        if I.dim_piece(1) != 0:  # as the unit ideal does
+            raise DegenerateCurveError("the ideal is the unit ideal" if I.dim_piece(0) else "the ideal contains a linear form")
         if not is_saturated(I):
             raise ValueError("the ideal is not saturated")
         d, g = detect_hilbert_polynomial(I.initial_ideal())

@@ -109,29 +109,37 @@ def _monic(coeffs, modulus):
 
 def cancel_lead(acc, lead, g, modulus):
     """Take the accumulator f = {key: coeff} with lead key lead to
-    a*f - b*x^s*g, which cancels that lead; returns (acc, a, b).  Mod p
-    a is 1; over QQ a and b are the cofactors of the two lead
+    a*f - b*x^s*g, which cancels (pops) that lead; returns (acc, a, b).
+    Mod p a is 1; over QQ a and b are the cofactors of the two lead
     coefficients, and a != 1 rescales acc into a new dict.  The shift s is
-    the difference of the two leads, so any key layout in which a monomial
-    shift is a difference of keys will do."""
-    if modulus:
-        a, b = 1, acc[lead] * pow(g.coeffs[0], -1, modulus) % modulus
-    else:
-        cf, cg = acc[lead], g.coeffs[0]
-        d = gcd(cf, cg)
-        a, b = cg // d, cf // d
-        if a != 1:
-            acc = {k: a * c for k, c in acc.items()}
+    the difference of the two leads: any key layout will do in which a
+    monomial shift is a difference of keys."""
+    cf, cg = acc.pop(lead), g.coeffs[0]
     shift = lead - g.keys[0]
+    terms = zip(g.keys, g.coeffs)
+    next(terms)
+    if modulus:
+        b = cf * pow(cg, -1, modulus) % modulus
+        get = acc.get
+        for k, c in terms:
+            k += shift
+            v = (get(k, 0) - b * c) % modulus
+            if v:
+                acc[k] = v
+            else:  # b * c != 0, so k was there
+                del acc[k]
+        return acc, 1, b
+    d = gcd(cf, cg)
+    a, b = cg // d, cf // d
+    if a != 1:
+        acc = {k: a * c for k, c in acc.items()}
     get = acc.get
-    for k, c in zip(g.keys, g.coeffs):
+    for k, c in terms:
         k += shift
         v = get(k, 0) - b * c
-        if modulus:
-            v %= modulus
         if v:
             acc[k] = v
-        else:  # b * c != 0, so k was there
+        else:
             del acc[k]
     return acc, a, b
 

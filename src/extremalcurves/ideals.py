@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .groebner import GroebnerBasis, _to_engine, buchberger, minimal_basis
-from .modules import free_resolution_from_gb, module_kernel
+from .groebner import GroebnerBasis, _divide, _to_engine, buchberger, minimal_basis
+from .modules import GraphBasis, free_resolution_from_gb, packed_vector
 from .packing import layout
 from .ring import PolyRing, Polynomial
 
@@ -84,19 +84,36 @@ class Ideal:
         return f"Ideal({len(self.gens)} generators in {self.ring.nvars} variables)"
 
 
+def polynomial_vector(ring, vec, rank):
+    """The Polynomials in components 0 .. rank-1 of a homogeneous packed
+    vector; ascending keys run down through revlex."""
+    unpack = layout(ring.nvars).unpack
+    out = [ring.zero] * rank
+    for s, e in vec.items():
+        out[s] = Polynomial.from_sorted(ring, [(unpack(k), e[k]) for k in sorted(e)])
+    return out
+
+
 def kernel_of_map(images, relations=(), ring: PolyRing | None = None):
     """Generators of {(c_t) : sum c_t * images_t lies in (relations)}: the
-    syzygies of the stacked list (`module_kernel`) projected onto the image
-    coordinates, zero vectors dropped.  A zero entry's unit vector is a
-    syzygy, so the zero map returns the full source."""
+    kernel generators of the graph basis of the stacked list, each divided
+    by its lead coefficient and projected onto the image coordinates, zero
+    vectors dropped.  A zero entry's unit vector is a syzygy, so the zero
+    map returns the full source."""
     stacked = list(images) + list(relations)
     if ring is None:
         pool = [p for p in stacked if p]
         if not pool:
             raise ValueError("cannot infer the ring from zero data")
         ring = pool[0].ring
-    kernel = (vec[: len(images)] for vec in module_kernel([[p] for p in stacked], [0], ring))
-    return [vec for vec in kernel if any(vec)]
+    out = []
+    for v in GraphBasis([packed_vector(ring, [p]) for p in stacked], [0], ring).kernel_generators():
+        lead = v[min(v)]
+        lead = lead[min(lead)]
+        field = {s: dict(zip(e, _divide(list(e.values()), lead, ring.modulus))) for s, e in v.items() if s < len(images)}
+        if field:
+            out.append(polynomial_vector(ring, field, len(images)))
+    return out
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:

@@ -13,19 +13,15 @@ component) above a rank that orders the components by their chains of
 lead components through the levels below; the frame runs on its level
 lists with ``groebner``'s `spair` and `cancel_lead`.  Syzygy levels are
 pruned to the pairs whose Schreyer lead is a minimal generator of the
-per-component lead module, which keeps the tower near-minimal before the
-exact unit-entry minimalization pass; a pruned pair is reduced to zero by
-the shortest divisor (`_schreyer_step`).
-Outside the engine an element is a packed vector {component: {packed
-monomial: coefficient}} of homogeneous nonzero entries, its coefficients
-field elements or integers: resolution maps stay packed (integer columns
-with one scale each, `ResolutionData`) from the Schreyer step to the
-presented modules, and ``Polynomial`` vectors appear only at the boundary
-(`module_kernel`).  Every presented module is built by the driver of
-``groebner``, a graph basis too: the kernels that ``ideals`` reads
-quotients off are its own.  Its dimensions come from one Hilbert series,
-that of its lead module (Eisenbud, Commutative Algebra, Thm 15.26), and it
-has finite length when (1-t)^nvars divides the series' numerator.
+per-component lead module (`_schreyer_step`).  The frame's unit pivots,
+found on its degree-0 entries, fix the minimal twists, and a map is
+minimalized only when it is read (`ResolutionData`).  Outside the engine
+an element is a packed vector {component: {packed monomial: coefficient}}
+of homogeneous nonzero entries.  Every presented module is built by the
+driver of ``groebner``, a graph basis too: the kernels that ``ideals``
+reads quotients off are its own.  Its dimensions come from one Hilbert
+series, that of its lead module (Eisenbud, Commutative Algebra, Thm
+15.26), and it has finite length when (1-t)^nvars divides its numerator.
 """
 
 from __future__ import annotations
@@ -36,29 +32,35 @@ from math import gcd, lcm
 from . import packing
 from .groebner import GroebnerBasis, _divide, _Engine, _EnginePoly, _primitive, cancel_lead, spair
 from .monomials import BettiTable, _numerator, series_dim
-from .ring import PolyRing, Polynomial, _addmul, binom
+from .ring import PolyRing, _addmul, binom
 
 
 # ---------------------------------------------------------------------------
 # Schreyer resolution
 
 
+class InternalCheckError(AssertionError):
+    """A proven identity failed: upstream bug, not a property of the input."""
+
+
 def _schreyer_step(level, bits, lay, modulus):
     """One syzygy level: pruned S-pair syzygies of a Gröbner basis.
 
     level holds the level's elements, keyed (image << bits) | rank, in the
-    packing layout lay.  Returns (syzygies, new_bits, decode): the
-    syzygies are keyed the same way over this level's elements with
-    new_bits rank bits, sorted by descending Schreyer lead, and
-    decode[rank] = (element index, its lead image).  Each syzygy is an
-    integer multiple of the monic syzygy over the monic elements.
+    packing layout lay.  Returns (syzygies, new_bits, decode): syzygies
+    keyed the same way over this level's elements with new_bits rank bits,
+    sorted by descending Schreyer lead, each an integer multiple of the
+    monic syzygy over the monic elements; decode[rank] = (element index,
+    its lead image).
 
-    A pair's S-vector is reduced to zero with a trace; each step uses the
-    divisor with the fewest terms, the lowest index among equals, so the
-    rule is deterministic.  Any divisor gives a syzygy with the same
-    Schreyer lead: only the tails depend on the rule, and the shortest
-    reducer adds the fewest terms, so the tails come out sparser and
-    the next level reduces them in fewer steps.
+    A pair's S-vector is reduced to zero; each step uses the divisor with
+    the fewest terms, the lowest index among equals: any divisor gives a
+    syzygy with the same Schreyer lead, and the shortest adds the fewest
+    tail terms for the next level.  The rule reads the lead key alone, so
+    a key's divisor is searched once per level.  The syzygy is summed as
+    the reduction goes: a step acc -> a*acc - b*x^s*g_t scales it by a
+    (if a != 1) and sets -b*lam_t at the step's key, the integers of a
+    replay from the last step back (leads rise: no two share a key).
     """
     mask = (1 << bits) - 1
     leads = [g.keys[0] for g in level]
@@ -74,21 +76,22 @@ def _schreyer_step(level, bits, lay, modulus):
     decode = [(t, leads[t] >> bits) for t in order]
     plain = lay.himask
 
-    chosen = []
+    chosen, seen = [], dict.fromkeys(by_rank, 0)
     for i, li in enumerate(leads):
         # the pair (i, j), i < j, has its Schreyer lead at i: the images are
         # equal, and the chain ending in the smaller index wins the tie
-        img = li >> bits
+        img, r = li >> bits, li & mask
+        seen[r] += 1  # i is the seen[r]-th of its group: the later ones follow
         cands = []
-        for lj, j in by_rank[li & mask]:
-            if j > i:
-                w = lay.lcm(img, lj >> bits)
-                q = w - img
-                cands.append((lay.degree(q), -q, j, w))
+        for lj, j in by_rank[r][seen[r]:]:
+            w = lay.lcm(img, lj >> bits)
+            q = w - img
+            cands.append((lay.degree(q), -q, j, w))
         # ascending revlex: a later lead monomial never divides an earlier one
         kept = []
         for _, nq, j, w in sorted(cands):
-            if not any(packing.divides(k, -nq, plain) for k in kept):
+            top = -nq | plain
+            if not any((top - k) & plain == plain for k in kept):  # packing.divides(k, -nq, plain)
                 kept.append(-nq)
                 chosen.append((i, j, w))
 
@@ -97,44 +100,42 @@ def _schreyer_step(level, bits, lay, modulus):
     # divides is the shortest divisor, the lowest index among equals
     reducers = {r: sorted(found, key=lambda e: (len(level[e[1]].keys), e[1])) for r, found in by_rank.items()}
     himask = plain << bits
+    shortest = {}  # lead key -> its shortest divisor
     new = []
     for i, j, w in chosen:
         deg = lay.degree(w)
         lay.check(deg, "syzygy degree")
         acc, a, b = spair(level[i], level[j], (w << bits) | (leads[i] & mask), modulus)
-        trace = []  # (lead, t, a, b) per step: it took acc to a*acc - b*x^s*g_t
+        # over the monic elements, syz is the combination that acc is
+        syz = {(w << new_bits) | rank[i]: a * lam[i], (w << new_bits) | rank[j]: -b * lam[j]}
         while acc:
             lead = min(acc)
-            top = lead | himask
-            for key, t in reducers.get(lead & mask, ()):
-                if (top - key) & himask == himask:  # packing.divides(key, lead, himask)
-                    break
-            else:
-                raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
-            acc, a_s, b_s = cancel_lead(acc, lead, level[t], modulus)
-            trace.append((lead, t, a_s, b_s))
-        # mult * spair == sum of the traced multiples; over the monic elements
-        # the syzygy is mult*a*lam_i at i, -mult*b*lam_j at j, minus the trace
-        terms = {}
-        mult = 1
-        for lead, t, a_s, b_s in reversed(trace):
-            key = ((lead >> bits) << new_bits) | rank[t]
-            terms[key] = terms.get(key, 0) - b_s * mult * lam[t]
-            mult *= a_s
-        terms[(w << new_bits) | rank[i]] = mult * a * lam[i]
-        terms[(w << new_bits) | rank[j]] = -mult * b * lam[j]
+            t = shortest.get(lead)
+            if t is None:
+                top = lead | himask
+                for key, t in reducers.get(lead & mask, ()):
+                    if (top - key) & himask == himask:  # packing.divides(key, lead, himask)
+                        break
+                else:
+                    raise AssertionError("S-pair of a Gröbner basis failed to reduce to zero")
+                shortest[lead] = t
+            acc, a, b = cancel_lead(acc, lead, level[t], modulus)
+            if a != 1:
+                for k in syz:
+                    syz[k] *= a
+            syz[((lead >> bits) << new_bits) | rank[t]] = -b * lam[t]
         if modulus:
-            terms = {k: c % modulus for k, c in terms.items()}
-        keys = sorted(k for k, c in terms.items() if c)
-        new.append(_EnginePoly(keys, _primitive([terms[k] for k in keys], modulus), deg))
+            syz = {k: c % modulus for k, c in syz.items()}
+        keys = sorted(k for k, c in syz.items() if c)
+        new.append(_EnginePoly(keys, _primitive([syz[k] for k in keys], modulus), deg))
     new.sort(key=lambda e: (-e.deg, e.keys[0]))  # packed keys compare within a degree
     return new, new_bits, decode
 
 
 def _schreyer_frame(gb: GroebnerBasis):
     """The pruned Schreyer frame of R/I for a nonempty reduced basis: per
-    level, (elements, rank bits, decode) as `_packed_columns` reads them,
-    the basis itself first (one component, keys are monomials)."""
+    level, (elements, rank bits, decode) as `ResolutionData._map` reads
+    them, the basis itself first (one component, keys are monomials)."""
     ring = gb.ring
     lay = packing.layout(ring.nvars)
     level, bits = gb.elems, 0
@@ -147,23 +148,74 @@ def _schreyer_frame(gb: GroebnerBasis):
     raise AssertionError("resolution exceeded the variable-count bound")
 
 
-def _packed_columns(elements, bits, decode, modulus):
-    """Integer packed columns of Schreyer-keyed elements, with one integer
-    scale per column: over QQ the lead coefficient, a denominator (the
-    monic column is the column divided by it), mod p the lead's inverse (the
-    monic column is the column times it).  The term at key
-    (image << bits) | rank lands in row t at image minus the lead image of
-    t, where decode[rank] = (t, lead image)."""
-    mask = (1 << bits) - 1
-    cols, scales = [], []
-    for e in elements:
-        col = {}
-        for k, c in zip(e.keys, e.coeffs):
-            t, img = decode[k & mask]
-            col.setdefault(t, {})[(k >> bits) - img] = c
-        cols.append(col)
-        scales.append(pow(e.coeffs[0], -1, modulus) if modulus else e.coeffs[0])
-    return cols, scales
+def _unit_pivots(levels, twists, modulus):
+    """The pivots [(row, column)] `_clear_units` takes in each map of the
+    frame, [] past the last, found from the last map back on the degree-0
+    entries alone: a column is cleared by a multiple of the pivot column, a
+    unit only where their twists agree, so no other entry decides a pivot."""
+    pivots, dead = [[]], set()
+    for k in range(len(levels) - 1, -1, -1):
+        elements, bits, decode = levels[k]
+        mask, degs, units = (1 << bits) - 1, set(twists[k]), []
+        for e in elements:
+            col = {}
+            if e.deg in degs:
+                for key, c in zip(e.keys, e.coeffs):
+                    t, img = decode[key & mask]
+                    if key >> bits == img:
+                        col[t] = {0: c}
+            units.append(col)
+        pivots.insert(0, _clear_units(twists[k], twists[k + 1], units, [1] * len(units), dead, modulus))
+        dead = {i for i, _ in pivots[0]}
+    return pivots
+
+
+def _clear_units(rows, tops, level, scale, dead, modulus):
+    """Cancel the unit entries of one map's integer columns and scales
+    outside the columns in dead, which gains the pivot columns; returns the
+    pivots [(row, column)] in order.  The first live column with a unit (a
+    unit sits where the twists agree, as the key 0), at its lowest unit
+    row, is the pivot: the other live columns are cleared at that row, and
+    the pivot row and column split off.  Clearing makes no unit in a column
+    without one, so one pass finds every pivot.  It is fraction-free: col
+    -> (u/g)*col - (q/g)*pivot for the unit u and the column's q, g =
+    gcd(u, content of q), the denominator times u/g, then the gcd of content
+    and denominator divided out of both (mod p, col - (q/u)*pivot)."""
+    found = []
+    for j, pivot in enumerate(level):
+        i = None if j in dead else min((r for r in pivot if rows[r] == tops[j]), default=None)
+        if i is None:
+            continue
+        u = pivot[i][0]
+        inv = -pow(u, -1, modulus) if modulus else None
+        for jp, col in enumerate(level):
+            q = col.pop(i, None) if jp != j and jp not in dead else None
+            if not q:
+                continue
+            if modulus:
+                factor = {key: c * inv for key, c in q.items()}
+            else:
+                g = gcd(u, *q.values())
+                factor = {key: -c // g for key, c in q.items()}
+                a = u // g
+                if a != 1:
+                    for e in col.values():
+                        for key in e:
+                            e[key] *= a
+                    scale[jp] *= a
+            for r, e in pivot.items():
+                if r != i and not _addmul(col.setdefault(r, {}), factor, e, modulus):
+                    del col[r]
+            if not modulus:
+                g = gcd(scale[jp], *(c for e in col.values() for c in e.values()))
+                if g > 1:
+                    for e in col.values():
+                        for key in e:
+                            e[key] //= g
+                    scale[jp] //= g
+        dead.add(j)
+        found.append((i, j))
+    return found
 
 
 class ResolutionData:
@@ -171,30 +223,67 @@ class ResolutionData:
     consecutive levels (level 0 is R itself).  Map k, F_{k+1} -> F_k, is
     one packed column over F_k per basis element of F_{k+1}.
 
-    Each map is held once, as the integer columns of `_minimalize` with one
-    integer scale per column (_scales[k][j] for column j of map k): over QQ
-    a denominator, the field column being the column divided by it; mod p
-    a residue, the field column being the column times it.  `dual(k)`
-    builds the dual rows of map k from these integers on its first read:
-    the h1 path reads the last map, h2 the last two.  Twists, length, Betti
-    table and regularity read no coefficient.  The field view of the maps
-    and the check of the complex live in ``tests/reference.py``."""
+    The minimal Betti numbers are ranks of the frame's degree-0 strands
+    (La Scala and Stillman, JSC 26, 1998): the twists, length, Betti table
+    and regularity come from the unit pivots alone (`_unit_pivots`).  Map
+    k is made on its first read (`_map`, all given without a frame):
+    integer columns with one integer scale each, over QQ a denominator
+    (the field column is the column divided by it), mod p a residue (the
+    column times it).  The h1 path reads the last map, h2 the last two;
+    ``tests/reference.py`` reads them all in the field, as a check."""
 
-    def __init__(self, ring, twists, cols, scales):
+    def __init__(self, ring, twists, cols=(), scales=(), frame=None):
         self.ring = ring
         self.twists = [tuple(t) for t in twists]
-        self._cols = cols
-        self._scales = scales
+        self._maps = dict(enumerate(zip(cols, scales)))
+        self._frame = frame  # the frame's levels and twists, its pivots, and per level the elements gone
         self._dual = {}
 
+    def _map(self, k):
+        """Map k as (integer columns, scales): per frame element a column, its
+        term at (image << bits) | rank in row t at image minus t's lead
+        image (decode[rank] = (t, lead image)), scaled by the lead over QQ,
+        its inverse mod p; cleared by `_clear_units`, which must take the
+        plan's pivots again, less the basis elements that split off."""
+        if k not in self._maps:
+            (levels, twists, pivots, gone), modulus = self._frame, self.ring.modulus
+            elements, bits, decode = levels[k]
+            mask, cols = (1 << bits) - 1, [{} for _ in elements]
+            for e, col in zip(elements, cols):
+                for key, c in zip(e.keys, e.coeffs):
+                    t, img = decode[key & mask]
+                    col.setdefault(t, {})[(key >> bits) - img] = c
+            scales = [pow(e.coeffs[0], -1, modulus) if modulus else e.coeffs[0] for e in elements]
+            if _clear_units(twists[k], twists[k + 1], cols, scales, {i for i, _ in pivots[k + 1]}, modulus) != pivots[k]:
+                raise InternalCheckError(f"map {k} of the resolution has other unit pivots than its degree-0 plan")
+            index = {r: s for s, r in enumerate(r for r in range(len(twists[k])) if r not in gone[k])}
+            keep = [j for j in range(len(cols)) if j not in gone[k + 1]]
+            self._maps[k] = [{index[r]: e for r, e in cols[j].items() if r in index} for j in keep], [scales[j] for j in keep]
+        return self._maps[k]
+
     def dual(self, k):
-        """Hom(-, R) of map k as (rows, multipliers): one packed vector over
-        F_{k+1} per basis element of F_k, each the field row times its
-        positive integer multiplier (`_dual_rows`)."""
-        out = self._dual.get(k)
-        if out is None:
-            out = self._dual[k] = _dual_rows(self._cols[k], self._scales[k], len(self.twists[k]), self.ring.modulus)
-        return out
+        """Hom(-, R) of map k as (rows, multipliers), made once from its
+        integer columns: one packed vector over F_{k+1} per basis element
+        of F_k, the field row times a positive integer multiplier, over QQ
+        the lcm of the row's denominators (mod p the field row itself, 1)."""
+        if k not in self._dual:
+            (cols, scales), modulus = self._map(k), self.ring.modulus
+            rows = [{} for _ in self.twists[k]]
+            for c, col in enumerate(cols):
+                for r, e in col.items():
+                    rows[r][c] = e
+            if modulus:
+                rows = [{c: {key: v * scales[c] % modulus for key, v in e.items()} for c, e in row.items()} for row in rows]
+                mults = [1] * len(rows)
+            else:
+                mults = [lcm(*(scales[c] for c in row)) for row in rows]
+                for row, m in zip(rows, mults):
+                    for c, e in row.items():
+                        f = m // scales[c]  # exact: a denominator may be negative, the lcm is not
+                        if f != 1:
+                            row[c] = {key: v * f for key, v in e.items()}
+            self._dual[k] = rows, mults
+        return self._dual[k]
 
     @property
     def length(self):
@@ -217,107 +306,22 @@ class ResolutionData:
         )
 
 
-def _minimalize(twists, cols, scales, modulus):
-    """Cancel unit entries level by level from the back, on the integer
-    columns of `_packed_columns`; returns the twists, integer columns and
-    integer scales of the surviving basis elements.
-
-    At each level the first column holding a unit, at its lowest unit row,
-    is the pivot: every other column is cleared at that row, and the pivot
-    row and column split off as a trivial summand (the basis elements they
-    stand for die in both neighbouring maps).  Entries are homogeneous, so
-    a unit sits only where the two twists agree, as the key 0.  Clearing
-    makes no new unit in a column without one, so one pass over each level
-    finds every pivot.  Clearing is fraction-free: with the unit u at the
-    pivot row and q in the column there, the column becomes
-    (u/g)*col - (q/g)*pivot, g = gcd(u, content of q), and its denominator
-    is multiplied by u/g; then the gcd of the column's content and its
-    denominator is divided out of both (mod p, col - (q/u)*pivot with the
-    scale kept)."""
-    live = [[True] * len(t) for t in twists]
-    for k in range(len(cols) - 1, -1, -1):
-        rows, tops, level, scale = twists[k], twists[k + 1], cols[k], scales[k]
-        for j, pivot in enumerate(level):
-            if not live[k + 1][j]:
-                continue
-            i = min((r for r in pivot if rows[r] == tops[j]), default=None)
-            if i is None:
-                continue
-            u = pivot[i][0]
-            inv = -pow(u, -1, modulus) if modulus else None
-            for jp, col in enumerate(level):
-                q = col.pop(i, None) if jp != j and live[k + 1][jp] else None
-                if not q:
-                    continue
-                if modulus:
-                    factor = {key: c * inv for key, c in q.items()}
-                else:
-                    g = gcd(u, *q.values())
-                    factor = {key: -c // g for key, c in q.items()}
-                    a = u // g
-                    if a != 1:
-                        for e in col.values():
-                            for key in e:
-                                e[key] *= a
-                        scale[jp] *= a
-                for r, e in pivot.items():
-                    if r != i and not _addmul(col.setdefault(r, {}), factor, e, modulus):
-                        del col[r]
-                if not modulus:
-                    g = gcd(scale[jp], *(c for e in col.values() for c in e.values()))
-                    if g > 1:
-                        for e in col.values():
-                            for key in e:
-                                e[key] //= g
-                        scale[jp] //= g
-            live[k + 1][j] = live[k][i] = False
-    index = [{old: new for new, old in enumerate(o for o, a in enumerate(lv) if a)} for lv in live]
-    twists = [tuple(w for w, a in zip(t, lv) if a) for t, lv in zip(twists, live)]
-    cols = [
-        [{index[k][r]: e for r, e in col.items() if r in index[k]} for col, a in zip(level, live[k + 1]) if a]
-        for k, level in enumerate(cols)
-    ]
-    scales = [[s for s, a in zip(level, live[k + 1]) if a] for k, level in enumerate(scales)]
-    while cols and not cols[-1]:
-        cols.pop()
-        scales.pop()
-        twists.pop()
-    return twists, cols, scales
-
-
-def _dual_rows(level, scales, nrows, modulus):
-    """The transpose of one map's integer columns, with no field copy: per
-    row of the map a packed vector over its columns, and a positive integer
-    multiplier, the vector being the field row times it.  Over QQ the
-    multiplier is the lcm of the denominators of the row's columns; mod p
-    the vector is the field row itself and the multiplier 1."""
-    rows = [{} for _ in range(nrows)]
-    for c, col in enumerate(level):
-        for r, e in col.items():
-            rows[r][c] = e
-    if modulus:
-        rows = [{c: {key: v * scales[c] % modulus for key, v in e.items()} for c, e in row.items()} for row in rows]
-        return rows, [1] * nrows
-    mults = [lcm(*(scales[c] for c in row)) for row in rows]
-    for row, m in zip(rows, mults):
-        for c, e in row.items():
-            f = m // scales[c]  # exact: a denominator may be negative, the lcm is not
-            if f != 1:
-                row[c] = {key: v * f for key, v in e.items()}
-    return rows, mults
-
-
 def free_resolution_from_gb(gb: GroebnerBasis) -> ResolutionData:
     """Minimal graded free resolution of R/I from a reduced Gröbner basis:
-    iterated pruned Schreyer syzygies, then unit-entry cancellation."""
+    iterated pruned Schreyer syzygies, whose unit pivots split off trivial
+    summands (`_unit_pivots`); each map is made on its first read."""
     ring = gb.ring
     if not gb.elems:
-        return ResolutionData(ring, [(0,)], [], [])
-    modulus = ring.modulus
+        return ResolutionData(ring, [(0,)])
     levels = _schreyer_frame(gb)
     twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
-    cols, scales = zip(*(_packed_columns(*level, modulus) for level in levels))
-    return ResolutionData(ring, *_minimalize(twists, list(cols), scales, modulus))
+    pivots = _unit_pivots(levels, twists, ring.modulus)
+    # F_k loses the pivot columns of map k-1 and the pivot rows of map k
+    gone = [{j for _, j in a} | {i for i, _ in b} for a, b in zip([[]] + pivots, pivots)]
+    minimal = [tuple(w for r, w in enumerate(t) if r not in g) for t, g in zip(twists, gone)]
+    while len(minimal) > 1 and not minimal[-1]:
+        minimal.pop()
+    return ResolutionData(ring, minimal, frame=(levels, twists, pivots, gone))
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +337,6 @@ def packed_vector(ring, vec):
             if not p.is_homogeneous():  # packed keys order one degree at a time
                 raise ValueError("module entries must be homogeneous")
             out[s] = {pack(m): c for m, c in p.terms}
-    return out
-
-
-def polynomial_vector(ring, vec, rank):
-    """The Polynomials in components 0 .. rank-1 of a homogeneous packed
-    vector; ascending keys run down through revlex."""
-    unpack = packing.layout(ring.nvars).unpack
-    out = [ring.zero] * rank
-    for s, e in vec.items():
-        out[s] = Polynomial.from_sorted(ring, [(unpack(k), e[k]) for k in sorted(e)])
     return out
 
 
@@ -476,18 +470,3 @@ class GraphBasis(PresentedModule):
         eng, first = self.engine, self.first
         low = eng.unit(first)
         return [eng.vector(g.keys, g.coeffs, first) for g in eng.basis if g.keys[0] >= low]
-
-
-def module_kernel(cols, free_twists, ring) -> list:
-    """Generators of {(c_t) : sum c_t * cols_t = 0} for columns of
-    Polynomials, as lists of Polynomials, each divided by its lead
-    coefficient."""
-    graph = GraphBasis([packed_vector(ring, col) for col in cols], free_twists, ring)
-    modulus = ring.modulus
-    out = []
-    for v in graph.kernel_generators():
-        lead = v[min(v)]
-        lead = lead[min(lead)]
-        field = {s: dict(zip(e, _divide(list(e.values()), lead, modulus))) for s, e in v.items()}
-        out.append(polynomial_vector(ring, field, len(cols)))
-    return out

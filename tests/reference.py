@@ -5,7 +5,11 @@ a binary form's dense coefficient vector, Euclid's
 gcd of binary forms in the ring's field, the kernel of the line
 construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
-QQ), coordinate changes of ideals and the dense invertible draw, the gin
+QQ) and in integers, every map at once (`eager_resolution`, the oracle of
+the maps the package makes on first read), the reduction step as it was
+before it popped the lead it cancels (`cancel_lead_reference`), the kernel
+of a map of free modules as `Polynomial` vectors (`module_kernel`),
+coordinate changes of ideals and the dense invertible draw, the gin
 read off the full images in all n+1 variables, the general hyperplane
 section by drawn hyperplanes, the Schreyer step with the first divisor
 in index order as its reducer and the resolution it gives, the field view
@@ -38,6 +42,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd
 
 from extremalcurves.cohomology import InternalCheckError, NotACurveError, detect_hilbert_polynomial, hyperplane_section
 from extremalcurves.construct import _is_binary
@@ -57,16 +62,13 @@ from extremalcurves.groebner import (
     spair,
 )
 from extremalcurves.idealfile import IdealFileError
-from extremalcurves.ideals import Ideal, intersect, random_unipotent_matrix
+from extremalcurves.ideals import Ideal, intersect, polynomial_vector, random_unipotent_matrix
 from extremalcurves.modules import (
     GraphBasis,
     PresentedModule,
     ResolutionData,
-    _minimalize,
-    _packed_columns,
     _schreyer_frame,
     packed_vector,
-    polynomial_vector,
 )
 from extremalcurves.monomials import BettiTable, MonomialIdeal, _poly_add_shift, _trim, is_strongly_stable
 from extremalcurves.oracle import _insert, _poly_rows, fraction_rank
@@ -296,12 +298,158 @@ def field_resolution(gb) -> ResolutionData:
     monic in the field and minimalized there."""
     ring = gb.ring
     if not gb.elems:
-        return ResolutionData(ring, [(0,)], [], [])
+        return ResolutionData(ring, [(0,)])
     modulus = ring.modulus
     levels = _schreyer_frame(gb)
     twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
     cols = [field_packed_columns(*level, modulus) for level in levels]
     return field_resolution_data(ring, *field_minimalize(twists, cols, modulus))
+
+
+def module_kernel(cols, free_twists, ring) -> list:
+    """Generators of {(c_t) : sum c_t * cols_t = 0} for columns of
+    Polynomials, as lists of Polynomials, each divided by its lead
+    coefficient: the kernel of a `GraphBasis`, as the package read it
+    before `ideals.kernel_of_map`, its one caller, read the graph basis
+    itself."""
+    graph = GraphBasis([packed_vector(ring, col) for col in cols], free_twists, ring)
+    modulus = ring.modulus
+    out = []
+    for v in graph.kernel_generators():
+        lead = v[min(v)]
+        lead = lead[min(lead)]
+        field = {s: dict(zip(e, _divide(list(e.values()), lead, modulus))) for s, e in v.items()}
+        out.append(polynomial_vector(ring, field, len(cols)))
+    return out
+
+
+def cancel_lead_reference(acc, lead, g, modulus):
+    """`groebner.cancel_lead` as it was before it popped the lead: every
+    term of g is added, the lead too, whose zero is then deleted, and the
+    field is tested once per term."""
+    if modulus:
+        a, b = 1, acc[lead] * pow(g.coeffs[0], -1, modulus) % modulus
+    else:
+        cf, cg = acc[lead], g.coeffs[0]
+        d = gcd(cf, cg)
+        a, b = cg // d, cf // d
+        if a != 1:
+            acc = {k: a * c for k, c in acc.items()}
+    shift = lead - g.keys[0]
+    get = acc.get
+    for k, c in zip(g.keys, g.coeffs):
+        k += shift
+        v = get(k, 0) - b * c
+        if modulus:
+            v %= modulus
+        if v:
+            acc[k] = v
+        else:  # b * c != 0, so k was there
+            del acc[k]
+    return acc, a, b
+
+
+def _packed_columns(elements, bits, decode, modulus):
+    """Integer packed columns of Schreyer-keyed elements, with one integer
+    scale per column: over QQ the lead coefficient, a denominator (the
+    monic column is the column divided by it), mod p the lead's inverse (the
+    monic column is the column times it).  The term at key
+    (image << bits) | rank lands in row t at image minus the lead image of
+    t, where decode[rank] = (t, lead image).  `ResolutionData._map` makes
+    the same columns, one map at a time."""
+    mask = (1 << bits) - 1
+    cols, scales = [], []
+    for e in elements:
+        col = {}
+        for k, c in zip(e.keys, e.coeffs):
+            t, img = decode[k & mask]
+            col.setdefault(t, {})[(k >> bits) - img] = c
+        cols.append(col)
+        scales.append(pow(e.coeffs[0], -1, modulus) if modulus else e.coeffs[0])
+    return cols, scales
+
+
+def _minimalize(twists, cols, scales, modulus):
+    """Cancel unit entries level by level from the back, on the integer
+    columns of `_packed_columns`; returns the twists, integer
+    columns and integer scales of the surviving basis elements: the eager
+    minimalization that `modules.free_resolution_from_gb` made before its
+    maps were made on first read, kept as their oracle.
+
+    At each level the first column holding a unit, at its lowest unit row,
+    is the pivot: every other column is cleared at that row, and the pivot
+    row and column split off as a trivial summand (the basis elements they
+    stand for die in both neighbouring maps).  Entries are homogeneous, so
+    a unit sits only where the two twists agree, as the key 0.  Clearing
+    makes no new unit in a column without one, so one pass over each level
+    finds every pivot.  Clearing is fraction-free: with the unit u at the
+    pivot row and q in the column there, the column becomes
+    (u/g)*col - (q/g)*pivot, g = gcd(u, content of q), and its denominator
+    is multiplied by u/g; then the gcd of the column's content and its
+    denominator is divided out of both (mod p, col - (q/u)*pivot with the
+    scale kept)."""
+    live = [[True] * len(t) for t in twists]
+    for k in range(len(cols) - 1, -1, -1):
+        rows, tops, level, scale = twists[k], twists[k + 1], cols[k], scales[k]
+        for j, pivot in enumerate(level):
+            if not live[k + 1][j]:
+                continue
+            i = min((r for r in pivot if rows[r] == tops[j]), default=None)
+            if i is None:
+                continue
+            u = pivot[i][0]
+            inv = -pow(u, -1, modulus) if modulus else None
+            for jp, col in enumerate(level):
+                q = col.pop(i, None) if jp != j and live[k + 1][jp] else None
+                if not q:
+                    continue
+                if modulus:
+                    factor = {key: c * inv for key, c in q.items()}
+                else:
+                    g = gcd(u, *q.values())
+                    factor = {key: -c // g for key, c in q.items()}
+                    a = u // g
+                    if a != 1:
+                        for e in col.values():
+                            for key in e:
+                                e[key] *= a
+                        scale[jp] *= a
+                for r, e in pivot.items():
+                    if r != i and not _addmul(col.setdefault(r, {}), factor, e, modulus):
+                        del col[r]
+                if not modulus:
+                    g = gcd(scale[jp], *(c for e in col.values() for c in e.values()))
+                    if g > 1:
+                        for e in col.values():
+                            for key in e:
+                                e[key] //= g
+                        scale[jp] //= g
+            live[k + 1][j] = live[k][i] = False
+    index = [{old: new for new, old in enumerate(o for o, a in enumerate(lv) if a)} for lv in live]
+    twists = [tuple(w for w, a in zip(t, lv) if a) for t, lv in zip(twists, live)]
+    cols = [
+        [{index[k][r]: e for r, e in col.items() if r in index[k]} for col, a in zip(level, live[k + 1]) if a]
+        for k, level in enumerate(cols)
+    ]
+    scales = [[s for s, a in zip(level, live[k + 1]) if a] for k, level in enumerate(scales)]
+    while cols and not cols[-1]:
+        cols.pop()
+        scales.pop()
+        twists.pop()
+    return twists, cols, scales
+
+
+def eager_resolution(gb, frame=None) -> ResolutionData:
+    """`modules.free_resolution_from_gb` with every map made at once by
+    `_minimalize` on the frame (the package's frame unless one is given):
+    the oracle of the maps that the package makes on first read."""
+    ring = gb.ring
+    if not gb.elems:
+        return ResolutionData(ring, [(0,)])
+    levels = _schreyer_frame(gb) if frame is None else frame
+    twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
+    cols, scales = zip(*(_packed_columns(*level, ring.modulus) for level in levels))
+    return ResolutionData(ring, *_minimalize(twists, list(cols), list(scales), ring.modulus))
 
 
 def first_divisor_step(level, bits, lay, modulus):
@@ -376,15 +524,9 @@ def first_divisor_frame(gb):
 
 
 def first_divisor_resolution(gb) -> ResolutionData:
-    """`modules.free_resolution_from_gb` on the frame of `first_divisor_step`:
-    the resolution as the package made it before the shortest divisor."""
-    ring = gb.ring
-    if not gb.elems:
-        return ResolutionData(ring, [(0,)], [], [])
-    levels = first_divisor_frame(gb)
-    twists = [(0,)] + [tuple(e.deg for e in elements) for elements, _, _ in levels]
-    cols, scales = zip(*(_packed_columns(*level, ring.modulus) for level in levels))
-    return ResolutionData(ring, *_minimalize(twists, list(cols), scales, ring.modulus))
+    """`eager_resolution` on the frame of `first_divisor_step`: the
+    resolution as the package made it before the shortest divisor."""
+    return eager_resolution(gb, first_divisor_frame(gb) if gb.elems else None)
 
 
 def with_resolution(I: Ideal, res: ResolutionData) -> Ideal:
@@ -413,12 +555,12 @@ def field_level(res, k):
     """Map k of a `ResolutionData`, F_{k+1} -> F_k, with field coefficients:
     one packed column over F_k per basis element of F_{k+1}."""
     modulus = res.ring.modulus
-    return [{r: _times(e, scale, modulus) for r, e in col.items()} for col, scale in zip(res._cols[k], res._scales[k])]
+    return [{r: _times(e, scale, modulus) for r, e in col.items()} for col, scale in zip(*res._map(k))]
 
 
 def field_cols(res):
     """Every map of a `ResolutionData` with field coefficients."""
-    return [field_level(res, k) for k in range(len(res._cols))]
+    return [field_level(res, k) for k in range(res.length)]
 
 
 def verify_resolution(res, gb):

@@ -80,6 +80,11 @@ GONE = [
     ("ring", "Polynomial.mono_shift"),
     ("modules", "_pot_element"),
     ("modules", "_pot_vector"),
+    ("modules", "_minimalize"),
+    ("modules", "_dual_rows"),
+    ("modules", "_packed_columns"),
+    ("modules", "module_kernel"),
+    ("ideals", "module_kernel"),
     *[
         ("ring", f"{cls}.{name}")
         for cls in ("RationalField", "PrimeField")

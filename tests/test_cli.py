@@ -4,7 +4,7 @@ import random
 import pytest
 
 from extremalcurves.cli import main
-from extremalcurves.construct import extremal_curve_ideal
+from extremalcurves.construct import construct_curve, extremal_curve_ideal, random_construction_input
 from extremalcurves.gin import GinDisagreement
 from extremalcurves.idealfile import (
     IdealFileError,
@@ -395,6 +395,16 @@ class TestCli:
         assert main(["verify", str(path)]) == 2
         assert "packed limit" in capsys.readouterr().err
 
+    def test_unit_ideal_exit_2_names_it(self, tmp_path, capsys):
+        # the unit ideal contains every linear form, and the message says
+        # what it is; an ideal with a linear form keeps its message
+        for body, message in [("1\n", "the ideal is the unit ideal"), ("x0\nx1^2\n", "the ideal contains a linear form")]:
+            path = tmp_path / "bad.ideal"
+            path.write_text("ring n=3 field=q\n" + body)
+            assert main(["verify", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n" and captured.out == ""
+
     def test_embedded_point_exit_2(self, tmp_path, capsys):
         # saturated (its resolution has length 3) but not locally
         # Cohen-Macaulay: a double line {x0 = x2 = 0} with an embedded point
@@ -470,6 +480,29 @@ class TestCli:
         path.write_text(emit_ideal(extremal_curve_ideal(3, 4, 0)))
         assert main(["verify", str(path)]) == 3
         assert "injected Riemann-Roch failure" in capsys.readouterr().err
+
+    def test_verify_exit_3_when_a_map_has_other_unit_pivots(self, tmp_path, monkeypatch, capsys):
+        # a random construction in P^4 (not extremal) whose last map has
+        # unit pivots: with one of them dropped from the degree-0 plan, the
+        # twists keep a trivial summand, and making the map finds the pivot
+        # again, an internal failure and no verdict
+        from extremalcurves import modules
+
+        plan = modules._unit_pivots
+
+        def dropped(levels, twists, modulus):
+            pivots = plan(levels, twists, modulus)
+            assert pivots[3]
+            pivots[3].pop()
+            return pivots
+
+        path = tmp_path / "curve.ideal"
+        path.write_text(emit_ideal(construct_curve(random_construction_input(4, 4, 3, random.Random(0)))))
+        assert main(["verify", str(path)]) == 1
+        monkeypatch.setattr(modules, "_unit_pivots", dropped)
+        assert main(["verify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal invariant violation: map 3 of the resolution has other unit pivots than its degree-0 plan\n"
 
     def test_non_generic_gin_draws_exit_3(self, tmp_path, monkeypatch, capsys):
         # every gin draw is the identity, which is unit lower-triangular: the

@@ -478,12 +478,13 @@ class TestCurveAnalysis:
         # the ideal's Gröbner basis stays in engine integers throughout
         maps = []
 
-        def counted(level, scales, nrows, modulus):
-            maps.append((len(level), nrows))
-            return dual_rows(level, scales, nrows, modulus)
+        def counted(res, k):
+            if k not in res._dual:  # the rows are built on this read
+                maps.append((len(res.twists[k + 1]), len(res.twists[k])))
+            return dual(res, k)
 
-        dual_rows = modules._dual_rows
-        monkeypatch.setattr(modules, "_dual_rows", counted)
+        dual = modules.ResolutionData.dual
+        monkeypatch.setattr(modules.ResolutionData, "dual", counted)
         I = construct_curve(random_construction_input(4, 4, 1, random.Random(0)))
         probe = constructed_curve_probe(I)
         res = I.resolution()

@@ -37,7 +37,6 @@ from extremalcurves.modules import (  # noqa: E402
     GraphBasis,
     PresentedModule,
     free_resolution_from_gb,
-    module_kernel,
     packed_vector,
 )
 from extremalcurves.monomials import MonomialIdeal  # noqa: E402
@@ -58,6 +57,7 @@ from reference import (  # noqa: E402
     lead_coeff,
     lead_monomial,
     mats,
+    module_kernel,
     mono_div,
     mono_divides,
     mono_shift,

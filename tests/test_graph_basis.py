@@ -35,7 +35,8 @@ from extremalcurves.construct import (  # noqa: E402
 )
 from extremalcurves.groebner import _Engine, buchberger  # noqa: E402
 from extremalcurves.ideals import Ideal, intersect, kernel_of_map, quotient  # noqa: E402
-from extremalcurves.modules import GraphBasis, packed_vector, polynomial_vector  # noqa: E402
+from extremalcurves.ideals import polynomial_vector  # noqa: E402
+from extremalcurves.modules import GraphBasis, packed_vector  # noqa: E402
 from extremalcurves.oracle import oracle_ideal_dims  # noqa: E402
 from extremalcurves.ring import QQ, PolyRing, Polynomial, PrimeField  # noqa: E402
 from reference import BatchGraphBasis, brute_force_standard_basis, contains, division_quotient  # noqa: E402

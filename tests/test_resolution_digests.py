@@ -116,8 +116,9 @@ def test_first_divisor_resolution_is_the_same_resolution(label, make, first_dige
 
 def _copy(res):
     """A `ResolutionData` with fresh maps, to corrupt without touching res."""
-    cols = [[{r: dict(e) for r, e in col.items()} for col in level] for level in res._cols]
-    return ResolutionData(res.ring, res.twists, cols, [list(s) for s in res._scales])
+    maps = [res._map(k) for k in range(res.length)]
+    cols = [[{r: dict(e) for r, e in col.items()} for col in level] for level, _ in maps]
+    return ResolutionData(res.ring, res.twists, cols, [list(s) for _, s in maps])
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -125,9 +126,10 @@ def test_a_corrupted_entry_fails(k):
     I = CASES[2][1]()  # n4d5a1: three maps
     gb, res = I.groebner(), I.resolution()
     bad = _copy(res)
-    entry = next(iter(bad._cols[k][0].values()))
+    cols, scales = bad._map(k)
+    entry = next(iter(cols[0].values()))
     key = next(iter(entry))
-    entry[key] += bad._scales[k][0]  # one coefficient moved by 1 in the field
+    entry[key] += scales[0]  # one coefficient moved by 1 in the field
     with pytest.raises(AssertionError):
         verify_resolution(bad, gb)
 
@@ -139,7 +141,7 @@ def test_a_corrupted_generator_fails_on_the_ideal():
     I = Ideal(x0.ring, [x0 * x0])
     gb, res = I.groebner(), I.resolution()
     bad = _copy(res)
-    bad._cols[0][0][0] = packed_vector(x0.ring, [x0 * x1])[0]
+    bad._map(0)[0][0][0] = packed_vector(x0.ring, [x0 * x1])[0]
     with pytest.raises(AssertionError, match="generate another ideal"):
         verify_resolution(bad, gb)
 
@@ -150,8 +152,8 @@ def test_a_dropped_column_fails_on_the_euler_characteristic():
     I = CASES[2][1]()
     gb, res = I.groebner(), I.resolution()
     bad = _copy(res)
-    bad._cols[-1].pop()
-    bad._scales[-1].pop()
+    for part in bad._map(bad.length - 1):
+        part.pop()
     bad.twists[-1] = bad.twists[-1][:-1]
     with pytest.raises(AssertionError, match="Euler characteristic"):
         verify_resolution(bad, gb)
