@@ -392,19 +392,12 @@ class GroebnerBasis:
     It holds the engine's elements in the canonical integers of `_monic`
     (one vector per monic polynomial): the resolution's Schreyer frame
     takes them as they are, equality and hashing compare them, and the
-    lead ideal is unpacked from their leads.  The monic `Polynomial`s,
-    ``polys``, are made on their first read (iteration reads them); no
-    verdict reads them."""
+    lead ideal is unpacked from their leads."""
 
     def __init__(self, ring: PolyRing, elems):
         self.ring = ring
         # descending revlex: higher degree first, then ascending packed lead
         self.elems = tuple(sorted(elems, key=lambda e: (-e.deg, e.keys[0])))
-
-    @cached_property
-    def polys(self):
-        unpack, modulus = packing.layout(self.ring.nvars).unpack, self.ring.modulus
-        return tuple(_from_engine(e, self.ring, unpack, modulus) for e in self.elems)
 
     @cached_property
     def _canonical(self):
@@ -419,12 +412,6 @@ class GroebnerBasis:
 
     def __hash__(self):
         return hash((self.ring, self._canonical))
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self):
-        return len(self.elems)
 
     @cached_property
     def _initial(self):

@@ -87,6 +87,8 @@ class PrimeField(FrozenRecord):
     _fields = ("p",)
 
     def __init__(self, p: int):
+        if p >= _PSI12:
+            raise ValueError(f"primality is proven only below psi_12 = {_PSI12}, got {p}")
         if p < 3 or p % 2 == 0 or not _is_prime(p):
             raise ValueError(f"need an odd prime, got {p}")
         self.__dict__["p"] = p
@@ -100,6 +102,12 @@ class PrimeField(FrozenRecord):
 
     def __repr__(self):
         return f"GF({self.p})"
+
+
+# Miller-Rabin on the twelve prime bases 2..37 is a proof of primality
+# below this strong pseudoprime to all of them, and only there (Sorenson
+# and Webster, Math. Comp. 86, 2017)
+_PSI12 = 318665857834031151167461
 
 
 def _is_prime(m: int) -> bool:

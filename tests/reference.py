@@ -31,9 +31,9 @@ add every input and then complete the pairs, as the engine did before
 its one driver; the ideal quotient by exact division of the generators
 of each I ∩ (g) by g, with that division and the divisibility and
 quotient of exponent tuples; and small reads
-of package objects that only the tests make: the normal form and
-membership of a Gröbner basis, the lead monomial, lead coefficient and
-monomial shift of a polynomial, the regularity, top index, generator
+of package objects that only the tests make: the monic polynomials,
+normal form and membership of a Gröbner basis, the lead monomial, lead
+coefficient and monomial shift of a polynomial, the regularity, top index, generator
 degrees and alternating numerator of a Betti table, the graded dimensions of a
 monomial ideal by counting its standard monomials, constant and monomial
 polynomials, and the coefficient of one monomial."""
@@ -52,6 +52,7 @@ from extremalcurves.groebner import (
     _divide,
     _Engine,
     _EnginePoly,
+    _from_engine,
     _monic,
     _primitive,
     _to_engine,
@@ -1145,6 +1146,12 @@ def planar_subcurve_by_forms(I: Ideal, plane_forms, degree: int) -> bool:
     except NotACurveError:
         return False
     return section_degree == degree - 1
+
+
+def basis_polys(gb):
+    """The monic `Polynomial`s of a `GroebnerBasis`, in its order."""
+    unpack, modulus = layout(gb.ring.nvars).unpack, gb.ring.modulus
+    return tuple(_from_engine(e, gb.ring, unpack, modulus) for e in gb.elems)
 
 
 def normal_form(gb, f):

@@ -3,8 +3,9 @@ tracer wraps (read from its TARGETS list) still resolves, every name in
 `__all__` imports, the test-only references stay out of the package, no
 package module imports from the tests, only `packing` knows the
 packed-monomial format, the Gröbner driver is the one caller of the pair
-completion, each key layout has one owner module, and importing the CLI loads neither `dataclasses` nor
-`json`."""
+completion, each key layout has one owner module, `report` alone lays
+out and versions the report's document, and importing the CLI loads
+neither `dataclasses` nor `json`."""
 
 import ast
 import importlib
@@ -78,6 +79,9 @@ GONE = [
     ("ring", "Polynomial.lead_monomial"),
     ("ring", "Polynomial.lead_coeff"),
     ("ring", "Polynomial.mono_shift"),
+    ("groebner", "GroebnerBasis.polys"),
+    ("groebner", "GroebnerBasis.__iter__"),
+    ("groebner", "GroebnerBasis.__len__"),
     ("modules", "_pot_element"),
     ("modules", "_pot_vector"),
     ("modules", "_minimalize"),
@@ -224,6 +228,52 @@ def test_each_key_layout_has_one_owner():
                 readers.add(name)
     assert readers == {"groebner.py"}
     assert set(_callers(trees["modules.py"], "_Engine")) == {"PresentedModule.__init__"}
+
+
+# the top-level keys of a curve report's document, in its stable order
+DOCUMENT_KEYS = (
+    "schema", "spec", "seeds", "hilbert", "h1", "h2", "gin", "betti", "rao",
+    "hyperplane_section", "planar_subcurve", "verdict", "warnings",
+)
+
+
+def _dict_literals(tree):
+    """(string keys, node) of each dict literal in a syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = tuple(k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str))
+            yield keys, node
+
+
+def test_the_report_document_has_one_owner():
+    # report.py alone lays out the document, once and in its key order: no
+    # other module builds a dict literal with two of its top-level keys
+    trees = _package_trees()
+    layouts = {
+        name: [keys for keys, _ in _dict_literals(tree) if len(set(keys) & set(DOCUMENT_KEYS)) > 1]
+        for name, tree in trees.items()
+    }
+    assert layouts.pop("report.py") == [DOCUMENT_KEYS]
+    assert {name: found for name, found in layouts.items() if found} == {}
+    # the schema version is read as the "schema" of two documents, the
+    # report's in report.py and the sweep's in cli.py, and nowhere else
+    reads, imports = {}, set()
+    for name, tree in trees.items():
+        schema_of = {
+            id(value): keys
+            for keys, node in _dict_literals(tree)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and key.value == "schema"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "SCHEMA_VERSION" for a in node.names):
+                imports.add(name)
+            elif (
+                isinstance(node, ast.Name) and node.id == "SCHEMA_VERSION" and isinstance(node.ctx, ast.Load)
+            ) or (isinstance(node, ast.Attribute) and node.attr == "SCHEMA_VERSION"):
+                reads.setdefault(name, []).append(schema_of.get(id(node)))
+    assert imports == {"cli.py"}
+    assert reads == {"report.py": [DOCUMENT_KEYS], "cli.py": [("schema", "seed", "grid", "reports")]}
 
 
 def _imports(tree):

@@ -327,6 +327,14 @@ class TestCli:
         over_p = capsys.readouterr().out
         assert over_q == over_p
 
+    def test_oracle_hf_refuses_a_pseudoprime_field(self, tmp_path, capsys):
+        # psi_13 passes Miller-Rabin on every prime base 2..37, but is composite
+        path = tmp_path / "psi13.ideal"
+        path.write_text("ring n=3 field=zp:3317044064679887385961981\nx2^2\nx2*x3\nx3^2\n")
+        assert main(["oracle-hf", str(path), "--max-deg", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "proven only below psi_12" in captured.err
+
     def test_bounds_window_flags(self, capsys):
         assert main(
             ["bounds", "--n", "3", "--d", "5", "--g", "0", "--jmin", "0", "--jmax", "2"]

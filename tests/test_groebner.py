@@ -11,7 +11,7 @@ from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.oracle import minimal_generators, oracle_ideal_dims
 from extremalcurves.packing import ExponentLimitError, layout
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import contains, ideal_dim, lead_coeff, normal_form
+from reference import basis_polys, contains, ideal_dim, lead_coeff, normal_form
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -38,14 +38,14 @@ class TestMinimalBasis:
 
     def test_empty_and_zero_generators(self):
         kept, gb = minimal_basis([R3.zero], R3)
-        assert kept == [] and len(gb) == 0
+        assert kept == [] and gb.elems == ()
 
 
 class TestBuchberger:
     def test_one_step_spair(self):
         x0, x1, x2 = R3.gens()
         gb = buchberger([x0 * x0 - x1 * x2, x0 * x1])
-        got = {str(p) for p in gb}
+        got = {str(p) for p in basis_polys(gb)}
         assert got == {"x0^2 - x1*x2", "x0*x1", "x1^2*x2"}
         # membership cross-check with the linear-algebra oracle
         dims = oracle_ideal_dims([x0 * x0 - x1 * x2, x0 * x1], 6)
@@ -56,20 +56,20 @@ class TestBuchberger:
     def test_monomial_ideal_fixed_point(self):
         x0, x1, x2 = R3.gens()
         gb = buchberger([x0 * x1, x1 * x2 * x2])
-        assert {str(p) for p in gb} == {"x0*x1", "x1*x2^2"}
+        assert {str(p) for p in basis_polys(gb)} == {"x0*x1", "x1*x2^2"}
 
     def test_reduced_and_monic(self):
         x0, x1, x2 = R3.gens()
         gb = buchberger([2 * (x0 * x0) - 4 * (x1 * x2), 3 * (x0 * x1)])
-        for p in gb:
+        for p in basis_polys(gb):
             assert lead_coeff(p) == 1
-        assert {str(p) for p in gb} == {"x0^2 - 2*x1*x2", "x0*x1", "x1^2*x2"}
+        assert {str(p) for p in basis_polys(gb)} == {"x0^2 - 2*x1*x2", "x0*x1", "x1^2*x2"}
 
     def test_prime_field(self):
         ring = PolyRing(3, PrimeField(32003))
         x0, x1, x2 = ring.gens()
         gb = buchberger([x0 * x0 - x1 * x2, x0 * x1])
-        assert len(gb) == 3
+        assert len(gb.elems) == 3
         assert gb.initial_ideal() == MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 1)])
 
     def test_random_dims_agree_with_oracle(self):
@@ -121,7 +121,7 @@ class TestSingleTermPairs:
         gb = buchberger(gens, R3)
         assert calls == []
         # x0*x1*x2 is a multiple of x0*x2; the rest are the basis
-        assert {str(p) for p in gb} == {"x0^2*x1", "x0*x1^2", "x1*x2^2", "x0*x2"}
+        assert {str(p) for p in basis_polys(gb)} == {"x0^2*x1", "x0*x1^2", "x1*x2^2", "x0*x2"}
         kept, _ = minimal_basis(gens, R3)
         assert kept == [x0 * x2, x0 * x0 * x1, x0 * x1 * x1, x1 * x2 * x2]
         assert calls == []
@@ -183,7 +183,7 @@ class TestRingInference:
     def test_no_generators(self):
         with pytest.raises(ValueError, match="cannot infer the ring"):
             buchberger([])
-        assert len(buchberger([], R3)) == 0
+        assert buchberger([], R3).elems == ()
 
     def test_no_generators_capped(self):
         with pytest.raises(ValueError, match="cannot infer the ring"):

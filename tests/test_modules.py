@@ -11,7 +11,7 @@ from extremalcurves.modules import (
 from extremalcurves.packing import layout
 from extremalcurves.monomials import BettiTable, MonomialIdeal, ek_betti
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
-from reference import alternating_numerator, is_artinian, mats, module_kernel, monomial, verify_resolution
+from reference import alternating_numerator, basis_polys, is_artinian, mats, module_kernel, monomial, verify_resolution
 
 R3 = PolyRing(3)
 R4 = PolyRing(4)
@@ -36,7 +36,7 @@ class TestSyzygies:
         x0, x1, _ = R3.gens()
         gb = buchberger([x0, x1])
         gens, syz = first_syzygies(gb)
-        assert gens == list(gb.polys)
+        assert gens == list(basis_polys(gb))
         assert len(syz) == 1
         assert tuple(syz[0]) in ((x1, -x0), (-x1, x0))
         # check it's a real syzygy

@@ -2,7 +2,8 @@
 speed-up must leave every report of `verify_extremal` byte-identical.  All
 points but the last three are cheap; between them they run every check of
 a verdict: gin, hyperplane sections, Betti tables, the planar check, an
-ex46 witness and degree 2, in P^3 and P^4.  Of the last three, two are
+ex46 witness and degree 2, in P^3 and P^4, and a gin that matches the d=3
+alternate, on the rem64 cubic in P^5.  Of the last three, two are
 rational ex45 curves of degree 8 and 9 in P^3, which pin large Rao modules
 (315 dimensions with annihilator degrees [1, 1, 15, 21], and 588 with
 [1, 1, 21, 28]) and take about a second each; the third, the rational
@@ -22,7 +23,7 @@ import hashlib
 import pytest
 
 from extremalcurves.cohomology import verify_extremal
-from extremalcurves.construct import extremal_curve_ideal, non_extremal_witness
+from extremalcurves.construct import cubic_alternate_curve_ideal, extremal_curve_ideal, non_extremal_witness
 from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal
 
@@ -49,6 +50,10 @@ CASES = [
     ("ex45-n4d3a1", lambda: _ex45(4, 3, 1), 2, ("gin", "sections"), "extremal",
      "1c5a7e05edaf3dcd8f7c5a65a0f9250c5e095ba5eb5a59b58894011936eccc16",
      "a5639191a00315863e72d9fdf0ef0b7fbe1936e58241c87231a9556750702a49"),
+    # the one catalog curve whose gin matches the d=3 alternate, not the primary
+    ("rem64-n5d3a1", lambda: cubic_alternate_curve_ideal(5, 1), 0, ("gin", "sections"), "extremal",
+     "08d650ec706ccf5a3b0da56cd1a3e7db97f0a72950bdb5ce46d57cd6d33809b8",
+     "e6d41792d33e7b6c57455d6cad68a285df37736881a19d8fd48ac7028a27a24b"),
     ("ex46-n4d4a1", lambda: non_extremal_witness(4, 1, 4).ideal, 13, ALL, "not_extremal",
      "bd2a7ca0163bcf04d099a363159bc5c3e63d2cfd24dffdfdc556fd0cdb63a6fa",
      "2d6a1dad4910e82f5b2bf9693aebf3c601c33c96ebad590e9ad5c0925f720584"),

@@ -198,6 +198,22 @@ class TestCoefficients:
         assert f.terms == ((mono(1, 0, 0, 0), 1),) and bool(f)
 
 
+# psi_12 = 399165290221 * 798330580441 and psi_13 are strong pseudoprimes to
+# every prime base 2..37, so Miller-Rabin on those bases passes them
+PSEUDOPRIMES = [318665857834031151167461, 3317044064679887385961981]
+
+
+class TestPrimeField:
+    @pytest.mark.parametrize("p", PSEUDOPRIMES, ids=["psi12", "psi13"])
+    def test_composites_past_the_proven_bound_are_refused(self, p):
+        with pytest.raises(ValueError, match="proven only below psi_12 = 318665857834031151167461"):
+            PrimeField(p)
+
+    def test_a_large_prime_below_the_bound_builds(self):
+        field = PrimeField(2**61 - 1)
+        assert field.p == 2**61 - 1 and field.coerce(-1) == 2**61 - 2
+
+
 class TestMonomialEnumeration:
     def test_count_and_order(self):
         ms = R4.monomials_of_degree(3)
