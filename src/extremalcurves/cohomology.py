@@ -4,10 +4,12 @@ subcurves, and the extremality verdict; `report` lays them out.
 
 Cohomology is extracted by graded duality on the minimal free resolution:
 the deficiency module is the cokernel of the transposed last map, second
-cohomology the middle homology of the dual complex as a difference of two
-presented quotients of its middle term; Hilbert functions of presented
-modules reduce to standard monomial counts.  Everything cross-asserts
-against the Riemann-Roch identity h_C(j) - p_C(j) = -h1(j) + h2(j).
+cohomology the middle homology of the dual complex: the twists' alternating
+Hilbert sum (the dual complex is exact below codimension n - 1) less one
+presented quotient of its middle term, the coimage of the last dual map;
+Hilbert functions of presented modules reduce to standard monomial counts.
+Everything cross-asserts against the Riemann-Roch identity
+h_C(j) - p_C(j) = -h1(j) + h2(j).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .gin import gin as compute_gin, mix_seed
 from .groebner import cut_leads
 from .ideals import Ideal, is_saturated, random_unipotent_matrix
 from .modules import GraphBasis, InternalCheckError, PresentedModule
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, _trim, series_dim
 from .oracle import fraction_rank
 from .report import CurveReport
 from .ring import FrozenRecord, Record
@@ -104,9 +106,21 @@ def hilbert_table(I: Ideal, window, degree: int, genus: int) -> HilbertTable:
 
 
 class DualCohomology:
-    """Ext modules at the last two homological positions of R/I; the second
-    cohomology side is built lazily since many callers only need h1.  The
-    dual maps are the resolution's dual rows (`ResolutionData.dual`)."""
+    """Ext modules at the last two homological positions of R/I, from the
+    resolution's twists and dual rows (`ResolutionData.dual`); the second
+    cohomology side is built lazily since many callers only need h1.
+
+    With the dual complex F*_{n-2} -a-> F*_{n-1} -b-> F*_n and im a inside
+    ker b, h2(j) is dim (F*_{n-1}/im a)_e - dim (F*_{n-1}/ker b)_e at
+    e = -j - nvars (b = 0 for an ACM curve).  The first term needs no
+    Gröbner basis: a curve ideal has height, so grade, n - 1, hence
+    Ext^i(R/I, R) = 0 for i < n - 1 (Bruns-Herzog, Thm 1.2.5 and Cor.
+    2.1.4; Eisenbud, Commutative Algebra, Prop. 18.4), so
+    0 -> F*_0 -> ... -> F*_{n-2} -> im a -> 0 is exact and
+    dim (F*_{n-1}/im a)_e = sum_{i<n} (-1)^(n-1-i) sum_{w in twists[i]}
+    C(e + w + n, n).  The twists are certified on construction: their
+    alternating sum sum_i (-1)^i sum_w t^w is the Hilbert numerator of
+    in(I)."""
 
     def __init__(self, I: Ideal):
         self.ring = I.ring
@@ -118,8 +132,16 @@ class DualCohomology:
             )
         if res.length < n - 1:
             raise NotACurveError("projective dimension too small for a curve quotient")
+        euler = [0] * (1 + max(max(t, default=0) for t in res.twists))
+        for i, level in enumerate(res.twists):
+            for w in level:
+                euler[w] += (-1) ** i
+        if tuple(_trim(euler)) != I.initial_ideal().hilbert_numerator():
+            raise InternalCheckError("the resolution's twists miss the Hilbert numerator of in(I)")
         self.res = res
         self.acm = res.length == n - 1
+        # the numerator of F*_{n-1}/im a, by the alternating sum above
+        self._coker_a = [(-w, (-1) ** (n - 1 - i)) for i in range(n) for w in res.twists[i]]
         if self.acm:
             self.rao_dual = PresentedModule(self.ring, [], [])
         else:
@@ -132,22 +154,18 @@ class DualCohomology:
                 )
 
     @cached_property
-    def h2_parts(self):
-        """(F*_{n-1}/im a, F*_{n-1}/ker b) for the dual complex
-        F*_{n-2} -a-> F*_{n-1} -b-> F*_n: since im a lies in ker b, h2 is the
-        difference of their Hilbert functions.  In the ACM case b = 0."""
+    def coimage_b(self):
+        """F*_{n-1}/ker b, read off the graph basis of b, whose kernel part
+        is a Gröbner basis already, once each column of a reduces to zero
+        modulo ker b; the zero module for an ACM curve."""
         res, ring, n = self.res, self.ring, self.ring.n
-        a, _ = res.dual(n - 2)
-        coker_a = PresentedModule(ring, [-w for w in res.twists[n - 1]], a)
         if self.acm:
-            return coker_a, PresentedModule(ring, [], [])
-        # the coimage is read off the graph basis of b, whose kernel part
-        # is a Gröbner basis already
+            return PresentedModule(ring, [], [])
         rows, multipliers = res.dual(n - 1)
         coimage_b = GraphBasis(rows, [-w for w in res.twists[n]], ring, multipliers)
-        if any(coimage_b.reduce(image) for image in a):
+        if any(coimage_b.reduce(image) for image in res.dual(n - 2)[0]):
             raise InternalCheckError("dual complex image missed the kernel")
-        return coker_a, coimage_b
+        return coimage_b
 
     def rao_dims(self, lo: int, hi: int) -> dict:
         """{j: dim M_j} for lo <= j <= hi, zeros included: M_j = H^1(I_C(j))
@@ -156,9 +174,8 @@ class DualCohomology:
         return {j: self.rao_dual.hf(-j - nvars) for j in range(lo, hi + 1)}
 
     def h2_value(self, j: int) -> int:
-        coker_a, coimage_b = self.h2_parts
         e = -j - self.ring.nvars
-        return coker_a.hf(e) - coimage_b.hf(e)
+        return series_dim(self._coker_a, self.ring.nvars, e) - self.coimage_b.hf(e)
 
 
 class FiniteLengthModule(Record):

@@ -24,7 +24,8 @@ monomials of a presented module by listing every monomial of the degree,
 its Hilbert function and finite-length test slot by slot (one
 `MonomialIdeal` per slot, and the artinian test of a monomial ideal), the
 commutation check of a Rao module's multiplication maps, its generators
-and annihilator by the dense stacked-rank and Koszul route, and the
+and annihilator by the dense stacked-rank and Koszul route, h2 with
+F*_{n-1}/im a as a presented module (`presented_h2`), and the
 planar check of any plane given by linear forms, through the Gröbner
 basis of the cut; the ideal, presented-module and graph-basis runs that
 add every input and then complete the pairs, as the engine did before
@@ -1122,6 +1123,21 @@ def dense_rao_structure(module):
         assert h1 >= 0, "negative Koszul homology dimension"
         ann.extend([t - j0] * h1)
     return len(gen_degrees), gen_degrees, sorted(ann)
+
+
+def presented_h2(dual, degrees) -> list:
+    """h2 at each of the degrees by the route that builds F*_{n-1}/im a as
+    a presented module (a module Buchberger run on the dual rows of map
+    n - 2) and subtracts the coimage F*_{n-1}/ker b, read off the graph
+    basis of the dual rows of map n - 1 (the zero module for an ACM
+    curve)."""
+    res, ring, n = dual.res, dual.ring, dual.ring.n
+    coker_a = PresentedModule(ring, [-w for w in res.twists[n - 1]], res.dual(n - 2)[0])
+    coimage_b = PresentedModule(ring, [], [])
+    if not dual.acm:
+        rows, multipliers = res.dual(n - 1)
+        coimage_b = GraphBasis(rows, [-w for w in res.twists[n]], ring, multipliers)
+    return [coker_a.hf(-j - ring.nvars) - coimage_b.hf(-j - ring.nvars) for j in degrees]
 
 
 def planar_subcurve_by_forms(I: Ideal, plane_forms, degree: int) -> bool:

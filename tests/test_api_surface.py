@@ -94,6 +94,7 @@ GONE = [
         for cls in ("RationalField", "PrimeField")
         for name in ("zero", "one", "add", "mul", "neg", "div")
     ],
+    ("cohomology", "DualCohomology.h2_parts"),
 ]
 
 

@@ -32,7 +32,7 @@ from extremalcurves.construct import (
 )
 from extremalcurves.formulas import max_genus
 from extremalcurves.ideals import Ideal, intersect, random_unipotent_matrix
-from extremalcurves.modules import PresentedModule
+from extremalcurves.modules import GraphBasis, PresentedModule
 from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 from reference import (
@@ -216,6 +216,33 @@ class TestH2:
         h1 = list(dual.rao_dims(-3, 2).values())
         assert h1 == [0, 0, 1, 2, 1, 1]
         assert h2_table(dual, _table(I, (-3, 2)), h1) == [15, 10, 6, 3, 1, 0]
+
+    def test_an_off_by_one_coimage_fails_riemann_roch(self, monkeypatch):
+        # the coimage of b, a Gröbner run apart from the Rao dual's, one too
+        # large at e = -5 (j = 0): Riemann-Roch ties the two runs together
+        I = extremal_curve_ideal(4, 5, 1)
+        dual = DualCohomology(I)
+        h1 = list(dual.rao_dims(-3, 2).values())
+        hf = GraphBasis.hf
+        monkeypatch.setattr(GraphBasis, "hf", lambda module, degree: hf(module, degree) + (degree == -5))
+        with pytest.raises(InternalCheckError, match="Riemann-Roch identity failed at degree 0"):
+            h2_table(dual, _table(I, (-3, 2)), h1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("fault", ["dropped", "shifted"])
+    def test_a_twist_off_the_hilbert_numerator_raises(self, k, fault):
+        # h2 reads the twists, so they are certified: one twist of F_k
+        # dropped, or shifted up by one, misses the Hilbert numerator of in(I)
+        I = extremal_curve_ideal(4, 5, 1)
+        res = I.resolution()
+        level = list(res.twists[k])
+        if fault == "dropped":
+            level.pop()
+        else:
+            level[-1] += 1
+        res.twists[k] = tuple(level)
+        with pytest.raises(InternalCheckError, match="twists miss the Hilbert numerator"):
+            DualCohomology(I)
 
     def test_image_outside_the_kernel_raises(self):
         # scale one entry of a: the image of a basis vector picks up

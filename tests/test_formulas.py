@@ -278,3 +278,43 @@ class TestExpectedAnnihilator:
         spec = CurveSpec(4, 4, 0)
         # a = 0, n = 4: three linear forms plus two of degree n-3 = 1
         assert expected_annihilator_degrees(spec) == [1, 1, 1, 1, 1]
+
+
+def staircase(n, d, a):
+    """Minimal exponent pairs (p, q), for x0^p x1^q, of the ideal J of ex45's
+    Rao module K[x0,x1]/J (shifted by a + n - 4): x1^(d+a+n-5) and the
+    x0^(a+t) x1^(n-3-t) for t = 0..n-3."""
+    gens = {(0, d + a + n - 5)} | {(a + t, n - 3 - t) for t in range(n - 2)}
+    return sorted(g for g in gens if not any(h != g and h[0] <= g[0] and h[1] <= g[1] for h in gens))
+
+
+class TestRaoAgainstTheConstruction:
+    # the paper's closed forms against ex45's Rao module, a staircase count
+    # in two variables, with no verdict: n = 3..8, d = 3..20, a = 0..6 outside
+    # the excluded corner, far past what a verdict reaches
+    GRID = [(n, d, a) for n in range(3, 9) for d in range(3, 21) for a in range(7)]
+
+    def specs(self):
+        out = [CurveSpec(n, d, max_genus(n, d) - a) for n, d, a in self.GRID]
+        return [spec for spec in out if not rao_structure_excluded(spec)]
+
+    def test_the_grid_is_726_points(self):
+        assert len(self.specs()) == 726
+
+    def test_expected_rao_hf_is_the_staircase_count(self):
+        for spec in self.specs():
+            n, d, a = spec.n, spec.d, spec.a
+            gens = staircase(n, d, a)
+            for j in range(-a - n, d + a + n):
+                k = j + a + n - 4
+                count = sum(1 for p in range(k + 1) if not any(p >= x and k - p >= y for x, y in gens))
+                assert expected_rao_hf(spec, j) == count, (n, d, a, j)
+
+    def test_annihilator_degrees_are_those_of_the_staircase(self):
+        # the annihilator of the cyclic module is J + (x2, ..., xn); None
+        # where J is the unit ideal and the module is zero
+        for spec in self.specs():
+            n, d, a = spec.n, spec.d, spec.a
+            gens = staircase(n, d, a)
+            want = None if (0, 0) in gens else sorted([1] * (n - 1) + [x + y for x, y in gens])
+            assert expected_annihilator_degrees(spec) == want, (n, d, a)

@@ -163,7 +163,7 @@ def test_dropping_a_kernel_generator_fails_the_check(data, draw):
 @SETTINGS
 @given(st.integers(3, 5), st.integers(3, 5), st.integers(0, 2), st.integers(0, 10**6), st.sampled_from(FIELDS))
 def test_the_dual_rows_graph_matches_the_batch_run(n, d, a, seed, field):
-    # the rows and multipliers of the dual map that `DualCohomology.h2_parts`
+    # the rows and multipliers of the dual map that `DualCohomology.coimage_b`
     # takes the coimage of
     I = construct_curve(random_construction_input(n, d, a, random.Random(seed)))
     ring = PolyRing(I.ring.nvars, field)
