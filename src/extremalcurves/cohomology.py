@@ -7,7 +7,7 @@ the deficiency module is the cokernel of the transposed last map, second
 cohomology the middle homology of the dual complex: the twists' alternating
 Hilbert sum (the dual complex is exact below codimension n - 1) less one
 presented quotient of its middle term, the coimage of the last dual map;
-Hilbert functions of presented modules reduce to standard monomial counts.
+a presented module's Hilbert function is read off its Hilbert series.
 Everything cross-asserts against the Riemann-Roch identity
 h_C(j) - p_C(j) = -h1(j) + h2(j).
 """
@@ -146,7 +146,7 @@ class DualCohomology:
             self.rao_dual = PresentedModule(self.ring, [], [])
         else:
             # coker(Hom(F_{n-1}, R) -> Hom(F_n, R))
-            self.rao_dual = PresentedModule(self.ring, [-w for w in res.twists[n]], res.dual(n - 1)[0])
+            self.rao_dual = PresentedModule(self.ring, [-w for w in res.twists[n]], res.dual(n - 1))
             if not self.rao_dual.is_finite_length():
                 raise NotLocallyCohenMacaulayError(
                     "the curve is not locally Cohen-Macaulay (it has embedded "
@@ -161,9 +161,8 @@ class DualCohomology:
         res, ring, n = self.res, self.ring, self.ring.n
         if self.acm:
             return PresentedModule(ring, [], [])
-        rows, multipliers = res.dual(n - 1)
-        coimage_b = GraphBasis(rows, [-w for w in res.twists[n]], ring, multipliers)
-        if any(coimage_b.reduce(image) for image in res.dual(n - 2)[0]):
+        coimage_b = GraphBasis(res.dual(n - 1), [-w for w in res.twists[n]], ring)
+        if any(coimage_b.reduce(image) for image in res.dual(n - 2)):
             raise InternalCheckError("dual complex image missed the kernel")
         return coimage_b
 

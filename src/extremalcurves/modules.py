@@ -26,8 +26,9 @@ series, that of its lead module (Eisenbud, Commutative Algebra, Thm
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from . import packing
 from .groebner import GroebnerBasis, _divide, _Engine, _EnginePoly, _primitive, cancel_lead, spair
@@ -262,27 +263,21 @@ class ResolutionData:
         return self._maps[k]
 
     def dual(self, k):
-        """Hom(-, R) of map k as (rows, multipliers), made once from its
-        integer columns: one packed vector over F_{k+1} per basis element
-        of F_k, the field row times a positive integer multiplier, over QQ
-        the lcm of the row's denominators (mod p the field row itself, 1)."""
+        """Hom(-, R) of map k, made once from its integer columns: one packed
+        vector over F_{k+1} per basis element of F_k, in the field: over QQ
+        each integer over its column's scale (a Fraction, the integer itself
+        where the scale is 1), mod p the residue times it."""
         if k not in self._dual:
             (cols, scales), modulus = self._map(k), self.ring.modulus
             rows = [{} for _ in self.twists[k]]
-            for c, col in enumerate(cols):
+            for c, (col, s) in enumerate(zip(cols, scales)):
                 for r, e in col.items():
+                    if modulus:
+                        e = {key: v * s % modulus for key, v in e.items()}
+                    elif s != 1:
+                        e = {key: Fraction(v, s) for key, v in e.items()}
                     rows[r][c] = e
-            if modulus:
-                rows = [{c: {key: v * scales[c] % modulus for key, v in e.items()} for c, e in row.items()} for row in rows]
-                mults = [1] * len(rows)
-            else:
-                mults = [lcm(*(scales[c] for c in row)) for row in rows]
-                for row, m in zip(rows, mults):
-                    for c, e in row.items():
-                        f = m // scales[c]  # exact: a denominator may be negative, the lcm is not
-                        if f != 1:
-                            row[c] = {key: v * f for key, v in e.items()}
-            self._dual[k] = rows, mults
+            self._dual[k] = rows
         return self._dual[k]
 
     @property
@@ -439,18 +434,17 @@ class GraphBasis(PresentedModule):
     """Traced Gröbner data for a span of packed columns: their kernel, and
     the coimage R^s / kernel, graded by the columns' degrees.
 
-    The graph elements (col_t, m_t e_t) live in F + R^s, where the given
-    column col_t is m_t times the column whose kernel is wanted (m_t from
-    multipliers, 1 by default): each element is m_t times the graph element
-    of the wanted column, so scaling it moves no kernel coordinate.  They
-    present a module on F + R^s whose view narrows to R^s: under position
-    over term an element whose lead lies there lies there entirely, so the
-    elements there are a Gröbner basis of the kernel, and `hf` and
-    `reduce` read the coimage off them.  A zero column's component is all
-    kernel (its unit is a graph element), so the twist 0 it gets here moves
-    no dimension."""
+    The graph elements (col_t, e_t) live in F + R^s, with the columns in
+    the field or in integers; the engine takes each to its own integer
+    line, which scales col_t and e_t alike and so moves no kernel
+    coordinate.  They present a module on F + R^s whose view narrows to
+    R^s: under position over term an element whose lead lies there lies
+    there entirely, so the elements there are a Gröbner basis of the
+    kernel, and `hf` and `reduce` read the coimage off them.  A zero
+    column's component is all kernel (its unit is a graph element), so the
+    twist 0 it gets here moves no dimension."""
 
-    def __init__(self, cols, free_twists, ring, multipliers=None):
+    def __init__(self, cols, free_twists, ring):
         first, degree = len(free_twists), packing.layout(ring.nvars).degree
         degs, graph = [], []
         for t, col in enumerate(cols):
@@ -458,7 +452,7 @@ class GraphBasis(PresentedModule):
             if len(found) > 1:
                 raise ValueError("inhomogeneous column")
             degs.append(found.pop() if found else 0)
-            graph.append({**col, first + t: {0: multipliers[t] if multipliers else 1}})
+            graph.append({**col, first + t: {0: 1}})
         super().__init__(ring, list(free_twists) + degs, graph)
         self.first, self.gen_degrees = first, tuple(degs)
 

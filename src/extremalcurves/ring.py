@@ -8,8 +8,8 @@ in [0, p) over an odd prime field.  The field classes only normalise a
 value (``coerce``); ``Polynomial`` computes with ``+``, ``-`` and ``*`` and
 coerces what it keeps.  Verdicts run over the rationals only; Z/p serves
 ideal files with a ``zp`` header (parsing, emission, ``oracle-hf``),
-constructions from forms over Z/p, the rank tests of coordinate draws and
-plane forms over the ring's field, and the tests that cross-check the
+constructions from forms over Z/p, the rank test of a construction's
+line forms over the ring's field, and the tests that cross-check the
 engines mod p.  Every value is immutable and safe to share between tasks.
 The module also holds the two record bases that the package's value
 classes derive from.

@@ -29,10 +29,13 @@ F*_{n-1}/im a as a presented module (`presented_h2`), and the
 planar check of any plane given by linear forms, through the Gröbner
 basis of the cut; the ideal, presented-module and graph-basis runs that
 add every input and then complete the pairs, as the engine did before
-its one driver; the ideal quotient by exact division of the generators
-of each I ∩ (g) by g, with that division and the divisibility and
-quotient of exponent tuples; and small reads
-of package objects that only the tests make: the monic polynomials,
+its one driver; the dual rows as integer rows with a multiplier each
+(`integer_dual`) and the graph basis whose units carry those multipliers
+(`MultiplierGraphBasis`), as they were before the rows moved to the
+field, and the lcm of each field row's denominators; the ideal quotient
+by exact division of the generators of each I ∩ (g) by g, with that
+division and the divisibility and quotient of exponent tuples; and small
+reads of package objects that only the tests make: the monic polynomials,
 normal form and membership of a Gröbner basis, the lead monomial, lead
 coefficient and monomial shift of a polynomial, the regularity, top index, generator
 degrees and alternating numerator of a Betti table, the graded dimensions of a
@@ -43,7 +46,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd
+from math import gcd, lcm
 
 from extremalcurves.cohomology import InternalCheckError, NotACurveError, detect_hilbert_polynomial, hyperplane_section
 from extremalcurves.construct import _is_binary
@@ -669,7 +672,7 @@ class BatchGraphBasis(GraphBasis):
     """A `GraphBasis` made as before its one driver: every graph element
     added, in column order, then the pairs completed."""
 
-    def __init__(self, cols, free_twists, ring, multipliers=None):
+    def __init__(self, cols, free_twists, ring):
         self.ring = ring
         self.first = first = len(free_twists)
         eng = _Engine(ring)
@@ -679,9 +682,57 @@ class BatchGraphBasis(GraphBasis):
             if len(found) > 1:
                 raise ValueError("inhomogeneous column")
             degs.append(found.pop() if found else 0)
-            eng.add(eng.element({**col, first + t: {0: multipliers[t] if multipliers else 1}}))
+            eng.add(eng.element({**col, first + t: {0: 1}}))
         eng.complete(list(free_twists) + degs)
         self.engine, self.gen_degrees, self._standard = eng, tuple(degs), {}
+
+
+def integer_dual(res, k):
+    """The dual rows of map k as integers, with a multiplier per row, as
+    `ResolutionData.dual` made them before its rows moved to the field:
+    (rows, multipliers), each row the field row times its positive
+    multiplier, over QQ the lcm of its columns' denominators (mod p the
+    field row itself, 1)."""
+    (cols, scales), modulus = res._map(k), res.ring.modulus
+    rows = [{} for _ in res.twists[k]]
+    for c, col in enumerate(cols):
+        for r, e in col.items():
+            rows[r][c] = e
+    if modulus:
+        rows = [{c: {key: v * scales[c] % modulus for key, v in e.items()} for c, e in row.items()} for row in rows]
+        return rows, [1] * len(rows)
+    mults = [lcm(*(scales[c] for c in row)) for row in rows]
+    for row, m in zip(rows, mults):
+        for c, e in row.items():
+            f = m // scales[c]  # exact: a denominator may be negative, the lcm is not
+            if f != 1:
+                row[c] = {key: v * f for key, v in e.items()}
+    return rows, mults
+
+
+def denominator_lcms(rows):
+    """The lcm of the denominators of each packed vector of field entries
+    (1 throughout mod p)."""
+    return [lcm(*(v.denominator for e in row.values() for v in e.values())) for row in rows]
+
+
+class MultiplierGraphBasis(GraphBasis):
+    """A `GraphBasis` of integer columns col_t, each m_t times the column
+    whose kernel is wanted, as it was built before the dual rows moved to
+    the field: the graph elements (col_t, m_t e_t), m_t times those of the
+    wanted columns, through `PresentedModule` (the one driver)."""
+
+    def __init__(self, cols, free_twists, ring, multipliers):
+        first, degree = len(free_twists), layout(ring.nvars).degree
+        degs, graph = [], []
+        for t, col in enumerate(cols):
+            found = {degree(next(iter(e))) + free_twists[s] for s, e in col.items()}
+            if len(found) > 1:
+                raise ValueError("inhomogeneous column")
+            degs.append(found.pop() if found else 0)
+            graph.append({**col, first + t: {0: multipliers[t]}})
+        PresentedModule.__init__(self, ring, list(free_twists) + degs, graph)
+        self.first, self.gen_degrees = first, tuple(degs)
 
 
 def slot_lcm(a, b, nvars, slot):
@@ -1132,11 +1183,10 @@ def presented_h2(dual, degrees) -> list:
     basis of the dual rows of map n - 1 (the zero module for an ACM
     curve)."""
     res, ring, n = dual.res, dual.ring, dual.ring.n
-    coker_a = PresentedModule(ring, [-w for w in res.twists[n - 1]], res.dual(n - 2)[0])
+    coker_a = PresentedModule(ring, [-w for w in res.twists[n - 1]], res.dual(n - 2))
     coimage_b = PresentedModule(ring, [], [])
     if not dual.acm:
-        rows, multipliers = res.dual(n - 1)
-        coimage_b = GraphBasis(rows, [-w for w in res.twists[n]], ring, multipliers)
+        coimage_b = GraphBasis(res.dual(n - 1), [-w for w in res.twists[n]], ring)
     return [coker_a.hf(-j - ring.nvars) - coimage_b.hf(-j - ring.nvars) for j in degrees]
 
 

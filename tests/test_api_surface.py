@@ -205,19 +205,25 @@ def test_the_driver_is_the_one_caller_of_complete():
     assert found == [("groebner.py", "_Engine.build"), ("groebner.py", "_Engine.build")]
 
 
+def _init_params(tree, cls):
+    """The parameter names of cls.__init__ in tree, which takes no *args,
+    **kwargs or keyword-only parameters."""
+    (init,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == cls
+        for node in node.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    args = init.args
+    assert not (args.vararg or args.kwarg or args.kwonlyargs)
+    return [a.arg for a in args.posonlyargs + args.args]
+
+
 def test_each_key_layout_has_one_owner():
     # the engine's position-over-term keys belong to groebner.py, which
     # alone shifts by comp_shift; the Schreyer frame's rank bits belong to
     # modules.py, which builds an engine only for a presented module
     trees = _package_trees()
-    (init,) = [
-        node for node in ast.walk(trees["groebner.py"])
-        if isinstance(node, ast.ClassDef) and node.name == "_Engine"
-        for node in node.body if isinstance(node, ast.FunctionDef) and node.name == "__init__"
-    ]
-    args = init.args
-    assert [a.arg for a in args.posonlyargs + args.args] == ["self", "ring"]
-    assert not (args.vararg or args.kwarg or args.kwonlyargs)
+    assert _init_params(trees["groebner.py"], "_Engine") == ["self", "ring"]
     gone = {"rank_bits", "slot_shift", "slot_mask", "_pot_element", "_pot_vector"}
     readers = set()
     for name, tree in trees.items():
@@ -229,6 +235,18 @@ def test_each_key_layout_has_one_owner():
                 readers.add(name)
     assert readers == {"groebner.py"}
     assert set(_callers(trees["modules.py"], "_Engine")) == {"PresentedModule.__init__"}
+
+
+def test_the_engine_alone_makes_integers_of_the_dual_rows():
+    # the dual rows are in the field and a graph element is (col_t, e_t):
+    # the engine takes each to its integer line, and no second scaling
+    # convention (a multiplier per row or per graph unit) rides beside it
+    trees = _package_trees()
+    assert _init_params(trees["modules.py"], "GraphBasis") == ["self", "cols", "free_twists", "ring"]
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            idents = {getattr(node, field, None) for field in ("id", "attr", "arg", "name")}
+            assert not any("multiplier" in i for i in idents if isinstance(i, str)), name
 
 
 # the top-level keys of a curve report's document, in its stable order

@@ -37,6 +37,7 @@ from extremalcurves.monomials import MonomialIdeal
 from extremalcurves.ring import PolyRing, Polynomial, PrimeField
 from reference import (
     change_coordinates,
+    denominator_lcms,
     dense_rao_structure,
     drawn_section_values,
     field_cols,
@@ -528,22 +529,48 @@ class TestCurveAnalysis:
         assert CurveAnalysis(J).h2 is not None
         assert maps == [last, before]
 
-    def test_h2_of_random_non_acm_constructions(self):
-        # seeded random non-ACM constructions over QQ: h2 checks that the
-        # image of a lies in the kernel of b, and Riemann-Roch at every
-        # degree.  Many draws have unequal multipliers in the dual rows of
-        # the last map, where a graph basis that left its unit terms at 1
-        # would compute the kernel of the wrong map.
-        unequal = 0
+    @staticmethod
+    def _non_acm_draws():
+        """(seed, ideal, whether the dual rows of its last map have more
+        than one distinct lcm of denominators) for the seeded random
+        constructions over QQ of 60 seeds that are not ACM."""
         for s in range(60):
             rng = random.Random(s)
             n, d, a = rng.randint(3, 5), rng.randint(3, 6), rng.randint(0, 3)
-            c = CurveAnalysis(construct_curve(random_construction_input(n, d, a, rng)))
-            if c.dual.acm:
-                continue
-            unequal += len(set(c.dual.res.dual(n - 1)[1])) > 1
+            I = construct_curve(random_construction_input(n, d, a, rng))
+            res = I.resolution()
+            if res.length == n:
+                yield s, I, len(set(denominator_lcms(res.dual(n - 1)))) > 1
+
+    def test_h2_of_random_non_acm_constructions(self):
+        # h2 checks that the image of a lies in the kernel of b, and
+        # Riemann-Roch at every degree.  Many draws have rows with unequal
+        # denominators in the dual of the last map, where a graph basis that
+        # cleared each column's denominators and left its unit at 1 would
+        # compute the kernel of the wrong map.
+        unequal = 0
+        for s, I, differ in self._non_acm_draws():
+            c = CurveAnalysis(I)
             assert len(c.h2) == len(c.degrees), s
+            unequal += differ
         assert unequal >= 20
+
+    def test_a_graph_unit_left_at_1_misses_the_kernel(self, monkeypatch):
+        # the negative control: each column cleared of its denominators with
+        # its unit left at 1 is the graph of another map wherever the lcms
+        # differ, and the check that im a lies in ker b catches every one
+        class UnitAtOne(GraphBasis):
+            def __init__(self, cols, free_twists, ring):
+                cleared = [{s: {k: v * m for k, v in e.items()} for s, e in col.items()}
+                           for col, m in zip(cols, denominator_lcms(cols))]
+                super().__init__(cleared, free_twists, ring)
+
+        monkeypatch.setattr(cohomology, "GraphBasis", UnitAtOne)
+        differ = [(s, I) for s, I, unequal in self._non_acm_draws() if unequal]
+        assert len(differ) >= 20
+        for s, I in differ:
+            with pytest.raises(InternalCheckError, match="dual complex image missed the kernel"):
+                CurveAnalysis(I).h2
 
     def test_statements_that_do_not_apply_read_none(self):
         c = CurveAnalysis(extremal_curve_ideal(3, 2, -1), seed=1)

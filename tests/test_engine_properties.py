@@ -257,7 +257,7 @@ def test_presented_modules_match_the_batch_run(n, d, a, seed, field):
     res, ring = I.resolution(), I.ring
     for k in range(max(res.length - 2, 0), res.length):
         twists = [-w for w in res.twists[k + 1]]
-        rows = res.dual(k)[0]
+        rows = res.dual(k)
         pm, batch = PresentedModule(ring, twists, rows), BatchPresentedModule(ring, twists, rows)
         assert_no_dividing_leads(pm.engine)
         for j in range(min(twists), min(twists) + 4):
@@ -394,15 +394,15 @@ def assert_matches_the_field_reference(I):
     assert field_cols(res) == field_cols(ref)
     assert mats(res) == mats(ref)
     for k, level in enumerate(field_cols(res)):
-        # the dual rows hold integers (residues mod p): each is its field
-        # row times a positive multiplier, 1 mod p
-        rows, multipliers = res.dual(k)
-        assert len(rows) == len(res.twists[k]) and all(m > 0 for m in multipliers)
-        assert all(type(v) is int for row in rows for e in row.values() for v in e.values())
-        if I.ring.modulus:
-            assert set(multipliers) <= {1}
-        for r, (row, m) in enumerate(zip(rows, multipliers)):
-            assert row == {c: {key: m * v for key, v in col[r].items()} for c, col in enumerate(level) if r in col}
+        # the dual rows are the field columns transposed: rationals over QQ
+        # (ints where the column's scale is 1), residues mod p
+        rows = res.dual(k)
+        assert len(rows) == len(res.twists[k])
+        modulus = I.ring.modulus
+        values = [v for row in rows for e in row.values() for v in e.values()]
+        assert all(0 < v < modulus if modulus else type(v) in (int, Fraction) for v in values)
+        for r, row in enumerate(rows):
+            assert row == {c: col[r] for c, col in enumerate(level) if r in col}
 
 
 @SETTINGS

@@ -1,9 +1,9 @@
 """The graph basis, a presented module that the one Gröbner driver builds,
 against the run it replaced (`reference.BatchGraphBasis`: every graph
 element added, then the pairs completed), on random columns over QQ,
-Z/32003 and Z/7 with zero columns and multipliers, on columns of mostly
-single terms (whose kernel generators are also checked to be syzygies),
-and on the dual rows that the h2 path reads: the same kernel (the kernel
+Z/32003 and Z/7 with zero columns, on columns of mostly single terms
+(whose kernel generators are also checked to be syzygies), and on the
+dual rows, in the field, that the h2 path reads: the same kernel (the kernel
 generators of each reduce to zero in the other), the same coimage Hilbert
 function, as many standard monomials as it counts, and the same
 constructed curve ideals (each side on its own copy of the input);
@@ -18,7 +18,7 @@ seeds: the driver's insertion order must not hang on dict order."""
 import copy
 import hashlib
 import random
-from math import prod
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -60,7 +60,7 @@ def forms(draw, ring, degree, max_terms=3):
 @st.composite
 def graph_inputs(draw):
     """Columns into F = R(-w_0) + ... + R(-w_{r-1}) in 3 to 5 variables,
-    some of them zero, with their multipliers (None at times)."""
+    some of them zero."""
     ring = PolyRing(draw(st.integers(3, 5)), draw(st.sampled_from(FIELDS)))
     twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
     cols = []
@@ -70,8 +70,7 @@ def graph_inputs(draw):
             continue
         deg = max(twists) + draw(st.integers(0, 2))
         cols.append(packed_vector(ring, [draw(forms(ring, deg - w)) for w in twists]))
-    multipliers = draw(st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=len(cols), max_size=len(cols))))
-    return ring, twists, cols, multipliers
+    return ring, twists, cols
 
 
 def assert_same_graph(a, b, top):
@@ -103,9 +102,9 @@ def without(graph, drop):
 @SETTINGS
 @given(graph_inputs())
 def test_the_driver_graph_matches_the_batch_run(data):
-    ring, twists, cols, multipliers = data
-    graph = GraphBasis(cols, twists, ring, multipliers)
-    batch = BatchGraphBasis(cols, twists, ring, multipliers)
+    ring, twists, cols = data
+    graph = GraphBasis(cols, twists, ring)
+    batch = BatchGraphBasis(cols, twists, ring)
     assert_same_graph(graph, batch, max(graph.gen_degrees) + 3)
 
 
@@ -113,7 +112,7 @@ def test_the_driver_graph_matches_the_batch_run(data):
 def monomial_columns(draw):
     """Columns of Polynomials into F = R(-w_0) + ... + R(-w_{r-1}) in 3 to
     5 variables whose entries are single terms three times in four (zero
-    at times), with their multipliers (None at times)."""
+    at times)."""
     ring = PolyRing(draw(st.integers(3, 5)), draw(st.sampled_from(FIELDS)))
     twists = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
     cols = []
@@ -121,25 +120,22 @@ def monomial_columns(draw):
         deg = max(twists) + draw(st.integers(0, 2))
         size = draw(st.sampled_from((1, 1, 1, 2)))
         cols.append([draw(forms(ring, deg - w, max_terms=size)) for w in twists])
-    multipliers = draw(st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=len(cols), max_size=len(cols))))
-    return ring, twists, cols, multipliers
+    return ring, twists, cols
 
 
 @SETTINGS
 @given(monomial_columns())
 def test_monomial_heavy_graph_matches_the_batch_run(data):
     # the same kernel and coimage as the batch run, and each kernel
-    # generator c a syzygy of the wanted columns: sum c_t col_t / m_t = 0
-    ring, twists, cols, multipliers = data
+    # generator c a syzygy of the columns: sum c_t col_t = 0
+    ring, twists, cols = data
     packed = [packed_vector(ring, c) for c in cols]
-    graph = GraphBasis(packed, twists, ring, multipliers)
-    assert_same_graph(graph, BatchGraphBasis(packed, twists, ring, multipliers), max(graph.gen_degrees) + 3)
-    mults = multipliers or [1] * len(cols)
-    total = prod(mults)
+    graph = GraphBasis(packed, twists, ring)
+    assert_same_graph(graph, BatchGraphBasis(packed, twists, ring), max(graph.gen_degrees) + 3)
     for v in graph.kernel_generators():
         coeffs = polynomial_vector(ring, v, len(cols))
         for s in range(len(twists)):
-            assert not sum((c * col[s] * (total // m) for c, col, m in zip(coeffs, cols, mults)), ring.zero)
+            assert not sum((c * col[s] for c, col in zip(coeffs, cols)), ring.zero)
 
 
 @SETTINGS
@@ -148,13 +144,13 @@ def test_dropping_a_kernel_generator_fails_the_check(data, draw):
     # the negative control of `assert_same_graph`: no lead of the driver's
     # engine divides another in its component, so the dropped lead becomes
     # a standard monomial, or the dropped generator no longer reduces
-    ring, twists, cols, multipliers = data
-    graph = GraphBasis(cols, twists, ring, multipliers)
+    ring, twists, cols = data
+    graph = GraphBasis(cols, twists, ring)
     eng = graph.engine
     kernel = [t for t, g in enumerate(eng.basis) if g.keys[0] >> eng.comp_shift >= graph.first]
     hypothesis.assume(kernel)
     drop = draw.draw(st.sampled_from(kernel))
-    batch = BatchGraphBasis(cols, twists, ring, multipliers)
+    batch = BatchGraphBasis(cols, twists, ring)
     top = max(max(graph.gen_degrees) + 3, graph.engine.basis[drop].deg)
     with pytest.raises(AssertionError):
         assert_same_graph(without(graph, drop), batch, top)
@@ -163,16 +159,16 @@ def test_dropping_a_kernel_generator_fails_the_check(data, draw):
 @SETTINGS
 @given(st.integers(3, 5), st.integers(3, 5), st.integers(0, 2), st.integers(0, 10**6), st.sampled_from(FIELDS))
 def test_the_dual_rows_graph_matches_the_batch_run(n, d, a, seed, field):
-    # the rows and multipliers of the dual map that `DualCohomology.coimage_b`
-    # takes the coimage of
+    # the field rows of the dual map that `DualCohomology.coimage_b` takes
+    # the coimage of
     I = construct_curve(random_construction_input(n, d, a, random.Random(seed)))
     ring = PolyRing(I.ring.nvars, field)
     res = Ideal(ring, [Polynomial(ring, g.terms) for g in I.gens]).resolution()
     hypothesis.assume(res.length == n)
-    rows, multipliers = res.dual(n - 1)
+    rows = res.dual(n - 1)
     twists = [-w for w in res.twists[n]]
-    graph = GraphBasis(rows, twists, ring, multipliers)
-    assert_same_graph(graph, BatchGraphBasis(rows, twists, ring, multipliers), max(graph.gen_degrees) + 3)
+    graph = GraphBasis(rows, twists, ring)
+    assert_same_graph(graph, BatchGraphBasis(rows, twists, ring), max(graph.gen_degrees) + 3)
 
 
 def in_field(inp, field):
@@ -205,19 +201,20 @@ def test_constructions_match_the_batch_graph(n, d, a, seed, field):
 
 
 def test_kernel_generator_bytes_are_pinned():
-    # one graph with a zero column and multipliers, over QQ and Z/7: the
+    # one graph with a zero column and field columns, over QQ and Z/7: the
     # driver's kernel generators in their order, under any string-hash seed
     digests = []
     for field in (QQ, PrimeField(7)):
         ring = PolyRing(3, field)
         x0, x1, x2 = ring.gens()
         cols = [[x0 * x1, x2], [x1 * x1, x0], [ring.zero, ring.zero], [x2 * x2 - x0 * x1, x1 + x2]]
-        graph = GraphBasis([packed_vector(ring, c) for c in cols], [0, 1], ring, [2, 1, 3, 1])
+        wanted = [[p * Fraction(1, m) for p in col] for col, m in zip(cols, [2, 1, 3, 1])]
+        graph = GraphBasis([packed_vector(ring, c) for c in wanted], [0, 1], ring)
         gens = [sorted((s, sorted(e.items())) for s, e in v.items()) for v in graph.kernel_generators()]
         digests.append(hashlib.sha256(repr(gens).encode()).hexdigest())
     assert digests == [
         "5a7599223b75cf41b9c4620abc5211b45bce6a06f063f6650da07105749c5355",
-        "a1b158a5e580434bd7d57997696d2c220876dd2c16e9be677898081e35d10b3e",
+        "297586808bd4a48bf573b533f1dc5e18e6f48e0adf57c0ada6a5e7975f3935df",
     ]
 
 

@@ -1,8 +1,8 @@
 """The Hilbert series of a presented module against the slot-by-slot counts
 it replaced, on random presented modules and graph bases over QQ, Z/32003
 and Z/7: 1 to 3 slots with twists -2 to 2, about one zero relation or
-column in five, multipliers or none, and powers of the variables among the
-relations so that finite-length modules occur.  `hf` equals the number of
+column in five, and powers of the variables among the relations so that
+finite-length modules occur.  `hf` equals the number of
 standard monomials and `reference.component_hf` (one `MonomialIdeal` per
 slot), and `is_finite_length` equals the per-slot artinian test
 (`reference.component_finite_length`).  The negative control drops one
@@ -68,13 +68,12 @@ def module_inputs(draw):
 
 @st.composite
 def graph_inputs(draw):
-    """(ring, free twists, columns, multipliers): 1 to 3 columns, about one
-    in five zero, with multipliers 1 to 4 or none."""
+    """(ring, free twists, columns): 1 to 3 columns, about one in five
+    zero."""
     ring = PolyRing(draw(st.integers(3, 4)), draw(st.sampled_from(FIELDS)))
     twists = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
     cols = [draw(vectors(ring, twists, max(twists))) for _ in range(draw(st.integers(1, 3)))]
-    multipliers = draw(st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=len(cols), max_size=len(cols))))
-    return ring, twists, cols, multipliers
+    return ring, twists, cols
 
 
 @st.composite
@@ -83,8 +82,8 @@ def modules(draw):
     if draw(st.booleans()):
         ring, twists, rels = draw(module_inputs())
         return lambda: PresentedModule(ring, twists, rels)
-    ring, twists, cols, multipliers = draw(graph_inputs())
-    return lambda: GraphBasis(cols, twists, ring, multipliers)
+    ring, twists, cols = draw(graph_inputs())
+    return lambda: GraphBasis(cols, twists, ring)
 
 
 def degrees(module):
