@@ -4,11 +4,17 @@ parallel parameter sweep.
 
 Exit codes: 0 extremal / 1 not extremal / 2 usage or file error /
 3 internal invariant violation or any other unexpected failure.
+
+`run` is the process entry (the console script and `python -m`); `main`
+is the in-process one.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
+import os
 import sys
 
 from .cohomology import (
@@ -176,6 +182,10 @@ def sweep_point(task):
 
 
 def _cmd_sweep(args):
+    # the same error the final write would raise, before the grid runs; an
+    # existing output file is left as it is until the grid is done
+    if not os.path.isdir(os.path.dirname(args.output) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
     (n_lo, n_hi), (d_lo, d_hi), (a_lo, a_hi) = args.n, args.d, args.a
     tasks = []
     for n in range(n_lo, n_hi + 1):
@@ -242,5 +252,14 @@ def main(argv=None) -> int:
         return 3
 
 
+def run(argv=None):
+    """The process entry: freeze the loaded heap, then exit with `main`'s
+    code.  The collections during the command and at exit skip frozen
+    objects, and normal shutdown still flushes the streams.  `main` never
+    freezes, so in-process callers keep a heap the collector can reclaim."""
+    gc.freeze()
+    sys.exit(main(argv))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -4,13 +4,15 @@ tracer wraps (read from its TARGETS list) still resolves, every name in
 package module imports from the tests, only `packing` knows the
 packed-monomial format, the Gröbner driver is the one caller of the pair
 completion, each key layout has one owner module, `report` alone lays
-out and versions the report's document, and importing the CLI loads
-neither `dataclasses` nor `json`."""
+out and versions the report's document, importing the CLI loads
+neither `dataclasses` nor `json`, and `cli.run` is the one process
+entry."""
 
 import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -332,3 +334,17 @@ def test_cli_import_loads_neither_dataclasses_nor_json():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_run_is_the_one_process_entry():
+    # the console script and `python -m extremalcurves.cli` both go through
+    # `run`, which freezes the heap; `main` stays the in-process entry
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert scripts and scripts.group(1).split() == ["extremalcurves", "=", '"extremalcurves.cli:run"']
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    [block] = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(stmt) for stmt in block.body] == ["run()"]

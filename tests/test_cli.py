@@ -4,7 +4,14 @@ import random
 import pytest
 
 from extremalcurves.cli import main
-from extremalcurves.construct import construct_curve, extremal_curve_ideal, random_construction_input
+from extremalcurves.cohomology import verify_extremal
+from extremalcurves.construct import (
+    construct_curve,
+    extremal_curve_ideal,
+    non_extremal_witness,
+    random_construction_input,
+)
+from extremalcurves.formulas import max_genus
 from extremalcurves.gin import GinDisagreement
 from extremalcurves.idealfile import (
     IdealFileError,
@@ -306,6 +313,36 @@ class TestCli:
         assert started == asked
         assert parallel.read_bytes() == serial.read_bytes()
 
+    def test_sweep_to_a_missing_directory_exit_2_before_any_point(self, tmp_path, monkeypatch, capsys):
+        # the write at the end would fail: the sweep says so with the same
+        # message before it runs a single grid point
+        import extremalcurves.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "sweep_point", lambda task: calls.append(task))
+        out = tmp_path / "missing_dir" / "x.json"
+        assert main(["sweep", "--n", "3:5", "--d", "3:7", "--a", "0:3", "-o", str(out)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert not out.parent.exists()
+
+    def test_sweep_leaves_an_existing_output_until_the_grid_is_done(self, tmp_path, monkeypatch):
+        import extremalcurves.cli as cli
+
+        out = tmp_path / "report.json"
+        out.write_text("earlier sweep\n")
+        seen = []
+        real = cli.sweep_point
+
+        def watched(task):
+            seen.append(out.read_text())
+            return real(task)
+
+        monkeypatch.setattr(cli, "sweep_point", watched)
+        assert main(["sweep", "--n", "3:3", "--d", "3:3", "--a", "0:1", "-o", str(out)]) == 0
+        assert seen == ["earlier sweep\n"] * 2
+        assert json.loads(out.read_text())["grid"]["a"] == [0, 1]
+
     def test_oracle_hf_negative_max_deg_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.ideal"
         path.write_text("ring n=3 field=q\nx2^2\nx2*x3\nx3^2\n")
@@ -352,8 +389,6 @@ class TestCli:
 
     def test_rem64_catalog(self, tmp_path):
         path = tmp_path / "alt.ideal"
-        from extremalcurves.formulas import max_genus
-
         g = max_genus(5, 3) - 1
         assert (
             main(
@@ -545,3 +580,69 @@ class TestCli:
             capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == "False"
+
+
+class TestProcessEntry:
+    """`run` is the process entry: it freezes the loaded heap, then exits
+    with `main`'s code; `main` never freezes."""
+
+    @staticmethod
+    def _files(tmp_path):
+        good = tmp_path / "ex45.ideal"
+        good.write_text(emit_ideal(extremal_curve_ideal(3, 5, max_genus(3, 5) - 1)))
+        witness = tmp_path / "ex46.ideal"
+        witness.write_text(emit_ideal(non_extremal_witness(4, 1, 4).ideal))
+        malformed = tmp_path / "malformed.ideal"
+        malformed.write_text("ring n=3 field=q\nx0 x1\n")
+        return good, witness, malformed
+
+    @pytest.mark.parametrize("which, code", [(0, 0), (1, 1), (2, 2)])
+    def test_run_freezes_once_before_main_and_exits_with_its_code(self, tmp_path, monkeypatch, which, code):
+        # the recorder stands in for gc.freeze, so this process stays unfrozen
+        import gc
+
+        import extremalcurves.cli as cli
+
+        events = []
+        real = cli.main
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda argv=None: events.append("main") or real(argv))
+        with pytest.raises(SystemExit) as exit_:
+            cli.run(["verify", str(self._files(tmp_path)[which])])
+        assert exit_.value.code == code
+        assert events == ["freeze", "main"]
+
+    def test_main_never_freezes(self, tmp_path):
+        import gc
+
+        frozen = gc.get_freeze_count()
+        assert main(["verify", str(self._files(tmp_path)[0])]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_entry_end_to_end(self, tmp_path, capsys):
+        # through `python -m extremalcurves.cli`, so through `run`: the exit
+        # codes, the error text and the report bytes survive the frozen exit
+        import os
+        import subprocess
+        import sys
+
+        import extremalcurves
+
+        src = os.path.dirname(os.path.dirname(extremalcurves.__file__))
+
+        def child(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "extremalcurves.cli", *args],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
+            )
+
+        good, witness, malformed = self._files(tmp_path)
+        assert child("verify", str(good)).returncode == 0
+        assert child("verify", str(witness)).returncode == 1
+        bad = child("verify", str(malformed))
+        assert main(["verify", str(malformed)]) == 2
+        assert bad.returncode == 2
+        assert bad.stderr.decode("utf-8") == capsys.readouterr().err
+        report = child("analyze", str(good), "--seed", "3")
+        assert report.returncode == 0
+        assert report.stdout == verify_extremal(parse_ideal(good), seed=3).to_json().encode("utf-8")
