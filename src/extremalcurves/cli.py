@@ -182,10 +182,13 @@ def sweep_point(task):
 
 
 def _cmd_sweep(args):
-    # the same error the final write would raise, before the grid runs; an
-    # existing output file is left as it is until the grid is done
+    # the same error the final write would raise (a missing directory, or a
+    # directory as the output), before the grid runs; an existing output
+    # file is left as it is until the grid is done
     if not os.path.isdir(os.path.dirname(args.output) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+    if os.path.isdir(args.output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
     (n_lo, n_hi), (d_lo, d_hi), (a_lo, a_hi) = args.n, args.d, args.a
     tasks = []
     for n in range(n_lo, n_hi + 1):

@@ -370,18 +370,6 @@ class PresentedModule:
         """Dimension of the graded piece, read off the Hilbert series."""
         return series_dim(self.series, self.ring.nvars, degree)
 
-    def reduce(self, vec):
-        """Normal form of a packed vector, as a packed vector."""
-        if not vec:
-            return {}
-        eng, first = self.engine, self.first
-        ep = eng.element({s + first: e for s, e in vec.items()})
-        keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
-        # ep is ep.coeffs[0] / lead times vec, lead the coefficient at vec's smallest key
-        top = vec[min(vec)]
-        lead = top[min(top)]
-        return eng.vector(keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), first)
-
     def is_finite_length(self) -> bool:
         """Whether HS(M) = N(t)/(1-t)^n is a Laurent polynomial, that is
         (1-t)^n divides N.  With m the lowest k, N = t^m P(t) and P(t) =
@@ -440,9 +428,9 @@ class GraphBasis(PresentedModule):
     coordinate.  They present a module on F + R^s whose view narrows to
     R^s: under position over term an element whose lead lies there lies
     there entirely, so the elements there are a Gröbner basis of the
-    kernel, and `hf` and `reduce` read the coimage off them.  A zero
-    column's component is all kernel (its unit is a graph element), so the
-    twist 0 it gets here moves no dimension."""
+    kernel, and `hf` reads the coimage off them.  A zero column's
+    component is all kernel (its unit is a graph element), so the twist 0
+    it gets here moves no dimension."""
 
     def __init__(self, cols, free_twists, ring):
         first, degree = len(free_twists), packing.layout(ring.nvars).degree

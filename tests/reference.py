@@ -2,7 +2,8 @@
 tests that compare the package against them or read through them: the
 rank of a dense matrix (`dense_rank`, through `oracle.fraction_rank`) and
 a binary form's dense coefficient vector, Euclid's
-gcd of binary forms in the ring's field, the kernel of the line
+gcd of binary forms in the ring's field, the gluing inputs of the ex45
+and rem64 catalogs (`ex45_input`, `rem64_input`), the kernel of the line
 construction as a graph Gröbner basis in all n+1 variables, the
 minimalization of the Schreyer frame in field arithmetic (`Fraction`s over
 QQ) and in integers, every map at once (`eager_resolution`, the oracle of
@@ -32,7 +33,8 @@ add every input and then complete the pairs, as the engine did before
 its one driver; the dual rows as integer rows with a multiplier each
 (`integer_dual`) and the graph basis whose units carry those multipliers
 (`MultiplierGraphBasis`), as they were before the rows moved to the
-field, and the lcm of each field row's denominators; the ideal quotient
+field, and the lcm of each field row's denominators; the normal form of
+a packed vector modulo a presented module (`reduce`); the ideal quotient
 by exact division of the generators of each I ∩ (g) by g, with that
 division and the divisibility and quotient of exponent tuples; and small
 reads of package objects that only the tests make: the monic polynomials,
@@ -49,7 +51,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 
 from extremalcurves.cohomology import InternalCheckError, NotACurveError, detect_hilbert_polynomial, hyperplane_section
-from extremalcurves.construct import _is_binary
+from extremalcurves.construct import ConstructionInput, _is_binary
 from extremalcurves.gin import DEFAULT_ENTRY_BOUND, GinDisagreement, GinResult, mix_seed
 from extremalcurves.groebner import (
     GroebnerBasis,
@@ -215,6 +217,28 @@ def binary_gcd(forms):
             m[1] = gdeg - e + x1_power
             terms.append((tuple(m), c))
     return Polynomial(ring, terms)
+
+
+def ex45_input(n, d, a):
+    """The gluing input of ex45 (`extremal_curve_ideal` at genus
+    max_genus - a): f = -x1^(d+a+n-5) and f_t = (-1)^(t+1) x0^(a+t-1)
+    x1^(n-2-t) for t = 1..n-2."""
+    ring = PolyRing(n + 1)
+    x0, x1 = ring.gen(0), ring.gen(1)
+    f_list = tuple((-1) ** (t + 1) * x0 ** (a + t - 1) * x1 ** (n - 2 - t) for t in range(1, n - 1))
+    return ConstructionInput(n=n, d=d, a=a, f_list=f_list, f=-(x1 ** (d + a + n - 5)))
+
+
+def rem64_input(n, a):
+    """The gluing input of rem64 (`cubic_alternate_curve_ideal`), d = 3
+    with f = 0: f_1 = -x1^(a+n-3) and f_t = (-1)^t x0^(a+t-1) x1^(n-2-t)
+    for t = 2..n-2."""
+    ring = PolyRing(n + 1)
+    x0, x1 = ring.gen(0), ring.gen(1)
+    f_list = (-(x1 ** (a + n - 3)),) + tuple(
+        (-1) ** t * x0 ** (a + t - 1) * x1 ** (n - 2 - t) for t in range(2, n - 1)
+    )
+    return ConstructionInput(n=n, d=3, a=a, f_list=f_list, f=ring.zero)
 
 
 def graph_kernel_ideal(inp) -> Ideal:
@@ -685,6 +709,21 @@ class BatchGraphBasis(GraphBasis):
             eng.add(eng.element({**col, first + t: {0: 1}}))
         eng.complete(list(free_twists) + degs)
         self.engine, self.gen_degrees, self._standard = eng, tuple(degs), {}
+
+
+def reduce(module, vec):
+    """Normal form of a packed vector modulo a `PresentedModule`'s
+    relations, as a packed vector in the module's view (its components
+    from `first` on)."""
+    if not vec:
+        return {}
+    eng, first = module.engine, module.first
+    ep = eng.element({s + first: e for s, e in vec.items()})
+    keys, coeffs, mult = eng.normal_form(ep.keys, ep.coeffs)
+    # ep is ep.coeffs[0] / lead times vec, lead the coefficient at vec's smallest key
+    top = vec[min(vec)]
+    lead = top[min(top)]
+    return eng.vector(keys, _divide([c * lead for c in coeffs], ep.coeffs[0] * mult, eng.modulus), first)
 
 
 def integer_dual(res, k):

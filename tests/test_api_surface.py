@@ -91,6 +91,7 @@ GONE = [
     ("modules", "_packed_columns"),
     ("modules", "module_kernel"),
     ("ideals", "module_kernel"),
+    ("modules", "PresentedModule.reduce"),
     *[
         ("ring", f"{cls}.{name}")
         for cls in ("RationalField", "PrimeField")

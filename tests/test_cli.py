@@ -326,6 +326,23 @@ class TestCli:
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
         assert not out.parent.exists()
 
+    def test_sweep_to_an_existing_directory_exit_2_before_any_point(self, tmp_path, monkeypatch, capsys):
+        # the output names a directory, which the write at the end cannot
+        # open: the sweep says so with the same message, before it runs a
+        # single grid point, and leaves the directory as it was
+        import extremalcurves.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "sweep_point", lambda task: calls.append(task))
+        out = tmp_path / "adir"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        assert main(["sweep", "--n", "3:4", "--d", "3:5", "--a", "0:2", "-o", str(out)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "kept\n"
+
     def test_sweep_leaves_an_existing_output_until_the_grid_is_done(self, tmp_path, monkeypatch):
         import extremalcurves.cli as cli
 

@@ -245,9 +245,11 @@ class TestH2:
         with pytest.raises(InternalCheckError, match="twists miss the Hilbert numerator"):
             DualCohomology(I)
 
-    def test_image_outside_the_kernel_raises(self):
-        # scale one entry of a: the image of a basis vector picks up
-        # entry * e_r, which b does not kill, so im a leaves ker b
+    @staticmethod
+    def _dual_with_a_scaled_entry():
+        """The dual complex of ex45 (4, 5, 1) with one entry of a doubled:
+        the image of a basis vector picks up entry * e_r, which b does not
+        kill, so im a leaves ker b."""
         I = extremal_curve_ideal(4, 5, 1)
         dual = DualCohomology(I)
         res, n = dual.res, I.ring.n
@@ -257,7 +259,24 @@ class TestH2:
         cols = [[dict(col) for col in level] for level in fields]
         cols[n - 2][r][s] = {key: 2 * c for key, c in a[r][s].items()}
         dual.res = field_resolution_data(I.ring, res.twists, cols)
+        return dual
+
+    def test_image_outside_the_kernel_raises(self):
         with pytest.raises(InternalCheckError):
+            self._dual_with_a_scaled_entry().h2_value(0)
+
+    def test_the_complex_check_runs_before_and_without_the_engine(self, monkeypatch):
+        # b·a = 0 is a product of the dual rows: with no graph basis to be
+        # had, the scaled entry still raises, so the check runs first
+        class Sentinel(Exception):
+            pass
+
+        def no_graph_basis(*args):
+            raise Sentinel
+
+        dual = self._dual_with_a_scaled_entry()
+        monkeypatch.setattr(cohomology, "GraphBasis", no_graph_basis)
+        with pytest.raises(InternalCheckError, match="dual complex image missed the kernel"):
             dual.h2_value(0)
 
 
@@ -555,19 +574,24 @@ class TestCurveAnalysis:
             unequal += differ
         assert unequal >= 20
 
-    def test_a_graph_unit_left_at_1_misses_the_kernel(self, monkeypatch):
-        # the negative control: each column cleared of its denominators with
-        # its unit left at 1 is the graph of another map wherever the lcms
-        # differ, and the check that im a lies in ker b catches every one
-        class UnitAtOne(GraphBasis):
-            def __init__(self, cols, free_twists, ring):
-                cleared = [{s: {k: v * m for k, v in e.items()} for s, e in col.items()}
-                           for col, m in zip(cols, denominator_lcms(cols))]
-                super().__init__(cleared, free_twists, ring)
-
-        monkeypatch.setattr(cohomology, "GraphBasis", UnitAtOne)
+    def test_last_dual_rows_scaled_by_their_lcms_miss_the_kernel(self, monkeypatch):
+        # the negative control: each row b_t of the last dual map cleared of
+        # its denominators, times its lcm m_t, makes b·a the sum of the
+        # a_rt m_t b_t, no longer zero wherever the lcms differ, and the
+        # check that b·a = 0 catches every one; the Rao dual's relations
+        # scale by units and do not move
         differ = [(s, I) for s, I, unequal in self._non_acm_draws() if unequal]
         assert len(differ) >= 20
+        dual = modules.ResolutionData.dual
+
+        def scaled(res, k):
+            rows = dual(res, k)
+            if k != res.ring.n - 1:
+                return rows
+            return [{s: {key: v * m for key, v in e.items()} for s, e in row.items()}
+                    for row, m in zip(rows, denominator_lcms(rows))]
+
+        monkeypatch.setattr(modules.ResolutionData, "dual", scaled)
         for s, I in differ:
             with pytest.raises(InternalCheckError, match="dual complex image missed the kernel"):
                 CurveAnalysis(I).h2

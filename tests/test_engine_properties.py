@@ -62,6 +62,7 @@ from reference import (  # noqa: E402
     mono_div,
     mono_divides,
     mono_shift,
+    reduce,
     verify_resolution,
     with_resolution,
 )
@@ -469,9 +470,9 @@ def test_a_combination_of_the_relations_reduces_to_zero(data, draw):
     target = combine(ring, coeffs, cols)
     other = [draw.draw(forms(ring, top - w)) for w in twists]
     pm = PresentedModule(ring, twists, [packed_vector(ring, c) for c in cols])
-    assert pm.reduce(packed_vector(ring, target)) == {}
+    assert reduce(pm, packed_vector(ring, target)) == {}
     shifted = [o + t for o, t in zip(other, target)]
-    assert pm.reduce(packed_vector(ring, shifted)) == pm.reduce(packed_vector(ring, other))
+    assert reduce(pm, packed_vector(ring, shifted)) == reduce(pm, packed_vector(ring, other))
 
 
 @SETTINGS
@@ -512,9 +513,9 @@ def test_the_graph_basis_reads_the_coimage_off_the_kernel(data, draw):
     assert [graph.hf(j) for j in degrees] == [pm.hf(j) for j in degrees]
     top = max(degs) + draw.draw(st.integers(0, 1))
     vec = packed_vector(ring, [draw.draw(forms(ring, top - d)) for d in degs])
-    assert graph.reduce(vec) == pm.reduce(vec)
+    assert reduce(graph, vec) == reduce(pm, vec)
     for v in graph.kernel_generators():
-        assert graph.reduce(v) == {}
+        assert reduce(graph, v) == {}
 
 
 @st.composite
