@@ -31,7 +31,7 @@ from .construct import (
 from .formulas import bound_profile, max_genus
 from .idealfile import emit_ideal, parse_ideal
 from .oracle import oracle_quotient_dims
-from .report import SCHEMA_VERSION
+from .report import SCHEMA_VERSION, format_json
 
 
 def _build_parser():
@@ -213,9 +213,7 @@ def _cmd_sweep(args):
         },
         "reports": results,
     }
-    import json  # only a written sweep needs it; keeps CLI start-up light
-
-    payload = json.dumps(doc, indent=2) + "\n"
+    payload = format_json(doc)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(payload)
     verdicts = [

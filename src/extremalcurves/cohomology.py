@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import accumulate
 
 from .formulas import (
     CurveSpec,
@@ -29,7 +30,7 @@ from .gin import gin as compute_gin, mix_seed
 from .groebner import cut_leads
 from .ideals import Ideal, is_saturated, random_unipotent_matrix
 from .modules import GraphBasis, InternalCheckError, PresentedModule
-from .monomials import MonomialIdeal, _trim, series_dim
+from .monomials import MonomialIdeal, _trim, series_values
 from .oracle import fraction_rank
 from .report import CurveReport
 from .ring import FrozenRecord, Record, _addmul
@@ -76,8 +77,8 @@ def detect_hilbert_polynomial(lead: MonomialIdeal):
     other dimension, the unit ideal included, raises NotACurveError."""
     q = list(lead.hilbert_numerator())
     k = 0
-    while any(q) and sum(q) == 0:  # divide by (1 - t): partial sums
-        q = [sum(q[: i + 1]) for i in range(len(q) - 1)]
+    while any(q) and sum(q) == 0:  # divide by (1 - t): a running sum
+        q = list(accumulate(q))[:-1]
         k += 1
     if not any(q) or lead.nvars - k != 2:
         raise NotACurveError(
@@ -91,7 +92,7 @@ def hilbert_table(I: Ideal, window, degree: int, genus: int) -> HilbertTable:
     degree and genus (from `detect_hilbert_polynomial`)."""
     lo, hi = window
     lead = I.initial_ideal()
-    dims = tuple(lead.quotient_dim(j) for j in range(lo, hi + 1))
+    dims = tuple(series_values(enumerate(lead.hilbert_numerator()), lead.nvars, lo, hi))
     return HilbertTable(
         window=(lo, hi),
         dims=dims,
@@ -173,15 +174,21 @@ class DualCohomology:
                 raise InternalCheckError("dual complex image missed the kernel")
         return GraphBasis(b, [-w for w in res.twists[n]], ring)
 
+    def _dual_window(self, terms, lo: int, hi: int) -> list:
+        """Values in degrees e = -j - nvars, j from lo to hi, of the series
+        with the given numerator terms: one read, listed by j."""
+        nvars = self.ring.nvars
+        return series_values(terms, nvars, -hi - nvars, -lo - nvars)[::-1]
+
     def rao_dims(self, lo: int, hi: int) -> dict:
         """{j: dim M_j} for lo <= j <= hi, zeros included: M_j = H^1(I_C(j))
         is dual to the dual module's piece in degree -j - nvars."""
-        nvars = self.ring.nvars
-        return {j: self.rao_dual.hf(-j - nvars) for j in range(lo, hi + 1)}
+        return dict(zip(range(lo, hi + 1), self._dual_window(self.rao_dual.series, lo, hi)))
 
-    def h2_value(self, j: int) -> int:
-        e = -j - self.ring.nvars
-        return series_dim(self._coker_a, self.ring.nvars, e) - self.coimage_b.hf(e)
+    def h2_values(self, lo: int, hi: int) -> list:
+        """[h2(j) for lo <= j <= hi]: F*_{n-1}/im a less the coimage of b."""
+        coker = self._dual_window(self._coker_a, lo, hi)
+        return [x - y for x, y in zip(coker, self._dual_window(self.coimage_b.series, lo, hi))]
 
 
 class FiniteLengthModule(Record):
@@ -302,16 +309,14 @@ def h2_table(dual: DualCohomology, hilbert: HilbertTable, h1_values):
     Riemann-Roch identity asserted at every degree against the h1 values
     over that window."""
     lo, hi = hilbert.window
-    values = []
-    for j, h1 in zip(range(lo, hi + 1), h1_values, strict=True):
-        h2 = dual.h2_value(j)
+    values = dual.h2_values(lo, hi)
+    for j, h1, h2 in zip(range(lo, hi + 1), h1_values, values, strict=True):
         lhs = hilbert.at(j) - hilbert.polynomial_value(j)
         if lhs != -h1 + h2:
             raise InternalCheckError(
                 f"Riemann-Roch identity failed at degree {j}: "
                 f"{lhs} != -{h1} + {h2}"
             )
-        values.append(h2)
     return values
 
 
@@ -337,14 +342,11 @@ def hyperplane_section(I: Ideal, degree: int, hvals, seed: int = 0):
         cut_dims = cut_leads(I.gens, matrix, None, ring)
         if not cut_dims.gens:
             continue
-        ok = all(
-            cut_dims.quotient_dim(j) == hvals[j] - (hvals[j - 1] if j else 0)
-            for j in range(len(hvals))
-        )
-        if not ok:
+        cut = series_values(enumerate(cut_dims.hilbert_numerator()), cut_dims.nvars, 0, len(hvals) - 1)
+        if cut != [h - g for h, g in zip(hvals, [0, *hvals])]:
             continue
         lead = MonomialIdeal(ring.n, [m[:last] + (0,) for m in cut_dims.gens])
-        values = [lead.quotient_dim(j) for j in range(0, degree + 2)]
+        values = series_values(enumerate(lead.hilbert_numerator()), ring.n, 0, degree + 1)
         if values[-1] != degree:  # section points on {x_last = 0}
             continue
         return values, matrix
@@ -375,7 +377,7 @@ def general_section_values(gin, degree: int):
     if any(m[n] for m in gin.gens):
         raise InternalCheckError("a gin generator involves the last variable")
     lead = MonomialIdeal(n, [m[: n - 1] + (0,) for m in gin.gens])
-    values = [lead.quotient_dim(j) for j in range(degree + 2)]
+    values = series_values(enumerate(lead.hilbert_numerator()), n, 0, degree + 1)
     if values[-1] != degree:
         raise InternalCheckError(f"the section read off the gin has {values[-1]} points, not {degree}")
     return values

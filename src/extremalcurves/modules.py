@@ -32,8 +32,8 @@ from math import gcd
 
 from . import packing
 from .groebner import GroebnerBasis, _divide, _Engine, _EnginePoly, _primitive, cancel_lead, spair
-from .monomials import BettiTable, _numerator, series_dim
-from .ring import PolyRing, _addmul, binom
+from .monomials import BettiTable, _numerator, series_values
+from .ring import PolyRing, _addmul
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +368,18 @@ class PresentedModule:
 
     def hf(self, degree: int) -> int:
         """Dimension of the graded piece, read off the Hilbert series."""
-        return series_dim(self.series, self.ring.nvars, degree)
+        return series_values(self.series, self.ring.nvars, degree, degree)[0]
 
     def is_finite_length(self) -> bool:
         """Whether HS(M) = N(t)/(1-t)^n is a Laurent polynomial, that is
-        (1-t)^n divides N.  With m the lowest k, N = t^m P(t) and P(t) =
-        sum_i (sum_k c_k C(k-m, i)) (t-1)^i, so it does when those sums
-        vanish for every i < n (every L_s is artinian)."""
-        terms = self.series
-        low = terms[0][0] if terms else 0
-        return not any(sum(c * binom(k - low, i) for k, c in terms) for i in range(self.ring.nvars))
+        (1-t)^n divides N (every L_s is artinian).  With top the highest
+        exponent of N, the coefficient of t^j for j >= top is
+        sum_k c_k C(j - k + n - 1, n - 1), a polynomial in j of degree below
+        n: HS(M) stops at t^top exactly when the n of them from top on
+        vanish."""
+        terms, n = self.series, self.ring.nvars
+        top = terms[-1][0] if terms else 0
+        return not any(series_values(terms, n, top, top + n - 1))
 
     def standard_basis(self, degree: int):
         """Ascending POT keys, the unit key of slot first + slot plus a

@@ -4,6 +4,8 @@ stability, and the Eliahou-Kervaire formulas for strongly stable ideals.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .packing import fit
 from .ring import binom, mono_degree
 
@@ -106,7 +108,7 @@ class MonomialIdeal:
         num = self._numerator
         if num is None:  # not `if not num`: the unit ideal's numerator is ()
             num = self.hilbert_numerator()
-        return series_dim(enumerate(num), self.nvars, j)
+        return series_values(enumerate(num), self.nvars, j, j)[0]
 
     def __repr__(self):
         from .ring import format_mono
@@ -114,10 +116,19 @@ class MonomialIdeal:
         return "MonomialIdeal(" + ", ".join(format_mono(g) for g in self.gens) + ")"
 
 
-def series_dim(terms, nvars: int, j: int) -> int:
-    """The coefficient of t^j in N(t)/(1-t)^nvars, N given by its terms
-    (k, c): sum c * C(j - k + nvars - 1, nvars - 1), 0 for k > j."""
-    return sum(c * binom(j - k + nvars - 1, nvars - 1) for k, c in terms)
+def series_values(terms, nvars: int, lo: int, hi: int) -> list:
+    """The coefficients of t^lo, ..., t^hi in N(t)/(1-t)^nvars, N given by
+    its terms (k, c), repeated exponents adding up: N's coefficients laid
+    out from its lowest exponent (or lo) to hi, then nvars running sums,
+    one per factor 1/(1-t).  Terms above hi cannot reach the window."""
+    terms = [(k, c) for k, c in terms if k <= hi]
+    base = min(lo, min((k for k, _ in terms), default=lo))
+    coeffs = [0] * (hi - base + 1)
+    for k, c in terms:
+        coeffs[k - base] += c
+    for _ in range(nvars):
+        coeffs = accumulate(coeffs)
+    return list(coeffs)[lo - base :]
 
 
 def _poly_add_shift(a, b, shift):

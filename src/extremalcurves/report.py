@@ -142,9 +142,7 @@ class CurveReport(Record):
         return self.verdict == "extremal"
 
     def to_json(self) -> str:
-        import json  # only a written report needs it; keeps CLI start-up light
-
-        return json.dumps(self.document, indent=2) + "\n"
+        return format_json(self.document)
 
     def to_text(self) -> str:
         doc = self.document
@@ -190,6 +188,66 @@ class CurveReport(Record):
             lines.append(f"planar subcurve of degree d-1: {doc['planar_subcurve']['verdict']}")
         lines.extend(f"warning: {w}" for w in doc["warnings"])
         return "\n".join(lines) + "\n"
+
+
+def format_json(document) -> str:
+    """The document as `json.dumps(document, indent=2)` writes it, plus a
+    final newline, in one recursive pass (CPython serves indented output
+    only from its pure-Python encoder).  Keys are str; values are str,
+    int, bool, None, list, tuple or dict, and anything else raises
+    TypeError.  The report and the sweep grid are both written here."""
+    # the package's one `json` import: keeps CLI start-up light
+    from json.encoder import encode_basestring_ascii
+
+    literal = {True: "true", False: "false", None: "null"}.__getitem__
+    scalars = {str: encode_basestring_ascii, int: int.__repr__, bool: literal, type(None): literal}
+    out = []
+    _write_json(document, "\n", out, scalars)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline, out, scalars):
+    """Append the text of value, nested at the indent that ends newline;
+    scalars maps the exact scalar types to their writers."""
+    write = scalars.get(type(value))
+    if write:
+        out.append(write(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            lead += scalars[str](key) + ": "  # the escaper raises TypeError on a non-str
+            write = scalars.get(type(item))
+            if write:
+                out.append(lead + write(item))
+            else:
+                out.append(lead)
+                _write_json(item, inner, out, scalars)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in value:
+            write = scalars.get(type(item))
+            if write:
+                out.append(lead + write(item))
+            else:
+                out.append(lead)
+                _write_json(item, inner, out, scalars)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, (str, int)):  # a subclass, written as its base
+        out.append(scalars[str if isinstance(value, str) else int](value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _matches(flag):

@@ -1,7 +1,8 @@
 """Reference algorithms and views that the package does not run, kept for the
 tests that compare the package against them or read through them: the
 rank of a dense matrix (`dense_rank`, through `oracle.fraction_rank`) and
-a binary form's dense coefficient vector, Euclid's
+a binary form's dense coefficient vector, one coefficient of a Hilbert
+series by its binomial sum (`series_dim`), Euclid's
 gcd of binary forms in the ring's field, the gluing inputs of the ex45
 and rem64 catalogs (`ex45_input`, `rem64_input`), the kernel of the line
 construction as a graph Gröbner basis in all n+1 variables, the
@@ -1335,6 +1336,13 @@ def ideal_dim(ideal, j: int) -> int:
     if j < 0:
         return 0
     return binom(j + ideal.nvars - 1, ideal.nvars - 1) - ideal.quotient_dim(j)
+
+
+def series_dim(terms, nvars: int, j: int) -> int:
+    """The coefficient of t^j in N(t)/(1-t)^nvars, N given by its terms
+    (k, c), as one binomial sum: sum c * C(j - k + nvars - 1, nvars - 1),
+    0 for k > j (nvars >= 1).  The oracle of `monomials.series_values`."""
+    return sum(c * binom(j - k + nvars - 1, nvars - 1) for k, c in terms)
 
 
 def from_scalar(ring, c) -> Polynomial:

@@ -5,8 +5,8 @@ package module imports from the tests, only `packing` knows the
 packed-monomial format, the Gröbner driver is the one caller of the pair
 completion, each key layout has one owner module, `report` alone lays
 out and versions the report's document, importing the CLI loads
-neither `dataclasses` nor `json`, and `cli.run` is the one process
-entry."""
+neither `dataclasses` nor `json`, `report.py` is the one module that
+imports `json`, and `cli.run` is the one process entry."""
 
 import ast
 import importlib
@@ -98,6 +98,8 @@ GONE = [
         for name in ("zero", "one", "add", "mul", "neg", "div")
     ],
     ("cohomology", "DualCohomology.h2_parts"),
+    ("monomials", "series_dim"),
+    ("cohomology", "DualCohomology.h2_value"),
 ]
 
 
@@ -321,7 +323,9 @@ def test_no_dataclasses_and_json_only_inside_functions():
             elif root == "json":
                 json_inside.add(source.name)
     assert offenders == []
-    assert {"cli.py", "report.py"} <= json_inside  # the scan sees the lazy imports
+    # the report writer's lazy import is the package's one: the sweep grid
+    # is written through it too
+    assert json_inside == {"report.py"}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_json():
